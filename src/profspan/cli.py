@@ -15,7 +15,18 @@ from . import groups as g
 from . import mackey as mk
 from . import spans as sp
 from . import verify as vf
-from .errors import ParseError, UnknownVerb
+from .errors import (
+    GroupMismatch,
+    NotAGroup,
+    NotNormal,
+    NotPrime,
+    ParseError,
+    UnknownVerb,
+)
+
+# Errors that mean the input was bad; verification outcomes such as
+# IncoherentFamily or NotLeftExact are reported, not caught here.
+_INPUT_ERRORS = (ParseError, UnknownVerb, NotPrime, NotNormal, NotAGroup, GroupMismatch)
 
 
 def _parse_tower_flag(value: str) -> tuple[int, int]:
@@ -27,6 +38,16 @@ def _parse_tower_flag(value: str) -> tuple[int, int]:
     if p < 2 or depth < 1:
         raise ParseError("<args>", 0, "--tower needs p >= 2 and depth >= 1")
     return p, depth
+
+
+def _size_cap(value: str) -> int:
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value!r}")
+    return cap
 
 
 def _matrix_lines(rows) -> list[str]:
@@ -165,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="profspan",
         description="exact span-category and Mackey-functor computations",
     )
-    parser.add_argument("--cap", type=int, default=6, help="G-set size cap")
+    parser.add_argument("--cap", type=_size_cap, default=6, help="G-set size cap")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     parser.add_argument(
         "--tower", default="2,3", help="cyclic tower parameters `p,depth`"
@@ -219,10 +240,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report, code = _COMMANDS[args.verb](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownVerb as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report)

@@ -6,6 +6,13 @@ composition may be backed by tables or by functions; table-backed
 categories are validated eagerly, function-backed ones are generated by
 constructions whose composition is function composition and are validated
 by the test suite instead.
+
+Isomorphism search: a category may supply a `find_iso(a, b)` hook that
+returns a member of hom(a, b) with an inverse, or None.  The G-set
+categories do, matching orbits by stabilizer without enumerating any
+hom-set.  Without a hook, as for table-backed categories, `find_iso` and
+`is_isomorphic` fall back to the exhaustive search in `isos`, which tries
+every pair in hom(a, b) x hom(b, a).
 """
 
 from __future__ import annotations
@@ -18,11 +25,12 @@ from .errors import IncoherentFamily
 
 
 class FinCat:
-    def __init__(self, objects, hom, compose, identity, name=""):
+    def __init__(self, objects, hom, compose, identity, name="", find_iso=None):
         self.objects = tuple(objects)
         self._hom = hom
         self._compose = compose
         self._identity = identity
+        self._find_iso = find_iso
         self.name = name
         self._hom_cache: dict = {}
 
@@ -57,6 +65,8 @@ class FinCat:
                     break
 
     def find_iso(self, a, b):
+        if self._find_iso is not None:
+            return self._find_iso(a, b)
         return next(self.isos(a, b), None)
 
     def is_isomorphic(self, a, b) -> bool:

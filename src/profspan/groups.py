@@ -13,6 +13,27 @@ from functools import lru_cache
 from .errors import NotAGroup, NotNormal, NotPrime
 
 
+def memoise_hash(cls):
+    """Class decorator for a frozen dataclass: compute the field-wise hash
+    on first use and keep it on the instance.
+
+    Groups, G-sets and towers key hom-set and lattice caches, and their
+    generated hash re-walks every table on every call.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = field_hash(self)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@memoise_hash
 @dataclass(frozen=True)
 class FiniteGroup:
     mult: tuple[tuple[int, ...], ...]
@@ -270,6 +291,7 @@ def compose_quotients(q_outer: QuotientMap, q_inner: QuotientMap) -> QuotientMap
     return QuotientMap(q_inner.source, kernel, q_outer.target, projection)
 
 
+@memoise_hash
 @dataclass(frozen=True)
 class GroupTower:
     """Chain of finite quotients; stages[0] is the coarsest.

@@ -15,10 +15,12 @@ from .groups import (
     GroupTower,
     QuotientMap,
     Subgroup,
+    memoise_hash,
     subgroup_lattice,
 )
 
 
+@memoise_hash
 @dataclass(frozen=True)
 class GSet:
     """Finite left G-set; action[x][g] = g.x."""
@@ -430,11 +432,11 @@ def adjunction_report(q: QuotientMap, X: GSet, f: EqMap) -> AdjunctionReport:
     counit_injective = counit_X.is_injective() and counit_map(Xp, q).is_injective()
 
     # unit naturality square over G/N for f^N: X^N -> X'^N
-    f_fixed = _fixed_points_map(f, q)
+    f_fixed = fixed_points_map(f, q)
     unit_sq = square_is_pullback(
         unit_map(f_fixed.src, q),
         f_fixed,
-        _fixed_points_map(inflate_map(f_fixed, q), q),
+        fixed_points_map(inflate_map(f_fixed, q), q),
         unit_map(f_fixed.dst, q),
     )
 
@@ -449,7 +451,7 @@ def adjunction_report(q: QuotientMap, X: GSet, f: EqMap) -> AdjunctionReport:
     return AdjunctionReport(unit_is_iso, counit_injective, unit_sq, counit_sq, witness)
 
 
-def _fixed_points_map(f: EqMap, q: QuotientMap) -> EqMap:
+def fixed_points_map(f: EqMap, q: QuotientMap) -> EqMap:
     """f restricted to N-fixed points, over G/N."""
     src_pts = fixed_point_indices(f.src, q.kernel)
     dst_pts = fixed_point_indices(f.dst, q.kernel)
@@ -459,10 +461,6 @@ def _fixed_points_map(f: EqMap, q: QuotientMap) -> EqMap:
         fixed_points(f.dst, q),
         tuple(dst_index[f.values[x]] for x in src_pts),
     )
-
-
-def fixed_points_map(f: EqMap, q: QuotientMap) -> EqMap:
-    return _fixed_points_map(f, q)
 
 
 def canonical_gset(G: FiniteGroup, class_multiset) -> GSet:
@@ -493,8 +491,13 @@ def gset_category(G: FiniteGroup, size_cap: int) -> "fincat.FinCat":
     def identity(X):
         return (X, X, tuple(range(X.size)))
 
+    def iso(X, Y):
+        f = find_iso(X, Y)
+        return None if f is None else (X, Y, f.values)
+
     return fincat.FinCat(
-        objs, hom, compose, identity, name=f"Fin(|G|={G.order})<= {size_cap}"
+        objs, hom, compose, identity, name=f"Fin(|G|={G.order})<= {size_cap}",
+        find_iso=iso,
     )
 
 
@@ -554,7 +557,14 @@ def discrete_gset_category(tower: GroupTower, size_cap: int) -> "fincat.FinCat":
     def identity(A):
         return (A, A, tuple(range(A.carrier.size)))
 
-    return fincat.FinCat(objects, hom, compose, identity, name="discrete")
+    def iso(A, B):
+        k = max(A.level, B.level)
+        f = find_iso(lift(A, k), lift(B, k))
+        return None if f is None else (A, B, f.values)
+
+    return fincat.FinCat(
+        objects, hom, compose, identity, name="discrete", find_iso=iso
+    )
 
 
 def gset_isoclasses(G: FiniteGroup, size_cap: int) -> list[tuple[int, ...]]:

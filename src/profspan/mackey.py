@@ -10,6 +10,7 @@ double-coset formula, and all arithmetic is exact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -314,7 +315,7 @@ def reduce_mod(M: MackeyFunctor, n: int) -> MackeyFunctor:
                 (n,) * lv.rank
                 + tuple(
                     d
-                    for d in (_gcd_factor(f, n) for f in lv.invariant_factors)
+                    for d in (math.gcd(f, n) for f in lv.invariant_factors)
                     if d > 1
                 )
             ),
@@ -322,12 +323,6 @@ def reduce_mod(M: MackeyFunctor, n: int) -> MackeyFunctor:
         for lv in M.levels
     )
     return MackeyFunctor(M.group, levels, dict(M.gen_action))
-
-
-def _gcd_factor(f: int, n: int) -> int:
-    import math
-
-    return math.gcd(f, n)
 
 
 def _preimage_class(q: QuotientMap, lat_q, lat_g, c_bar: int) -> int:

@@ -129,3 +129,24 @@ def test_report_objects_render_pass():
 def test_report_fail_render():
     r = vf.Report("x", False, "some witness")
     assert r.render().splitlines()[0] == "FAIL some witness"
+
+
+def test_non_prime_tower_exits_2(capsys):
+    assert main(["--tower", "4,2", "verify", "colim-gset"]) == 2
+    assert capsys.readouterr().err.startswith("error: 4 is not prime")
+
+
+def test_non_normal_kernel_exits_2(tmp_path, capsys):
+    G = corpus_group("S3")
+    (tmp_path / "s3.grp").write_text(fm.serialize_group(G))
+    (tmp_path / "m.mackey").write_text(
+        fm.serialize_mackey(mk.burnside_mackey(G), "s3.grp")
+    )
+    t = next(x for x in G.elements() if G.element_order(x) == 2)
+    assert main(["mackey-fixed", str(tmp_path / "m.mackey"), f"0,{t}"]) == 2
+    assert capsys.readouterr().err.startswith("error: subgroup is not normal")
+
+
+def test_negative_cap_exits_2(capsys):
+    assert main(["--cap", "-1", "verify", "adjunction"]) == 2
+    assert "--cap" in capsys.readouterr().err

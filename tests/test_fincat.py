@@ -3,6 +3,7 @@ import pytest
 from profspan import fincat as fc
 from profspan import groups as g
 from profspan import gsets as gs
+from profspan.corpus import corpus_group
 from profspan.errors import IncoherentFamily
 
 
@@ -88,6 +89,48 @@ def test_isos_in_gset_category():
     assert not any(cat.is_isomorphic(free, X) for X in others)
     f = cat.find_iso(free, free)
     assert cat.inverse(f) is not None
+
+
+def assert_iso_hook_matches_search(cat):
+    """The category's find_iso hook agrees with the exhaustive search."""
+    assert cat._find_iso is not None
+    for a in cat.objects:
+        for b in cat.objects:
+            f = cat.find_iso(a, b)
+            assert (f is None) == (next(cat.isos(a, b), None) is None)
+            assert cat.is_isomorphic(a, b) == (f is not None)
+            if f is not None:
+                assert f in cat.hom(a, b)
+                inv = cat.inverse(f)
+                assert cat.compose(inv, f) == cat.identity(a)
+
+
+@pytest.mark.parametrize("name", ["C4", "S3", "C2xC2"])
+def test_gset_category_iso_hook_oracle(name):
+    assert_iso_hook_matches_search(gs.gset_category(corpus_group(name), 4))
+
+
+def test_discrete_gset_category_iso_hook_oracle():
+    disc = gs.discrete_gset_category(g.cyclic_tower(2, 3), 3)
+    assert_iso_hook_matches_search(disc)
+    assert any(
+        disc.is_isomorphic(A, B) for A in disc.objects for B in disc.objects
+        if A.level != B.level
+    )
+
+
+def test_memoised_hashes_agree_on_equal_values():
+    G1, G2 = g.cyclic(6), g.cyclic(6)
+    hash(G1)  # G1 memoises first; G2 still computes its own
+    assert G1 == G2 and hash(G2) == hash(G1) == hash((G1.mult,))
+    X1 = gs.coset_gset(G1, (0, 3))
+    X2 = gs.GSet(G2, tuple(tuple(row) for row in X1.action))
+    hash(X2)
+    assert X1 is not X2 and X1 == X2 and hash(X1) == hash(X2)
+    assert len({X1, X2}) == 1
+    T1, T2 = g.cyclic_tower(2, 3), g.cyclic_tower(2, 3)
+    hash(T1)
+    assert T1 == T2 and hash(T2) == hash(T1)
 
 
 def test_check_equivalence_identity_and_skeleton():
