@@ -5,6 +5,10 @@ Each case runs the CLI in-process and compares against
 remaining lines are the exact stdout.  A change that must not alter any
 report (a speed-up, a refactor) leaves every file matching byte for byte.
 
+The `mackey-fixed` cases read Burnside Mackey files of corpus groups,
+written to a temporary directory first; their reports embed only the
+`--group-file` name, never the path.
+
 Regenerate the files, only when a report is meant to change, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -15,11 +19,15 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from profspan import formats as fm
+from profspan import mackey as mk
 from profspan.cli import main
+from profspan.corpus import corpus_group
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -37,25 +45,54 @@ CASES.update({
     "adjunction-cap4": ["--cap", "4", "verify", "adjunction"],
     "funcat-seed3": ["--seed", "3", "verify", "funcat"],
     "mackey-limit-2-2": ["--tower", "2,2", "verify", "mackey-limit"],
+    "mackey-limit-2-3": ["--tower", "2,3", "verify", "mackey-limit"],
+    "mackey-limit-3-2": ["--tower", "3,2", "verify", "mackey-limit"],
+    "colim-span-2-2-cap3": ["--tower", "2,2", "--cap", "3", "verify", "colim-span"],
+    "limit-span-3-2-cap3": ["--tower", "3,2", "--cap", "3", "verify", "limit-span"],
+    "verify-all-cap4": ["--cap", "4", "verify", "all"],
+    "mackey-fixed-D4": ["mackey-fixed", "{dir}/D4.mackey", "0,5"],
+    "mackey-fixed-C2xC2xC2": ["mackey-fixed", "{dir}/C2xC2xC2.mackey", "0,1"],
 })
 
+MACKEY_FILES = ("D4", "C2xC2xC2")
 
-def run(argv) -> str:
-    """`exit <code>` followed by the stdout of `profspan <argv>`."""
+
+def write_mackey_files(directory: Path) -> None:
+    """`<name>.grp` and the Burnside functor `<name>.mackey` per group."""
+    for name in MACKEY_FILES:
+        G = corpus_group(name)
+        (directory / f"{name}.grp").write_text(fm.serialize_group(G))
+        (directory / f"{name}.mackey").write_text(
+            fm.serialize_mackey(mk.burnside_mackey(G), f"{name}.grp")
+        )
+
+
+def run(argv, directory: Path) -> str:
+    """`exit <code>` followed by the stdout of `profspan <argv>`, with
+    `{dir}` in argv standing for the directory of the Mackey files."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
+        code = main([a.format(dir=directory) for a in argv])
     return f"exit {code}\n{out.getvalue()}"
 
 
+@pytest.fixture(scope="module")
+def mackey_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("mackey")
+    write_mackey_files(directory)
+    return directory
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name):
+def test_golden(name, mackey_dir):
     expected = (GOLDEN / f"{name}.txt").read_text()
-    assert run(CASES[name]) == expected
+    assert run(CASES[name], mackey_dir) == expected
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in sorted(CASES.items()):
-        (GOLDEN / f"{name}.txt").write_text(run(argv))
-        print(f"wrote {name}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_mackey_files(Path(tmp))
+        for name, argv in sorted(CASES.items()):
+            (GOLDEN / f"{name}.txt").write_text(run(argv, Path(tmp)))
+            print(f"wrote {name}", file=sys.stderr)
