@@ -15,18 +15,11 @@ from . import groups as g
 from . import mackey as mk
 from . import spans as sp
 from . import verify as vf
-from .errors import (
-    GroupMismatch,
-    NotAGroup,
-    NotNormal,
-    NotPrime,
-    ParseError,
-    UnknownVerb,
-)
+from .errors import GroupMismatch, NotAGroup, NotNormal, NotPrime, ParseError
 
 # Errors that mean the input was bad; verification outcomes such as
 # IncoherentFamily or NotLeftExact are reported, not caught here.
-_INPUT_ERRORS = (ParseError, UnknownVerb, NotPrime, NotNormal, NotAGroup, GroupMismatch)
+_INPUT_ERRORS = (ParseError, NotPrime, NotNormal, NotAGroup, GroupMismatch)
 
 
 def _parse_tower_flag(value: str) -> tuple[int, int]:
@@ -140,43 +133,15 @@ def cmd_mackey_fixed(args) -> tuple[str, int]:
         N = g.make_subgroup(M.group, elems)
     except ValueError as exc:
         raise ParseError("<args>", 0, f"invalid kernel: {exc}")
-    fixed = mk.categorical_fixed_points(M, N)
+    fixed = mk.categorical_fixed_points(M, g.quotient(M.group, N))
     return fm.serialize_mackey(fixed, args.group_file).rstrip("\n"), 0
-
-
-_VERIFY = {
-    "colim-gset": lambda cap, seed, tower: vf.verify_colim_gset(*tower, cap),
-    "colim-span": lambda cap, seed, tower: vf.verify_colim_span(
-        tower[0], min(tower[1], 2), min(cap, 3), seed
-    ),
-    "limit-span": lambda cap, seed, tower: vf.verify_limit_span(
-        tower[0], min(tower[1], 2), min(cap, 3)
-    ),
-    "adjunction": lambda cap, seed, tower: vf.verify_adjunction(cap),
-    "mackey-limit": lambda cap, seed, tower: vf.verify_mackey_limit(*tower),
-    "funcat": lambda cap, seed, tower: vf.verify_funcat(seed),
-}
 
 
 def cmd_verify(args) -> tuple[str, int]:
     tower = _parse_tower_flag(args.tower)
-    if args.check == "all":
-        reports = [
-            _VERIFY[name](args.cap, args.seed, tower)
-            for name in (
-                "colim-gset",
-                "colim-span",
-                "limit-span",
-                "adjunction",
-                "mackey-limit",
-                "funcat",
-            )
-        ]
-    elif args.check in _VERIFY:
-        reports = [_VERIFY[args.check](args.cap, args.seed, tower)]
-    else:
-        raise UnknownVerb(f"unknown verify check: {args.check}")
-    blocks = [f"[{r.name}]\n{r.render()}" for r in reports]
+    names = list(vf.CHECKS) if args.check == "all" else [args.check]
+    reports = [vf.CHECKS[name](args.cap, args.seed, tower) for name in names]
+    blocks = [f"[{name}]\n{r.render()}" for name, r in zip(names, reports)]
     code = 0 if all(r.ok for r in reports) else 1
     return "\n\n".join(blocks), code
 
@@ -191,7 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tower", default="2,3", help="cyclic tower parameters `p,depth`"
     )
-    parser.add_argument("--format", choices=["text"], default="text")
     subs = parser.add_subparsers(dest="verb")
 
     subs.add_parser("group-show").add_argument("file")
@@ -209,10 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--group-file", default="quotient.grp", help="group file name to embed"
     )
     subs.add_parser("verify").add_argument(
-        "check",
-        nargs="?",
-        default="all",
-        help="colim-gset, colim-span, limit-span, adjunction, mackey-limit, funcat, all",
+        "check", nargs="?", default="all", choices=[*vf.CHECKS, "all"]
     )
     return parser
 

@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types and the check verdict shared across the package."""
+
+from dataclasses import dataclass
+
+
+@dataclass
+class Verdict:
+    """Outcome of a check: truthy when it holds, else a reason and witness."""
+
+    ok: bool
+    reason: str = ""
+    witness: object = None
+
+    def __bool__(self):
+        return self.ok
 
 
 class NotAGroup(ValueError):
@@ -57,7 +71,3 @@ class ParseError(ValueError):
         self.source = source
         self.line = line
         super().__init__(f"{source}:{line}: {message}")
-
-
-class UnknownVerb(ValueError):
-    pass

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import IncoherentFamily
+from .errors import IncoherentFamily, Verdict
 
 
 class FinCat:
@@ -206,16 +206,6 @@ class ChainDiagram:
         for k in range(i, j):
             f = self.links[k].mor(f)
         return f
-
-
-@dataclass
-class Verdict:
-    ok: bool
-    reason: str = ""
-    witness: object = None
-
-    def __bool__(self):
-        return self.ok
 
 
 def check_equivalence(F: CatFunctor) -> Verdict:

@@ -336,30 +336,30 @@ def sub_gset(X: GSet, points) -> tuple[GSet, EqMap]:
     return S, EqMap(S, X, pts)
 
 
+def fibre_product(A: GSet, a, B: GSet, b) -> tuple[GSet, tuple, tuple]:
+    """The G-set of pairs (x, y) with a[x] == b[y], and its two projections
+    as value tables; a and b are the leg values on A and B."""
+    pairs = [(x, y) for x in A.points() for y in B.points() if a[x] == b[y]]
+    index = {p: i for i, p in enumerate(pairs)}
+    action = tuple(
+        tuple(index[(A.action[x][h], B.action[y][h])] for h in A.group.elements())
+        for (x, y) in pairs
+    )
+    return (
+        GSet(A.group, action),
+        tuple(x for x, _ in pairs),
+        tuple(y for _, y in pairs),
+    )
+
+
 def pullback(f: EqMap, g: EqMap) -> tuple[GSet, EqMap, EqMap]:
     """The fibre product of f and g over their common target."""
     if f.dst != g.dst:
         raise ValueError("pullback legs must share a target")
     if f.src.group != g.src.group:
         raise GroupMismatch("pullback requires a common group")
-    pairs = [
-        (x, y)
-        for x in f.src.points()
-        for y in g.src.points()
-        if f.values[x] == g.values[y]
-    ]
-    index = {p: i for i, p in enumerate(pairs)}
-    action = tuple(
-        tuple(
-            index[(f.src.action[x][h], g.src.action[y][h])]
-            for h in f.src.group.elements()
-        )
-        for (x, y) in pairs
-    )
-    P = GSet(f.src.group, action)
-    proj1 = EqMap(P, f.src, tuple(x for x, _ in pairs))
-    proj2 = EqMap(P, g.src, tuple(y for _, y in pairs))
-    return P, proj1, proj2
+    P, proj1, proj2 = fibre_product(f.src, f.values, g.src, g.values)
+    return P, EqMap(P, f.src, proj1), EqMap(P, g.src, proj2)
 
 
 def mediating_map(f: EqMap, g: EqMap, p: EqMap, q: EqMap) -> EqMap:
@@ -389,27 +389,6 @@ class AdjunctionReport:
     unit_square_is_pullback: bool
     counit_square_is_pullback: bool
     counit_witness: tuple | None
-
-    @property
-    def ok(self) -> bool:
-        return self.unit_is_iso and self.counit_is_injective and self.unit_square_is_pullback
-
-    def render(self) -> str:
-        lines = []
-        first = "PASS" if self.ok else "FAIL unit/counit structure violated"
-        lines.append(first)
-        lines.append(f"unit isomorphism: {self.unit_is_iso}")
-        lines.append(f"counit injective: {self.counit_is_injective}")
-        lines.append(f"unit naturality square pullback: {self.unit_square_is_pullback}")
-        lines.append(
-            f"counit naturality square pullback: {self.counit_square_is_pullback}"
-            + (
-                f" (witness {self.counit_witness})"
-                if not self.counit_square_is_pullback
-                else ""
-            )
-        )
-        return "\n".join(lines)
 
 
 def adjunction_report(q: QuotientMap, X: GSet, f: EqMap) -> AdjunctionReport:

@@ -9,13 +9,12 @@ double-coset formula, and all arithmetic is exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import GroupMismatch, IncoherentFamily
-from .groups import FiniteGroup, GroupTower, QuotientMap, Subgroup, quotient, subgroup_lattice
+from .errors import GroupMismatch, IncoherentFamily, Verdict
+from .groups import FiniteGroup, GroupTower, QuotientMap, subgroup_lattice
 from . import gsets as gs
 from . import spans as sp
 
@@ -216,14 +215,24 @@ def burnside_mackey(G: FiniteGroup) -> MackeyFunctor:
     return MackeyFunctor(G, levels, gen_action)
 
 
-@dataclass
-class Verdict:
-    ok: bool
-    reason: str = ""
-    witness: object = None
-
-    def __bool__(self):
-        return self.ok
+def check_structure(M: MackeyFunctor) -> Verdict:
+    """One level per subgroup class of M.group, and a matrix of the right
+    shape for every basis span between orbits."""
+    G = M.group
+    n = subgroup_lattice(G).num_classes
+    if len(M.levels) != n:
+        return Verdict(False, "level count mismatch", len(M.levels))
+    for c1 in range(n):
+        for c2 in range(n):
+            for key in _orbit_basis(G, c1, c2):
+                A = M.gen_action.get((c1, c2, key))
+                if A is None:
+                    return Verdict(False, "missing generator action", (c1, c2, key))
+                if len(A) != M.levels[c2].dims or any(
+                    len(r) != M.levels[c1].dims for r in A
+                ):
+                    return Verdict(False, "matrix shape mismatch", (c1, c2, key))
+    return Verdict(True)
 
 
 def check_mackey(M: MackeyFunctor) -> Verdict:
@@ -234,21 +243,17 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
     composition law M(b2 ∘ b1) = M(b2)·M(b1) with the composite expanded
     by span composition — the double-coset formula in matrix form.
     """
+    verdict = check_structure(M)
+    if not verdict:
+        return verdict
     G = M.group
-    lat = subgroup_lattice(G)
-    n = lat.num_classes
-    if len(M.levels) != n:
-        return Verdict(False, "level count mismatch", len(M.levels))
+    n = subgroup_lattice(G).num_classes
     for c1 in range(n):
         src = M.levels[c1]
         for c2 in range(n):
             tgt = M.levels[c2]
             for key in _orbit_basis(G, c1, c2):
-                A = M.gen_action.get((c1, c2, key))
-                if A is None:
-                    return Verdict(False, "missing generator action", (c1, c2, key))
-                if len(A) != tgt.dims or any(len(r) != src.dims for r in A):
-                    return Verdict(False, "matrix shape mismatch", (c1, c2, key))
+                A = M.gen_action[(c1, c2, key)]
                 for j, o in enumerate(src.orders()):
                     if o == 0:
                         continue
@@ -332,11 +337,12 @@ def _preimage_class(q: QuotientMap, lat_q, lat_g, c_bar: int) -> int:
     return lat_g.class_of(pre)
 
 
-def categorical_fixed_points(M: MackeyFunctor, N: Subgroup) -> MackeyFunctor:
-    """Restriction along the inflated spans: the G/N-Mackey functor whose
-    level at H/N is M's level at the preimage of H/N."""
+def categorical_fixed_points(M: MackeyFunctor, q: QuotientMap) -> MackeyFunctor:
+    """Restriction along the inflated spans: the Mackey functor over
+    q.target = G/N whose level at H/N is M's level at the preimage of H/N."""
     G = M.group
-    q = quotient(G, N)
+    if q.source != G:
+        raise GroupMismatch("quotient map is not from the functor's group")
     Q = q.target
     lat_q = subgroup_lattice(Q)
     lat_g = subgroup_lattice(G)
@@ -378,21 +384,12 @@ def _same_mackey(A: MackeyFunctor, B: MackeyFunctor):
     return None
 
 
-@dataclass
-class AssemblyReport:
-    mackey: MackeyFunctor
-    stages_checked: int
-
-    def render(self) -> str:
-        return f"PASS\ntower stages verified coherent: {self.stages_checked}"
-
-
-def assemble_from_tower(tower: GroupTower, family) -> AssemblyReport:
+def assemble_from_tower(tower: GroupTower, family) -> MackeyFunctor:
     """Verify a per-stage family against categorical fixed points down the
     tower and return the deepest-stage functor.
 
     family[i] is a Mackey functor over tower.stages[i]; coherence demands
-    family[i] equal categorical_fixed_points(family[i+1], ker link_i).
+    family[i] equal categorical_fixed_points(family[i+1], tower.links[i]).
     """
     family = list(family)
     if len(family) != tower.depth:
@@ -401,11 +398,11 @@ def assemble_from_tower(tower: GroupTower, family) -> AssemblyReport:
         if M.group != tower.stages[i]:
             raise IncoherentFamily(i, "stage group mismatch")
     for i in range(tower.depth - 1):
-        fixed = categorical_fixed_points(family[i + 1], tower.links[i].kernel)
+        fixed = categorical_fixed_points(family[i + 1], tower.links[i])
         diff = _same_mackey(family[i], fixed)
         if diff is not None:
             raise IncoherentFamily(i, diff)
-    return AssemblyReport(family[-1], tower.depth)
+    return family[-1]
 
 
 def tower_family(tower: GroupTower, deepest: MackeyFunctor):
@@ -415,9 +412,7 @@ def tower_family(tower: GroupTower, deepest: MackeyFunctor):
         raise GroupMismatch("functor is not over the deepest stage")
     family = [deepest]
     for i in range(tower.depth - 2, -1, -1):
-        family.append(
-            categorical_fixed_points(family[-1], tower.links[i].kernel)
-        )
+        family.append(categorical_fixed_points(family[-1], tower.links[i]))
     return list(reversed(family))
 
 

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import GroupMismatch, NotLeftExact, ObjectMismatch
+from .errors import GroupMismatch, NotLeftExact, ObjectMismatch, Verdict
 from .groups import FiniteGroup, QuotientMap, subgroup_lattice
 from . import gsets as gs
 from .gsets import EqMap, GSet
@@ -46,12 +46,10 @@ class BasisSpan:
         )
 
 
-def canonical_key(
-    X: GSet, Y: GSet, apex: GSet, base: int, legL, legR
-) -> Key:
+def canonical_key(apex: GSet, base: int, legL, legR) -> Key:
     """Canonical key of the span X <- apex -> Y restricted to the orbit of
     base; the legs are given as full value tables on apex."""
-    G = X.group
+    G = apex.group
     lat = subgroup_lattice(G)
     c = lat.class_of(apex.stabilizer(base).elements)
     rep = lat.class_rep(c).elements
@@ -90,7 +88,7 @@ def span_basis(X: GSet, Y: GSet) -> list[BasisSpan]:
         apex = gs.coset_gset(G, lat.class_rep(c).elements)
         for f in gs.hom_gset(apex, X):
             for g in gs.hom_gset(apex, Y):
-                keys.add(canonical_key(X, Y, apex, 0, f.values, g.values))
+                keys.add(canonical_key(apex, 0, f.values, g.values))
     return [BasisSpan(X, Y, k) for k in sorted(keys)]
 
 
@@ -144,7 +142,7 @@ def span_from_maps(f: EqMap, g: EqMap) -> SpanMor:
         raise ObjectMismatch("legs must share an apex")
     counts: dict = {}
     for orb in f.src.orbits():
-        k = canonical_key(f.dst, g.dst, f.src, orb[0], f.values, g.values)
+        k = canonical_key(f.src, orb[0], f.values, g.values)
         counts[k] = counts.get(k, 0) + 1
     return SpanMor(f.dst, g.dst, _normalize(counts))
 
@@ -160,25 +158,12 @@ def _compose_keys(G: FiniteGroup, k2: Key, k1: Key) -> tuple:
     lat = subgroup_lattice(G)
     apex1 = gs.coset_gset(G, lat.class_rep(k1[0]).elements)
     apex2 = gs.coset_gset(G, lat.class_rep(k2[0]).elements)
-    pairs = [
-        (x, y)
-        for x in apex1.points()
-        for y in apex2.points()
-        if k1[2][x] == k2[1][y]
-    ]
-    index = {p: i for i, p in enumerate(pairs)}
-    action = tuple(
-        tuple(
-            index[(apex1.action[x][h], apex2.action[y][h])] for h in G.elements()
-        )
-        for (x, y) in pairs
-    )
-    P = GSet(G, action)
-    legL = [k1[1][x] for x, _ in pairs]
-    legR = [k2[2][y] for _, y in pairs]
+    P, proj1, proj2 = gs.fibre_product(apex1, k1[2], apex2, k2[1])
+    legL = [k1[1][x] for x in proj1]
+    legR = [k2[2][y] for y in proj2]
     counts: dict = {}
     for orb in P.orbits():
-        k = canonical_key(P, P, P, orb[0], legL, legR)
+        k = canonical_key(P, orb[0], legL, legR)
         counts[k] = counts.get(k, 0) + 1
     return _normalize(counts)
 
@@ -308,26 +293,9 @@ def transport_span(m: SpanMor, isoL: EqMap | None, isoR: EqMap | None) -> SpanMo
     for key, mult in m.terms:
         b = BasisSpan(m.left, m.right, key)
         f, g = b.legs()
-        k = canonical_key(
-            isoL.dst,
-            isoR.dst,
-            b.apex(),
-            0,
-            f.then(isoL).values,
-            g.then(isoR).values,
-        )
+        k = canonical_key(b.apex(), 0, f.then(isoL).values, g.then(isoR).values)
         counts[k] = counts.get(k, 0) + mult
     return SpanMor(isoL.dst, isoR.dst, _normalize(counts))
-
-
-@dataclass
-class Verdict:
-    ok: bool
-    reason: str = ""
-    witness: object = None
-
-    def __bool__(self):
-        return self.ok
 
 
 def semiadditivity_check(X: GSet, Xp: GSet, Y: GSet) -> Verdict:
@@ -341,9 +309,7 @@ def semiadditivity_check(X: GSet, Xp: GSet, Y: GSet) -> Verdict:
     for Z, inc in ((X, inc1), (Xp, inc2)):
         for b in span_basis(Z, Y):
             f, g = b.legs()
-            relabeled.add(
-                canonical_key(XX, Y, b.apex(), 0, f.then(inc).values, g.values)
-            )
+            relabeled.add(canonical_key(b.apex(), 0, f.then(inc).values, g.values))
     if combined != relabeled:
         return Verdict(False, "coproduct variable", combined ^ relabeled)
     YY, j1, j2 = gs.coproduct(Y, Xp)
@@ -352,9 +318,7 @@ def semiadditivity_check(X: GSet, Xp: GSet, Y: GSet) -> Verdict:
     for Z, inc in ((Y, j1), (Xp, j2)):
         for b in span_basis(X, Z):
             f, g = b.legs()
-            relabeled.add(
-                canonical_key(X, YY, b.apex(), 0, f.values, g.then(inc).values)
-            )
+            relabeled.add(canonical_key(b.apex(), 0, f.values, g.then(inc).values))
     if combined != relabeled:
         return Verdict(False, "second variable", combined ^ relabeled)
     return Verdict(True)
@@ -470,7 +434,7 @@ def span_of_functor(F: GSetFunctor, probe_objects=None):
             f, g = b.legs()
             Ff, Fg = F.map(f), F.map(g)
             for orb in Ff.src.orbits():
-                k = canonical_key(left, right, Ff.src, orb[0], Ff.values, Fg.values)
+                k = canonical_key(Ff.src, orb[0], Ff.values, Fg.values)
                 counts[k] = counts.get(k, 0) + mult
         return SpanMor(left, right, _normalize(counts))
 

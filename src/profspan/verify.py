@@ -24,7 +24,6 @@ from .errors import IncoherentFamily
 
 @dataclass
 class Report:
-    name: str
     ok: bool
     witness: str = ""
     lines: list[str] = field(default_factory=list)
@@ -76,9 +75,7 @@ def verify_colim_gset(p: int, depth: int, cap: int) -> Report:
         if verdict
         else f"equivalence failure: {verdict.reason}",
     ]
-    return Report(
-        "colim-gset", bool(verdict), "" if verdict else str(verdict.witness), lines
-    )
+    return Report(bool(verdict), "" if verdict else str(verdict.witness), lines)
 
 
 def verify_colim_span(p: int, depth: int, cap: int, seed: int = 0) -> Report:
@@ -121,14 +118,13 @@ def verify_colim_span(p: int, depth: int, cap: int, seed: int = 0) -> Report:
                     )
                     if len(m.terms) != 1 or m.terms[0][1] != 1:
                         return Report(
-                            "colim-span", False,
+                            False,
                             f"inflation of a basis span is not basic at stage {i}",
                         )
                     images.add(m.terms[0][0])
                 if len(images) != len(basis) or not images <= target_keys:
                     return Report(
-                        "colim-span", False,
-                        f"inflation not injective on basis at stage {i}",
+                        False, f"inflation not injective on basis at stage {i}"
                     )
                 checked_pairs += 1
         # sampled functoriality of Span(inflation)
@@ -143,9 +139,7 @@ def verify_colim_span(p: int, depth: int, cap: int, seed: int = 0) -> Report:
             if SpInf(sp.compose_spans(m2, m1)) != sp.compose_spans(
                 SpInf(m2), SpInf(m1)
             ):
-                return Report(
-                    "colim-span", False, f"Span(inflation) not functorial at stage {i}"
-                )
+                return Report(False, f"Span(inflation) not functorial at stage {i}")
             checked_compositions += 1
     # essential surjectivity of the comparison: every stage object becomes
     # isomorphic to a final-stage canonical object after full inflation
@@ -160,13 +154,13 @@ def verify_colim_span(p: int, depth: int, cap: int, seed: int = 0) -> Report:
                 tower.stages[top], gs.orbit_class_multiset(lifted)
             )
             if canon not in final_objs:
-                return Report("colim-span", False, f"object escapes the cap: {i}")
+                return Report(False, f"object escapes the cap: {i}")
     lines += [
         f"hom bases checked: {checked_pairs}",
         f"sampled functoriality compositions: {checked_compositions}",
         "basis-level comparison is bijective on every hom; objects jointly hit",
     ]
-    return Report("colim-span", True, "", lines)
+    return Report(True, "", lines)
 
 
 def verify_limit_span(p: int, depth: int, cap: int) -> Report:
@@ -190,9 +184,7 @@ def verify_limit_span(p: int, depth: int, cap: int) -> Report:
         probes = _stage_objects(G, min(cap, 2))
         verdict = sp.check_left_exact(sp.FixedPointsGSetFunctor(q), probes)
         if not verdict:
-            return Report(
-                "limit-span", False, f"fixed points not left exact at stage {i}"
-            )
+            return Report(False, f"fixed points not left exact at stage {i}")
         SpFix = sp.span_of_functor(sp.FixedPointsGSetFunctor(q))
         objs = _stage_objects(G, cap)
         for X in objs:
@@ -204,19 +196,17 @@ def verify_limit_span(p: int, depth: int, cap: int) -> Report:
                         len(image.terms) != 1 or image.terms[0][1] != 1
                     ):
                         return Report(
-                            "limit-span", False,
-                            "fixed points of a kernel-fixed apex is not basic",
+                            False, "fixed points of a kernel-fixed apex is not basic"
                         )
                     if not expect_nonzero and not image.is_zero():
                         return Report(
-                            "limit-span", False,
-                            "fixed points of a kernel-moved apex is not zero",
+                            False, "fixed points of a kernel-moved apex is not zero"
                         )
                     basis_images += 1
                 # functoriality on all composable basis pairs with this X, Y
             iX = sp.identity_span(X)
             if SpFix(iX) != sp.identity_span(gs.fixed_points(X, q)):
-                return Report("limit-span", False, "identity span not preserved")
+                return Report(False, "identity span not preserved")
         for X in objs[:4]:
             for Y in objs[:4]:
                 for Z in objs[:4]:
@@ -228,7 +218,7 @@ def verify_limit_span(p: int, depth: int, cap: int) -> Report:
                                 SpFix(m2), SpFix(m1)
                             ):
                                 return Report(
-                                    "limit-span", False,
+                                    False,
                                     f"Span(fixed points) not functorial at stage {i}",
                                 )
                             compositions += 1
@@ -237,7 +227,7 @@ def verify_limit_span(p: int, depth: int, cap: int) -> Report:
         f"functoriality compositions verified: {compositions}",
         "families along the chain are determined by their deepest component",
     ]
-    return Report("limit-span", True, "", lines)
+    return Report(True, "", lines)
 
 
 def verify_adjunction(cap: int = 4) -> Report:
@@ -259,7 +249,7 @@ def verify_adjunction(cap: int = 4) -> Report:
                     and rep.unit_square_is_pullback
                 ):
                     return Report(
-                        "adjunction", False,
+                        False,
                         f"unit/counit law violated for |X|={X.size}, f={f.values}",
                     )
                 squares += 1
@@ -271,9 +261,7 @@ def verify_adjunction(cap: int = 4) -> Report:
         "every unit square is a pullback; unit iso and counit injective throughout",
     ]
     if not failures:
-        return Report(
-            "adjunction", False, "no counit square failed the pullback test"
-        )
+        return Report(False, "no counit square failed the pullback test")
     X, f = failures[0]
     lines.append(
         f"counit squares that are not pullbacks: {len(failures)} (EXPECTED)"
@@ -281,7 +269,7 @@ def verify_adjunction(cap: int = 4) -> Report:
     lines.append(
         f"first witness: X with action {X.action}, map {f.values} (EXPECTED)"
     )
-    return Report("adjunction", True, "", lines)
+    return Report(True, "", lines)
 
 
 def verify_mackey_limit(p: int = 2, depth: int = 2) -> Report:
@@ -291,20 +279,20 @@ def verify_mackey_limit(p: int = 2, depth: int = 2) -> Report:
     deepest = mk.burnside_mackey(tower.stages[-1])
     family = mk.tower_family(tower, deepest)
     try:
-        report = mk.assemble_from_tower(tower, family)
+        assembled = mk.assemble_from_tower(tower, family)
     except IncoherentFamily as exc:
-        return Report("mackey-limit", False, f"coherent family rejected: {exc}")
-    if report.mackey is not deepest:
-        return Report("mackey-limit", False, "assembly did not return the deepest stage")
+        return Report(False, f"coherent family rejected: {exc}")
+    if assembled is not deepest:
+        return Report(False, "assembly did not return the deepest stage")
     for i, M in enumerate(family):
         verdict = mk.check_mackey(M)
         if not verdict:
-            return Report("mackey-limit", False, f"stage {i} fails axioms")
+            return Report(False, f"stage {i} fails axioms")
     corrupted = list(family)
     corrupted[0] = mk.zero_mackey(tower.stages[0])
     try:
         mk.assemble_from_tower(tower, corrupted)
-        return Report("mackey-limit", False, "corrupted family accepted")
+        return Report(False, "corrupted family accepted")
     except IncoherentFamily:
         pass
     lines = [
@@ -312,7 +300,7 @@ def verify_mackey_limit(p: int = 2, depth: int = 2) -> Report:
         f"stages verified coherent under categorical fixed points: {depth}",
         "corrupted family rejected with IncoherentFamily (negative control)",
     ]
-    return Report("mackey-limit", True, "", lines)
+    return Report(True, "", lines)
 
 
 def _gcd_cat(n: int) -> fc.FinCat:
@@ -378,9 +366,7 @@ def verify_funcat(seed: int = 0) -> Report:
         F = fc.functor_from_family(colim, fam)
         for i in range(stages):
             if not fc.naturally_isomorphic(colim.injections[i].then(F), comps[i]):
-                return Report(
-                    "funcat", False, f"restriction differs from component {i}"
-                )
+                return Report(False, f"restriction differs from component {i}")
         # functor -> family -> functor round trip
         fam_back = fc.FunctorFamily(
             [colim.injections[i].then(F) for i in range(stages)],
@@ -394,10 +380,10 @@ def verify_funcat(seed: int = 0) -> Report:
         )
         F2 = fc.functor_from_family(colim, fam_back)
         if not fc.naturally_isomorphic(F, F2):
-            return Report("funcat", False, "functor round trip not isomorphic")
+            return Report(False, "functor round trip not isomorphic")
         if not fc.preserves_binary_products(F):
             return Report(
-                "funcat", False, "product-preserving family gave a non-preserving functor"
+                False, "product-preserving family gave a non-preserving functor"
             )
         corpora += 1
     # constructed counterexample: collapse everything above 1 to the top
@@ -408,21 +394,26 @@ def verify_funcat(seed: int = 0) -> Report:
     coh = {x: (bad.obj(x), bad.obj(x), "le") for x in cat.objects}
     Fbad = fc.functor_from_family(colim, fc.FunctorFamily([bad, bad], [coh]))
     if fc.preserves_binary_products(Fbad):
-        return Report("funcat", False, "non-preserving family gave a preserving functor")
+        return Report(False, "non-preserving family gave a preserving functor")
     lines += [
         f"seeded corpora checked: {corpora}",
         "round trips close up to natural isomorphism",
         "product preservation matches componentwise preservation, both directions",
     ]
-    return Report("funcat", True, "", lines)
+    return Report(True, "", lines)
 
 
-def verify_all(cap: int = 4, seed: int = 0) -> list[Report]:
-    return [
-        verify_colim_gset(2, 3, cap),
-        verify_colim_span(2, 2, min(cap, 3), seed),
-        verify_limit_span(2, 2, min(cap, 3)),
-        verify_adjunction(cap),
-        verify_mackey_limit(2, 2),
-        verify_funcat(seed),
-    ]
+# The verify checks in `verify all` order.  Each takes the CLI's size cap,
+# seed and (p, depth) tower; the span checks clamp to depth 2 and cap 3.
+CHECKS = {
+    "colim-gset": lambda cap, seed, tower: verify_colim_gset(*tower, cap),
+    "colim-span": lambda cap, seed, tower: verify_colim_span(
+        tower[0], min(tower[1], 2), min(cap, 3), seed
+    ),
+    "limit-span": lambda cap, seed, tower: verify_limit_span(
+        tower[0], min(tower[1], 2), min(cap, 3)
+    ),
+    "adjunction": lambda cap, seed, tower: verify_adjunction(cap),
+    "mackey-limit": lambda cap, seed, tower: verify_mackey_limit(*tower),
+    "funcat": lambda cap, seed, tower: verify_funcat(seed),
+}

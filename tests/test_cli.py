@@ -127,7 +127,7 @@ def test_report_objects_render_pass():
 
 
 def test_report_fail_render():
-    r = vf.Report("x", False, "some witness")
+    r = vf.Report(False, "some witness")
     assert r.render().splitlines()[0] == "FAIL some witness"
 
 

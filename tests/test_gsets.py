@@ -231,7 +231,6 @@ def test_adjunction_report_counit_failure():
     assert rep.unit_square_is_pullback
     assert not rep.counit_square_is_pullback
     assert rep.counit_witness is not None
-    assert rep.render().splitlines()[0] == "PASS"
 
 
 def test_adjunction_report_trivial_n_action():
