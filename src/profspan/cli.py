@@ -8,6 +8,7 @@ deterministic: the same inputs and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import formats as fm
@@ -204,7 +205,12 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report)
+    try:
+        print(report, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early; send what is still buffered to
+        # devnull so that the flush at interpreter exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

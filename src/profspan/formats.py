@@ -16,7 +16,7 @@ from .groups import (
     make_tower,
 )
 from .gsets import GSet, make_gset
-from .mackey import AbPresentation, MackeyFunctor
+from .mackey import AbPresentation, MackeyFunctor, check_structure
 
 
 class _Lines:
@@ -249,7 +249,11 @@ def parse_mackey(
             tuple(_ints(lines, lines.next(), cols)) for _ in range(rows)
         )
         gen_action[(c1, c2, key)] = mat
-    return MackeyFunctor(group, tuple(levels[c] for c in sorted(levels)), gen_action)
+    M = MackeyFunctor(group, tuple(levels[c] for c in sorted(levels)), gen_action)
+    verdict = check_structure(M)
+    if not verdict:
+        raise lines.error(f"{verdict.reason}, witness={verdict.witness!r}")
+    return M
 
 
 def load_mackey(path: str) -> MackeyFunctor:

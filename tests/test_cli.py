@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from profspan import formats as fm
@@ -81,6 +86,35 @@ def test_mackey_fixed(files, capsys):
     assert mk.check_mackey(parsed)
 
 
+def _without_last(files, prefix):
+    """The Burnside file of C4 cut off at its last line starting with prefix."""
+    lines = (files / "m.mackey").read_text().splitlines()
+    cut = max(i for i, line in enumerate(lines) if line.startswith(prefix))
+    path = files / "cut.mackey"
+    path.write_text("\n".join(lines[:cut]) + "\n")
+    return str(path)
+
+
+def test_mackey_check_missing_gen_exits_2(files, capsys):
+    assert main(["mackey-check", _without_last(files, "gen ")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing generator action" in err
+
+
+def test_mackey_fixed_missing_gen_exits_2(files, capsys):
+    assert main(["mackey-fixed", _without_last(files, "gen "), "0,2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing generator action" in err
+
+
+def test_mackey_too_few_levels_exits_2(files, capsys):
+    text = (files / "m.mackey").read_text()
+    last_level = [l for l in text.splitlines() if l.startswith("level ")][-1]
+    (files / "short.mackey").write_text(text.replace(last_level + "\n", ""))
+    assert main(["mackey-fixed", str(files / "short.mackey"), "0,2"]) == 2
+    assert "level count mismatch" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(files, capsys):
     assert main(["tom", str(files / "nope.grp")]) == 2
 
@@ -150,3 +184,20 @@ def test_non_normal_kernel_exits_2(tmp_path, capsys):
 def test_negative_cap_exits_2(capsys):
     assert main(["--cap", "-1", "verify", "adjunction"]) == 2
     assert "--cap" in capsys.readouterr().err
+
+
+def test_closed_stdout_ends_quietly():
+    # the parent closes its only read end of the pipe, so every write of
+    # the child fails as if `| head` had exited
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "profspan.cli", "--cap", "4", "verify", "colim-span"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err
