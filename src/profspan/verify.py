@@ -403,16 +403,27 @@ def verify_funcat(seed: int = 0) -> Report:
     return Report(True, "", lines)
 
 
+def _clamped(check, p: int, depth: int, cap: int, *rest) -> Report:
+    """A span check run at depth <= 2 and cap <= 3; a clamp is named after
+    the report's tower header."""
+    report = check(p, min(depth, 2), min(cap, 3), *rest)
+    if depth > 2 or cap > 3:
+        note = f"(clamped from depth {depth}, cap {cap})"
+        if report.lines:
+            report.lines[0] += f" {note}"
+        else:
+            report.lines.append(note)
+    return report
+
+
 # The verify checks in `verify all` order.  Each takes the CLI's size cap,
-# seed and (p, depth) tower; the span checks clamp to depth 2 and cap 3.
+# seed and (p, depth) tower.
 CHECKS = {
     "colim-gset": lambda cap, seed, tower: verify_colim_gset(*tower, cap),
-    "colim-span": lambda cap, seed, tower: verify_colim_span(
-        tower[0], min(tower[1], 2), min(cap, 3), seed
+    "colim-span": lambda cap, seed, tower: _clamped(
+        verify_colim_span, *tower, cap, seed
     ),
-    "limit-span": lambda cap, seed, tower: verify_limit_span(
-        tower[0], min(tower[1], 2), min(cap, 3)
-    ),
+    "limit-span": lambda cap, seed, tower: _clamped(verify_limit_span, *tower, cap),
     "adjunction": lambda cap, seed, tower: verify_adjunction(cap),
     "mackey-limit": lambda cap, seed, tower: verify_mackey_limit(*tower),
     "funcat": lambda cap, seed, tower: verify_funcat(seed),
