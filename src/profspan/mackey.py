@@ -217,21 +217,26 @@ def burnside_mackey(G: FiniteGroup) -> MackeyFunctor:
 
 def check_structure(M: MackeyFunctor) -> Verdict:
     """One level per subgroup class of M.group, and a matrix of the right
-    shape for every basis span between orbits."""
+    shape for exactly the basis spans between orbits."""
     G = M.group
     n = subgroup_lattice(G).num_classes
     if len(M.levels) != n:
         return Verdict(False, "level count mismatch", len(M.levels))
-    for c1 in range(n):
-        for c2 in range(n):
-            for key in _orbit_basis(G, c1, c2):
-                A = M.gen_action.get((c1, c2, key))
-                if A is None:
-                    return Verdict(False, "missing generator action", (c1, c2, key))
-                if len(A) != M.levels[c2].dims or any(
-                    len(r) != M.levels[c1].dims for r in A
-                ):
-                    return Verdict(False, "matrix shape mismatch", (c1, c2, key))
+    basis = [
+        (c1, c2, key)
+        for c1 in range(n)
+        for c2 in range(n)
+        for key in _orbit_basis(G, c1, c2)
+    ]
+    for c1, c2, key in basis:
+        A = M.gen_action.get((c1, c2, key))
+        if A is None:
+            return Verdict(False, "missing generator action", (c1, c2, key))
+        if len(A) != M.levels[c2].dims or any(len(r) != M.levels[c1].dims for r in A):
+            return Verdict(False, "matrix shape mismatch", (c1, c2, key))
+    extra = set(M.gen_action).difference(basis)
+    if extra:
+        return Verdict(False, "generator action off the span basis", min(extra))
     return Verdict(True)
 
 

@@ -107,6 +107,15 @@ def test_mackey_fixed_missing_gen_exits_2(files, capsys):
     assert err.startswith("error:") and "missing generator action" in err
 
 
+def test_mackey_check_extra_gen_exits_2(files, capsys):
+    # legs 9 do not exist on the 4-point orbits of C4
+    text = (files / "m.mackey").read_text()
+    extra = "gen 0:0:0:9,9,9,9:9,9,9,9 rows 2 cols 2\n1 0\n0 1\n"
+    (files / "extra.mackey").write_text(text + extra)
+    assert main(["mackey-check", str(files / "extra.mackey")]) == 2
+    assert "off the span basis" in capsys.readouterr().err
+
+
 def test_mackey_too_few_levels_exits_2(files, capsys):
     text = (files / "m.mackey").read_text()
     last_level = [l for l in text.splitlines() if l.startswith("level ")][-1]
