@@ -336,20 +336,16 @@ def sub_gset(X: GSet, points) -> tuple[GSet, EqMap]:
     return S, EqMap(S, X, pts)
 
 
-def fibre_product(A: GSet, a, B: GSet, b) -> tuple[GSet, tuple, tuple]:
-    """The G-set of pairs (x, y) with a[x] == b[y], and its two projections
-    as value tables; a and b are the leg values on A and B."""
+def fibre_product(A: GSet, a, B: GSet, b) -> tuple[GSet, list[tuple[int, int]]]:
+    """The G-set of pairs (x, y) with a[x] == b[y], and the pairs in point
+    order; a and b are the leg values on A and B."""
     pairs = [(x, y) for x in A.points() for y in B.points() if a[x] == b[y]]
     index = {p: i for i, p in enumerate(pairs)}
     action = tuple(
         tuple(index[(A.action[x][h], B.action[y][h])] for h in A.group.elements())
         for (x, y) in pairs
     )
-    return (
-        GSet(A.group, action),
-        tuple(x for x, _ in pairs),
-        tuple(y for _, y in pairs),
-    )
+    return GSet(A.group, action), pairs
 
 
 def pullback(f: EqMap, g: EqMap) -> tuple[GSet, EqMap, EqMap]:
@@ -358,8 +354,10 @@ def pullback(f: EqMap, g: EqMap) -> tuple[GSet, EqMap, EqMap]:
         raise ValueError("pullback legs must share a target")
     if f.src.group != g.src.group:
         raise GroupMismatch("pullback requires a common group")
-    P, proj1, proj2 = fibre_product(f.src, f.values, g.src, g.values)
-    return P, EqMap(P, f.src, proj1), EqMap(P, g.src, proj2)
+    P, pairs = fibre_product(f.src, f.values, g.src, g.values)
+    proj1 = EqMap(P, f.src, tuple(x for x, _ in pairs))
+    proj2 = EqMap(P, g.src, tuple(y for _, y in pairs))
+    return P, proj1, proj2
 
 
 def mediating_map(f: EqMap, g: EqMap, p: EqMap, q: EqMap) -> EqMap:

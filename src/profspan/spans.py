@@ -158,9 +158,9 @@ def _compose_keys(G: FiniteGroup, k2: Key, k1: Key) -> tuple:
     lat = subgroup_lattice(G)
     apex1 = gs.coset_gset(G, lat.class_rep(k1[0]).elements)
     apex2 = gs.coset_gset(G, lat.class_rep(k2[0]).elements)
-    P, proj1, proj2 = gs.fibre_product(apex1, k1[2], apex2, k2[1])
-    legL = [k1[1][x] for x in proj1]
-    legR = [k2[2][y] for y in proj2]
+    P, pairs = gs.fibre_product(apex1, k1[2], apex2, k2[1])
+    legL = [k1[1][x] for x, _ in pairs]
+    legR = [k2[2][y] for _, y in pairs]
     counts: dict = {}
     for orb in P.orbits():
         k = canonical_key(P, orb[0], legL, legR)
