@@ -8,7 +8,7 @@ identity elsewhere are relabelled on ingestion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import NotAGroup, NotNormal, NotPrime
 
@@ -174,19 +174,19 @@ class SubgroupLattice:
     normal: tuple[bool, ...]
     classes: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {H.elements: i for i, H in enumerate(self.subgroups)}
+
+    @cached_property
+    def _class(self) -> dict[int, int]:
+        return {i: c for c, members in enumerate(self.classes) for i in members}
+
     def index_of(self, elements) -> int:
-        key = tuple(sorted(elements))
-        for i, H in enumerate(self.subgroups):
-            if H.elements == key:
-                return i
-        raise KeyError(key)
+        return self._index[tuple(sorted(elements))]
 
     def class_of(self, elements) -> int:
-        i = self.index_of(elements)
-        for c, members in enumerate(self.classes):
-            if i in members:
-                return c
-        raise KeyError(elements)
+        return self._class[self.index_of(elements)]
 
     def class_rep(self, c: int) -> Subgroup:
         return self.subgroups[self.classes[c][0]]

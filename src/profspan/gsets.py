@@ -39,7 +39,7 @@ class GSet:
         return range(self.size)
 
     def orbit(self, x: int) -> tuple[int, ...]:
-        return tuple(sorted({self.action[x][g] for g in self.group.elements()}))
+        return tuple(sorted(set(self.action[x])))
 
     def orbits(self) -> list[tuple[int, ...]]:
         seen: set[int] = set()
@@ -52,7 +52,7 @@ class GSet:
         return out
 
     def stabilizer(self, x: int) -> Subgroup:
-        elems = tuple(g for g in self.group.elements() if self.action[x][g] == x)
+        elems = tuple(g for g, y in enumerate(self.action[x]) if y == x)
         return Subgroup(self.group, elems)
 
     def __repr__(self):
@@ -339,10 +339,13 @@ def sub_gset(X: GSet, points) -> tuple[GSet, EqMap]:
 def fibre_product(A: GSet, a, B: GSet, b) -> tuple[GSet, list[tuple[int, int]]]:
     """The G-set of pairs (x, y) with a[x] == b[y], and the pairs in point
     order; a and b are the leg values on A and B."""
-    pairs = [(x, y) for x in A.points() for y in B.points() if a[x] == b[y]]
+    over: dict = {}
+    for y in B.points():
+        over.setdefault(b[y], []).append(y)
+    pairs = [(x, y) for x in A.points() for y in over.get(a[x], ())]
     index = {p: i for i, p in enumerate(pairs)}
     action = tuple(
-        tuple(index[(A.action[x][h], B.action[y][h])] for h in A.group.elements())
+        tuple(map(index.__getitem__, zip(A.action[x], B.action[y])))
         for (x, y) in pairs
     )
     return GSet(A.group, action), pairs
@@ -389,40 +392,51 @@ class AdjunctionReport:
     counit_witness: tuple | None
 
 
-def adjunction_report(q: QuotientMap, X: GSet, f: EqMap) -> AdjunctionReport:
+@dataclass(frozen=True, eq=False)
+class FixedPointData:
+    """The adjunction maps at one G-set X, for N = ker q."""
+
+    counit: EqMap  # inf(X^N) -> X; its values are the N-fixed points of X
+    unit: EqMap  # X^N -> (inf X^N)^N
+    index: dict  # N-fixed point of X -> its point of X^N
+
+
+def fixed_point_data(X: GSet, q: QuotientMap) -> FixedPointData:
+    counit = counit_map(X, q)
+    unit = unit_map(fixed_points(X, q), q)
+    return FixedPointData(counit, unit, {x: i for i, x in enumerate(counit.values)})
+
+
+def adjunction_report(
+    q: QuotientMap, X: GSet, f: EqMap, src: FixedPointData, dst: FixedPointData
+) -> AdjunctionReport:
     """Check the unit/counit behaviour for X --f--> X' over G and N = ker q.
 
     The unit square is tested for the induced map on fixed points; the
     counit square is tested for f itself.  The unit square is always a
     pullback; the counit square can fail, in which case a witness square
-    is recorded.
+    is recorded.  src and dst are the fixed_point_data of X and X', so that
+    a caller checking many maps computes them once per object.
     """
     if X.group != q.source or f.src != X:
         raise GroupMismatch("report requires X over the quotient source")
-    Xp = f.dst
+    if src.counit.dst != X or dst.counit.dst != f.dst:
+        raise ValueError("fixed-point data do not belong to the map's ends")
 
-    fixed_X = fixed_points(X, q)
-    unit = unit_map(fixed_X, q)
-    unit_is_iso = unit.is_iso()
+    unit_is_iso = src.unit.is_iso()
+    counit_injective = src.counit.is_injective() and dst.counit.is_injective()
 
-    counit_X = counit_map(X, q)
-    counit_injective = counit_X.is_injective() and counit_map(Xp, q).is_injective()
-
-    # unit naturality square over G/N for f^N: X^N -> X'^N
-    f_fixed = fixed_points_map(f, q)
+    # unit naturality square over G/N for f^N: X^N -> X'^N; every point of
+    # an inflated G-set is N-fixed, so (inf f^N)^N has the values of f^N
+    values = tuple(dst.index[f.values[x]] for x in src.counit.values)
+    f_fixed = EqMap(src.unit.src, dst.unit.src, values)
     unit_sq = square_is_pullback(
-        unit_map(f_fixed.src, q),
-        f_fixed,
-        fixed_points_map(inflate_map(f_fixed, q), q),
-        unit_map(f_fixed.dst, q),
+        src.unit, f_fixed, EqMap(src.unit.dst, dst.unit.dst, values), dst.unit
     )
 
     # counit naturality square over G
     counit_sq = square_is_pullback(
-        counit_X,
-        inflate_map(f_fixed, q),
-        f,
-        counit_map(Xp, q),
+        src.counit, EqMap(src.counit.src, dst.counit.src, values), f, dst.counit
     )
     witness = None if counit_sq else (X.action, f.values)
     return AdjunctionReport(unit_is_iso, counit_injective, unit_sq, counit_sq, witness)

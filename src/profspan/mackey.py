@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .errors import GroupMismatch, IncoherentFamily, Verdict
 from .groups import FiniteGroup, GroupTower, QuotientMap, subgroup_lattice
@@ -109,21 +110,12 @@ def _congruent(A, B, tgt_orders) -> bool:
     return True
 
 
-def _matmul(A, B):
+def _matmul(A, B, cols: int):
+    """A·B for B with cols columns; B may have no rows."""
     if not B:
-        return tuple(() for _ in A)
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0])))
-        for i in range(len(A))
-    )
-
-
-def _add(A, B):
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def _scale(n, A):
-    return tuple(tuple(n * a for a in row) for row in A)
+        return _zeros(len(A), cols)
+    Bt = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col)) for col in Bt) for row in A)
 
 
 def _zeros(rows, cols):
@@ -276,27 +268,24 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
         if m != 1 or not _congruent(A, _identity(M.levels[c].dims), M.levels[c].orders()):
             return Verdict(False, "identity span does not act as identity", c)
     for c1 in range(n):
+        X = _orbit_gset(G, c1)
         for c2 in range(n):
+            Y = _orbit_gset(G, c2)
             for c3 in range(n):
+                Z = _orbit_gset(G, c3)
                 tgt_orders = M.levels[c3].orders()
+                rows, cols = M.levels[c3].dims, M.levels[c1].dims
                 for k1 in _orbit_basis(G, c1, c2):
-                    m1 = sp.SpanMor(
-                        _orbit_gset(G, c1), _orbit_gset(G, c2), ((k1, 1),)
-                    )
+                    m1 = sp.SpanMor(X, Y, ((k1, 1),))
+                    A1 = M.gen_action[(c1, c2, k1)]
                     for k2 in _orbit_basis(G, c2, c3):
-                        m2 = sp.SpanMor(
-                            _orbit_gset(G, c2), _orbit_gset(G, c3), ((k2, 1),)
-                        )
-                        composite = sp.compose_spans(m2, m1)
-                        expanded = _zeros(M.levels[c3].dims, M.levels[c1].dims)
-                        for k, mult in composite.terms:
-                            expanded = _add(
-                                expanded,
-                                _scale(mult, M.gen_action[(c1, c3, k)]),
-                            )
-                        direct = _matmul(
-                            M.gen_action[(c2, c3, k2)], M.gen_action[(c1, c2, k1)]
-                        )
+                        composite = sp.compose_spans(sp.SpanMor(Y, Z, ((k2, 1),)), m1)
+                        expanded = [[0] * cols for _ in range(rows)]
+                        for k, m in composite.terms:
+                            for row, term_row in zip(expanded, M.gen_action[(c1, c3, k)]):
+                                for j, a in enumerate(term_row):
+                                    row[j] += m * a
+                        direct = _matmul(M.gen_action[(c2, c3, k2)], A1, cols)
                         if not _congruent(direct, expanded, tgt_orders):
                             return Verdict(
                                 False, "composition law fails", (c1, c2, c3, k1, k2)

@@ -2,8 +2,13 @@
 
 A morphism X -> Y is a finitely supported multiset of isomorphism classes
 of spans X <- S -> Y with transitive apex S; hom-sets are free commutative
-monoids on these basis classes.  Composition is by pullback and orbit
-decomposition, and is exact (integer multiplicities, no tolerance).
+monoids on these basis classes.  Two basis spans with apexes G/K1 and G/K2
+compose by the double-coset formula: the orbits of their pullback are the
+K1-orbits on one fibre of G/K2, with stabilizers K1 ∩ hK2h⁻¹, and each is
+canonicalised from per-group coset tables (coset_tables) without building
+the pullback G-set.  Composition is exact (integer multiplicities, no
+tolerance).  The pullback construction stays as compose_keys_oracle, for
+the tests.
 """
 
 from __future__ import annotations
@@ -46,35 +51,84 @@ class BasisSpan:
         )
 
 
+@dataclass(frozen=True)
+class OrbitClass:
+    """The canonical transitive G-set G/R of one subgroup class."""
+
+    rep: tuple[int, ...]  # R, the class representative
+    coset: tuple[int, ...]  # the point gR for each g: coset_gset(G, R).action[0]
+    mins: tuple[int, ...]  # the minimal element of each coset, in point order
+    normaliser: tuple[int, ...]  # a transversal of N_G(R)/R
+
+
+@dataclass(frozen=True, eq=False)
+class CosetTables:
+    """Per-group tables behind canonical keys and span composition.
+
+    conjugator maps the sorted elements of every subgroup L to (c, t0) with
+    c the class of L and t0 L t0⁻¹ the representative of class c.
+    """
+
+    classes: tuple[OrbitClass, ...]
+    conjugator: dict
+
+
+@lru_cache(maxsize=None)
+def coset_tables(G: FiniteGroup) -> CosetTables:
+    """The coset tables of G, built on first use."""
+    lat = subgroup_lattice(G)
+    classes = []
+    conjugator = {}
+    for c in range(lat.num_classes):
+        R = lat.class_rep(c)
+        coset = gs.coset_gset(G, R.elements).action[0]
+        mins = []
+        for g in G.elements():
+            if coset[g] == len(mins):
+                mins.append(g)
+        rep_set = set(R.elements)
+        normaliser = tuple(
+            m for m in mins if {G.conj(m, h) for h in R.elements} == rep_set
+        )
+        classes.append(OrbitClass(R.elements, coset, tuple(mins), normaliser))
+        for i in lat.classes[c]:
+            L = lat.subgroups[i]
+            t0 = next(
+                g for g in G.elements() if {G.conj(g, h) for h in L.elements} == rep_set
+            )
+            conjugator[L.elements] = (c, t0)
+    return CosetTables(tuple(classes), conjugator)
+
+
+def _least_key(G: FiniteGroup, T: CosetTables, c: int, t0: int, lg, rg) -> Key:
+    """The key of one orbit of a span's apex.
+
+    The orbit's base point has a stabilizer S with t0 S t0⁻¹ the class-c
+    representative R, and lg[g], rg[g] are the leg values at g·base.  The
+    points with stabilizer exactly R are n·t0·base for n in N(R)/R, one per
+    relabelling of the apex as G/R.  The legs are equivariant, so each
+    relabelling's leg tables are fixed by their values at point 0 (the
+    coset R), which they list first; the lexicographic minimum is therefore
+    the relabelling with the least pair of values there.
+    """
+    mult = G.mult
+    cls = T.classes[c]
+    g = min((mult[n][t0] for n in cls.normaliser), key=lambda x: (lg[x], rg[x]))
+    imgs = [mult[m][g] for m in cls.mins]
+    return (c, tuple(map(lg.__getitem__, imgs)), tuple(map(rg.__getitem__, imgs)))
+
+
 def canonical_key(apex: GSet, base: int, legL, legR) -> Key:
     """Canonical key of the span X <- apex -> Y restricted to the orbit of
-    base; the legs are given as full value tables on apex."""
+    base; the legs are given as full value tables on apex and must be
+    equivariant (every caller passes EqMap values or key tables)."""
     G = apex.group
-    lat = subgroup_lattice(G)
-    c = lat.class_of(apex.stabilizer(base).elements)
-    rep = lat.class_rep(c).elements
-    rep_set = set(rep)
-    mins = [min(G.mul(g, h) for h in rep) for g in G.elements()]
-    # minimal element of each coset point, in point order
-    reps_of_points = []
-    seen = set()
-    for g in G.elements():
-        m = mins[g]
-        if m not in seen:
-            seen.add(m)
-            reps_of_points.append(m)
-    best = None
-    orbit = apex.orbit(base)
-    for s in orbit:
-        if set(apex.stabilizer(s).elements) != rep_set:
-            continue
-        # psi: coset point p (coset m_p H) -> m_p . s
-        imgs = [apex.action[s][m] for m in reps_of_points]
-        cand = (tuple(legL[i] for i in imgs), tuple(legR[i] for i in imgs))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return (c, best[0], best[1])
+    T = coset_tables(G)
+    row = apex.action[base]
+    c, t0 = T.conjugator[tuple(g for g in G.elements() if row[g] == base)]
+    return _least_key(
+        G, T, c, t0, [legL[x] for x in row], [legR[x] for x in row]
+    )
 
 
 def span_basis(X: GSet, Y: GSet) -> list[BasisSpan]:
@@ -154,22 +208,42 @@ def identity_span(X: GSet) -> SpanMor:
 @lru_cache(maxsize=None)
 def _compose_keys(G: FiniteGroup, k2: Key, k1: Key) -> tuple:
     """Composite of two basis keys as a tuple of (key, mult); the result
-    depends only on the group and the keys, not on the middle object."""
-    lat = subgroup_lattice(G)
-    apex1 = gs.coset_gset(G, lat.class_rep(k1[0]).elements)
-    apex2 = gs.coset_gset(G, lat.class_rep(k2[0]).elements)
-    P, pairs = gs.fibre_product(apex1, k1[2], apex2, k2[1])
-    legL = [k1[1][x] for x, _ in pairs]
-    legR = [k2[2][y] for _, y in pairs]
+    depends only on the group and the keys, not on the middle object.
+
+    By the double-coset formula the orbits of the pullback of
+    G/K1 -> Y <- G/K2 are the K1-orbits on the fibre of G/K2 over the image
+    of the coset K1, and the orbit through (K1, hK2) has stabilizer
+    K1 ∩ hK2h⁻¹.  No pullback G-set is built.
+    """
+    T = coset_tables(G)
+    mult = G.mult
+    (c1, left1, right1), (c2, left2, right2) = k1, k2
+    K1 = T.classes[c1].rep
+    coset2, mins2 = T.classes[c2].coset, T.classes[c2].mins
+    # the legs at g·(K1, hK2) are left1 at gK1 and right2 at ghK2
+    lg = [left1[p] for p in T.classes[c1].coset]
+    r2 = [right2[p] for p in coset2]
     counts: dict = {}
-    for orb in P.orbits():
-        k = canonical_key(P, orb[0], legL, legR)
-        counts[k] = counts.get(k, 0) + 1
+    seen: set = set()
+    for y, v in enumerate(left2):
+        if v != right1[0] or y in seen:
+            continue
+        h = mins2[y]
+        stab = []
+        for a in K1:
+            z = coset2[mult[a][h]]
+            seen.add(z)
+            if z == y:
+                stab.append(a)
+        c, t0 = T.conjugator[tuple(stab)]
+        key = _least_key(G, T, c, t0, lg, [r2[row[h]] for row in mult])
+        counts[key] = counts.get(key, 0) + 1
     return _normalize(counts)
 
 
 def compose_spans(m2: SpanMor, m1: SpanMor) -> SpanMor:
-    """m2 after m1, by pullback of basis terms, extended bilinearly."""
+    """m2 after m1, composing basis terms by the double-coset formula and
+    extending bilinearly."""
     if m1.right != m2.left:
         raise ObjectMismatch("span morphisms do not compose")
     G = m1.left.group
@@ -230,6 +304,54 @@ def span_basis_count_oracle(G: FiniteGroup, H, K) -> int:
                         seen.add(nxt)
                         frontier.append(nxt)
     return out
+
+
+def canonical_key_oracle(apex: GSet, base: int, legL, legR) -> Key:
+    """Oracle for canonical_key: the least leg-table pair over every point
+    of the orbit whose stabilizer is the class representative, with the
+    coset minima and stabilizers recomputed from the apex."""
+    G = apex.group
+    lat = subgroup_lattice(G)
+    c = lat.class_of(apex.stabilizer(base).elements)
+    rep = lat.class_rep(c).elements
+    rep_set = set(rep)
+    mins = [min(G.mul(g, h) for h in rep) for g in G.elements()]
+    # minimal element of each coset point, in point order
+    reps_of_points = []
+    seen = set()
+    for g in G.elements():
+        m = mins[g]
+        if m not in seen:
+            seen.add(m)
+            reps_of_points.append(m)
+    best = None
+    orbit = apex.orbit(base)
+    for s in orbit:
+        if set(apex.stabilizer(s).elements) != rep_set:
+            continue
+        # psi: coset point p (coset m_p H) -> m_p . s
+        imgs = [apex.action[s][m] for m in reps_of_points]
+        cand = (tuple(legL[i] for i in imgs), tuple(legR[i] for i in imgs))
+        if best is None or cand < best:
+            best = cand
+    assert best is not None
+    return (c, best[0], best[1])
+
+
+def compose_keys_oracle(G: FiniteGroup, k2: Key, k1: Key) -> tuple:
+    """Oracle for _compose_keys: build the pullback G-set of the two apexes
+    and canonicalise each of its orbits with canonical_key_oracle."""
+    lat = subgroup_lattice(G)
+    apex1 = gs.coset_gset(G, lat.class_rep(k1[0]).elements)
+    apex2 = gs.coset_gset(G, lat.class_rep(k2[0]).elements)
+    P, pairs = gs.fibre_product(apex1, k1[2], apex2, k2[1])
+    legL = [k1[1][x] for x, _ in pairs]
+    legR = [k2[2][y] for _, y in pairs]
+    counts: dict = {}
+    for orb in P.orbits():
+        k = canonical_key_oracle(P, orb[0], legL, legR)
+        counts[k] = counts.get(k, 0) + 1
+    return _normalize(counts)
 
 
 @dataclass(frozen=True)

@@ -237,12 +237,13 @@ def verify_adjunction(cap: int = 4) -> Report:
     G = g.cyclic(4)
     q = g.quotient(G, g.make_subgroup(G, (0, 2)))
     objs = _stage_objects(G, cap)
+    data = {X: gs.fixed_point_data(X, q) for X in objs}
     squares = 0
     failures = []
     for X in objs:
         for Xp in objs:
             for f in gs.hom_gset(X, Xp):
-                rep = gs.adjunction_report(q, X, f)
+                rep = gs.adjunction_report(q, X, f, data[X], data[Xp])
                 if not (
                     rep.unit_is_iso
                     and rep.counit_is_injective

@@ -225,7 +225,9 @@ def test_adjunction_report_counit_failure():
     q = g.quotient(C2, g.make_subgroup(C2, (0, 1)))
     X = regular(C2)
     f = gs.hom_gset(X, gs.point_gset(C2))[0]
-    rep = gs.adjunction_report(q, X, f)
+    rep = gs.adjunction_report(
+        q, X, f, gs.fixed_point_data(X, q), gs.fixed_point_data(f.dst, q)
+    )
     assert rep.unit_is_iso
     assert rep.counit_is_injective
     assert rep.unit_square_is_pullback
@@ -238,8 +240,19 @@ def test_adjunction_report_trivial_n_action():
     q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
     X = gs.canonical_gset(C4, (1, 2))  # N acts trivially on both orbits
     f = gs.identity_map(X)
-    rep = gs.adjunction_report(q, X, f)
+    rep = gs.adjunction_report(
+        q, X, f, gs.fixed_point_data(X, q), gs.fixed_point_data(f.dst, q)
+    )
     assert rep.counit_square_is_pullback
+
+
+def test_adjunction_report_rejects_data_of_another_object():
+    q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
+    X = gs.canonical_gset(C4, (1, 2))
+    Y = gs.canonical_gset(C4, (1,))
+    f = gs.identity_map(X)
+    with pytest.raises(ValueError):
+        gs.adjunction_report(q, X, f, gs.fixed_point_data(Y, q), gs.fixed_point_data(X, q))
 
 
 def test_find_iso():

@@ -108,6 +108,20 @@ def test_check_mackey_corpus_small():
         assert mk.check_mackey(mk.burnside_mackey(G)), name
 
 
+def test_check_mackey_accepts_a_zero_middle_level():
+    # Z at C2/C2 and 0 at C2/1: the identity span acts by 1, every span
+    # through the free orbit by 0; the composites through the zero level
+    # must compare as zero matrices of the outer shape
+    gen_action = {}
+    for c1 in range(2):
+        for c2 in range(2):
+            for key in mk._orbit_basis(C2, c1, c2):
+                value = int((c1, c2, key[0]) == (1, 1, 1))
+                gen_action[(c1, c2, key)] = ((value,) * c1,) * c2
+    M = mk.MackeyFunctor(C2, (mk.ZERO_AB, mk.AbPresentation(1)), gen_action)
+    assert mk.check_mackey(M)
+
+
 def test_check_mackey_detects_corruption():
     M = mk.burnside_mackey(C2)
     bad_action = dict(M.gen_action)

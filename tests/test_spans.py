@@ -7,7 +7,7 @@ from profspan import fincat as fc
 from profspan import groups as g
 from profspan import gsets as gs
 from profspan import spans as sp
-from profspan.corpus import corpus_group, groups_of_order_at_most
+from profspan.corpus import corpus_group, corpus_groups, groups_of_order_at_most
 from profspan.errors import NotLeftExact, ObjectMismatch
 
 
@@ -97,6 +97,90 @@ def test_compose_rejects_mismatched_middle():
     m2 = sp.identity_span(free)
     with pytest.raises(ObjectMismatch):
         sp.compose_spans(m2, m1)
+
+
+def _relabelled(G, seed):
+    """G with its non-identity elements renumbered by a seeded permutation."""
+    rest = list(G.elements())[1:]
+    random.Random(seed).shuffle(rest)
+    new = [0] + rest  # element a of G is element new[a] of the copy
+    old = [0] * G.order
+    for a, v in enumerate(new):
+        old[v] = a
+    return g.FiniteGroup(
+        tuple(
+            tuple(new[G.mul(old[a], old[b])] for b in G.elements())
+            for a in G.elements()
+        )
+    )
+
+
+def _composable_basis_pairs(G):
+    """Every (k2, k1) that check_mackey composes: basis keys of spans
+    G/H1 -> G/H2 and G/H2 -> G/H3 over subgroup class representatives."""
+    lat = g.subgroup_lattice(G)
+    orbits = [
+        gs.coset_gset(G, lat.class_rep(c).elements) for c in range(lat.num_classes)
+    ]
+    basis = {
+        (X, Y): [b.key for b in sp.span_basis(X, Y)] for X in orbits for Y in orbits
+    }
+    return [
+        (k2, k1)
+        for X, Y, Z in itertools.product(orbits, repeat=3)
+        for k1 in basis[(X, Y)]
+        for k2 in basis[(Y, Z)]
+    ]
+
+
+# Every composable pair is checked for groups of order <= 8, except where a
+# group has more pairs than this (C2xC2xC2 has 33,480, about 5 s through the
+# oracle); then, and for the larger groups, a seeded sample is.
+ALL_PAIRS_UP_TO = 6000
+SAMPLE = {"small": 1500, "large": 200}
+
+
+@pytest.mark.parametrize("relabel_seed", [None, 11], ids=["given", "relabelled"])
+@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+def test_compose_keys_match_pullback_oracle(name, relabel_seed):
+    G = corpus_group(name)
+    if relabel_seed is not None:
+        G = _relabelled(G, relabel_seed)
+    pairs = _composable_basis_pairs(G)
+    if G.order > 8:
+        pairs = random.Random(name).sample(pairs, min(len(pairs), SAMPLE["large"]))
+    elif len(pairs) > ALL_PAIRS_UP_TO:
+        pairs = random.Random(name).sample(pairs, SAMPLE["small"])
+    for k2, k1 in pairs:
+        assert sp._compose_keys(G, k2, k1) == sp.compose_keys_oracle(G, k2, k1), (
+            k2,
+            k1,
+        )
+
+
+@pytest.mark.parametrize("relabel_seed", [None, 5], ids=["given", "relabelled"])
+def test_canonical_key_matches_brute_force_on_two_orbit_apexes(relabel_seed):
+    rng = random.Random(3)
+    for name, G in groups_of_order_at_most(8):
+        if relabel_seed is not None:
+            G = _relabelled(G, relabel_seed)
+        lat = g.subgroup_lattice(G)
+        shapes = gs.gset_isoclasses(G, 6)
+        for _ in range(20):
+            c, d = (rng.randrange(lat.num_classes) for _ in range(2))
+            apex = gs.coproduct(
+                gs.coset_gset(G, lat.class_rep(c).elements),
+                gs.coset_gset(G, lat.class_rep(d).elements),
+            )[0]
+            legs = []
+            while len(legs) < 2:
+                homs = gs.hom_gset(apex, gs.canonical_gset(G, rng.choice(shapes)))
+                if homs:
+                    legs.append(rng.choice(homs).values)
+            for base in apex.points():
+                assert sp.canonical_key(apex, base, *legs) == sp.canonical_key_oracle(
+                    apex, base, *legs
+                ), (name, c, d, base)
 
 
 def test_associativity_sampled():
