@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import GroupMismatch
 from .groups import (
@@ -392,8 +393,7 @@ class AdjunctionReport:
     counit_witness: tuple | None
 
 
-@dataclass(frozen=True, eq=False)
-class FixedPointData:
+class FixedPointData(NamedTuple):
     """The adjunction maps at one G-set X, for N = ker q."""
 
     counit: EqMap  # inf(X^N) -> X; its values are the N-fixed points of X

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import GroupMismatch, NotLeftExact, ObjectMismatch, Verdict
 from .groups import FiniteGroup, QuotientMap, subgroup_lattice
@@ -51,8 +52,7 @@ class BasisSpan:
         )
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(NamedTuple):
     """The canonical transitive G-set G/R of one subgroup class."""
 
     rep: tuple[int, ...]  # R, the class representative
@@ -61,8 +61,7 @@ class OrbitClass:
     normaliser: tuple[int, ...]  # a transversal of N_G(R)/R
 
 
-@dataclass(frozen=True, eq=False)
-class CosetTables:
+class CosetTables(NamedTuple):
     """Per-group tables behind canonical keys and span composition.
 
     conjugator maps the sorted elements of every subgroup L to (c, t0) with
