@@ -282,7 +282,8 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
                         composite = sp.compose_spans(sp.SpanMor(Y, Z, ((k2, 1),)), m1)
                         expanded = [[0] * cols for _ in range(rows)]
                         for k, m in composite.terms:
-                            for row, term_row in zip(expanded, M.gen_action[(c1, c3, k)]):
+                            term = M.gen_action[(c1, c3, k)]
+                            for row, term_row in zip(expanded, term):
                                 for j, a in enumerate(term_row):
                                     row[j] += m * a
                         direct = _matmul(M.gen_action[(c2, c3, k2)], A1, cols)

@@ -125,9 +125,7 @@ def canonical_key(apex: GSet, base: int, legL, legR) -> Key:
     T = coset_tables(G)
     row = apex.action[base]
     c, t0 = T.conjugator[tuple(g for g in G.elements() if row[g] == base)]
-    return _least_key(
-        G, T, c, t0, [legL[x] for x in row], [legR[x] for x in row]
-    )
+    return _least_key(G, T, c, t0, [legL[x] for x in row], [legR[x] for x in row])
 
 
 def span_basis(X: GSet, Y: GSet) -> list[BasisSpan]:

@@ -252,7 +252,9 @@ def test_adjunction_report_rejects_data_of_another_object():
     Y = gs.canonical_gset(C4, (1,))
     f = gs.identity_map(X)
     with pytest.raises(ValueError):
-        gs.adjunction_report(q, X, f, gs.fixed_point_data(Y, q), gs.fixed_point_data(X, q))
+        gs.adjunction_report(
+            q, X, f, gs.fixed_point_data(Y, q), gs.fixed_point_data(X, q)
+        )
 
 
 def test_find_iso():

@@ -134,10 +134,10 @@ def _composable_basis_pairs(G):
 
 
 # Every composable pair is checked for groups of order <= 8, except where a
-# group has more pairs than this (C2xC2xC2 has 33,480, about 5 s through the
-# oracle); then, and for the larger groups, a seeded sample is.
+# group has more than ALL_PAIRS_UP_TO (C2xC2xC2 has 33,480, about 5 s through
+# the oracle); there, and for the larger groups, a seeded sample is.
 ALL_PAIRS_UP_TO = 6000
-SAMPLE = {"small": 1500, "large": 200}
+SAMPLE_SMALL, SAMPLE_LARGE = 1500, 200
 
 
 @pytest.mark.parametrize("relabel_seed", [None, 11], ids=["given", "relabelled"])
@@ -148,9 +148,9 @@ def test_compose_keys_match_pullback_oracle(name, relabel_seed):
         G = _relabelled(G, relabel_seed)
     pairs = _composable_basis_pairs(G)
     if G.order > 8:
-        pairs = random.Random(name).sample(pairs, min(len(pairs), SAMPLE["large"]))
+        pairs = random.Random(name).sample(pairs, min(len(pairs), SAMPLE_LARGE))
     elif len(pairs) > ALL_PAIRS_UP_TO:
-        pairs = random.Random(name).sample(pairs, SAMPLE["small"])
+        pairs = random.Random(name).sample(pairs, SAMPLE_SMALL)
     for k2, k1 in pairs:
         assert sp._compose_keys(G, k2, k1) == sp.compose_keys_oracle(G, k2, k1), (
             k2,
