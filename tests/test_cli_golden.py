@@ -11,7 +11,9 @@ written to a temporary directory first; their reports embed only the
 
 Regenerate the files, only when a report is meant to change, with
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [NAME...]
+
+which rewrites the named goldens, or every golden when no name is given.
 """
 
 from __future__ import annotations
@@ -43,11 +45,13 @@ CASES = {
 CASES.update({
     "colim-gset-3-2-cap5": ["--tower", "3,2", "--cap", "5", "verify", "colim-gset"],
     "adjunction-cap4": ["--cap", "4", "verify", "adjunction"],
+    "adjunction-cap5": ["--cap", "5", "verify", "adjunction"],
     "funcat-seed3": ["--seed", "3", "verify", "funcat"],
     "mackey-limit-2-2": ["--tower", "2,2", "verify", "mackey-limit"],
     "mackey-limit-2-3": ["--tower", "2,3", "verify", "mackey-limit"],
     "mackey-limit-3-2": ["--tower", "3,2", "verify", "mackey-limit"],
     "colim-span-2-2-cap3": ["--tower", "2,2", "--cap", "3", "verify", "colim-span"],
+    "limit-span-2-2-cap3": ["--tower", "2,2", "--cap", "3", "verify", "limit-span"],
     "limit-span-3-2-cap3": ["--tower", "3,2", "--cap", "3", "verify", "limit-span"],
     "verify-all-cap4": ["--cap", "4", "verify", "all"],
     "mackey-fixed-D4": ["mackey-fixed", "{dir}/D4.mackey", "0,5"],
@@ -89,10 +93,18 @@ def test_golden(name, mackey_dir):
     assert run(CASES[name], mackey_dir) == expected
 
 
+def test_every_golden_file_has_a_case():
+    assert {p.stem for p in GOLDEN.glob("*.txt")} <= set(CASES)
+
+
 if __name__ == "__main__":
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"no golden case named {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         write_mackey_files(Path(tmp))
-        for name, argv in sorted(CASES.items()):
-            (GOLDEN / f"{name}.txt").write_text(run(argv, Path(tmp)))
+        for name in names:
+            (GOLDEN / f"{name}.txt").write_text(run(CASES[name], Path(tmp)))
             print(f"wrote {name}", file=sys.stderr)
