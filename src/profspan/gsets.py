@@ -1,11 +1,20 @@
 """Finite G-sets and equivariant maps: orbits, fixed points, inflation,
 (co)products, pullbacks, and the inflation/fixed-points adjunction
 diagnostics.
+
+The N-fixed points of a G-set X, for N the kernel of a quotient map q,
+are computed once per (X, q) and kept (`fixed_point_data`): X^N with its
+residual action, the counit inf(X^N) -> X, the unit X^N -> (inf X^N)^N
+and the index of each fixed point.  `fixed_points`, `counit_map`,
+`fixed_points_map` and `adjunction_report` read that record.  A square
+of G-sets is decided to be a pullback by counting the fibre product, not
+by building it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -168,11 +177,6 @@ def coset_gset(G: FiniteGroup, subgroup_elements: tuple[int, ...]) -> GSet:
     return GSet(G, action)
 
 
-def orbit_type(X: GSet, x: int) -> int:
-    """Conjugacy-class index of the stabilizer of x."""
-    return subgroup_lattice(X.group).class_of(X.stabilizer(x).elements)
-
-
 def orbit_decompose(X: GSet) -> list[tuple[Subgroup, int]]:
     """Orbit types with multiplicity: X is a disjoint union of G/H's."""
     lat = subgroup_lattice(X.group)
@@ -228,39 +232,57 @@ def find_iso(X: GSet, Y: GSet) -> EqMap | None:
     return EqMap(X, Y, tuple(values))
 
 
-def fixed_point_indices(X: GSet, N: Subgroup) -> tuple[int, ...]:
-    return tuple(
-        x for x in X.points() if all(X.action[x][n] == x for n in N.elements)
-    )
+def canonical_iso(X: GSet) -> EqMap:
+    """An equivariant bijection from X onto its canonical isomorph."""
+    return find_iso(X, canonical_gset(X.group, orbit_class_multiset(X)))
 
 
-def fixed_points(X: GSet, q: QuotientMap) -> GSet:
-    """N-fixed points of X with the residual G/N action."""
+def _fixed_part(X: GSet, q: QuotientMap) -> tuple[GSet, dict]:
+    """X^N with the residual G/N action, and the index in X^N of each
+    N-fixed point of X, in point order."""
     if X.group != q.source:
         raise GroupMismatch("G-set is not over the quotient source")
-    pts = fixed_point_indices(X, q.kernel)
+    N = q.kernel.elements
+    pts = [x for x in X.points() if all(X.action[x][n] == x for n in N)]
     index = {x: i for i, x in enumerate(pts)}
     Q = q.target
     action = tuple(
         tuple(index[X.action[x][q.section(c)]] for c in Q.elements()) for x in pts
     )
-    return GSet(Q, action)
+    return GSet(Q, action), index
+
+
+class FixedPointData(NamedTuple):
+    """The N-fixed points of one G-set X, for N = ker q."""
+
+    fixed: GSet  # X^N with the residual G/N action
+    counit: EqMap  # inf(X^N) -> X; its values are the N-fixed points of X
+    unit: EqMap  # X^N -> (inf X^N)^N
+    index: dict  # N-fixed point of X -> its point of X^N
+
+
+@lru_cache(maxsize=None)
+def fixed_point_data(X: GSet, q: QuotientMap) -> FixedPointData:
+    """X^N, the counit and unit there, and the fixed-point index, computed
+    once per (X, q)."""
+    fixed, index = _fixed_part(X, q)
+    counit = EqMap(inflate(fixed, q), X, tuple(index))
+    return FixedPointData(fixed, counit, unit_map(fixed, q), index)
+
+
+def fixed_points(X: GSet, q: QuotientMap) -> GSet:
+    """N-fixed points of X with the residual G/N action."""
+    return fixed_point_data(X, q).fixed
 
 
 def counit_map(X: GSet, q: QuotientMap) -> EqMap:
     """inf(X^N) -> X; the inclusion of the fixed points."""
-    fixed = fixed_points(X, q)
-    return EqMap(inflate(fixed, q), X, fixed_point_indices(X, q.kernel))
+    return fixed_point_data(X, q).counit
 
 
 def unit_map(X: GSet, q: QuotientMap) -> EqMap:
     """X -> (inf X)^N for X over G/N."""
-    if X.group != q.target:
-        raise GroupMismatch("G-set is not over the quotient target")
-    inflated = inflate(X, q)
-    fixed = fixed_points(inflated, q)
-    pts = fixed_point_indices(inflated, q.kernel)
-    index = {x: i for i, x in enumerate(pts)}
+    fixed, index = _fixed_part(inflate(X, q), q)
     return EqMap(X, fixed, tuple(index[x] for x in X.points()))
 
 
@@ -326,17 +348,6 @@ def coproduct(X: GSet, Y: GSet) -> tuple[GSet, EqMap, EqMap]:
     return Z, inc1, inc2
 
 
-def sub_gset(X: GSet, points) -> tuple[GSet, EqMap]:
-    """G-stable subset of X as a G-set, with its inclusion."""
-    pts = tuple(sorted(points))
-    index = {x: i for i, x in enumerate(pts)}
-    action = tuple(
-        tuple(index[X.action[x][g]] for g in X.group.elements()) for x in pts
-    )
-    S = GSet(X.group, action)
-    return S, EqMap(S, X, pts)
-
-
 def fibre_product(A: GSet, a, B: GSet, b) -> tuple[GSet, list[tuple[int, int]]]:
     """The G-set of pairs (x, y) with a[x] == b[y], and the pairs in point
     order; a and b are the leg values on A and B."""
@@ -364,22 +375,20 @@ def pullback(f: EqMap, g: EqMap) -> tuple[GSet, EqMap, EqMap]:
     return P, proj1, proj2
 
 
-def mediating_map(f: EqMap, g: EqMap, p: EqMap, q: EqMap) -> EqMap:
-    """The canonical map from a cone (p, q) into the pullback of (f, g)."""
-    P, proj1, proj2 = pullback(f, g)
-    index = {(proj1.values[i], proj2.values[i]): i for i in P.points()}
-    return EqMap(p.src, P, tuple(index[(p.values[w], q.values[w])] for w in p.src.points()))
-
-
 def square_is_pullback(top: EqMap, left: EqMap, right: EqMap, bottom: EqMap) -> bool:
-    """Whether a commuting square is a pullback (mediating map is a bijection).
+    """Whether a commuting square is a pullback.
 
     Corners: top: A -> B, left: A -> C, right: B -> D, bottom: C -> D.
+    The square is a pullback iff a -> (top a, left a) is a bijection onto
+    the fibre product of right and bottom, that is, iff it is injective
+    and |A| is the size sum over d of |right^-1(d)| * |bottom^-1(d)|.
     """
     for a in top.src.points():
         if right.values[top.values[a]] != bottom.values[left.values[a]]:
             raise ValueError("square does not commute")
-    return mediating_map(right, bottom, top, left).is_iso()
+    over = Counter(right.values)
+    size = sum(over[d] for d in bottom.values)
+    return len(set(zip(top.values, left.values))) == top.src.size == size
 
 
 @dataclass(frozen=True)
@@ -393,43 +402,25 @@ class AdjunctionReport:
     counit_witness: tuple | None
 
 
-class FixedPointData(NamedTuple):
-    """The adjunction maps at one G-set X, for N = ker q."""
-
-    counit: EqMap  # inf(X^N) -> X; its values are the N-fixed points of X
-    unit: EqMap  # X^N -> (inf X^N)^N
-    index: dict  # N-fixed point of X -> its point of X^N
-
-
-def fixed_point_data(X: GSet, q: QuotientMap) -> FixedPointData:
-    counit = counit_map(X, q)
-    unit = unit_map(fixed_points(X, q), q)
-    return FixedPointData(counit, unit, {x: i for i, x in enumerate(counit.values)})
-
-
-def adjunction_report(
-    q: QuotientMap, X: GSet, f: EqMap, src: FixedPointData, dst: FixedPointData
-) -> AdjunctionReport:
+def adjunction_report(q: QuotientMap, X: GSet, f: EqMap) -> AdjunctionReport:
     """Check the unit/counit behaviour for X --f--> X' over G and N = ker q.
 
     The unit square is tested for the induced map on fixed points; the
     counit square is tested for f itself.  The unit square is always a
     pullback; the counit square can fail, in which case a witness square
-    is recorded.  src and dst are the fixed_point_data of X and X', so that
-    a caller checking many maps computes them once per object.
+    is recorded.
     """
     if X.group != q.source or f.src != X:
         raise GroupMismatch("report requires X over the quotient source")
-    if src.counit.dst != X or dst.counit.dst != f.dst:
-        raise ValueError("fixed-point data do not belong to the map's ends")
+    src, dst = fixed_point_data(X, q), fixed_point_data(f.dst, q)
 
     unit_is_iso = src.unit.is_iso()
     counit_injective = src.counit.is_injective() and dst.counit.is_injective()
 
     # unit naturality square over G/N for f^N: X^N -> X'^N; every point of
     # an inflated G-set is N-fixed, so (inf f^N)^N has the values of f^N
-    values = tuple(dst.index[f.values[x]] for x in src.counit.values)
-    f_fixed = EqMap(src.unit.src, dst.unit.src, values)
+    f_fixed = fixed_points_map(f, q)
+    values = f_fixed.values
     unit_sq = square_is_pullback(
         src.unit, f_fixed, EqMap(src.unit.dst, dst.unit.dst, values), dst.unit
     )
@@ -444,13 +435,9 @@ def adjunction_report(
 
 def fixed_points_map(f: EqMap, q: QuotientMap) -> EqMap:
     """f restricted to N-fixed points, over G/N."""
-    src_pts = fixed_point_indices(f.src, q.kernel)
-    dst_pts = fixed_point_indices(f.dst, q.kernel)
-    dst_index = {x: i for i, x in enumerate(dst_pts)}
+    src, dst = fixed_point_data(f.src, q), fixed_point_data(f.dst, q)
     return EqMap(
-        fixed_points(f.src, q),
-        fixed_points(f.dst, q),
-        tuple(dst_index[f.values[x]] for x in src_pts),
+        src.fixed, dst.fixed, tuple(dst.index[f.values[x]] for x in src.index)
     )
 
 
@@ -500,11 +487,7 @@ def inflation_functor(q: QuotientMap, src_cat, dst_cat) -> "fincat.CatFunctor":
     """
     from . import fincat
 
-    sigma = {}
-    for X in src_cat.objects:
-        infl = inflate(X, q)
-        target = canonical_gset(q.source, orbit_class_multiset(infl))
-        sigma[X] = find_iso(infl, target)
+    sigma = {X: canonical_iso(inflate(X, q)) for X in src_cat.objects}
 
     def on_obj(X):
         return sigma[X].dst

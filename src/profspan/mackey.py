@@ -325,13 +325,6 @@ def reduce_mod(M: MackeyFunctor, n: int) -> MackeyFunctor:
     return MackeyFunctor(M.group, levels, dict(M.gen_action))
 
 
-def _preimage_class(q: QuotientMap, lat_q, lat_g, c_bar: int) -> int:
-    """Class index in G of the preimage of the class-c̄ subgroup of G/N."""
-    H_bar = set(lat_q.class_rep(c_bar).elements)
-    pre = tuple(sorted(g for g in q.source.elements() if q.projection[g] in H_bar))
-    return lat_g.class_of(pre)
-
-
 def categorical_fixed_points(M: MackeyFunctor, q: QuotientMap) -> MackeyFunctor:
     """Restriction along the inflated spans: the Mackey functor over
     q.target = G/N whose level at H/N is M's level at the preimage of H/N."""
@@ -339,17 +332,13 @@ def categorical_fixed_points(M: MackeyFunctor, q: QuotientMap) -> MackeyFunctor:
     if q.source != G:
         raise GroupMismatch("quotient map is not from the functor's group")
     Q = q.target
-    lat_q = subgroup_lattice(Q)
-    lat_g = subgroup_lattice(G)
-    nq = lat_q.num_classes
-    pre = [_preimage_class(q, lat_q, lat_g, c) for c in range(nq)]
-    levels = tuple(M.levels[pre[c]] for c in range(nq))
+    nq = subgroup_lattice(Q).num_classes
+    # rename each inflated coset G-set to the canonical one, the coset
+    # G-set of the preimage class
+    sigma = [gs.canonical_iso(gs.inflate(_orbit_gset(Q, c), q)) for c in range(nq)]
+    pre = [gs.orbit_class_multiset(s.dst)[0] for s in sigma]
+    levels = tuple(M.levels[c] for c in pre)
     SpInf = sp.span_of_functor(sp.InflationGSetFunctor(q))
-    # rename each inflated coset G-set to the canonical one
-    sigma = {}
-    for c in range(nq):
-        infl = gs.inflate(_orbit_gset(Q, c), q)
-        sigma[c] = gs.find_iso(infl, _orbit_gset(G, pre[c]))
     gen_action: dict = {}
     for c1 in range(nq):
         X = _orbit_gset(Q, c1)

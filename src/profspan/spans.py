@@ -170,15 +170,6 @@ def _normalize(counts: dict) -> tuple:
     return tuple(sorted((k, m) for k, m in counts.items() if m))
 
 
-def make_span(left: GSet, right: GSet, terms) -> SpanMor:
-    counts: dict = {}
-    for k, m in terms:
-        if m < 0:
-            raise ValueError("multiplicities must be non-negative")
-        counts[k] = counts.get(k, 0) + m
-    return SpanMor(left, right, _normalize(counts))
-
-
 def zero_span(left: GSet, right: GSet) -> SpanMor:
     return SpanMor(left, right, ())
 

@@ -96,15 +96,7 @@ def verify_colim_span(p: int, depth: int, cap: int, seed: int = 0) -> Report:
         SpInf = sp.span_of_functor(
             sp.InflationGSetFunctor(q), _stage_objects(q.target, min(cap, 2))
         )
-        sigma = {
-            X: gs.find_iso(
-                gs.inflate(X, q),
-                gs.canonical_gset(
-                    q.source, gs.orbit_class_multiset(gs.inflate(X, q))
-                ),
-            )
-            for X in objs
-        }
+        sigma = {X: gs.canonical_iso(gs.inflate(X, q)) for X in objs}
         for X in objs:
             for Y in objs:
                 basis = sp.span_basis(X, Y)
@@ -203,7 +195,6 @@ def verify_limit_span(p: int, depth: int, cap: int) -> Report:
                             False, "fixed points of a kernel-moved apex is not zero"
                         )
                     basis_images += 1
-                # functoriality on all composable basis pairs with this X, Y
             iX = sp.identity_span(X)
             if SpFix(iX) != sp.identity_span(gs.fixed_points(X, q)):
                 return Report(False, "identity span not preserved")
@@ -237,13 +228,12 @@ def verify_adjunction(cap: int = 4) -> Report:
     G = g.cyclic(4)
     q = g.quotient(G, g.make_subgroup(G, (0, 2)))
     objs = _stage_objects(G, cap)
-    data = {X: gs.fixed_point_data(X, q) for X in objs}
     squares = 0
     failures = []
     for X in objs:
         for Xp in objs:
             for f in gs.hom_gset(X, Xp):
-                rep = gs.adjunction_report(q, X, f, data[X], data[Xp])
+                rep = gs.adjunction_report(q, X, f)
                 if not (
                     rep.unit_is_iso
                     and rep.counit_is_injective

@@ -178,21 +178,77 @@ def test_pullback_swap_free_orbit():
 
 
 def test_pullback_universal_property_exhaustive():
-    # every cone with apex size <= 6 factors uniquely
+    # every cone with apex size <= 4 factors through exactly one map
     X = gs.canonical_gset(C4, (1, 2))
     Z = gs.canonical_gset(C4, (2,))
     for f in gs.hom_gset(X, Z):
         for h in gs.hom_gset(X, Z):
             P, p1, p2 = gs.pullback(f, h)
-            for mw in gs.gset_isoclasses(C4, 6):
+            for mw in gs.gset_isoclasses(C4, 4):
                 W = gs.canonical_gset(C4, mw)
+                into_p = gs.hom_gset(W, P)
                 for a in gs.hom_gset(W, X):
                     for b in gs.hom_gset(W, X):
                         if a.then(f).values != b.then(h).values:
                             continue
-                        m = gs.mediating_map(f, h, a, b)
-                        assert m.then(p1).values == a.values
-                        assert m.then(p2).values == b.values
+                        factors = [
+                            m
+                            for m in into_p
+                            if m.then(p1).values == a.values
+                            and m.then(p2).values == b.values
+                        ]
+                        assert len(factors) == 1
+
+
+def commuting_squares(objects):
+    """Every commuting square top: A -> B, left: A -> C, right: B -> D,
+    bottom: C -> D among the given G-sets."""
+    for A, B, C, D in itertools.product(objects, repeat=4):
+        for right in gs.hom_gset(B, D):
+            for bottom in gs.hom_gset(C, D):
+                for top in gs.hom_gset(A, B):
+                    for left in gs.hom_gset(A, C):
+                        if top.then(right).values == left.then(bottom).values:
+                            yield top, left, right, bottom
+
+
+def test_square_is_pullback_matches_fibre_product_oracle():
+    # oracle: a -> (top a, left a) is a bijection onto the built pullback
+    objects = [gs.canonical_gset(C4, m) for m in gs.gset_isoclasses(C4, 2)]
+    verdicts = []
+    for top, left, right, bottom in commuting_squares(objects):
+        P, p1, p2 = gs.pullback(right, bottom)
+        cone = sorted(zip(top.values, left.values))
+        expected = cone == sorted(zip(p1.values, p2.values))
+        assert gs.square_is_pullback(top, left, right, bottom) == expected
+        verdicts.append(expected)
+    assert (len(verdicts), sum(verdicts)) == (428, 131)
+
+
+def test_square_is_pullback_rejects_a_square_that_does_not_commute():
+    X = regular(C2)
+    swap = next(f for f in gs.hom_gset(X, X) if f.values != (0, 1))
+    ident = gs.identity_map(X)
+    with pytest.raises(ValueError):
+        gs.square_is_pullback(ident, ident, swap, ident)
+
+
+def test_counit_square_fails_exactly_off_the_fixed_points():
+    # the counit square of f: X -> X' is a pullback iff every point that f
+    # sends to an N-fixed point is itself N-fixed
+    q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
+    objects = [gs.canonical_gset(C4, m) for m in gs.gset_isoclasses(C4, 4)]
+    failures = 0
+    for X in objects:
+        fixed = set(gs.counit_map(X, q).values)
+        for Xp in objects:
+            fixed_p = set(gs.counit_map(Xp, q).values)
+            for f in gs.hom_gset(X, Xp):
+                preimage = {x for x in X.points() if f.values[x] in fixed_p}
+                rep = gs.adjunction_report(q, X, f)
+                assert rep.counit_square_is_pullback == (preimage <= fixed)
+                failures += not rep.counit_square_is_pullback
+    assert failures == 23
 
 
 def test_coproduct():
@@ -225,9 +281,7 @@ def test_adjunction_report_counit_failure():
     q = g.quotient(C2, g.make_subgroup(C2, (0, 1)))
     X = regular(C2)
     f = gs.hom_gset(X, gs.point_gset(C2))[0]
-    rep = gs.adjunction_report(
-        q, X, f, gs.fixed_point_data(X, q), gs.fixed_point_data(f.dst, q)
-    )
+    rep = gs.adjunction_report(q, X, f)
     assert rep.unit_is_iso
     assert rep.counit_is_injective
     assert rep.unit_square_is_pullback
@@ -240,21 +294,8 @@ def test_adjunction_report_trivial_n_action():
     q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
     X = gs.canonical_gset(C4, (1, 2))  # N acts trivially on both orbits
     f = gs.identity_map(X)
-    rep = gs.adjunction_report(
-        q, X, f, gs.fixed_point_data(X, q), gs.fixed_point_data(f.dst, q)
-    )
+    rep = gs.adjunction_report(q, X, f)
     assert rep.counit_square_is_pullback
-
-
-def test_adjunction_report_rejects_data_of_another_object():
-    q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
-    X = gs.canonical_gset(C4, (1, 2))
-    Y = gs.canonical_gset(C4, (1,))
-    f = gs.identity_map(X)
-    with pytest.raises(ValueError):
-        gs.adjunction_report(
-            q, X, f, gs.fixed_point_data(Y, q), gs.fixed_point_data(X, q)
-        )
 
 
 def test_find_iso():
@@ -263,6 +304,15 @@ def test_find_iso():
     iso = gs.find_iso(X, Y)
     assert iso is not None and iso.is_iso()
     assert gs.find_iso(X, gs.canonical_gset(C4, (0, 2))) is None
+
+
+def test_canonical_iso_renames_onto_the_canonical_isomorph():
+    q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
+    for m in gs.gset_isoclasses(C2, 3):
+        infl = gs.inflate(gs.canonical_gset(C2, m), q)
+        iso = gs.canonical_iso(infl)
+        assert iso.src == infl and iso.is_iso()
+        assert iso.dst == gs.canonical_gset(C4, gs.orbit_class_multiset(infl))
 
 
 def test_gset_isoclasses_counts():
