@@ -17,8 +17,9 @@ def memoise_hash(cls):
     """Class decorator for a frozen dataclass: compute the field-wise hash
     on first use and keep it on the instance.
 
-    Groups, G-sets and towers key hom-set and lattice caches, and their
-    generated hash re-walks every table on every call.
+    Groups, G-sets, towers and quotient maps key hom-set, lattice and
+    fixed-point caches, and their generated hash re-walks every table on
+    every call.
     """
     field_hash = cls.__hash__
 
@@ -235,6 +236,7 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     return SubgroupLattice(G, subs, tuple(normal), tuple(classes))
 
 
+@memoise_hash
 @dataclass(frozen=True)
 class QuotientMap:
     source: FiniteGroup

@@ -131,6 +131,9 @@ def test_memoised_hashes_agree_on_equal_values():
     T1, T2 = g.cyclic_tower(2, 3), g.cyclic_tower(2, 3)
     hash(T1)
     assert T1 == T2 and hash(T2) == hash(T1)
+    q1, q2 = (g.quotient(G, g.make_subgroup(G, (0, 3))) for G in (G1, G2))
+    hash(q1)
+    assert q1 is not q2 and q1 == q2 and hash(q2) == hash(q1)
 
 
 def test_check_equivalence_identity_and_skeleton():
