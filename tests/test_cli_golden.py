@@ -1,13 +1,13 @@
-"""Pinned stdout and exit codes of `profspan verify` reports.
+"""Pinned stdout and exit codes of `profspan` reports.
 
 Each case runs the CLI in-process and compares against
 `tests/golden/<name>.txt`, whose first line is `exit <code>` and whose
 remaining lines are the exact stdout.  A change that must not alter any
 report (a speed-up, a refactor) leaves every file matching byte for byte.
 
-The `mackey-fixed` cases read Burnside Mackey files of corpus groups,
-written to a temporary directory first; their reports embed only the
-`--group-file` name, never the path.
+The file verbs read group, G-set and Burnside Mackey files of corpus
+groups, written to a temporary directory first; no report embeds the
+path of that directory.
 
 Regenerate the files, only when a report is meant to change, with
 
@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from profspan import formats as fm
+from profspan import gsets as gs
 from profspan import mackey as mk
 from profspan.cli import main
 from profspan.corpus import corpus_group
@@ -56,24 +57,41 @@ CASES.update({
     "verify-all-cap4": ["--cap", "4", "verify", "all"],
     "mackey-fixed-D4": ["mackey-fixed", "{dir}/D4.mackey", "0,5"],
     "mackey-fixed-C2xC2xC2": ["mackey-fixed", "{dir}/C2xC2xC2.mackey", "0,1"],
+    "mackey-check-C4": ["mackey-check", "{dir}/C4.mackey"],
+    "span-hom-S3": ["span-hom", "{dir}/S3-x.gset", "{dir}/S3-y.gset"],
+})
+CASES.update({
+    f"{verb}-{name}": [verb, f"{{dir}}/{name}.grp"]
+    for verb in ("group-show", "subgroups", "tom", "burnside")
+    for name in ("S3", "D4")
 })
 
-MACKEY_FILES = ("D4", "C2xC2xC2")
+MACKEY_FILES = ("D4", "C2xC2xC2", "C4")
+
+# Two S3-sets by orbit classes (class orders 1, 2, 3, 6):
+# S3/C2 + S3/S3 and S3/C3 + S3/C2.
+S3_GSETS = {"S3-x": (1, 3), "S3-y": (1, 2)}
 
 
-def write_mackey_files(directory: Path) -> None:
-    """`<name>.grp` and the Burnside functor `<name>.mackey` per group."""
+def write_input_files(directory: Path) -> None:
+    """`<name>.grp` and the Burnside functor `<name>.mackey` per group of
+    MACKEY_FILES, plus `S3.grp` and the S3-sets of S3_GSETS."""
     for name in MACKEY_FILES:
         G = corpus_group(name)
         (directory / f"{name}.grp").write_text(fm.serialize_group(G))
         (directory / f"{name}.mackey").write_text(
             fm.serialize_mackey(mk.burnside_mackey(G), f"{name}.grp")
         )
+    S3 = corpus_group("S3")
+    (directory / "S3.grp").write_text(fm.serialize_group(S3))
+    for name, classes in S3_GSETS.items():
+        X = gs.canonical_gset(S3, classes)
+        (directory / f"{name}.gset").write_text(fm.serialize_gset(X, "S3.grp"))
 
 
 def run(argv, directory: Path) -> str:
     """`exit <code>` followed by the stdout of `profspan <argv>`, with
-    `{dir}` in argv standing for the directory of the Mackey files."""
+    `{dir}` in argv standing for the directory of the input files."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main([a.format(dir=directory) for a in argv])
@@ -81,16 +99,16 @@ def run(argv, directory: Path) -> str:
 
 
 @pytest.fixture(scope="module")
-def mackey_dir(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("mackey")
-    write_mackey_files(directory)
+def input_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("inputs")
+    write_input_files(directory)
     return directory
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name, mackey_dir):
+def test_golden(name, input_dir):
     expected = (GOLDEN / f"{name}.txt").read_text()
-    assert run(CASES[name], mackey_dir) == expected
+    assert run(CASES[name], input_dir) == expected
 
 
 def test_every_golden_file_has_a_case():
@@ -104,7 +122,7 @@ if __name__ == "__main__":
         sys.exit(f"no golden case named {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        write_mackey_files(Path(tmp))
+        write_input_files(Path(tmp))
         for name in names:
             (GOLDEN / f"{name}.txt").write_text(run(CASES[name], Path(tmp)))
             print(f"wrote {name}", file=sys.stderr)
