@@ -4,7 +4,7 @@ groups and truncated quotient towers.
 Submodules:
   groups   finite groups, subgroup lattices, quotient maps, towers
   gsets    finite G-sets, inflation/fixed points, capped categories
-  fincat   explicit finite categories, chain (co)limits, functor families
+  fincat   explicit finite categories, chain colimits, functor families
   spans    span (Burnside) categories with exact multiset arithmetic
   mackey   Mackey functors over integral abelian-group presentations
   formats  line-based text formats with bit-exact round trips

@@ -1,4 +1,4 @@
-"""Explicit finite categories and functors, with chain (co)limits,
+"""Explicit finite categories and functors, with chain colimits,
 equivalence checking, and the functor-from-family comparison.
 
 Morphisms are uniformly labelled (src, dst, data) triples.  Hom-sets and
@@ -18,8 +18,7 @@ every pair in hom(a, b) x hom(b, a).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from .errors import IncoherentFamily, Verdict
 
@@ -48,11 +47,6 @@ class FinCat:
 
     def identity(self, a):
         return self._identity(a)
-
-    def morphisms(self):
-        for a in self.objects:
-            for b in self.objects:
-                yield from self.hom(a, b)
 
     def isos(self, a, b):
         for f in self.hom(a, b):
@@ -294,78 +288,6 @@ def colimit_chain(D: ChainDiagram) -> ColimitChain:
 
 
 @dataclass
-class LimitChain:
-    """Limit of a chain as compatible families.
-
-    A family is a component tuple plus coherence isos alpha_i from the
-    transported component to the next one; a family morphism is determined
-    by its first component, the rest being forced by the coherences.
-    """
-
-    diagram: ChainDiagram
-    cat: FinCat
-    projections: list[CatFunctor]
-    families: list[tuple]
-    coherences: dict  # family -> tuple of isos alpha_i
-
-
-def limit_chain(D: ChainDiagram) -> LimitChain:
-    n = D.stages
-    families: list[tuple] = []
-    coherences: dict = {}
-    partial = [((x,), ()) for x in D.cats[0].objects]
-    for i in range(n - 1):
-        grown = []
-        for components, alphas in partial:
-            image = D.links[i].obj(components[-1])
-            for y in D.cats[i + 1].objects:
-                alpha = D.cats[i + 1].find_iso(image, y)
-                if alpha is not None:
-                    grown.append((components + (y,), alphas + (alpha,)))
-        partial = grown
-    for components, alphas in partial:
-        families.append(components)
-        coherences[components] = alphas
-
-    def push_component(fam_a, fam_b, f0):
-        """Components of a family morphism, forced from the first one."""
-        fs = [f0]
-        for i in range(n - 1):
-            alpha_a = coherences[fam_a][i]
-            alpha_b = coherences[fam_b][i]
-            cat = D.cats[i + 1]
-            fs.append(
-                cat.compose(
-                    alpha_b, cat.compose(D.links[i].mor(fs[-1]), cat.inverse(alpha_a))
-                )
-            )
-        return tuple(fs)
-
-    def hom(fa, fb):
-        return tuple((fa, fb, f0) for f0 in D.cats[0].hom(fa[0], fb[0]))
-
-    def compose(gm, fm):
-        return (fm[0], gm[1], D.cats[0].compose(gm[2], fm[2]))
-
-    def identity(fa):
-        return (fa, fa, D.cats[0].identity(fa[0]))
-
-    cat = FinCat(families, hom, compose, identity, name="lim")
-
-    projections = []
-    for i in range(n):
-        def on_obj(fam, i=i):
-            return fam[i]
-
-        def on_mor(m, i=i):
-            fam_a, fam_b, f0 = m
-            return push_component(fam_a, fam_b, f0)[i]
-
-        projections.append(CatFunctor(cat, D.cats[i], on_obj, on_mor, name=f"proj{i}"))
-    return LimitChain(D, cat, projections, families, coherences)
-
-
-@dataclass
 class FunctorFamily:
     """Functors F_i : cats[i] -> E with isos F_{i+1} o link_i => F_i.
 
@@ -421,26 +343,6 @@ def functor_from_family(colim: ColimitChain, fam: FunctorFamily) -> CatFunctor:
         return F_last.mor(m[2])
 
     return CatFunctor(colim.cat, E, on_obj, on_mor, name="from_family")
-
-
-def restriction_iso(colim: ColimitChain, fam: FunctorFamily, i: int) -> dict:
-    """Natural iso components F∘inj_i => F_i, one cell per object of stage i."""
-    D = colim.diagram
-    n = D.stages
-    E = fam.target
-    F_last = fam.components[-1]
-    out = {}
-    for x in D.cats[i].objects:
-        stages = [x]
-        for k in range(i, n - 1):
-            stages.append(D.links[k].obj(stages[-1]))
-        phi = colim.iso_to_rep[(i, x)]
-        cell = E.inverse(F_last.mor(phi))  # F_last(rep) -> F_last(transport x)
-        # walk the coherences back down: F_{k+1}(x_{k+1}) -> F_k(x_k)
-        for k in range(n - 2, i - 1, -1):
-            cell = E.compose(fam.coherences[k][stages[k - i]], cell)
-        out[x] = cell
-    return out
 
 
 def naturally_isomorphic(F: CatFunctor, G: CatFunctor) -> bool:

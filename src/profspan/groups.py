@@ -125,15 +125,9 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, g: int) -> bool:
-        return g in set(self.elements)
-
     def conjugate(self, g: int) -> "Subgroup":
         G = self.parent
         return Subgroup(G, tuple(sorted(G.conj(g, h) for h in self.elements)))
-
-    def is_normal(self) -> bool:
-        return self.normality_witness() is None
 
     def normality_witness(self):
         """A (g, h) pair with g h g^-1 outside the subgroup, or None."""
@@ -243,12 +237,6 @@ class QuotientMap:
     kernel: Subgroup
     target: FiniteGroup
     projection: tuple[int, ...]
-
-    def __call__(self, g: int) -> int:
-        return self.projection[g]
-
-    def fiber(self, c: int) -> tuple[int, ...]:
-        return tuple(g for g in self.source.elements() if self.projection[g] == c)
 
     def section(self, c: int) -> int:
         """Smallest source element projecting to c."""

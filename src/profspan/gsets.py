@@ -42,9 +42,6 @@ class GSet:
     def size(self) -> int:
         return len(self.action)
 
-    def act(self, g: int, x: int) -> int:
-        return self.action[x][g]
-
     def points(self) -> range:
         return range(self.size)
 
@@ -102,9 +99,6 @@ class EqMap:
     dst: GSet
     values: tuple[int, ...]
 
-    def __call__(self, x: int) -> int:
-        return self.values[x]
-
     def then(self, other: "EqMap") -> "EqMap":
         if self.dst != other.src:
             raise ValueError("maps do not compose")
@@ -123,19 +117,6 @@ class EqMap:
         for x, y in enumerate(self.values):
             inv[y] = x
         return EqMap(self.dst, self.src, tuple(inv))
-
-
-def make_eqmap(src: GSet, dst: GSet, values) -> EqMap:
-    if src.group != dst.group:
-        raise GroupMismatch("maps require a common group")
-    values = tuple(values)
-    if len(values) != src.size:
-        raise ValueError("wrong number of values")
-    for x in src.points():
-        for g in src.group.elements():
-            if values[src.action[x][g]] != dst.action[values[x]][g]:
-                raise ValueError(f"not equivariant at (x={x}, g={g})")
-    return EqMap(src, dst, values)
 
 
 def identity_map(X: GSet) -> EqMap:
@@ -177,29 +158,12 @@ def coset_gset(G: FiniteGroup, subgroup_elements: tuple[int, ...]) -> GSet:
     return GSet(G, action)
 
 
-def orbit_decompose(X: GSet) -> list[tuple[Subgroup, int]]:
-    """Orbit types with multiplicity: X is a disjoint union of G/H's."""
-    lat = subgroup_lattice(X.group)
-    counts: dict[int, int] = {}
-    for orb in X.orbits():
-        c = lat.class_of(X.stabilizer(orb[0]).elements)
-        counts[c] = counts.get(c, 0) + 1
-    return [(lat.class_rep(c), counts[c]) for c in sorted(counts)]
-
-
 def orbit_class_multiset(X: GSet) -> tuple[int, ...]:
     """Sorted stabilizer-class indices of the orbits, with repetition."""
     lat = subgroup_lattice(X.group)
     return tuple(
         sorted(lat.class_of(X.stabilizer(orb[0]).elements) for orb in X.orbits())
     )
-
-
-def is_isomorphic(X: GSet, Y: GSet) -> bool:
-    """Orbit-type multiset equality decides G-set isomorphism."""
-    if X.group != Y.group:
-        return False
-    return orbit_class_multiset(X) == orbit_class_multiset(Y)
 
 
 def find_iso(X: GSet, Y: GSet) -> EqMap | None:

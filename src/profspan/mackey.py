@@ -80,16 +80,6 @@ class AbPresentation:
         """Generator orders, 0 meaning infinite, in generator order."""
         return (0,) * self.rank + self.invariant_factors
 
-    def direct_sum(self, other: "AbPresentation") -> "AbPresentation":
-        return AbPresentation(
-            self.rank + other.rank,
-            normalize_factors(self.invariant_factors + other.invariant_factors),
-        )
-
-
-def make_ab(rank: int, factors=()) -> AbPresentation:
-    return AbPresentation(rank, normalize_factors(factors))
-
 
 ZERO_AB = AbPresentation(0, ())
 
@@ -139,12 +129,6 @@ class MackeyFunctor:
     group: FiniteGroup
     levels: tuple[AbPresentation, ...]
     gen_action: dict
-
-    def level(self, c: int) -> AbPresentation:
-        return self.levels[c]
-
-    def matrix(self, src: int, dst: int, key) -> tuple:
-        return self.gen_action[(src, dst, key)]
 
 
 @lru_cache(maxsize=None)
@@ -398,16 +382,3 @@ def tower_family(tower: GroupTower, deepest: MackeyFunctor):
     for i in range(tower.depth - 2, -1, -1):
         family.append(categorical_fixed_points(family[-1], tower.links[i]))
     return list(reversed(family))
-
-
-def evaluate(M: MackeyFunctor, X: gs.GSet) -> AbPresentation:
-    """Value on an arbitrary G-set: direct sum over the orbit decomposition."""
-    if X.group != M.group:
-        raise GroupMismatch("G-set is not over the functor's group")
-    lat = subgroup_lattice(M.group)
-    out = ZERO_AB
-    for H, mult in gs.orbit_decompose(X):
-        lv = M.levels[lat.class_of(H.elements)]
-        for _ in range(mult):
-            out = out.direct_sum(lv)
-    return out

@@ -36,10 +36,6 @@ class BasisSpan:
     right: GSet
     key: Key
 
-    @property
-    def apex_class(self) -> int:
-        return self.key[0]
-
     def apex(self) -> GSet:
         lat = subgroup_lattice(self.left.group)
         return gs.coset_gset(self.left.group, lat.class_rep(self.key[0]).elements)
@@ -393,10 +389,8 @@ def burnside_tables(G: FiniteGroup) -> BurnsideTables:
     )
 
 
-def transport_span(m: SpanMor, isoL: EqMap | None, isoR: EqMap | None) -> SpanMor:
+def transport_span(m: SpanMor, isoL: EqMap, isoR: EqMap) -> SpanMor:
     """Relabel endpoints along isomorphisms left -> left', right -> right'."""
-    isoL = isoL if isoL is not None else gs.identity_map(m.left)
-    isoR = isoR if isoR is not None else gs.identity_map(m.right)
     if isoL.src != m.left or isoR.src != m.right:
         raise ObjectMismatch("transport isomorphisms do not match endpoints")
     counts: dict = {}
@@ -446,20 +440,6 @@ class GSetFunctor:
     def map(self, f: EqMap) -> EqMap:
         raise NotImplementedError
 
-    def then(self, other: "GSetFunctor") -> "GSetFunctor":
-        return _Composed(self, other)
-
-
-class IdentityGSetFunctor(GSetFunctor):
-    def __init__(self, G: FiniteGroup):
-        self.src_group = self.dst_group = G
-
-    def obj(self, X):
-        return X
-
-    def map(self, f):
-        return f
-
 
 class InflationGSetFunctor(GSetFunctor):
     """Inflation along a quotient map, from G/N-sets to G-sets."""
@@ -489,21 +469,6 @@ class FixedPointsGSetFunctor(GSetFunctor):
 
     def map(self, f):
         return gs.fixed_points_map(f, self.q)
-
-
-class _Composed(GSetFunctor):
-    def __init__(self, first: GSetFunctor, second: GSetFunctor):
-        if first.dst_group != second.src_group:
-            raise GroupMismatch("functors do not compose")
-        self.first, self.second = first, second
-        self.src_group = first.src_group
-        self.dst_group = second.dst_group
-
-    def obj(self, X):
-        return self.second.obj(self.first.obj(X))
-
-    def map(self, f):
-        return self.second.map(self.first.map(f))
 
 
 def check_left_exact(F: GSetFunctor, objects) -> Verdict:
@@ -549,81 +514,3 @@ def span_of_functor(F: GSetFunctor, probe_objects=None):
         return SpanMor(left, right, _normalize(counts))
 
     return apply
-
-
-@dataclass(frozen=True)
-class AdequateTripleSpec:
-    cat: object  # FinCat
-    backward: object  # morphism predicate
-    forward: object  # morphism predicate
-
-
-def _wide(spec: AdequateTripleSpec, pred) -> Verdict:
-    cat = spec.cat
-    for a in cat.objects:
-        if not pred(cat.identity(a)):
-            return Verdict(False, "identity not in class", a)
-    for a, b, c in itertools.product(cat.objects, repeat=3):
-        for f in cat.hom(a, b):
-            if not pred(f):
-                continue
-            for g in cat.hom(b, c):
-                if pred(g) and not pred(cat.compose(g, f)):
-                    return Verdict(False, "class not closed under composition", (g, f))
-    return Verdict(True)
-
-
-def _cat_is_pullback(cat, f, g, P, p, q) -> bool:
-    if cat.compose(f, p) != cat.compose(g, q):
-        return False
-    for w in cat.objects:
-        cones = {
-            (a, b)
-            for a in cat.hom(w, f[0])
-            for b in cat.hom(w, g[0])
-            if cat.compose(f, a) == cat.compose(g, b)
-        }
-        mediated = {
-            (cat.compose(p, m), cat.compose(q, m)) for m in cat.hom(w, P)
-        }
-        if len(mediated) != len(cat.hom(w, P)):
-            return False
-        if mediated != cones:
-            return False
-    return True
-
-
-def validate_adequate_triple(spec: AdequateTripleSpec) -> Verdict:
-    """Both classes are wide subcategories, and every backward/forward
-    cospan admits a pullback in cat whose legs stay in the classes."""
-    for pred in (spec.backward, spec.forward):
-        v = _wide(spec, pred)
-        if not v:
-            return v
-    cat = spec.cat
-    for z in cat.objects:
-        for a in cat.objects:
-            for f in cat.hom(a, z):
-                if not spec.backward(f):
-                    continue
-                for b in cat.objects:
-                    for g in cat.hom(b, z):
-                        if not spec.forward(g):
-                            continue
-                        if not _has_adequate_pullback(spec, f, g):
-                            return Verdict(False, "no adequate pullback", (f, g))
-    return Verdict(True)
-
-
-def _has_adequate_pullback(spec: AdequateTripleSpec, f, g) -> bool:
-    cat = spec.cat
-    for P in cat.objects:
-        for p in cat.hom(P, f[0]):
-            if not spec.forward(p):
-                continue
-            for q in cat.hom(P, g[0]):
-                if not spec.backward(q):
-                    continue
-                if _cat_is_pullback(cat, f, g, P, p, q):
-                    return True
-    return False

@@ -214,58 +214,6 @@ def test_colimit_inverts_links():
         assert colim.cat.is_isomorphic(a, b)
 
 
-def test_limit_single_stage():
-    cat = gcd_cat(6)
-    lim = fc.limit_chain(fc.ChainDiagram([cat], []))
-    assert fc.check_equivalence(lim.projections[0])
-
-
-def test_limit_iso_last_link():
-    cat = gcd_cat(12)
-    D = fc.ChainDiagram([cat, cat], [fc.identity_functor(cat)])
-    lim = fc.limit_chain(D)
-    assert fc.check_equivalence(lim.projections[0])
-    for proj in lim.projections:
-        proj.validate()
-
-
-def test_limit_equivalent_to_first_stage():
-    # three-stage chain of monotone collapses; limit matches the deepest stage
-    c12, c6, c2 = gcd_cat(12), gcd_cat(6), gcd_cat(2)
-    import math
-
-    L0 = monotone_functor(c12, c6, lambda d: math.gcd(d, 6))
-    L1 = monotone_functor(c6, c2, lambda d: math.gcd(d, 2))
-    lim = fc.limit_chain(fc.ChainDiagram([c12, c6, c2], [L0, L1]))
-    assert fc.check_equivalence(lim.projections[0])
-
-
-def test_limit_jointly_conservative():
-    cat = gs.gset_category(g.cyclic(2), 2)
-    D = fc.ChainDiagram([cat, cat], [fc.identity_functor(cat)])
-    lim = fc.limit_chain(D)
-    for fa in lim.families:
-        for fb in lim.families:
-            for m in lim.cat.hom(fa, fb):
-                components_iso = all(
-                    D.cats[i].inverse(lim.projections[i].mor(m)) is not None
-                    for i in range(2)
-                    if _invertible(D.cats[i], lim.projections[i].mor(m))
-                ) and all(
-                    _invertible(D.cats[i], lim.projections[i].mor(m))
-                    for i in range(2)
-                )
-                assert _invertible(lim.cat, m) == components_iso
-
-
-def _invertible(cat, m):
-    try:
-        cat.inverse(m)
-        return True
-    except ValueError:
-        return False
-
-
 def two_stage_family(D, E, F0, F1, eta):
     return fc.FunctorFamily([F0, F1], [eta])
 
@@ -286,11 +234,6 @@ def test_functor_from_family_roundtrip():
     F.validate()
     for i in range(2):
         assert fc.naturally_isomorphic(colim.injections[i].then(F), fam.components[i])
-    # explicit restriction cells agree pointwise with a natural isomorphism
-    cells = fc.restriction_iso(colim, fam, 0)
-    for x in c12.objects:
-        Fx = F.obj(colim.injections[0].obj(x))
-        assert cells[x][0] == Fx and cells[x][1] == F0.obj(x)
 
 
 def test_functor_from_family_incoherent():

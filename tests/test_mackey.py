@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from profspan import groups as g
-from profspan import gsets as gs
 from profspan import mackey as mk
 from profspan import spans as sp
 from profspan.corpus import corpus_group, groups_of_order_at_most
-from profspan.errors import GroupMismatch, IncoherentFamily
+from profspan.errors import IncoherentFamily
 
 
 C2 = g.cyclic(2)
@@ -39,21 +38,9 @@ def test_ab_presentation_validation():
         mk.AbPresentation(0, (3, 2))
     with pytest.raises(ValueError):
         mk.AbPresentation(0, (1,))
-    p = mk.make_ab(1, (6, 4))
+    p = mk.AbPresentation(1, mk.normalize_factors((6, 4)))
     assert p.rank == 1 and p.invariant_factors == (2, 12)
     assert p.dims == 3 and p.orders() == (0, 2, 12)
-
-
-@given(
-    st.integers(min_value=0, max_value=3),
-    st.lists(st.integers(min_value=2, max_value=30), max_size=3),
-    st.integers(min_value=0, max_value=3),
-    st.lists(st.integers(min_value=2, max_value=30), max_size=3),
-)
-def test_direct_sum_commutative(r1, f1, r2, f2):
-    a = mk.make_ab(r1, f1)
-    b = mk.make_ab(r2, f2)
-    assert a.direct_sum(b) == b.direct_sum(a)
 
 
 def test_burnside_mackey_trivial_group():
@@ -241,22 +228,3 @@ def test_assemble_from_tower_rejects_zero_stage():
         mk.assemble_from_tower(t, family)
     assert err.value.stage == 0
 
-
-def test_evaluate():
-    M = mk.burnside_mackey(C4)
-    assert mk.evaluate(M, gs.empty_gset(C4)) == mk.ZERO_AB
-    X = gs.canonical_gset(C4, (1,))
-    assert mk.evaluate(M, X) == M.levels[1]
-    XX = gs.coproduct(X, X)[0]
-    doubled = mk.evaluate(M, XX)
-    assert doubled.rank == 2 * M.levels[1].rank
-    with pytest.raises(GroupMismatch):
-        mk.evaluate(M, gs.point_gset(C2))
-
-
-def test_evaluate_additive_over_coproduct():
-    M = mk.burnside_mackey(C6)
-    A = gs.canonical_gset(C6, (0, 2))
-    B = gs.canonical_gset(C6, (1, 3))
-    AB = gs.coproduct(A, B)[0]
-    assert mk.evaluate(M, AB) == mk.evaluate(M, A).direct_sum(mk.evaluate(M, B))
