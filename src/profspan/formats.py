@@ -43,6 +43,16 @@ class _Lines:
         return ParseError(self.source, self.pos, message)
 
 
+def _read(path: str) -> str:
+    """The text of a file; unreadable or undecodable files are input
+    errors (ValueError covers decoding and a NUL byte in the path)."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        raise ParseError(path, 0, f"cannot read file: {exc}")
+
+
 def _ints(lines: _Lines, line: str, count: int | None = None) -> list[int]:
     try:
         vals = [int(tok) for tok in line.split()]
@@ -142,6 +152,8 @@ def parse_gset(text: str, group: FiniteGroup, source: str = "<gset>") -> GSet:
         size = int(parts[2])
     except ValueError:
         raise lines.error("gset size must be an integer")
+    if size < 0:
+        raise lines.error("gset size must be non-negative")
     action = [_ints(lines, lines.next(), group.order) for _ in range(size)]
     try:
         return make_gset(group, action)
@@ -150,21 +162,13 @@ def parse_gset(text: str, group: FiniteGroup, source: str = "<gset>") -> GSet:
 
 
 def load_gset(path: str) -> GSet:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(path, 0, f"cannot read file: {exc}")
+    text = _read(path)
     first = text.splitlines()[0] if text.splitlines() else ""
     parts = first.split()
     if len(parts) != 3 or parts[0] != "gset":
         raise ParseError(path, 1, "gset header needs a group file and a size")
     group_path = os.path.join(os.path.dirname(path) or ".", parts[1])
-    try:
-        with open(group_path) as fh:
-            group = parse_group(fh.read(), group_path)
-    except OSError as exc:
-        raise ParseError(path, 1, f"cannot read group file: {exc}")
+    group = parse_group(_read(group_path), group_path)
     return parse_gset(text, group, path)
 
 
@@ -257,35 +261,19 @@ def parse_mackey(
 
 
 def load_mackey(path: str) -> MackeyFunctor:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(path, 0, f"cannot read file: {exc}")
+    text = _read(path)
     first = text.splitlines()[0] if text.splitlines() else ""
     parts = first.split()
     if len(parts) != 2 or parts[0] != "mackey":
         raise ParseError(path, 1, "mackey header needs a group file")
     group_path = os.path.join(os.path.dirname(path) or ".", parts[1])
-    try:
-        with open(group_path) as fh:
-            group = parse_group(fh.read(), group_path)
-    except OSError as exc:
-        raise ParseError(path, 1, f"cannot read group file: {exc}")
+    group = parse_group(_read(group_path), group_path)
     return parse_mackey(text, group, path)
 
 
 def load_group(path: str) -> FiniteGroup:
-    try:
-        with open(path) as fh:
-            return parse_group(fh.read(), path)
-    except OSError as exc:
-        raise ParseError(path, 0, f"cannot read file: {exc}")
+    return parse_group(_read(path), path)
 
 
 def load_tower(path: str) -> GroupTower:
-    try:
-        with open(path) as fh:
-            return parse_tower(fh.read(), path)
-    except OSError as exc:
-        raise ParseError(path, 0, f"cannot read file: {exc}")
+    return parse_tower(_read(path), path)

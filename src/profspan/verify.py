@@ -6,6 +6,10 @@ The span-category statements are verified at the level of hom-monoid
 bases: span hom-sets are free commutative monoids on transitive-apex
 classes, so an additive comparison map is an isomorphism exactly when it
 restricts to a bijection of bases.
+
+A check that would test nothing at the requested tower or cap raises
+ParseError, an input error, naming its minimum: the link checks need a
+tower of depth 2 or more, and no counit square fails below cap 4.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from . import groups as g
 from . import gsets as gs
 from . import mackey as mk
 from . import spans as sp
-from .errors import IncoherentFamily
+from .errors import IncoherentFamily, ParseError
 
 
 @dataclass
@@ -31,6 +35,12 @@ class Report:
     def render(self) -> str:
         first = "PASS" if self.ok else f"FAIL {self.witness}"
         return "\n".join([first] + self.lines)
+
+
+def _require_link(check: str, depth: int) -> None:
+    if depth < 2:
+        message = f"verify {check} needs --tower depth >= 2 (depth 1 has no link)"
+        raise ParseError("<args>", 0, message)
 
 
 def _stage_objects(G, cap):
@@ -85,6 +95,7 @@ def verify_colim_span(p: int, depth: int, cap: int, seed: int = 0) -> Report:
     basis spans injectively and functorially, and at the final stage the
     comparison to the discrete model is a basis bijection on every hom.
     """
+    _require_link("colim-span", depth)
     tower = g.cyclic_tower(p, depth)
     rng = random.Random(seed)
     lines = [f"tower: cyclic p={p} depth={depth}, size cap {cap}, seed {seed}"]
@@ -164,6 +175,7 @@ def verify_limit_span(p: int, depth: int, cap: int) -> Report:
     is well defined on bases (basis to basis-or-zero, exactly following
     the N ⊆ H rule), left exact, functorial, and identity-preserving.
     """
+    _require_link("limit-span", depth)
     tower = g.cyclic_tower(p, depth)
     lines = [f"tower: cyclic p={p} depth={depth}, size cap {cap}"]
     basis_images = 0
@@ -225,6 +237,9 @@ def verify_adjunction(cap: int = 4) -> Report:
     """Unit/counit naturality squares for inflation/fixed points over C4
     with the order-2 kernel: every unit square is a pullback; at least one
     counit square is not, and its witness is reported as expected."""
+    if cap < 4:
+        message = "verify adjunction needs --cap >= 4 (no counit square fails below it)"
+        raise ParseError("<args>", 0, message)
     G = g.cyclic(4)
     q = g.quotient(G, g.make_subgroup(G, (0, 2)))
     objs = _stage_objects(G, cap)
@@ -266,6 +281,7 @@ def verify_adjunction(cap: int = 4) -> Report:
 def verify_mackey_limit(p: int = 2, depth: int = 2) -> Report:
     """Tower-limit round trip for Mackey functors, with a corrupted-family
     negative control."""
+    _require_link("mackey-limit", depth)
     tower = g.cyclic_tower(p, depth)
     deepest = mk.burnside_mackey(tower.stages[-1])
     family = mk.tower_family(tower, deepest)

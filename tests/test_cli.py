@@ -128,6 +128,34 @@ def test_missing_file_exits_2(files, capsys):
     assert main(["tom", str(files / "nope.grp")]) == 2
 
 
+def test_undecodable_file_exits_2(files, capsys):
+    (files / "bad.grp").write_bytes(b"\xff\xfegroup 2\n")
+    assert main(["group-show", str(files / "bad.grp")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_negative_gset_size_exits_2(files, capsys):
+    (files / "neg.gset").write_text("gset c2.grp -1\n")
+    path = str(files / "neg.gset")
+    assert main(["span-hom", path, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "gset size must be non-negative" in err
+
+
+def test_adjunction_below_cap_4_exits_2(capsys):
+    assert main(["--cap", "3", "verify", "adjunction"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--cap >= 4" in err
+
+
+@pytest.mark.parametrize("check", ["mackey-limit", "colim-span", "limit-span"])
+def test_depth_1_tower_exits_2(check, capsys):
+    assert main(["--tower", "2,1", "verify", check]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "depth >= 2" in captured.err
+
+
 def test_bad_tower_flag_exits_2(files, capsys):
     assert main(["--tower", "x,y", "verify", "mackey-limit"]) == 2
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, strategies as st
 
 from profspan import formats as fm
 from profspan import groups as g
@@ -103,3 +104,33 @@ def test_mackey_parse_errors():
 def test_load_group_missing_file():
     with pytest.raises(ParseError):
         fm.load_group("/nonexistent/file.grp")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding the group file `g.grp` (C2) that fuzzed G-set
+    and Mackey headers can name."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "g.grp").write_text(fm.serialize_group(corpus_group("C2")))
+    return directory
+
+
+HEADERS = (b"group 2\n", b"tower 2\n", b"gset g.grp 2\n", b"mackey g.grp\n")
+
+
+@given(
+    st.one_of(
+        st.binary(),
+        st.builds(bytes.__add__, st.sampled_from(HEADERS), st.binary()),
+    )
+)
+@example(b"\xff\xfe")
+@example(b"gset \x00 1\n0 0\n")
+def test_loaders_return_or_raise_parse_error_on_any_bytes(fuzz_dir, data):
+    path = fuzz_dir / "input"
+    path.write_bytes(data)
+    for load in (fm.load_group, fm.load_tower, fm.load_gset, fm.load_mackey):
+        try:
+            load(str(path))
+        except ParseError:
+            pass
