@@ -45,6 +45,8 @@ CASES = {
 }
 CASES.update({
     "colim-gset-3-2-cap5": ["--tower", "3,2", "--cap", "5", "verify", "colim-gset"],
+    "colim-gset-2-3-cap5": ["--tower", "2,3", "--cap", "5", "verify", "colim-gset"],
+    "colim-gset-2-3-cap6": ["--tower", "2,3", "--cap", "6", "verify", "colim-gset"],
     "adjunction-cap4": ["--cap", "4", "verify", "adjunction"],
     "adjunction-cap5": ["--cap", "5", "verify", "adjunction"],
     "funcat-seed3": ["--seed", "3", "verify", "funcat"],
@@ -59,6 +61,7 @@ CASES.update({
     "mackey-fixed-C2xC2xC2": ["mackey-fixed", "{dir}/C2xC2xC2.mackey", "0,1"],
     "mackey-check-C4": ["mackey-check", "{dir}/C4.mackey"],
     "span-hom-S3": ["span-hom", "{dir}/S3-x.gset", "{dir}/S3-y.gset"],
+    "span-hom-D4": ["span-hom", "{dir}/D4-x.gset", "{dir}/D4-y.gset"],
 })
 CASES.update({
     f"{verb}-{name}": [verb, f"{{dir}}/{name}.grp"]
@@ -68,14 +71,21 @@ CASES.update({
 
 MACKEY_FILES = ("D4", "C2xC2xC2", "C4")
 
-# Two S3-sets by orbit classes (class orders 1, 2, 3, 6):
-# S3/C2 + S3/S3 and S3/C3 + S3/C2.
-S3_GSETS = {"S3-x": (1, 3), "S3-y": (1, 2)}
+# G-sets by group and orbit classes.  S3 (class orders 1, 2, 3, 6):
+# S3/C2 + S3/S3 and S3/C3 + S3/C2.  D4 (see subgroups-D4): the orbits of
+# the non-normal reflection class 1 and of the Klein four-group class 4,
+# and those of the other reflection class 2 and of the centre, class 3.
+GSETS = {
+    "S3-x": ("S3", (1, 3)),
+    "S3-y": ("S3", (1, 2)),
+    "D4-x": ("D4", (1, 4)),
+    "D4-y": ("D4", (2, 3)),
+}
 
 
 def write_input_files(directory: Path) -> None:
     """`<name>.grp` and the Burnside functor `<name>.mackey` per group of
-    MACKEY_FILES, plus `S3.grp` and the S3-sets of S3_GSETS."""
+    MACKEY_FILES, plus `S3.grp` and the G-sets of GSETS."""
     for name in MACKEY_FILES:
         G = corpus_group(name)
         (directory / f"{name}.grp").write_text(fm.serialize_group(G))
@@ -84,9 +94,11 @@ def write_input_files(directory: Path) -> None:
         )
     S3 = corpus_group("S3")
     (directory / "S3.grp").write_text(fm.serialize_group(S3))
-    for name, classes in S3_GSETS.items():
-        X = gs.canonical_gset(S3, classes)
-        (directory / f"{name}.gset").write_text(fm.serialize_gset(X, "S3.grp"))
+    for name, (group, classes) in GSETS.items():
+        X = gs.canonical_gset(corpus_group(group), classes)
+        (directory / f"{name}.gset").write_text(
+            fm.serialize_gset(X, f"{group}.grp")
+        )
 
 
 def run(argv, directory: Path) -> str:
