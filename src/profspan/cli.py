@@ -141,7 +141,10 @@ def cmd_mackey_fixed(args) -> tuple[str, int]:
 def cmd_verify(args) -> tuple[str, int]:
     tower = _parse_tower_flag(args.tower)
     names = list(vf.CHECKS) if args.check == "all" else [args.check]
-    reports = [vf.CHECKS[name](args.cap, args.seed, tower) for name in names]
+    checks = [vf.CHECKS[name] for name in names]
+    for check in checks:
+        check.require(args.cap, tower)
+    reports = [check.run(args.cap, args.seed, tower) for check in checks]
     blocks = [f"[{name}]\n{r.render()}" for name, r in zip(names, reports)]
     code = 0 if all(r.ok for r in reports) else 1
     return "\n\n".join(blocks), code

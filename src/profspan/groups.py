@@ -297,16 +297,20 @@ class GroupTower:
         return len(self.stages)
 
     def projection(self, src_level: int, dst_level: int) -> QuotientMap:
-        """Composite projection from stage src_level down to dst_level."""
+        """Composite projection from stage src_level down to dst_level,
+        built once per (tower, src_level, dst_level)."""
         if not 0 <= dst_level <= src_level < self.depth:
             raise ValueError(f"bad levels {src_level} -> {dst_level}")
-        G = self.stages[src_level]
-        q = QuotientMap(
-            G, make_subgroup(G, (0,)), G, tuple(G.elements())
-        )
-        for i in range(src_level - 1, dst_level - 1, -1):
-            q = compose_quotients(self.links[i], q)
-        return q
+        return _tower_projection(self, src_level, dst_level)
+
+
+@lru_cache(maxsize=None)
+def _tower_projection(tower: GroupTower, src_level: int, dst_level: int) -> QuotientMap:
+    G = tower.stages[src_level]
+    q = QuotientMap(G, make_subgroup(G, (0,)), G, tuple(G.elements()))
+    for i in range(src_level - 1, dst_level - 1, -1):
+        q = compose_quotients(tower.links[i], q)
+    return q
 
 
 def make_tower(stages, links) -> GroupTower:

@@ -9,6 +9,13 @@ and the index of each fixed point.  `fixed_points`, `counit_map`,
 `fixed_points_map` and `adjunction_report` read that record.  A square
 of G-sets is decided to be a pullback by counting the fibre product, not
 by building it.
+
+hom(X, Y) is the product, over the orbits of X, of the sets Y^Stab(orbit)
+(`hom_factors`): a map is free to send each orbit's base point to any
+point fixed by its stabilizer, and the size of that factor is the mark of
+the stabilizer on Y.  Properties of hom-sets are decided per factor;
+`hom_gset` multiplies the factors out only where the maps themselves are
+needed.  Orbits and point stabilizers are computed once per G-set.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import GroupMismatch
@@ -48,7 +55,11 @@ class GSet:
     def orbit(self, x: int) -> tuple[int, ...]:
         return tuple(sorted(set(self.action[x])))
 
-    def orbits(self) -> list[tuple[int, ...]]:
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        return self._orbits
+
+    @cached_property
+    def _orbits(self) -> tuple[tuple[int, ...], ...]:
         seen: set[int] = set()
         out = []
         for x in self.points():
@@ -56,11 +67,19 @@ class GSet:
                 orb = self.orbit(x)
                 seen.update(orb)
                 out.append(orb)
-        return out
+        return tuple(out)
 
     def stabilizer(self, x: int) -> Subgroup:
         elems = tuple(g for g, y in enumerate(self.action[x]) if y == x)
         return Subgroup(self.group, elems)
+
+    @cached_property
+    def point_stabilizers(self) -> tuple[frozenset[int], ...]:
+        """The stabilizer of every point, as a set; built on first use."""
+        return tuple(
+            frozenset(g for g, y in enumerate(row) if y == x)
+            for x, row in enumerate(self.action)
+        )
 
     def __repr__(self):
         return f"GSet(|G|={self.group.order}, size={self.size})"
@@ -170,29 +189,25 @@ def find_iso(X: GSet, Y: GSet) -> EqMap | None:
     """An explicit equivariant bijection X -> Y, or None."""
     if X.group != Y.group or X.size != Y.size:
         return None
-    G = X.group
     values = [-1] * X.size
     targets_used: set[int] = set()
-    y_orbits = Y.orbits()
+    y_stabs = Y.point_stabilizers
     for orb in X.orbits():
         x = orb[0]
-        S = set(X.stabilizer(x).elements)
+        S = X.point_stabilizers[x]
         match = None
-        for yorb in y_orbits:
+        for yorb in Y.orbits():
             if yorb[0] in targets_used or len(yorb) != len(orb):
                 continue
             # need a point with exactly the same stabilizer
-            for y in yorb:
-                if set(Y.stabilizer(y).elements) == S:
-                    match = y
-                    break
+            match = next((y for y in yorb if y_stabs[y] == S), None)
             if match is not None:
+                targets_used.add(yorb[0])
                 break
         if match is None:
             return None
-        targets_used.add(Y.orbit(match)[0])
-        for g in G.elements():
-            values[X.action[x][g]] = Y.action[match][g]
+        for gx, gy in zip(X.action[x], Y.action[match]):
+            values[gx] = gy
     return EqMap(X, Y, tuple(values))
 
 
@@ -265,29 +280,59 @@ def inflate_map(f: EqMap, q: QuotientMap) -> EqMap:
     return EqMap(inflate(f.src, q), inflate(f.dst, q), f.values)
 
 
-def hom_gset(X: GSet, Y: GSet) -> list[EqMap]:
-    """All equivariant maps X -> Y, orbit by orbit."""
+class HomFactor(NamedTuple):
+    """The factor of hom(X, Y) at one orbit of X: an equivariant map is
+    free to send the base point to any point of Y fixed by its stabilizer."""
+
+    base: int  # the least point of the orbit
+    stabilizer: tuple[int, ...]  # Stab(base), sorted
+    points: tuple[int, ...]  # Y^stabilizer, in point order
+
+
+def fixed_by(Y: GSet, S) -> tuple[int, ...]:
+    """The points of Y fixed by every element of S, in point order."""
+    return tuple(y for y, st in enumerate(Y.point_stabilizers) if st.issuperset(S))
+
+
+def hom_factors(X: GSet, Y: GSet) -> list[HomFactor]:
+    """hom(X, Y) as the product, over the orbits of X in point order, of
+    the sets Y^Stab(orbit); |factor| is the mark of Stab(orbit) on Y."""
     if X.group != Y.group:
         raise GroupMismatch("hom requires a common group")
-    G = X.group
-    x_orbits = X.orbits()
-    choices = []
-    for orb in x_orbits:
-        x = orb[0]
-        S = X.stabilizer(x).elements
-        candidates = [
-            y
-            for y in Y.points()
-            if all(Y.action[y][s] == y for s in S)
-        ]
-        choices.append((x, candidates))
+    stabs = X.point_stabilizers
+    out = []
+    for orb in X.orbits():
+        S = tuple(sorted(stabs[orb[0]]))
+        out.append(HomFactor(orb[0], S, fixed_by(Y, S)))
+    return out
+
+
+def hom_gset(X: GSet, Y: GSet) -> list[EqMap]:
+    """All equivariant maps X -> Y, in the product order of hom_factors.
+
+    A factor choice y writes the orbit's row g.x -> g.y, tabulated once
+    per (orbit, y) over the first g reaching each orbit point."""
+    factors = hom_factors(X, Y)
+    rows = []
+    order: list[int] = []  # the orbit points in row order
+    for base, _, points in factors:
+        first: dict = {}
+        for g, z in enumerate(X.action[base]):
+            first.setdefault(z, g)
+        orbit = sorted(first)
+        order += orbit
+        reach = [first[z] for z in orbit]
+        rows.append([tuple(map(Y.action[y].__getitem__, reach)) for y in points])
+    chain = itertools.chain.from_iterable
+    if order == list(X.points()):
+        return [EqMap(X, Y, tuple(chain(combo))) for combo in itertools.product(*rows)]
+    slot = [0] * X.size
+    for k, z in enumerate(order):
+        slot[z] = k
     maps = []
-    for combo in itertools.product(*(c for _, c in choices)):
-        values = [-1] * X.size
-        for (x, _), y in zip(choices, combo):
-            for g in G.elements():
-                values[X.action[x][g]] = Y.action[y][g]
-        maps.append(EqMap(X, Y, tuple(values)))
+    for combo in itertools.product(*rows):
+        flat = tuple(chain(combo))
+        maps.append(EqMap(X, Y, tuple(map(flat.__getitem__, slot))))
     return maps
 
 
@@ -465,6 +510,13 @@ def inflation_functor(q: QuotientMap, src_cat, dst_cat) -> "fincat.CatFunctor":
     return fincat.CatFunctor(src_cat, dst_cat, on_obj, on_mor, name="inflation")
 
 
+def lift(A: TowerObject, level: int) -> GSet:
+    """The carrier of A inflated to a deeper level of its tower."""
+    if A.level == level:
+        return A.carrier
+    return inflate(A.carrier, A.tower.projection(level, A.level))
+
+
 def discrete_gset_category(tower: GroupTower, size_cap: int) -> "fincat.FinCat":
     """Finite model of discrete G-sets over a tower.
 
@@ -479,11 +531,6 @@ def discrete_gset_category(tower: GroupTower, size_cap: int) -> "fincat.FinCat":
     for i, G in enumerate(tower.stages):
         for m in gset_isoclasses(G, size_cap):
             objects.append(TowerObject(tower, i, canonical_gset(G, m)))
-
-    def lift(A: TowerObject, k: int) -> GSet:
-        if A.level == k:
-            return A.carrier
-        return inflate(A.carrier, tower.projection(k, A.level))
 
     def hom(A, B):
         k = max(A.level, B.level)

@@ -7,8 +7,14 @@ compose by the double-coset formula: the orbits of their pullback are the
 K1-orbits on one fibre of G/K2, with stabilizers K1 ∩ hK2h⁻¹, and each is
 canonicalised from per-group coset tables (coset_tables) without building
 the pullback G-set.  Composition is exact (integer multiplicities, no
-tolerance).  The pullback construction stays as compose_keys_oracle, for
-the tests.
+tolerance).
+
+The basis of hom(X, Y) is read off pairs of fixed points: a span with
+apex G/K is a pair of equivariant maps out of G/K, that is, a point of
+X^K and a point of Y^K, so span_basis keys each pair (x, y) of K-fixed
+points, for one K per subgroup class, without enumerating hom-sets.  The
+pullback composite and the hom-enumerating basis stay as oracles in the
+test suite.
 """
 
 from __future__ import annotations
@@ -125,18 +131,33 @@ def canonical_key(apex: GSet, base: int, legL, legR) -> Key:
 
 
 def span_basis(X: GSet, Y: GSet) -> list[BasisSpan]:
-    """All isomorphism classes of spans X <- S -> Y with transitive S."""
+    """All isomorphism classes of spans X <- S -> Y with transitive S.
+
+    A span with apex G/K, for K the representative of class c, is a pair
+    (x, y) of K-fixed points, with legs gK -> g·x and gK -> g·y.  Two
+    pairs give isomorphic spans iff an element n of the normaliser N(K)
+    carries one to the other, and _least_key keys a pair by the least
+    pair (n·x, n·y) of its N(K)-orbit, tabulated over the coset minima.
+    So the basis is one key per pair that is least in its orbit; the
+    tables start with x and y, so the keys come out sorted.
+    """
     if X.group != Y.group:
         raise GroupMismatch("span endpoints require a common group")
-    G = X.group
-    lat = subgroup_lattice(G)
-    keys: set[Key] = set()
-    for c in range(lat.num_classes):
-        apex = gs.coset_gset(G, lat.class_rep(c).elements)
-        for f in gs.hom_gset(apex, X):
-            for g in gs.hom_gset(apex, Y):
-                keys.add(canonical_key(apex, 0, f.values, g.values))
-    return [BasisSpan(X, Y, k) for k in sorted(keys)]
+    T = coset_tables(X.group)
+    keys: list[Key] = []
+    for c, cls in enumerate(T.classes):
+        ys = gs.fixed_by(Y, cls.rep)
+        if not ys:
+            continue
+        right = [tuple(map(Y.action[y].__getitem__, cls.mins)) for y in ys]
+        for x in gs.fixed_by(X, cls.rep):
+            gx = X.action[x]
+            left = tuple(map(gx.__getitem__, cls.mins))
+            for y, table in zip(ys, right):
+                gy = Y.action[y]
+                if all((gx[n], gy[n]) >= (x, y) for n in cls.normaliser):
+                    keys.append((c, left, table))
+    return [BasisSpan(X, Y, k) for k in keys]
 
 
 @dataclass(frozen=True)
@@ -237,105 +258,6 @@ def compose_spans(m2: SpanMor, m1: SpanMor) -> SpanMor:
             for k, c in _compose_keys(G, k2, k1):
                 counts[k] = counts.get(k, 0) + c1 * c2 * c
     return SpanMor(m1.left, m2.right, _normalize(counts))
-
-
-def double_coset_count(G: FiniteGroup, H, K) -> int:
-    """Oracle: the number of (H, K) double cosets in G."""
-    seen: set = set()
-    out = 0
-    for g in G.elements():
-        if g in seen:
-            continue
-        out += 1
-        seen.update(G.mul(G.mul(h, g), k) for h in H for k in K)
-    return out
-
-
-def span_basis_count_oracle(G: FiniteGroup, H, K) -> int:
-    """Oracle: the rank of hom(G/H, G/K) in the span category, counted
-    independently as orbits of H x K acting on pairs (g, L) with L a
-    subgroup of H ∩ gKg⁻¹, by (h, k)·(g, L) = (hgk⁻¹, hLh⁻¹).
-
-    Refines the double-coset count: when every intersection is trivial
-    (in particular when H or K is trivial) it equals the number of
-    (H, K) double cosets.
-    """
-    lat = subgroup_lattice(G)
-    items: set = set()
-    for a in G.elements():
-        conj_k = {G.conj(a, k) for k in K}
-        M = set(H) & conj_k
-        for L in lat.subgroups:
-            if set(L.elements) <= M:
-                items.add((a, L.elements))
-    seen: set = set()
-    out = 0
-    for item in items:
-        if item in seen:
-            continue
-        out += 1
-        frontier = [item]
-        seen.add(item)
-        while frontier:
-            a, L = frontier.pop()
-            for h in H:
-                for k in K:
-                    nxt = (
-                        G.mul(G.mul(h, a), G.inv(k)),
-                        tuple(sorted(G.conj(h, x) for x in L)),
-                    )
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-    return out
-
-
-def canonical_key_oracle(apex: GSet, base: int, legL, legR) -> Key:
-    """Oracle for canonical_key: the least leg-table pair over every point
-    of the orbit whose stabilizer is the class representative, with the
-    coset minima and stabilizers recomputed from the apex."""
-    G = apex.group
-    lat = subgroup_lattice(G)
-    c = lat.class_of(apex.stabilizer(base).elements)
-    rep = lat.class_rep(c).elements
-    rep_set = set(rep)
-    mins = [min(G.mul(g, h) for h in rep) for g in G.elements()]
-    # minimal element of each coset point, in point order
-    reps_of_points = []
-    seen = set()
-    for g in G.elements():
-        m = mins[g]
-        if m not in seen:
-            seen.add(m)
-            reps_of_points.append(m)
-    best = None
-    orbit = apex.orbit(base)
-    for s in orbit:
-        if set(apex.stabilizer(s).elements) != rep_set:
-            continue
-        # psi: coset point p (coset m_p H) -> m_p . s
-        imgs = [apex.action[s][m] for m in reps_of_points]
-        cand = (tuple(legL[i] for i in imgs), tuple(legR[i] for i in imgs))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return (c, best[0], best[1])
-
-
-def compose_keys_oracle(G: FiniteGroup, k2: Key, k1: Key) -> tuple:
-    """Oracle for _compose_keys: build the pullback G-set of the two apexes
-    and canonicalise each of its orbits with canonical_key_oracle."""
-    lat = subgroup_lattice(G)
-    apex1 = gs.coset_gset(G, lat.class_rep(k1[0]).elements)
-    apex2 = gs.coset_gset(G, lat.class_rep(k2[0]).elements)
-    P, pairs = gs.fibre_product(apex1, k1[2], apex2, k2[1])
-    legL = [k1[1][x] for x, _ in pairs]
-    legR = [k2[2][y] for _, y in pairs]
-    counts: dict = {}
-    for orb in P.orbits():
-        k = canonical_key_oracle(P, orb[0], legL, legR)
-        counts[k] = counts.get(k, 0) + 1
-    return _normalize(counts)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ restricts to a bijection of bases.
 
 A check that would test nothing at the requested tower or cap raises
 ParseError, an input error, naming its minimum: the link checks need a
-tower of depth 2 or more, and no counit square fails below cap 4.
+tower of depth 2 or more, and no counit square fails below cap 4.  The
+CLI tests the minima of every selected check (Check.require) before it
+runs any of them.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import fincat as fc
 from . import groups as g
 from . import gsets as gs
 from . import mackey as mk
 from . import spans as sp
-from .errors import IncoherentFamily, ParseError
+from .errors import IncoherentFamily, ParseError, Verdict
 
 
 @dataclass
@@ -43,6 +46,12 @@ def _require_link(check: str, depth: int) -> None:
         raise ParseError("<args>", 0, message)
 
 
+def _require_cap(cap: int) -> None:
+    if cap < 4:
+        message = "verify adjunction needs --cap >= 4 (no counit square fails below it)"
+        raise ParseError("<args>", 0, message)
+
+
 def _stage_objects(G, cap):
     return [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, cap)]
 
@@ -58,25 +67,18 @@ def _inflation_chain(tower, cap):
 
 def verify_colim_gset(p: int, depth: int, cap: int) -> Report:
     """The colimit of capped stage categories along inflation is the
-    capped discrete model of the tower."""
+    capped discrete model of the tower.
+
+    Decided on hom factors, without enumerating a hom-set: hom(X, Y) is
+    the product over the orbits O of X of Y^Stab(O) (gs.hom_factors), so
+    a map of hom-sets that is a bijection on every factor is a bijection.
+    """
     tower = g.cyclic_tower(p, depth)
     disc = gs.discrete_gset_category(tower, cap)
     colim = fc.colimit_chain(_inflation_chain(tower, cap))
-    top = tower.depth - 1
-
-    def on_obj(c):
-        return gs.TowerObject(tower, top, colim.reps[c])
-
-    def on_mor(m):
-        R1, R2, values = m[2]
-        return (
-            gs.TowerObject(tower, top, R1),
-            gs.TowerObject(tower, top, R2),
-            values,
-        )
-
-    cmp = fc.CatFunctor(colim.cat, disc, on_obj, on_mor, name="comparison")
-    verdict = fc.check_equivalence(cmp)
+    verdict = _comparison_verdict(tower, disc, colim.reps)
+    if verdict:
+        verdict = _links_verdict(tower, cap)
     lines = [
         f"tower: cyclic p={p} depth={depth}, size cap {cap}",
         f"colimit object classes: {len(colim.cat.objects)}",
@@ -86,6 +88,56 @@ def verify_colim_gset(p: int, depth: int, cap: int) -> Report:
         else f"equivalence failure: {verdict.reason}",
     ]
     return Report(bool(verdict), "" if verdict else str(verdict.witness), lines)
+
+
+def _comparison_verdict(tower, disc, reps) -> Verdict:
+    """Whether the comparison functor, class c -> reps[c] at the top
+    level, is an equivalence onto the discrete model `disc`.
+
+    Essentially surjective: every object of `disc`, lifted to the top
+    level, has the orbit-class multiset of some representative.  Fully
+    faithful: the functor keeps point maps, so it is a bijection on
+    hom(c1, c2) when the hom factors of the two representatives equal
+    those of their lifted images in the discrete model.
+    """
+    top = tower.depth - 1
+    images = [gs.TowerObject(tower, top, R) for R in reps]
+    hit = {gs.orbit_class_multiset(gs.lift(A, top)) for A in images}
+    for b in disc.objects:
+        if gs.orbit_class_multiset(gs.lift(b, top)) not in hit:
+            return Verdict(False, "not essentially surjective", b)
+    for c1, A in enumerate(images):
+        for c2, B in enumerate(images):
+            src = gs.hom_factors(reps[c1], reps[c2])
+            if src != gs.hom_factors(gs.lift(A, top), gs.lift(B, top)):
+                return Verdict(False, "not full", (c1, c2))
+    return Verdict(True)
+
+
+def _links_verdict(tower, cap) -> Verdict:
+    """Whether inflation along every link q is fully faithful on the
+    capped stage objects: for each orbit factor (x, K, Y^K) of hom(X, Y),
+    the factor of hom(inf X, inf Y) at x is (x, q⁻¹K, Y^K)."""
+    for i, q in enumerate(tower.links):
+        objs = _stage_objects(q.target, cap)
+        inflated = {X: gs.inflate(X, q) for X in objs}
+        preimage: dict = {}
+        for K in g.subgroup_lattice(q.target).subgroups:
+            inside = set(K.elements)
+            preimage[K.elements] = tuple(
+                a for a, c in enumerate(q.projection) if c in inside
+            )
+        for X in objs:
+            for Y in objs:
+                expect = [
+                    (f.base, preimage[f.stabilizer], f.points)
+                    for f in gs.hom_factors(X, Y)
+                ]
+                if gs.hom_factors(inflated[X], inflated[Y]) != expect:
+                    return Verdict(
+                        False, "inflation not fully faithful", (i, X.action, Y.action)
+                    )
+    return Verdict(True)
 
 
 def verify_colim_span(p: int, depth: int, cap: int, seed: int = 0) -> Report:
@@ -108,9 +160,10 @@ def verify_colim_span(p: int, depth: int, cap: int, seed: int = 0) -> Report:
             sp.InflationGSetFunctor(q), _stage_objects(q.target, min(cap, 2))
         )
         sigma = {X: gs.canonical_iso(gs.inflate(X, q)) for X in objs}
+        bases = {}
         for X in objs:
             for Y in objs:
-                basis = sp.span_basis(X, Y)
+                basis = bases[X, Y] = sp.span_basis(X, Y)
                 target_keys = {
                     b.key for b in sp.span_basis(sigma[X].dst, sigma[Y].dst)
                 }
@@ -133,8 +186,8 @@ def verify_colim_span(p: int, depth: int, cap: int, seed: int = 0) -> Report:
         # sampled functoriality of Span(inflation)
         for _ in range(40):
             X, Y, Z = (rng.choice(objs) for _ in range(3))
-            b1 = sp.span_basis(X, Y)
-            b2 = sp.span_basis(Y, Z)
+            b1 = bases[X, Y]
+            b2 = bases[Y, Z]
             if not (b1 and b2):
                 continue
             m1 = sp.basis_span_mor(rng.choice(b1))
@@ -191,9 +244,11 @@ def verify_limit_span(p: int, depth: int, cap: int) -> Report:
             return Report(False, f"fixed points not left exact at stage {i}")
         SpFix = sp.span_of_functor(sp.FixedPointsGSetFunctor(q))
         objs = _stage_objects(G, cap)
+        bases = {}
         for X in objs:
             for Y in objs:
-                for b in sp.span_basis(X, Y):
+                bases[X, Y] = sp.span_basis(X, Y)
+                for b in bases[X, Y]:
                     image = SpFix(sp.basis_span_mor(b))
                     expect_nonzero = N <= set(lat.class_rep(b.key[0]).elements)
                     if expect_nonzero and (
@@ -213,8 +268,8 @@ def verify_limit_span(p: int, depth: int, cap: int) -> Report:
         for X in objs[:4]:
             for Y in objs[:4]:
                 for Z in objs[:4]:
-                    for b1 in sp.span_basis(X, Y):
-                        for b2 in sp.span_basis(Y, Z):
+                    for b1 in bases[X, Y]:
+                        for b2 in bases[Y, Z]:
                             m1 = sp.basis_span_mor(b1)
                             m2 = sp.basis_span_mor(b2)
                             if SpFix(sp.compose_spans(m2, m1)) != sp.compose_spans(
@@ -237,9 +292,7 @@ def verify_adjunction(cap: int = 4) -> Report:
     """Unit/counit naturality squares for inflation/fixed points over C4
     with the order-2 kernel: every unit square is a pullback; at least one
     counit square is not, and its witness is reported as expected."""
-    if cap < 4:
-        message = "verify adjunction needs --cap >= 4 (no counit square fails below it)"
-        raise ParseError("<args>", 0, message)
+    _require_cap(cap)
     G = g.cyclic(4)
     q = g.quotient(G, g.make_subgroup(G, (0, 2)))
     objs = _stage_objects(G, cap)
@@ -423,15 +476,38 @@ def _clamped(check, p: int, depth: int, cap: int, *rest) -> Report:
     return report
 
 
+class Check(NamedTuple):
+    """One verify check: `run(cap, seed, tower)` returns its report, and
+    `require(cap, tower)` raises ParseError when the run would test
+    nothing, before any check runs."""
+
+    run: Callable[[int, int, tuple[int, int]], Report]
+    require: Callable[[int, tuple[int, int]], None] = lambda cap, tower: None
+
+
+def _needs_link(check: str) -> Callable[[int, tuple[int, int]], None]:
+    return lambda cap, tower: _require_link(check, tower[1])
+
+
 # The verify checks in `verify all` order.  Each takes the CLI's size cap,
 # seed and (p, depth) tower.
 CHECKS = {
-    "colim-gset": lambda cap, seed, tower: verify_colim_gset(*tower, cap),
-    "colim-span": lambda cap, seed, tower: _clamped(
-        verify_colim_span, *tower, cap, seed
+    "colim-gset": Check(lambda cap, seed, tower: verify_colim_gset(*tower, cap)),
+    "colim-span": Check(
+        lambda cap, seed, tower: _clamped(verify_colim_span, *tower, cap, seed),
+        _needs_link("colim-span"),
     ),
-    "limit-span": lambda cap, seed, tower: _clamped(verify_limit_span, *tower, cap),
-    "adjunction": lambda cap, seed, tower: verify_adjunction(cap),
-    "mackey-limit": lambda cap, seed, tower: verify_mackey_limit(*tower),
-    "funcat": lambda cap, seed, tower: verify_funcat(seed),
+    "limit-span": Check(
+        lambda cap, seed, tower: _clamped(verify_limit_span, *tower, cap),
+        _needs_link("limit-span"),
+    ),
+    "adjunction": Check(
+        lambda cap, seed, tower: verify_adjunction(cap),
+        lambda cap, tower: _require_cap(cap),
+    ),
+    "mackey-limit": Check(
+        lambda cap, seed, tower: verify_mackey_limit(*tower),
+        _needs_link("mackey-limit"),
+    ),
+    "funcat": Check(lambda cap, seed, tower: verify_funcat(seed)),
 }

@@ -156,6 +156,20 @@ def test_depth_1_tower_exits_2(check, capsys):
     assert captured.err.startswith("error:") and "depth >= 2" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--tower", "2,1"], ["--cap", "3"]], ids=["depth-1", "cap-3"]
+)
+def test_verify_all_checks_every_minimum_first(flags, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("colim-gset ran before the minima were checked")
+
+    monkeypatch.setattr(vf, "verify_colim_gset", refuse)
+    assert main([*flags, "verify", "all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_bad_tower_flag_exits_2(files, capsys):
     assert main(["--tower", "x,y", "verify", "mackey-limit"]) == 2
 

@@ -156,6 +156,12 @@ def test_tower_composite_projection():
     assert q.kernel.elements == (0, 2, 4, 6)
 
 
+def test_tower_projection_is_built_once():
+    t = g.cyclic_tower(2, 3)
+    assert t.projection(2, 0) is t.projection(2, 0)
+    assert g.cyclic_tower(2, 3).projection(2, 1) is t.projection(2, 1)
+
+
 def test_corpus_is_complete_and_distinct():
     gs = corpus_groups()
     assert len(gs) == 24

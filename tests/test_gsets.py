@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import pytest
 
 from profspan import groups as g
 from profspan import gsets as gs
-from profspan.corpus import corpus_group
+from profspan import spans as sp
+from profspan.corpus import corpus_group, groups_of_order_at_most
 from profspan.errors import GroupMismatch
 
 
@@ -120,6 +122,37 @@ def test_hom_gset_counts():
     X = gs.canonical_gset(C4, (0, 1, 2))
     assert len(gs.hom_gset(X, gs.point_gset(C4))) == 1
     assert len(gs.hom_gset(gs.point_gset(C2), regular(C2))) == 0
+
+
+def test_hom_factor_sizes_are_marks():
+    """|hom(X, Y)| is the product over the orbits of X of the factor sizes,
+    and the factor at an orbit G/H is the mark of H on Y."""
+    for name, G in groups_of_order_at_most(8):
+        marks = sp.burnside_tables(G).marks  # marks[i][j] = |(G/K_i)^(H_j)|
+        classes = gs.gset_isoclasses(G, 4)
+        for mx in classes:
+            X = gs.canonical_gset(G, mx)
+            for my in classes:
+                Y = gs.canonical_gset(G, my)
+                factors = gs.hom_factors(X, Y)
+                assert len(factors) == len(mx)
+                product = math.prod(len(f.points) for f in factors)
+                by_marks = math.prod(sum(marks[i][j] for i in my) for j in mx)
+                assert product == len(gs.hom_gset(X, Y)) == by_marks, (name, mx, my)
+
+
+def test_hom_gset_keeps_product_order_on_interleaved_orbits():
+    """With the points of two orbits interleaved, the maps still come in
+    the product order of the factors and match the brute force."""
+    X = gs.make_gset(C4, [[0, 2, 0, 2], [1, 3, 1, 3], [2, 0, 2, 0], [3, 1, 3, 1]])
+    Y = gs.canonical_gset(C4, (1, 2))
+    maps = [f.values for f in gs.hom_gset(X, Y)]
+    assert sorted(maps) == brute_force_homs(X, Y)
+    factors = gs.hom_factors(X, Y)
+    assert [f.base for f in factors] == [0, 1]
+    assert [(v[0], v[1]) for v in maps] == list(
+        itertools.product(*(f.points for f in factors))
+    )
 
 
 def test_unit_is_iso_and_counit_injective_corpus():
