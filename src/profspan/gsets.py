@@ -181,7 +181,7 @@ def orbit_class_multiset(X: GSet) -> tuple[int, ...]:
     """Sorted stabilizer-class indices of the orbits, with repetition."""
     lat = subgroup_lattice(X.group)
     return tuple(
-        sorted(lat.class_of(X.stabilizer(orb[0]).elements) for orb in X.orbits())
+        sorted(lat.class_of(X.point_stabilizers[orb[0]]) for orb in X.orbits())
     )
 
 

@@ -11,10 +11,10 @@ tolerance).
 
 The basis of hom(X, Y) is read off pairs of fixed points: a span with
 apex G/K is a pair of equivariant maps out of G/K, that is, a point of
-X^K and a point of Y^K, so span_basis keys each pair (x, y) of K-fixed
-points, for one K per subgroup class, without enumerating hom-sets.  The
-pullback composite and the hom-enumerating basis stay as oracles in the
-test suite.
+X^K and a point of Y^K.  span_basis keys one pair (x, y) of K-fixed
+points per orbit of the normaliser of K, for one K per subgroup class,
+without enumerating hom-sets.  The pullback composite and the
+hom-enumerating basis stay as oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -136,10 +136,10 @@ def span_basis(X: GSet, Y: GSet) -> list[BasisSpan]:
     A span with apex G/K, for K the representative of class c, is a pair
     (x, y) of K-fixed points, with legs gK -> g·x and gK -> g·y.  Two
     pairs give isomorphic spans iff an element n of the normaliser N(K)
-    carries one to the other, and _least_key keys a pair by the least
-    pair (n·x, n·y) of its N(K)-orbit, tabulated over the coset minima.
-    So the basis is one key per pair that is least in its orbit; the
-    tables start with x and y, so the keys come out sorted.
+    carries one to the other, and the key of a pair (as in _least_key)
+    tabulates the least pair (n·x, n·y) of its N(K)-orbit over the coset
+    minima.  So the basis is one key per pair that is least in its
+    orbit; the tables start with x and y, so the keys come out sorted.
     """
     if X.group != Y.group:
         raise GroupMismatch("span endpoints require a common group")

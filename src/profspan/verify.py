@@ -101,11 +101,11 @@ def _comparison_verdict(tower, disc, reps) -> Verdict:
     those of their lifted images in the discrete model.
     """
     top = tower.depth - 1
-    images = [gs.TowerObject(tower, top, R) for R in reps]
-    hit = {gs.orbit_class_multiset(gs.lift(A, top)) for A in images}
+    hit = {gs.orbit_class_multiset(R) for R in reps}
     for b in disc.objects:
         if gs.orbit_class_multiset(gs.lift(b, top)) not in hit:
             return Verdict(False, "not essentially surjective", b)
+    images = [gs.TowerObject(tower, top, R) for R in reps]
     for c1, A in enumerate(images):
         for c2, B in enumerate(images):
             src = gs.hom_factors(reps[c1], reps[c2])
