@@ -130,6 +130,22 @@ def canonical_key(apex: GSet, base: int, legL, legR) -> Key:
     return _least_key(G, T, c, t0, [legL[x] for x in row], [legR[x] for x in row])
 
 
+def _fixed_by_class(X: GSet, T: CosetTables) -> list[list[int]]:
+    """X^R for the representative R of each subgroup class, in point order.
+
+    The stabilizers are computed per call, not taken from the ones X
+    keeps: span bases are mostly taken between the coset G-sets that
+    coset_gset holds for the whole session, and keeping their
+    stabilizers raises peak memory."""
+    stabs = [
+        {g for g, y in enumerate(row) if y == x} for x, row in enumerate(X.action)
+    ]
+    return [
+        [x for x, st in enumerate(stabs) if st.issuperset(cls.rep)]
+        for cls in T.classes
+    ]
+
+
 def span_basis(X: GSet, Y: GSet) -> list[BasisSpan]:
     """All isomorphism classes of spans X <- S -> Y with transitive S.
 
@@ -144,13 +160,14 @@ def span_basis(X: GSet, Y: GSet) -> list[BasisSpan]:
     if X.group != Y.group:
         raise GroupMismatch("span endpoints require a common group")
     T = coset_tables(X.group)
+    fixed_x, fixed_y = _fixed_by_class(X, T), _fixed_by_class(Y, T)
     keys: list[Key] = []
     for c, cls in enumerate(T.classes):
-        ys = gs.fixed_by(Y, cls.rep)
+        ys = fixed_y[c]
         if not ys:
             continue
         right = [tuple(map(Y.action[y].__getitem__, cls.mins)) for y in ys]
-        for x in gs.fixed_by(X, cls.rep):
+        for x in fixed_x[c]:
             gx = X.action[x]
             left = tuple(map(gx.__getitem__, cls.mins))
             for y, table in zip(ys, right):
