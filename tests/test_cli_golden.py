@@ -47,13 +47,16 @@ CASES.update({
     "colim-gset-3-2-cap5": ["--tower", "3,2", "--cap", "5", "verify", "colim-gset"],
     "colim-gset-2-3-cap5": ["--tower", "2,3", "--cap", "5", "verify", "colim-gset"],
     "colim-gset-2-3-cap6": ["--tower", "2,3", "--cap", "6", "verify", "colim-gset"],
+    "colim-gset-2-3-cap7": ["--tower", "2,3", "--cap", "7", "verify", "colim-gset"],
     "adjunction-cap4": ["--cap", "4", "verify", "adjunction"],
     "adjunction-cap5": ["--cap", "5", "verify", "adjunction"],
+    "funcat-seed0": ["--seed", "0", "verify", "funcat"],
     "funcat-seed3": ["--seed", "3", "verify", "funcat"],
     "mackey-limit-2-2": ["--tower", "2,2", "verify", "mackey-limit"],
     "mackey-limit-2-3": ["--tower", "2,3", "verify", "mackey-limit"],
     "mackey-limit-3-2": ["--tower", "3,2", "verify", "mackey-limit"],
     "colim-span-2-2-cap3": ["--tower", "2,2", "--cap", "3", "verify", "colim-span"],
+    "colim-span-3-2-cap3": ["--tower", "3,2", "--cap", "3", "verify", "colim-span"],
     "limit-span-2-2-cap3": ["--tower", "2,2", "--cap", "3", "verify", "limit-span"],
     "limit-span-3-2-cap3": ["--tower", "3,2", "--cap", "3", "verify", "limit-span"],
     "verify-all-cap4": ["--cap", "4", "verify", "all"],
