@@ -3,7 +3,7 @@ groups and truncated quotient towers.
 
 Submodules:
   groups   finite groups, subgroup lattices, quotient maps, towers
-  gsets    finite G-sets, inflation/fixed points, capped categories
+  gsets    finite G-sets, inflation/fixed points, hom factors
   fincat   explicit finite categories, chain colimits, functor families
   spans    span (Burnside) categories with exact multiset arithmetic
   mackey   Mackey functors over integral abelian-group presentations

@@ -1,18 +1,12 @@
-"""Explicit finite categories and functors, with chain colimits,
-equivalence checking, and the functor-from-family comparison.
+"""Explicit finite categories and functors, with chain colimits and the
+functor-from-family comparison.
 
 Morphisms are uniformly labelled (src, dst, data) triples.  Hom-sets and
 composition may be backed by tables or by functions; table-backed
 categories are validated eagerly, function-backed ones are generated by
 constructions whose composition is function composition and are validated
-by the test suite instead.
-
-Isomorphism search: a category may supply a `find_iso(a, b)` hook that
-returns a member of hom(a, b) with an inverse, or None.  The G-set
-categories do, matching orbits by stabilizer without enumerating any
-hom-set.  Without a hook, as for table-backed categories, `find_iso` and
-`is_isomorphic` fall back to the exhaustive search in `isos`, which tries
-every pair in hom(a, b) x hom(b, a).
+by the test suite instead.  `find_iso` and `is_isomorphic` search
+exhaustively (`isos`), trying every pair in hom(a, b) x hom(b, a).
 """
 
 from __future__ import annotations
@@ -24,12 +18,11 @@ from .errors import IncoherentFamily, Verdict
 
 
 class FinCat:
-    def __init__(self, objects, hom, compose, identity, name="", find_iso=None):
+    def __init__(self, objects, hom, compose, identity, name=""):
         self.objects = tuple(objects)
         self._hom = hom
         self._compose = compose
         self._identity = identity
-        self._find_iso = find_iso
         self.name = name
         self._hom_cache: dict = {}
 
@@ -59,8 +52,6 @@ class FinCat:
                     break
 
     def find_iso(self, a, b):
-        if self._find_iso is not None:
-            return self._find_iso(a, b)
         return next(self.isos(a, b), None)
 
     def is_isomorphic(self, a, b) -> bool:
@@ -202,24 +193,6 @@ class ChainDiagram:
         return f
 
 
-def check_equivalence(F: CatFunctor) -> Verdict:
-    """Essential surjectivity plus full faithfulness, exhaustively."""
-    images = [F.obj(a) for a in F.src.objects]
-    for b in F.dst.objects:
-        if not any(F.dst.is_isomorphic(b, img) for img in images):
-            return Verdict(False, "not essentially surjective", b)
-    for a in F.src.objects:
-        for b in F.src.objects:
-            src_hom = F.src.hom(a, b)
-            dst_hom = F.dst.hom(F.obj(a), F.obj(b))
-            mapped = [F.mor(f) for f in src_hom]
-            if len(set(mapped)) != len(src_hom):
-                return Verdict(False, "not faithful", (a, b))
-            if set(mapped) != set(dst_hom):
-                return Verdict(False, "not full", (a, b))
-    return Verdict(True)
-
-
 @dataclass
 class ColimitChain:
     """Filtered colimit of a chain: zigzag object classes, homs at the
@@ -230,7 +203,6 @@ class ColimitChain:
     injections: list[CatFunctor]
     class_members: list[list[tuple[int, object]]]
     reps: list[object]  # final-stage representative per class
-    iso_to_rep: dict  # (stage, object) -> final-stage iso transport(x) -> rep
 
 
 def colimit_chain(D: ChainDiagram) -> ColimitChain:
@@ -284,7 +256,7 @@ def colimit_chain(D: ChainDiagram) -> ColimitChain:
             return (membership[(i, a)], membership[(i, b)], inner)
 
         injections.append(CatFunctor(D.cats[i], cat, on_obj, on_mor, name=f"inj{i}"))
-    return ColimitChain(D, cat, injections, classes, reps, iso_to_rep)
+    return ColimitChain(D, cat, injections, classes, reps)
 
 
 @dataclass

@@ -29,7 +29,6 @@ from typing import NamedTuple
 from .errors import GroupMismatch
 from .groups import (
     FiniteGroup,
-    GroupTower,
     QuotientMap,
     Subgroup,
     memoise_hash,
@@ -140,19 +139,6 @@ class EqMap:
 
 def identity_map(X: GSet) -> EqMap:
     return EqMap(X, X, tuple(X.points()))
-
-
-@dataclass(frozen=True)
-class TowerObject:
-    """A finite discrete G-set presented at a finite tower level."""
-
-    tower: GroupTower
-    level: int
-    carrier: GSet
-
-    def __post_init__(self):
-        if self.carrier.group != self.tower.stages[self.level]:
-            raise GroupMismatch("carrier group is not the stage at this level")
 
 
 @lru_cache(maxsize=None)
@@ -457,99 +443,6 @@ def canonical_gset(G: FiniteGroup, class_multiset) -> GSet:
     for c in class_multiset:
         X = coproduct(X, coset_gset(G, lat.class_rep(c).elements))[0]
     return X
-
-
-def gset_category(G: FiniteGroup, size_cap: int) -> "fincat.FinCat":
-    """The category of G-sets of size <= size_cap, one object per iso class.
-
-    Morphisms are (src, dst, values) with values the underlying point map;
-    composition is function composition.
-    """
-    from . import fincat
-
-    objs = tuple(canonical_gset(G, m) for m in gset_isoclasses(G, size_cap))
-
-    def hom(X, Y):
-        return tuple((X, Y, f.values) for f in hom_gset(X, Y))
-
-    def compose(gm, fm):
-        return (fm[0], gm[1], tuple(gm[2][v] for v in fm[2]))
-
-    def identity(X):
-        return (X, X, tuple(range(X.size)))
-
-    def iso(X, Y):
-        f = find_iso(X, Y)
-        return None if f is None else (X, Y, f.values)
-
-    return fincat.FinCat(
-        objs, hom, compose, identity, name=f"Fin(|G|={G.order})<= {size_cap}",
-        find_iso=iso,
-    )
-
-
-def inflation_functor(q: QuotientMap, src_cat, dst_cat) -> "fincat.CatFunctor":
-    """Inflation along q as a functor between size-capped categories.
-
-    Each inflated object is renamed to its canonical isomorph in dst_cat
-    through a chosen equivariant bijection.
-    """
-    from . import fincat
-
-    sigma = {X: canonical_iso(inflate(X, q)) for X in src_cat.objects}
-
-    def on_obj(X):
-        return sigma[X].dst
-
-    def on_mor(m):
-        X, Y, values = m
-        f = inflate_map(EqMap(X, Y, values), q)
-        comp = sigma[X].inverse().then(f).then(sigma[Y])
-        return (sigma[X].dst, sigma[Y].dst, comp.values)
-
-    return fincat.CatFunctor(src_cat, dst_cat, on_obj, on_mor, name="inflation")
-
-
-def lift(A: TowerObject, level: int) -> GSet:
-    """The carrier of A inflated to a deeper level of its tower."""
-    if A.level == level:
-        return A.carrier
-    return inflate(A.carrier, A.tower.projection(level, A.level))
-
-
-def discrete_gset_category(tower: GroupTower, size_cap: int) -> "fincat.FinCat":
-    """Finite model of discrete G-sets over a tower.
-
-    Objects are canonical stage G-sets of size <= size_cap at every level;
-    hom-sets are computed after inflating both carriers to the deeper of
-    the two levels.  Inflation keeps underlying point maps, so composition
-    is plain function composition regardless of levels.
-    """
-    from . import fincat
-
-    objects = []
-    for i, G in enumerate(tower.stages):
-        for m in gset_isoclasses(G, size_cap):
-            objects.append(TowerObject(tower, i, canonical_gset(G, m)))
-
-    def hom(A, B):
-        k = max(A.level, B.level)
-        return tuple((A, B, f.values) for f in hom_gset(lift(A, k), lift(B, k)))
-
-    def compose(gm, fm):
-        return (fm[0], gm[1], tuple(gm[2][v] for v in fm[2]))
-
-    def identity(A):
-        return (A, A, tuple(range(A.carrier.size)))
-
-    def iso(A, B):
-        k = max(A.level, B.level)
-        f = find_iso(lift(A, k), lift(B, k))
-        return None if f is None else (A, B, f.values)
-
-    return fincat.FinCat(
-        objects, hom, compose, identity, name="discrete", find_iso=iso
-    )
 
 
 def gset_isoclasses(G: FiniteGroup, size_cap: int) -> list[tuple[int, ...]]:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from profspan import fincat as fc
@@ -38,20 +40,22 @@ def monotone_functor(src, dst, f):
     )
 
 
-def inflation_chain(tower, cap):
-    cats = [gs.gset_category(G, cap) for G in tower.stages]
-    links = [
-        gs.inflation_functor(tower.links[i], cats[i], cats[i + 1])
-        for i in range(tower.depth - 1)
-    ]
-    return fc.ChainDiagram(cats, links)
+def group_cat(G):
+    """The one-object category of a finite group: morphisms are its
+    elements, composed by the group law."""
+    mor = lambda x: ("*", "*", x)
+    hom = {("*", "*"): [mor(x) for x in G.elements()]}
+    compose = {
+        (mor(x), mor(y)): mor(G.mul(x, y)) for x in G.elements() for y in G.elements()
+    }
+    return fc.FinCat.from_tables(["*"], hom, compose, name="BG")
 
 
-def final_comparison(colim):
-    final = colim.diagram.cats[-1]
-    return fc.CatFunctor(
-        colim.cat, final, lambda c: colim.reps[c], lambda m: m[2], name="cmp"
-    )
+def gcd_chain():
+    """The chain c12 -> c6, sending a divisor d of 12 to gcd(d, 6)."""
+    c12, c6 = gcd_cat(12), gcd_cat(6)
+    L = monotone_functor(c12, c6, lambda d: math.gcd(d, 6))
+    return fc.ChainDiagram([c12, c6], [L])
 
 
 def test_from_tables_validates():
@@ -81,42 +85,19 @@ def test_validate_catches_broken_composition():
         fc.FinCat.from_tables(["x"], hom, compose)
 
 
-def test_isos_in_gset_category():
-    cat = gs.gset_category(g.cyclic(2), 2)
-    free = next(X for X in cat.objects if gs.orbit_class_multiset(X) == (0,))
-    assert cat.is_isomorphic(free, free)
-    others = [X for X in cat.objects if X != free]
-    assert not any(cat.is_isomorphic(free, X) for X in others)
-    f = cat.find_iso(free, free)
-    assert cat.inverse(f) is not None
-
-
-def assert_iso_hook_matches_search(cat):
-    """The category's find_iso hook agrees with the exhaustive search."""
-    assert cat._find_iso is not None
-    for a in cat.objects:
-        for b in cat.objects:
-            f = cat.find_iso(a, b)
-            assert (f is None) == (next(cat.isos(a, b), None) is None)
-            assert cat.is_isomorphic(a, b) == (f is not None)
-            if f is not None:
-                assert f in cat.hom(a, b)
-                inv = cat.inverse(f)
-                assert cat.compose(inv, f) == cat.identity(a)
-
-
-@pytest.mark.parametrize("name", ["C4", "S3", "C2xC2"])
-def test_gset_category_iso_hook_oracle(name):
-    assert_iso_hook_matches_search(gs.gset_category(corpus_group(name), 4))
-
-
-def test_discrete_gset_category_iso_hook_oracle():
-    disc = gs.discrete_gset_category(g.cyclic_tower(2, 3), 3)
-    assert_iso_hook_matches_search(disc)
-    assert any(
-        disc.is_isomorphic(A, B) for A in disc.objects for B in disc.objects
-        if A.level != B.level
-    )
+def test_isos_and_inverse():
+    G = corpus_group("S3")
+    cat = group_cat(G)
+    assert list(cat.isos("*", "*")) == list(cat.hom("*", "*"))
+    for x in G.elements():
+        assert cat.inverse(("*", "*", x)) == ("*", "*", G.inv(x))
+    assert cat.find_iso("*", "*") == cat.identity("*")
+    # a poset has no isomorphism between distinct objects
+    c6 = gcd_cat(6)
+    assert c6.is_isomorphic(2, 2) and not c6.is_isomorphic(2, 6)
+    assert c6.find_iso(2, 6) is None and list(c6.isos(2, 6)) == []
+    with pytest.raises(ValueError):
+        c6.inverse((2, 6, "le"))
 
 
 def test_memoised_hashes_agree_on_equal_values():
@@ -136,49 +117,21 @@ def test_memoised_hashes_agree_on_equal_values():
     assert q1 is not q2 and q1 == q2 and hash(q2) == hash(q1)
 
 
-def test_check_equivalence_identity_and_skeleton():
-    cat = gcd_cat(4)
-    assert fc.check_equivalence(fc.identity_functor(cat))
-    # a skeleton inclusion into an "inflated" copy with duplicate objects
-    elems = [1, 2, 4, "2bis"]
-
-    def le(a, b):
-        val = lambda x: 2 if x == "2bis" else x
-        return divides(val(a), val(b))
-
-    fat = poset_cat(elems, le)
-    incl = monotone_functor(cat, fat, lambda d: d)
-    assert fc.check_equivalence(incl)
-
-
-def test_check_equivalence_failures():
-    two = fc.FinCat.from_tables(
-        ["x", "y"],
-        {("x", "x"): [("x", "x", "id")], ("y", "y"): [("y", "y", "id")]},
-        {
-            (("x", "x", "id"), ("x", "x", "id")): ("x", "x", "id"),
-            (("y", "y", "id"), ("y", "y", "id")): ("y", "y", "id"),
-        },
-    )
-    one = fc.FinCat.from_tables(
-        ["*"],
-        {("*", "*"): [("*", "*", "id")]},
-        {(("*", "*", "id"), ("*", "*", "id")): ("*", "*", "id")},
-    )
-    const = fc.CatFunctor(two, one, lambda a: "*", lambda m: ("*", "*", "id"))
-    verdict = fc.check_equivalence(const)
-    assert not verdict and verdict.reason == "not full"
-    # and the other way: inclusion of one object is not essentially surjective
-    incl = fc.CatFunctor(one, two, lambda a: "x", lambda m: ("x", "x", "id"))
-    verdict = fc.check_equivalence(incl)
-    assert not verdict and verdict.reason == "not essentially surjective"
-    assert verdict.witness == "y"
+def assert_homs_of_reps(colim):
+    """Every hom-set of the colimit is the final-stage hom-set between
+    the class representatives."""
+    final = colim.diagram.cats[-1]
+    for c1 in colim.cat.objects:
+        for c2 in colim.cat.objects:
+            homs = [m[2] for m in colim.cat.hom(c1, c2)]
+            assert homs == list(final.hom(colim.reps[c1], colim.reps[c2]))
 
 
 def test_colimit_single_stage():
-    cat = gs.gset_category(g.cyclic(2), 2)
+    cat = gcd_cat(6)
     colim = fc.colimit_chain(fc.ChainDiagram([cat], []))
-    assert fc.check_equivalence(final_comparison(colim))
+    assert colim.reps == list(cat.objects)
+    assert_homs_of_reps(colim)
     colim.injections[0].validate()
 
 
@@ -186,27 +139,25 @@ def test_colimit_identity_link():
     cat = gcd_cat(6)
     D = fc.ChainDiagram([cat, cat], [fc.identity_functor(cat)])
     colim = fc.colimit_chain(D)
-    assert len(colim.cat.objects) == len(cat.objects)
-    assert fc.check_equivalence(final_comparison(colim))
+    assert colim.reps == list(cat.objects)
+    assert_homs_of_reps(colim)
     for inj in colim.injections:
         inj.validate()
 
 
-def test_colimit_inflation_chain_c2_c4():
-    D = inflation_chain(g.cyclic_tower(2, 2), 3)
-    colim = fc.colimit_chain(D)
-    # classes at the final stage are exactly the C4-set iso classes
-    assert len(colim.cat.objects) == len(gs.gset_isoclasses(g.cyclic(4), 3))
-    cmp = final_comparison(colim)
-    cmp.validate()
-    assert fc.check_equivalence(cmp)
+def test_colimit_gcd_link_c12_c6():
+    colim = fc.colimit_chain(gcd_chain())
+    # the divisors of 12 land on gcd(d, 6), first seen in the order 1, 2, 3, 6
+    assert colim.reps == [1, 2, 3, 6]
+    assert colim.class_members[1] == [(0, 2), (0, 4), (1, 2)]
+    assert_homs_of_reps(colim)
     for inj in colim.injections:
         inj.validate()
 
 
 def test_colimit_inverts_links():
     # localization contract: inj_i(x) and inj_{i+1}(link x) become isomorphic
-    D = inflation_chain(g.cyclic_tower(2, 2), 3)
+    D = gcd_chain()
     colim = fc.colimit_chain(D)
     for x in D.cats[0].objects:
         a = colim.injections[0].obj(x)
@@ -220,11 +171,8 @@ def two_stage_family(D, E, F0, F1, eta):
 
 def test_functor_from_family_roundtrip():
     # chain c12 -> c6 by gcd, functors into c6 by gcd with 6
-    import math
-
-    c12, c6 = gcd_cat(12), gcd_cat(6)
-    L = monotone_functor(c12, c6, lambda d: math.gcd(d, 6))
-    D = fc.ChainDiagram([c12, c6], [L])
+    D = gcd_chain()
+    c12, c6 = D.cats
     F0 = monotone_functor(c12, c6, lambda d: math.gcd(d, 6))
     F1 = fc.identity_functor(c6)
     eta = {x: (F0.obj(x), F0.obj(x), "le") for x in c12.objects}
@@ -259,39 +207,35 @@ def test_functor_from_family_constant():
 
 
 def test_naturally_isomorphic():
-    cat = gs.gset_category(g.cyclic(2), 2)
+    G = corpus_group("S3")
+    cat = group_cat(G)
     ident = fc.identity_functor(cat)
     assert fc.naturally_isomorphic(ident, ident)
-    # twist by the nontrivial automorphism of the free orbit
-    free = next(X for X in cat.objects if gs.orbit_class_multiset(X) == (0,))
-    swap = next(m for m in cat.hom(free, free) if m[2] != (0, 1))
-
-    def twist(m):
-        out = m
-        if m[0] == free:
-            out = cat.compose(out, swap)
-        if m[1] == free:
-            out = cat.compose(swap, out)
-        return out
-
+    # conjugation by an element that is not central twists the morphisms
+    s = next(
+        x for x in G.elements()
+        if any(G.mul(x, y) != G.mul(y, x) for y in G.elements())
+    )
+    twist = lambda m: ("*", "*", G.conj(s, m[2]))
     twisted = fc.CatFunctor(cat, cat, lambda a: a, twist)
     twisted.validate()
+    assert any(twist(m) != m for m in cat.hom("*", "*"))
     assert fc.naturally_isomorphic(ident, twisted)
+    # the constant functor at the identity is not isomorphic to it
+    const = fc.CatFunctor(cat, cat, lambda a: a, lambda m: cat.identity("*"))
+    const.validate()
+    assert not fc.naturally_isomorphic(ident, const)
 
 
 def test_binary_products_gcd():
     cat = gcd_cat(12)
     prods = fc.binary_products(cat)
-    import math
-
     for (a, b), (p, _, _) in prods.items():
         assert p == math.gcd(a, b)
     assert len(prods) == len(cat.objects) ** 2
 
 
 def test_preserves_binary_products():
-    import math
-
     c12, c6 = gcd_cat(12), gcd_cat(6)
     good = monotone_functor(c12, c6, lambda d: math.gcd(d, 6))
     assert fc.preserves_binary_products(good)
@@ -300,71 +244,3 @@ def test_preserves_binary_products():
     bad.validate()
     verdict = fc.preserves_binary_products(bad)
     assert not verdict and verdict.witness is not None
-
-
-def test_discrete_gset_category_depth_1():
-    t = g.cyclic_tower(3, 1)
-    disc = gs.discrete_gset_category(t, 3)
-    stage = gs.gset_category(t.stages[0], 3)
-    F = fc.CatFunctor(
-        stage,
-        disc,
-        lambda X: gs.TowerObject(t, 0, X),
-        lambda m: (gs.TowerObject(t, 0, m[0]), gs.TowerObject(t, 0, m[1]), m[2]),
-    )
-    F.validate()
-    assert fc.check_equivalence(F)
-
-
-def test_discrete_gset_category_cross_level_iso():
-    t = g.cyclic_tower(2, 2)
-    disc = gs.discrete_gset_category(t, 2)
-    trivial1 = next(
-        A for A in disc.objects if A.level == 0 and A.carrier.size == 1
-    )
-    trivial2 = next(
-        A for A in disc.objects if A.level == 1 and A.carrier.size == 1
-    )
-    assert disc.is_isomorphic(trivial1, trivial2)
-    # the level-0 free C2-orbit inflates to C4/C2, the level-1 carrier
-    # with stabilizer class 1; they become isomorphic across levels
-    free1 = next(
-        A
-        for A in disc.objects
-        if A.level == 0 and gs.orbit_class_multiset(A.carrier) == (0,)
-    )
-    halffree2 = next(
-        A
-        for A in disc.objects
-        if A.level == 1 and gs.orbit_class_multiset(A.carrier) == (1,)
-    )
-    assert disc.is_isomorphic(free1, halffree2)
-    assert not disc.is_isomorphic(free1, trivial2)
-
-
-def test_discrete_gset_category_cap_0():
-    t = g.cyclic_tower(2, 2)
-    disc = gs.discrete_gset_category(t, 0)
-    assert all(A.carrier.size == 0 for A in disc.objects)
-    for A in disc.objects:
-        for B in disc.objects:
-            assert disc.is_isomorphic(A, B)
-
-
-def test_colimit_comparison_to_discrete_model():
-    t = g.cyclic_tower(2, 2)
-    cap = 2
-    disc = gs.discrete_gset_category(t, cap)
-    colim = fc.colimit_chain(inflation_chain(t, cap))
-    top = t.depth - 1
-
-    def on_obj(c):
-        return gs.TowerObject(t, top, colim.reps[c])
-
-    def on_mor(m):
-        R1, R2, values = m[2]
-        return (gs.TowerObject(t, top, R1), gs.TowerObject(t, top, R2), values)
-
-    F = fc.CatFunctor(colim.cat, disc, on_obj, on_mor, name="cmp")
-    F.validate()
-    assert fc.check_equivalence(F)

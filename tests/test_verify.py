@@ -1,11 +1,11 @@
-"""verify colim-gset, decided on hom factors, against the exhaustive
-comparison-functor check, with negative controls and work guards."""
+"""verify colim-gset, decided on orbit classes and hom factors, against
+an oracle that enumerates every hom-set, with negative controls and work
+guards."""
 
-import dataclasses
+import ast
 
 import pytest
 
-from profspan import fincat as fc
 from profspan import groups as g
 from profspan import gsets as gs
 from profspan import spans as sp
@@ -20,20 +20,24 @@ TOWER_GRID = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]
 @pytest.mark.parametrize("p,depth", TOWER_GRID)
 def test_colim_gset_verdict_matches_check_equivalence(p, depth, cap):
     report = vf.verify_colim_gset(p, depth, cap)
-    assert report.ok == bool(colim_gset_equivalence_oracle(p, depth, cap))
+    ok, classes = colim_gset_equivalence_oracle(p, depth, cap)
+    assert report.ok == ok
+    assert report.lines[1] == f"colimit object classes: {classes}"
 
 
 def test_colim_gset_fails_with_a_class_dropped(monkeypatch):
-    colimit_chain = fc.colimit_chain
-
-    def drop_last_class(D):
-        colim = colimit_chain(D)
-        return dataclasses.replace(colim, reps=colim.reps[:-1])
-
-    monkeypatch.setattr(fc, "colimit_chain", drop_last_class)
+    colimit_classes = vf._colimit_classes
+    monkeypatch.setattr(
+        vf, "_colimit_classes", lambda tower, cap: colimit_classes(tower, cap)[:-1]
+    )
     report = vf.verify_colim_gset(2, 3, 4)
     assert not report.ok
     assert report.lines[-1] == "equivalence failure: not essentially surjective"
+    # the witness is the first stage object of the dropped class
+    level, action = ast.literal_eval(report.witness)
+    tower = g.cyclic_tower(2, 3)
+    lifted = gs.inflate(gs.GSet(tower.stages[level], action), tower.projection(2, level))
+    assert gs.orbit_class_multiset(lifted) == colimit_classes(tower, 4)[-1]
 
 
 def test_colim_gset_fails_on_a_link_that_is_not_onto(monkeypatch):
@@ -57,6 +61,7 @@ def test_colim_gset_fails_on_a_link_that_is_not_onto(monkeypatch):
     assert not report.ok
     assert report.lines[-1] == "equivalence failure: inflation not fully faithful"
     assert report.witness.startswith("(0, ")
+    assert colim_gset_equivalence_oracle(2, 3, 4)[0] is False
 
 
 def test_colim_gset_and_span_basis_enumerate_no_hom_set(monkeypatch):
@@ -64,7 +69,6 @@ def test_colim_gset_and_span_basis_enumerate_no_hom_set(monkeypatch):
         raise AssertionError("enumerated a hom-set")
 
     monkeypatch.setattr(gs, "hom_gset", refuse)
-    monkeypatch.setattr(fc, "check_equivalence", refuse)
     assert vf.verify_colim_gset(2, 3, 6).ok
     G = g.dihedral(4)
     nonempty = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, 3)][1:]
