@@ -57,11 +57,15 @@ CASES.update({
     "mackey-limit-3-2": ["--tower", "3,2", "verify", "mackey-limit"],
     "colim-span-2-2-cap3": ["--tower", "2,2", "--cap", "3", "verify", "colim-span"],
     "colim-span-3-2-cap3": ["--tower", "3,2", "--cap", "3", "verify", "colim-span"],
+    "colim-span-2-2-cap3-seed7": [
+        "--tower", "2,2", "--cap", "3", "--seed", "7", "verify", "colim-span"
+    ],
     "limit-span-2-2-cap3": ["--tower", "2,2", "--cap", "3", "verify", "limit-span"],
     "limit-span-3-2-cap3": ["--tower", "3,2", "--cap", "3", "verify", "limit-span"],
     "verify-all-cap4": ["--cap", "4", "verify", "all"],
     "mackey-fixed-D4": ["mackey-fixed", "{dir}/D4.mackey", "0,5"],
     "mackey-fixed-C2xC2xC2": ["mackey-fixed", "{dir}/C2xC2xC2.mackey", "0,1"],
+    "mackey-fixed-S3": ["mackey-fixed", "{dir}/S3.mackey", "0,3,4"],
     "mackey-check-C4": ["mackey-check", "{dir}/C4.mackey"],
     "span-hom-S3": ["span-hom", "{dir}/S3-x.gset", "{dir}/S3-y.gset"],
     "span-hom-D4": ["span-hom", "{dir}/D4-x.gset", "{dir}/D4-y.gset"],
@@ -71,8 +75,9 @@ CASES.update({
     for verb in ("group-show", "subgroups", "tom", "burnside")
     for name in ("S3", "D4")
 })
+CASES["tom-C2xC2xC2"] = ["tom", "{dir}/C2xC2xC2.grp"]
 
-MACKEY_FILES = ("D4", "C2xC2xC2", "C4")
+MACKEY_FILES = ("D4", "C2xC2xC2", "C4", "S3")
 
 # G-sets by group and orbit classes.  S3 (class orders 1, 2, 3, 6):
 # S3/C2 + S3/S3 and S3/C3 + S3/C2.  D4 (see subgroups-D4): the orbits of
@@ -88,15 +93,13 @@ GSETS = {
 
 def write_input_files(directory: Path) -> None:
     """`<name>.grp` and the Burnside functor `<name>.mackey` per group of
-    MACKEY_FILES, plus `S3.grp` and the G-sets of GSETS."""
+    MACKEY_FILES, plus the G-sets of GSETS."""
     for name in MACKEY_FILES:
         G = corpus_group(name)
         (directory / f"{name}.grp").write_text(fm.serialize_group(G))
         (directory / f"{name}.mackey").write_text(
             fm.serialize_mackey(mk.burnside_mackey(G), f"{name}.grp")
         )
-    S3 = corpus_group("S3")
-    (directory / "S3.grp").write_text(fm.serialize_group(S3))
     for name, (group, classes) in GSETS.items():
         X = gs.canonical_gset(corpus_group(group), classes)
         (directory / f"{name}.gset").write_text(
