@@ -18,8 +18,9 @@ from . import spans as sp
 from . import verify as vf
 from .errors import GroupMismatch, NotAGroup, NotNormal, NotPrime, ParseError
 
-# Errors that mean the input was bad; verification outcomes such as
-# IncoherentFamily or NotLeftExact are reported, not caught here.
+# Errors that mean the input was bad.  A check that fails (a functor
+# that is not left exact, an incoherent family) reports a FAIL line
+# instead of raising, so nothing else is caught here.
 _INPUT_ERRORS = (ParseError, NotPrime, NotNormal, NotAGroup, GroupMismatch)
 
 
@@ -110,8 +111,7 @@ def cmd_span_hom(args) -> tuple[str, int]:
         raise ParseError(args.right, 1, "G-sets are over different groups")
     basis = sp.span_basis(X, Y)
     lines = [f"span hom basis: {len(basis)} classes"]
-    for b in basis:
-        apex, legL, legR = b.key
+    for apex, legL, legR in basis:
         lines.append(
             f"apex class {apex}, left {' '.join(str(v) for v in legL)}, "
             f"right {' '.join(str(v) for v in legR)}"

@@ -49,14 +49,6 @@ class ObjectMismatch(ValueError):
     pass
 
 
-class NotLeftExact(ValueError):
-    """Functor failed to preserve a pullback; witness is the square."""
-
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"functor is not left exact, witness={witness!r}")
-
-
 class IncoherentFamily(ValueError):
     """A stage family lacks the required coherence; carries stage and witness."""
 

@@ -136,7 +136,7 @@ def _orbit_basis(G: FiniteGroup, c1: int, c2: int) -> tuple:
     lat = subgroup_lattice(G)
     X = gs.coset_gset(G, lat.class_rep(c1).elements)
     Y = gs.coset_gset(G, lat.class_rep(c2).elements)
-    return tuple(b.key for b in sp.span_basis(X, Y))
+    return tuple(sp.span_basis(X, Y))
 
 
 def _orbit_gset(G: FiniteGroup, c: int) -> gs.GSet:
@@ -147,10 +147,8 @@ def _orbit_gset(G: FiniteGroup, c: int) -> gs.GSet:
 def _flip_key(G: FiniteGroup, c1: int, c2: int, key) -> tuple:
     """The key of the reversed span, re-canonicalized for the swapped
     endpoint order."""
-    b = sp.BasisSpan(_orbit_gset(G, c1), _orbit_gset(G, c2), key)
-    f, g = b.legs()
-    flipped = sp.span_from_maps(g, f)
-    (k, m), = flipped.terms
+    f, g = sp.basis_legs(_orbit_gset(G, c1), _orbit_gset(G, c2), key)
+    (k, m), = sp.span_from_maps(g, f).terms
     assert m == 1
     return k
 
@@ -174,10 +172,10 @@ def burnside_mackey(G: FiniteGroup) -> MackeyFunctor:
             Y = _orbit_gset(G, c2)
             tgt_index = {k: i for i, k in enumerate(level_basis[c2])}
             for key in _orbit_basis(G, c1, c2):
-                flipped = sp.SpanMor(Y, X, ((_flip_key(G, c1, c2, key), 1),))
+                flipped = sp.basis_span_mor(Y, X, _flip_key(G, c1, c2, key))
                 cols = []
                 for src_key in level_basis[c1]:
-                    e = sp.SpanMor(X, pt, ((src_key, 1),))
+                    e = sp.basis_span_mor(X, pt, src_key)
                     composite = sp.compose_spans(e, flipped)
                     col = [0] * len(level_basis[c2])
                     for k, m in composite.terms:
@@ -329,7 +327,7 @@ def categorical_fixed_points(M: MackeyFunctor, q: QuotientMap) -> MackeyFunctor:
         for c2 in range(nq):
             Y = _orbit_gset(Q, c2)
             for key in _orbit_basis(Q, c1, c2):
-                m = sp.SpanMor(X, Y, ((key, 1),))
+                m = sp.basis_span_mor(X, Y, key)
                 image = sp.transport_span(SpInf(m), sigma[c1], sigma[c2])
                 (gkey, mult), = image.terms
                 assert mult == 1

@@ -9,12 +9,19 @@ canonicalised from per-group coset tables (coset_tables) without building
 the pullback G-set.  Composition is exact (integer multiplicities, no
 tolerance).
 
-The basis of hom(X, Y) is read off pairs of fixed points: a span with
-apex G/K is a pair of equivariant maps out of G/K, that is, a point of
-X^K and a point of Y^K.  span_basis keys one pair (x, y) of K-fixed
-points per orbit of the normaliser of K, for one K per subgroup class,
-without enumerating hom-sets.  The pullback composite and the
-hom-enumerating basis stay as oracles in the test suite.
+A basis span is its key alone: the class c of its apex stabilizer and
+its two legs tabulated on the canonical coset apex G/R_c.  The basis of
+hom(X, Y) is read off pairs of fixed points: a span with apex G/K is a
+point of X^K and a point of Y^K.  span_basis keys one pair (x, y) of
+K-fixed points per orbit of the normaliser of K, for one K per subgroup
+class, without enumerating hom-sets.  basis_legs turns a key back into
+its two legs, and basis_span_mor into a one-term SpanMor.
+
+The way from legs back to keys is one loop, _sum_spans: it canonicalises
+every orbit of the apex of each span it is given and adds up the keys.
+span_from_maps, transport_span and the maps of span_of_functor are each
+one call to it.  The pullback composite and the hom-enumerating basis
+stay as oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import GroupMismatch, NotLeftExact, ObjectMismatch, Verdict
+from .errors import GroupMismatch, ObjectMismatch, Verdict
 from .groups import FiniteGroup, QuotientMap, subgroup_lattice
 from . import gsets as gs
 from .gsets import EqMap, GSet
@@ -34,24 +41,6 @@ from .gsets import EqMap, GSet
 # with the legs tabulated on the canonical coset apex and minimized
 # lexicographically over all apex relabelings.
 Key = tuple[int, tuple[int, ...], tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class BasisSpan:
-    left: GSet
-    right: GSet
-    key: Key
-
-    def apex(self) -> GSet:
-        lat = subgroup_lattice(self.left.group)
-        return gs.coset_gset(self.left.group, lat.class_rep(self.key[0]).elements)
-
-    def legs(self) -> tuple[EqMap, EqMap]:
-        apex = self.apex()
-        return (
-            EqMap(apex, self.left, self.key[1]),
-            EqMap(apex, self.right, self.key[2]),
-        )
 
 
 class OrbitClass(NamedTuple):
@@ -146,8 +135,8 @@ def _fixed_by_class(X: GSet, T: CosetTables) -> list[list[int]]:
     ]
 
 
-def span_basis(X: GSet, Y: GSet) -> list[BasisSpan]:
-    """All isomorphism classes of spans X <- S -> Y with transitive S.
+def span_basis(X: GSet, Y: GSet) -> list[Key]:
+    """The keys of all classes of spans X <- S -> Y with transitive S.
 
     A span with apex G/K, for K the representative of class c, is a pair
     (x, y) of K-fixed points, with legs gK -> g·x and gK -> g·y.  Two
@@ -174,7 +163,15 @@ def span_basis(X: GSet, Y: GSet) -> list[BasisSpan]:
                 gy = Y.action[y]
                 if all((gx[n], gy[n]) >= (x, y) for n in cls.normaliser):
                     keys.append((c, left, table))
-    return [BasisSpan(X, Y, k) for k in keys]
+    return keys
+
+
+def basis_legs(X: GSet, Y: GSet, key: Key) -> tuple[EqMap, EqMap]:
+    """The legs X <- G/R -> Y of the basis span key, on the canonical
+    coset apex of its stabilizer class."""
+    G = X.group
+    apex = gs.coset_gset(G, subgroup_lattice(G).class_rep(key[0]).elements)
+    return EqMap(apex, X, key[1]), EqMap(apex, Y, key[2])
 
 
 @dataclass(frozen=True)
@@ -208,19 +205,26 @@ def zero_span(left: GSet, right: GSet) -> SpanMor:
     return SpanMor(left, right, ())
 
 
-def basis_span_mor(b: BasisSpan) -> SpanMor:
-    return SpanMor(b.left, b.right, ((b.key, 1),))
+def basis_span_mor(X: GSet, Y: GSet, key: Key) -> SpanMor:
+    return SpanMor(X, Y, ((key, 1),))
+
+
+def _sum_spans(left: GSet, right: GSet, parts) -> SpanMor:
+    """The sum of mult · [left <-f- S -g-> right] over (f, g, mult) in
+    parts, keyed orbit by orbit of each apex S."""
+    counts: dict = {}
+    for f, g, mult in parts:
+        for orb in f.src.orbits():
+            k = canonical_key(f.src, orb[0], f.values, g.values)
+            counts[k] = counts.get(k, 0) + mult
+    return SpanMor(left, right, _normalize(counts))
 
 
 def span_from_maps(f: EqMap, g: EqMap) -> SpanMor:
     """The span class of X <-f- S -g-> Y for an arbitrary finite apex S."""
     if f.src != g.src:
         raise ObjectMismatch("legs must share an apex")
-    counts: dict = {}
-    for orb in f.src.orbits():
-        k = canonical_key(f.src, orb[0], f.values, g.values)
-        counts[k] = counts.get(k, 0) + 1
-    return SpanMor(f.dst, g.dst, _normalize(counts))
+    return _sum_spans(f.dst, g.dst, [(f, g, 1)])
 
 
 def identity_span(X: GSet) -> SpanMor:
@@ -291,79 +295,68 @@ def burnside_tables(G: FiniteGroup) -> BurnsideTables:
     conjugacy classes ordered by subgroup size.  The ring constants expand
     products of basis endo-spans of the point in the span basis.
     """
-    lat = subgroup_lattice(G)
-    n = lat.num_classes
-    marks = []
-    for i in range(n):
-        X = gs.coset_gset(G, lat.class_rep(i).elements)
-        row = []
-        for j in range(n):
-            H = lat.class_rep(j).elements
-            row.append(
-                sum(
-                    1
-                    for x in X.points()
-                    if all(X.action[x][h] == x for h in H)
-                )
-            )
-        marks.append(tuple(row))
+    T = coset_tables(G)
+    n = len(T.classes)
+    marks = tuple(
+        tuple(map(len, _fixed_by_class(gs.coset_gset(G, cls.rep), T)))
+        for cls in T.classes
+    )
     pt = gs.point_gset(G)
     basis = span_basis(pt, pt)
     assert len(basis) == n
-    index = {b.key: k for k, b in enumerate(basis)}
+    index = {k: i for i, k in enumerate(basis)}
     ring = []
     for i in range(n):
         row = []
         for j in range(n):
-            prod = compose_spans(basis_span_mor(basis[i]), basis_span_mor(basis[j]))
+            prod = compose_spans(
+                basis_span_mor(pt, pt, basis[i]), basis_span_mor(pt, pt, basis[j])
+            )
             coeffs = [0] * n
             for k, m in prod.terms:
                 coeffs[index[k]] = m
             row.append(tuple(coeffs))
         ring.append(tuple(row))
-    return BurnsideTables(
-        tuple(lat.class_rep(i).order for i in range(n)),
-        tuple(marks),
-        tuple(ring),
-    )
+    return BurnsideTables(tuple(len(cls.rep) for cls in T.classes), marks, tuple(ring))
 
 
 def transport_span(m: SpanMor, isoL: EqMap, isoR: EqMap) -> SpanMor:
-    """Relabel endpoints along isomorphisms left -> left', right -> right'."""
+    """Push the endpoints along maps left -> left', right -> right' (in
+    practice isomorphisms or coproduct inclusions)."""
     if isoL.src != m.left or isoR.src != m.right:
         raise ObjectMismatch("transport isomorphisms do not match endpoints")
-    counts: dict = {}
+    parts = []
     for key, mult in m.terms:
-        b = BasisSpan(m.left, m.right, key)
-        f, g = b.legs()
-        k = canonical_key(b.apex(), 0, f.then(isoL).values, g.then(isoR).values)
-        counts[k] = counts.get(k, 0) + mult
-    return SpanMor(isoL.dst, isoR.dst, _normalize(counts))
+        f, g = basis_legs(m.left, m.right, key)
+        parts.append((f.then(isoL), g.then(isoR), mult))
+    return _sum_spans(isoL.dst, isoR.dst, parts)
+
+
+def _whole_basis(X: GSet, Y: GSet) -> SpanMor:
+    """The sum of every basis span of hom(X, Y), each once."""
+    return SpanMor(X, Y, tuple((k, 1) for k in span_basis(X, Y)))
 
 
 def semiadditivity_check(X: GSet, Xp: GSet, Y: GSet) -> Verdict:
     """Basis-level bijection hom(X ⊔ X', Y) ≅ hom(X, Y) × hom(X', Y), and
-    the dual hom(X, Y ⊔ Y') ≅ hom(X, Y) × hom(X, Y') with Y' = X'."""
+    the dual hom(X, Y ⊔ Y') ≅ hom(X, Y) × hom(X, Y') with Y' = X': the
+    whole basis of the coproduct's hom is the sum of the two whole bases
+    pushed along the coproduct inclusions."""
     if X.group != Xp.group or X.group != Y.group:
         raise GroupMismatch("semiadditivity requires a common group")
-    XX, inc1, inc2 = gs.coproduct(X, Xp)
-    combined = {b.key for b in span_basis(XX, Y)}
-    relabeled: set = set()
-    for Z, inc in ((X, inc1), (Xp, inc2)):
-        for b in span_basis(Z, Y):
-            f, g = b.legs()
-            relabeled.add(canonical_key(b.apex(), 0, f.then(inc).values, g.values))
-    if combined != relabeled:
-        return Verdict(False, "coproduct variable", combined ^ relabeled)
+    XX, i1, i2 = gs.coproduct(X, Xp)
     YY, j1, j2 = gs.coproduct(Y, Xp)
-    combined = {b.key for b in span_basis(X, YY)}
-    relabeled = set()
-    for Z, inc in ((Y, j1), (Xp, j2)):
-        for b in span_basis(X, Z):
-            f, g = b.legs()
-            relabeled.add(canonical_key(b.apex(), 0, f.values, g.then(inc).values))
-    if combined != relabeled:
-        return Verdict(False, "second variable", combined ^ relabeled)
+    idX, idY = gs.identity_map(X), gs.identity_map(Y)
+    for reason, A, B, parts in (
+        ("coproduct variable", XX, Y, [(X, Y, i1, idY), (Xp, Y, i2, idY)]),
+        ("second variable", X, YY, [(X, Y, idX, j1), (X, Xp, idX, j2)]),
+    ):
+        whole = _whole_basis(A, B)
+        moved = zero_span(A, B)
+        for L, R, f, g in parts:
+            moved = moved + transport_span(_whole_basis(L, R), f, g)
+        if whole != moved:
+            return Verdict(False, reason, set(whole.terms) ^ set(moved.terms))
     return Verdict(True)
 
 
@@ -428,28 +421,18 @@ def check_left_exact(F: GSetFunctor, objects) -> Verdict:
     return Verdict(True)
 
 
-def span_of_functor(F: GSetFunctor, probe_objects=None):
-    """Span(F): the induced map on span morphisms.
-
-    When probe_objects is given, F is first verified left exact on them
-    (NotLeftExact on failure).  The returned function applies F to the
-    endpoints, apex, and legs of every basis term and renormalizes.
-    """
-    if probe_objects is not None:
-        verdict = check_left_exact(F, probe_objects)
-        if not verdict:
-            raise NotLeftExact(verdict.witness)
+def span_of_functor(F: GSetFunctor):
+    """Span(F): the induced map on span morphisms, for a left exact F
+    (the span checks of verify test that first with check_left_exact).
+    The returned function applies F to the endpoints and legs of every
+    basis term and keys the orbits of the image apex."""
 
     def apply(m: SpanMor) -> SpanMor:
         left, right = F.obj(m.left), F.obj(m.right)
-        counts: dict = {}
+        parts = []
         for key, mult in m.terms:
-            b = BasisSpan(m.left, m.right, key)
-            f, g = b.legs()
-            Ff, Fg = F.map(f), F.map(g)
-            for orb in Ff.src.orbits():
-                k = canonical_key(Ff.src, orb[0], Ff.values, Fg.values)
-                counts[k] = counts.get(k, 0) + mult
-        return SpanMor(left, right, _normalize(counts))
+            f, g = basis_legs(m.left, m.right, key)
+            parts.append((F.map(f), F.map(g), mult))
+        return _sum_spans(left, right, parts)
 
     return apply

@@ -16,7 +16,7 @@ from profspan.groups import FiniteGroup, subgroup_lattice
 from profspan.gsets import GSet
 
 
-def span_basis_oracle(X: GSet, Y: GSet) -> list[sp.BasisSpan]:
+def span_basis_oracle(X: GSet, Y: GSet) -> list[sp.Key]:
     """span_basis by enumeration: canonicalise every pair of equivariant
     maps G/K -> X, G/K -> Y, over one K per subgroup class."""
     G = X.group
@@ -27,7 +27,7 @@ def span_basis_oracle(X: GSet, Y: GSet) -> list[sp.BasisSpan]:
         for f in gs.hom_gset(apex, X):
             for g in gs.hom_gset(apex, Y):
                 keys.add(sp.canonical_key(apex, 0, f.values, g.values))
-    return [sp.BasisSpan(X, Y, k) for k in sorted(keys)]
+    return sorted(keys)
 
 
 def double_coset_count(G: FiniteGroup, H, K) -> int:

@@ -104,14 +104,14 @@ def test_criterion_2_category_laws():
         b3 = sp.span_basis(Z, Z)
         if not (b1 and b2 and b3):
             continue
-        f = sp.basis_span_mor(rng.choice(b1))
-        h = sp.basis_span_mor(rng.choice(b2))
-        k = sp.basis_span_mor(rng.choice(b3))
+        f = sp.basis_span_mor(X, Y, rng.choice(b1))
+        h = sp.basis_span_mor(Y, Z, rng.choice(b2))
+        k = sp.basis_span_mor(Z, Z, rng.choice(b3))
         lhs = sp.compose_spans(k, sp.compose_spans(h, f))
         rhs = sp.compose_spans(sp.compose_spans(k, h), f)
         assert lhs == rhs, name
         # bilinearity against a second term and a scalar
-        h2 = sp.basis_span_mor(rng.choice(b2))
+        h2 = sp.basis_span_mor(Y, Z, rng.choice(b2))
         assert sp.compose_spans(h + h2, f) == sp.compose_spans(
             h, f
         ) + sp.compose_spans(h2, f), name

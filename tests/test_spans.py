@@ -7,7 +7,7 @@ from profspan import groups as g
 from profspan import gsets as gs
 from profspan import spans as sp
 from profspan.corpus import corpus_group, corpus_groups, groups_of_order_at_most
-from profspan.errors import NotLeftExact, ObjectMismatch
+from profspan.errors import ObjectMismatch
 
 from oracles import (
     canonical_key_oracle,
@@ -27,7 +27,7 @@ def test_span_basis_point_endomorphisms_c2():
     pt = gs.point_gset(C2)
     basis = sp.span_basis(pt, pt)
     assert len(basis) == 2
-    assert sorted(b.apex().size for b in basis) == [1, 2]
+    assert sorted(sp.basis_legs(pt, pt, b)[0].src.size for b in basis) == [1, 2]
 
 
 def test_span_basis_empty_endpoint():
@@ -77,7 +77,7 @@ def test_identity_law():
                 X = gs.canonical_gset(G, mx)
                 Y = gs.canonical_gset(G, my)
                 for b in sp.span_basis(X, Y):
-                    m = sp.basis_span_mor(b)
+                    m = sp.basis_span_mor(X, Y, b)
                     assert sp.compose_spans(sp.identity_span(Y), m) == m
                     assert sp.compose_spans(m, sp.identity_span(X)) == m
 
@@ -85,14 +85,16 @@ def test_identity_law():
 def test_burnside_relation_c2():
     pt = gs.point_gset(C2)
     t = next(
-        sp.basis_span_mor(b) for b in sp.span_basis(pt, pt) if b.apex().size == 2
+        sp.basis_span_mor(pt, pt, b)
+        for b in sp.span_basis(pt, pt)
+        if sp.basis_legs(pt, pt, b)[0].src.size == 2
     )
     assert sp.compose_spans(t, t) == t + t
 
 
 def test_compose_with_zero():
     pt = gs.point_gset(C2)
-    t = sp.basis_span_mor(sp.span_basis(pt, pt)[0])
+    t = sp.basis_span_mor(pt, pt, sp.span_basis(pt, pt)[0])
     assert sp.compose_spans(sp.zero_span(pt, pt), t).is_zero()
     assert sp.compose_spans(t, sp.zero_span(pt, pt)).is_zero()
 
@@ -130,7 +132,7 @@ def _composable_basis_pairs(G):
         gs.coset_gset(G, lat.class_rep(c).elements) for c in range(lat.num_classes)
     ]
     basis = {
-        (X, Y): [b.key for b in sp.span_basis(X, Y)] for X in orbits for Y in orbits
+        (X, Y): sp.span_basis(X, Y) for X in orbits for Y in orbits
     }
     return [
         (k2, k1)
@@ -203,9 +205,9 @@ def test_associativity_sampled():
             b3 = sp.span_basis(Z, W)
             if not (b1 and b2 and b3):
                 continue
-            m1 = sp.basis_span_mor(rng.choice(b1))
-            m2 = sp.basis_span_mor(rng.choice(b2))
-            m3 = sp.basis_span_mor(rng.choice(b3))
+            m1 = sp.basis_span_mor(X, Y, rng.choice(b1))
+            m2 = sp.basis_span_mor(Y, Z, rng.choice(b2))
+            m3 = sp.basis_span_mor(Z, W, rng.choice(b3))
             lhs = sp.compose_spans(sp.compose_spans(m3, m2), m1)
             rhs = sp.compose_spans(m3, sp.compose_spans(m2, m1))
             assert lhs == rhs
@@ -216,9 +218,11 @@ def test_bilinearity():
     X = gs.canonical_gset(C4, (0, 1))
     basis_xp = sp.span_basis(X, pt)
     basis_pp = sp.span_basis(pt, pt)
-    a = sp.basis_span_mor(basis_xp[0])
-    b = sp.basis_span_mor(basis_xp[-1])
-    c = sp.basis_span_mor(basis_pp[0]) + sp.basis_span_mor(basis_pp[1]).scale(2)
+    a = sp.basis_span_mor(X, pt, basis_xp[0])
+    b = sp.basis_span_mor(X, pt, basis_xp[-1])
+    c = sp.basis_span_mor(pt, pt, basis_pp[0]) + sp.basis_span_mor(
+        pt, pt, basis_pp[1]
+    ).scale(2)
     assert sp.compose_spans(c, a + b) == sp.compose_spans(c, a) + sp.compose_spans(c, b)
 
 
@@ -284,7 +288,7 @@ def test_transport_span_roundtrip():
     # relabel through a nontrivial automorphism and back
     auto = next(f for f in gs.hom_gset(X, X) if f.is_iso())
     for b in sp.span_basis(X, Y):
-        m = sp.basis_span_mor(b)
+        m = sp.basis_span_mor(X, Y, b)
         moved = sp.transport_span(m, auto, gs.identity_map(Y))
         back = sp.transport_span(moved, auto.inverse(), gs.identity_map(Y))
         assert back == m
@@ -295,7 +299,9 @@ def test_span_of_inflation_sends_free_apex_to_subgroup_apex():
     F = sp.span_of_functor(sp.InflationGSetFunctor(q))
     pt = gs.point_gset(C2)
     t = next(
-        sp.basis_span_mor(b) for b in sp.span_basis(pt, pt) if b.apex().size == 2
+        sp.basis_span_mor(pt, pt, b)
+        for b in sp.span_basis(pt, pt)
+        if sp.basis_legs(pt, pt, b)[0].src.size == 2
     )
     image = F(t)
     assert len(image.terms) == 1
@@ -353,12 +359,13 @@ class _OrbitQuotientFunctor(sp.GSetFunctor):
         return gs.EqMap(self.obj(f.src), self.obj(f.dst), tuple(values))
 
 
-def test_span_of_functor_rejects_non_left_exact():
+def test_check_left_exact_rejects_orbit_quotient():
     q = g.quotient(C2, g.make_subgroup(C2, (0, 1)))
     bad = _OrbitQuotientFunctor(q)
     probes = [gs.canonical_gset(C2, m) for m in gs.gset_isoclasses(C2, 2)]
-    with pytest.raises(NotLeftExact):
-        sp.span_of_functor(bad, probes)
+    verdict = sp.check_left_exact(bad, probes)
+    assert not verdict
+    assert verdict.reason == "pullback not preserved"
 
 
 def test_span_functoriality_on_composable_pairs():
@@ -373,7 +380,8 @@ def test_span_functoriality_on_composable_pairs():
             Z = gs.canonical_gset(G0, mz)
             for b1 in sp.span_basis(X, Y):
                 for b2 in sp.span_basis(Y, Z):
-                    m1, m2 = sp.basis_span_mor(b1), sp.basis_span_mor(b2)
+                    m1 = sp.basis_span_mor(X, Y, b1)
+                    m2 = sp.basis_span_mor(Y, Z, b2)
                     assert SpF(sp.compose_spans(m2, m1)) == sp.compose_spans(
                         SpF(m2), SpF(m1)
                     )
@@ -390,7 +398,7 @@ def test_span_of_composed_functors():
     pt = gs.point_gset(C2)
     X = gs.canonical_gset(C2, (0, 1))
     for b in sp.span_basis(X, pt):
-        m = sp.basis_span_mor(b)
+        m = sp.basis_span_mor(X, pt, b)
         assert direct(m) == step(first(m))
 
 

@@ -3,6 +3,8 @@ an oracle that enumerates every hom-set, with negative controls and work
 guards."""
 
 import ast
+import contextlib
+import io
 
 import pytest
 
@@ -10,6 +12,8 @@ from profspan import groups as g
 from profspan import gsets as gs
 from profspan import spans as sp
 from profspan import verify as vf
+from profspan.cli import main
+from profspan.errors import Verdict
 
 from oracles import colim_gset_equivalence_oracle
 
@@ -40,9 +44,8 @@ def test_colim_gset_fails_with_a_class_dropped(monkeypatch):
     assert gs.orbit_class_multiset(lifted) == colimit_classes(tower, 4)[-1]
 
 
-def test_colim_gset_fails_on_a_link_that_is_not_onto(monkeypatch):
-    """Inflation along the trivial map C4 -> C2 identifies every point's
-    stabilizer with C4, so it is not full on any hom with a free orbit."""
+def _trivial_first_link(monkeypatch):
+    """Make every cyclic tower's link 0 the trivial map C4 -> C2 (for p = 2)."""
     cyclic_tower = g.cyclic_tower
 
     def corrupted(p, depth):
@@ -57,6 +60,12 @@ def test_colim_gset_fails_on_a_link_that_is_not_onto(monkeypatch):
         return g.GroupTower(tower.stages, (trivial,) + tower.links[1:])
 
     monkeypatch.setattr(g, "cyclic_tower", corrupted)
+
+
+def test_colim_gset_fails_on_a_link_that_is_not_onto(monkeypatch):
+    """Inflation along the trivial map C4 -> C2 identifies every point's
+    stabilizer with C4, so it is not full on any hom with a free orbit."""
+    _trivial_first_link(monkeypatch)
     report = vf.verify_colim_gset(2, 3, 4)
     assert not report.ok
     assert report.lines[-1] == "equivalence failure: inflation not fully faithful"
@@ -73,3 +82,39 @@ def test_colim_gset_and_span_basis_enumerate_no_hom_set(monkeypatch):
     G = g.dihedral(4)
     nonempty = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, 3)][1:]
     assert all(sp.span_basis(X, Y) for X in nonempty for Y in nonempty)
+
+
+def test_colim_span_fails_on_a_trivial_link(monkeypatch):
+    """Inflation along the trivial map passes the left-exactness probes,
+    but it sends the free C2-orbit to two C4-fixed points, so a basis
+    span with that apex inflates to a span with two orbits."""
+    _trivial_first_link(monkeypatch)
+    report = vf.verify_colim_span(2, 2, 3)
+    assert not report.ok
+    assert report.witness == "inflation of a basis span is not basic at stage 0"
+
+
+def test_limit_span_fails_on_a_trivial_link(monkeypatch):
+    """The trivial map does not reach the generator of C2, so fixed points
+    along it have no residual action; check_left_exact counts the error
+    on the first square as a failure."""
+    _trivial_first_link(monkeypatch)
+    report = vf.verify_limit_span(2, 2, 3)
+    assert not report.ok
+    assert report.witness == "fixed points not left exact at stage 0"
+
+
+def test_colim_span_reports_inflation_not_left_exact(monkeypatch):
+    """A functor that fails check_left_exact is a FAIL line with exit 1,
+    not an exception."""
+    monkeypatch.setattr(
+        sp, "check_left_exact", lambda F, objects: Verdict(False, "forced")
+    )
+    report = vf.verify_colim_span(2, 2, 3)
+    assert not report.ok
+    assert report.witness == "inflation not left exact at stage 0"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--tower", "2,2", "--cap", "3", "verify", "colim-span"])
+    assert code == 1
+    assert "FAIL inflation not left exact at stage 0" in out.getvalue()
