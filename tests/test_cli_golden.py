@@ -55,17 +55,22 @@ CASES.update({
     "mackey-limit-2-2": ["--tower", "2,2", "verify", "mackey-limit"],
     "mackey-limit-2-3": ["--tower", "2,3", "verify", "mackey-limit"],
     "mackey-limit-3-2": ["--tower", "3,2", "verify", "mackey-limit"],
+    "mackey-limit-2-4": ["--tower", "2,4", "verify", "mackey-limit"],
+    "mackey-limit-5-2": ["--tower", "5,2", "verify", "mackey-limit"],
     "colim-span-2-2-cap3": ["--tower", "2,2", "--cap", "3", "verify", "colim-span"],
     "colim-span-3-2-cap3": ["--tower", "3,2", "--cap", "3", "verify", "colim-span"],
+    "colim-span-5-2-cap3": ["--tower", "5,2", "--cap", "3", "verify", "colim-span"],
     "colim-span-2-2-cap3-seed7": [
         "--tower", "2,2", "--cap", "3", "--seed", "7", "verify", "colim-span"
     ],
     "limit-span-2-2-cap3": ["--tower", "2,2", "--cap", "3", "verify", "limit-span"],
     "limit-span-3-2-cap3": ["--tower", "3,2", "--cap", "3", "verify", "limit-span"],
+    "limit-span-5-2-cap3": ["--tower", "5,2", "--cap", "3", "verify", "limit-span"],
     "verify-all-cap4": ["--cap", "4", "verify", "all"],
     "mackey-fixed-D4": ["mackey-fixed", "{dir}/D4.mackey", "0,5"],
     "mackey-fixed-C2xC2xC2": ["mackey-fixed", "{dir}/C2xC2xC2.mackey", "0,1"],
     "mackey-fixed-S3": ["mackey-fixed", "{dir}/S3.mackey", "0,3,4"],
+    "mackey-fixed-C4": ["mackey-fixed", "{dir}/C4.mackey", "0,2"],
     "mackey-check-C4": ["mackey-check", "{dir}/C4.mackey"],
     "span-hom-S3": ["span-hom", "{dir}/S3-x.gset", "{dir}/S3-y.gset"],
     "span-hom-D4": ["span-hom", "{dir}/D4-x.gset", "{dir}/D4-y.gset"],
