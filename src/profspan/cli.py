@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 
 from . import formats as fm
 from . import groups as g
@@ -150,7 +151,10 @@ def cmd_verify(args) -> tuple[str, int]:
     return "\n\n".join(blocks), code
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main call and reused for
+    the rest of the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="profspan",
         description="exact span-category and Mackey-functor computations",

@@ -251,8 +251,11 @@ def unit_map(X: GSet, q: QuotientMap) -> EqMap:
     return EqMap(X, fixed, tuple(index[x] for x in X.points()))
 
 
+@lru_cache(maxsize=None)
 def inflate(X: GSet, q: QuotientMap) -> GSet:
-    """Pull the action back along the projection; every point is N-fixed."""
+    """Pull the action back along the projection; every point is N-fixed.
+    Computed once per (X, q), so the orbits and stabilizers the inflated
+    G-set keeps are computed once too."""
     if X.group != q.target:
         raise GroupMismatch("G-set is not over the quotient target")
     action = tuple(

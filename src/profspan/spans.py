@@ -424,15 +424,33 @@ def check_left_exact(F: GSetFunctor, objects) -> Verdict:
 def span_of_functor(F: GSetFunctor):
     """Span(F): the induced map on span morphisms, for a left exact F
     (the span checks of verify test that first with check_left_exact).
-    The returned function applies F to the endpoints and legs of every
-    basis term and keys the orbits of the image apex."""
+
+    The image of a basis span is F applied to its endpoints and legs,
+    with the orbits of the image apex keyed by _sum_spans.  Span(F) is
+    additive, so the returned function adds up mult · image over the
+    terms of a morphism.  It keeps F.obj of each object and the image
+    terms of each basis key per (X, Y, key) for as long as it lives, so
+    F.map sees each basis leg once."""
+    objs: dict = {}
+    images: dict = {}
+
+    def obj(X: GSet) -> GSet:
+        if X not in objs:
+            objs[X] = F.obj(X)
+        return objs[X]
+
+    def image(X: GSet, Y: GSet, key: Key) -> tuple:
+        if (X, Y, key) not in images:
+            f, g = basis_legs(X, Y, key)
+            m = _sum_spans(obj(X), obj(Y), [(F.map(f), F.map(g), 1)])
+            images[X, Y, key] = m.terms
+        return images[X, Y, key]
 
     def apply(m: SpanMor) -> SpanMor:
-        left, right = F.obj(m.left), F.obj(m.right)
-        parts = []
+        counts: dict = {}
         for key, mult in m.terms:
-            f, g = basis_legs(m.left, m.right, key)
-            parts.append((F.map(f), F.map(g), mult))
-        return _sum_spans(left, right, parts)
+            for k, c in image(m.left, m.right, key):
+                counts[k] = counts.get(k, 0) + mult * c
+        return SpanMor(obj(m.left), obj(m.right), _normalize(counts))
 
     return apply

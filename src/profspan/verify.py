@@ -115,7 +115,6 @@ def _links_verdict(tower, cap) -> Verdict:
     the factor of hom(inf X, inf Y) at x is (x, q⁻¹K, Y^K)."""
     for i, q in enumerate(tower.links):
         objs = _stage_objects(q.target, cap)
-        inflated = {X: gs.inflate(X, q) for X in objs}
         preimage: dict = {}
         for K in g.subgroup_lattice(q.target).subgroups:
             inside = set(K.elements)
@@ -128,7 +127,7 @@ def _links_verdict(tower, cap) -> Verdict:
                     (f.base, preimage[f.stabilizer], f.points)
                     for f in gs.hom_factors(X, Y)
                 ]
-                if gs.hom_factors(inflated[X], inflated[Y]) != expect:
+                if gs.hom_factors(gs.inflate(X, q), gs.inflate(Y, q)) != expect:
                     return Verdict(
                         False, "inflation not fully faithful", (i, X.action, Y.action)
                     )

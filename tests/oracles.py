@@ -3,8 +3,9 @@
 Each recomputes by enumeration what the package computes from per-group
 tables or hom factors: the hom-enumerating span basis, the pullback
 composite of two basis keys, the least-key canonicalisation of a span
-orbit, the rank of a basis hom by orbit counting, and the colim-gset
-equivalence with every hom-set enumerated.
+orbit, the rank of a basis hom by orbit counting, the colim-gset
+equivalence with every hom-set enumerated, and Span(F) applied term by
+term with nothing kept between calls.
 """
 
 from __future__ import annotations
@@ -158,3 +159,18 @@ def colim_gset_equivalence_oracle(p: int, depth: int, cap: int) -> tuple[bool, i
                 if len(set(above)) != len(above) or set(above) != set(below):
                     return False, len(reps)
     return True, len(reps)
+
+
+def span_of_functor_oracle(F: sp.GSetFunctor):
+    """Span(F) with nothing kept: F applied to the endpoints and to both
+    legs of every basis term, and the image apexes keyed by one
+    _sum_spans call."""
+
+    def apply(m: sp.SpanMor) -> sp.SpanMor:
+        parts = []
+        for key, mult in m.terms:
+            f, g = sp.basis_legs(m.left, m.right, key)
+            parts.append((F.map(f), F.map(g), mult))
+        return sp._sum_spans(F.obj(m.left), F.obj(m.right), parts)
+
+    return apply

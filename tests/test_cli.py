@@ -7,9 +7,12 @@ import pytest
 
 from profspan import formats as fm
 from profspan import mackey as mk
+from profspan import cli
 from profspan import verify as vf
 from profspan.cli import main
 from profspan.corpus import corpus_group
+
+from test_cli_golden import CASES, GOLDEN, run
 
 
 @pytest.fixture
@@ -235,6 +238,32 @@ def test_non_normal_kernel_exits_2(tmp_path, capsys):
 def test_negative_cap_exits_2(capsys):
     assert main(["--cap", "-1", "verify", "adjunction"]) == 2
     assert "--cap" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_seed_does_not_leak_into_the_next_call(capsys):
+    assert main(["--seed", "3", "verify", "funcat"]) == 0
+    assert "seed 3" in capsys.readouterr().out.splitlines()
+    assert main(["verify", "funcat"]) == 0
+    assert "seed 0" in capsys.readouterr().out.splitlines()
+
+
+def test_rejected_cap_does_not_leak_into_the_next_call(tmp_path, capsys):
+    assert main(["--cap", "-1", "verify", "funcat"]) == 2
+    capsys.readouterr()
+    expected = (GOLDEN / "funcat-seed0.txt").read_text()
+    assert run(CASES["funcat-seed0"], tmp_path) == expected
+
+
+def test_group_file_does_not_leak_into_the_next_call(files, capsys):
+    mackey = str(files / "m.mackey")
+    assert main(["mackey-fixed", mackey, "0,2", "--group-file", "x.grp"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "mackey x.grp"
+    assert main(["mackey-fixed", mackey, "0,2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "mackey quotient.grp"
 
 
 def test_closed_stdout_ends_quietly():

@@ -106,6 +106,16 @@ def test_inflate_group_mismatch():
         gs.inflate(regular(C4), q)
 
 
+def test_inflation_is_built_once():
+    t = g.cyclic_tower(2, 3)
+    q = t.links[1]  # C8 -> C4
+    X = gs.canonical_gset(t.stages[1], (0, 1))
+    assert gs.inflate(X, q) is gs.inflate(X, q)
+    assert gs.inflate(X, g.cyclic_tower(2, 3).links[1]) is gs.inflate(X, q)
+    f = gs.identity_map(X)
+    assert gs.inflate_map(f, q).src is gs.inflate(X, q)
+
+
 def test_hom_gset_matches_brute_force():
     cases = [
         (regular(C2), regular(C2)),

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from oracles import (
     double_coset_count,
     span_basis_count_oracle,
     span_basis_oracle,
+    span_of_functor_oracle,
 )
 
 
@@ -412,3 +414,94 @@ def test_span_basis_matches_hom_enumerating_oracle(name, relabel_seed):
     for X in objs:
         for Y in objs:
             assert sp.span_basis(X, Y) == span_basis_oracle(X, Y), (name, X, Y)
+
+
+def _link_functors(p, depth):
+    """Inflation and fixed points along every link of the p-tower."""
+    for q in g.cyclic_tower(p, depth).links:
+        yield sp.InflationGSetFunctor(q)
+        yield sp.FixedPointsGSetFunctor(q)
+
+
+def _whole_basis_times(X, Y, first):
+    """Every basis span of hom(X, Y), with multiplicities first, first + 1,
+    first + 2, first, ... in key order."""
+    basis = sp.span_basis(X, Y)
+    return sp.SpanMor(X, Y, tuple((k, first + i % 3) for i, k in enumerate(basis)))
+
+
+@pytest.mark.parametrize("tower", [(2, 2), (3, 2), (2, 3)], ids=["2,2", "3,2", "2,3"])
+def test_span_of_functor_matches_term_by_term_oracle(tower):
+    for F in _link_functors(*tower):
+        SpF, oracle = sp.span_of_functor(F), span_of_functor_oracle(F)
+        G = F.src_group
+        objs = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, 3)]
+        multi = {
+            (X, Y): _whole_basis_times(X, Y, 2)
+            for X, Y in itertools.product(objs, repeat=2)
+        }
+        for m in multi.values():
+            assert SpF(m) == oracle(m)
+        for X, Y, Z in itertools.product(objs, repeat=3):
+            composite = sp.compose_spans(multi[Y, Z], multi[X, Y])
+            assert SpF(composite) == oracle(composite)
+            images = SpF(multi[Y, Z]), SpF(multi[X, Y])
+            assert SpF(composite) == sp.compose_spans(*images)
+
+
+def test_span_of_functor_keeps_images_apart_per_endpoints():
+    """Over C8 -> C4 the keys into point 8 of C8/1 + pt and of
+    C8/C2 + C8/C2 + pt coincide, but that point is the first N-fixed point
+    of the one and the ninth of the other."""
+    q = g.cyclic_tower(2, 3).links[1]
+    F = sp.FixedPointsGSetFunctor(q)
+    SpF, oracle = sp.span_of_functor(F), span_of_functor_oracle(F)
+    G = q.source
+    pt = gs.point_gset(G)
+    Xa, Xb = gs.canonical_gset(G, (0, 3)), gs.canonical_gset(G, (1, 1, 3))
+    shared = sorted(set(sp.span_basis(Xa, pt)) & set(sp.span_basis(Xb, pt)))
+    assert (3, (8,), (0,)) in shared
+    for X in (Xa, Xb):
+        for key in shared:
+            m = sp.basis_span_mor(X, pt, key).scale(2)
+            assert SpF(m) == oracle(m)
+
+
+class _CountingFunctor(sp.GSetFunctor):
+    """A functor that counts its calls of map."""
+
+    def __init__(self, F):
+        self.F = F
+        self.src_group = F.src_group
+        self.dst_group = F.dst_group
+        self.maps = 0
+
+    def obj(self, X):
+        return self.F.obj(X)
+
+    def map(self, f):
+        self.maps += 1
+        return self.F.map(f)
+
+
+@pytest.mark.parametrize("tower", [(2, 2), (3, 2), (2, 3)], ids=["2,2", "3,2", "2,3"])
+def test_span_of_functor_maps_each_basis_leg_once(tower):
+    for F in _link_functors(*tower):
+        counting = _CountingFunctor(F)
+        SpF = sp.span_of_functor(counting)
+        G = F.src_group
+        objs = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, 3)]
+        morphisms = [
+            _whole_basis_times(X, Y, 2) for X, Y in itertools.product(objs, repeat=2)
+        ]
+        morphisms += [
+            sp.compose_spans(morphisms[j], morphisms[i])
+            for i, j in itertools.product(range(len(morphisms)), repeat=2)
+            if morphisms[i].right == morphisms[j].left
+        ]
+        keys = {(m.left, m.right, k) for m in morphisms for k, _ in m.terms}
+        images = [SpF(m) for m in morphisms]
+        assert 0 < counting.maps <= 2 * len(keys)
+        before = counting.maps
+        assert [SpF(m) for m in morphisms] == images
+        assert counting.maps == before
