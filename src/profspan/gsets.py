@@ -16,6 +16,13 @@ point fixed by its stabilizer, and the size of that factor is the mark of
 the stabilizer on Y.  Properties of hom-sets are decided per factor;
 `hom_gset` multiplies the factors out only where the maps themselves are
 needed.  Orbits and point stabilizers are computed once per G-set.
+
+What is computed once is kept for the rest of the process, in lru_caches
+on their arguments: the coset G-sets (`coset_gset`), the fixed-point
+records (`fixed_point_data`) and the inflations (`inflate`, per (X, q)).
+So inflating the same G-set along an equal quotient map, for a map, a
+span functor, a Mackey fixed-point functor or a verify check, returns
+the same G-set, with the orbits and stabilizers it has already found.
 """
 
 from __future__ import annotations

@@ -20,8 +20,14 @@ its two legs, and basis_span_mor into a one-term SpanMor.
 The way from legs back to keys is one loop, _sum_spans: it canonicalises
 every orbit of the apex of each span it is given and adds up the keys.
 span_from_maps, transport_span and the maps of span_of_functor are each
-one call to it.  The pullback composite and the hom-enumerating basis
-stay as oracles in the test suite.
+one call to it.  The pullback composite, the hom-enumerating basis and
+Span(F) applied term by term stay as oracles in the test suite.
+
+Span(F), the function span_of_functor returns, computes F.obj of each
+object and the image of each basis key, per (X, Y, key), once, and keeps
+them only as long as that function lives: for one span check of verify,
+or one categorical_fixed_points call.  The composites of basis keys
+(_compose_keys) and the coset tables are kept for the process.
 """
 
 from __future__ import annotations
@@ -435,16 +441,18 @@ def span_of_functor(F: GSetFunctor):
     images: dict = {}
 
     def obj(X: GSet) -> GSet:
-        if X not in objs:
-            objs[X] = F.obj(X)
-        return objs[X]
+        FX = objs.get(X)
+        if FX is None:
+            FX = objs[X] = F.obj(X)
+        return FX
 
     def image(X: GSet, Y: GSet, key: Key) -> tuple:
-        if (X, Y, key) not in images:
+        terms = images.get((X, Y, key))
+        if terms is None:  # a zero image is (), not None
             f, g = basis_legs(X, Y, key)
             m = _sum_spans(obj(X), obj(Y), [(F.map(f), F.map(g), 1)])
-            images[X, Y, key] = m.terms
-        return images[X, Y, key]
+            terms = images[X, Y, key] = m.terms
+        return terms
 
     def apply(m: SpanMor) -> SpanMor:
         counts: dict = {}
