@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from profspan import cli
 from profspan import formats as fm
 from profspan import mackey as mk
-from profspan import cli
 from profspan import verify as vf
 from profspan.cli import main
 from profspan.corpus import corpus_group

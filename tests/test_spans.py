@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections import Counter
 
 import pytest
 
@@ -416,6 +415,11 @@ def test_span_basis_matches_hom_enumerating_oracle(name, relabel_seed):
             assert sp.span_basis(X, Y) == span_basis_oracle(X, Y), (name, X, Y)
 
 
+LINK_TOWERS = pytest.mark.parametrize(
+    "tower", [(2, 2), (3, 2), (2, 3)], ids=["2,2", "3,2", "2,3"]
+)
+
+
 def _link_functors(p, depth):
     """Inflation and fixed points along every link of the p-tower."""
     for q in g.cyclic_tower(p, depth).links:
@@ -430,7 +434,7 @@ def _whole_basis_times(X, Y, first):
     return sp.SpanMor(X, Y, tuple((k, first + i % 3) for i, k in enumerate(basis)))
 
 
-@pytest.mark.parametrize("tower", [(2, 2), (3, 2), (2, 3)], ids=["2,2", "3,2", "2,3"])
+@LINK_TOWERS
 def test_span_of_functor_matches_term_by_term_oracle(tower):
     for F in _link_functors(*tower):
         SpF, oracle = sp.span_of_functor(F), span_of_functor_oracle(F)
@@ -445,8 +449,6 @@ def test_span_of_functor_matches_term_by_term_oracle(tower):
         for X, Y, Z in itertools.product(objs, repeat=3):
             composite = sp.compose_spans(multi[Y, Z], multi[X, Y])
             assert SpF(composite) == oracle(composite)
-            images = SpF(multi[Y, Z]), SpF(multi[X, Y])
-            assert SpF(composite) == sp.compose_spans(*images)
 
 
 def test_span_of_functor_keeps_images_apart_per_endpoints():
@@ -484,7 +486,7 @@ class _CountingFunctor(sp.GSetFunctor):
         return self.F.map(f)
 
 
-@pytest.mark.parametrize("tower", [(2, 2), (3, 2), (2, 3)], ids=["2,2", "3,2", "2,3"])
+@LINK_TOWERS
 def test_span_of_functor_maps_each_basis_leg_once(tower):
     for F in _link_functors(*tower):
         counting = _CountingFunctor(F)
