@@ -50,6 +50,8 @@ CASES.update({
     "colim-gset-2-3-cap7": ["--tower", "2,3", "--cap", "7", "verify", "colim-gset"],
     "adjunction-cap4": ["--cap", "4", "verify", "adjunction"],
     "adjunction-cap5": ["--cap", "5", "verify", "adjunction"],
+    "adjunction-cap6": ["--cap", "6", "verify", "adjunction"],
+    "adjunction-cap7": ["--cap", "7", "verify", "adjunction"],
     "funcat-seed0": ["--seed", "0", "verify", "funcat"],
     "funcat-seed3": ["--seed", "3", "verify", "funcat"],
     "mackey-limit-2-2": ["--tower", "2,2", "verify", "mackey-limit"],
@@ -67,6 +69,7 @@ CASES.update({
     "limit-span-3-2-cap3": ["--tower", "3,2", "--cap", "3", "verify", "limit-span"],
     "limit-span-5-2-cap3": ["--tower", "5,2", "--cap", "3", "verify", "limit-span"],
     "verify-all-cap4": ["--cap", "4", "verify", "all"],
+    "verify-all-default": ["verify", "all"],
     "mackey-fixed-D4": ["mackey-fixed", "{dir}/D4.mackey", "0,5"],
     "mackey-fixed-C2xC2xC2": ["mackey-fixed", "{dir}/C2xC2xC2.mackey", "0,1"],
     "mackey-fixed-S3": ["mackey-fixed", "{dir}/S3.mackey", "0,3,4"],
