@@ -2,10 +2,10 @@
 functor-from-family comparison.
 
 Morphisms are uniformly labelled (src, dst, data) triples.  Hom-sets and
-composition may be backed by tables or by functions; table-backed
-categories are validated eagerly, function-backed ones are generated by
-constructions whose composition is function composition and are validated
-by the test suite instead.  `find_iso` and `is_isomorphic` search
+composition may be backed by tables or by functions.  No category is
+validated when it is built: table-backed ones have only their identities
+checked, and `validate` (run by the test suite) checks units and
+associativity.  `find_iso` and `is_isomorphic` search
 exhaustively (`isos`), trying every pair in hom(a, b) x hom(b, a).
 """
 
@@ -18,12 +18,11 @@ from .errors import IncoherentFamily, Verdict
 
 
 class FinCat:
-    def __init__(self, objects, hom, compose, identity, name=""):
+    def __init__(self, objects, hom, compose, identity):
         self.objects = tuple(objects)
         self._hom = hom
         self._compose = compose
         self._identity = identity
-        self.name = name
         self._hom_cache: dict = {}
 
     def hom(self, a, b) -> tuple:
@@ -85,8 +84,9 @@ class FinCat:
                         )
 
     @classmethod
-    def from_tables(cls, objects, hom, compose, name="", check=True):
-        """Build from explicit dictionaries; validated eagerly."""
+    def from_tables(cls, objects, hom, compose):
+        """Build from explicit dictionaries.  Only the identities are
+        checked, as they are found; `validate` checks the rest."""
         objects = tuple(objects)
         hom_d = {k: tuple(v) for k, v in hom.items()}
         ids = {}
@@ -108,25 +108,20 @@ class FinCat:
             if len(candidates) != 1:
                 raise ValueError(f"object {a!r} has no unique identity")
             ids[a] = candidates[0]
-        cat = cls(
+        return cls(
             objects,
             lambda a, b: hom_d.get((a, b), ()),
             lambda g, f: compose[(g, f)],
             lambda a: ids[a],
-            name=name,
         )
-        if check:
-            cat.validate()
-        return cat
 
 
 class CatFunctor:
-    def __init__(self, src: FinCat, dst: FinCat, on_obj, on_mor, name=""):
+    def __init__(self, src: FinCat, dst: FinCat, on_obj, on_mor):
         self.src = src
         self.dst = dst
         self._on_obj = on_obj
         self._on_mor = on_mor
-        self.name = name
 
     def obj(self, a):
         return self._on_obj(a)
@@ -142,7 +137,6 @@ class CatFunctor:
             other.dst,
             lambda a: other.obj(self.obj(a)),
             lambda f: other.mor(self.mor(f)),
-            name=f"{other.name}∘{self.name}",
         )
 
     def validate(self):
@@ -160,7 +154,7 @@ class CatFunctor:
 
 
 def identity_functor(cat: FinCat) -> CatFunctor:
-    return CatFunctor(cat, cat, lambda a: a, lambda f: f, name="id")
+    return CatFunctor(cat, cat, lambda a: a, lambda f: f)
 
 
 @dataclass
@@ -241,7 +235,7 @@ def colimit_chain(D: ChainDiagram) -> ColimitChain:
     def identity(c):
         return (c, c, final.identity(reps[c]))
 
-    cat = FinCat(range(len(classes)), hom, compose, identity, name="colim")
+    cat = FinCat(range(len(classes)), hom, compose, identity)
 
     injections = []
     for i in range(n):
@@ -255,7 +249,7 @@ def colimit_chain(D: ChainDiagram) -> ColimitChain:
             inner = final.compose(pb, final.compose(fm, final.inverse(pa)))
             return (membership[(i, a)], membership[(i, b)], inner)
 
-        injections.append(CatFunctor(D.cats[i], cat, on_obj, on_mor, name=f"inj{i}"))
+        injections.append(CatFunctor(D.cats[i], cat, on_obj, on_mor))
     return ColimitChain(D, cat, injections, classes, reps)
 
 
@@ -314,7 +308,7 @@ def functor_from_family(colim: ColimitChain, fam: FunctorFamily) -> CatFunctor:
     def on_mor(m):
         return F_last.mor(m[2])
 
-    return CatFunctor(colim.cat, E, on_obj, on_mor, name="from_family")
+    return CatFunctor(colim.cat, E, on_obj, on_mor)
 
 
 def naturally_isomorphic(F: CatFunctor, G: CatFunctor) -> bool:

@@ -1,21 +1,26 @@
 """Finite G-sets and equivariant maps: orbits, fixed points, inflation,
-(co)products, pullbacks, and the inflation/fixed-points adjunction
-diagnostics.
+(co)products, pullbacks, and the counit squares of the
+inflation/fixed-points adjunction.
 
 The N-fixed points of a G-set X, for N the kernel of a quotient map q,
 are computed once per (X, q) and kept (`fixed_point_data`): X^N with its
 residual action, the counit inf(X^N) -> X, the unit X^N -> (inf X^N)^N
 and the index of each fixed point.  `fixed_points`, `counit_map`,
-`fixed_points_map` and `adjunction_report` read that record.  A square
-of G-sets is decided to be a pullback by counting the fibre product, not
-by building it.
+`fixed_points_map` and the counit-square functions read that record.  A
+square of G-sets is decided to be a pullback by counting the fibre
+product, not by building it.  The counit square of f: X -> X' is a
+pullback iff f sends no orbit outside X^N into X'^N, so it is decided
+per orbit factor of hom(X, X') (`counit_square_counts`).  A unit square
+needs no test: its parallel sides are units, isomorphisms, so it is
+always a pullback.
 
 hom(X, Y) is the product, over the orbits of X, of the sets Y^Stab(orbit)
 (`hom_factors`): a map is free to send each orbit's base point to any
 point fixed by its stabilizer, and the size of that factor is the mark of
 the stabilizer on Y.  Properties of hom-sets are decided per factor;
 `hom_gset` multiplies the factors out only where the maps themselves are
-needed.  Orbits and point stabilizers are computed once per G-set.
+needed: the left-exactness probes, one counit-square witness and tests.
+Orbits and point stabilizers are computed once per G-set.
 
 What is computed once is kept for the rest of the process, in lru_caches
 on their arguments: the coset G-sets (`coset_gset`), the fixed-point
@@ -319,15 +324,12 @@ def hom_gset(X: GSet, Y: GSet) -> list[EqMap]:
         order += orbit
         reach = [first[z] for z in orbit]
         rows.append([tuple(map(Y.action[y].__getitem__, reach)) for y in points])
-    chain = itertools.chain.from_iterable
-    if order == list(X.points()):
-        return [EqMap(X, Y, tuple(chain(combo))) for combo in itertools.product(*rows)]
     slot = [0] * X.size
     for k, z in enumerate(order):
         slot[z] = k
     maps = []
     for combo in itertools.product(*rows):
-        flat = tuple(chain(combo))
+        flat = tuple(itertools.chain.from_iterable(combo))
         maps.append(EqMap(X, Y, tuple(map(flat.__getitem__, slot))))
     return maps
 
@@ -396,46 +398,39 @@ def square_is_pullback(top: EqMap, left: EqMap, right: EqMap, bottom: EqMap) -> 
     return len(set(zip(top.values, left.values))) == top.src.size == size
 
 
-@dataclass(frozen=True)
-class AdjunctionReport:
-    """Diagnostics for the inflation/fixed-points adjunction at (G, N)."""
+def counit_square_counts(q: QuotientMap, X: GSet, Y: GSet) -> tuple[int, int]:
+    """The number of maps f: X -> Y, and of those whose counit square
+    (over f and inf f^N) is a pullback, for N = ker q.
 
-    unit_is_iso: bool
-    counit_is_injective: bool
-    unit_square_is_pullback: bool
-    counit_square_is_pullback: bool
-    counit_witness: tuple | None
-
-
-def adjunction_report(q: QuotientMap, X: GSet, f: EqMap) -> AdjunctionReport:
-    """Check the unit/counit behaviour for X --f--> X' over G and N = ker q.
-
-    The unit square is tested for the induced map on fixed points; the
-    counit square is tested for f itself.  The unit square is always a
-    pullback; the counit square can fail, in which case a witness square
-    is recorded.
+    The counit includes the N-fixed points, so the square of f is a
+    pullback iff f sends no point outside X^N into Y^N.  G-sets are
+    extensive, so this is decided orbit by orbit: N is normal, so an orbit
+    O lies in X^N iff N is in Stab(O), and otherwise f(O) lies in Y^N iff
+    its base point's image does.  Of the choices Y^Stab(O) of O's hom
+    factor, all pass when N is in Stab(O), else those outside Y^N.
     """
-    if X.group != q.source or f.src != X:
-        raise GroupMismatch("report requires X over the quotient source")
-    src, dst = fixed_point_data(X, q), fixed_point_data(f.dst, q)
+    N = set(q.kernel.elements)
+    fixed = fixed_point_data(Y, q).index
+    maps = pullbacks = 1
+    for factor in hom_factors(X, Y):
+        maps *= len(factor.points)
+        if N.issubset(factor.stabilizer):
+            pullbacks *= len(factor.points)
+        else:
+            pullbacks *= sum(y not in fixed for y in factor.points)
+    return maps, pullbacks
 
-    unit_is_iso = src.unit.is_iso()
-    counit_injective = src.counit.is_injective() and dst.counit.is_injective()
 
-    # unit naturality square over G/N for f^N: X^N -> X'^N; every point of
-    # an inflated G-set is N-fixed, so (inf f^N)^N has the values of f^N
-    f_fixed = fixed_points_map(f, q)
-    values = f_fixed.values
-    unit_sq = square_is_pullback(
-        src.unit, f_fixed, EqMap(src.unit.dst, dst.unit.dst, values), dst.unit
+def counit_square_witness(q: QuotientMap, X: GSet, Y: GSet) -> EqMap | None:
+    """The first map of hom_gset(X, Y) whose counit square is not a
+    pullback, the first that sends a point outside X^N into Y^N, or None."""
+    fixed_x = fixed_point_data(X, q).index
+    fixed_y = fixed_point_data(Y, q).index
+    moved = [x for x in X.points() if x not in fixed_x]
+    return next(
+        (f for f in hom_gset(X, Y) if any(f.values[x] in fixed_y for x in moved)),
+        None,
     )
-
-    # counit naturality square over G
-    counit_sq = square_is_pullback(
-        src.counit, EqMap(src.counit.src, dst.counit.src, values), f, dst.counit
-    )
-    witness = None if counit_sq else (X.action, f.values)
-    return AdjunctionReport(unit_is_iso, counit_injective, unit_sq, counit_sq, witness)
 
 
 def fixed_points_map(f: EqMap, q: QuotientMap) -> EqMap:

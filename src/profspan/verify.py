@@ -271,29 +271,33 @@ def verify_limit_span(p: int, depth: int, cap: int) -> Report:
 def verify_adjunction(cap: int = 4) -> Report:
     """Unit/counit naturality squares for inflation/fixed points over C4
     with the order-2 kernel: every unit square is a pullback; at least one
-    counit square is not, and its witness is reported as expected."""
+    counit square is not, and its witness is reported as expected.
+
+    The laws are checked once per object.  A unit square's parallel sides
+    are units, so with the unit an isomorphism on every object, every unit
+    square is a pullback.  Counit squares are counted per orbit factor: a
+    square fails iff its map sends an orbit outside X^N into X'^N.  Only
+    the first pair (X, X') with a failing square has its maps enumerated.
+    """
     _require_cap(cap)
     G = g.cyclic(4)
     q = g.quotient(G, g.make_subgroup(G, (0, 2)))
     objs = _stage_objects(G, cap)
-    squares = 0
-    failures = []
+    for X in objs:
+        data = gs.fixed_point_data(X, q)
+        if not (data.unit.is_iso() and data.counit.is_injective()):
+            return Report(
+                False, f"unit/counit law violated for X with action {X.action}"
+            )
+    squares = failures = 0
+    first = None
     for X in objs:
         for Xp in objs:
-            for f in gs.hom_gset(X, Xp):
-                rep = gs.adjunction_report(q, X, f)
-                if not (
-                    rep.unit_is_iso
-                    and rep.counit_is_injective
-                    and rep.unit_square_is_pullback
-                ):
-                    return Report(
-                        False,
-                        f"unit/counit law violated for |X|={X.size}, f={f.values}",
-                    )
-                squares += 1
-                if not rep.counit_square_is_pullback:
-                    failures.append((X, f))
+            maps, pullbacks = gs.counit_square_counts(q, X, Xp)
+            squares += maps
+            failures += maps - pullbacks
+            if first is None and pullbacks < maps:
+                first = X, Xp
     lines = [
         f"group C4, kernel of order 2, size cap {cap}",
         f"naturality squares checked: {squares}",
@@ -301,13 +305,12 @@ def verify_adjunction(cap: int = 4) -> Report:
     ]
     if not failures:
         return Report(False, "no counit square failed the pullback test")
-    X, f = failures[0]
-    lines.append(
-        f"counit squares that are not pullbacks: {len(failures)} (EXPECTED)"
-    )
-    lines.append(
-        f"first witness: X with action {X.action}, map {f.values} (EXPECTED)"
-    )
+    X, Xp = first
+    f = gs.counit_square_witness(q, X, Xp)
+    lines += [
+        f"counit squares that are not pullbacks: {failures} (EXPECTED)",
+        f"first witness: X with action {X.action}, map {f.values} (EXPECTED)",
+    ]
     return Report(True, "", lines)
 
 
@@ -357,7 +360,7 @@ def _gcd_cat(n: int) -> fc.FinCat:
         for c in elems
         if b % a == 0 and c % b == 0
     }
-    return fc.FinCat.from_tables(elems, hom, compose, name=f"div({n})", check=False)
+    return fc.FinCat.from_tables(elems, hom, compose)
 
 
 def _monotone(src, dst, f):

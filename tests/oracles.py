@@ -4,17 +4,21 @@ Each recomputes by enumeration what the package computes from per-group
 tables or hom factors: the hom-enumerating span basis, the pullback
 composite of two basis keys, the least-key canonicalisation of a span
 orbit, the rank of a basis hom by orbit counting, the colim-gset
-equivalence with every hom-set enumerated, and Span(F) applied term by
-term with nothing kept between calls.
+equivalence with every hom-set enumerated, Span(F) applied term by term
+with nothing kept between calls, and the adjunction's unit and counit
+squares built and decided for one map at a time.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from profspan import groups as g
 from profspan import gsets as gs
 from profspan import spans as sp
-from profspan.groups import FiniteGroup, subgroup_lattice
-from profspan.gsets import GSet
+from profspan.errors import GroupMismatch
+from profspan.groups import FiniteGroup, QuotientMap, subgroup_lattice
+from profspan.gsets import EqMap, GSet
 
 
 def span_basis_oracle(X: GSet, Y: GSet) -> list[sp.Key]:
@@ -174,3 +178,45 @@ def span_of_functor_oracle(F: sp.GSetFunctor):
         return sp._sum_spans(F.obj(m.left), F.obj(m.right), parts)
 
     return apply
+
+
+@dataclass(frozen=True)
+class AdjunctionReport:
+    """Diagnostics for the inflation/fixed-points adjunction at (G, N)."""
+
+    unit_is_iso: bool
+    counit_is_injective: bool
+    unit_square_is_pullback: bool
+    counit_square_is_pullback: bool
+    counit_witness: tuple | None
+
+
+def adjunction_report(q: QuotientMap, X: GSet, f: EqMap) -> AdjunctionReport:
+    """Check the unit/counit behaviour for X --f--> X' over G and N = ker q.
+
+    The unit square is tested for the induced map on fixed points; the
+    counit square is tested for f itself.  The unit square is always a
+    pullback; the counit square can fail, in which case a witness square
+    is recorded.
+    """
+    if X.group != q.source or f.src != X:
+        raise GroupMismatch("report requires X over the quotient source")
+    src, dst = gs.fixed_point_data(X, q), gs.fixed_point_data(f.dst, q)
+
+    unit_is_iso = src.unit.is_iso()
+    counit_injective = src.counit.is_injective() and dst.counit.is_injective()
+
+    # unit naturality square over G/N for f^N: X^N -> X'^N; every point of
+    # an inflated G-set is N-fixed, so (inf f^N)^N has the values of f^N
+    f_fixed = gs.fixed_points_map(f, q)
+    values = f_fixed.values
+    unit_sq = gs.square_is_pullback(
+        src.unit, f_fixed, EqMap(src.unit.dst, dst.unit.dst, values), dst.unit
+    )
+
+    # counit naturality square over G
+    counit_sq = gs.square_is_pullback(
+        src.counit, EqMap(src.counit.src, dst.counit.src, values), f, dst.counit
+    )
+    witness = None if counit_sq else (X.action, f.values)
+    return AdjunctionReport(unit_is_iso, counit_injective, unit_sq, counit_sq, witness)

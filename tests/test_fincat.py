@@ -9,7 +9,7 @@ from profspan.corpus import corpus_group
 from profspan.errors import IncoherentFamily
 
 
-def poset_cat(elems, le, name=""):
+def poset_cat(elems, le):
     """Thin category of a finite poset; at most one morphism per pair."""
     hom = {}
     compose = {}
@@ -21,23 +21,23 @@ def poset_cat(elems, le, name=""):
             for c in elems:
                 if le(a, b) and le(b, c):
                     compose[((b, c, "le"), (a, b, "le"))] = (a, c, "le")
-    return fc.FinCat.from_tables(elems, hom, compose, name=name)
+    cat = fc.FinCat.from_tables(elems, hom, compose)
+    cat.validate()
+    return cat
 
 
 def divides(a, b):
     return b % a == 0
 
 
-def gcd_cat(n, name=""):
+def gcd_cat(n):
     """Divisors of n ordered by divisibility; gcd is the binary product."""
     elems = [d for d in range(1, n + 1) if n % d == 0]
-    return poset_cat(elems, divides, name=name)
+    return poset_cat(elems, divides)
 
 
 def monotone_functor(src, dst, f):
-    return fc.CatFunctor(
-        src, dst, f, lambda m: (f(m[0]), f(m[1]), "le"), name="monotone"
-    )
+    return fc.CatFunctor(src, dst, f, lambda m: (f(m[0]), f(m[1]), "le"))
 
 
 def group_cat(G):
@@ -48,7 +48,9 @@ def group_cat(G):
     compose = {
         (mor(x), mor(y)): mor(G.mul(x, y)) for x in G.elements() for y in G.elements()
     }
-    return fc.FinCat.from_tables(["*"], hom, compose, name="BG")
+    cat = fc.FinCat.from_tables(["*"], hom, compose)
+    cat.validate()
+    return cat
 
 
 def gcd_chain():
@@ -82,7 +84,7 @@ def test_validate_catches_broken_composition():
     hom = {("x", "x"): [mor(s) for s in "eab"]}
     compose = {(mor(s), mor(t)): mor(table[(s, t)]) for s in "eab" for t in "eab"}
     with pytest.raises((AssertionError, ValueError)):
-        fc.FinCat.from_tables(["x"], hom, compose)
+        fc.FinCat.from_tables(["x"], hom, compose).validate()
 
 
 def test_isos_and_inverse():

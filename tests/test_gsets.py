@@ -9,6 +9,9 @@ from profspan import spans as sp
 from profspan.corpus import corpus_group, groups_of_order_at_most
 from profspan.errors import GroupMismatch
 
+from oracles import adjunction_report
+from test_spans import _relabelled
+
 
 C2 = g.cyclic(2)
 C4 = g.cyclic(4)
@@ -285,7 +288,7 @@ def test_counit_square_fails_exactly_off_the_fixed_points():
             fixed_p = set(gs.counit_map(Xp, q).values)
             for f in gs.hom_gset(X, Xp):
                 preimage = {x for x in X.points() if f.values[x] in fixed_p}
-                rep = gs.adjunction_report(q, X, f)
+                rep = adjunction_report(q, X, f)
                 assert rep.counit_square_is_pullback == (preimage <= fixed)
                 failures += not rep.counit_square_is_pullback
     assert failures == 23
@@ -321,7 +324,7 @@ def test_adjunction_report_counit_failure():
     q = g.quotient(C2, g.make_subgroup(C2, (0, 1)))
     X = regular(C2)
     f = gs.hom_gset(X, gs.point_gset(C2))[0]
-    rep = gs.adjunction_report(q, X, f)
+    rep = adjunction_report(q, X, f)
     assert rep.unit_is_iso
     assert rep.counit_is_injective
     assert rep.unit_square_is_pullback
@@ -334,8 +337,57 @@ def test_adjunction_report_trivial_n_action():
     q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
     X = gs.canonical_gset(C4, (1, 2))  # N acts trivially on both orbits
     f = gs.identity_map(X)
-    rep = gs.adjunction_report(q, X, f)
+    rep = adjunction_report(q, X, f)
     assert rep.counit_square_is_pullback
+
+
+def _normal_subgroup(G, order):
+    """The first normal subgroup of G of the given order."""
+    lat = g.subgroup_lattice(G)
+    return next(
+        H for H, normal in zip(lat.subgroups, lat.normal) if normal and H.order == order
+    )
+
+
+# (G, |N|, size cap, counit squares that are not pullbacks).  In C8 and Q8
+# every non-trivial subgroup contains the order-2 subgroup N, and the free
+# orbit has 8 points, so at cap 4 every orbit is N-fixed and C8/C2 and
+# Q8/Z fail no square.
+COUNIT_CASES = {
+    "C4/C2": (C4, 2, 5, 126),
+    "C4/C2-relabelled": (_relabelled(C4, 11), 2, 5, 126),
+    "C8/C2": (g.cyclic(8), 2, 4, 0),
+    "C8/C4": (g.cyclic(8), 4, 4, 23),
+    "C2xC2/C2": (corpus_group("C2xC2"), 2, 5, 6384),
+    "D4/Z": (corpus_group("D4"), 2, 4, 66),
+    "Q8/Z": (corpus_group("Q8"), 2, 4, 0),
+    "S3/C3": (S3, 3, 5, 462),
+    "S3/1": (S3, 1, 5, 0),
+    "C4/C4": (C4, 4, 5, 1960),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNIT_CASES))
+def test_counit_square_counts_match_the_per_map_oracle(case):
+    """Per pair (X, X'), the orbit-factor counts and the first failing map
+    are those of the oracle run on every map of hom(X, X')."""
+    G, kernel_order, cap, expected_failures = COUNIT_CASES[case]
+    q = g.quotient(G, _normal_subgroup(G, kernel_order))
+    objects = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, cap)]
+    failures = 0
+    for X in objects:
+        for Xp in objects:
+            maps = gs.hom_gset(X, Xp)
+            bad = [
+                f
+                for f in maps
+                if not adjunction_report(q, X, f).counit_square_is_pullback
+            ]
+            counts = gs.counit_square_counts(q, X, Xp)
+            assert counts == (len(maps), len(maps) - len(bad))
+            assert gs.counit_square_witness(q, X, Xp) == (bad[0] if bad else None)
+            failures += len(bad)
+    assert failures == expected_failures
 
 
 def test_find_iso():

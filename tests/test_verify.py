@@ -5,6 +5,7 @@ guards."""
 import ast
 import contextlib
 import io
+import math
 
 import pytest
 
@@ -82,6 +83,39 @@ def test_colim_gset_and_span_basis_enumerate_no_hom_set(monkeypatch):
     G = g.dihedral(4)
     nonempty = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, 3)][1:]
     assert all(sp.span_basis(X, Y) for X in nonempty for Y in nonempty)
+
+
+def test_adjunction_enumerates_one_hom_set_and_builds_no_square(monkeypatch):
+    hom_gset = gs.hom_gset
+    calls = []
+
+    def counted(X, Y):
+        calls.append((X, Y))
+        return hom_gset(X, Y)
+
+    def refuse(*args):
+        raise AssertionError("built a naturality square")
+
+    monkeypatch.setattr(gs, "hom_gset", counted)
+    monkeypatch.setattr(gs, "square_is_pullback", refuse)
+    assert vf.verify_adjunction(6).ok
+    assert len(calls) <= 1
+
+
+def test_adjunction_squares_are_products_of_marks():
+    """At cap 8 the squares counted are Σ over (X, X') of the product, over
+    the orbits G/H of X, of the mark of H on X'."""
+    G = g.cyclic(4)
+    marks = sp.burnside_tables(G).marks  # marks[i][j] = |(G/K_i)^(H_j)|
+    classes = gs.gset_isoclasses(G, 8)
+    expected = sum(
+        math.prod(sum(marks[i][j] for i in my) for j in mx)
+        for mx in classes
+        for my in classes
+    )
+    report = vf.verify_adjunction(8)
+    assert report.ok
+    assert report.lines[1] == f"naturality squares checked: {expected}"
 
 
 def test_colim_span_fails_on_a_trivial_link(monkeypatch):
