@@ -75,6 +75,8 @@ CASES.update({
     "mackey-fixed-S3": ["mackey-fixed", "{dir}/S3.mackey", "0,3,4"],
     "mackey-fixed-C4": ["mackey-fixed", "{dir}/C4.mackey", "0,2"],
     "mackey-check-C4": ["mackey-check", "{dir}/C4.mackey"],
+    "mackey-check-S3-bad": ["mackey-check", "{dir}/S3-bad.mackey"],
+    "mackey-check-D4-bad": ["mackey-check", "{dir}/D4-bad.mackey"],
     "span-hom-S3": ["span-hom", "{dir}/S3-x.gset", "{dir}/S3-y.gset"],
     "span-hom-D4": ["span-hom", "{dir}/D4-x.gset", "{dir}/D4-y.gset"],
 })
@@ -86,6 +88,19 @@ CASES.update({
 CASES["tom-C2xC2xC2"] = ["tom", "{dir}/C2xC2xC2.grp"]
 
 MACKEY_FILES = ("D4", "C2xC2xC2", "C4", "S3")
+
+# Burnside files with entry (0, 0) of one generator matrix raised by 1.
+# Each key is the span G/H <- G/1 -> G/H, H the reflection class 1, with
+# both legs the projection: its apex is at neither end, so the composition
+# law first fails on a pair with the key as the second factor, in the
+# exhaustive order, but on a pair whose composite is the key, among pairs
+# of keys with an apex at an end.
+BAD_MACKEY = {
+    "S3-bad": ("S3", (1, 1, (0, (0, 0, 1, 1, 2, 2), (0, 0, 1, 1, 2, 2)))),
+    "D4-bad": (
+        "D4", (1, 1, (0, (0, 0, 1, 1, 2, 2, 3, 3), (0, 0, 1, 1, 2, 2, 3, 3)))
+    ),
+}
 
 # G-sets by group and orbit classes.  S3 (class orders 1, 2, 3, 6):
 # S3/C2 + S3/S3 and S3/C3 + S3/C2.  D4 (see subgroups-D4): the orbits of
@@ -101,12 +116,22 @@ GSETS = {
 
 def write_input_files(directory: Path) -> None:
     """`<name>.grp` and the Burnside functor `<name>.mackey` per group of
-    MACKEY_FILES, plus the G-sets of GSETS."""
+    MACKEY_FILES, the corrupted Burnside files of BAD_MACKEY, and the
+    G-sets of GSETS."""
     for name in MACKEY_FILES:
         G = corpus_group(name)
         (directory / f"{name}.grp").write_text(fm.serialize_group(G))
         (directory / f"{name}.mackey").write_text(
             fm.serialize_mackey(mk.burnside_mackey(G), f"{name}.grp")
+        )
+    for name, (group, key) in BAD_MACKEY.items():
+        M = mk.burnside_mackey(corpus_group(group))
+        action = dict(M.gen_action)
+        (first, *rest), *rows = action[key]
+        action[key] = ((first + 1, *rest), *rows)
+        bad = mk.MackeyFunctor(M.group, M.levels, action)
+        (directory / f"{name}.mackey").write_text(
+            fm.serialize_mackey(bad, f"{group}.grp")
         )
     for name, (group, classes) in GSETS.items():
         X = gs.canonical_gset(corpus_group(group), classes)
