@@ -5,6 +5,15 @@ A Mackey functor assigns a finitely presented abelian group to each orbit
 between orbits; values on arbitrary G-sets and span morphisms follow by
 additivity.  Functoriality on span composition encodes the classical
 double-coset formula, and all arithmetic is exact.
+
+check_mackey decides the composition law on generators: on the pairs of
+endpoint keys, the basis spans between orbits G/H -> G/H' whose apex is
+in the class of H or of H'.  Such a span is a transfer, a restriction or
+a conjugation, and every basis span is a transfer after a restriction,
+so the law on these pairs gives it on all pairs (the proof is in
+check_mackey's docstring).  On the corpus this tests 22,995 of the
+88,414 pairs of basis spans; the test suite keeps the exhaustive check
+as its oracle.
 """
 
 from __future__ import annotations
@@ -214,13 +223,73 @@ def check_structure(M: MackeyFunctor) -> Verdict:
     return Verdict(True)
 
 
+def _value(M: MackeyFunctor, c1: int, c2: int, terms, rows: int, cols: int):
+    """The matrix of M on Σ m·k over the (k, m) of terms, keys of spans
+    between the orbits of classes c1 and c2."""
+    if len(terms) == 1 and terms[0][1] == 1:
+        return M.gen_action[(c1, c2, terms[0][0])]
+    out = [[0] * cols for _ in range(rows)]
+    for k, m in terms:
+        for row, term_row in zip(out, M.gen_action[(c1, c2, k)]):
+            for j, a in enumerate(term_row):
+                row[j] += m * a
+    return tuple(map(tuple, out))
+
+
+def _composition_failure(M: MackeyFunctor, bases) -> tuple | None:
+    """The first (c1, c2, c3, k1, k2) with k1 in bases[c1][c2] and k2 in
+    bases[c2][c3] for which M(k2 ∘ k1) and M(k2)·M(k1) differ as maps into
+    level c3, in that lexicographic order; None if there is none."""
+    G = M.group
+    n = len(bases)
+    for c1 in range(n):
+        cols = M.levels[c1].dims
+        for c2 in range(n):
+            for c3 in range(n):
+                tgt_orders = M.levels[c3].orders()
+                rows = M.levels[c3].dims
+                for k1 in bases[c1][c2]:
+                    # the columns of M(k1); all empty if level c2 is zero
+                    A1 = tuple(zip(*M.gen_action[(c1, c2, k1)])) or ((),) * cols
+                    for k2 in bases[c2][c3]:
+                        direct = tuple(
+                            tuple(sum(map(mul, row, col)) for col in A1)
+                            for row in M.gen_action[(c2, c3, k2)]
+                        )
+                        composite = sp._compose_keys(G, k2, k1)
+                        expanded = _value(M, c1, c3, composite, rows, cols)
+                        if direct != expanded and not _congruent(
+                            direct, expanded, tgt_orders
+                        ):
+                            return (c1, c2, c3, k1, k2)
+    return None
+
+
 def check_mackey(M: MackeyFunctor) -> Verdict:
-    """Exhaustive functoriality check over basis spans between orbits.
+    """Functoriality of M on the span category, decided on generators.
 
     Verifies structural completeness of gen_action, torsion
     well-definedness, identity spans acting as identities, and the
     composition law M(b2 ∘ b1) = M(b2)·M(b1) with the composite expanded
     by span composition — the double-coset formula in matrix form.
+
+    The law is tested only on pairs of endpoint keys: keys between orbit
+    classes c -> c' whose apex class is c or c'.  One leg of such a span
+    is an isomorphism, so it is a transfer or a conjugation (apex c) or a
+    restriction or a conjugation (apex c').  Every basis span b with apex
+    G/K factors as b = t_b ∘ r_b through G/K, with r_b and t_b endpoint
+    keys, and the composite of two transfers (or of two restrictions) is
+    again one endpoint key.  So, writing r2 ∘ t1 = Σ_x t_x ∘ r_x,
+
+        M(b2 ∘ b1) = Σ_x M(t2 ∘ t_x)·M(r_x ∘ r1)
+                   = M(t2)·M(r2 ∘ t1)·M(r1) = M(b2)·M(b1),
+
+    each step being the law on a pair of endpoint keys; this is the
+    restriction/transfer/conjugation presentation of Mackey functors
+    (Thévenaz–Webb 1995, §2; Dress 1973).  The steps hold up to
+    congruence in the target level because torsion well-definedness is
+    checked first.  On a failure the pairs of all basis keys are scanned
+    in order, so the witness is the first failing pair among all of them.
     """
     verdict = check_structure(M)
     if not verdict:
@@ -249,31 +318,14 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
         A = M.gen_action[(c, c, ikey)]
         if m != 1 or not _congruent(A, _identity(M.levels[c].dims), M.levels[c].orders()):
             return Verdict(False, "identity span does not act as identity", c)
-    for c1 in range(n):
-        X = _orbit_gset(G, c1)
-        for c2 in range(n):
-            Y = _orbit_gset(G, c2)
-            for c3 in range(n):
-                Z = _orbit_gset(G, c3)
-                tgt_orders = M.levels[c3].orders()
-                rows, cols = M.levels[c3].dims, M.levels[c1].dims
-                for k1 in _orbit_basis(G, c1, c2):
-                    m1 = sp.SpanMor(X, Y, ((k1, 1),))
-                    A1 = M.gen_action[(c1, c2, k1)]
-                    for k2 in _orbit_basis(G, c2, c3):
-                        composite = sp.compose_spans(sp.SpanMor(Y, Z, ((k2, 1),)), m1)
-                        expanded = [[0] * cols for _ in range(rows)]
-                        for k, m in composite.terms:
-                            term = M.gen_action[(c1, c3, k)]
-                            for row, term_row in zip(expanded, term):
-                                for j, a in enumerate(term_row):
-                                    row[j] += m * a
-                        direct = _matmul(M.gen_action[(c2, c3, k2)], A1, cols)
-                        if not _congruent(direct, expanded, tgt_orders):
-                            return Verdict(
-                                False, "composition law fails", (c1, c2, c3, k1, k2)
-                            )
-    return Verdict(True)
+    bases = [[_orbit_basis(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
+    generators = [
+        [[k for k in bases[c1][c2] if k[0] in (c1, c2)] for c2 in range(n)]
+        for c1 in range(n)
+    ]
+    if _composition_failure(M, generators) is None:
+        return Verdict(True)
+    return Verdict(False, "composition law fails", _composition_failure(M, bases))
 
 
 def zero_mackey(G: FiniteGroup) -> MackeyFunctor:

@@ -6,7 +6,8 @@ composite of two basis keys, the least-key canonicalisation of a span
 orbit, the rank of a basis hom by orbit counting, the colim-gset
 equivalence with every hom-set enumerated, Span(F) applied term by term
 with nothing kept between calls, and the adjunction's unit and counit
-squares built and decided for one map at a time.
+squares built and decided for one map at a time, and the Mackey
+composition law tested on every pair of basis spans between orbits.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 
 from profspan import groups as g
 from profspan import gsets as gs
+from profspan import mackey as mk
 from profspan import spans as sp
-from profspan.errors import GroupMismatch
+from profspan.errors import GroupMismatch, Verdict
 from profspan.groups import FiniteGroup, QuotientMap, subgroup_lattice
 from profspan.gsets import EqMap, GSet
 
@@ -220,3 +222,63 @@ def adjunction_report(q: QuotientMap, X: GSet, f: EqMap) -> AdjunctionReport:
     )
     witness = None if counit_sq else (X.action, f.values)
     return AdjunctionReport(unit_is_iso, counit_injective, unit_sq, counit_sq, witness)
+
+
+def mackey_composition_oracle(M: mk.MackeyFunctor) -> Verdict:
+    """check_mackey with the composition law tested exhaustively: after
+    the structure, torsion and identity checks, M(b2 ∘ b1) = M(b2)·M(b1)
+    for every pair of basis spans b1: G/H1 -> G/H2, b2: G/H2 -> G/H3 over
+    class representatives, in (c1, c2, c3, b1, b2) order."""
+    verdict = mk.check_structure(M)
+    if not verdict:
+        return verdict
+    G = M.group
+    n = subgroup_lattice(G).num_classes
+    for c1 in range(n):
+        src = M.levels[c1]
+        for c2 in range(n):
+            tgt = M.levels[c2]
+            for key in mk._orbit_basis(G, c1, c2):
+                A = M.gen_action[(c1, c2, key)]
+                for j, o in enumerate(src.orders()):
+                    if o == 0:
+                        continue
+                    for i, to in enumerate(tgt.orders()):
+                        v = o * A[i][j]
+                        if (to == 0 and v != 0) or (to != 0 and v % to != 0):
+                            return Verdict(
+                                False, "matrix not well defined on torsion",
+                                (c1, c2, key),
+                            )
+    for c in range(n):
+        X = mk._orbit_gset(G, c)
+        (ikey, m), = sp.identity_span(X).terms
+        A = M.gen_action[(c, c, ikey)]
+        identity = mk._identity(M.levels[c].dims)
+        if m != 1 or not mk._congruent(A, identity, M.levels[c].orders()):
+            return Verdict(False, "identity span does not act as identity", c)
+    for c1 in range(n):
+        X = mk._orbit_gset(G, c1)
+        for c2 in range(n):
+            Y = mk._orbit_gset(G, c2)
+            for c3 in range(n):
+                Z = mk._orbit_gset(G, c3)
+                tgt_orders = M.levels[c3].orders()
+                rows, cols = M.levels[c3].dims, M.levels[c1].dims
+                for k1 in mk._orbit_basis(G, c1, c2):
+                    m1 = sp.SpanMor(X, Y, ((k1, 1),))
+                    A1 = M.gen_action[(c1, c2, k1)]
+                    for k2 in mk._orbit_basis(G, c2, c3):
+                        composite = sp.compose_spans(sp.SpanMor(Y, Z, ((k2, 1),)), m1)
+                        expanded = [[0] * cols for _ in range(rows)]
+                        for k, m in composite.terms:
+                            term = M.gen_action[(c1, c3, k)]
+                            for row, term_row in zip(expanded, term):
+                                for j, a in enumerate(term_row):
+                                    row[j] += m * a
+                        direct = mk._matmul(M.gen_action[(c2, c3, k2)], A1, cols)
+                        if not mk._congruent(direct, expanded, tgt_orders):
+                            return Verdict(
+                                False, "composition law fails", (c1, c2, c3, k1, k2)
+                            )
+    return Verdict(True)

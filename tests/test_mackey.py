@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,8 @@ from profspan import mackey as mk
 from profspan import spans as sp
 from profspan.corpus import corpus_group, groups_of_order_at_most
 from profspan.errors import IncoherentFamily
+
+from oracles import mackey_composition_oracle
 
 
 C2 = g.cyclic(2)
@@ -95,18 +98,71 @@ def test_check_mackey_corpus_small():
         assert mk.check_mackey(mk.burnside_mackey(G)), name
 
 
-def test_check_mackey_accepts_a_zero_middle_level():
+def _zero_middle_level():
     # Z at C2/C2 and 0 at C2/1: the identity span acts by 1, every span
-    # through the free orbit by 0; the composites through the zero level
-    # must compare as zero matrices of the outer shape
+    # through the free orbit by 0
     gen_action = {}
     for c1 in range(2):
         for c2 in range(2):
             for key in mk._orbit_basis(C2, c1, c2):
                 value = int((c1, c2, key[0]) == (1, 1, 1))
                 gen_action[(c1, c2, key)] = ((value,) * c1,) * c2
-    M = mk.MackeyFunctor(C2, (mk.ZERO_AB, mk.AbPresentation(1)), gen_action)
-    assert mk.check_mackey(M)
+    return mk.MackeyFunctor(C2, (mk.ZERO_AB, mk.AbPresentation(1)), gen_action)
+
+
+def test_check_mackey_accepts_a_zero_middle_level():
+    # the composites through the zero level must compare as zero matrices
+    # of the outer shape
+    assert mk.check_mackey(_zero_middle_level())
+
+
+# Functors whose one-entry mutants check_mackey and the exhaustive oracle
+# must judge alike: the Burnside functors of the corpus groups of order
+# <= 8, Burnside mod 2 over C4 (torsion levels) and the zero middle level.
+MUTATED = {
+    name: (lambda G=G: mk.burnside_mackey(G))
+    for name, G in groups_of_order_at_most(8)
+}
+MUTATED["C4-mod-2"] = lambda: mk.reduce_mod(mk.burnside_mackey(C4), 2)
+MUTATED["C2-zero-middle"] = _zero_middle_level
+
+# Every generator key of a functor gets one mutant, except where a functor
+# has more than ALL_KEYS_UP_TO keys; there a seeded sample of SAMPLE_KEYS
+# keys does.  A mutant costs both checks a scan up to its first failing
+# pair: all 208 of D4 take about 14 s, 120 of C2xC2xC2's 726 about 40 s.
+ALL_KEYS_UP_TO, SAMPLE_KEYS = 60, 20
+
+
+def _one_entry_mutants(M, rng):
+    """Per generator key with a nonempty matrix, M with one seeded entry of
+    that matrix moved by a seeded ±1."""
+    for key in sorted(M.gen_action):
+        mat = M.gen_action[key]
+        if not mat or not mat[0]:
+            continue
+        i, j = rng.randrange(len(mat)), rng.randrange(len(mat[0]))
+        d = rng.choice((1, -1))
+        action = dict(M.gen_action)
+        action[key] = tuple(
+            tuple(v + d * ((r, c) == (i, j)) for c, v in enumerate(row))
+            for r, row in enumerate(mat)
+        )
+        yield key, mk.MackeyFunctor(M.group, M.levels, action)
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED))
+def test_check_mackey_agrees_with_the_exhaustive_oracle_on_mutants(name):
+    rng = random.Random(name)
+    M = MUTATED[name]()
+    assert mk.check_mackey(M) and mackey_composition_oracle(M)
+    mutants = list(_one_entry_mutants(M, rng))
+    if len(M.gen_action) > ALL_KEYS_UP_TO:
+        mutants = rng.sample(mutants, SAMPLE_KEYS)
+    for key, bad in mutants:
+        fast, slow = mk.check_mackey(bad), mackey_composition_oracle(bad)
+        assert (fast.ok, fast.reason, fast.witness) == (
+            slow.ok, slow.reason, slow.witness
+        ), key
 
 
 def test_check_mackey_detects_corruption():

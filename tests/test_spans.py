@@ -126,8 +126,10 @@ def _relabelled(G, seed):
 
 
 def _composable_basis_pairs(G):
-    """Every (k2, k1) that check_mackey composes: basis keys of spans
-    G/H1 -> G/H2 and G/H2 -> G/H3 over subgroup class representatives."""
+    """Every (k2, k1) of basis keys of spans G/H1 -> G/H2 and
+    G/H2 -> G/H3 over subgroup class representatives: the pairs the
+    exhaustive Mackey oracle composes, of which check_mackey composes
+    those with both apexes at an end."""
     lat = g.subgroup_lattice(G)
     orbits = [
         gs.coset_gset(G, lat.class_rep(c).elements) for c in range(lat.num_classes)
@@ -318,6 +320,24 @@ def test_span_functors_are_left_exact():
     small_c4 = [gs.canonical_gset(C4, m) for m in gs.gset_isoclasses(C4, 2)]
     assert sp.check_left_exact(sp.InflationGSetFunctor(q), small_c2)
     assert sp.check_left_exact(sp.FixedPointsGSetFunctor(q), small_c4)
+
+
+@pytest.mark.parametrize(
+    "functor", [sp.InflationGSetFunctor, sp.FixedPointsGSetFunctor]
+)
+def test_check_left_exact_maps_each_distinct_map_once(functor, monkeypatch):
+    # the probes of verify colim-span and limit-span on the 2,2 tower: 107
+    # squares, whose 428 legs are 25 distinct maps
+    F = functor(g.cyclic_tower(2, 2).links[0])
+    G = F.src_group
+    probes = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, 2)]
+    calls = []
+    unwrapped = functor.map
+    monkeypatch.setattr(
+        functor, "map", lambda self, f: calls.append(f) or unwrapped(self, f)
+    )
+    assert sp.check_left_exact(F, probes)
+    assert len(calls) == len(set(calls)) == 25
 
 
 class _OrbitQuotientFunctor(sp.GSetFunctor):
