@@ -249,13 +249,9 @@ def _composition_failure(M: MackeyFunctor, bases) -> tuple | None:
                 tgt_orders = M.levels[c3].orders()
                 rows = M.levels[c3].dims
                 for k1 in bases[c1][c2]:
-                    # the columns of M(k1); all empty if level c2 is zero
-                    A1 = tuple(zip(*M.gen_action[(c1, c2, k1)])) or ((),) * cols
+                    A1 = M.gen_action[(c1, c2, k1)]
                     for k2 in bases[c2][c3]:
-                        direct = tuple(
-                            tuple(sum(map(mul, row, col)) for col in A1)
-                            for row in M.gen_action[(c2, c3, k2)]
-                        )
+                        direct = _matmul(M.gen_action[(c2, c3, k2)], A1, cols)
                         composite = sp._compose_keys(G, k2, k1)
                         expanded = _value(M, c1, c3, composite, rows, cols)
                         if direct != expanded and not _congruent(
