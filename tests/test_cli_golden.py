@@ -2,7 +2,8 @@
 
 Each case runs the CLI in-process and compares against
 `tests/golden/<name>.txt`, whose first line is `exit <code>` and whose
-remaining lines are the exact stdout.  A change that must not alter any
+remaining lines are the exact stdout, followed by a `stderr:` line and
+the exact stderr when the run wrote any (the input errors).  A change that must not alter any
 report (a speed-up, a refactor) leaves every file matching byte for byte.
 
 The file verbs read group, G-set and Burnside Mackey files of corpus
@@ -80,6 +81,13 @@ CASES.update({
     "span-hom-S3": ["span-hom", "{dir}/S3-x.gset", "{dir}/S3-y.gset"],
     "span-hom-D4": ["span-hom", "{dir}/D4-x.gset", "{dir}/D4-y.gset"],
 })
+# Input errors: exit 2, nothing on stdout, one `error:` line on stderr.
+CASES.update({
+    "error-verify-all-depth-1": ["--tower", "2,1", "verify", "all"],
+    "error-verify-all-cap3": ["--cap", "3", "verify", "all"],
+    "error-colim-gset-tower-4-2": ["--tower", "4,2", "verify", "colim-gset"],
+    "error-mackey-limit-tower-x-y": ["--tower", "x,y", "verify", "mackey-limit"],
+})
 CASES.update({
     f"{verb}-{name}": [verb, f"{{dir}}/{name}.grp"]
     for verb in ("group-show", "subgroups", "tom", "burnside")
@@ -141,12 +149,16 @@ def write_input_files(directory: Path) -> None:
 
 
 def run(argv, directory: Path) -> str:
-    """`exit <code>` followed by the stdout of `profspan <argv>`, with
-    `{dir}` in argv standing for the directory of the input files."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """`exit <code>` followed by the stdout of `profspan <argv>`, and by
+    `stderr:` and the stderr when there is any, with `{dir}` in argv
+    standing for the directory of the input files."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([a.format(dir=directory) for a in argv])
-    return f"exit {code}\n{out.getvalue()}"
+    text = f"exit {code}\n{out.getvalue()}"
+    if err.getvalue():
+        text += f"stderr:\n{err.getvalue()}"
+    return text
 
 
 @pytest.fixture(scope="module")

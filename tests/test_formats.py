@@ -50,6 +50,24 @@ def test_tower_rejects_non_homomorphism():
         fm.parse_tower("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize(
+    "projection,message",
+    [
+        ("0 0 0 0", "projection is not onto the previous stage"),
+        ("1 0 0 1", "projection is not a homomorphism"),
+    ],
+    ids=["not-onto", "not-homomorphism"],
+)
+def test_tower_link_error_names_the_projection_line(projection, message):
+    lines = fm.serialize_tower(g.cyclic_tower(2, 2)).splitlines()
+    assert lines[10] == "0 1 0 1"  # link 0, on line 11
+    lines[10] = projection
+    with pytest.raises(ParseError) as err:
+        fm.parse_tower("\n".join(lines) + "\n", source="t.tower")
+    assert str(err.value) == f"t.tower:11: {message}"
+    assert err.value.line == 11
+
+
 def test_gset_roundtrip(tmp_path):
     G = corpus_group("S3")
     X = gs.canonical_gset(G, (1, 3))
