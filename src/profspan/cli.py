@@ -25,7 +25,8 @@ from .errors import GroupMismatch, NotAGroup, NotNormal, NotPrime, ParseError
 _INPUT_ERRORS = (ParseError, NotPrime, NotNormal, NotAGroup, GroupMismatch)
 
 
-def _parse_tower_flag(value: str) -> tuple[int, int]:
+def _parse_tower_flag(value: str) -> g.GroupTower:
+    """The cyclic tower of `p,depth`; NotPrime when p is not prime."""
     try:
         p_str, depth_str = value.split(",")
         p, depth = int(p_str), int(depth_str)
@@ -33,7 +34,7 @@ def _parse_tower_flag(value: str) -> tuple[int, int]:
         raise ParseError("<args>", 0, "--tower expects `p,depth`")
     if p < 2 or depth < 1:
         raise ParseError("<args>", 0, "--tower needs p >= 2 and depth >= 1")
-    return p, depth
+    return g.cyclic_tower(p, depth)
 
 
 def _size_cap(value: str) -> int:
@@ -124,8 +125,10 @@ def cmd_mackey_check(args) -> tuple[str, int]:
     M = fm.load_mackey(args.file)
     verdict = mk.check_mackey(M)
     if verdict:
-        return f"PASS\nlevels: {len(M.levels)}, generators: {len(M.gen_action)}", 0
-    return f"FAIL {verdict.reason} (witness {verdict.witness})", 1
+        verdict.lines.append(
+            f"levels: {len(M.levels)}, generators: {len(M.gen_action)}"
+        )
+    return verdict.render(), 0 if verdict else 1
 
 
 def cmd_mackey_fixed(args) -> tuple[str, int]:

@@ -1,18 +1,29 @@
 """Exception types and the check verdict shared across the package."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass
 class Verdict:
-    """Outcome of a check: truthy when it holds, else a reason and witness."""
+    """Outcome of a check: truthy when it holds, else a reason and a
+    witness (None when there is none).  `lines` are the report lines that
+    follow the verdict line when it is rendered."""
 
     ok: bool
     reason: str = ""
     witness: object = None
+    lines: list[str] = field(default_factory=list)
 
     def __bool__(self):
         return self.ok
+
+    def render(self) -> str:
+        """`PASS`, or `FAIL <reason>` and ` (witness <w>)` when there is a
+        witness, followed by the report lines."""
+        first = "PASS" if self.ok else f"FAIL {self.reason}"
+        if not self.ok and self.witness is not None:
+            first += f" (witness {self.witness})"
+        return "\n".join([first, *self.lines])
 
 
 class NotAGroup(ValueError):

@@ -209,22 +209,21 @@ def colimit_chain(D: ChainDiagram) -> ColimitChain:
     classes: list[list[tuple[int, object]]] = []
     reps: list[object] = []
     membership: dict[tuple[int, object], int] = {}
+    iso_to_rep: dict = {}  # (i, x) -> the iso found from its image to its rep
     for i, x in entries:
         tx = D.transport_obj(i, x, n - 1)
         for c, rep in enumerate(reps):
-            if final.is_isomorphic(tx, rep):
+            iso = final.find_iso(tx, rep)
+            if iso is not None:
                 classes[c].append((i, x))
                 membership[(i, x)] = c
                 break
         else:
+            iso = final.identity(tx)
             membership[(i, x)] = len(classes)
             classes.append([(i, x)])
             reps.append(tx)
-
-    iso_to_rep = {
-        (i, x): final.find_iso(D.transport_obj(i, x, n - 1), reps[membership[(i, x)]])
-        for i, x in entries
-    }
+        iso_to_rep[(i, x)] = iso
 
     def hom(c1, c2):
         return tuple((c1, c2, m) for m in final.hom(reps[c1], reps[c2]))

@@ -7,14 +7,7 @@ from __future__ import annotations
 import os
 
 from .errors import ParseError
-from .groups import (
-    FiniteGroup,
-    GroupTower,
-    QuotientMap,
-    make_group,
-    make_subgroup,
-    make_tower,
-)
+from .groups import FiniteGroup, GroupTower, make_group, make_tower, quotient_map
 from .gsets import GSet, make_gset
 from .mackey import AbPresentation, MackeyFunctor, check_structure
 
@@ -118,22 +111,12 @@ def parse_tower(text: str, source: str = "<tower>") -> GroupTower:
         if link_line.split() != ["link", str(i)]:
             raise lines.error(f"expected `link {i}`")
         proj = _ints(lines, lines.next(), stage.order)
-        target = stages[-1]
-        if set(proj) != set(range(target.order)):
-            raise lines.error("projection is not onto the previous stage")
-        for a in stage.elements():
-            for b in stage.elements():
-                if proj[stage.mul(a, b)] != target.mul(proj[a], proj[b]):
-                    raise lines.error("projection is not a homomorphism")
-        kernel = tuple(sorted(g for g in stage.elements() if proj[g] == 0))
-        links.append(
-            QuotientMap(stage, make_subgroup(stage, kernel), target, tuple(proj))
-        )
+        try:
+            links.append(quotient_map(stage, stages[-1], proj))
+        except ValueError as exc:
+            raise lines.error(str(exc))
         stages.append(stage)
-    try:
-        return make_tower(stages, links)
-    except Exception as exc:
-        raise lines.error(f"invalid tower: {exc}")
+    return make_tower(stages, links)
 
 
 def serialize_gset(X: GSet, group_file: str) -> str:

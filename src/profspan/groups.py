@@ -233,6 +233,8 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
 @memoise_hash
 @dataclass(frozen=True)
 class QuotientMap:
+    """A surjective homomorphism and its kernel; built by quotient_map."""
+
     source: FiniteGroup
     kernel: Subgroup
     target: FiniteGroup
@@ -241,6 +243,24 @@ class QuotientMap:
     def section(self, c: int) -> int:
         """Smallest source element projecting to c."""
         return self.projection.index(c)
+
+
+def quotient_map(source: FiniteGroup, target: FiniteGroup, projection) -> QuotientMap:
+    """The quotient map sending a to projection[a], with the preimage of 0
+    as kernel.  Raises ValueError unless it is onto the target (in a tower,
+    the previous stage) and a homomorphism, that is p(as) = p(a)p(s) for
+    all a and all s of a generating set (by induction on word length)."""
+    projection = tuple(projection)
+    if len(projection) != source.order or set(projection) != set(target.elements()):
+        raise ValueError("projection is not onto the previous stage")
+    mult, tmult = source.mult, target.mult
+    for s in generating_set(source):
+        ps = projection[s]
+        for a, pa in enumerate(projection):
+            if projection[mult[a][s]] != tmult[pa][ps]:
+                raise ValueError("projection is not a homomorphism")
+    kernel = Subgroup(source, tuple(g for g in source.elements() if projection[g] == 0))
+    return QuotientMap(source, kernel, target, projection)
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> QuotientMap:
@@ -262,32 +282,23 @@ def quotient(G: FiniteGroup, N: Subgroup) -> QuotientMap:
     # cosets are discovered in order of their minimal element, so the
     # identity coset is index 0
     reps = [c[0] for c in cosets]
-    table = tuple(
-        tuple(coset_of[G.mul(a, b)] for b in reps) for a in reps
-    )
-    projection = tuple(coset_of[g] for g in G.elements())
-    return QuotientMap(G, N, FiniteGroup(table), projection)
+    table = tuple(tuple(coset_of[G.mul(a, b)] for b in reps) for a in reps)
+    return quotient_map(G, FiniteGroup(table), (coset_of[g] for g in G.elements()))
 
 
 def compose_quotients(q_outer: QuotientMap, q_inner: QuotientMap) -> QuotientMap:
     """Composite projection: q_inner then q_outer."""
     if q_inner.target != q_outer.source:
         raise ValueError("quotient maps do not compose")
-    projection = tuple(q_outer.projection[c] for c in q_inner.projection)
-    kernel = make_subgroup(
-        q_inner.source,
-        tuple(g for g in q_inner.source.elements() if projection[g] == 0),
-    )
-    return QuotientMap(q_inner.source, kernel, q_outer.target, projection)
+    projection = (q_outer.projection[c] for c in q_inner.projection)
+    return quotient_map(q_inner.source, q_outer.target, projection)
 
 
 @memoise_hash
 @dataclass(frozen=True)
 class GroupTower:
-    """Chain of finite quotients; stages[0] is the coarsest.
-
-    links[i] projects stages[i+1] onto stages[i].
-    """
+    """Chain of finite quotients; stages[0] is the coarsest.  links[i]
+    projects stages[i+1] onto stages[i]; make_tower checks every link."""
 
     stages: tuple[FiniteGroup, ...]
     links: tuple[QuotientMap, ...]
@@ -307,23 +318,28 @@ class GroupTower:
 @lru_cache(maxsize=None)
 def _tower_projection(tower: GroupTower, src_level: int, dst_level: int) -> QuotientMap:
     G = tower.stages[src_level]
-    q = QuotientMap(G, make_subgroup(G, (0,)), G, tuple(G.elements()))
+    q = quotient_map(G, G, G.elements())
     for i in range(src_level - 1, dst_level - 1, -1):
         q = compose_quotients(tower.links[i], q)
     return q
 
 
 def make_tower(stages, links) -> GroupTower:
-    stages = tuple(stages)
-    links = tuple(links)
+    """The tower with these stages and links.  Raises ValueError, naming
+    the link, unless links[i] is the quotient map stages[i+1] -> stages[i]
+    that quotient_map derives from its projection."""
+    stages, links = tuple(stages), tuple(links)
     if len(links) != len(stages) - 1:
         raise ValueError("a tower of depth d needs d-1 links")
     for i, q in enumerate(links):
         if q.source != stages[i + 1] or q.target != stages[i]:
             raise ValueError(f"link {i} endpoints do not match the stages")
-    for i in range(1, len(stages)):
-        if stages[i].order < stages[i - 1].order:
-            raise ValueError("stage orders must be non-decreasing")
+        try:
+            derived = quotient_map(q.source, q.target, q.projection)
+        except ValueError as exc:
+            raise ValueError(f"link {i}: {exc}")
+        if derived != q:
+            raise ValueError(f"link {i}: kernel is not the preimage of 0")
     return GroupTower(stages, links)
 
 
@@ -338,13 +354,10 @@ def cyclic_tower(p: int, depth: int) -> GroupTower:
     if depth < 1:
         raise ValueError("depth must be positive")
     stages = [cyclic(p**i) for i in range(1, depth + 1)]
-    links = []
-    for i in range(depth - 1):
-        big, small = stages[i + 1], stages[i]
-        m = small.order
-        kernel = make_subgroup(big, tuple(x for x in big.elements() if x % m == 0))
-        projection = tuple(x % m for x in big.elements())
-        links.append(QuotientMap(big, kernel, small, projection))
+    links = [
+        quotient_map(big, small, [x % small.order for x in big.elements()])
+        for small, big in zip(stages, stages[1:])
+    ]
     return make_tower(stages, links)
 
 

@@ -23,11 +23,12 @@ span_from_maps, transport_span and the maps of span_of_functor are each
 one call to it.  The pullback composite, the hom-enumerating basis and
 Span(F) applied term by term stay as oracles in the test suite.
 
-Span(F), the function span_of_functor returns, computes F.obj of each
-object and the image of each basis key, per (X, Y, key), once, and keeps
-them only as long as that function lives: for one span check of verify,
-or one categorical_fixed_points call.  The composites of basis keys
-(_compose_keys) and the coset tables are kept for the process.
+Span(F), the function span_of_functor returns, computes the image of
+each basis key, per (X, Y, key), once, for as long as it lives: one span
+check of verify, or one categorical_fixed_points call.  F.mapped maps
+each map once for as long as F lives, for Span(F) and check_left_exact
+both.  The composites of basis keys (_compose_keys) and the coset tables
+are kept for the process.
 """
 
 from __future__ import annotations
@@ -378,6 +379,14 @@ class GSetFunctor:
     def map(self, f: EqMap) -> EqMap:
         raise NotImplementedError
 
+    def mapped(self, f: EqMap) -> EqMap:
+        """F.map(f), computed once per map for as long as F lives; the
+        probes of check_left_exact and the legs of Span(F) share it."""
+        memo = self.__dict__.setdefault("_mapped", {})
+        if f not in memo:
+            memo[f] = self.map(f)
+        return memo[f]
+
 
 class InflationGSetFunctor(GSetFunctor):
     """Inflation along a quotient map, from G/N-sets to G-sets."""
@@ -411,28 +420,18 @@ class FixedPointsGSetFunctor(GSetFunctor):
 
 def check_left_exact(F: GSetFunctor, objects) -> Verdict:
     """Whether F carries pullbacks of maps between the given G-sets to
-    pullbacks; exhaustive over the supplied objects.  The probe squares
-    share their legs, so F.map is applied once per distinct map."""
-    mapped: dict = {}
-
-    def image(f: EqMap) -> EqMap:
-        Ff = mapped.get(f)
-        if Ff is None:
-            Ff = mapped[f] = F.map(f)
-        return Ff
-
+    pullbacks; exhaustive over the supplied objects.  The witness of a
+    failure names the cospan X -f-> Z <-g- Y: (X, Y, Z actions, f and g
+    values).  The squares share legs; F.mapped maps each one once."""
     for X, Y, Z in itertools.product(objects, repeat=3):
         for f in gs.hom_gset(X, Z):
             for g in gs.hom_gset(Y, Z):
                 P, p1, p2 = gs.pullback(f, g)
-                try:
-                    ok = gs.square_is_pullback(
-                        image(p1), image(p2), image(f), image(g)
-                    )
-                except ValueError:
-                    ok = False
-                if not ok:
-                    return Verdict(False, "pullback not preserved", (f, g))
+                if not gs.square_is_pullback(
+                    F.mapped(p1), F.mapped(p2), F.mapped(f), F.mapped(g)
+                ):
+                    square = (X.action, Y.action, Z.action, f.values, g.values)
+                    return Verdict(False, "pullback not preserved", square)
     return Verdict(True)
 
 
@@ -443,23 +442,16 @@ def span_of_functor(F: GSetFunctor):
     The image of a basis span is F applied to its endpoints and legs,
     with the orbits of the image apex keyed by _sum_spans.  Span(F) is
     additive, so the returned function adds up mult · image over the
-    terms of a morphism.  It keeps F.obj of each object and the image
-    terms of each basis key per (X, Y, key) for as long as it lives, so
-    F.map sees each basis leg once."""
-    objs: dict = {}
+    terms of a morphism.  It keeps the image terms of each basis key per
+    (X, Y, key) for as long as it lives, and maps each distinct leg once
+    through F.mapped."""
     images: dict = {}
-
-    def obj(X: GSet) -> GSet:
-        FX = objs.get(X)
-        if FX is None:
-            FX = objs[X] = F.obj(X)
-        return FX
 
     def image(X: GSet, Y: GSet, key: Key) -> tuple:
         terms = images.get((X, Y, key))
         if terms is None:  # a zero image is (), not None
             f, g = basis_legs(X, Y, key)
-            m = _sum_spans(obj(X), obj(Y), [(F.map(f), F.map(g), 1)])
+            m = _sum_spans(F.obj(X), F.obj(Y), [(F.mapped(f), F.mapped(g), 1)])
             terms = images[X, Y, key] = m.terms
         return terms
 
@@ -468,6 +460,6 @@ def span_of_functor(F: GSetFunctor):
         for key, mult in m.terms:
             for k, c in image(m.left, m.right, key):
                 counts[k] = counts.get(k, 0) + mult * c
-        return SpanMor(obj(m.left), obj(m.right), _normalize(counts))
+        return SpanMor(F.obj(m.left), F.obj(m.right), _normalize(counts))
 
     return apply

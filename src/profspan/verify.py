@@ -1,6 +1,8 @@
 """Theorem-level verification routines shared by the CLI and the
-acceptance suite.  Every routine returns a Report whose rendered first
-line is `PASS` or `FAIL <witness>`.
+acceptance suite.  Every routine returns a Verdict whose report lines
+follow its rendered `PASS` or `FAIL <reason> (witness <w>)` line.  The
+tower checks take a GroupTower, built and validated once by the caller
+(the CLI builds the cyclic tower of --tower).
 
 The span-category statements are verified at the level of hom-monoid
 bases: span hom-sets are free commutative monoids on transitive-apex
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import fincat as fc
@@ -29,19 +30,8 @@ from . import spans as sp
 from .errors import IncoherentFamily, ParseError, Verdict
 
 
-@dataclass
-class Report:
-    ok: bool
-    witness: str = ""
-    lines: list[str] = field(default_factory=list)
-
-    def render(self) -> str:
-        first = "PASS" if self.ok else f"FAIL {self.witness}"
-        return "\n".join([first] + self.lines)
-
-
-def _require_link(check: str, depth: int) -> None:
-    if depth < 2:
+def _require_link(check: str, tower: g.GroupTower) -> None:
+    if tower.depth < 2:
         message = f"verify {check} needs --tower depth >= 2 (depth 1 has no link)"
         raise ParseError("<args>", 0, message)
 
@@ -50,6 +40,12 @@ def _require_cap(cap: int) -> None:
     if cap < 4:
         message = "verify adjunction needs --cap >= 4 (no counit square fails below it)"
         raise ParseError("<args>", 0, message)
+
+
+def _tower_line(tower: g.GroupTower, *rest: str) -> str:
+    """The report's tower header; p is the first stage's order."""
+    head = f"tower: cyclic p={tower.stages[0].order} depth={tower.depth}"
+    return ", ".join([head, *rest])
 
 
 def _stage_objects(G, cap):
@@ -68,7 +64,7 @@ def _colimit_classes(tower, cap) -> list[tuple[int, ...]]:
     return list(classes)
 
 
-def verify_colim_gset(p: int, depth: int, cap: int) -> Report:
+def verify_colim_gset(tower: g.GroupTower, cap: int) -> Verdict:
     """The colimit of the capped stage categories along inflation is the
     capped discrete model of the tower.
 
@@ -79,21 +75,20 @@ def verify_colim_gset(p: int, depth: int, cap: int) -> Report:
     class, and inflation along every link is a bijection on every hom
     factor (_links_verdict).
     """
-    tower = g.cyclic_tower(p, depth)
     classes = _colimit_classes(tower, cap)
     verdict = _surjective_verdict(tower, cap, set(classes))
     if verdict:
         verdict = _links_verdict(tower, cap)
     objects = sum(len(gs.gset_isoclasses(G, cap)) for G in tower.stages)
     lines = [
-        f"tower: cyclic p={p} depth={depth}, size cap {cap}",
+        _tower_line(tower, f"size cap {cap}"),
         f"colimit object classes: {len(classes)}",
         f"discrete-model objects: {objects}",
         "comparison functor is an equivalence"
         if verdict
         else f"equivalence failure: {verdict.reason}",
     ]
-    return Report(bool(verdict), "" if verdict else str(verdict.witness), lines)
+    return Verdict(verdict.ok, verdict.reason, verdict.witness, lines)
 
 
 def _surjective_verdict(tower, cap, classes) -> Verdict:
@@ -134,7 +129,7 @@ def _links_verdict(tower, cap) -> Verdict:
     return Verdict(True)
 
 
-def verify_colim_span(p: int, depth: int, cap: int, seed: int = 0) -> Report:
+def verify_colim_span(tower: g.GroupTower, cap: int, seed: int = 0) -> Verdict:
     """Span of the discrete model as the colimit of stage span categories.
 
     Verified on hom-monoid bases: each inflation step is left exact on
@@ -142,18 +137,18 @@ def verify_colim_span(p: int, depth: int, cap: int, seed: int = 0) -> Report:
     functorially, and at the final stage the comparison to the discrete
     model is a basis bijection on every hom.
     """
-    _require_link("colim-span", depth)
-    tower = g.cyclic_tower(p, depth)
+    _require_link("colim-span", tower)
     rng = random.Random(seed)
-    lines = [f"tower: cyclic p={p} depth={depth}, size cap {cap}, seed {seed}"]
+    lines = [_tower_line(tower, f"size cap {cap}", f"seed {seed}")]
     checked_pairs = 0
     checked_compositions = 0
-    for i in range(depth - 1):
-        q = tower.links[i]
+    for i, q in enumerate(tower.links):
         objs = _stage_objects(q.target, cap)
         Inf = sp.InflationGSetFunctor(q)
-        if not sp.check_left_exact(Inf, _stage_objects(q.target, min(cap, 2))):
-            return Report(False, f"inflation not left exact at stage {i}")
+        exact = sp.check_left_exact(Inf, _stage_objects(q.target, min(cap, 2)))
+        if not exact:
+            reason = f"inflation not left exact at stage {i}"
+            return Verdict(False, reason, exact.witness)
         SpInf = sp.span_of_functor(Inf)
         sigma = {X: gs.canonical_iso(gs.inflate(X, q)) for X in objs}
         bases = {}
@@ -167,13 +162,13 @@ def verify_colim_span(p: int, depth: int, cap: int, seed: int = 0) -> Report:
                         SpInf(sp.basis_span_mor(X, Y, b)), sigma[X], sigma[Y]
                     )
                     if len(m.terms) != 1 or m.terms[0][1] != 1:
-                        return Report(
+                        return Verdict(
                             False,
                             f"inflation of a basis span is not basic at stage {i}",
                         )
                     images.add(m.terms[0][0])
                 if len(images) != len(basis) or not images <= target_keys:
-                    return Report(
+                    return Verdict(
                         False, f"inflation not injective on basis at stage {i}"
                     )
                 checked_pairs += 1
@@ -189,7 +184,7 @@ def verify_colim_span(p: int, depth: int, cap: int, seed: int = 0) -> Report:
             if SpInf(sp.compose_spans(m2, m1)) != sp.compose_spans(
                 SpInf(m2), SpInf(m1)
             ):
-                return Report(False, f"Span(inflation) not functorial at stage {i}")
+                return Verdict(False, f"Span(inflation) not functorial at stage {i}")
             checked_compositions += 1
     # objects jointly hit: inflation keeps sizes, so capped objects lift capped
     lines += [
@@ -197,10 +192,10 @@ def verify_colim_span(p: int, depth: int, cap: int, seed: int = 0) -> Report:
         f"sampled functoriality compositions: {checked_compositions}",
         "basis-level comparison is bijective on every hom; objects jointly hit",
     ]
-    return Report(True, "", lines)
+    return Verdict(True, lines=lines)
 
 
-def verify_limit_span(p: int, depth: int, cap: int) -> Report:
+def verify_limit_span(tower: g.GroupTower, cap: int) -> Verdict:
     """Span of the deepest stage as the limit of stage span categories
     along Span(fixed points).
 
@@ -209,19 +204,19 @@ def verify_limit_span(p: int, depth: int, cap: int) -> Report:
     is well defined on bases (basis to basis-or-zero, exactly following
     the N ⊆ H rule), left exact, functorial, and identity-preserving.
     """
-    _require_link("limit-span", depth)
-    tower = g.cyclic_tower(p, depth)
-    lines = [f"tower: cyclic p={p} depth={depth}, size cap {cap}"]
+    _require_link("limit-span", tower)
+    lines = [_tower_line(tower, f"size cap {cap}")]
     basis_images = 0
     compositions = 0
-    for i in range(depth - 1):
-        q = tower.links[i]  # stages[i+1] -> stages[i]
+    for i, q in enumerate(tower.links):  # q: stages[i+1] -> stages[i]
         G = q.source
         lat = g.subgroup_lattice(G)
         N = set(q.kernel.elements)
         Fix = sp.FixedPointsGSetFunctor(q)
-        if not sp.check_left_exact(Fix, _stage_objects(G, min(cap, 2))):
-            return Report(False, f"fixed points not left exact at stage {i}")
+        exact = sp.check_left_exact(Fix, _stage_objects(G, min(cap, 2)))
+        if not exact:
+            reason = f"fixed points not left exact at stage {i}"
+            return Verdict(False, reason, exact.witness)
         SpFix = sp.span_of_functor(Fix)
         objs = _stage_objects(G, cap)
         images = {}  # (X, Y) -> [(basis span, its SpFix image)]
@@ -236,17 +231,17 @@ def verify_limit_span(p: int, depth: int, cap: int) -> Report:
                     if expect_nonzero and (
                         len(image.terms) != 1 or image.terms[0][1] != 1
                     ):
-                        return Report(
+                        return Verdict(
                             False, "fixed points of a kernel-fixed apex is not basic"
                         )
                     if not expect_nonzero and not image.is_zero():
-                        return Report(
+                        return Verdict(
                             False, "fixed points of a kernel-moved apex is not zero"
                         )
                     basis_images += 1
             iX = sp.identity_span(X)
             if SpFix(iX) != sp.identity_span(gs.fixed_points(X, q)):
-                return Report(False, "identity span not preserved")
+                return Verdict(False, "identity span not preserved")
         for X in objs[:4]:
             for Y in objs[:4]:
                 for Z in objs[:4]:
@@ -255,7 +250,7 @@ def verify_limit_span(p: int, depth: int, cap: int) -> Report:
                             if SpFix(sp.compose_spans(m2, m1)) != sp.compose_spans(
                                 f2, f1
                             ):
-                                return Report(
+                                return Verdict(
                                     False,
                                     f"Span(fixed points) not functorial at stage {i}",
                                 )
@@ -265,10 +260,10 @@ def verify_limit_span(p: int, depth: int, cap: int) -> Report:
         f"functoriality compositions verified: {compositions}",
         "families along the chain are determined by their deepest component",
     ]
-    return Report(True, "", lines)
+    return Verdict(True, lines=lines)
 
 
-def verify_adjunction(cap: int = 4) -> Report:
+def verify_adjunction(cap: int = 4) -> Verdict:
     """Unit/counit naturality squares for inflation/fixed points over C4
     with the order-2 kernel: every unit square is a pullback; at least one
     counit square is not, and its witness is reported as expected.
@@ -286,7 +281,7 @@ def verify_adjunction(cap: int = 4) -> Report:
     for X in objs:
         data = gs.fixed_point_data(X, q)
         if not (data.unit.is_iso() and data.counit.is_injective()):
-            return Report(
+            return Verdict(
                 False, f"unit/counit law violated for X with action {X.action}"
             )
     squares = failures = 0
@@ -304,46 +299,45 @@ def verify_adjunction(cap: int = 4) -> Report:
         "every unit square is a pullback; unit iso and counit injective throughout",
     ]
     if not failures:
-        return Report(False, "no counit square failed the pullback test")
+        return Verdict(False, "no counit square failed the pullback test")
     X, Xp = first
     f = gs.counit_square_witness(q, X, Xp)
     lines += [
         f"counit squares that are not pullbacks: {failures} (EXPECTED)",
         f"first witness: X with action {X.action}, map {f.values} (EXPECTED)",
     ]
-    return Report(True, "", lines)
+    return Verdict(True, lines=lines)
 
 
-def verify_mackey_limit(p: int = 2, depth: int = 2) -> Report:
+def verify_mackey_limit(tower: g.GroupTower) -> Verdict:
     """Tower-limit round trip for Mackey functors, with a corrupted-family
     negative control."""
-    _require_link("mackey-limit", depth)
-    tower = g.cyclic_tower(p, depth)
+    _require_link("mackey-limit", tower)
     deepest = mk.burnside_mackey(tower.stages[-1])
     family = mk.tower_family(tower, deepest)
     try:
         assembled = mk.assemble_from_tower(tower, family)
     except IncoherentFamily as exc:
-        return Report(False, f"coherent family rejected: {exc}")
+        return Verdict(False, f"coherent family rejected: {exc}")
     if assembled is not deepest:
-        return Report(False, "assembly did not return the deepest stage")
+        return Verdict(False, "assembly did not return the deepest stage")
     for i, M in enumerate(family):
         verdict = mk.check_mackey(M)
         if not verdict:
-            return Report(False, f"stage {i} fails axioms")
+            return Verdict(False, f"stage {i} fails axioms")
     corrupted = list(family)
     corrupted[0] = mk.zero_mackey(tower.stages[0])
     try:
         mk.assemble_from_tower(tower, corrupted)
-        return Report(False, "corrupted family accepted")
+        return Verdict(False, "corrupted family accepted")
     except IncoherentFamily:
         pass
     lines = [
-        f"tower: cyclic p={p} depth={depth}",
-        f"stages verified coherent under categorical fixed points: {depth}",
+        _tower_line(tower),
+        f"stages verified coherent under categorical fixed points: {tower.depth}",
         "corrupted family rejected with IncoherentFamily (negative control)",
     ]
-    return Report(True, "", lines)
+    return Verdict(True, lines=lines)
 
 
 def _gcd_cat(n: int) -> fc.FinCat:
@@ -367,7 +361,7 @@ def _monotone(src, dst, f):
     return fc.CatFunctor(src, dst, f, lambda m: (f(m[0]), f(m[1]), "le"))
 
 
-def verify_funcat(seed: int = 0) -> Report:
+def verify_funcat(seed: int = 0) -> Verdict:
     """Functor-category comparison on divisor-lattice corpora.
 
     Checks, on seeded chains of at most 3 stages: the family-to-functor
@@ -409,7 +403,8 @@ def verify_funcat(seed: int = 0) -> Report:
         F = fc.functor_from_family(colim, fam)
         for i in range(stages):
             if not fc.naturally_isomorphic(colim.injections[i].then(F), comps[i]):
-                return Report(False, f"restriction differs from component {i}")
+                reason = f"restriction differs from component {i}"
+                return Verdict(False, reason)
         # functor -> family -> functor round trip
         fam_back = fc.FunctorFamily(
             [colim.injections[i].then(F) for i in range(stages)],
@@ -423,9 +418,9 @@ def verify_funcat(seed: int = 0) -> Report:
         )
         F2 = fc.functor_from_family(colim, fam_back)
         if not fc.naturally_isomorphic(F, F2):
-            return Report(False, "functor round trip not isomorphic")
+            return Verdict(False, "functor round trip not isomorphic")
         if not fc.preserves_binary_products(F):
-            return Report(
+            return Verdict(
                 False, "product-preserving family gave a non-preserving functor"
             )
         corpora += 1
@@ -437,21 +432,22 @@ def verify_funcat(seed: int = 0) -> Report:
     coh = {x: (bad.obj(x), bad.obj(x), "le") for x in cat.objects}
     Fbad = fc.functor_from_family(colim, fc.FunctorFamily([bad, bad], [coh]))
     if fc.preserves_binary_products(Fbad):
-        return Report(False, "non-preserving family gave a preserving functor")
+        return Verdict(False, "non-preserving family gave a preserving functor")
     lines += [
         f"seeded corpora checked: {corpora}",
         "round trips close up to natural isomorphism",
         "product preservation matches componentwise preservation, both directions",
     ]
-    return Report(True, "", lines)
+    return Verdict(True, lines=lines)
 
 
-def _clamped(check, p: int, depth: int, cap: int, *rest) -> Report:
-    """A span check run at depth <= 2 and cap <= 3; a clamp is named after
-    the report's tower header."""
-    report = check(p, min(depth, 2), min(cap, 3), *rest)
-    if depth > 2 or cap > 3:
-        note = f"(clamped from depth {depth}, cap {cap})"
+def _clamped(check, tower: g.GroupTower, cap: int, *rest) -> Verdict:
+    """A span check run on the tower's first link and at cap <= 3; a clamp
+    is named after the report's tower header."""
+    first_link = g.GroupTower(tower.stages[:2], tower.links[:1])
+    report = check(first_link, min(cap, 3), *rest)
+    if tower.depth > 2 or cap > 3:
+        note = f"(clamped from depth {tower.depth}, cap {cap})"
         if report.lines:
             report.lines[0] += f" {note}"
         else:
@@ -460,28 +456,28 @@ def _clamped(check, p: int, depth: int, cap: int, *rest) -> Report:
 
 
 class Check(NamedTuple):
-    """One verify check: `run(cap, seed, tower)` returns its report, and
+    """One verify check: `run(cap, seed, tower)` returns its verdict, and
     `require(cap, tower)` raises ParseError when the run would test
     nothing, before any check runs."""
 
-    run: Callable[[int, int, tuple[int, int]], Report]
-    require: Callable[[int, tuple[int, int]], None] = lambda cap, tower: None
+    run: Callable[[int, int, g.GroupTower], Verdict]
+    require: Callable[[int, g.GroupTower], None] = lambda cap, tower: None
 
 
-def _needs_link(check: str) -> Callable[[int, tuple[int, int]], None]:
-    return lambda cap, tower: _require_link(check, tower[1])
+def _needs_link(check: str) -> Callable[[int, g.GroupTower], None]:
+    return lambda cap, tower: _require_link(check, tower)
 
 
 # The verify checks in `verify all` order.  Each takes the CLI's size cap,
-# seed and (p, depth) tower.
+# seed and validated tower.
 CHECKS = {
-    "colim-gset": Check(lambda cap, seed, tower: verify_colim_gset(*tower, cap)),
+    "colim-gset": Check(lambda cap, seed, tower: verify_colim_gset(tower, cap)),
     "colim-span": Check(
-        lambda cap, seed, tower: _clamped(verify_colim_span, *tower, cap, seed),
+        lambda cap, seed, tower: _clamped(verify_colim_span, tower, cap, seed),
         _needs_link("colim-span"),
     ),
     "limit-span": Check(
-        lambda cap, seed, tower: _clamped(verify_limit_span, *tower, cap),
+        lambda cap, seed, tower: _clamped(verify_limit_span, tower, cap),
         _needs_link("limit-span"),
     ),
     "adjunction": Check(
@@ -489,7 +485,7 @@ CHECKS = {
         lambda cap, tower: _require_cap(cap),
     ),
     "mackey-limit": Check(
-        lambda cap, seed, tower: verify_mackey_limit(*tower),
+        lambda cap, seed, tower: verify_mackey_limit(tower),
         _needs_link("mackey-limit"),
     ),
     "funcat": Check(lambda cap, seed, tower: verify_funcat(seed)),

@@ -136,21 +136,23 @@ def compose_keys_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> tuple:
     return sp._normalize(counts)
 
 
-def colim_gset_equivalence_oracle(p: int, depth: int, cap: int) -> tuple[bool, int]:
+def colim_gset_equivalence_oracle(tower: g.GroupTower, cap: int) -> tuple[bool, int]:
     """The colim-gset statement with every hom-set enumerated: the verdict
     and the number of colimit classes.
 
     The comparison is an equivalence when inflation along every link q
     keeps each hom-set of capped objects over q.target, map for map and
-    without repeats.  Classes are the top-stage lifts of the capped stage
-    objects up to an explicit equivariant bijection.
+    without repeats.  Classes are the capped stage objects inflated link
+    by link to the top stage, up to an explicit equivariant bijection; no
+    composite projection is built, so a tower with a link that is not onto
+    (which make_tower refuses) can be compared too.
     """
-    tower = g.cyclic_tower(p, depth)
-    top = tower.depth - 1
     reps: list[GSet] = []
     for i, G in enumerate(tower.stages):
         for m in gs.gset_isoclasses(G, cap):
-            lifted = gs.inflate(gs.canonical_gset(G, m), tower.projection(top, i))
+            lifted = gs.canonical_gset(G, m)
+            for q in tower.links[i:]:
+                lifted = gs.inflate(lifted, q)
             if all(gs.find_iso(lifted, R) is None for R in reps):
                 reps.append(lifted)
     for q in tower.links:

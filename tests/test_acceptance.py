@@ -133,20 +133,20 @@ def test_criterion_3_semiadditivity():
 
 @_criterion(4, "capped G-set categories glue along inflation into the tower model")
 def test_criterion_4_colim_gset():
-    report = vf.verify_colim_gset(2, 3, 4)
+    report = vf.verify_colim_gset(g.cyclic_tower(2, 3), 4)
     assert report.ok, report.render()
 
 
 @_criterion(5, "capped span categories glue along Span(inflation) into the tower model")
 def test_criterion_5_colim_span():
     for depth in (2, 3):
-        report = vf.verify_colim_span(2, depth, 3)
+        report = vf.verify_colim_span(g.cyclic_tower(2, depth), 3)
         assert report.ok, report.render()
 
 
 @_criterion(6, "the deepest span stage is the limit along Span(fixed points)")
 def test_criterion_6_limit_span():
-    report = vf.verify_limit_span(2, 2, 3)
+    report = vf.verify_limit_span(g.cyclic_tower(2, 2), 3)
     assert report.ok, report.render()
 
 
@@ -182,10 +182,10 @@ def test_criterion_8_mackey_axioms():
 
 @_criterion(9, "Mackey functors assemble from tower stages; corrupted families rejected")
 def test_criterion_9_mackey_limit():
-    report = vf.verify_mackey_limit(2, 2)
+    t = g.cyclic_tower(2, 2)
+    report = vf.verify_mackey_limit(t)
     assert report.ok, report.render()
     # the negative control inside the verifier is also exercised directly
-    t = g.cyclic_tower(2, 2)
     family = mk.tower_family(t, mk.burnside_mackey(t.stages[-1]))
     family[0] = mk.zero_mackey(t.stages[0])
     with pytest.raises(IncoherentFamily):

@@ -7,10 +7,12 @@ import pytest
 
 from profspan import cli
 from profspan import formats as fm
+from profspan import groups as g
 from profspan import mackey as mk
 from profspan import verify as vf
 from profspan.cli import main
 from profspan.corpus import corpus_group
+from profspan.errors import Verdict
 
 from test_cli_golden import CASES, GOLDEN, run
 
@@ -206,17 +208,21 @@ def test_verify_mackey_limit(capsys):
 
 
 def test_report_objects_render_pass():
-    r = vf.verify_colim_gset(2, 2, 2)
+    tower = g.cyclic_tower(2, 2)
+    r = vf.verify_colim_gset(tower, 2)
     assert r.ok and r.render().splitlines()[0] == "PASS"
-    r = vf.verify_colim_span(2, 2, 2)
+    r = vf.verify_colim_span(tower, 2)
     assert r.ok
-    r = vf.verify_limit_span(2, 2, 2)
+    r = vf.verify_limit_span(tower, 2)
     assert r.ok
 
 
 def test_report_fail_render():
-    r = vf.Report(False, "some witness")
-    assert r.render().splitlines()[0] == "FAIL some witness"
+    r = Verdict(False, "some reason")
+    assert r.render().splitlines()[0] == "FAIL some reason"
+    r = Verdict(False, "some reason", (0, 1), ["a line"])
+    assert r.render() == "FAIL some reason (witness (0, 1))\na line"
+    assert Verdict(True, "", (0, 1), ["a line"]).render() == "PASS\na line"
 
 
 def test_non_prime_tower_exits_2(capsys):

@@ -87,6 +87,7 @@ CASES.update({
     "error-verify-all-cap3": ["--cap", "3", "verify", "all"],
     "error-colim-gset-tower-4-2": ["--tower", "4,2", "verify", "colim-gset"],
     "error-mackey-limit-tower-x-y": ["--tower", "x,y", "verify", "mackey-limit"],
+    "error-adjunction-tower-4-2": ["--tower", "4,2", "verify", "adjunction"],
 })
 CASES.update({
     f"{verb}-{name}": [verb, f"{{dir}}/{name}.grp"]

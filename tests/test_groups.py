@@ -127,6 +127,50 @@ def test_cyclic_tower_2_3():
                 )
 
 
+@pytest.mark.parametrize(
+    "p,depth", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]
+)
+def test_cyclic_tower_links_are_the_canonical_quotients(p, depth):
+    for q in g.cyclic_tower(p, depth).links:
+        assert q == g.quotient(q.source, q.kernel)
+
+
+def test_quotient_map_derives_the_kernel():
+    C4, C2 = g.cyclic(4), g.cyclic(2)
+    q = g.quotient_map(C4, C2, [0, 1, 0, 1])
+    assert q.kernel == g.make_subgroup(C4, (0, 2))
+    assert q.projection == (0, 1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "projection,message",
+    [
+        ((0, 0, 0, 0), "projection is not onto the previous stage"),
+        ((0, 1, 0), "projection is not onto the previous stage"),
+        ((1, 0, 0, 1), "projection is not a homomorphism"),
+    ],
+    ids=["not-onto", "short", "not-homomorphism"],
+)
+def test_quotient_map_and_make_tower_reject_a_bad_link(projection, message):
+    C2, C4, C8 = g.cyclic(2), g.cyclic(4), g.cyclic(8)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        g.quotient_map(C4, C2, projection)
+    top = g.cyclic_tower(2, 3).links[1]
+    bad = g.QuotientMap(C4, g.make_subgroup(C4, (0,)), C2, projection)
+    with pytest.raises(ValueError, match=f"^link 0: {message}$"):
+        g.make_tower([C2, C4, C8], [bad, top])
+
+
+def test_make_tower_rejects_a_wrong_kernel():
+    t = g.cyclic_tower(2, 3)
+    q = t.links[1]
+    trivial = g.make_subgroup(q.source, (0,))
+    wrong = g.QuotientMap(q.source, trivial, q.target, q.projection)
+    with pytest.raises(ValueError, match="^link 1: kernel is not the preimage of 0$"):
+        g.make_tower(t.stages, [t.links[0], wrong])
+    assert g.make_tower(t.stages, t.links) == t
+
+
 def test_cyclic_tower_depth_1():
     t = g.cyclic_tower(3, 1)
     assert t.depth == 1

@@ -387,6 +387,13 @@ def test_check_left_exact_rejects_orbit_quotient():
     verdict = sp.check_left_exact(bad, probes)
     assert not verdict
     assert verdict.reason == "pullback not preserved"
+    # the witness names the cospan X -f-> Z <-h- Y of a square F breaks
+    X, Y, Z = (gs.GSet(C2, action) for action in verdict.witness[:3])
+    f = gs.EqMap(X, Z, verdict.witness[3])
+    h = gs.EqMap(Y, Z, verdict.witness[4])
+    P, p1, p2 = gs.pullback(f, h)
+    square = [bad.map(m) for m in (p1, p2, f, h)]
+    assert not gs.square_is_pullback(*square)
 
 
 def test_span_functoriality_on_composable_pairs():
