@@ -161,13 +161,18 @@ def test_quotient_map_and_make_tower_reject_a_bad_link(projection, message):
         g.make_tower([C2, C4, C8], [bad, top])
 
 
-def test_make_tower_rejects_a_wrong_kernel():
+def test_make_tower_rejects_a_wrong_kernel_or_source():
     t = g.cyclic_tower(2, 3)
     q = t.links[1]
     trivial = g.make_subgroup(q.source, (0,))
     wrong = g.QuotientMap(q.source, trivial, q.target, q.projection)
-    with pytest.raises(ValueError, match="^link 1: kernel is not the preimage of 0$"):
+    message = "differs from the quotient map of the stages$"
+    with pytest.raises(ValueError, match=f"^link 1 {message}"):
         g.make_tower(t.stages, [t.links[0], wrong])
+    V4 = g.direct_product(g.cyclic(2), g.cyclic(2))
+    elsewhere = g.quotient_map(V4, t.stages[0], t.links[0].projection)
+    with pytest.raises(ValueError, match=f"^link 0 {message}"):
+        g.make_tower(t.stages, [elsewhere, t.links[1]])
     assert g.make_tower(t.stages, t.links) == t
 
 
