@@ -5,8 +5,8 @@ Morphisms are uniformly labelled (src, dst, data) triples.  Hom-sets and
 composition may be backed by tables or by functions.  No category is
 validated when it is built: table-backed ones have only their identities
 checked, and `validate` (run by the test suite) checks units and
-associativity.  `find_iso` and `is_isomorphic` search
-exhaustively (`isos`), trying every pair in hom(a, b) x hom(b, a).
+associativity.  `find_iso` searches exhaustively (`isos`), trying every
+pair in hom(a, b) x hom(b, a).
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ class FinCat:
 
     def find_iso(self, a, b):
         return next(self.isos(a, b), None)
-
-    def is_isomorphic(self, a, b) -> bool:
-        return self.find_iso(a, b) is not None
 
     def inverse(self, f):
         a, b = f[0], f[1]

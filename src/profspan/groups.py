@@ -349,8 +349,10 @@ def cyclic(n: int) -> FiniteGroup:
     return FiniteGroup(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
 
 
+@lru_cache(maxsize=None)
 def cyclic_tower(p: int, depth: int) -> GroupTower:
-    """Tower C_p <- C_p^2 <- ... of reduction maps, truncated at `depth`."""
+    """Tower C_p <- C_p^2 <- ... of reduction maps, truncated at `depth`;
+    built once per (p, depth), so the caches keyed by its links hit on it."""
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise NotPrime(p)
     if depth < 1:

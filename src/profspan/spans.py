@@ -383,9 +383,10 @@ class GSetFunctor:
         """F.map(f), computed once per map for as long as F lives; the
         probes of check_left_exact and the legs of Span(F) share it."""
         memo = self.__dict__.setdefault("_mapped", {})
-        if f not in memo:
-            memo[f] = self.map(f)
-        return memo[f]
+        Ff = memo.get(f)
+        if Ff is None:
+            Ff = memo[f] = self.map(f)
+        return Ff
 
 
 class InflationGSetFunctor(GSetFunctor):

@@ -209,6 +209,7 @@ def test_tower_projection_is_built_once():
     t = g.cyclic_tower(2, 3)
     assert t.projection(2, 0) is t.projection(2, 0)
     assert g.cyclic_tower(2, 3).projection(2, 1) is t.projection(2, 1)
+    assert g.cyclic_tower(2, 3) is t  # the tower itself is built once
 
 
 def test_corpus_is_complete_and_distinct():
