@@ -25,8 +25,17 @@ from .errors import GroupMismatch, NotAGroup, NotNormal, NotPrime, ParseError
 _INPUT_ERRORS = (ParseError, NotPrime, NotNormal, NotAGroup, GroupMismatch)
 
 
+# The largest top-stage order p**depth that --tower accepts.  Each stage
+# is a full multiplication table, so the top stage alone takes order**2
+# entries: 2,10 stays well under a second, and each level above it costs
+# four times more.
+MAX_TOWER_ORDER = 1024
+
+
 def _parse_tower_flag(value: str) -> g.GroupTower:
-    """The cyclic tower of `p,depth`; NotPrime when p is not prime."""
+    """The cyclic tower of `p,depth`; NotPrime when p is not prime.  A top
+    stage of order above MAX_TOWER_ORDER is refused before any table is
+    built or p is tested, without computing p**depth in full."""
     try:
         p_str, depth_str = value.split(",")
         p, depth = int(p_str), int(depth_str)
@@ -34,6 +43,16 @@ def _parse_tower_flag(value: str) -> g.GroupTower:
         raise ParseError("<args>", 0, "--tower expects `p,depth`")
     if p < 2 or depth < 1:
         raise ParseError("<args>", 0, "--tower needs p >= 2 and depth >= 1")
+    order = 1
+    for _ in range(depth):
+        order *= p
+        if order > MAX_TOWER_ORDER:
+            top = f"{p}**{depth}" if depth > 1 else f"{p}"
+            message = (
+                f"--tower {p},{depth} has a top stage of order {top}, "
+                f"above the bound {MAX_TOWER_ORDER}"
+            )
+            raise ParseError("<args>", 0, message)
     return g.cyclic_tower(p, depth)
 
 

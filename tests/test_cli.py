@@ -179,6 +179,46 @@ def test_bad_tower_flag_exits_2(files, capsys):
     assert main(["--tower", "x,y", "verify", "mackey-limit"]) == 2
 
 
+class _TowerBuilt(Exception):
+    pass
+
+
+def _refuse_to_build(monkeypatch):
+    def refuse(p, depth):
+        raise _TowerBuilt(p, depth)
+
+    monkeypatch.setattr(g, "cyclic_tower", refuse)
+
+
+@pytest.mark.parametrize(
+    "tower,order",
+    [("2,11", "2**11"), ("1031,1", "1031"), ("3,100000000", "3**100000000")],
+)
+def test_tower_above_the_order_bound_exits_2_before_it_is_built(
+    tower, order, monkeypatch, capsys
+):
+    """The bound is tested before the tower is built or p is tested for
+    primality (1031 is prime), and without computing p**depth in full."""
+    _refuse_to_build(monkeypatch)
+    assert main(["--tower", tower, "verify", "funcat"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: <args>:0: --tower {tower} has a top stage of order {order}, "
+        f"above the bound {cli.MAX_TOWER_ORDER}\n"
+    )
+
+
+@pytest.mark.parametrize("tower", ["2,10", "1021,1", "4,5"])
+def test_tower_at_or_below_the_order_bound_is_built(tower, monkeypatch):
+    assert cli.MAX_TOWER_ORDER == 1024
+    _refuse_to_build(monkeypatch)
+    p, depth = (int(v) for v in tower.split(","))
+    with pytest.raises(_TowerBuilt) as built:
+        main(["--tower", tower, "verify", "funcat"])
+    assert built.value.args == (p, depth)
+
+
 def test_unknown_verify_check_exits_2(capsys):
     assert main(["verify", "bogus"]) == 2
 

@@ -175,6 +175,27 @@ def test_golden(name, input_dir):
     assert run(CASES[name], input_dir) == expected
 
 
+def _flag(argv, name, default):
+    return argv[argv.index(name) + 1] if name in argv else default
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, argv in CASES.items() if "verify" in argv)
+)
+def test_verify_tower_headers_name_the_requested_tower_and_cap(name):
+    """Every `tower:` line of a verify golden names the p, depth, size cap
+    and seed of its argv, so no check can run at another tower or cap
+    than the flags ask for without its golden saying so."""
+    argv = CASES[name]
+    p, depth = _flag(argv, "--tower", "2,3").split(",")
+    head = f"tower: cyclic p={p} depth={depth}"
+    capped = f"{head}, size cap {_flag(argv, '--cap', '6')}"
+    allowed = {head, capped, f"{capped}, seed {_flag(argv, '--seed', '0')}"}
+    lines = (GOLDEN / f"{name}.txt").read_text().splitlines()
+    headers = [line for line in lines if line.startswith("tower:")]
+    assert set(headers) <= allowed
+
+
 def test_every_golden_file_has_a_case():
     assert {p.stem for p in GOLDEN.glob("*.txt")} <= set(CASES)
 

@@ -5,8 +5,10 @@ under relabelling of the tower's groups."""
 
 import contextlib
 import io
+import itertools
 import math
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -17,7 +19,7 @@ from profspan import verify as vf
 from profspan.cli import main
 from profspan.errors import Verdict
 
-from oracles import colim_gset_equivalence_oracle
+from oracles import colim_gset_equivalence_oracle, span_basis_count_oracle
 
 TOWER_GRID = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]
 
@@ -239,3 +241,57 @@ def test_tower_checks_do_not_depend_on_element_labels(p, depth, check):
     assert relabelled.stages != tower.stages
     run = TOWER_CHECKS[check]
     assert run(relabelled).render() == run(tower).render()
+
+
+def _orbit_size_multisets(n, cap):
+    """The objects of C_n of size at most cap, up to isomorphism, as
+    multisets of orbit sizes: an orbit of C_n has a divisor of n points."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return [
+        sizes
+        for length in range(cap + 1)
+        for sizes in itertools.combinations_with_replacement(divisors, length)
+        if sum(sizes) <= cap
+    ]
+
+
+@lru_cache(maxsize=None)
+def _span_rank(n, s, t):
+    """The rank of the span hom from the C_n-orbit of size s to the one of
+    size t; the stabilizer of an orbit of size s is the multiples of s."""
+    return span_basis_count_oracle(
+        g.cyclic(n), tuple(range(0, n, s)), tuple(range(0, n, t))
+    )
+
+
+@pytest.mark.parametrize(
+    "cap,hom_bases,basis_spans", [(4, 181, 2233), (6, 656, 19183)]
+)
+def test_span_check_counts_at_the_requested_tower_and_cap(
+    cap, hom_bases, basis_spans
+):
+    """Through the CLI the span checks run on every link of the 2,3 tower
+    at the requested cap: colim-span checks one hom basis per pair of
+    capped objects of each link's target, and limit-span maps every basis
+    span between capped objects of each link's source."""
+    p, depth = 2, 3
+    targets = [p**i for i in range(1, depth)]
+    sources = [p * n for n in targets]
+    assert hom_bases == sum(len(_orbit_size_multisets(n, cap)) ** 2 for n in targets)
+    assert basis_spans == sum(
+        _span_rank(n, s, t)
+        for n in sources
+        for X, Y in itertools.product(_orbit_size_multisets(n, cap), repeat=2)
+        for s in X
+        for t in Y
+    )
+    header = f"tower: cyclic p={p} depth={depth}, size cap {cap}"
+    for check, lines in [
+        ("colim-span", [f"{header}, seed 0", f"hom bases checked: {hom_bases}"]),
+        ("limit-span", [header, f"basis spans transported: {basis_spans}"]),
+    ]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--tower", f"{p},{depth}", "--cap", str(cap), "verify", check])
+        assert code == 0
+        assert out.getvalue().splitlines()[1:4] == ["PASS", *lines]
