@@ -26,9 +26,8 @@ _INPUT_ERRORS = (ParseError, NotPrime, NotNormal, NotAGroup, GroupMismatch)
 
 
 # The largest top-stage order p**depth that --tower accepts.  Each stage
-# is a full multiplication table, so the top stage alone takes order**2
-# entries: 2,10 stays well under a second, and each level above it costs
-# four times more.
+# is a full multiplication table, so the top stage alone holds order**2
+# entries, and each level of a 2-tower costs four times the one below.
 MAX_TOWER_ORDER = 1024
 
 

@@ -138,11 +138,10 @@ def verify_colim_span(tower: g.GroupTower, cap: int, seed: int = 0) -> Verdict:
     functorially, and at the final stage the comparison to the discrete
     model is a basis bijection on every hom.
 
-    An image's key is compared with span_basis of the inflated endpoints
-    as it stands, with no renaming to canonical G-sets: both are keyed
-    on the same endpoints, and transport along an isomorphism of
-    endpoints maps basis keys one to one, so renaming cannot change the
-    verdict.
+    Each image key is looked up in span_basis of the inflated endpoints
+    themselves: keys are canonical for their own endpoints, and transport
+    along an isomorphism of endpoints maps basis keys one to one, so no
+    renaming to canonical G-sets is needed.
     """
     _require_link("colim-span", tower)
     rng = random.Random(seed)

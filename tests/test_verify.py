@@ -1,7 +1,8 @@
 """verify colim-gset, decided on orbit classes and hom factors, against
 an oracle that enumerates every hom-set, with negative controls and work
-guards; the span checks' FAIL lines; and invariance of the tower checks
-under relabelling of the tower's groups."""
+guards; the span checks' FAIL lines, and their counts at the requested
+tower and cap against orbit-counting oracles; and invariance of the
+tower checks under relabelling of the tower's groups."""
 
 import contextlib
 import io
