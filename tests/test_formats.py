@@ -84,6 +84,8 @@ def test_gset_parse_error_line_numbers():
     with pytest.raises(ParseError) as err:
         fm.parse_gset("gset g.grp 2\n0 1\n0 1\n", G, source="x.gset")
     assert err.value.source == "x.gset"
+    assert err.value.line == 3
+    assert str(err.value) == "x.gset:3: invalid action table: identity moves point 1"
 
 
 def test_mackey_roundtrip(tmp_path):
@@ -117,6 +119,30 @@ def test_mackey_parse_errors():
         fm.parse_mackey(
             "mackey g\nlevel 0 rank 1 torsion\ngen 0:0:0:0:0 rows 1 cols 1\nx\n", G
         )
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        (
+            "mackey g\nlevel 1 rank 1 torsion\n\n\ngen 0:0:0:0,1:0,1 rows 1 cols 1\n1\n",
+            "m:4: level indices must cover 0..n-1",
+        ),
+        ("mackey g\nlevel 1 rank 1 torsion\n\n", "m:3: level indices must cover 0..n-1"),
+        (
+            "mackey g\nlevel 0 rank 1 torsion\ngen 0:0:0:0,1:0,1 rows 1 cols 1\n1\n\n \n",
+            "m:6: level count mismatch, witness=1",
+        ),
+    ],
+    ids=["levels-before-a-gen-row", "levels-at-the-end", "structure-at-the-end"],
+)
+def test_mackey_errors_after_the_last_row_of_a_section(text, error):
+    """An error found when the next row is not of the section just read
+    names the line before that row, or the text's last line, blank or not,
+    when no row is left."""
+    with pytest.raises(ParseError) as err:
+        fm.parse_mackey(text, corpus_group("C2"), source="m")
+    assert str(err.value) == error
 
 
 def test_load_group_missing_file():
