@@ -12,28 +12,48 @@ from .gsets import GSet, make_gset
 from .mackey import AbPresentation, MackeyFunctor, check_structure
 
 
-class _Lines:
+class _Rows:
+    """The non-blank lines of a text as (line number, fields), each split
+    when it is reached, with one row of lookahead.  Errors name `line`: the
+    row `next` took, or after `more` the line before the row ahead."""
+
     def __init__(self, text: str, source: str):
-        self.raw = text.splitlines()
+        lines = text.splitlines()
         self.source = source
-        self.pos = 0
+        numbered = enumerate(map(str.split, lines), 1)
+        self._rows = ((number, fields) for number, fields in numbered if fields)
+        self._end = (len(lines) + 1, [])
+        self._ahead = next(self._rows, self._end)
 
-    def peek(self) -> str | None:
-        while self.pos < len(self.raw) and not self.raw[self.pos].strip():
-            self.pos += 1
-        return self.raw[self.pos] if self.pos < len(self.raw) else None
+    def more(self, keyword: str | None = None) -> bool:
+        """Whether a row is left, and starts with `keyword` if one is given."""
+        number, fields = self._ahead
+        self.line = number - 1
+        return bool(fields) and (keyword is None or fields[0] == keyword)
 
-    def next(self, expect: str | None = None) -> str:
-        line = self.peek()
-        if line is None:
-            raise ParseError(self.source, len(self.raw), "unexpected end of file")
-        self.pos += 1
-        if expect is not None and not line.split()[0] == expect:
-            raise ParseError(self.source, self.pos, f"expected `{expect}` line")
-        return line
+    def next(self, keyword: str | None = None) -> list[str]:
+        """The next row, which must start with `keyword` if one is given."""
+        if not self.more():
+            raise self.error("unexpected end of file")
+        self.line, fields = self._ahead
+        self._ahead = next(self._rows, self._end)
+        if keyword is not None and fields[0] != keyword:
+            raise self.error(f"expected `{keyword}` line")
+        return fields
+
+    def ints(self, count: int) -> list[int]:
+        """The next row as exactly `count` integers."""
+        fields = self.next()
+        try:
+            vals = [int(tok) for tok in fields]
+        except ValueError:
+            raise self.error("expected integers")
+        if len(vals) != count:
+            raise self.error(f"expected {count} integers, found {len(vals)}")
+        return vals
 
     def error(self, message: str) -> ParseError:
-        return ParseError(self.source, self.pos, message)
+        return ParseError(self.source, self.line, message)
 
 
 def _read(path: str) -> str:
@@ -46,14 +66,16 @@ def _read(path: str) -> str:
         raise ParseError(path, 0, f"cannot read file: {exc}")
 
 
-def _ints(lines: _Lines, line: str, count: int | None = None) -> list[int]:
-    try:
-        vals = [int(tok) for tok in line.split()]
-    except ValueError:
-        raise lines.error("expected integers")
-    if count is not None and len(vals) != count:
-        raise lines.error(f"expected {count} integers, found {len(vals)}")
-    return vals
+def _load_over_group(path: str, parse, keyword: str, width: int, needs: str):
+    """`parse(text, group, path)` of the file at `path`, over the group file
+    named by its header: line 1, `width` fields, `keyword` first.  The group
+    file is resolved relative to the directory of `path`."""
+    text = _read(path)
+    fields = next(iter(text.splitlines()), "").split()
+    if len(fields) != width or fields[0] != keyword:
+        raise ParseError(path, 1, f"{keyword} header needs {needs}")
+    group = load_group(os.path.join(os.path.dirname(path) or ".", fields[1]))
+    return parse(text, group, path)
 
 
 def serialize_group(G: FiniteGroup) -> str:
@@ -61,26 +83,25 @@ def serialize_group(G: FiniteGroup) -> str:
     return "\n".join([f"group {G.order}"] + rows) + "\n"
 
 
-def _parse_group_block(lines: _Lines) -> FiniteGroup:
-    header = lines.next("group")
-    parts = header.split()
-    if len(parts) != 2:
-        raise lines.error("group header needs exactly one order")
+def _parse_group_block(rows: _Rows) -> FiniteGroup:
+    header = rows.next("group")
+    if len(header) != 2:
+        raise rows.error("group header needs exactly one order")
     try:
-        order = int(parts[1])
+        order = int(header[1])
     except ValueError:
-        raise lines.error("group order must be an integer")
+        raise rows.error("group order must be an integer")
     if order < 1:
-        raise lines.error("group order must be positive")
-    table = [_ints(lines, lines.next(), order) for _ in range(order)]
+        raise rows.error("group order must be positive")
+    table = [rows.ints(order) for _ in range(order)]
     try:
         return make_group(table)
     except Exception as exc:
-        raise lines.error(f"invalid multiplication table: {exc}")
+        raise rows.error(f"invalid multiplication table: {exc}")
 
 
 def parse_group(text: str, source: str = "<group>") -> FiniteGroup:
-    return _parse_group_block(_Lines(text, source))
+    return _parse_group_block(_Rows(text, source))
 
 
 def serialize_tower(t: GroupTower) -> str:
@@ -94,27 +115,25 @@ def serialize_tower(t: GroupTower) -> str:
 
 
 def parse_tower(text: str, source: str = "<tower>") -> GroupTower:
-    lines = _Lines(text, source)
-    header = lines.next("tower")
-    parts = header.split()
+    rows = _Rows(text, source)
+    header = rows.next("tower")
     try:
-        depth = int(parts[1])
+        depth = int(header[1])
     except (IndexError, ValueError):
-        raise lines.error("tower header needs a depth")
+        raise rows.error("tower header needs a depth")
     if depth < 1:
-        raise lines.error("tower depth must be positive")
-    stages = [_parse_group_block(lines)]
+        raise rows.error("tower depth must be positive")
+    stages = [_parse_group_block(rows)]
     links = []
     for i in range(depth - 1):
-        stage = _parse_group_block(lines)
-        link_line = lines.next("link")
-        if link_line.split() != ["link", str(i)]:
-            raise lines.error(f"expected `link {i}`")
-        proj = _ints(lines, lines.next(), stage.order)
+        stage = _parse_group_block(rows)
+        if rows.next("link") != ["link", str(i)]:
+            raise rows.error(f"expected `link {i}`")
+        proj = rows.ints(stage.order)
         try:
             links.append(quotient_map(stage, stages[-1], proj))
         except ValueError as exc:
-            raise lines.error(str(exc))
+            raise rows.error(str(exc))
         stages.append(stage)
     return make_tower(stages, links)
 
@@ -126,58 +145,42 @@ def serialize_gset(X: GSet, group_file: str) -> str:
 
 
 def parse_gset(text: str, group: FiniteGroup, source: str = "<gset>") -> GSet:
-    lines = _Lines(text, source)
-    header = lines.next("gset")
-    parts = header.split()
-    if len(parts) != 3:
-        raise lines.error("gset header needs a group file and a size")
+    rows = _Rows(text, source)
+    header = rows.next("gset")
+    if len(header) != 3:
+        raise rows.error("gset header needs a group file and a size")
     try:
-        size = int(parts[2])
+        size = int(header[2])
     except ValueError:
-        raise lines.error("gset size must be an integer")
+        raise rows.error("gset size must be an integer")
     if size < 0:
-        raise lines.error("gset size must be non-negative")
-    action = [_ints(lines, lines.next(), group.order) for _ in range(size)]
+        raise rows.error("gset size must be non-negative")
+    action = [rows.ints(group.order) for _ in range(size)]
     try:
         return make_gset(group, action)
     except Exception as exc:
-        raise lines.error(f"invalid action table: {exc}")
+        raise rows.error(f"invalid action table: {exc}")
 
 
 def load_gset(path: str) -> GSet:
-    text = _read(path)
-    first = text.splitlines()[0] if text.splitlines() else ""
-    parts = first.split()
-    if len(parts) != 3 or parts[0] != "gset":
-        raise ParseError(path, 1, "gset header needs a group file and a size")
-    group_path = os.path.join(os.path.dirname(path) or ".", parts[1])
-    group = parse_group(_read(group_path), group_path)
-    return parse_gset(text, group, path)
+    return _load_over_group(path, parse_gset, "gset", 3, "a group file and a size")
 
 
 def _key_token(c1: int, c2: int, key) -> str:
     apex, legL, legR = key
-    return ":".join(
-        [
-            str(c1),
-            str(c2),
-            str(apex),
-            ",".join(str(v) for v in legL),
-            ",".join(str(v) for v in legR),
-        ]
-    )
+    legs = [",".join(str(v) for v in leg) for leg in (legL, legR)]
+    return ":".join([str(c1), str(c2), str(apex), *legs])
 
 
-def _parse_key_token(lines: _Lines, token: str):
+def _parse_key_token(rows: _Rows, token: str):
     parts = token.split(":")
     if len(parts) != 5:
-        raise lines.error("basis-span key needs 5 colon-separated fields")
+        raise rows.error("basis-span key needs 5 colon-separated fields")
     try:
         c1, c2, apex = int(parts[0]), int(parts[1]), int(parts[2])
-        legL = tuple(int(v) for v in parts[3].split(","))
-        legR = tuple(int(v) for v in parts[4].split(","))
+        legL, legR = (tuple(int(v) for v in leg.split(",")) for leg in parts[3:])
     except ValueError:
-        raise lines.error("malformed basis-span key")
+        raise rows.error("malformed basis-span key")
     return c1, c2, (apex, legL, legR)
 
 
@@ -198,60 +201,45 @@ def serialize_mackey(M: MackeyFunctor, group_file: str) -> str:
 def parse_mackey(
     text: str, group: FiniteGroup, source: str = "<mackey>"
 ) -> MackeyFunctor:
-    lines = _Lines(text, source)
-    header = lines.next("mackey")
-    if len(header.split()) != 2:
-        raise lines.error("mackey header needs a group file")
+    rows = _Rows(text, source)
+    if len(rows.next("mackey")) != 2:
+        raise rows.error("mackey header needs a group file")
     levels: dict[int, AbPresentation] = {}
-    while True:
-        nxt = lines.peek()
-        if nxt is None or not nxt.split()[0] == "level":
-            break
-        parts = lines.next("level").split()
+    while rows.more("level"):
+        parts = rows.next()
         if len(parts) < 5 or parts[2] != "rank" or parts[4] != "torsion":
-            raise lines.error("malformed level line")
+            raise rows.error("malformed level line")
         try:
-            c = int(parts[1])
-            rank = int(parts[3])
+            c, rank = int(parts[1]), int(parts[3])
             torsion = tuple(int(v) for v in parts[5:])
         except ValueError:
-            raise lines.error("malformed level line")
+            raise rows.error("malformed level line")
         try:
             levels[c] = AbPresentation(rank, torsion)
         except ValueError as exc:
-            raise lines.error(f"invalid presentation: {exc}")
+            raise rows.error(f"invalid presentation: {exc}")
     if sorted(levels) != list(range(len(levels))):
-        raise lines.error("level indices must cover 0..n-1")
+        raise rows.error("level indices must cover 0..n-1")
     gen_action: dict = {}
-    while lines.peek() is not None:
-        parts = lines.next("gen").split()
+    while rows.more():
+        parts = rows.next("gen")
         if len(parts) != 6 or parts[2] != "rows" or parts[4] != "cols":
-            raise lines.error("malformed gen line")
-        c1, c2, key = _parse_key_token(lines, parts[1])
+            raise rows.error("malformed gen line")
+        c1, c2, key = _parse_key_token(rows, parts[1])
         try:
-            rows, cols = int(parts[3]), int(parts[5])
+            height, width = int(parts[3]), int(parts[5])
         except ValueError:
-            raise lines.error("malformed gen line")
-        mat = tuple(
-            tuple(_ints(lines, lines.next(), cols)) for _ in range(rows)
-        )
-        gen_action[(c1, c2, key)] = mat
+            raise rows.error("malformed gen line")
+        gen_action[c1, c2, key] = tuple(tuple(rows.ints(width)) for _ in range(height))
     M = MackeyFunctor(group, tuple(levels[c] for c in sorted(levels)), gen_action)
     verdict = check_structure(M)
     if not verdict:
-        raise lines.error(f"{verdict.reason}, witness={verdict.witness!r}")
+        raise rows.error(f"{verdict.reason}, witness={verdict.witness!r}")
     return M
 
 
 def load_mackey(path: str) -> MackeyFunctor:
-    text = _read(path)
-    first = text.splitlines()[0] if text.splitlines() else ""
-    parts = first.split()
-    if len(parts) != 2 or parts[0] != "mackey":
-        raise ParseError(path, 1, "mackey header needs a group file")
-    group_path = os.path.join(os.path.dirname(path) or ".", parts[1])
-    group = parse_group(_read(group_path), group_path)
-    return parse_mackey(text, group, path)
+    return _load_over_group(path, parse_mackey, "mackey", 2, "a group file")
 
 
 def load_group(path: str) -> FiniteGroup:
