@@ -96,7 +96,7 @@ def _parse_group_block(rows: _Rows) -> FiniteGroup:
     table = [rows.ints(order) for _ in range(order)]
     try:
         return make_group(table)
-    except Exception as exc:
+    except ValueError as exc:
         raise rows.error(f"invalid multiplication table: {exc}")
 
 
@@ -158,7 +158,7 @@ def parse_gset(text: str, group: FiniteGroup, source: str = "<gset>") -> GSet:
     action = [rows.ints(group.order) for _ in range(size)]
     try:
         return make_gset(group, action)
-    except Exception as exc:
+    except ValueError as exc:
         raise rows.error(f"invalid action table: {exc}")
 
 
