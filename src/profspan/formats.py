@@ -214,6 +214,8 @@ def parse_mackey(
             torsion = tuple(int(v) for v in parts[5:])
         except ValueError:
             raise rows.error("malformed level line")
+        if c in levels:
+            raise rows.error(f"repeated level {c}")
         try:
             levels[c] = AbPresentation(rank, torsion)
         except ValueError as exc:
@@ -226,6 +228,8 @@ def parse_mackey(
         if len(parts) != 6 or parts[2] != "rows" or parts[4] != "cols":
             raise rows.error("malformed gen line")
         c1, c2, key = _parse_key_token(rows, parts[1])
+        if (c1, c2, key) in gen_action:
+            raise rows.error(f"repeated gen key {parts[1]}")
         try:
             height, width = int(parts[3]), int(parts[5])
         except ValueError:

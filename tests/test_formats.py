@@ -145,6 +145,39 @@ def test_mackey_errors_after_the_last_row_of_a_section(text, error):
     assert str(err.value) == error
 
 
+def _repeat_first_gen_block(text: str, shift: int) -> str:
+    """`text` with its first `gen` block appended again, each matrix entry
+    raised by `shift`."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("gen "))
+    height = int(lines[start].split()[3])
+    rows = [
+        " ".join(str(int(v) + shift) for v in line.split())
+        for line in lines[start + 1:start + 1 + height]
+    ]
+    return "\n".join(lines + [lines[start]] + rows) + "\n"
+
+
+def test_mackey_rejects_a_repeated_gen_key():
+    G = corpus_group("C2")
+    text = fm.serialize_mackey(mk.burnside_mackey(G), "c2.grp")
+    repeated = _repeat_first_gen_block(text, 5)
+    line = len(text.splitlines()) + 1
+    with pytest.raises(ParseError) as err:
+        fm.parse_mackey(repeated, G, source="m")
+    assert str(err.value) == f"m:{line}: repeated gen key 0:0:0:0,1:0,1"
+
+
+def test_mackey_rejects_a_repeated_level_index():
+    lines = fm.serialize_mackey(mk.burnside_mackey(corpus_group("C2")), "c2.grp")
+    lines = lines.splitlines()
+    assert lines[1] == "level 0 rank 1 torsion"
+    lines.insert(3, "level 0 rank 2 torsion")
+    with pytest.raises(ParseError) as err:
+        fm.parse_mackey("\n".join(lines) + "\n", corpus_group("C2"), source="m")
+    assert str(err.value) == "m:4: repeated level 0"
+
+
 def test_load_group_missing_file():
     with pytest.raises(ParseError):
         fm.load_group("/nonexistent/file.grp")
