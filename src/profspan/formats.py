@@ -5,6 +5,7 @@ functors.  All serializers round-trip bit-exactly through their parsers.
 from __future__ import annotations
 
 import os
+from operator import itemgetter
 
 from .errors import ParseError
 from .groups import FiniteGroup, GroupTower, make_group, make_tower, quotient_map
@@ -13,29 +14,29 @@ from .mackey import AbPresentation, MackeyFunctor, check_structure
 
 
 class _Rows:
-    """The non-blank lines of a text as (line number, fields), each split
-    when it is reached, with one row of lookahead.  Errors name `line`: the
-    row `next` took, or after `more` the line before the row ahead."""
+    """The non-blank lines of a text as (index, fields), each split when it
+    is reached, with one row of lookahead.  A 0-based index is the number
+    of the line before the row.  Errors name `line`: the row `next` took,
+    or after `more` the line before the row ahead."""
 
     def __init__(self, text: str, source: str):
         lines = text.splitlines()
         self.source = source
-        numbered = enumerate(map(str.split, lines), 1)
-        self._rows = ((number, fields) for number, fields in numbered if fields)
-        self._end = (len(lines) + 1, [])
+        self._rows = filter(itemgetter(1), enumerate(map(str.split, lines)))
+        self._end = (len(lines), [])
         self._ahead = next(self._rows, self._end)
 
     def more(self, keyword: str | None = None) -> bool:
         """Whether a row is left, and starts with `keyword` if one is given."""
-        number, fields = self._ahead
-        self.line = number - 1
+        self.line, fields = self._ahead
         return bool(fields) and (keyword is None or fields[0] == keyword)
 
     def next(self, keyword: str | None = None) -> list[str]:
         """The next row, which must start with `keyword` if one is given."""
-        if not self.more():
-            raise self.error("unexpected end of file")
         self.line, fields = self._ahead
+        if not fields:
+            raise self.error("unexpected end of file")
+        self.line += 1
         self._ahead = next(self._rows, self._end)
         if keyword is not None and fields[0] != keyword:
             raise self.error(f"expected `{keyword}` line")
@@ -45,7 +46,7 @@ class _Rows:
         """The next row as exactly `count` integers."""
         fields = self.next()
         try:
-            vals = [int(tok) for tok in fields]
+            vals = list(map(int, fields))
         except ValueError:
             raise self.error("expected integers")
         if len(vals) != count:
