@@ -1,5 +1,11 @@
 """Line-based text formats for groups, towers, G-sets, and Mackey
 functors.  All serializers round-trip bit-exactly through their parsers.
+
+Blank lines are skipped; any other line is split on whitespace.  A loaded
+G-set or Mackey file has its header on line 1, and the group file it names
+is resolved relative to the file's directory.  A Mackey file may not repeat
+a `level` index or a `gen` key.  Every error is a ParseError that names
+`source:line`.
 """
 
 from __future__ import annotations
