@@ -145,36 +145,30 @@ def test_mackey_errors_after_the_last_row_of_a_section(text, error):
     assert str(err.value) == error
 
 
-def _repeat_first_gen_block(text: str, shift: int) -> str:
-    """`text` with its first `gen` block appended again, each matrix entry
-    raised by `shift`."""
-    lines = text.splitlines()
+def test_mackey_rejects_a_repeated_gen_key():
+    """The first `gen` block of the C2 Burnside file, appended again with
+    each entry raised by 5, is an error at its header."""
+    G = corpus_group("C2")
+    lines = fm.serialize_mackey(mk.burnside_mackey(G), "c2.grp").splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("gen "))
     height = int(lines[start].split()[3])
-    rows = [
-        " ".join(str(int(v) + shift) for v in line.split())
+    shifted = [
+        " ".join(str(int(v) + 5) for v in line.split())
         for line in lines[start + 1:start + 1 + height]
     ]
-    return "\n".join(lines + [lines[start]] + rows) + "\n"
-
-
-def test_mackey_rejects_a_repeated_gen_key():
-    G = corpus_group("C2")
-    text = fm.serialize_mackey(mk.burnside_mackey(G), "c2.grp")
-    repeated = _repeat_first_gen_block(text, 5)
-    line = len(text.splitlines()) + 1
+    text = "\n".join(lines + [lines[start]] + shifted) + "\n"
     with pytest.raises(ParseError) as err:
-        fm.parse_mackey(repeated, G, source="m")
-    assert str(err.value) == f"m:{line}: repeated gen key 0:0:0:0,1:0,1"
+        fm.parse_mackey(text, G, source="m")
+    assert str(err.value) == f"m:{len(lines) + 1}: repeated gen key 0:0:0:0,1:0,1"
 
 
 def test_mackey_rejects_a_repeated_level_index():
-    lines = fm.serialize_mackey(mk.burnside_mackey(corpus_group("C2")), "c2.grp")
-    lines = lines.splitlines()
+    G = corpus_group("C2")
+    lines = fm.serialize_mackey(mk.burnside_mackey(G), "c2.grp").splitlines()
     assert lines[1] == "level 0 rank 1 torsion"
     lines.insert(3, "level 0 rank 2 torsion")
     with pytest.raises(ParseError) as err:
-        fm.parse_mackey("\n".join(lines) + "\n", corpus_group("C2"), source="m")
+        fm.parse_mackey("\n".join(lines) + "\n", G, source="m")
     assert str(err.value) == "m:4: repeated level 0"
 
 
