@@ -181,7 +181,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact span-category and Mackey-functor computations",
     )
     parser.add_argument("--cap", type=_size_cap, default=6, help="G-set size cap")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seed of the funcat corpora"
+    )
     parser.add_argument(
         "--tower", default="2,3", help="cyclic tower parameters `p,depth`"
     )

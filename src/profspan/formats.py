@@ -3,8 +3,10 @@ functors.  All serializers round-trip bit-exactly through their parsers.
 
 Blank lines are skipped; any other line is split on whitespace.  A loaded
 G-set or Mackey file has its header on line 1, and the group file it names
-is resolved relative to the file's directory.  A Mackey file may not repeat
-a `level` index or a `gen` key.  Every error is a ParseError that names
+is resolved relative to the file's directory.  A group, tower or G-set
+file ends with the rows its header announces.  A Mackey file may not
+repeat a `level` index or a `gen` key, and a `gen` line's row and column
+counts are non-negative.  Every error is a ParseError that names
 `source:line`.
 """
 
@@ -59,6 +61,12 @@ class _Rows:
             raise self.error(f"expected {count} integers, found {len(vals)}")
         return vals
 
+    def end(self) -> None:
+        """Raise unless no row is left; the error names the first row left."""
+        if self.more():
+            self.next()
+            raise self.error("expected end of file")
+
     def error(self, message: str) -> ParseError:
         return ParseError(self.source, self.line, message)
 
@@ -108,7 +116,10 @@ def _parse_group_block(rows: _Rows) -> FiniteGroup:
 
 
 def parse_group(text: str, source: str = "<group>") -> FiniteGroup:
-    return _parse_group_block(_Rows(text, source))
+    rows = _Rows(text, source)
+    G = _parse_group_block(rows)
+    rows.end()
+    return G
 
 
 def serialize_tower(t: GroupTower) -> str:
@@ -128,6 +139,8 @@ def parse_tower(text: str, source: str = "<tower>") -> GroupTower:
         depth = int(header[1])
     except (IndexError, ValueError):
         raise rows.error("tower header needs a depth")
+    if len(header) != 2:
+        raise rows.error("tower header needs exactly one depth")
     if depth < 1:
         raise rows.error("tower depth must be positive")
     stages = [_parse_group_block(rows)]
@@ -142,6 +155,7 @@ def parse_tower(text: str, source: str = "<tower>") -> GroupTower:
         except ValueError as exc:
             raise rows.error(str(exc))
         stages.append(stage)
+    rows.end()
     return make_tower(stages, links)
 
 
@@ -164,9 +178,11 @@ def parse_gset(text: str, group: FiniteGroup, source: str = "<gset>") -> GSet:
         raise rows.error("gset size must be non-negative")
     action = [rows.ints(group.order) for _ in range(size)]
     try:
-        return make_gset(group, action)
+        X = make_gset(group, action)
     except ValueError as exc:
         raise rows.error(f"invalid action table: {exc}")
+    rows.end()
+    return X
 
 
 def load_gset(path: str) -> GSet:
@@ -241,6 +257,8 @@ def parse_mackey(
             height, width = int(parts[3]), int(parts[5])
         except ValueError:
             raise rows.error("malformed gen line")
+        if height < 0 or width < 0:
+            raise rows.error("gen rows and cols must be non-negative")
         gen_action[c1, c2, key] = tuple(tuple(rows.ints(width)) for _ in range(height))
     M = MackeyFunctor(group, tuple(levels[c] for c in sorted(levels)), gen_action)
     verdict = check_structure(M)

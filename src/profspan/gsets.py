@@ -4,8 +4,8 @@ inflation/fixed-points adjunction.
 
 The N-fixed points of a G-set X, for N the kernel of a quotient map q,
 are computed once per (X, q) and kept (`fixed_point_data`): X^N with its
-residual action, the counit inf(X^N) -> X, the unit X^N -> (inf X^N)^N
-and the index of each fixed point.  `fixed_points`, `counit_map`,
+residual action, the index of each fixed point, and, built on first use,
+the counit inf(X^N) -> X and the unit X^N -> (inf X^N)^N.  `fixed_points`, `counit_map`,
 `fixed_points_map` and the counit-square functions read that record.  A
 square of G-sets is decided to be a pullback by counting the fibre
 product, not by building it.  The counit square of f: X -> X' is a
@@ -175,6 +175,12 @@ def coset_gset(G: FiniteGroup, subgroup_elements: tuple[int, ...]) -> GSet:
     return GSet(G, action)
 
 
+def orbit_gset(G: FiniteGroup, c: int) -> GSet:
+    """The canonical orbit of subgroup class c: the coset G-set of the
+    class representative."""
+    return coset_gset(G, subgroup_lattice(G).class_rep(c).elements)
+
+
 def orbit_class_multiset(X: GSet) -> tuple[int, ...]:
     """Sorted stabilizer-class indices of the orbits, with repetition."""
     lat = subgroup_lattice(X.group)
@@ -222,29 +228,33 @@ def _fixed_part(X: GSet, q: QuotientMap) -> tuple[GSet, dict]:
     N = q.kernel.elements
     pts = [x for x in X.points() if all(X.action[x][n] == x for n in N)]
     index = {x: i for i, x in enumerate(pts)}
-    Q = q.target
-    action = tuple(
-        tuple(index[X.action[x][q.section(c)]] for c in Q.elements()) for x in pts
-    )
-    return GSet(Q, action), index
+    sections = [q.section(c) for c in q.target.elements()]
+    action = tuple(tuple(index[X.action[x][s]] for s in sections) for x in pts)
+    return GSet(q.target, action), index
 
 
-class FixedPointData(NamedTuple):
-    """The N-fixed points of one G-set X, for N = ker q."""
+class FixedPointData:
+    """The N-fixed points of one G-set X, for N = ker q: X^N with the
+    residual G/N action, the index in X^N of each N-fixed point of X, and,
+    built on first use, the counit inf(X^N) -> X and unit X^N -> (inf X^N)^N."""
 
-    fixed: GSet  # X^N with the residual G/N action
-    counit: EqMap  # inf(X^N) -> X; its values are the N-fixed points of X
-    unit: EqMap  # X^N -> (inf X^N)^N
-    index: dict  # N-fixed point of X -> its point of X^N
+    def __init__(self, X: GSet, q: QuotientMap):
+        self.source, self.q = X, q
+        self.fixed, self.index = _fixed_part(X, q)
+
+    @cached_property
+    def counit(self) -> EqMap:
+        return EqMap(inflate(self.fixed, self.q), self.source, tuple(self.index))
+
+    @cached_property
+    def unit(self) -> EqMap:
+        return unit_map(self.fixed, self.q)
 
 
 @lru_cache(maxsize=None)
 def fixed_point_data(X: GSet, q: QuotientMap) -> FixedPointData:
-    """X^N, the counit and unit there, and the fixed-point index, computed
-    once per (X, q)."""
-    fixed, index = _fixed_part(X, q)
-    counit = EqMap(inflate(fixed, q), X, tuple(index))
-    return FixedPointData(fixed, counit, unit_map(fixed, q), index)
+    """The fixed-point record of X, computed once per (X, q)."""
+    return FixedPointData(X, q)
 
 
 def fixed_points(X: GSet, q: QuotientMap) -> GSet:
@@ -443,10 +453,9 @@ def fixed_points_map(f: EqMap, q: QuotientMap) -> EqMap:
 
 def canonical_gset(G: FiniteGroup, class_multiset) -> GSet:
     """Disjoint union of canonical coset G-sets for the given orbit classes."""
-    lat = subgroup_lattice(G)
     X = empty_gset(G)
     for c in class_multiset:
-        X = coproduct(X, coset_gset(G, lat.class_rep(c).elements))[0]
+        X = coproduct(X, orbit_gset(G, c))[0]
     return X
 
 

@@ -6,12 +6,9 @@ between orbits; values on arbitrary G-sets and span morphisms follow by
 additivity.  Functoriality on span composition encodes the classical
 double-coset formula, and all arithmetic is exact.
 
-check_mackey decides the composition law on generators: on the pairs of
-endpoint keys, the basis spans between orbits G/H -> G/H' whose apex is
-in the class of H or of H'.  Such a span is a transfer, a restriction or
-a conjugation, and every basis span is a transfer after a restriction,
-so the law on these pairs gives it on all pairs (the proof is in
-check_mackey's docstring).  On the corpus this tests 22,995 of the
+check_mackey decides the composition law on the pairs of endpoint keys
+(spans.endpoint_keys): the transfers, restrictions and conjugations,
+which give it on all pairs.  On the corpus this tests 22,995 of the
 88,414 pairs of basis spans; the test suite keeps the exhaustive check
 as its oracle.
 """
@@ -20,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul
 
 from .errors import GroupMismatch, IncoherentFamily, Verdict
@@ -140,23 +136,10 @@ class MackeyFunctor:
     gen_action: dict
 
 
-@lru_cache(maxsize=None)
-def _orbit_basis(G: FiniteGroup, c1: int, c2: int) -> tuple:
-    lat = subgroup_lattice(G)
-    X = gs.coset_gset(G, lat.class_rep(c1).elements)
-    Y = gs.coset_gset(G, lat.class_rep(c2).elements)
-    return tuple(sp.span_basis(X, Y))
-
-
-def _orbit_gset(G: FiniteGroup, c: int) -> gs.GSet:
-    lat = subgroup_lattice(G)
-    return gs.coset_gset(G, lat.class_rep(c).elements)
-
-
 def _flip_key(G: FiniteGroup, c1: int, c2: int, key) -> tuple:
     """The key of the reversed span, re-canonicalized for the swapped
     endpoint order."""
-    f, g = sp.basis_legs(_orbit_gset(G, c1), _orbit_gset(G, c2), key)
+    f, g = sp.basis_legs(gs.orbit_gset(G, c1), gs.orbit_gset(G, c2), key)
     (k, m), = sp.span_from_maps(g, f).terms
     assert m == 1
     return k
@@ -172,15 +155,15 @@ def burnside_mackey(G: FiniteGroup) -> MackeyFunctor:
     pt_class = lat.class_of(tuple(G.elements()))
     level_basis = []
     for c in range(n):
-        level_basis.append(list(_orbit_basis(G, c, pt_class)))
+        level_basis.append(list(sp.orbit_basis(G, c, pt_class)))
     levels = tuple(AbPresentation(len(bs)) for bs in level_basis)
     gen_action: dict = {}
     for c1 in range(n):
-        X = _orbit_gset(G, c1)
+        X = gs.orbit_gset(G, c1)
         for c2 in range(n):
-            Y = _orbit_gset(G, c2)
+            Y = gs.orbit_gset(G, c2)
             tgt_index = {k: i for i, k in enumerate(level_basis[c2])}
-            for key in _orbit_basis(G, c1, c2):
+            for key in sp.orbit_basis(G, c1, c2):
                 flipped = sp.basis_span_mor(Y, X, _flip_key(G, c1, c2, key))
                 cols = []
                 for src_key in level_basis[c1]:
@@ -209,7 +192,7 @@ def check_structure(M: MackeyFunctor) -> Verdict:
         (c1, c2, key)
         for c1 in range(n)
         for c2 in range(n)
-        for key in _orbit_basis(G, c1, c2)
+        for key in sp.orbit_basis(G, c1, c2)
     ]
     for c1, c2, key in basis:
         A = M.gen_action.get((c1, c2, key))
@@ -269,23 +252,12 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
     composition law M(b2 ∘ b1) = M(b2)·M(b1) with the composite expanded
     by span composition — the double-coset formula in matrix form.
 
-    The law is tested only on pairs of endpoint keys: keys between orbit
-    classes c -> c' whose apex class is c or c'.  One leg of such a span
-    is an isomorphism, so it is a transfer or a conjugation (apex c) or a
-    restriction or a conjugation (apex c').  Every basis span b with apex
-    G/K factors as b = t_b ∘ r_b through G/K, with r_b and t_b endpoint
-    keys, and the composite of two transfers (or of two restrictions) is
-    again one endpoint key.  So, writing r2 ∘ t1 = Σ_x t_x ∘ r_x,
-
-        M(b2 ∘ b1) = Σ_x M(t2 ∘ t_x)·M(r_x ∘ r1)
-                   = M(t2)·M(r2 ∘ t1)·M(r1) = M(b2)·M(b1),
-
-    each step being the law on a pair of endpoint keys; this is the
-    restriction/transfer/conjugation presentation of Mackey functors
-    (Thévenaz–Webb 1995, §2; Dress 1973).  The steps hold up to
-    congruence in the target level because torsion well-definedness is
-    checked first.  On a failure the pairs of all basis keys are scanned
-    in order, so the witness is the first failing pair among all of them.
+    The law is tested only on the pairs of endpoint keys
+    (spans.endpoint_keys), which gives it on all pairs of basis spans.
+    The steps of that argument hold up to congruence in the target level
+    because torsion well-definedness is checked first.  On a failure the
+    pairs of all basis keys are scanned in order, so the witness is the
+    first failing pair among all of them.
     """
     verdict = check_structure(M)
     if not verdict:
@@ -296,7 +268,7 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
         src = M.levels[c1]
         for c2 in range(n):
             tgt = M.levels[c2]
-            for key in _orbit_basis(G, c1, c2):
+            for key in sp.orbit_basis(G, c1, c2):
                 A = M.gen_action[(c1, c2, key)]
                 for j, o in enumerate(src.orders()):
                     if o == 0:
@@ -309,18 +281,15 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
                                 (c1, c2, key),
                             )
     for c in range(n):
-        X = _orbit_gset(G, c)
+        X = gs.orbit_gset(G, c)
         (ikey, m), = sp.identity_span(X).terms
         A = M.gen_action[(c, c, ikey)]
         if m != 1 or not _congruent(A, _identity(M.levels[c].dims), M.levels[c].orders()):
             return Verdict(False, "identity span does not act as identity", c)
-    bases = [[_orbit_basis(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
-    generators = [
-        [[k for k in bases[c1][c2] if k[0] in (c1, c2)] for c2 in range(n)]
-        for c1 in range(n)
-    ]
+    generators = [[sp.endpoint_keys(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
     if _composition_failure(M, generators) is None:
         return Verdict(True)
+    bases = [[sp.orbit_basis(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
     return Verdict(False, "composition law fails", _composition_failure(M, bases))
 
 
@@ -331,7 +300,7 @@ def zero_mackey(G: FiniteGroup) -> MackeyFunctor:
         (c1, c2, key): ()
         for c1 in range(n)
         for c2 in range(n)
-        for key in _orbit_basis(G, c1, c2)
+        for key in sp.orbit_basis(G, c1, c2)
     }
     return MackeyFunctor(G, (ZERO_AB,) * n, gen_action)
 
@@ -365,16 +334,16 @@ def categorical_fixed_points(M: MackeyFunctor, q: QuotientMap) -> MackeyFunctor:
     nq = subgroup_lattice(Q).num_classes
     # rename each inflated coset G-set to the canonical one, the coset
     # G-set of the preimage class
-    sigma = [gs.canonical_iso(gs.inflate(_orbit_gset(Q, c), q)) for c in range(nq)]
+    sigma = [gs.canonical_iso(gs.inflate(gs.orbit_gset(Q, c), q)) for c in range(nq)]
     pre = [gs.orbit_class_multiset(s.dst)[0] for s in sigma]
     levels = tuple(M.levels[c] for c in pre)
     SpInf = sp.span_of_functor(sp.InflationGSetFunctor(q))
     gen_action: dict = {}
     for c1 in range(nq):
-        X = _orbit_gset(Q, c1)
+        X = gs.orbit_gset(Q, c1)
         for c2 in range(nq):
-            Y = _orbit_gset(Q, c2)
-            for key in _orbit_basis(Q, c1, c2):
+            Y = gs.orbit_gset(Q, c2)
+            for key in sp.orbit_basis(Q, c1, c2):
                 m = sp.basis_span_mor(X, Y, key)
                 image = sp.transport_span(SpInf(m), sigma[c1], sigma[c2])
                 (gkey, mult), = image.terms

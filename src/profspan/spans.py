@@ -15,7 +15,8 @@ hom(X, Y) is read off pairs of fixed points: a span with apex G/K is a
 point of X^K and a point of Y^K.  span_basis keys one pair (x, y) of
 K-fixed points per orbit of the normaliser of K, for one K per subgroup
 class, without enumerating hom-sets.  basis_legs turns a key back into
-its two legs, and basis_span_mor into a one-term SpanMor.
+its two legs, and basis_span_mor into a one-term SpanMor.  orbit_basis
+is the basis between two canonical orbits, endpoint_keys its generators.
 
 The way from legs back to keys is one loop, _sum_spans: it canonicalises
 every orbit of the apex of each span it is given and adds up the keys.
@@ -78,7 +79,7 @@ def coset_tables(G: FiniteGroup) -> CosetTables:
     conjugator = {}
     for c in range(lat.num_classes):
         R = lat.class_rep(c)
-        coset = gs.coset_gset(G, R.elements).action[0]
+        coset = gs.orbit_gset(G, c).action[0]
         mins = []
         for g in G.elements():
             if coset[g] == len(mins):
@@ -176,9 +177,32 @@ def span_basis(X: GSet, Y: GSet) -> list[Key]:
 def basis_legs(X: GSet, Y: GSet, key: Key) -> tuple[EqMap, EqMap]:
     """The legs X <- G/R -> Y of the basis span key, on the canonical
     coset apex of its stabilizer class."""
-    G = X.group
-    apex = gs.coset_gset(G, subgroup_lattice(G).class_rep(key[0]).elements)
+    apex = gs.orbit_gset(X.group, key[0])
     return EqMap(apex, X, key[1]), EqMap(apex, Y, key[2])
+
+
+@lru_cache(maxsize=None)
+def orbit_basis(G: FiniteGroup, c1: int, c2: int) -> tuple[Key, ...]:
+    """The basis keys between the canonical orbits of classes c1 and c2."""
+    return tuple(span_basis(gs.orbit_gset(G, c1), gs.orbit_gset(G, c2)))
+
+
+def endpoint_keys(G: FiniteGroup, c1: int, c2: int) -> tuple[Key, ...]:
+    """The endpoint keys of orbit_basis(G, c1, c2), whose apex is in class
+    c1 (transfers, conjugations) or c2 (restrictions, conjugations).
+
+    Every basis span b with apex G/K is t_b ∘ r_b through G/K, with r_b
+    and t_b endpoint keys, and two transfers (or two restrictions) compose
+    to one endpoint key.  So for Φ additive on the spans between orbits,
+    the law Φ(k2 ∘ k1) = Φ(k2)·Φ(k1) on pairs of endpoint keys gives it on
+    all pairs: with r2 ∘ t1 = Σ_x t_x ∘ r_x,
+
+        Φ(b2 ∘ b1) = Σ_x Φ(t2 ∘ t_x)·Φ(r_x ∘ r1)
+                   = Φ(t2)·Φ(r2 ∘ t1)·Φ(r1) = Φ(b2)·Φ(b1),
+
+    each step the law on endpoint keys (Thévenaz–Webb 1995, §2; Dress
+    1973)."""
+    return tuple(k for k in orbit_basis(G, c1, c2) if k[0] in (c1, c2))
 
 
 @dataclass(frozen=True)
@@ -304,10 +328,8 @@ def burnside_tables(G: FiniteGroup) -> BurnsideTables:
     """
     T = coset_tables(G)
     n = len(T.classes)
-    marks = tuple(
-        tuple(map(len, _fixed_by_class(gs.coset_gset(G, cls.rep), T)))
-        for cls in T.classes
-    )
+    orbits = (gs.orbit_gset(G, c) for c in range(n))
+    marks = tuple(tuple(map(len, _fixed_by_class(X, T))) for X in orbits)
     pt = gs.point_gset(G)
     basis = span_basis(pt, pt)
     assert len(basis) == n
@@ -421,18 +443,30 @@ class FixedPointsGSetFunctor(GSetFunctor):
 
 def check_left_exact(F: GSetFunctor, objects) -> Verdict:
     """Whether F carries pullbacks of maps between the given G-sets to
-    pullbacks; exhaustive over the supplied objects.  The witness of a
-    failure names the cospan X -f-> Z <-g- Y: (X, Y, Z actions, f and g
-    values).  The squares share legs; F.mapped maps each one once."""
-    for X, Y, Z in itertools.product(objects, repeat=3):
-        for f in gs.hom_gset(X, Z):
-            for g in gs.hom_gset(Y, Z):
-                P, p1, p2 = gs.pullback(f, g)
-                if not gs.square_is_pullback(
-                    F.mapped(p1), F.mapped(p2), F.mapped(f), F.mapped(g)
-                ):
-                    square = (X.action, Y.action, Z.action, f.values, g.values)
-                    return Verdict(False, "pullback not preserved", square)
+    pullbacks; the witness of a failure is the cospan X -f-> Z <-g- Y as
+    (X, Y, Z actions, f and g values).
+
+    (a∘f, a∘g), for a in Aut(Z), has the pullback of (f, g), and F maps
+    its square to F(a) after theirs; so f runs over the least map of each
+    Aut(Z)-orbit of hom(X, Z), which Aut(Z) acts freely on for X
+    transitive.  G-sets are extensive, so for F preserving coproducts, as
+    inflation and fixed points do, one orbit per subgroup class decides
+    it.  The squares share legs; F.mapped maps each one once."""
+    for Z in objects:
+        autos = [a for a in gs.hom_gset(Z, Z) if a.is_iso()]
+        homs = {Y: gs.hom_gset(Y, Z) for Y in objects}
+        for X in objects:
+            least = [
+                f for f in homs[X] if all(f.then(a).values >= f.values for a in autos)
+            ]
+            for Y in objects:
+                for f, g in itertools.product(least, homs[Y]):
+                    P, p1, p2 = gs.pullback(f, g)
+                    if not gs.square_is_pullback(
+                        F.mapped(p1), F.mapped(p2), F.mapped(f), F.mapped(g)
+                    ):
+                        square = (X.action, Y.action, Z.action, f.values, g.values)
+                        return Verdict(False, "pullback not preserved", square)
     return Verdict(True)
 
 

@@ -7,7 +7,9 @@ tower checks take a GroupTower, built and validated once by the caller
 The span-category statements are verified at the level of hom-monoid
 bases: span hom-sets are free commutative monoids on transitive-apex
 classes, so an additive comparison map is an isomorphism exactly when it
-restricts to a bijection of bases.
+restricts to a bijection of bases.  Both span checks decide Span(F) on
+its generators (_span_functor_check), so their reports depend on neither
+the size cap nor the seed; only funcat reads the seed.
 
 A check that would test nothing at the requested tower or cap raises
 ParseError, an input error, naming its minimum: the link checks need a
@@ -18,6 +20,7 @@ runs any of them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Callable, NamedTuple
@@ -129,78 +132,85 @@ def _links_verdict(tower, cap) -> Verdict:
     return Verdict(True)
 
 
-def verify_colim_span(tower: g.GroupTower, cap: int, seed: int = 0) -> Verdict:
-    """Span of the discrete model as the colimit of stage span categories.
+def _basis_failure(F: sp.GSetFunctor, SpF, orbits, kept) -> str | None:
+    """How SpF = Span(F) fails on the basis spans between the orbits, or
+    None: a key goes to one basis span if kept(its apex class), else to
+    zero; the kept keys of one hom go to distinct basis spans of the image
+    hom; an identity span goes to the identity span."""
+    for (c1, X), (c2, Y) in itertools.product(enumerate(orbits), repeat=2):
+        basis = sp.orbit_basis(F.src_group, c1, c2)
+        images = [SpF(sp.basis_span_mor(X, Y, k)).terms for k in basis]
+        for key, image in zip(basis, images):
+            if not kept(key[0]) and image:
+                return "of a kernel-moved apex is not zero"
+            if kept(key[0]) and (len(image) != 1 or image[0][1] != 1):
+                return "of a basis span is not basic"
+        hit = {image[0][0] for image in images if image}
+        target = sp.span_basis(F.obj(X), F.obj(Y))
+        if len(hit) != sum(map(bool, images)) or not hit.issubset(target):
+            return "not injective on basis"
+    if any(SpF(sp.identity_span(X)) != sp.identity_span(F.obj(X)) for X in orbits):
+        return "does not preserve an identity span"
+    return None
 
-    Verified on hom-monoid bases at every link of the tower and every pair
-    of capped stage objects: each inflation step is left exact on small
-    probes and maps basis spans to basis spans injectively and
-    functorially, and at the final stage the comparison to the discrete
-    model is a basis bijection on every hom.
 
-    Each image key is looked up in span_basis of the inflated endpoints
-    themselves: keys are canonical for their own endpoints, and transport
-    along an isomorphism of endpoints maps basis keys one to one, so no
-    renaming to canonical G-sets is needed.
+def _span_functor_check(tower, name: str, functor, kept, conclusion: str) -> Verdict:
+    """Span(F) for F = functor(q), named `name`, at every link q of the
+    tower, decided on the orbits of F's source group, one per subgroup
+    class: F is left exact on the transitive cospans (check_left_exact),
+    maps basis spans as _basis_failure demands with kept(q, apex class),
+    and satisfies Span(F)(k2 ∘ k1) = Span(F)(k2) ∘ Span(F)(k1) on every
+    pair of endpoint keys (witness (c1, c2, c3, k1, k2)).
+
+    Inflation and fixed points preserve coproducts and X ⊔ Y is a
+    biproduct of spans, so Span(F) is fixed by its values between orbits,
+    and the endpoint-key pairs give the law on all basis spans
+    (spans.endpoint_keys): the check is exhaustive and needs no size cap.
     """
-    _require_link("colim-span", tower)
-    rng = random.Random(seed)
-    lines = [_tower_line(tower, f"size cap {cap}", f"seed {seed}")]
-    checked_pairs = 0
-    checked_compositions = 0
+    mapped = composed = 0
     for i, q in enumerate(tower.links):
-        objs = _stage_objects(q.target, cap)
-        Inf = sp.InflationGSetFunctor(q)
-        exact = sp.check_left_exact(Inf, _stage_objects(q.target, min(cap, 2)))
+        F = functor(q)
+        G = F.src_group
+        classes = range(g.subgroup_lattice(G).num_classes)
+        orbits = [gs.orbit_gset(G, c) for c in classes]
+        exact = sp.check_left_exact(F, orbits)
         if not exact:
-            reason = f"inflation not left exact at stage {i}"
-            return Verdict(False, reason, exact.witness)
-        SpInf = sp.span_of_functor(Inf)
-        bases = {}
-        for X in objs:
-            for Y in objs:
-                basis = bases[X, Y] = sp.span_basis(X, Y)
-                target_keys = set(
-                    sp.span_basis(gs.inflate(X, q), gs.inflate(Y, q))
-                )
-                images = set()
-                for b in basis:
-                    m = SpInf(sp.basis_span_mor(X, Y, b))
-                    if len(m.terms) != 1 or m.terms[0][1] != 1:
-                        return Verdict(
-                            False,
-                            f"inflation of a basis span is not basic at stage {i}",
-                        )
-                    images.add(m.terms[0][0])
-                if len(images) != len(basis) or not images <= target_keys:
-                    return Verdict(
-                        False, f"inflation not injective on basis at stage {i}"
-                    )
-                checked_pairs += 1
-        # sampled functoriality of Span(inflation)
-        for _ in range(40):
-            X, Y, Z = (rng.choice(objs) for _ in range(3))
-            b1 = bases[X, Y]
-            b2 = bases[Y, Z]
-            if not (b1 and b2):
-                continue
-            m1 = sp.basis_span_mor(X, Y, rng.choice(b1))
-            m2 = sp.basis_span_mor(Y, Z, rng.choice(b2))
-            if SpInf(sp.compose_spans(m2, m1)) != sp.compose_spans(
-                SpInf(m2), SpInf(m1)
-            ):
-                return Verdict(False, f"Span(inflation) not functorial at stage {i}")
-            checked_compositions += 1
-    # objects jointly hit: inflation keeps sizes, so capped objects lift capped
-    lines += [
-        f"hom bases checked: {checked_pairs}",
-        f"sampled functoriality compositions: {checked_compositions}",
-        "basis-level comparison is bijective on every hom; objects jointly hit",
-    ]
-    return Verdict(True, lines=lines)
+            return Verdict(False, f"{name} not left exact at stage {i}", exact.witness)
+        SpF = sp.span_of_functor(F)
+        failure = _basis_failure(F, SpF, orbits, lambda c: kept(q, c))
+        if failure:
+            return Verdict(False, f"{name} {failure} at stage {i}")
+        gens = {}  # (c1, c2) -> (key, basis span, its image) per endpoint key
+        for (c1, X), (c2, Y) in itertools.product(enumerate(orbits), repeat=2):
+            mapped += len(sp.orbit_basis(G, c1, c2))
+            keys = sp.endpoint_keys(G, c1, c2)
+            spans = [sp.basis_span_mor(X, Y, k) for k in keys]
+            gens[c1, c2] = list(zip(keys, spans, map(SpF, spans)))
+        for c1, c2, c3 in itertools.product(classes, repeat=3):
+            pairs = itertools.product(gens[c1, c2], gens[c2, c3])
+            for (k1, m1, f1), (k2, m2, f2) in pairs:
+                if SpF(sp.compose_spans(m2, m1)) != sp.compose_spans(f2, f1):
+                    reason = f"Span({name}) not functorial at stage {i}"
+                    return Verdict(False, reason, (c1, c2, c3, k1, k2))
+                composed += 1
+    counts = [f"orbit basis spans mapped: {mapped}"]
+    counts.append(f"endpoint-key compositions checked: {composed}")
+    return Verdict(True, lines=[_tower_line(tower), *counts, conclusion])
 
 
-def verify_limit_span(tower: g.GroupTower, cap: int) -> Verdict:
+def verify_colim_span(tower: g.GroupTower) -> Verdict:
+    """Span of the discrete model as the colimit of stage span categories:
+    inflation along every link maps basis spans to basis spans, injectively
+    and functorially, so at the final stage the comparison to the discrete
+    model is a basis bijection on every hom."""
+    _require_link("colim-span", tower)
+    last = "basis-level comparison is bijective on every hom; objects jointly hit"
+    return _span_functor_check(
+        tower, "inflation", sp.InflationGSetFunctor, lambda q, c: True, last
+    )
+
+
+def verify_limit_span(tower: g.GroupTower) -> Verdict:
     """Span of the deepest stage as the limit of stage span categories
     along Span(fixed points).
 
@@ -210,62 +220,15 @@ def verify_limit_span(tower: g.GroupTower, cap: int) -> Verdict:
     the N ⊆ H rule), left exact, functorial, and identity-preserving.
     """
     _require_link("limit-span", tower)
-    lines = [_tower_line(tower, f"size cap {cap}")]
-    basis_images = 0
-    compositions = 0
-    for i, q in enumerate(tower.links):  # q: stages[i+1] -> stages[i]
-        G = q.source
-        lat = g.subgroup_lattice(G)
-        N = set(q.kernel.elements)
-        Fix = sp.FixedPointsGSetFunctor(q)
-        exact = sp.check_left_exact(Fix, _stage_objects(G, min(cap, 2)))
-        if not exact:
-            reason = f"fixed points not left exact at stage {i}"
-            return Verdict(False, reason, exact.witness)
-        SpFix = sp.span_of_functor(Fix)
-        objs = _stage_objects(G, cap)
-        images = {}  # (X, Y) -> [(basis span, its SpFix image)]
-        for X in objs:
-            for Y in objs:
-                images[X, Y] = []
-                for b in sp.span_basis(X, Y):
-                    m = sp.basis_span_mor(X, Y, b)
-                    image = SpFix(m)
-                    images[X, Y].append((m, image))
-                    expect_nonzero = N <= set(lat.class_rep(b[0]).elements)
-                    if expect_nonzero and (
-                        len(image.terms) != 1 or image.terms[0][1] != 1
-                    ):
-                        return Verdict(
-                            False, "fixed points of a kernel-fixed apex is not basic"
-                        )
-                    if not expect_nonzero and not image.is_zero():
-                        return Verdict(
-                            False, "fixed points of a kernel-moved apex is not zero"
-                        )
-                    basis_images += 1
-            iX = sp.identity_span(X)
-            if SpFix(iX) != sp.identity_span(gs.fixed_points(X, q)):
-                return Verdict(False, "identity span not preserved")
-        for X in objs[:4]:
-            for Y in objs[:4]:
-                for Z in objs[:4]:
-                    for m1, f1 in images[X, Y]:
-                        for m2, f2 in images[Y, Z]:
-                            if SpFix(sp.compose_spans(m2, m1)) != sp.compose_spans(
-                                f2, f1
-                            ):
-                                return Verdict(
-                                    False,
-                                    f"Span(fixed points) not functorial at stage {i}",
-                                )
-                            compositions += 1
-    lines += [
-        f"basis spans transported: {basis_images}",
-        f"functoriality compositions verified: {compositions}",
-        "families along the chain are determined by their deepest component",
-    ]
-    return Verdict(True, lines=lines)
+
+    def kernel_fixed(q: g.QuotientMap, c: int) -> bool:
+        rep = g.subgroup_lattice(q.source).class_rep(c)
+        return set(q.kernel.elements) <= set(rep.elements)
+
+    last = "families along the chain are determined by their deepest component"
+    return _span_functor_check(
+        tower, "fixed points", sp.FixedPointsGSetFunctor, kernel_fixed, last
+    )
 
 
 def verify_adjunction(cap: int = 4) -> Verdict:
@@ -464,12 +427,10 @@ def _needs_link(check: str) -> Callable[[int, g.GroupTower], None]:
 CHECKS = {
     "colim-gset": Check(lambda cap, seed, tower: verify_colim_gset(tower, cap)),
     "colim-span": Check(
-        lambda cap, seed, tower: verify_colim_span(tower, cap, seed),
-        _needs_link("colim-span"),
+        lambda cap, seed, tower: verify_colim_span(tower), _needs_link("colim-span")
     ),
     "limit-span": Check(
-        lambda cap, seed, tower: verify_limit_span(tower, cap),
-        _needs_link("limit-span"),
+        lambda cap, seed, tower: verify_limit_span(tower), _needs_link("limit-span")
     ),
     "adjunction": Check(
         lambda cap, seed, tower: verify_adjunction(cap),

@@ -6,12 +6,19 @@ composite of two basis keys, the least-key canonicalisation of a span
 orbit, the rank of a basis hom by orbit counting, the colim-gset
 equivalence with every hom-set enumerated, Span(F) applied term by term
 with nothing kept between calls, and the adjunction's unit and counit
-squares built and decided for one map at a time, and the Mackey
-composition law tested on every pair of basis spans between orbits.
+squares built and decided for one map at a time, the Mackey
+composition law tested on every pair of basis spans between orbits, left
+exactness over every cospan of the given G-sets, and the span checks of
+verify as they were before they were decided on orbit generators: on
+the stage objects up to a size cap, with functoriality sampled or tested
+on the first four objects.  OrbitQuotientFunctor is a functor that is not
+left exact, for the negative controls.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass
 
 from profspan import groups as g
@@ -240,7 +247,7 @@ def mackey_composition_oracle(M: mk.MackeyFunctor) -> Verdict:
         src = M.levels[c1]
         for c2 in range(n):
             tgt = M.levels[c2]
-            for key in mk._orbit_basis(G, c1, c2):
+            for key in sp.orbit_basis(G, c1, c2):
                 A = M.gen_action[(c1, c2, key)]
                 for j, o in enumerate(src.orders()):
                     if o == 0:
@@ -253,24 +260,24 @@ def mackey_composition_oracle(M: mk.MackeyFunctor) -> Verdict:
                                 (c1, c2, key),
                             )
     for c in range(n):
-        X = mk._orbit_gset(G, c)
+        X = gs.orbit_gset(G, c)
         (ikey, m), = sp.identity_span(X).terms
         A = M.gen_action[(c, c, ikey)]
         identity = mk._identity(M.levels[c].dims)
         if m != 1 or not mk._congruent(A, identity, M.levels[c].orders()):
             return Verdict(False, "identity span does not act as identity", c)
     for c1 in range(n):
-        X = mk._orbit_gset(G, c1)
+        X = gs.orbit_gset(G, c1)
         for c2 in range(n):
-            Y = mk._orbit_gset(G, c2)
+            Y = gs.orbit_gset(G, c2)
             for c3 in range(n):
-                Z = mk._orbit_gset(G, c3)
+                Z = gs.orbit_gset(G, c3)
                 tgt_orders = M.levels[c3].orders()
                 rows, cols = M.levels[c3].dims, M.levels[c1].dims
-                for k1 in mk._orbit_basis(G, c1, c2):
+                for k1 in sp.orbit_basis(G, c1, c2):
                     m1 = sp.SpanMor(X, Y, ((k1, 1),))
                     A1 = M.gen_action[(c1, c2, k1)]
-                    for k2 in mk._orbit_basis(G, c2, c3):
+                    for k2 in sp.orbit_basis(G, c2, c3):
                         composite = sp.compose_spans(sp.SpanMor(Y, Z, ((k2, 1),)), m1)
                         expanded = [[0] * cols for _ in range(rows)]
                         for k, m in composite.terms:
@@ -284,3 +291,151 @@ def mackey_composition_oracle(M: mk.MackeyFunctor) -> Verdict:
                                 False, "composition law fails", (c1, c2, c3, k1, k2)
                             )
     return Verdict(True)
+
+
+def left_exact_oracle(F: sp.GSetFunctor, objects) -> Verdict:
+    """check_left_exact without the reduction by automorphisms: every
+    cospan X -f-> Z <-g- Y of the given G-sets, with F.map applied to every
+    leg of every square."""
+    for X, Y, Z in itertools.product(objects, repeat=3):
+        for f in gs.hom_gset(X, Z):
+            for g_ in gs.hom_gset(Y, Z):
+                P, p1, p2 = gs.pullback(f, g_)
+                if not gs.square_is_pullback(F.map(p1), F.map(p2), F.map(f), F.map(g_)):
+                    square = (X.action, Y.action, Z.action, f.values, g_.values)
+                    return Verdict(False, "pullback not preserved", square)
+    return Verdict(True)
+
+
+def _capped_objects(G: FiniteGroup, cap: int) -> list[GSet]:
+    return [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, cap)]
+
+
+def colim_span_oracle(tower: g.GroupTower, cap: int, seed: int = 0) -> Verdict:
+    """verify colim-span on capped objects: left exactness on the objects
+    of size at most min(cap, 2), every basis span of every pair of capped
+    objects inflated to one basis span, injectively, and functoriality on
+    40 seeded random triples per link."""
+    rng = random.Random(seed)
+    for i, q in enumerate(tower.links):
+
+        def fail(reason, witness=None):
+            return Verdict(False, f"{reason} at stage {i}", witness)
+
+        objs = _capped_objects(q.target, cap)
+        Inf = sp.InflationGSetFunctor(q)
+        exact = left_exact_oracle(Inf, _capped_objects(q.target, min(cap, 2)))
+        if not exact:
+            return fail("inflation not left exact", exact.witness)
+        SpInf = sp.span_of_functor(Inf)
+        bases = {}
+        for X in objs:
+            for Y in objs:
+                basis = bases[X, Y] = sp.span_basis(X, Y)
+                target_keys = set(sp.span_basis(gs.inflate(X, q), gs.inflate(Y, q)))
+                images = set()
+                for b in basis:
+                    m = SpInf(sp.basis_span_mor(X, Y, b))
+                    if len(m.terms) != 1 or m.terms[0][1] != 1:
+                        return fail("inflation of a basis span is not basic")
+                    images.add(m.terms[0][0])
+                if len(images) != len(basis) or not images <= target_keys:
+                    return fail("inflation not injective on basis")
+        for _ in range(40):
+            X, Y, Z = (rng.choice(objs) for _ in range(3))
+            b1, b2 = bases[X, Y], bases[Y, Z]
+            if not (b1 and b2):
+                continue
+            m1 = sp.basis_span_mor(X, Y, rng.choice(b1))
+            m2 = sp.basis_span_mor(Y, Z, rng.choice(b2))
+            if SpInf(sp.compose_spans(m2, m1)) != sp.compose_spans(
+                SpInf(m2), SpInf(m1)
+            ):
+                return fail("Span(inflation) not functorial")
+    return Verdict(True)
+
+
+def limit_span_oracle(tower: g.GroupTower, cap: int) -> Verdict:
+    """verify limit-span on capped objects: left exactness on the objects
+    of size at most min(cap, 2), every basis span of every pair of capped
+    objects sent to a basis span or to zero by the N ⊆ H rule, identity
+    spans kept, and functoriality on the triples of the first four
+    objects."""
+    for i, q in enumerate(tower.links):
+
+        def fail(reason, witness=None):
+            return Verdict(False, f"fixed points {reason} at stage {i}", witness)
+
+        G = q.source
+        lat = subgroup_lattice(G)
+        N = set(q.kernel.elements)
+        Fix = sp.FixedPointsGSetFunctor(q)
+        exact = left_exact_oracle(Fix, _capped_objects(G, min(cap, 2)))
+        if not exact:
+            return fail("not left exact", exact.witness)
+        SpFix = sp.span_of_functor(Fix)
+        objs = _capped_objects(G, cap)
+        images = {}
+        for X in objs:
+            for Y in objs:
+                images[X, Y] = []
+                for b in sp.span_basis(X, Y):
+                    m = sp.basis_span_mor(X, Y, b)
+                    image = SpFix(m)
+                    images[X, Y].append((m, image))
+                    if N <= set(lat.class_rep(b[0]).elements):
+                        if len(image.terms) != 1 or image.terms[0][1] != 1:
+                            return fail("of a basis span is not basic")
+                    elif not image.is_zero():
+                        return fail("of a kernel-moved apex is not zero")
+            if SpFix(sp.identity_span(X)) != sp.identity_span(gs.fixed_points(X, q)):
+                return fail("does not preserve an identity span")
+        for X, Y, Z in itertools.product(objs[:4], repeat=3):
+            for m1, f1 in images[X, Y]:
+                for m2, f2 in images[Y, Z]:
+                    if SpFix(sp.compose_spans(m2, m1)) != sp.compose_spans(f2, f1):
+                        return Verdict(
+                            False, f"Span(fixed points) not functorial at stage {i}"
+                        )
+    return Verdict(True)
+
+
+class OrbitQuotientFunctor(sp.GSetFunctor):
+    """Collapse each N-orbit to a point, from G-sets to G/N-sets; a left
+    adjoint, not left exact."""
+
+    def __init__(self, q):
+        self.q = q
+        self.src_group = q.source
+        self.dst_group = q.target
+
+    def _orbit_index(self, X):
+        N = self.q.kernel.elements
+        rep = {}
+        for x in X.points():
+            orb = min(X.action[x][n] for n in N)
+            rep[x] = orb
+        order = sorted(set(rep.values()))
+        idx = {r: i for i, r in enumerate(order)}
+        return {x: idx[r] for x, r in rep.items()}
+
+    def obj(self, X):
+        idx = self._orbit_index(X)
+        pts = sorted(set(idx.values()))
+        inv = {}
+        for x, i in idx.items():
+            inv.setdefault(i, x)
+        Q = self.q.target
+        action = tuple(
+            tuple(idx[X.action[inv[i]][self.q.section(c)]] for c in Q.elements())
+            for i in pts
+        )
+        return gs.GSet(Q, action)
+
+    def map(self, f):
+        src_idx = self._orbit_index(f.src)
+        dst_idx = self._orbit_index(f.dst)
+        values = [0] * (max(src_idx.values()) + 1 if src_idx else 0)
+        for x, i in src_idx.items():
+            values[i] = dst_idx[f.values[x]]
+        return gs.EqMap(self.obj(f.src), self.obj(f.dst), tuple(values))

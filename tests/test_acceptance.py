@@ -137,16 +137,16 @@ def test_criterion_4_colim_gset():
     assert report.ok, report.render()
 
 
-@_criterion(5, "capped span categories glue along Span(inflation) into the tower model")
+@_criterion(5, "stage span categories glue along Span(inflation) into the tower model")
 def test_criterion_5_colim_span():
     for depth in (2, 3):
-        report = vf.verify_colim_span(g.cyclic_tower(2, depth), 3)
+        report = vf.verify_colim_span(g.cyclic_tower(2, depth))
         assert report.ok, report.render()
 
 
 @_criterion(6, "the deepest span stage is the limit along Span(fixed points)")
 def test_criterion_6_limit_span():
-    report = vf.verify_limit_span(g.cyclic_tower(2, 2), 3)
+    report = vf.verify_limit_span(g.cyclic_tower(2, 2))
     assert report.ok, report.render()
 
 

@@ -251,9 +251,9 @@ def test_report_objects_render_pass():
     tower = g.cyclic_tower(2, 2)
     r = vf.verify_colim_gset(tower, 2)
     assert r.ok and r.render().splitlines()[0] == "PASS"
-    r = vf.verify_colim_span(tower, 2)
+    r = vf.verify_colim_span(tower)
     assert r.ok
-    r = vf.verify_limit_span(tower, 2)
+    r = vf.verify_limit_span(tower)
     assert r.ok
 
 
@@ -327,3 +327,19 @@ def test_closed_stdout_ends_quietly():
     err = proc.stderr.read().decode()
     assert proc.wait() == 0
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_python_m_profspan_prints_the_golden_report():
+    """`python -m profspan` runs the CLI: the `--cap 4 verify all` report
+    and exit code match the in-process golden."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "profspan", "--cap", "4", "verify", "all"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    expected = (GOLDEN / "verify-all-cap4.txt").read_text()
+    assert f"exit {proc.returncode}\n{proc.stdout}" == expected
+    assert proc.stderr == ""

@@ -172,6 +172,49 @@ def test_mackey_rejects_a_repeated_level_index():
     assert str(err.value) == "m:4: repeated level 0"
 
 
+@pytest.mark.parametrize("kind", ["group", "gset", "tower"])
+def test_a_row_after_the_announced_rows_is_an_error(kind):
+    """A group, G-set or tower file ends with the rows its header
+    announces; a further row, even after blank lines, is an error at it."""
+    S3 = corpus_group("S3")
+    text, parse = {
+        "group": (fm.serialize_group(S3), lambda t: fm.parse_group(t, "f")),
+        "gset": (
+            fm.serialize_gset(gs.canonical_gset(S3, (1, 3)), "s3.grp"),
+            lambda t: fm.parse_gset(t, S3, "f"),
+        ),
+        "tower": (
+            fm.serialize_tower(g.cyclic_tower(2, 3)),
+            lambda t: fm.parse_tower(t, "f"),
+        ),
+    }[kind]
+    lines = text.splitlines()
+    parse(text + "\n\n")
+    with pytest.raises(ParseError) as err:
+        parse(text + "\n" + lines[-1] + "\n")
+    assert str(err.value) == f"f:{len(lines) + 2}: expected end of file"
+
+
+def test_a_tower_header_with_an_extra_field_is_an_error():
+    text = fm.serialize_tower(g.cyclic_tower(2, 2)).replace("tower 2", "tower 2 0")
+    with pytest.raises(ParseError) as err:
+        fm.parse_tower(text, "t")
+    assert str(err.value) == "t:1: tower header needs exactly one depth"
+
+
+@pytest.mark.parametrize("field", ["rows", "cols"])
+def test_a_negative_gen_count_is_an_error_on_the_gen_line(field):
+    G = corpus_group("C2")
+    lines = fm.serialize_mackey(mk.burnside_mackey(G), "c2.grp").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("gen "))
+    tokens = lines[start].split()
+    tokens[tokens.index(field) + 1] = "-1"
+    lines[start] = " ".join(tokens)
+    with pytest.raises(ParseError) as err:
+        fm.parse_mackey("\n".join(lines) + "\n", G, source="m")
+    assert str(err.value) == f"m:{start + 1}: gen rows and cols must be non-negative"
+
+
 def test_load_group_missing_file():
     with pytest.raises(ParseError):
         fm.load_group("/nonexistent/file.grp")

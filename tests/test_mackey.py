@@ -85,7 +85,7 @@ def test_burnside_mackey_c6_divisor_lattice_shape():
     # res/tr spans exist exactly between divisor-comparable levels
     for c1 in range(4):
         for c2 in range(4):
-            keys = mk._orbit_basis(C6, c1, c2)
+            keys = sp.orbit_basis(C6, c1, c2)
             endpoint_apex = any(k[0] in (c1, c2) for k in keys)
             comparable = (
                 orders[c1] % orders[c2] == 0 or orders[c2] % orders[c1] == 0
@@ -104,7 +104,7 @@ def _zero_middle_level():
     gen_action = {}
     for c1 in range(2):
         for c2 in range(2):
-            for key in mk._orbit_basis(C2, c1, c2):
+            for key in sp.orbit_basis(C2, c1, c2):
                 value = int((c1, c2, key[0]) == (1, 1, 1))
                 gen_action[(c1, c2, key)] = ((value,) * c1,) * c2
     return mk.MackeyFunctor(C2, (mk.ZERO_AB, mk.AbPresentation(1)), gen_action)

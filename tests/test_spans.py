@@ -10,9 +10,11 @@ from profspan.corpus import corpus_group, corpus_groups, groups_of_order_at_most
 from profspan.errors import ObjectMismatch
 
 from oracles import (
+    OrbitQuotientFunctor,
     canonical_key_oracle,
     compose_keys_oracle,
     double_coset_count,
+    left_exact_oracle,
     span_basis_count_oracle,
     span_basis_oracle,
     span_of_functor_oracle,
@@ -322,67 +324,51 @@ def test_span_functors_are_left_exact():
     assert sp.check_left_exact(sp.FixedPointsGSetFunctor(q), small_c4)
 
 
+def _orbits(G):
+    return [gs.orbit_gset(G, c) for c in range(g.subgroup_lattice(G).num_classes)]
+
+
 @pytest.mark.parametrize(
-    "functor", [sp.InflationGSetFunctor, sp.FixedPointsGSetFunctor]
+    "functor,maps", [(sp.InflationGSetFunctor, 6), (sp.FixedPointsGSetFunctor, 27)]
 )
-def test_check_left_exact_maps_each_distinct_map_once(functor, monkeypatch):
-    # the probes of verify colim-span and limit-span on the 2,2 tower: 107
-    # squares, whose 428 legs are 25 distinct maps
+def test_check_left_exact_maps_each_distinct_map_once(functor, maps, monkeypatch):
+    # the probes of verify colim-span and limit-span on the 2,2 tower: the
+    # orbits of C2 (6 squares) or of C4 (21 squares), whose
+    # legs are 6 or 27 distinct maps
     F = functor(g.cyclic_tower(2, 2).links[0])
-    G = F.src_group
-    probes = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, 2)]
+    probes = _orbits(F.src_group)
     calls = []
     unwrapped = functor.map
     monkeypatch.setattr(
         functor, "map", lambda self, f: calls.append(f) or unwrapped(self, f)
     )
     assert sp.check_left_exact(F, probes)
-    assert len(calls) == len(set(calls)) == 25
+    assert len(calls) == len(set(calls)) == maps
 
 
-class _OrbitQuotientFunctor(sp.GSetFunctor):
-    """Collapse each N-orbit to a point; a left adjoint, not left exact."""
-
-    def __init__(self, q):
-        self.q = q
-        self.src_group = q.source
-        self.dst_group = q.target
-
-    def _orbit_index(self, X):
-        N = self.q.kernel.elements
-        rep = {}
-        for x in X.points():
-            orb = min(X.action[x][n] for n in N)
-            rep[x] = orb
-        order = sorted(set(rep.values()))
-        idx = {r: i for i, r in enumerate(order)}
-        return {x: idx[r] for x, r in rep.items()}
-
-    def obj(self, X):
-        idx = self._orbit_index(X)
-        pts = sorted(set(idx.values()))
-        inv = {}
-        for x, i in idx.items():
-            inv.setdefault(i, x)
-        Q = self.q.target
-        action = tuple(
-            tuple(idx[X.action[inv[i]][self.q.section(c)]] for c in Q.elements())
-            for i in pts
-        )
-        return gs.GSet(Q, action)
-
-    def map(self, f):
-        src_idx = self._orbit_index(f.src)
-        dst_idx = self._orbit_index(f.dst)
-        values = [0] * (max(src_idx.values()) + 1 if src_idx else 0)
-        for x, i in src_idx.items():
-            values[i] = dst_idx[f.values[x]]
-        return gs.EqMap(self.obj(f.src), self.obj(f.dst), tuple(values))
+@pytest.mark.parametrize("functor", [
+    sp.InflationGSetFunctor, sp.FixedPointsGSetFunctor, OrbitQuotientFunctor
+])
+@pytest.mark.parametrize("p,depth", [(2, 2), (2, 3), (3, 2)])
+def test_check_left_exact_agrees_with_every_cospan(functor, p, depth):
+    """Taking f up to automorphisms of Z keeps the verdict of the check
+    over every cospan, on the orbits and on the G-sets of size at most 3
+    of each link's source group.  The N-orbit quotient fails on the
+    orbits (on G/1 -> G/G <- G/1), not on the small G-sets."""
+    for q in g.cyclic_tower(p, depth).links:
+        F = functor(q)
+        G = F.src_group
+        small = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, 3)]
+        for objects in (_orbits(G), small):
+            fast, slow = sp.check_left_exact(F, objects), left_exact_oracle(F, objects)
+            assert fast.ok == slow.ok
+        exact = sp.check_left_exact(F, _orbits(G)).ok
+        assert exact == (functor is not OrbitQuotientFunctor)
 
 
 def test_check_left_exact_rejects_orbit_quotient():
     q = g.quotient(C2, g.make_subgroup(C2, (0, 1)))
-    bad = _OrbitQuotientFunctor(q)
+    bad = OrbitQuotientFunctor(q)
     probes = [gs.canonical_gset(C2, m) for m in gs.gset_isoclasses(C2, 2)]
     verdict = sp.check_left_exact(bad, probes)
     assert not verdict

@@ -1,8 +1,11 @@
 """verify colim-gset, decided on orbit classes and hom factors, against
 an oracle that enumerates every hom-set, with negative controls and work
-guards; the span checks' FAIL lines, and their counts at the requested
-tower and cap against orbit-counting oracles; and invariance of the
-tower checks under relabelling of the tower's groups."""
+guards; the span checks, decided on orbit generators: their FAIL lines on
+corrupted images and on a functor that is not left exact, their verdicts
+against the capped checks they replaced, their counts at the requested
+tower against orbit-counting formulas, and their independence of --cap
+and --seed; and invariance of the tower checks under relabelling of the
+tower's groups."""
 
 import contextlib
 import io
@@ -20,7 +23,13 @@ from profspan import verify as vf
 from profspan.cli import main
 from profspan.errors import Verdict
 
-from oracles import colim_gset_equivalence_oracle, span_basis_count_oracle
+from oracles import (
+    OrbitQuotientFunctor,
+    colim_gset_equivalence_oracle,
+    colim_span_oracle,
+    limit_span_oracle,
+    span_basis_count_oracle,
+)
 
 TOWER_GRID = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]
 
@@ -131,7 +140,7 @@ def test_colim_span_fails_on_a_trivial_link():
     """Inflation along the trivial map passes the left-exactness probes,
     but it sends the free C2-orbit to two C4-fixed points, so a basis
     span with that apex inflates to a span with two orbits."""
-    report = vf.verify_colim_span(_trivial_first_link(2), 3)
+    report = vf.verify_colim_span(_trivial_first_link(2))
     assert not report.ok
     assert report.reason == "inflation of a basis span is not basic at stage 0"
     assert report.render() == "FAIL inflation of a basis span is not basic at stage 0"
@@ -146,12 +155,17 @@ def test_make_tower_rejects_a_trivial_link_that_limit_span_cannot_run_on():
     with pytest.raises(ValueError, match="link 0: projection is not onto"):
         g.make_tower(raw.stages, raw.links)
     with pytest.raises(ValueError):
-        vf.verify_limit_span(raw, 3)
+        vf.verify_limit_span(raw)
+
+
+def _orbits(G):
+    """The canonical orbit of every subgroup class of G."""
+    return [gs.orbit_gset(G, c) for c in range(g.subgroup_lattice(G).num_classes)]
 
 
 def _forced_not_left_exact(F, objects):
     """A check_left_exact verdict that fails on the identity cospan of the
-    last probe object, as (X, Y, Z actions, f and g values)."""
+    last probe orbit, as (X, Y, Z actions, f and g values)."""
     X = objects[-1]
     identity = tuple(X.points())
     return Verdict(False, "forced", (X.action, X.action, X.action, identity, identity))
@@ -165,8 +179,7 @@ def _forced_fail_line(check, probe_group, monkeypatch):
     with contextlib.redirect_stdout(out):
         code = main(["--tower", "2,2", "--cap", "3", "verify", check])
     assert code == 1
-    probes = vf._stage_objects(probe_group, 2)
-    square = _forced_not_left_exact(None, probes).witness
+    square = _forced_not_left_exact(None, _orbits(probe_group)).witness
     return out.getvalue().splitlines()[1], f"(witness {square})"
 
 
@@ -182,7 +195,7 @@ def test_limit_span_reports_fixed_points_not_left_exact(monkeypatch):
     assert line == f"FAIL fixed points not left exact at stage 0 {witness}"
 
 
-@pytest.mark.parametrize("check,maps", [("colim-span", 35), ("limit-span", 46)])
+@pytest.mark.parametrize("check,maps", [("colim-span", 6), ("limit-span", 27)])
 def test_span_checks_map_each_distinct_map_once(check, maps, monkeypatch):
     """The left-exactness probes and Span(F) share F.mapped, so F.map runs
     once per distinct map over the whole check."""
@@ -228,8 +241,8 @@ def _relabelled_tower(tower, rng):
 
 TOWER_CHECKS = {
     "colim-gset": lambda tower: vf.verify_colim_gset(tower, 4),
-    "colim-span": lambda tower: vf.verify_colim_span(tower, 3, 5),
-    "limit-span": lambda tower: vf.verify_limit_span(tower, 3),
+    "colim-span": vf.verify_colim_span,
+    "limit-span": vf.verify_limit_span,
     "mackey-limit": vf.verify_mackey_limit,
 }
 
@@ -244,18 +257,6 @@ def test_tower_checks_do_not_depend_on_element_labels(p, depth, check):
     assert run(relabelled).render() == run(tower).render()
 
 
-def _orbit_size_multisets(n, cap):
-    """The objects of C_n of size at most cap, up to isomorphism, as
-    multisets of orbit sizes: an orbit of C_n has a divisor of n points."""
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    return [
-        sizes
-        for length in range(cap + 1)
-        for sizes in itertools.combinations_with_replacement(divisors, length)
-        if sum(sizes) <= cap
-    ]
-
-
 @lru_cache(maxsize=None)
 def _span_rank(n, s, t):
     """The rank of the span hom from the C_n-orbit of size s to the one of
@@ -265,34 +266,182 @@ def _span_rank(n, s, t):
     )
 
 
-@pytest.mark.parametrize(
-    "cap,hom_bases,basis_spans", [(4, 181, 2233), (6, 656, 19183)]
-)
-def test_span_check_counts_at_the_requested_tower_and_cap(
-    cap, hom_bases, basis_spans
-):
-    """Through the CLI the span checks run on every link of the 2,3 tower
-    at the requested cap: colim-span checks one hom basis per pair of
-    capped objects of each link's target, and limit-span maps every basis
-    span between capped objects of each link's source."""
-    p, depth = 2, 3
-    targets = [p**i for i in range(1, depth)]
-    sources = [p * n for n in targets]
-    assert hom_bases == sum(len(_orbit_size_multisets(n, cap)) ** 2 for n in targets)
-    assert basis_spans == sum(
-        _span_rank(n, s, t)
-        for n in sources
-        for X, Y in itertools.product(_orbit_size_multisets(n, cap), repeat=2)
-        for s in X
-        for t in Y
-    )
-    header = f"tower: cyclic p={p} depth={depth}, size cap {cap}"
-    for check, lines in [
-        ("colim-span", [f"{header}, seed 0", f"hom bases checked: {hom_bases}"]),
-        ("limit-span", [header, f"basis spans transported: {basis_spans}"]),
+def _endpoint_count(s, t):
+    """The endpoint keys from the C_n-orbit of size s to the one of size t.
+
+    With H and K the stabilizers, a key with apex G/H is a point of
+    (G/K)^H up to W(H) = G/H acting freely on G/H: t of them if H ⊆ K,
+    that is if t divides s, else none.  Those with apex G/K are s if s
+    divides t, and the same keys when s = t."""
+    return (t if s % t == 0 else 0) + (s if t % s == 0 and s != t else 0)
+
+
+@pytest.mark.parametrize("p,depth", [(2, 3), (3, 2), (2, 4), (3, 3)])
+def test_span_check_counts_at_the_requested_tower(p, depth):
+    """Through the CLI the span checks run on every link of the tower, on
+    the orbits of each link's source group: the target C_{p^i} for
+    colim-span, the source C_{p^(i+1)} for limit-span.  They map every
+    basis span between two orbits and check the law on every composable
+    pair of endpoint keys."""
+    header = f"tower: cyclic p={p} depth={depth}"
+    for check, orders in [
+        ("colim-span", [p**i for i in range(1, depth)]),
+        ("limit-span", [p**i for i in range(2, depth + 1)]),
     ]:
+        mapped = composed = 0
+        for n in orders:
+            sizes = [d for d in range(1, n + 1) if n % d == 0]
+            mapped += sum(_span_rank(n, s, t) for s in sizes for t in sizes)
+            composed += sum(
+                _endpoint_count(a, b) * _endpoint_count(b, c)
+                for a, b, c in itertools.product(sizes, repeat=3)
+            )
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(["--tower", f"{p},{depth}", "--cap", str(cap), "verify", check])
+            code = main(["--tower", f"{p},{depth}", "verify", check])
         assert code == 0
-        assert out.getvalue().splitlines()[1:4] == ["PASS", *lines]
+        assert out.getvalue().splitlines()[1:5] == [
+            "PASS",
+            header,
+            f"orbit basis spans mapped: {mapped}",
+            f"endpoint-key compositions checked: {composed}",
+        ]
+
+
+@pytest.mark.parametrize("check", ["colim-span", "limit-span"])
+def test_span_reports_do_not_depend_on_cap_or_seed(check):
+    reports = set()
+    for cap, seed in itertools.product((0, 3, 6), (0, 7)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            argv = ["--tower", "2,3", "--cap", str(cap), "--seed", str(seed)]
+            assert main([*argv, "verify", check]) == 0
+        reports.add(out.getvalue())
+    assert len(reports) == 1
+
+
+SPAN_CHECKS = {
+    "colim-span": (vf.verify_colim_span, colim_span_oracle, sp.InflationGSetFunctor),
+    "limit-span": (vf.verify_limit_span, limit_span_oracle, sp.FixedPointsGSetFunctor),
+}
+
+
+@pytest.mark.parametrize("cap", [3, 4])
+@pytest.mark.parametrize("p,depth", TOWER_GRID)
+@pytest.mark.parametrize("check", list(SPAN_CHECKS))
+def test_span_checks_agree_with_the_capped_checks(check, p, depth, cap):
+    run, oracle, _ = SPAN_CHECKS[check]
+    tower = g.cyclic_tower(p, depth)
+    assert run(tower).ok == oracle(tower, cap).ok == True  # noqa: E712
+
+
+def test_colim_span_agrees_with_the_capped_check_on_a_trivial_link():
+    tower = _trivial_first_link(3)
+    fast, slow = vf.verify_colim_span(tower), colim_span_oracle(tower, 3)
+    assert (fast.ok, fast.reason) == (slow.ok, slow.reason)
+    assert fast.reason == "inflation of a basis span is not basic at stage 0"
+
+
+def _image_mutants(functor, tower):
+    """Per link i and hom between two orbits of the link's source group,
+    (kind, i, c1, c2, images): for each key of the hom, the key "replaced"
+    by the first basis span of the image hom other than its true image,
+    or, for a true image of zero, by the first basis span; and for each
+    two consecutive keys that are not endpoint keys and have basic
+    images, the two images "swapped".  (A swap of endpoint keys can give
+    another functor: in C3 the two rotations of the free orbit.)"""
+    for i, q in enumerate(tower.links):
+        F = functor(q)
+        SpF = sp.span_of_functor(F)
+        G = F.src_group
+        orbits = _orbits(G)
+        for (c1, X), (c2, Y) in itertools.product(enumerate(orbits), repeat=2):
+            FX, FY = F.obj(X), F.obj(Y)
+            keys = sp.orbit_basis(G, c1, c2)
+            true = {k: SpF(sp.basis_span_mor(X, Y, k)) for k in keys}
+            for key in keys:
+                hit = {k for k, _ in true[key].terms}
+                other = [b for b in sp.span_basis(FX, FY) if b not in hit]
+                if other:
+                    image = sp.basis_span_mor(FX, FY, other[0])
+                    yield "replaced", i, c1, c2, {key: image}
+            ends = sp.endpoint_keys(G, c1, c2)
+            basic = [k for k in keys if len(true[k].terms) == 1 and k not in ends]
+            for k1, k2 in zip(basic, basic[1:]):
+                yield "swapped", i, c1, c2, {k1: true[k2], k2: true[k1]}
+
+
+def _corrupt(monkeypatch, functor, link, c1, c2, images):
+    """Make every Span(F) for F = functor(link) send each basis span key
+    of `images` between the orbits of classes c1 and c2 to its image."""
+    span_of_functor = sp.span_of_functor
+    G = link.source if functor is sp.FixedPointsGSetFunctor else link.target
+    X, Y = gs.orbit_gset(G, c1), gs.orbit_gset(G, c2)
+
+    def corrupted_span_of_functor(F):
+        apply = span_of_functor(F)
+        if not (isinstance(F, functor) and F.q == link):
+            return apply
+
+        def corrupted(m):
+            if (m.left, m.right) != (X, Y):
+                return apply(m)
+            kept = tuple(t for t in m.terms if t[0] not in images)
+            out = apply(sp.SpanMor(X, Y, kept))
+            for key, mult in m.terms:
+                if key in images:
+                    out = out + images[key].scale(mult)
+            return out
+
+        return corrupted
+
+    monkeypatch.setattr(sp, "span_of_functor", corrupted_span_of_functor)
+
+
+@pytest.mark.parametrize("p,depth", [(2, 3), (3, 3)])
+@pytest.mark.parametrize("check", list(SPAN_CHECKS))
+def test_span_checks_fail_on_corrupted_basis_images(check, p, depth, monkeypatch):
+    """A Span(F) with one basis image between orbits replaced, or two
+    swapped, fails the check at that link.  A swap keeps every image basic
+    and distinct, so it is the law on the endpoint keys r_b, t_b of a
+    swapped b = t_b ∘ r_b that must catch it; the FAIL line names the pair
+    of keys."""
+    run, _, functor = SPAN_CHECKS[check]
+    name = {"colim-span": "inflation", "limit-span": "fixed points"}[check]
+    tower = g.cyclic_tower(p, depth)
+    kinds = set()
+    for kind, i, c1, c2, images in list(_image_mutants(functor, tower)):
+        with monkeypatch.context() as patch:
+            _corrupt(patch, functor, tower.links[i], c1, c2, images)
+            report = run(tower)
+        assert not report.ok, (kind, i, c1, c2, images)
+        assert report.reason.endswith(f" at stage {i}"), report.reason
+        law = report.reason == f"Span({name}) not functorial at stage {i}"
+        assert law or kind == "replaced", report.reason
+        if law:
+            G = functor(tower.links[i]).src_group
+            a, b, c, k1, k2 = report.witness
+            assert k1 in sp.endpoint_keys(G, a, b) and k2 in sp.endpoint_keys(G, b, c)
+            assert report.render() == f"FAIL {report.reason} (witness {report.witness})"
+        kinds.add((kind, law))
+    assert {("replaced", False), ("swapped", True)} <= kinds
+
+
+def test_limit_span_fails_on_a_functor_that_is_not_left_exact(monkeypatch):
+    """With fixed points replaced by the N-orbit quotient, a left adjoint
+    that is not left exact, limit-span prints a FAIL line whose witness is
+    a transitive cospan whose pullback the functor does not keep."""
+    monkeypatch.setattr(sp, "FixedPointsGSetFunctor", OrbitQuotientFunctor)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--tower", "2,2", "verify", "limit-span"]) == 1
+    report = vf.verify_limit_span(g.cyclic_tower(2, 2))
+    assert report.reason == "fixed points not left exact at stage 0"
+    assert out.getvalue().splitlines()[1] == report.render()
+    G = g.cyclic(4)
+    X, Y, Z = (gs.GSet(G, action) for action in report.witness[:3])
+    assert all(len(W.orbits()) == 1 for W in (X, Y, Z))
+    f, h = gs.EqMap(X, Z, report.witness[3]), gs.EqMap(Y, Z, report.witness[4])
+    P, p1, p2 = gs.pullback(f, h)
+    bad = OrbitQuotientFunctor(g.cyclic_tower(2, 2).links[0])
+    assert not gs.square_is_pullback(*(bad.map(m) for m in (p1, p2, f, h)))
