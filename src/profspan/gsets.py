@@ -5,14 +5,14 @@ inflation/fixed-points adjunction.
 The N-fixed points of a G-set X, for N the kernel of a quotient map q,
 are computed once per (X, q) and kept (`fixed_point_data`): X^N with its
 residual action, the index of each fixed point, and, built on first use,
-the counit inf(X^N) -> X and the unit X^N -> (inf X^N)^N.  `fixed_points`, `counit_map`,
-`fixed_points_map` and the counit-square functions read that record.  A
-square of G-sets is decided to be a pullback by counting the fibre
-product, not by building it.  The counit square of f: X -> X' is a
-pullback iff f sends no orbit outside X^N into X'^N, so it is decided
-per orbit factor of hom(X, X') (`counit_square_counts`).  A unit square
-needs no test: its parallel sides are units, isomorphisms, so it is
-always a pullback.
+the counit inf(X^N) -> X and the unit X^N -> (inf X^N)^N.
+`fixed_points`, `counit_map`, `fixed_points_map` and the counit-square
+functions read that record.  A square of G-sets is decided to be a
+pullback by counting the fibre product, not by building it.  The counit
+square of f: X -> X' is a pullback iff f sends no orbit outside X^N into
+X'^N, so it is decided per orbit factor of hom(X, X')
+(`counit_square_counts`).  A unit square needs no test: its parallel
+sides are units, isomorphisms, so it is always a pullback.
 
 hom(X, Y) is the product, over the orbits of X, of the sets Y^Stab(orbit)
 (`hom_factors`): a map is free to send each orbit's base point to any
@@ -236,7 +236,8 @@ def _fixed_part(X: GSet, q: QuotientMap) -> tuple[GSet, dict]:
 class FixedPointData:
     """The N-fixed points of one G-set X, for N = ker q: X^N with the
     residual G/N action, the index in X^N of each N-fixed point of X, and,
-    built on first use, the counit inf(X^N) -> X and unit X^N -> (inf X^N)^N."""
+    built on first use, the counit inf(X^N) -> X and the unit
+    X^N -> (inf X^N)^N."""
 
     def __init__(self, X: GSet, q: QuotientMap):
         self.source, self.q = X, q

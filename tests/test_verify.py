@@ -332,7 +332,7 @@ SPAN_CHECKS = {
 def test_span_checks_agree_with_the_capped_checks(check, p, depth, cap):
     run, oracle, _ = SPAN_CHECKS[check]
     tower = g.cyclic_tower(p, depth)
-    assert run(tower).ok == oracle(tower, cap).ok == True  # noqa: E712
+    assert run(tower).ok and oracle(tower, cap).ok
 
 
 def test_colim_span_agrees_with_the_capped_check_on_a_trivial_link():
@@ -375,7 +375,7 @@ def _corrupt(monkeypatch, functor, link, c1, c2, images):
     """Make every Span(F) for F = functor(link) send each basis span key
     of `images` between the orbits of classes c1 and c2 to its image."""
     span_of_functor = sp.span_of_functor
-    G = link.source if functor is sp.FixedPointsGSetFunctor else link.target
+    G = functor(link).src_group
     X, Y = gs.orbit_gset(G, c1), gs.orbit_gset(G, c2)
 
     def corrupted_span_of_functor(F):
