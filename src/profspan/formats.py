@@ -13,6 +13,7 @@ counts are non-negative.  Every error is a ParseError that names
 from __future__ import annotations
 
 import os
+from itertools import chain, islice
 from operator import itemgetter
 
 from .errors import ParseError
@@ -61,6 +62,31 @@ class _Rows:
             raise self.error(f"expected {count} integers, found {len(vals)}")
         return vals
 
+    def table(self, height: int, width: int) -> tuple[tuple[int, ...], ...]:
+        """The next `height` rows as tuples of exactly `width` integers.
+
+        The rows are taken and converted in one pass.  If that finds an
+        error, they are put back and read again row by row with `ints`, so
+        the error and the line it names are the ones `ints` gives."""
+        if height <= 0:
+            return ()
+        taken = [self._ahead, *islice(self._rows, height - 1)]
+        try:
+            table = tuple([tuple(map(int, fields)) for _, fields in taken])
+        except ValueError:
+            table = ()
+        # a row is never empty, so an empty one is the end of the text
+        if (
+            len(table) == height
+            and taken[-1][1]
+            and not any(map(width.__ne__, map(len, table)))
+        ):
+            self.line = taken[-1][0] + 1
+            self._ahead = next(self._rows, self._end)
+            return table
+        self._ahead, self._rows = taken[0], chain(taken[1:], self._rows)
+        return tuple(tuple(self.ints(width)) for _ in range(height))
+
     def end(self) -> None:
         """Raise unless no row is left; the error names the first row left."""
         if self.more():
@@ -108,7 +134,7 @@ def _parse_group_block(rows: _Rows) -> FiniteGroup:
         raise rows.error("group order must be an integer")
     if order < 1:
         raise rows.error("group order must be positive")
-    table = [rows.ints(order) for _ in range(order)]
+    table = rows.table(order, order)
     try:
         return make_group(table)
     except ValueError as exc:
@@ -176,7 +202,7 @@ def parse_gset(text: str, group: FiniteGroup, source: str = "<gset>") -> GSet:
         raise rows.error("gset size must be an integer")
     if size < 0:
         raise rows.error("gset size must be non-negative")
-    action = [rows.ints(group.order) for _ in range(size)]
+    action = rows.table(size, group.order)
     try:
         X = make_gset(group, action)
     except ValueError as exc:
@@ -201,7 +227,8 @@ def _parse_key_token(rows: _Rows, token: str):
         raise rows.error("basis-span key needs 5 colon-separated fields")
     try:
         c1, c2, apex = int(parts[0]), int(parts[1]), int(parts[2])
-        legL, legR = (tuple(int(v) for v in leg.split(",")) for leg in parts[3:])
+        legL = tuple(map(int, parts[3].split(",")))
+        legR = tuple(map(int, parts[4].split(",")))
     except ValueError:
         raise rows.error("malformed basis-span key")
     return c1, c2, (apex, legL, legR)
@@ -217,7 +244,7 @@ def serialize_mackey(M: MackeyFunctor, group_file: str) -> str:
         rows = len(mat)
         cols = len(mat[0]) if mat else 0
         out.append(f"gen {_key_token(c1, c2, key)} rows {rows} cols {cols}")
-        out += [" ".join(str(v) for v in row) for row in mat]
+        out += [" ".join(map(str, row)) for row in mat]
     return "\n".join(out) + "\n"
 
 
@@ -259,7 +286,7 @@ def parse_mackey(
             raise rows.error("malformed gen line")
         if height < 0 or width < 0:
             raise rows.error("gen rows and cols must be non-negative")
-        gen_action[c1, c2, key] = tuple(tuple(rows.ints(width)) for _ in range(height))
+        gen_action[c1, c2, key] = rows.table(height, width)
     M = MackeyFunctor(group, tuple(levels[c] for c in sorted(levels)), gen_action)
     verdict = check_structure(M)
     if not verdict:

@@ -188,6 +188,7 @@ def check_structure(M: MackeyFunctor) -> Verdict:
     n = subgroup_lattice(G).num_classes
     if len(M.levels) != n:
         return Verdict(False, "level count mismatch", len(M.levels))
+    dims = [lv.dims for lv in M.levels]
     basis = [
         (c1, c2, key)
         for c1 in range(n)
@@ -198,7 +199,7 @@ def check_structure(M: MackeyFunctor) -> Verdict:
         A = M.gen_action.get((c1, c2, key))
         if A is None:
             return Verdict(False, "missing generator action", (c1, c2, key))
-        if len(A) != M.levels[c2].dims or any(len(r) != M.levels[c1].dims for r in A):
+        if len(A) != dims[c2] or any(map(dims[c1].__ne__, map(len, A))):
             return Verdict(False, "matrix shape mismatch", (c1, c2, key))
     extra = set(M.gen_action).difference(basis)
     if extra:
@@ -326,29 +327,38 @@ def reduce_mod(M: MackeyFunctor, n: int) -> MackeyFunctor:
 
 def categorical_fixed_points(M: MackeyFunctor, q: QuotientMap) -> MackeyFunctor:
     """Restriction along the inflated spans: the Mackey functor over
-    q.target = G/N whose level at H/N is M's level at the preimage of H/N."""
+    q.target = G/N whose level at H/N is M's level at the preimage of H/N,
+    and whose matrix on a basis key of G/N is M's on the inflated key.
+
+    Inflation keeps the points of the orbit Q/C of a class of Q = G/N,
+    with g acting as q(g): point q(g)·C at g, stabilizer q⁻¹(C).  So the
+    inflated span of a key (a, legL, legR) between the orbits of classes
+    c1 and c2 has an apex tabulated by the position table of class a, with
+    the same leg values.  σ_c, the canonical_iso of the inflated orbit of
+    class c, renames it onto G's canonical orbit of the preimage class;
+    the G-key is the table_key of the apex with legs σ_c1∘legL and
+    σ_c2∘legR, with no G-set or map built per key."""
     G = M.group
     if q.source != G:
         raise GroupMismatch("quotient map is not from the functor's group")
     Q = q.target
     nq = subgroup_lattice(Q).num_classes
-    # rename each inflated coset G-set to the canonical one, the coset
-    # G-set of the preimage class
-    sigma = [gs.canonical_iso(gs.inflate(gs.orbit_gset(Q, c), q)) for c in range(nq)]
+    orbits = [gs.orbit_gset(Q, c) for c in range(nq)]
+    pos = [tuple(map(X.action[0].__getitem__, q.projection)) for X in orbits]
+    sigma = [gs.canonical_iso(gs.inflate(X, q)) for X in orbits]
     pre = [gs.orbit_class_multiset(s.dst)[0] for s in sigma]
     levels = tuple(M.levels[c] for c in pre)
-    SpInf = sp.span_of_functor(sp.InflationGSetFunctor(q))
     gen_action: dict = {}
     for c1 in range(nq):
-        X = gs.orbit_gset(Q, c1)
+        s1 = sigma[c1].values
         for c2 in range(nq):
-            Y = gs.orbit_gset(Q, c2)
+            s2 = sigma[c2].values
             for key in sp.orbit_basis(Q, c1, c2):
-                m = sp.basis_span_mor(X, Y, key)
-                image = sp.transport_span(SpInf(m), sigma[c1], sigma[c2])
-                (gkey, mult), = image.terms
-                assert mult == 1
-                gen_action[(c1, c2, key)] = M.gen_action[(pre[c1], pre[c2], gkey)]
+                a, legL, legR = key
+                gkey = sp.table_key(
+                    G, pos[a], [s1[x] for x in legL], [s2[y] for y in legR]
+                )
+                gen_action[c1, c2, key] = M.gen_action[pre[c1], pre[c2], gkey]
     return MackeyFunctor(Q, levels, gen_action)
 
 

@@ -7,7 +7,9 @@ orbit, the rank of a basis hom by orbit counting, the colim-gset
 equivalence with every hom-set enumerated, Span(F) applied term by term
 with nothing kept between calls, and the adjunction's unit and counit
 squares built and decided for one map at a time, the Mackey
-composition law tested on every pair of basis spans between orbits, left
+composition law tested on every pair of basis spans between orbits,
+categorical fixed points through inflated G-sets, associativity of a
+multiplication table tested on every triple, left
 exactness over every cospan of the given G-sets, and the span checks of
 verify as they were before they were decided on orbit generators: on
 the stage objects up to a size cap, with functoriality sampled or tested
@@ -291,6 +293,49 @@ def mackey_composition_oracle(M: mk.MackeyFunctor) -> Verdict:
                                 False, "composition law fails", (c1, c2, c3, k1, k2)
                             )
     return Verdict(True)
+
+
+def categorical_fixed_points_oracle(
+    M: mk.MackeyFunctor, q: QuotientMap
+) -> mk.MackeyFunctor:
+    """categorical_fixed_points through G-sets: each basis span of G/N is
+    inflated by Span(inflation), keyed on the inflated G-sets, and moved
+    onto the canonical orbits along canonical_iso by transport_span, which
+    keys it again."""
+    G = M.group
+    if q.source != G:
+        raise GroupMismatch("quotient map is not from the functor's group")
+    Q = q.target
+    nq = subgroup_lattice(Q).num_classes
+    sigma = [gs.canonical_iso(gs.inflate(gs.orbit_gset(Q, c), q)) for c in range(nq)]
+    pre = [gs.orbit_class_multiset(s.dst)[0] for s in sigma]
+    levels = tuple(M.levels[c] for c in pre)
+    SpInf = sp.span_of_functor(sp.InflationGSetFunctor(q))
+    gen_action: dict = {}
+    for c1 in range(nq):
+        X = gs.orbit_gset(Q, c1)
+        for c2 in range(nq):
+            Y = gs.orbit_gset(Q, c2)
+            for key in sp.orbit_basis(Q, c1, c2):
+                m = sp.basis_span_mor(X, Y, key)
+                image = sp.transport_span(SpInf(m), sigma[c1], sigma[c2])
+                (gkey, mult), = image.terms
+                assert mult == 1
+                gen_action[(c1, c2, key)] = M.gen_action[(pre[c1], pre[c2], gkey)]
+    return mk.MackeyFunctor(Q, levels, gen_action)
+
+
+def associativity_oracle(rows) -> tuple[int, int, int] | None:
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc) in
+    the multiplication table rows, or None: every triple is tested."""
+    n = len(rows)
+    for a in range(n):
+        for b in range(n):
+            ab = rows[a][b]
+            for c in range(n):
+                if rows[ab][c] != rows[a][rows[b][c]]:
+                    return (a, b, c)
+    return None
 
 
 def left_exact_oracle(F: sp.GSetFunctor, objects) -> Verdict:

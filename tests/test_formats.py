@@ -248,3 +248,82 @@ def test_loaders_return_or_raise_parse_error_on_any_bytes(fuzz_dir, data):
             load(str(path))
         except ParseError:
             pass
+
+
+def _rows_outcome(text, read):
+    """What `read(rows)` returns on the rows of text, with the line it
+    leaves, or the message of the ParseError it raises."""
+    rows = fm._Rows(text, "t")
+    try:
+        return "ok", tuple(map(tuple, read(rows))), rows.line
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+def _table_outcomes(text, height, width):
+    """The outcomes of rows.table(height, width) and of height calls of
+    rows.ints(width), after one header row."""
+
+    def one_pass(rows):
+        rows.next()
+        return rows.table(height, width)
+
+    def row_by_row(rows):
+        rows.next()
+        return [rows.ints(width) for _ in range(height)]
+
+    return _rows_outcome(text, one_pass), _rows_outcome(text, row_by_row)
+
+
+@pytest.mark.parametrize(
+    "text, height, width, message",
+    [
+        ("h\n0 1\n", 2, 2, "t:2: unexpected end of file"),
+        ("h\n0 1\n\n\n", 3, 2, "t:4: unexpected end of file"),
+        ("h\n", 1, 2, "t:1: unexpected end of file"),
+        ("h\n0 1\n\n1\n", 2, 2, "t:4: expected 2 integers, found 1"),
+        ("h\n0 1 2\n", 1, 2, "t:2: expected 2 integers, found 3"),
+        ("h\n0 1\n1 x\n", 2, 2, "t:3: expected integers"),
+        ("h\n0 x\n1\n", 3, 2, "t:2: expected integers"),
+        ("h\n0 1\n1\n", 3, 2, "t:3: expected 2 integers, found 1"),
+    ],
+)
+def test_table_raises_what_ints_raises_row_by_row(text, height, width, message):
+    one_pass, row_by_row = _table_outcomes(text, height, width)
+    assert one_pass == row_by_row == ("error", message)
+
+
+@pytest.mark.parametrize(
+    "text, height, width, line",
+    [
+        ("h\n0 1\n\n1 0\nrest\n", 2, 2, 4),
+        ("h\n0 1\n", 0, 2, 1),
+        ("h\n", 0, 0, 1),
+        ("h\n-1 +2\n", 1, 2, 2),
+    ],
+)
+def test_table_reads_rows_and_leaves_the_line_where_ints_does(text, height, width, line):
+    one_pass, row_by_row = _table_outcomes(text, height, width)
+    assert one_pass == row_by_row
+    assert one_pass[0] == "ok" and one_pass[2] == line
+
+
+def test_table_leaves_the_row_after_it_ahead():
+    rows = fm._Rows("h\n0 1\n1 0\n\ngen x\n", "t")
+    rows.next()
+    assert rows.table(2, 2) == ((0, 1), (1, 0))
+    assert rows.more("gen") and rows.line == 4
+    assert rows.next() == ["gen", "x"] and rows.line == 5
+
+
+@given(
+    st.lists(
+        st.lists(st.sampled_from(["0", "1", "-2", "x", ""]), max_size=3), max_size=5
+    ),
+    st.integers(min_value=-1, max_value=5),
+    st.integers(min_value=0, max_value=3),
+)
+def test_table_matches_ints_on_any_rows(lines, height, width):
+    text = "\n".join(["h"] + [" ".join(fields) for fields in lines])
+    one_pass, row_by_row = _table_outcomes(text, height, width)
+    assert one_pass == row_by_row

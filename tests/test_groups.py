@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from profspan import groups as g
 from profspan.corpus import corpus_group, corpus_groups, groups_of_order_at_most
 from profspan.errors import NotAGroup, NotNormal, NotPrime
+
+from oracles import associativity_oracle
 
 
 def test_make_group_trivial():
@@ -36,6 +39,41 @@ def test_make_group_nonassociative_witness():
     assert err.value.axiom == "associativity"
     a, b, c = err.value.witness
     assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def _intercalate_loops(G, seed, count):
+    """Up to `count` Latin squares made from the table of G by swapping one
+    intercalate (rows a, b and columns c, d with ac = bd and ad = bc) off
+    row and column 0, so that 0 stays the identity; picked by seed."""
+    n = G.order
+    mult = G.mult
+    found = [
+        (a, b, c, d)
+        for a, b in itertools.combinations(range(1, n), 2)
+        for c, d in itertools.combinations(range(1, n), 2)
+        if mult[a][c] == mult[b][d] and mult[a][d] == mult[b][c]
+    ]
+    loops = []
+    for a, b, c, d in random.Random(seed).sample(found, min(count, len(found))):
+        table = [list(row) for row in mult]
+        table[a][c], table[a][d] = table[a][d], table[a][c]
+        table[b][c], table[b][d] = table[b][d], table[b][c]
+        loops.append(table)
+    return loops
+
+
+@pytest.mark.parametrize("name", [n for n, G in corpus_groups() if G.order % 2 == 0 and G.order > 2])
+def test_make_group_on_intercalate_loops_agrees_with_the_cubic_scan(name):
+    loops = _intercalate_loops(corpus_group(name), seed=len(name), count=12)
+    assert loops
+    for table in loops:
+        witness = associativity_oracle(table)
+        if witness is None:
+            assert g.make_group(table).mult == tuple(map(tuple, table))
+            continue
+        with pytest.raises(NotAGroup) as err:
+            g.make_group(table)
+        assert (err.value.axiom, err.value.witness) == ("associativity", witness)
 
 
 def test_make_group_bad_row():

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from profspan import groups as g
+from profspan import gsets as gs
 from profspan import mackey as mk
 from profspan import spans as sp
-from profspan.corpus import corpus_group, groups_of_order_at_most
+from profspan.corpus import corpus_group, corpus_groups, groups_of_order_at_most
 from profspan.errors import IncoherentFamily
 
-from oracles import mackey_composition_oracle
+from oracles import categorical_fixed_points_oracle, mackey_composition_oracle
 
 
 C2 = g.cyclic(2)
@@ -243,6 +244,79 @@ def test_fixed_points_two_steps_equal_composite():
     two = mk.categorical_fixed_points(one, t.links[0])
     direct = mk.categorical_fixed_points(M, t.projection(2, 0))
     assert mk._same_mackey(two, direct) is None
+
+
+def _key_labelled(G):
+    """A functor-shaped record over G whose "matrix" at each basis key is
+    the key itself, and whose level at class c has rank c: its categorical
+    fixed points show the inflated key and preimage class of every key."""
+    n = g.subgroup_lattice(G).num_classes
+    return mk.MackeyFunctor(
+        G,
+        tuple(mk.AbPresentation(c) for c in range(n)),
+        {
+            (c1, c2, k): (c1, c2, k)
+            for c1 in range(n)
+            for c2 in range(n)
+            for k in sp.orbit_basis(G, c1, c2)
+        },
+    )
+
+
+def _normal_quotients(G):
+    lat = g.subgroup_lattice(G)
+    return [g.quotient(G, S) for S, normal in zip(lat.subgroups, lat.normal) if normal]
+
+
+def _fixed_point_cases():
+    for name, G in corpus_groups():
+        for q in _normal_quotients(G):
+            yield f"{name}/{len(q.kernel.elements)}", q
+    for p, depth in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]:
+        for i, q in enumerate(g.cyclic_tower(p, depth).links):
+            yield f"tower-{p}-{depth}-link-{i}", q
+
+
+def test_fixed_points_key_every_basis_span_as_the_inflated_g_set_route():
+    cases = 0
+    for label, q in _fixed_point_cases():
+        M = _key_labelled(q.source)
+        fast = mk.categorical_fixed_points(M, q)
+        slow = categorical_fixed_points_oracle(M, q)
+        assert fast.levels == slow.levels, label
+        assert list(fast.gen_action.items()) == list(slow.gen_action.items()), label
+        cases += 1
+    assert cases == 127
+
+
+@pytest.mark.parametrize(
+    "name, kernel",
+    [("C8", (0, 4)), ("D4", (0, 5)), ("C12", (0, 6)), ("S3", (0,)), ("Q8", (0, 1))],
+)
+def test_fixed_points_change_under_a_wrong_renaming(monkeypatch, name, kernel):
+    # rename the regular orbit of G/N onto its canonical G-orbit by the
+    # right isomorphism followed by a non-identity automorphism
+    G = corpus_group(name)
+    q = g.quotient(G, g.make_subgroup(G, kernel))
+    M = _key_labelled(G)
+    right = mk.categorical_fixed_points(M, q)
+    canonical_iso = gs.canonical_iso
+
+    def wrong_iso(X):
+        iso = canonical_iso(X)
+        if X.size != q.target.order:
+            return iso
+        auto = next(
+            a
+            for a in gs.hom_gset(iso.dst, iso.dst)
+            if a.is_iso() and a.values != tuple(iso.dst.points())
+        )
+        return iso.then(auto)
+
+    monkeypatch.setattr(gs, "canonical_iso", wrong_iso)
+    wrong = mk.categorical_fixed_points(M, q)
+    assert wrong.levels == right.levels
+    assert wrong.gen_action != right.gen_action
 
 
 def test_assemble_from_tower_roundtrip():
