@@ -333,19 +333,19 @@ def categorical_fixed_points(M: MackeyFunctor, q: QuotientMap) -> MackeyFunctor:
     Inflation keeps the points of the orbit Q/C of a class of Q = G/N,
     with g acting as q(g): point q(g)·C at g, stabilizer q⁻¹(C).  So the
     inflated span of a key (a, legL, legR) between the orbits of classes
-    c1 and c2 has an apex tabulated by the position table of class a, with
-    the same leg values.  σ_c, the canonical_iso of the inflated orbit of
-    class c, renames it onto G's canonical orbit of the preimage class;
-    the G-key is the table_key of the apex with legs σ_c1∘legL and
-    σ_c2∘legR, with no G-set or map built per key."""
+    c1 and c2 has the inflated orbit of class a as its apex, with the same
+    leg values.  σ_c, the canonical_iso of the inflated orbit of class c,
+    renames it onto G's canonical orbit of the preimage class.  The G-key
+    is one canonical_key of that apex with legs σ_c1∘legL and σ_c2∘legR,
+    which reads the apex only through its row q(g)·C_a; no G-set or map
+    is built per key."""
     G = M.group
     if q.source != G:
         raise GroupMismatch("quotient map is not from the functor's group")
     Q = q.target
     nq = subgroup_lattice(Q).num_classes
-    orbits = [gs.orbit_gset(Q, c) for c in range(nq)]
-    pos = [tuple(map(X.action[0].__getitem__, q.projection)) for X in orbits]
-    sigma = [gs.canonical_iso(gs.inflate(X, q)) for X in orbits]
+    inflated = [gs.inflate(gs.orbit_gset(Q, c), q) for c in range(nq)]
+    sigma = [gs.canonical_iso(X) for X in inflated]
     pre = [gs.orbit_class_multiset(s.dst)[0] for s in sigma]
     levels = tuple(M.levels[c] for c in pre)
     gen_action: dict = {}
@@ -355,8 +355,8 @@ def categorical_fixed_points(M: MackeyFunctor, q: QuotientMap) -> MackeyFunctor:
             s2 = sigma[c2].values
             for key in sp.orbit_basis(Q, c1, c2):
                 a, legL, legR = key
-                gkey = sp.table_key(
-                    G, pos[a], [s1[x] for x in legL], [s2[y] for y in legR]
+                gkey = sp.canonical_key(
+                    inflated[a], 0, [s1[x] for x in legL], [s2[y] for y in legR]
                 )
                 gen_action[c1, c2, key] = M.gen_action[pre[c1], pre[c2], gkey]
     return MackeyFunctor(Q, levels, gen_action)

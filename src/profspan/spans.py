@@ -21,11 +21,10 @@ is the basis between two canonical orbits, endpoint_keys its generators.
 The way from legs back to keys is one loop, _sum_spans: it canonicalises
 every orbit of the apex of each span it is given and adds up the keys.
 span_from_maps, transport_span and the maps of span_of_functor are each
-one call to it.  table_key keys a span whose transitive apex is given by
-a position table, with no G-set built; canonical_key is table_key on one
-orbit of an apex G-set, and mackey.categorical_fixed_points calls it
-directly.  The pullback composite, the hom-enumerating basis and Span(F)
-applied term by term stay as oracles in the test suite.
+one call to it.  mackey.categorical_fixed_points calls canonical_key
+directly, once per key, on legs renamed before keying.  The pullback
+composite, the hom-enumerating basis and Span(F) applied term by term
+stay as oracles in the test suite.
 
 Span(F), the function span_of_functor returns, computes the image of
 each basis key, per (X, Y, key), once, for as long as it lives: one span
@@ -118,30 +117,24 @@ def _least_key(G: FiniteGroup, T: CosetTables, c: int, t0: int, lg, rg) -> Key:
     return (c, tuple(map(lg.__getitem__, imgs)), tuple(map(rg.__getitem__, imgs)))
 
 
-def table_key(G: FiniteGroup, pos, legL, legR) -> Key:
-    """The key of a span X <- Z -> Y with transitive apex Z, given by
-    tables: pos[g] is the point g·z of Z for one base point z, and legL,
-    legR are the leg values at each point of Z.
-
-    Z ≅ G/S by g·z ↦ gS, for S = {g : pos[g] = pos[0]} the stabilizer of
-    z, and under it the legs at gS are legL[pos[g]] and legR[pos[g]].  S
-    and these two tables are all that _least_key reads, so this is the key
-    of the span.  Its class is all the key depends on, since _least_key
-    minimizes over every relabelling of the apex as G/R.  So legs renamed
-    along isomorphisms X ≅ X', Y ≅ Y' before the call give the key of the
-    renamed span in one step: the same key as keying the span first and
-    renaming the legs of its key afterwards."""
-    T = coset_tables(G)
-    base = pos[0]
-    c, t0 = T.conjugator[tuple(g for g in G.elements() if pos[g] == base)]
-    return _least_key(G, T, c, t0, [legL[x] for x in pos], [legR[x] for x in pos])
-
-
 def canonical_key(apex: GSet, base: int, legL, legR) -> Key:
     """Canonical key of the span X <- apex -> Y restricted to the orbit of
     base; the legs are given as full value tables on apex and must be
-    equivariant (every caller passes EqMap values or key tables)."""
-    return table_key(apex.group, apex.action[base], legL, legR)
+    equivariant (every caller passes EqMap values or key tables).
+
+    The apex is read only through its position table row[g] = g·base.
+    The orbit is G/S by g·base ↦ gS, for S = {g : row[g] = base}, and the
+    legs at gS are legL[row[g]] and legR[row[g]]; these are what
+    _least_key reads.  _least_key minimizes over every relabelling of the
+    orbit as G/R, so the key depends only on the class of the span.  So
+    legs renamed along isomorphisms X ≅ X', Y ≅ Y' before the call give
+    the key of the renamed span in one call: the key that keying the span,
+    renaming the legs of its key and keying again (transport_span) gives."""
+    G = apex.group
+    T = coset_tables(G)
+    row = apex.action[base]
+    c, t0 = T.conjugator[tuple(g for g in G.elements() if row[g] == base)]
+    return _least_key(G, T, c, t0, [legL[x] for x in row], [legR[x] for x in row])
 
 
 def _fixed_by_class(X: GSet, T: CosetTables) -> list[list[int]]:
