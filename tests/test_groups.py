@@ -62,7 +62,9 @@ def _intercalate_loops(G, seed, count):
     return loops
 
 
-@pytest.mark.parametrize("name", [n for n, G in corpus_groups() if G.order % 2 == 0 and G.order > 2])
+@pytest.mark.parametrize(
+    "name", [n for n, G in corpus_groups() if G.order % 2 == 0 and G.order > 2]
+)
 def test_make_group_on_intercalate_loops_agrees_with_the_cubic_scan(name):
     loops = _intercalate_loops(corpus_group(name), seed=len(name), count=12)
     assert loops
