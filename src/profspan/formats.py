@@ -65,11 +65,13 @@ class _Rows:
     def table(self, height: int, width: int) -> tuple[tuple[int, ...], ...]:
         """The next `height` rows as tuples of exactly `width` integers.
 
-        The rows are taken and converted in one pass.  If that finds an
-        error, they are put back and read again row by row with `ints`, so
-        the error and the line it names are the ones `ints` gives."""
-        if height <= 0:
-            return ()
+        A row of no integers is a blank line, which is never read, so a
+        table of width 0 is `height` empty rows and takes no line.  The
+        rows are taken and converted in one pass.  If that finds an error,
+        they are put back and read again row by row with `ints`, so the
+        error and the line it names are the ones `ints` gives."""
+        if height <= 0 or width == 0:
+            return ((),) * height
         taken = [self._ahead, *islice(self._rows, height - 1)]
         try:
             table = tuple([tuple(map(int, fields)) for _, fields in taken])
@@ -244,7 +246,8 @@ def serialize_mackey(M: MackeyFunctor, group_file: str) -> str:
         rows = len(mat)
         cols = len(mat[0]) if mat else 0
         out.append(f"gen {_key_token(c1, c2, key)} rows {rows} cols {cols}")
-        out += [" ".join(map(str, row)) for row in mat]
+        if cols:
+            out += [" ".join(map(str, row)) for row in mat]
     return "\n".join(out) + "\n"
 
 

@@ -43,6 +43,7 @@ from .groups import (
     FiniteGroup,
     QuotientMap,
     Subgroup,
+    left_cosets,
     memoise_hash,
     subgroup_lattice,
 )
@@ -155,24 +156,10 @@ def identity_map(X: GSet) -> EqMap:
 
 @lru_cache(maxsize=None)
 def coset_gset(G: FiniteGroup, subgroup_elements: tuple[int, ...]) -> GSet:
-    """Canonical transitive G-set on left cosets of a subgroup.
-
-    Cosets are ordered by minimal element, so the identity coset is point 0.
-    """
-    H = subgroup_elements
-    coset_of = {}
-    cosets = []
-    for g in G.elements():
-        if g in coset_of:
-            continue
-        coset = tuple(sorted(G.mul(g, h) for h in H))
-        for x in coset:
-            coset_of[x] = len(cosets)
-        cosets.append(coset)
-    action = tuple(
-        tuple(coset_of[G.mul(g, c[0])] for g in G.elements()) for c in cosets
-    )
-    return GSet(G, action)
+    """Canonical transitive G-set on left cosets of a subgroup, numbered
+    as groups.left_cosets numbers them, so the identity coset is point 0."""
+    coset_of, reps = left_cosets(G, subgroup_elements)
+    return GSet(G, tuple(tuple(coset_of[row[r]] for row in G.mult) for r in reps))
 
 
 def orbit_gset(G: FiniteGroup, c: int) -> GSet:

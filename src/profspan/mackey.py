@@ -6,6 +6,12 @@ between orbits; values on arbitrary G-sets and span morphisms follow by
 additivity.  Functoriality on span composition encodes the classical
 double-coset formula, and all arithmetic is exact.
 
+The module works on basis keys only, and builds no span morphism.  The
+basis spans between orbits, which gen_action is keyed by, are
+spans.orbit_keys; a key is made with spans.canonical_key (reversed and
+identity spans included) and composed with spans._compose_keys, which
+number cosets and choose conjugators as spans.coset_tables does.
+
 check_mackey decides the composition law on the pairs of endpoint keys
 (spans.endpoint_keys): the transfers, restrictions and conjugations,
 which give it on all pairs.  On the corpus this tests 22,995 of the
@@ -136,48 +142,28 @@ class MackeyFunctor:
     gen_action: dict
 
 
-def _flip_key(G: FiniteGroup, c1: int, c2: int, key) -> tuple:
-    """The key of the reversed span, re-canonicalized for the swapped
-    endpoint order."""
-    f, g = sp.basis_legs(gs.orbit_gset(G, c1), gs.orbit_gset(G, c2), key)
-    (k, m), = sp.span_from_maps(g, f).terms
-    assert m == 1
-    return k
-
-
 def burnside_mackey(G: FiniteGroup) -> MackeyFunctor:
     """The Burnside Mackey functor: at each orbit G/H, the free abelian
     group on spans G/H <- S -> pt (equivalently, on H-sets), with spans
     acting by composition against the reversed span."""
     lat = subgroup_lattice(G)
     n = lat.num_classes
-    pt = gs.point_gset(G)
     pt_class = lat.class_of(tuple(G.elements()))
-    level_basis = []
-    for c in range(n):
-        level_basis.append(list(sp.orbit_basis(G, c, pt_class)))
+    level_basis = [sp.orbit_basis(G, c, pt_class) for c in range(n)]
     levels = tuple(AbPresentation(len(bs)) for bs in level_basis)
+    tgt_index = [{k: i for i, k in enumerate(bs)} for bs in level_basis]
     gen_action: dict = {}
-    for c1 in range(n):
-        X = gs.orbit_gset(G, c1)
-        for c2 in range(n):
-            Y = gs.orbit_gset(G, c2)
-            tgt_index = {k: i for i, k in enumerate(level_basis[c2])}
-            for key in sp.orbit_basis(G, c1, c2):
-                flipped = sp.basis_span_mor(Y, X, _flip_key(G, c1, c2, key))
-                cols = []
-                for src_key in level_basis[c1]:
-                    e = sp.basis_span_mor(X, pt, src_key)
-                    composite = sp.compose_spans(e, flipped)
-                    col = [0] * len(level_basis[c2])
-                    for k, m in composite.terms:
-                        col[tgt_index[k]] = m
-                    cols.append(col)
-                matrix = tuple(
-                    tuple(cols[j][i] for j in range(len(cols)))
-                    for i in range(len(level_basis[c2]))
-                )
-                gen_action[(c1, c2, key)] = matrix
+    for c1, c2, key in sp.orbit_keys(G):
+        a, legL, legR = key
+        flipped = sp.canonical_key(gs.orbit_gset(G, a), 0, legR, legL)
+        cols = []
+        for src_key in level_basis[c1]:
+            col = [0] * len(level_basis[c2])
+            for k, m in sp._compose_keys(G, src_key, flipped):
+                col[tgt_index[c2][k]] = m
+            cols.append(col)
+        # every level has the span of the orbit itself, so cols is not empty
+        gen_action[c1, c2, key] = tuple(zip(*cols))
     return MackeyFunctor(G, levels, gen_action)
 
 
@@ -189,12 +175,7 @@ def check_structure(M: MackeyFunctor) -> Verdict:
     if len(M.levels) != n:
         return Verdict(False, "level count mismatch", len(M.levels))
     dims = [lv.dims for lv in M.levels]
-    basis = [
-        (c1, c2, key)
-        for c1 in range(n)
-        for c2 in range(n)
-        for key in sp.orbit_basis(G, c1, c2)
-    ]
+    basis = sp.orbit_keys(G)
     for c1, c2, key in basis:
         A = M.gen_action.get((c1, c2, key))
         if A is None:
@@ -265,27 +246,21 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
         return verdict
     G = M.group
     n = subgroup_lattice(G).num_classes
-    for c1 in range(n):
-        src = M.levels[c1]
-        for c2 in range(n):
-            tgt = M.levels[c2]
-            for key in sp.orbit_basis(G, c1, c2):
-                A = M.gen_action[(c1, c2, key)]
-                for j, o in enumerate(src.orders()):
-                    if o == 0:
-                        continue
-                    for i, to in enumerate(tgt.orders()):
-                        v = o * A[i][j]
-                        if (to == 0 and v != 0) or (to != 0 and v % to != 0):
-                            return Verdict(
-                                False, "matrix not well defined on torsion",
-                                (c1, c2, key),
-                            )
+    for c1, c2, key in sp.orbit_keys(G):
+        A = M.gen_action[(c1, c2, key)]
+        for j, o in enumerate(M.levels[c1].orders()):
+            if o == 0:
+                continue
+            for i, to in enumerate(M.levels[c2].orders()):
+                v = o * A[i][j]
+                if (to == 0 and v != 0) or (to != 0 and v % to != 0):
+                    return Verdict(
+                        False, "matrix not well defined on torsion", (c1, c2, key)
+                    )
     for c in range(n):
         X = gs.orbit_gset(G, c)
-        (ikey, m), = sp.identity_span(X).terms
-        A = M.gen_action[(c, c, ikey)]
-        if m != 1 or not _congruent(A, _identity(M.levels[c].dims), M.levels[c].orders()):
+        A = M.gen_action[(c, c, sp.canonical_key(X, 0, X.points(), X.points()))]
+        if not _congruent(A, _identity(M.levels[c].dims), M.levels[c].orders()):
             return Verdict(False, "identity span does not act as identity", c)
     generators = [[sp.endpoint_keys(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
     if _composition_failure(M, generators) is None:
@@ -295,15 +270,8 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
 
 
 def zero_mackey(G: FiniteGroup) -> MackeyFunctor:
-    lat = subgroup_lattice(G)
-    n = lat.num_classes
-    gen_action = {
-        (c1, c2, key): ()
-        for c1 in range(n)
-        for c2 in range(n)
-        for key in sp.orbit_basis(G, c1, c2)
-    }
-    return MackeyFunctor(G, (ZERO_AB,) * n, gen_action)
+    n = subgroup_lattice(G).num_classes
+    return MackeyFunctor(G, (ZERO_AB,) * n, dict.fromkeys(sp.orbit_keys(G), ()))
 
 
 def reduce_mod(M: MackeyFunctor, n: int) -> MackeyFunctor:

@@ -9,6 +9,13 @@ canonicalised from per-group coset tables (coset_tables) without building
 the pullback G-set.  Composition is exact (integer multiplicities, no
 tolerance).
 
+Each choice behind a key is made in one place.  Left cosets are numbered
+by groups.left_cosets, for the canonical orbits (gs.coset_gset) and the
+coset tables alike.  The element conjugating a subgroup onto its class
+representative is the one subgroup_lattice records; _least_key gives the
+same key for any other.  A key is canonicalised by _least_key, through
+canonical_key, and composed by _compose_keys.
+
 A basis span is its key alone: the class c of its apex stabilizer and
 its two legs tabulated on the canonical coset apex G/R_c.  The basis of
 hom(X, Y) is read off pairs of fixed points: a span with apex G/K is a
@@ -16,15 +23,19 @@ point of X^K and a point of Y^K.  span_basis keys one pair (x, y) of
 K-fixed points per orbit of the normaliser of K, for one K per subgroup
 class, without enumerating hom-sets.  basis_legs turns a key back into
 its two legs, and basis_span_mor into a one-term SpanMor.  orbit_basis
-is the basis between two canonical orbits, endpoint_keys its generators.
+is the basis between two canonical orbits, endpoint_keys its generators,
+and orbit_keys lists every basis key between orbits.
 
 The way from legs back to keys is one loop, _sum_spans: it canonicalises
 every orbit of the apex of each span it is given and adds up the keys.
 span_from_maps, transport_span and the maps of span_of_functor are each
-one call to it.  mackey.categorical_fixed_points calls canonical_key
-directly, once per key, on legs renamed before keying.  The pullback
-composite, the hom-enumerating basis and Span(F) applied term by term
-stay as oracles in the test suite.
+one call to it.  The Mackey and Burnside code works on keys alone and
+calls canonical_key directly: the reversed span of a key is its apex
+orbit's key with the legs swapped, the identity of an orbit X is the
+key of X with both legs the identity, and mackey.categorical_fixed_points
+keys legs renamed before keying.  The pullback composite, the
+hom-enumerating basis and Span(F) applied term by term stay as oracles
+in the test suite.
 
 Span(F), the function span_of_functor returns, computes the image of
 each basis key, per (X, Y, key), once, for as long as it lives: one span
@@ -41,7 +52,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import GroupMismatch, ObjectMismatch, Verdict
-from .groups import FiniteGroup, QuotientMap, subgroup_lattice
+from .groups import FiniteGroup, QuotientMap, left_cosets, subgroup_lattice
 from . import gsets as gs
 from .gsets import EqMap, GSet
 
@@ -56,16 +67,19 @@ class OrbitClass(NamedTuple):
     """The canonical transitive G-set G/R of one subgroup class."""
 
     rep: tuple[int, ...]  # R, the class representative
-    coset: tuple[int, ...]  # the point gR for each g: coset_gset(G, R).action[0]
-    mins: tuple[int, ...]  # the minimal element of each coset, in point order
-    normaliser: tuple[int, ...]  # a transversal of N_G(R)/R
+    coset: tuple[int, ...]  # the point gR for each g (left_cosets)
+    mins: tuple[int, ...]  # the least element of each coset, in point order
+    normaliser: tuple[int, ...]  # the m in mins normalising R: N_G(R)/R
 
 
 class CosetTables(NamedTuple):
     """Per-group tables behind canonical keys and span composition.
 
-    conjugator maps the sorted elements of every subgroup L to (c, t0) with
-    c the class of L and t0 L t0⁻¹ the representative of class c.
+    The cosets of each class representative are numbered by
+    groups.left_cosets, the numbering of gs.orbit_gset.  conjugator maps
+    the sorted elements of every subgroup L to (c, t0) with c the class of
+    L and t0 L t0⁻¹ the representative of class c; t0 is the conjugator
+    subgroup_lattice records for L.
     """
 
     classes: tuple[OrbitClass, ...]
@@ -78,24 +92,13 @@ def coset_tables(G: FiniteGroup) -> CosetTables:
     lat = subgroup_lattice(G)
     classes = []
     conjugator = {}
-    for c in range(lat.num_classes):
+    for c, members in enumerate(lat.classes):
         R = lat.class_rep(c)
-        coset = gs.orbit_gset(G, c).action[0]
-        mins = []
-        for g in G.elements():
-            if coset[g] == len(mins):
-                mins.append(g)
-        rep_set = set(R.elements)
-        normaliser = tuple(
-            m for m in mins if {G.conj(m, h) for h in R.elements} == rep_set
-        )
-        classes.append(OrbitClass(R.elements, coset, tuple(mins), normaliser))
-        for i in lat.classes[c]:
-            L = lat.subgroups[i]
-            t0 = next(
-                g for g in G.elements() if {G.conj(g, h) for h in L.elements} == rep_set
-            )
-            conjugator[L.elements] = (c, t0)
+        coset, mins = left_cosets(G, R.elements)
+        normaliser = tuple(m for m in mins if R.conjugate(m) == R)
+        classes.append(OrbitClass(R.elements, coset, mins, normaliser))
+        for i in members:
+            conjugator[lat.subgroups[i].elements] = (c, lat.conjugators[i])
     return CosetTables(tuple(classes), conjugator)
 
 
@@ -109,6 +112,14 @@ def _least_key(G: FiniteGroup, T: CosetTables, c: int, t0: int, lg, rg) -> Key:
     relabelling's leg tables are fixed by their values at point 0 (the
     coset R), which they list first; the lexicographic minimum is therefore
     the relabelling with the least pair of values there.
+
+    The key does not depend on which conjugator t0 is given.  Every t with
+    t S t⁻¹ = R is m·t0 for some m in N(R), and n·m runs over N(R)/R as n
+    does, so every choice reaches the same points n·t0·base.  The minimum
+    over those points may be reached at several; but two equivariant legs
+    with equal values at point 0 have equal tables, because the value at
+    coset mR is m times the value at R.  So every choice gives the same
+    tables.
     """
     mult = G.mult
     cls = T.classes[c]
@@ -195,6 +206,19 @@ def basis_legs(X: GSet, Y: GSet, key: Key) -> tuple[EqMap, EqMap]:
 def orbit_basis(G: FiniteGroup, c1: int, c2: int) -> tuple[Key, ...]:
     """The basis keys between the canonical orbits of classes c1 and c2."""
     return tuple(span_basis(gs.orbit_gset(G, c1), gs.orbit_gset(G, c2)))
+
+
+def orbit_keys(G: FiniteGroup) -> list[tuple[int, int, Key]]:
+    """Every (c1, c2, key) with key in orbit_basis(G, c1, c2), in order of
+    c1, then c2, then orbit_basis: the basis spans between orbits, which
+    a Mackey functor's gen_action is keyed by."""
+    n = len(coset_tables(G).classes)
+    return [
+        (c1, c2, key)
+        for c1 in range(n)
+        for c2 in range(n)
+        for key in orbit_basis(G, c1, c2)
+    ]
 
 
 def endpoint_keys(G: FiniteGroup, c1: int, c2: int) -> tuple[Key, ...]:
@@ -345,14 +369,11 @@ def burnside_tables(G: FiniteGroup) -> BurnsideTables:
     assert len(basis) == n
     index = {k: i for i, k in enumerate(basis)}
     ring = []
-    for i in range(n):
+    for b_i in basis:
         row = []
-        for j in range(n):
-            prod = compose_spans(
-                basis_span_mor(pt, pt, basis[i]), basis_span_mor(pt, pt, basis[j])
-            )
+        for b_j in basis:
             coeffs = [0] * n
-            for k, m in prod.terms:
+            for k, m in _compose_keys(G, b_i, b_j):
                 coeffs[index[k]] = m
             row.append(tuple(coeffs))
         ring.append(tuple(row))

@@ -5,6 +5,7 @@ from profspan import formats as fm
 from profspan import groups as g
 from profspan import gsets as gs
 from profspan import mackey as mk
+from profspan import spans as sp
 from profspan.corpus import corpus_group
 from profspan.errors import ParseError
 
@@ -107,6 +108,23 @@ def test_mackey_roundtrip_with_torsion():
     text = fm.serialize_mackey(M, "c2.grp")
     loaded = fm.parse_mackey(text, G)
     assert loaded.levels == M.levels and loaded.gen_action == M.gen_action
+
+
+def test_mackey_roundtrip_with_a_zero_level():
+    # Z at the point, 0 at the free orbit: its matrices from the free orbit
+    # to the point are 1x0, written with no rows
+    G = corpus_group("C2")
+    dims = (0, 1)
+    ident = sp.canonical_key(gs.point_gset(G), 0, (0,), (0,))
+    gen_action = {}
+    for c1, c2, key in sp.orbit_keys(G):
+        row = (int(key == ident),) * dims[c1]
+        gen_action[c1, c2, key] = (row,) * dims[c2]
+    M = mk.MackeyFunctor(G, (mk.AbPresentation(0), mk.AbPresentation(1)), gen_action)
+    assert mk.check_mackey(M)
+    text = fm.serialize_mackey(M, "c2.grp")
+    assert "rows 1 cols 0\ngen" in text
+    assert fm.parse_mackey(text, G) == M
 
 
 def test_mackey_parse_errors():
@@ -270,7 +288,8 @@ def _table_outcomes(text, height, width):
 
     def row_by_row(rows):
         rows.next()
-        return [rows.ints(width) for _ in range(height)]
+        # a row of no integers is a blank line, which is never read
+        return [rows.ints(width) for _ in range(height)] if width else [()] * height
 
     return _rows_outcome(text, one_pass), _rows_outcome(text, row_by_row)
 
