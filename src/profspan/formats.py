@@ -6,8 +6,8 @@ G-set or Mackey file has its header on line 1, and the group file it names
 is resolved relative to the file's directory.  A group, tower or G-set
 file ends with the rows its header announces.  A Mackey file may not
 repeat a `level` index or a `gen` key, and a `gen` line's row and column
-counts are non-negative.  Every error is a ParseError that names
-`source:line`.
+counts are non-negative; a matrix with no columns has no lines.  Every
+error is a ParseError that names `source:line`.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ from profspan.corpus import corpus_group, corpus_groups, groups_of_order_at_most
 from profspan.errors import NotAGroup, NotNormal, NotPrime
 
 from oracles import associativity_oracle
+from test_spans import _relabelled
 
 
 def test_make_group_trivial():
@@ -115,6 +116,25 @@ def test_lattice_closed_under_conjugation_and_intersection():
         for H, K in itertools.combinations(lat.subgroups, 2):
             meet = tuple(sorted(set(H.elements) & set(K.elements)))
             assert meet in elems, name
+
+
+@pytest.mark.parametrize("relabel_seed", [None, 17], ids=["given", "relabelled"])
+@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+def test_left_cosets_and_conjugators_of_every_subgroup(name, relabel_seed):
+    G = corpus_group(name)
+    if relabel_seed is not None:
+        G = _relabelled(G, relabel_seed)
+    lat = g.subgroup_lattice(G)
+    for i, H in enumerate(lat.subgroups):
+        cosets = {frozenset(G.mul(x, h) for h in H.elements) for x in G.elements()}
+        cosets = sorted(cosets, key=min)
+        coset_of, reps = g.left_cosets(G, H.elements)
+        assert reps == tuple(min(C) for C in cosets)
+        assert coset_of == tuple(
+            next(n for n, C in enumerate(cosets) if x in C) for x in G.elements()
+        )
+        rep = lat.class_rep(lat.class_of(H.elements))
+        assert H.conjugate(lat.conjugators[i]) == rep, (name, H.elements)
 
 
 def test_quotient_whole_group():

@@ -428,6 +428,46 @@ def test_span_basis_matches_hom_enumerating_oracle(name, relabel_seed):
             assert sp.span_basis(X, Y) == span_basis_oracle(X, Y), (name, X, Y)
 
 
+@pytest.mark.parametrize("relabel_seed", [None, 13], ids=["given", "relabelled"])
+@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+def test_orbit_keys_join_the_orbit_bases_in_order(name, relabel_seed):
+    G = corpus_group(name)
+    if relabel_seed is not None:
+        G = _relabelled(G, relabel_seed)
+    n = g.subgroup_lattice(G).num_classes
+    joined = [
+        (c1, c2, key)
+        for c1, c2 in itertools.product(range(n), repeat=2)
+        for key in sp.orbit_basis(G, c1, c2)
+    ]
+    assert sp.orbit_keys(G) == joined == sorted(joined)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
+def test_least_key_does_not_depend_on_the_conjugator(name):
+    # every m·t0 with m in N(R) conjugates the base point's stabilizer
+    # onto R; each must give the key that the recorded t0 gives
+    G = corpus_group(name)
+    lat, T = g.subgroup_lattice(G), sp.coset_tables(G)
+    orbits = [gs.orbit_gset(G, c) for c in range(lat.num_classes)]
+    for i, L in enumerate(lat.subgroups):
+        c = lat.class_of(L.elements)
+        R = lat.class_rep(c)
+        t0 = lat.conjugators[i]
+        normaliser = [m for m in G.elements() if R.conjugate(m) == R]
+        apex = gs.coset_gset(G, L.elements)
+        row = apex.action[0]
+        tables = [
+            [f.values[x] for x in row] for X in orbits for f in gs.hom_gset(apex, X)
+        ]
+        for lg, rg in itertools.product(tables, repeat=2):
+            key = sp._least_key(G, T, c, t0, lg, rg)
+            for m in normaliser:
+                assert sp._least_key(G, T, c, G.mul(m, t0), lg, rg) == key, (
+                    name, L.elements, m,
+                )
+
+
 LINK_TOWERS = pytest.mark.parametrize(
     "tower", [(2, 2), (3, 2), (2, 3)], ids=["2,2", "3,2", "2,3"]
 )
