@@ -67,21 +67,16 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _associative(rows) -> bool:
-    """Light's test on a table with identity 0: whether (ab)c = a(bc) for
-    all a, b, c, tested for every a and b but only for c in a set S.
-
-    The c that pass are closed under products: if c and d pass, then
-    (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).  The identity
-    passes.  S is picked greedily, each new c the least element not yet
-    reached from the identity by right multiplication by S, so every
-    element is a product of passing elements and passes.  The cost is
-    n²·|S| lookups instead of n³."""
+def generating_set(rows) -> tuple[int, ...]:
+    """Generators of a table with identity 0, picked greedily: each new
+    one is the least element not yet reached from the identity by right
+    multiplication by those before it.  Every element is reached, and in a
+    group the elements reached are the subgroup generated."""
     n = len(rows)
     reached = {0}
     gens: list[int] = []
     while len(reached) < n:
-        gens.append(min(set(range(n)) - reached))
+        gens.append(next(x for x in range(n) if x not in reached))
         frontier = list(reached)
         while frontier:
             row = rows[frontier.pop()]
@@ -89,7 +84,19 @@ def _associative(rows) -> bool:
                 if row[s] not in reached:
                     reached.add(row[s])
                     frontier.append(row[s])
-    for c in gens:
+    return tuple(gens)
+
+
+def _associative(rows) -> bool:
+    """Light's test on a table with identity 0: whether (ab)c = a(bc) for
+    all a, b, c, tested for every a and b but only for c in a set S.
+
+    The c that pass are closed under products: if c and d pass, then
+    (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).  The identity
+    passes.  S is generating_set(rows), so every element is a product
+    of passing elements and passes.  The cost is n²·|S| lookups instead
+    of n³."""
+    for c in generating_set(rows):
         col = [row[c] for row in rows]  # x·c for each x
         for row in rows:
             # (ab)c and a(bc), for a the row's element and every b
@@ -190,6 +197,8 @@ def closure(G: FiniteGroup, gens) -> tuple[int, ...]:
 
 def make_subgroup(G: FiniteGroup, elements) -> Subgroup:
     elems = tuple(sorted(set(elements)))
+    if elems and not (0 <= elems[0] and elems[-1] < G.order):
+        raise ValueError(f"{elems} has an element outside 0..{G.order - 1}")
     if closure(G, elems) != elems or 0 not in elems:
         raise ValueError(f"{elems} is not closed under the group operations")
     return Subgroup(G, elems)
@@ -219,18 +228,16 @@ class SubgroupLattice:
     conjugators: tuple[int, ...]  # t with t·H·t⁻¹ the class rep, per subgroup H
 
     @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {H.elements: i for i, H in enumerate(self.subgroups)}
-
-    @cached_property
-    def _class(self) -> dict[int, int]:
-        return {i: c for c, members in enumerate(self.classes) for i in members}
-
-    def index_of(self, elements) -> int:
-        return self._index[tuple(sorted(elements))]
+    def where(self) -> dict[tuple[int, ...], tuple[int, int]]:
+        """(class, conjugator) of every subgroup, by its sorted elements."""
+        return {
+            self.subgroups[i].elements: (c, self.conjugators[i])
+            for c, members in enumerate(self.classes)
+            for i in members
+        }
 
     def class_of(self, elements) -> int:
-        return self._class[self.index_of(elements)]
+        return self.where[tuple(sorted(elements))][0]
 
     def class_rep(self, c: int) -> Subgroup:
         return self.subgroups[self.classes[c][0]]
@@ -307,7 +314,7 @@ def quotient_map(source: FiniteGroup, target: FiniteGroup, projection) -> Quotie
     if len(projection) != source.order or set(projection) != set(target.elements()):
         raise ValueError("projection is not onto the previous stage")
     mult, tmult = source.mult, target.mult
-    for s in generating_set(source):
+    for s in generating_set(source.mult):
         ps = projection[s]
         for a, pa in enumerate(projection):
             if projection[mult[a][s]] != tmult[pa][ps]:
@@ -497,16 +504,6 @@ def alternating4() -> FiniteGroup:
     return from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)])
 
 
-def generating_set(G: FiniteGroup) -> tuple[int, ...]:
-    gens: tuple[int, ...] = ()
-    have = closure(G, gens)
-    while len(have) < G.order:
-        g = next(x for x in G.elements() if x not in have)
-        gens = gens + (g,)
-        have = closure(G, gens)
-    return gens
-
-
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup):
     """An isomorphism G -> H as an index tuple, or None.
 
@@ -518,7 +515,7 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup):
     orders_H = [H.element_order(a) for a in H.elements()]
     if sorted(orders_G) != sorted(orders_H):
         return None
-    gens = generating_set(G)
+    gens = generating_set(G.mult)
 
     def extend(images):
         # grow the partial map from the generator images; None on conflict

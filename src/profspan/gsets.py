@@ -4,9 +4,8 @@ inflation/fixed-points adjunction.
 
 The N-fixed points of a G-set X, for N the kernel of a quotient map q,
 are computed once per (X, q) and kept (`fixed_point_data`): X^N with its
-residual action, the index of each fixed point, and, built on first use,
-the counit inf(X^N) -> X and the unit X^N -> (inf X^N)^N.
-`fixed_points`, `counit_map`, `fixed_points_map` and the counit-square
+residual action and the index of each fixed point.  `fixed_points`,
+`counit_map`, `unit_map`, `fixed_points_map` and the counit-square
 functions read that record.  A square of G-sets is decided to be a
 pullback by counting the fibre product, not by building it.  The counit
 square of f: X -> X' is a pullback iff f sends no orbit outside X^N into
@@ -42,7 +41,6 @@ from .errors import GroupMismatch
 from .groups import (
     FiniteGroup,
     QuotientMap,
-    Subgroup,
     left_cosets,
     memoise_hash,
     subgroup_lattice,
@@ -80,10 +78,6 @@ class GSet:
                 seen.update(orb)
                 out.append(orb)
         return tuple(out)
-
-    def stabilizer(self, x: int) -> Subgroup:
-        elems = tuple(g for g, y in enumerate(self.action[x]) if y == x)
-        return Subgroup(self.group, elems)
 
     @cached_property
     def point_stabilizers(self) -> tuple[frozenset[int], ...]:
@@ -207,9 +201,18 @@ def canonical_iso(X: GSet) -> EqMap:
     return find_iso(X, canonical_gset(X.group, orbit_class_multiset(X)))
 
 
-def _fixed_part(X: GSet, q: QuotientMap) -> tuple[GSet, dict]:
-    """X^N with the residual G/N action, and the index in X^N of each
-    N-fixed point of X, in point order."""
+class FixedPointData(NamedTuple):
+    """The N-fixed points of one G-set X, for N = ker q: X^N with the
+    residual G/N action, and the index in X^N of each N-fixed point of X,
+    in point order."""
+
+    fixed: GSet
+    index: dict[int, int]
+
+
+@lru_cache(maxsize=None)
+def fixed_point_data(X: GSet, q: QuotientMap) -> FixedPointData:
+    """The fixed-point record of X, computed once per (X, q)."""
     if X.group != q.source:
         raise GroupMismatch("G-set is not over the quotient source")
     N = q.kernel.elements
@@ -217,32 +220,7 @@ def _fixed_part(X: GSet, q: QuotientMap) -> tuple[GSet, dict]:
     index = {x: i for i, x in enumerate(pts)}
     sections = [q.section(c) for c in q.target.elements()]
     action = tuple(tuple(index[X.action[x][s]] for s in sections) for x in pts)
-    return GSet(q.target, action), index
-
-
-class FixedPointData:
-    """The N-fixed points of one G-set X, for N = ker q: X^N with the
-    residual G/N action, the index in X^N of each N-fixed point of X, and,
-    built on first use, the counit inf(X^N) -> X and the unit
-    X^N -> (inf X^N)^N."""
-
-    def __init__(self, X: GSet, q: QuotientMap):
-        self.source, self.q = X, q
-        self.fixed, self.index = _fixed_part(X, q)
-
-    @cached_property
-    def counit(self) -> EqMap:
-        return EqMap(inflate(self.fixed, self.q), self.source, tuple(self.index))
-
-    @cached_property
-    def unit(self) -> EqMap:
-        return unit_map(self.fixed, self.q)
-
-
-@lru_cache(maxsize=None)
-def fixed_point_data(X: GSet, q: QuotientMap) -> FixedPointData:
-    """The fixed-point record of X, computed once per (X, q)."""
-    return FixedPointData(X, q)
+    return FixedPointData(GSet(q.target, action), index)
 
 
 def fixed_points(X: GSet, q: QuotientMap) -> GSet:
@@ -252,12 +230,13 @@ def fixed_points(X: GSet, q: QuotientMap) -> GSet:
 
 def counit_map(X: GSet, q: QuotientMap) -> EqMap:
     """inf(X^N) -> X; the inclusion of the fixed points."""
-    return fixed_point_data(X, q).counit
+    fixed, index = fixed_point_data(X, q)
+    return EqMap(inflate(fixed, q), X, tuple(index))
 
 
 def unit_map(X: GSet, q: QuotientMap) -> EqMap:
     """X -> (inf X)^N for X over G/N."""
-    fixed, index = _fixed_part(inflate(X, q), q)
+    fixed, index = fixed_point_data(inflate(X, q), q)
     return EqMap(X, fixed, tuple(index[x] for x in X.points()))
 
 

@@ -247,8 +247,8 @@ def verify_adjunction(cap: int = 4) -> Verdict:
     q = g.quotient(G, g.make_subgroup(G, (0, 2)))
     objs = _stage_objects(G, cap)
     for X in objs:
-        data = gs.fixed_point_data(X, q)
-        if not (data.unit.is_iso() and data.counit.is_injective()):
+        unit = gs.unit_map(gs.fixed_points(X, q), q)
+        if not (unit.is_iso() and gs.counit_map(X, q).is_injective()):
             return Verdict(
                 False, f"unit/counit law violated for X with action {X.action}"
             )

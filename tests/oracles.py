@@ -9,7 +9,8 @@ with nothing kept between calls, and the adjunction's unit and counit
 squares built and decided for one map at a time, the Mackey
 composition law tested on every pair of basis spans between orbits,
 categorical fixed points through inflated G-sets, associativity of a
-multiplication table tested on every triple, left
+multiplication table tested on every triple, the greedy generating set
+of a group found by closures, left
 exactness over every cospan of the given G-sets, and the span checks of
 verify as they were before they were decided on orbit generators: on
 the stage objects up to a size cap, with functoriality sampled or tested
@@ -100,10 +101,11 @@ def span_basis_count_oracle(G: FiniteGroup, H, K) -> int:
 def canonical_key_oracle(apex: GSet, base: int, legL, legR) -> sp.Key:
     """Oracle for canonical_key: the least leg-table pair over every point
     of the orbit whose stabilizer is the class representative, with the
-    coset minima and stabilizers recomputed from the apex."""
+    coset minima recomputed and the stabilizers read from the apex, not
+    from the coset tables."""
     G = apex.group
     lat = subgroup_lattice(G)
-    c = lat.class_of(apex.stabilizer(base).elements)
+    c = lat.class_of(apex.point_stabilizers[base])
     rep = lat.class_rep(c).elements
     rep_set = set(rep)
     mins = [min(G.mul(g, h) for h in rep) for g in G.elements()]
@@ -118,7 +120,7 @@ def canonical_key_oracle(apex: GSet, base: int, legL, legR) -> sp.Key:
     best = None
     orbit = apex.orbit(base)
     for s in orbit:
-        if set(apex.stabilizer(s).elements) != rep_set:
+        if apex.point_stabilizers[s] != rep_set:
             continue
         # psi: coset point p (coset m_p H) -> m_p . s
         imgs = [apex.action[s][m] for m in reps_of_points]
@@ -214,22 +216,24 @@ def adjunction_report(q: QuotientMap, X: GSet, f: EqMap) -> AdjunctionReport:
     """
     if X.group != q.source or f.src != X:
         raise GroupMismatch("report requires X over the quotient source")
-    src, dst = gs.fixed_point_data(X, q), gs.fixed_point_data(f.dst, q)
+    unit = gs.unit_map(gs.fixed_points(X, q), q)
+    unit_p = gs.unit_map(gs.fixed_points(f.dst, q), q)
+    counit, counit_p = gs.counit_map(X, q), gs.counit_map(f.dst, q)
 
-    unit_is_iso = src.unit.is_iso()
-    counit_injective = src.counit.is_injective() and dst.counit.is_injective()
+    unit_is_iso = unit.is_iso()
+    counit_injective = counit.is_injective() and counit_p.is_injective()
 
     # unit naturality square over G/N for f^N: X^N -> X'^N; every point of
     # an inflated G-set is N-fixed, so (inf f^N)^N has the values of f^N
     f_fixed = gs.fixed_points_map(f, q)
     values = f_fixed.values
     unit_sq = gs.square_is_pullback(
-        src.unit, f_fixed, EqMap(src.unit.dst, dst.unit.dst, values), dst.unit
+        unit, f_fixed, EqMap(unit.dst, unit_p.dst, values), unit_p
     )
 
     # counit naturality square over G
     counit_sq = gs.square_is_pullback(
-        src.counit, EqMap(src.counit.src, dst.counit.src, values), f, dst.counit
+        counit, EqMap(counit.src, counit_p.src, values), f, counit_p
     )
     witness = None if counit_sq else (X.action, f.values)
     return AdjunctionReport(unit_is_iso, counit_injective, unit_sq, counit_sq, witness)
@@ -336,6 +340,18 @@ def associativity_oracle(rows) -> tuple[int, int, int] | None:
                 if rows[ab][c] != rows[a][rows[b][c]]:
                     return (a, b, c)
     return None
+
+
+def generating_set_oracle(G: FiniteGroup) -> tuple[int, ...]:
+    """generating_set by closures: each new generator is the least element
+    outside the subgroup that the generators before it generate."""
+    gens: tuple[int, ...] = ()
+    have = g.closure(G, gens)
+    while len(have) < G.order:
+        x = next(x for x in G.elements() if x not in have)
+        gens = gens + (x,)
+        have = g.closure(G, gens)
+    return gens
 
 
 def left_exact_oracle(F: sp.GSetFunctor, objects) -> Verdict:

@@ -281,6 +281,19 @@ def test_non_normal_kernel_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: subgroup is not normal")
 
 
+@pytest.mark.parametrize("kernel", ["0,99", "0,-1"])
+def test_kernel_element_out_of_range_exits_2(tmp_path, capsys, kernel):
+    G = corpus_group("C4")
+    (tmp_path / "c4.grp").write_text(fm.serialize_group(G))
+    (tmp_path / "m.mackey").write_text(
+        fm.serialize_mackey(mk.burnside_mackey(G), "c4.grp")
+    )
+    assert main(["mackey-fixed", str(tmp_path / "m.mackey"), kernel]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: <args>:0: invalid kernel: ")
+    assert len(err.splitlines()) == 1, err
+
+
 def test_negative_cap_exits_2(capsys):
     assert main(["--cap", "-1", "verify", "adjunction"]) == 2
     assert "--cap" in capsys.readouterr().err

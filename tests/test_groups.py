@@ -4,10 +4,11 @@ import random
 import pytest
 
 from profspan import groups as g
+from profspan import spans as sp
 from profspan.corpus import corpus_group, corpus_groups, groups_of_order_at_most
 from profspan.errors import NotAGroup, NotNormal, NotPrime
 
-from oracles import associativity_oracle
+from oracles import associativity_oracle, generating_set_oracle
 from test_spans import _relabelled
 
 
@@ -133,8 +134,25 @@ def test_left_cosets_and_conjugators_of_every_subgroup(name, relabel_seed):
         assert coset_of == tuple(
             next(n for n, C in enumerate(cosets) if x in C) for x in G.elements()
         )
-        rep = lat.class_rep(lat.class_of(H.elements))
-        assert H.conjugate(lat.conjugators[i]) == rep, (name, H.elements)
+        c = lat.class_of(H.elements)
+        assert H.conjugate(lat.conjugators[i]) == lat.class_rep(c), (name, H.elements)
+        assert lat.where[H.elements] == (c, lat.conjugators[i])
+    assert sp.coset_tables(G).conjugator is lat.where
+
+
+@pytest.mark.parametrize("relabel_seed", [None, 17], ids=["given", "relabelled"])
+@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+def test_generating_set_matches_the_closure_oracle(name, relabel_seed):
+    G = corpus_group(name)
+    if relabel_seed is not None:
+        G = _relabelled(G, relabel_seed)
+    assert g.generating_set(G.mult) == generating_set_oracle(G)
+
+
+@pytest.mark.parametrize("p, depth", [(2, 6), (3, 3), (5, 2), (7, 2)])
+def test_generating_set_of_cyclic_tower_stages(p, depth):
+    for G in g.cyclic_tower(p, depth).stages:
+        assert g.generating_set(G.mult) == generating_set_oracle(G)
 
 
 def test_quotient_whole_group():
