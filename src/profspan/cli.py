@@ -30,6 +30,12 @@ _INPUT_ERRORS = (ParseError, NotPrime, NotNormal, NotAGroup, GroupMismatch)
 # entries, and each level of a 2-tower costs four times the one below.
 MAX_TOWER_ORDER = 1024
 
+# The largest --cap accepted.  The capped G-sets of a stage are every
+# orbit-class multiset of total size at most the cap, a count that grows
+# faster than any power of it: at the default tower cap 16 takes seconds
+# for colim-gset and adjunction, and cap 20 four times as long.
+MAX_SIZE_CAP = 16
+
 
 def _parse_tower_flag(value: str) -> g.GroupTower:
     """The cyclic tower of `p,depth`; NotPrime when p is not prime.  A top
@@ -62,6 +68,10 @@ def _size_cap(value: str) -> int:
         cap = -1
     if cap < 0:
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value!r}")
+    if cap > MAX_SIZE_CAP:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer <= {MAX_SIZE_CAP}, got {value!r}"
+        )
     return cap
 
 

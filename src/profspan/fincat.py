@@ -1,12 +1,11 @@
 """Explicit finite categories and functors, with chain colimits and the
 functor-from-family comparison.
 
-Morphisms are uniformly labelled (src, dst, data) triples.  Hom-sets and
-composition may be backed by tables or by functions.  No category is
-validated when it is built: table-backed ones have only their identities
-checked, and `validate` (run by the test suite) checks units and
-associativity.  `find_iso` searches exhaustively (`isos`), trying every
-pair in hom(a, b) x hom(b, a).
+Morphisms are uniformly labelled (src, dst, data) triples.  A category
+is its objects and three functions: hom, composition and identity.  No
+category is validated when it is built; `validate` (run by the test
+suite) checks units and associativity.  `find_iso` searches
+exhaustively (`isos`), trying every pair in hom(a, b) x hom(b, a).
 """
 
 from __future__ import annotations
@@ -79,38 +78,6 @@ class FinCat:
                         assert self.compose(h, gf) == self.compose(
                             self.compose(h, g), f
                         )
-
-    @classmethod
-    def from_tables(cls, objects, hom, compose):
-        """Build from explicit dictionaries.  Only the identities are
-        checked, as they are found; `validate` checks the rest."""
-        objects = tuple(objects)
-        hom_d = {k: tuple(v) for k, v in hom.items()}
-        ids = {}
-        for a in objects:
-            candidates = [
-                f
-                for f in hom_d.get((a, a), ())
-                if all(
-                    compose[(g, f)] == g
-                    for b in objects
-                    for g in hom_d.get((a, b), ())
-                )
-                and all(
-                    compose[(f, g)] == g
-                    for b in objects
-                    for g in hom_d.get((b, a), ())
-                )
-            ]
-            if len(candidates) != 1:
-                raise ValueError(f"object {a!r} has no unique identity")
-            ids[a] = candidates[0]
-        return cls(
-            objects,
-            lambda a, b: hom_d.get((a, b), ()),
-            lambda g, f: compose[(g, f)],
-            lambda a: ids[a],
-        )
 
 
 class CatFunctor:

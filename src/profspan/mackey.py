@@ -317,16 +317,13 @@ def categorical_fixed_points(M: MackeyFunctor, q: QuotientMap) -> MackeyFunctor:
     pre = [gs.orbit_class_multiset(s.dst)[0] for s in sigma]
     levels = tuple(M.levels[c] for c in pre)
     gen_action: dict = {}
-    for c1 in range(nq):
-        s1 = sigma[c1].values
-        for c2 in range(nq):
-            s2 = sigma[c2].values
-            for key in sp.orbit_basis(Q, c1, c2):
-                a, legL, legR = key
-                gkey = sp.canonical_key(
-                    inflated[a], 0, [s1[x] for x in legL], [s2[y] for y in legR]
-                )
-                gen_action[c1, c2, key] = M.gen_action[pre[c1], pre[c2], gkey]
+    for c1, c2, key in sp.orbit_keys(Q):
+        a, legL, legR = key
+        s1, s2 = sigma[c1].values, sigma[c2].values
+        gkey = sp.canonical_key(
+            inflated[a], 0, [s1[x] for x in legL], [s2[y] for y in legR]
+        )
+        gen_action[c1, c2, key] = M.gen_action[pre[c1], pre[c2], gkey]
     return MackeyFunctor(Q, levels, gen_action)
 
 

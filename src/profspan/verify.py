@@ -55,12 +55,13 @@ def _stage_objects(G, cap):
     return [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, cap)]
 
 
-def _colimit_classes(tower, cap) -> list[tuple[int, ...]]:
-    """The colimit's object classes: the orbit-class multisets of the capped
-    stage objects pushed along the later links, in first-seen order."""
+def _colimit_classes(tower, stages) -> list[tuple[int, ...]]:
+    """The colimit's object classes: the orbit-class multisets of the
+    stage objects (stages[i] at stage i) pushed along the later links, in
+    first-seen order."""
     classes: dict = {}
-    for i, G in enumerate(tower.stages):
-        for X in _stage_objects(G, cap):
+    for i, objs in enumerate(stages):
+        for X in objs:
             for q in tower.links[i:]:
                 X = gs.inflate(X, q)
             classes.setdefault(gs.orbit_class_multiset(X), None)
@@ -76,17 +77,18 @@ def verify_colim_gset(tower: g.GroupTower, cap: int) -> Verdict:
     hom-sets.  So the check enumerates no hom-set: every stage object
     lifted to the top stage has the orbit-class multiset of a colimit
     class, and inflation along every link is a bijection on every hom
-    factor (_links_verdict).
+    factor (_links_verdict).  The capped objects of each stage are built
+    once and shared by the three passes and the object count.
     """
-    classes = _colimit_classes(tower, cap)
-    verdict = _surjective_verdict(tower, cap, set(classes))
+    stages = [_stage_objects(G, cap) for G in tower.stages]
+    classes = _colimit_classes(tower, stages)
+    verdict = _surjective_verdict(tower, stages, set(classes))
     if verdict:
-        verdict = _links_verdict(tower, cap)
-    objects = sum(len(gs.gset_isoclasses(G, cap)) for G in tower.stages)
+        verdict = _links_verdict(tower, stages)
     lines = [
         _tower_line(tower, f"size cap {cap}"),
         f"colimit object classes: {len(classes)}",
-        f"discrete-model objects: {objects}",
+        f"discrete-model objects: {sum(map(len, stages))}",
         "comparison functor is an equivalence"
         if verdict
         else f"equivalence failure: {verdict.reason}",
@@ -94,25 +96,24 @@ def verify_colim_gset(tower: g.GroupTower, cap: int) -> Verdict:
     return Verdict(verdict.ok, verdict.reason, verdict.witness, lines)
 
 
-def _surjective_verdict(tower, cap, classes) -> Verdict:
-    """Whether every capped stage object, inflated along the projection
-    to the top stage, has the orbit-class multiset of one of `classes`;
-    the witness of a miss is (level, action)."""
+def _surjective_verdict(tower, stages, classes) -> Verdict:
+    """Whether every stage object, inflated along the projection to the
+    top stage, has the orbit-class multiset of one of `classes`; the
+    witness of a miss is (level, action)."""
     top = tower.depth - 1
-    for i, G in enumerate(tower.stages):
+    for i, objs in enumerate(stages):
         lift = tower.projection(top, i)
-        for X in _stage_objects(G, cap):
+        for X in objs:
             if gs.orbit_class_multiset(gs.inflate(X, lift)) not in classes:
                 return Verdict(False, "not essentially surjective", (i, X.action))
     return Verdict(True)
 
 
-def _links_verdict(tower, cap) -> Verdict:
+def _links_verdict(tower, stages) -> Verdict:
     """Whether inflation along every link q is fully faithful on the
-    capped stage objects: for each orbit factor (x, K, Y^K) of hom(X, Y),
-    the factor of hom(inf X, inf Y) at x is (x, q⁻¹K, Y^K)."""
-    for i, q in enumerate(tower.links):
-        objs = _stage_objects(q.target, cap)
+    stage objects of its target: for each orbit factor (x, K, Y^K) of
+    hom(X, Y), the factor of hom(inf X, inf Y) at x is (x, q⁻¹K, Y^K)."""
+    for i, (q, objs) in enumerate(zip(tower.links, stages)):
         preimage: dict = {}
         for K in g.subgroup_lattice(q.target).subgroups:
             inside = set(K.elements)
@@ -309,20 +310,13 @@ def verify_mackey_limit(tower: g.GroupTower) -> Verdict:
 
 
 def _gcd_cat(n: int) -> fc.FinCat:
-    elems = [d for d in range(1, n + 1) if n % d == 0]
-    hom = {
-        (a, b): [(a, b, "le")] if b % a == 0 else []
-        for a in elems
-        for b in elems
-    }
-    compose = {
-        ((b, c, "le"), (a, b, "le")): (a, c, "le")
-        for a in elems
-        for b in elems
-        for c in elems
-        if b % a == 0 and c % b == 0
-    }
-    return fc.FinCat.from_tables(elems, hom, compose)
+    """The divisors of n ordered by divisibility: a ≤ b iff a | b."""
+    return fc.FinCat(
+        [d for d in range(1, n + 1) if n % d == 0],
+        lambda a, b: [(a, b, "le")] if b % a == 0 else [],
+        lambda g, f: (f[0], g[1], "le"),
+        lambda a: (a, a, "le"),
+    )
 
 
 def _monotone(src, dst, f):

@@ -8,6 +8,7 @@ import pytest
 from profspan import cli
 from profspan import formats as fm
 from profspan import groups as g
+from profspan import gsets as gs
 from profspan import mackey as mk
 from profspan import verify as vf
 from profspan.cli import main
@@ -207,6 +208,29 @@ def test_tower_above_the_order_bound_exits_2_before_it_is_built(
         f"error: <args>:0: --tower {tower} has a top stage of order {order}, "
         f"above the bound {cli.MAX_TOWER_ORDER}\n"
     )
+
+
+@pytest.mark.parametrize("cap", ["17", "2500"])
+def test_cap_above_the_bound_exits_2_before_any_object_is_built(
+    cap, monkeypatch, capsys
+):
+    def refuse(G, size_cap):
+        raise AssertionError("enumerated the capped G-sets")
+
+    monkeypatch.setattr(gs, "gset_isoclasses", refuse)
+    assert main(["--tower", "2,1", "--cap", cap, "verify", "colim-gset"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [
+        f"profspan: error: argument --cap: expected an integer "
+        f"<= {cli.MAX_SIZE_CAP}, got '{cap}'"
+    ]
+
+
+def test_cap_at_the_bound_is_accepted():
+    assert cli.MAX_SIZE_CAP == 16
+    assert cli._build_parser().parse_args(["--cap", "16", "verify"]).cap == 16
 
 
 @pytest.mark.parametrize("tower", ["2,10", "1021,1", "4,5"])

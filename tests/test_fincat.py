@@ -11,17 +11,12 @@ from profspan.errors import IncoherentFamily
 
 def poset_cat(elems, le):
     """Thin category of a finite poset; at most one morphism per pair."""
-    hom = {}
-    compose = {}
-    for a in elems:
-        for b in elems:
-            hom[(a, b)] = [(a, b, "le")] if le(a, b) else []
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                if le(a, b) and le(b, c):
-                    compose[((b, c, "le"), (a, b, "le"))] = (a, c, "le")
-    cat = fc.FinCat.from_tables(elems, hom, compose)
+    cat = fc.FinCat(
+        elems,
+        lambda a, b: [(a, b, "le")] if le(a, b) else [],
+        lambda g, f: (f[0], g[1], "le"),
+        lambda a: (a, a, "le"),
+    )
     cat.validate()
     return cat
 
@@ -42,13 +37,14 @@ def monotone_functor(src, dst, f):
 
 def group_cat(G):
     """The one-object category of a finite group: morphisms are its
-    elements, composed by the group law."""
+    elements, composed by the group law, with the identity element 0."""
     mor = lambda x: ("*", "*", x)
-    hom = {("*", "*"): [mor(x) for x in G.elements()]}
-    compose = {
-        (mor(x), mor(y)): mor(G.mul(x, y)) for x in G.elements() for y in G.elements()
-    }
-    cat = fc.FinCat.from_tables(["*"], hom, compose)
+    cat = fc.FinCat(
+        ["*"],
+        lambda a, b: [mor(x) for x in G.elements()],
+        lambda g, f: mor(G.mul(g[2], f[2])),
+        lambda a: mor(0),
+    )
     cat.validate()
     return cat
 
@@ -60,17 +56,11 @@ def gcd_chain():
     return fc.ChainDiagram([c12, c6], [L])
 
 
-def test_from_tables_validates():
+def test_gcd_cat_validates():
     cat = gcd_cat(6)
     assert len(cat.objects) == 4
     assert len(cat.hom(1, 6)) == 1 and cat.hom(6, 1) == ()
     cat.validate()
-
-
-def test_from_tables_rejects_missing_identity():
-    hom = {("a", "a"): []}
-    with pytest.raises(ValueError):
-        fc.FinCat.from_tables(["a"], hom, {})
 
 
 def test_validate_catches_broken_composition():
@@ -81,10 +71,14 @@ def test_validate_catches_broken_composition():
         ("a", "a"): "b", ("a", "b"): "b", ("b", "a"): "b", ("b", "b"): "a",
     }
     mor = lambda s: ("x", "x", s)
-    hom = {("x", "x"): [mor(s) for s in "eab"]}
-    compose = {(mor(s), mor(t)): mor(table[(s, t)]) for s in "eab" for t in "eab"}
+    cat = fc.FinCat(
+        ["x"],
+        lambda a, b: [mor(s) for s in "eab"],
+        lambda g, f: mor(table[(g[2], f[2])]),
+        lambda a: mor("e"),
+    )
     with pytest.raises((AssertionError, ValueError)):
-        fc.FinCat.from_tables(["x"], hom, compose).validate()
+        cat.validate()
 
 
 def test_isos_and_inverse():

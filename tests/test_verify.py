@@ -47,7 +47,9 @@ def test_colim_gset_verdict_matches_check_equivalence(p, depth, cap):
 def test_colim_gset_fails_with_a_class_dropped(monkeypatch):
     colimit_classes = vf._colimit_classes
     monkeypatch.setattr(
-        vf, "_colimit_classes", lambda tower, cap: colimit_classes(tower, cap)[:-1]
+        vf,
+        "_colimit_classes",
+        lambda tower, stages: colimit_classes(tower, stages)[:-1],
     )
     tower = g.cyclic_tower(2, 3)
     report = vf.verify_colim_gset(tower, 4)
@@ -56,7 +58,25 @@ def test_colim_gset_fails_with_a_class_dropped(monkeypatch):
     # the witness is the first stage object of the dropped class
     level, action = report.witness
     lifted = gs.inflate(gs.GSet(tower.stages[level], action), tower.projection(2, level))
-    assert gs.orbit_class_multiset(lifted) == colimit_classes(tower, 4)[-1]
+    stages = [vf._stage_objects(G, 4) for G in tower.stages]
+    assert gs.orbit_class_multiset(lifted) == colimit_classes(tower, stages)[-1]
+
+
+def test_colim_gset_builds_each_stage_object_once(monkeypatch):
+    built = []
+    canonical_gset = gs.canonical_gset
+
+    def counted(G, class_multiset):
+        built.append((G, class_multiset))
+        return canonical_gset(G, class_multiset)
+
+    monkeypatch.setattr(gs, "canonical_gset", counted)
+    tower = g.cyclic_tower(2, 3)
+    report = vf.verify_colim_gset(tower, 4)
+    objects = sum(len(gs.gset_isoclasses(G, 4)) for G in tower.stages)
+    assert objects == 29
+    assert len(built) == objects
+    assert report.lines[2] == f"discrete-model objects: {objects}"
 
 
 def _trivial_first_link(depth):
@@ -445,3 +465,14 @@ def test_limit_span_fails_on_a_functor_that_is_not_left_exact(monkeypatch):
     P, p1, p2 = gs.pullback(f, h)
     bad = OrbitQuotientFunctor(g.cyclic_tower(2, 2).links[0])
     assert not gs.square_is_pullback(*(bad.map(m) for m in (p1, p2, f, h)))
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_funcat_divisor_lattice_is_the_divisibility_order(n):
+    cat = vf._gcd_cat(n)
+    cat.validate()
+    assert cat.objects == tuple(d for d in range(1, n + 1) if n % d == 0)
+    for a, b in itertools.product(cat.objects, repeat=2):
+        assert bool(cat.hom(a, b)) == (b % a == 0)
+    for a in cat.objects:
+        assert cat.identity(a) == (a, a, "le")
