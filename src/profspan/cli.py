@@ -160,6 +160,9 @@ def cmd_mackey_check(args) -> tuple[str, int]:
 
 
 def cmd_mackey_fixed(args) -> tuple[str, int]:
+    if args.group_file.split() != [args.group_file]:  # a header field
+        name = repr(args.group_file)
+        raise ParseError("<args>", 0, f"--group-file needs a name, got {name}")
     M = fm.load_mackey(args.file)
     try:
         elems = tuple(sorted(int(v) for v in args.kernel.split(",")))

@@ -20,7 +20,7 @@ def corpus_groups() -> tuple[tuple[str, g.FiniteGroup], ...]:
         ("C2xC2", P(C(2), C(2))),
         ("C5", C(5)),
         ("C6", C(6)),
-        ("S3", g.symmetric3()),
+        ("S3", g.dihedral(3)),
         ("C7", C(7)),
         ("C8", C(8)),
         ("C4xC2", P(C(4), C(2))),
@@ -46,6 +46,3 @@ def corpus_group(name: str) -> g.FiniteGroup:
             return G
     raise KeyError(name)
 
-
-def groups_of_order_at_most(n: int):
-    return tuple((name, G) for name, G in corpus_groups() if G.order <= n)

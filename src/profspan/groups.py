@@ -4,10 +4,13 @@ and chain-shaped quotient towers.
 Elements are indices 0..order-1 with 0 the identity; input tables with the
 identity elsewhere are relabelled on ingestion.  quotient_map builds every
 quotient map, checking it, and make_tower checks every link of a tower.
+subgroup_lattice finds the subgroups by cyclic extension; the exhaustive
+search it replaced is a test oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -55,13 +58,6 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def element_order(self, a: int) -> int:
-        n, x = 1, a
-        while x != 0:
-            x = self.mult[x][a]
-            n += 1
-        return n
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -166,8 +162,10 @@ class Subgroup:
         return len(self.elements)
 
     def conjugate(self, g: int) -> "Subgroup":
-        G = self.parent
-        return Subgroup(G, tuple(sorted(G.conj(g, h) for h in self.elements)))
+        mult, g_inv = self.parent.mult, self.parent.inv(g)
+        row = mult[g]
+        conj = (mult[row[h]][g_inv] for h in self.elements)
+        return Subgroup(self.parent, tuple(sorted(conj)))
 
     def normality_witness(self):
         """A (g, h) pair with g h g^-1 outside the subgroup, or None."""
@@ -180,26 +178,13 @@ class Subgroup:
         return None
 
 
-def closure(G: FiniteGroup, gens) -> tuple[int, ...]:
-    """Subgroup elements generated by `gens` (identity always included)."""
-    seen = {0}
-    frontier = [0]
-    gens = list(gens)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            for y in (G.mul(x, g), G.mul(g, x)):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-    return tuple(sorted(seen))
-
-
 def make_subgroup(G: FiniteGroup, elements) -> Subgroup:
     elems = tuple(sorted(set(elements)))
     if elems and not (0 <= elems[0] and elems[-1] < G.order):
         raise ValueError(f"{elems} has an element outside 0..{G.order - 1}")
-    if closure(G, elems) != elems or 0 not in elems:
+    # a finite set with the identity, closed under products, is a subgroup
+    inside = set(elems)
+    if 0 not in inside or any(G.mult[a][b] not in inside for a in elems for b in elems):
         raise ValueError(f"{elems} is not closed under the group operations")
     return Subgroup(G, elems)
 
@@ -247,27 +232,68 @@ class SubgroupLattice:
         return len(self.classes)
 
 
+def _cyclic_generators(G: FiniteGroup) -> list[int]:
+    """The least generator of each nontrivial cyclic subgroup of G."""
+    mult = G.mult
+    covered = [False] * G.order  # x generates a cyclic subgroup listed
+    gens = []
+    for g in range(1, G.order):
+        if not covered[g]:
+            gens.append(g)
+            powers = [g]  # g^1, g^2, ..., g^n = 0
+            while powers[-1]:
+                powers.append(mult[powers[-1]][g])
+            for k, x in enumerate(powers, 1):
+                if math.gcd(k, len(powers)) == 1:
+                    covered[x] = True
+    return gens
+
+
+def _join(G: FiniteGroup, H: tuple[int, ...], gens) -> tuple[int, ...]:
+    """The subgroup generated by gens, some of which generate the subgroup
+    with elements H: the union of the right cosets H·r reached from H by
+    multiplying a coset representative on the right by a generator."""
+    mult = G.mult
+    elems = set(H)
+    reps = [0]
+    for r in reps:
+        row = mult[r]
+        for s in gens:
+            y = row[s]
+            if y not in elems:
+                elems.update(mult[h][y] for h in H)
+                reps.append(y)
+    return tuple(sorted(elems))
+
+
 @lru_cache(maxsize=None)
 def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     """All subgroups of G, normality flags, conjugacy classes, and for
     each subgroup H the inverse of the first g with g·R·g⁻¹ = H, for R
     its class representative, found while conjugating R by every g.
 
-    Exhaustive closure generation: milliseconds on the corpus (orders up
-    to 12), but C256 already takes about 5 s (Python 3.11, 2 cores), and
-    a --tower stage may have order up to 1024.
+    The subgroups are found by cyclic extension (Neubüser 1960).  Every
+    subgroup is generated by the cyclic subgroups it contains, so
+    extending each subgroup found, kept with its generators, by one
+    generator of each cyclic subgroup outside it reaches every
+    subgroup.  In process (median of three, Python 3.11.7, 2 cores) the
+    24 corpus groups take 7 ms together, C256 0.02 s and C1024, the
+    largest --tower stage, 0.8 s, most of it the conjugacy pass; the
+    exhaustive search took about 5 s on C256 and did not finish C1024.
     """
-    found = {closure(G, ())}
-    queue = list(found)
+    found = {(0,): ()}  # the elements of each subgroup -> its generators
+    queue = [(0,)]
+    cyclic = _cyclic_generators(G)
     while queue:
         H = queue.pop()
         inside = set(H)
-        for g in G.elements():
-            if g in inside:
+        for z in cyclic:
+            if z in inside:
                 continue
-            K = closure(G, H + (g,))
+            gens = found[H] + (z,)
+            K = _join(G, H, gens)
             if K not in found:
-                found.add(K)
+                found[K] = gens
                 queue.append(K)
     subs = tuple(
         Subgroup(G, elems) for elems in sorted(found, key=lambda e: (len(e), e))
@@ -457,10 +483,6 @@ def dihedral(n: int) -> FiniteGroup:
     return from_permutations([rot, refl])
 
 
-def symmetric3() -> FiniteGroup:
-    return dihedral(3)
-
-
 def quaternion8() -> FiniteGroup:
     # regular representation of <i, j>
     # elements 1,-1,i,-i,j,-j,k,-k as indices 0..7
@@ -503,56 +525,3 @@ def dicyclic3() -> FiniteGroup:
 def alternating4() -> FiniteGroup:
     return from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)])
 
-
-def find_isomorphism(G: FiniteGroup, H: FiniteGroup):
-    """An isomorphism G -> H as an index tuple, or None.
-
-    Backtracking on generator images, pruned by element orders.
-    """
-    if G.order != H.order:
-        return None
-    orders_G = [G.element_order(a) for a in G.elements()]
-    orders_H = [H.element_order(a) for a in H.elements()]
-    if sorted(orders_G) != sorted(orders_H):
-        return None
-    gens = generating_set(G.mult)
-
-    def extend(images):
-        # grow the partial map from the generator images; None on conflict
-        mapping = {0: 0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g, h in zip(gens, images):
-                y = G.mul(x, g)
-                fy = H.mul(mapping[x], h)
-                if y in mapping:
-                    if mapping[y] != fy:
-                        return None
-                else:
-                    mapping[y] = fy
-                    frontier.append(y)
-        if len(mapping) != G.order or len(set(mapping.values())) != G.order:
-            return None
-        for a in G.elements():
-            for b in G.elements():
-                if mapping[G.mul(a, b)] != H.mul(mapping[a], mapping[b]):
-                    return None
-        return tuple(mapping[a] for a in G.elements())
-
-    def search(i, images):
-        if i == len(gens):
-            return extend(images)
-        for h in H.elements():
-            if orders_H[h] != orders_G[gens[i]]:
-                continue
-            result = search(i + 1, images + (h,))
-            if result is not None:
-                return result
-        return None
-
-    return search(0, ())
-
-
-def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
-    return find_isomorphism(G, H) is not None

@@ -135,14 +135,6 @@ class EqMap:
     def is_iso(self) -> bool:
         return self.src.size == self.dst.size and self.is_injective()
 
-    def inverse(self) -> "EqMap":
-        if not self.is_iso():
-            raise ValueError("map is not invertible")
-        inv = [0] * self.dst.size
-        for x, y in enumerate(self.values):
-            inv[y] = x
-        return EqMap(self.dst, self.src, tuple(inv))
-
 
 def identity_map(X: GSet) -> EqMap:
     return EqMap(X, X, tuple(X.points()))

@@ -114,13 +114,9 @@ def _congruent(A, B, tgt_orders) -> bool:
 def _matmul(A, B, cols: int):
     """A·B for B with cols columns; B may have no rows."""
     if not B:
-        return _zeros(len(A), cols)
+        return ((0,) * cols,) * len(A)
     Bt = tuple(zip(*B))
     return tuple(tuple(sum(map(mul, row, col)) for col in Bt) for row in A)
-
-
-def _zeros(rows, cols):
-    return tuple((0,) * cols for _ in range(rows))
 
 
 def _identity(n):

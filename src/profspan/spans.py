@@ -28,14 +28,14 @@ and orbit_keys lists every basis key between orbits.
 
 The way from legs back to keys is one loop, _sum_spans: it canonicalises
 every orbit of the apex of each span it is given and adds up the keys.
-span_from_maps, transport_span and the maps of span_of_functor are each
-one call to it.  The Mackey and Burnside code works on keys alone and
-calls canonical_key directly: the reversed span of a key is its apex
-orbit's key with the legs swapped, the identity of an orbit X is the
-key of X with both legs the identity, and mackey.categorical_fixed_points
-keys legs renamed before keying.  The pullback composite, the
-hom-enumerating basis and Span(F) applied term by term stay as oracles
-in the test suite.
+span_from_maps and the maps of span_of_functor are each one call to
+it.  The Mackey and Burnside code works on keys alone and calls
+canonical_key directly: the reversed span of a key is its apex orbit's
+key with the legs swapped, the identity of an orbit X is the key of X
+with both legs the identity, and mackey.categorical_fixed_points keys
+legs renamed before keying.  The pullback composite, the hom-enumerating
+basis and Span(F) applied term by term stay as oracles in the test
+suite, as do span sums, transport and the semiadditivity check.
 
 Span(F), the function span_of_functor returns, computes the image of
 each basis key, per (X, Y, key), once, for as long as it lives: one span
@@ -137,7 +137,7 @@ def canonical_key(apex: GSet, base: int, legL, legR) -> Key:
     orbit as G/R, so the key depends only on the class of the span.  So
     legs renamed along isomorphisms X ≅ X', Y ≅ Y' before the call give
     the key of the renamed span in one call: the key that keying the span,
-    renaming the legs of its key and keying again (transport_span) gives."""
+    renaming the legs of its key and keying again gives."""
     G = apex.group
     T = coset_tables(G)
     row = apex.action[base]
@@ -236,29 +236,9 @@ class SpanMor:
     right: GSet
     terms: tuple[tuple[Key, int], ...]  # sorted, multiplicities >= 1
 
-    def __add__(self, other: "SpanMor") -> "SpanMor":
-        if self.left != other.left or self.right != other.right:
-            raise ObjectMismatch("span morphisms must share endpoints")
-        counts = dict(self.terms)
-        for k, m in other.terms:
-            counts[k] = counts.get(k, 0) + m
-        return SpanMor(self.left, self.right, _normalize(counts))
-
-    def scale(self, n: int) -> "SpanMor":
-        if n == 0:
-            return zero_span(self.left, self.right)
-        return SpanMor(self.left, self.right, tuple((k, n * m) for k, m in self.terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 def _normalize(counts: dict) -> tuple:
     return tuple(sorted((k, m) for k, m in counts.items() if m))
-
-
-def zero_span(left: GSet, right: GSet) -> SpanMor:
-    return SpanMor(left, right, ())
 
 
 def basis_span_mor(X: GSet, Y: GSet, key: Key) -> SpanMor:
@@ -371,57 +351,12 @@ def burnside_tables(G: FiniteGroup) -> BurnsideTables:
     return BurnsideTables(tuple(len(cls.rep) for cls in T.classes), marks, tuple(ring))
 
 
-def transport_span(m: SpanMor, isoL: EqMap, isoR: EqMap) -> SpanMor:
-    """Push the endpoints along maps left -> left', right -> right' (in
-    practice isomorphisms or coproduct inclusions)."""
-    if isoL.src != m.left or isoR.src != m.right:
-        raise ObjectMismatch("transport isomorphisms do not match endpoints")
-    parts = []
-    for key, mult in m.terms:
-        f, g = basis_legs(m.left, m.right, key)
-        parts.append((f.then(isoL), g.then(isoR), mult))
-    return _sum_spans(isoL.dst, isoR.dst, parts)
-
-
-def _whole_basis(X: GSet, Y: GSet) -> SpanMor:
-    """The sum of every basis span of hom(X, Y), each once."""
-    return SpanMor(X, Y, tuple((k, 1) for k in span_basis(X, Y)))
-
-
-def semiadditivity_check(X: GSet, Xp: GSet, Y: GSet) -> Verdict:
-    """Basis-level bijection hom(X ⊔ X', Y) ≅ hom(X, Y) × hom(X', Y), and
-    the dual hom(X, Y ⊔ Y') ≅ hom(X, Y) × hom(X, Y') with Y' = X': the
-    whole basis of the coproduct's hom is the sum of the two whole bases
-    pushed along the coproduct inclusions."""
-    if X.group != Xp.group or X.group != Y.group:
-        raise GroupMismatch("semiadditivity requires a common group")
-    XX, i1, i2 = gs.coproduct(X, Xp)
-    YY, j1, j2 = gs.coproduct(Y, Xp)
-    idX, idY = gs.identity_map(X), gs.identity_map(Y)
-    for reason, A, B, parts in (
-        ("coproduct variable", XX, Y, [(X, Y, i1, idY), (Xp, Y, i2, idY)]),
-        ("second variable", X, YY, [(X, Y, idX, j1), (X, Xp, idX, j2)]),
-    ):
-        whole = _whole_basis(A, B)
-        moved = zero_span(A, B)
-        for L, R, f, g in parts:
-            moved = moved + transport_span(_whole_basis(L, R), f, g)
-        if whole != moved:
-            return Verdict(False, reason, set(whole.terms) ^ set(moved.terms))
-    return Verdict(True)
-
-
 class GSetFunctor:
-    """A functor between G-set universes, given on objects and maps."""
+    """A functor between G-set universes, given on objects and maps by
+    the obj(X) and map(f) of each subclass."""
 
     src_group: FiniteGroup
     dst_group: FiniteGroup
-
-    def obj(self, X: GSet) -> GSet:
-        raise NotImplementedError
-
-    def map(self, f: EqMap) -> EqMap:
-        raise NotImplementedError
 
     def mapped(self, f: EqMap) -> EqMap:
         """F.map(f), computed once per map for as long as F lives; the

@@ -16,6 +16,13 @@ verify as they were before they were decided on orbit generators: on
 the stage objects up to a size cap, with functoriality sampled or tested
 on the first four objects.  OrbitQuotientFunctor is a functor that is not
 left exact, for the negative controls.
+
+The exhaustive subgroup search, which closes each subgroup found with
+every element outside it, is the oracle of subgroup_lattice.  The rest
+is what only the tests use: the corpus groups of bounded order, element
+orders and an isomorphism search, the subgroup a set generates, inverse
+maps, the sum and multiples of span morphisms, the transport of a span
+along maps of its endpoints, and the semiadditivity check built on them.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from profspan import groups as g
 from profspan import gsets as gs
 from profspan import mackey as mk
 from profspan import spans as sp
-from profspan.errors import GroupMismatch, Verdict
+from profspan.corpus import corpus_groups
+from profspan.errors import GroupMismatch, ObjectMismatch, Verdict
 from profspan.groups import FiniteGroup, QuotientMap, subgroup_lattice
 from profspan.gsets import EqMap, GSet
 
@@ -322,7 +330,7 @@ def categorical_fixed_points_oracle(
             Y = gs.orbit_gset(Q, c2)
             for key in sp.orbit_basis(Q, c1, c2):
                 m = sp.basis_span_mor(X, Y, key)
-                image = sp.transport_span(SpInf(m), sigma[c1], sigma[c2])
+                image = transport_span(SpInf(m), sigma[c1], sigma[c2])
                 (gkey, mult), = image.terms
                 assert mult == 1
                 gen_action[(c1, c2, key)] = M.gen_action[(pre[c1], pre[c2], gkey)]
@@ -342,15 +350,30 @@ def associativity_oracle(rows) -> tuple[int, int, int] | None:
     return None
 
 
+def closure(G: FiniteGroup, gens) -> tuple[int, ...]:
+    """Subgroup elements generated by `gens` (identity always included)."""
+    seen = {0}
+    frontier = [0]
+    gens = list(gens)
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            for y in (G.mul(x, s), G.mul(s, x)):
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    return tuple(sorted(seen))
+
+
 def generating_set_oracle(G: FiniteGroup) -> tuple[int, ...]:
     """generating_set by closures: each new generator is the least element
     outside the subgroup that the generators before it generate."""
     gens: tuple[int, ...] = ()
-    have = g.closure(G, gens)
+    have = closure(G, gens)
     while len(have) < G.order:
         x = next(x for x in G.elements() if x not in have)
         gens = gens + (x,)
-        have = g.closure(G, gens)
+        have = closure(G, gens)
     return gens
 
 
@@ -447,7 +470,7 @@ def limit_span_oracle(tower: g.GroupTower, cap: int) -> Verdict:
                     if N <= set(lat.class_rep(b[0]).elements):
                         if len(image.terms) != 1 or image.terms[0][1] != 1:
                             return fail("of a basis span is not basic")
-                    elif not image.is_zero():
+                    elif image.terms:
                         return fail("of a kernel-moved apex is not zero")
             if SpFix(sp.identity_span(X)) != sp.identity_span(gs.fixed_points(X, q)):
                 return fail("does not preserve an identity span")
@@ -500,3 +523,156 @@ class OrbitQuotientFunctor(sp.GSetFunctor):
         for x, i in src_idx.items():
             values[i] = dst_idx[f.values[x]]
         return gs.EqMap(self.obj(f.src), self.obj(f.dst), tuple(values))
+
+
+def groups_of_order_at_most(n: int):
+    return tuple((name, G) for name, G in corpus_groups() if G.order <= n)
+
+
+def element_order(G: FiniteGroup, a: int) -> int:
+    n, x = 1, a
+    while x != 0:
+        x = G.mult[x][a]
+        n += 1
+    return n
+
+
+def find_isomorphism(G: FiniteGroup, H: FiniteGroup):
+    """An isomorphism G -> H as an index tuple, or None.
+
+    Backtracking on generator images, pruned by element orders.
+    """
+    if G.order != H.order:
+        return None
+    orders_G = [element_order(G, a) for a in G.elements()]
+    orders_H = [element_order(H, a) for a in H.elements()]
+    if sorted(orders_G) != sorted(orders_H):
+        return None
+    gens = g.generating_set(G.mult)
+
+    def extend(images):
+        # grow the partial map from the generator images; None on conflict
+        mapping = {0: 0}
+        frontier = [0]
+        while frontier:
+            x = frontier.pop()
+            for s, h in zip(gens, images):
+                y = G.mul(x, s)
+                fy = H.mul(mapping[x], h)
+                if y in mapping:
+                    if mapping[y] != fy:
+                        return None
+                else:
+                    mapping[y] = fy
+                    frontier.append(y)
+        if len(mapping) != G.order or len(set(mapping.values())) != G.order:
+            return None
+        for a in G.elements():
+            for b in G.elements():
+                if mapping[G.mul(a, b)] != H.mul(mapping[a], mapping[b]):
+                    return None
+        return tuple(mapping[a] for a in G.elements())
+
+    def search(i, images):
+        if i == len(gens):
+            return extend(images)
+        for h in H.elements():
+            if orders_H[h] != orders_G[gens[i]]:
+                continue
+            result = search(i + 1, images + (h,))
+            if result is not None:
+                return result
+        return None
+
+    return search(0, ())
+
+
+def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
+    return find_isomorphism(G, H) is not None
+
+
+def subgroups_oracle(G: FiniteGroup) -> set[tuple[int, ...]]:
+    """The sorted elements of every subgroup of G, found by closing each
+    subgroup found with every element outside it, from the trivial one."""
+    found = {closure(G, ())}
+    queue = list(found)
+    while queue:
+        H = queue.pop()
+        inside = set(H)
+        for x in G.elements():
+            if x in inside:
+                continue
+            K = closure(G, H + (x,))
+            if K not in found:
+                found.add(K)
+                queue.append(K)
+    return found
+
+
+def inverse_map(f: EqMap) -> EqMap:
+    if not f.is_iso():
+        raise ValueError("map is not invertible")
+    inv = [0] * f.dst.size
+    for x, y in enumerate(f.values):
+        inv[y] = x
+    return EqMap(f.dst, f.src, tuple(inv))
+
+
+def zero_span(left: GSet, right: GSet) -> sp.SpanMor:
+    return sp.SpanMor(left, right, ())
+
+
+def add_spans(a: sp.SpanMor, b: sp.SpanMor) -> sp.SpanMor:
+    if a.left != b.left or a.right != b.right:
+        raise ObjectMismatch("span morphisms must share endpoints")
+    counts = dict(a.terms)
+    for k, m in b.terms:
+        counts[k] = counts.get(k, 0) + m
+    return sp.SpanMor(a.left, a.right, sp._normalize(counts))
+
+
+def scale_span(m: sp.SpanMor, n: int) -> sp.SpanMor:
+    if n == 0:
+        return zero_span(m.left, m.right)
+    return sp.SpanMor(m.left, m.right, tuple((k, n * c) for k, c in m.terms))
+
+
+def transport_span(m: sp.SpanMor, isoL: EqMap, isoR: EqMap) -> sp.SpanMor:
+    """Push the endpoints along maps left -> left', right -> right' (in
+    practice isomorphisms or coproduct inclusions), keying the moved legs
+    again."""
+    if isoL.src != m.left or isoR.src != m.right:
+        raise ObjectMismatch("transport isomorphisms do not match endpoints")
+    parts = []
+    for key, mult in m.terms:
+        f, g_ = sp.basis_legs(m.left, m.right, key)
+        parts.append((f.then(isoL), g_.then(isoR), mult))
+    return sp._sum_spans(isoL.dst, isoR.dst, parts)
+
+
+def _whole_basis(X: GSet, Y: GSet) -> sp.SpanMor:
+    """The sum of every basis span of hom(X, Y), each once."""
+    return sp.SpanMor(X, Y, tuple((k, 1) for k in sp.span_basis(X, Y)))
+
+
+def semiadditivity_check(X: GSet, Xp: GSet, Y: GSet) -> Verdict:
+    """Basis-level bijection hom(X ⊔ X', Y) ≅ hom(X, Y) × hom(X', Y), and
+    the dual hom(X, Y ⊔ Y') ≅ hom(X, Y) × hom(X, Y') with Y' = X': the
+    whole basis of the coproduct's hom is the sum of the two whole bases
+    pushed along the coproduct inclusions."""
+    if X.group != Xp.group or X.group != Y.group:
+        raise GroupMismatch("semiadditivity requires a common group")
+    XX, i1, i2 = gs.coproduct(X, Xp)
+    YY, j1, j2 = gs.coproduct(Y, Xp)
+    idX, idY = gs.identity_map(X), gs.identity_map(Y)
+    for reason, A, B, parts in (
+        ("coproduct variable", XX, Y, [(X, Y, i1, idY), (Xp, Y, i2, idY)]),
+        ("second variable", X, YY, [(X, Y, idX, j1), (X, Xp, idX, j2)]),
+    ):
+        whole = _whole_basis(A, B)
+        moved = zero_span(A, B)
+        for L, R, f, g_ in parts:
+            moved = add_spans(moved, transport_span(_whole_basis(L, R), f, g_))
+        if whole != moved:
+            return Verdict(False, reason, set(whole.terms) ^ set(moved.terms))
+    return Verdict(True)

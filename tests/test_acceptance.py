@@ -14,10 +14,17 @@ from profspan import gsets as gs
 from profspan import mackey as mk
 from profspan import spans as sp
 from profspan import verify as vf
-from profspan.corpus import corpus_group, corpus_groups, groups_of_order_at_most
+from profspan.corpus import corpus_group, corpus_groups
 from profspan.errors import IncoherentFamily
 
-from oracles import double_coset_count, span_basis_count_oracle
+from oracles import (
+    add_spans,
+    double_coset_count,
+    groups_of_order_at_most,
+    scale_span,
+    semiadditivity_check,
+    span_basis_count_oracle,
+)
 
 
 def _criterion(n: int, desc: str):
@@ -112,11 +119,11 @@ def test_criterion_2_category_laws():
         assert lhs == rhs, name
         # bilinearity against a second term and a scalar
         h2 = sp.basis_span_mor(Y, Z, rng.choice(b2))
-        assert sp.compose_spans(h + h2, f) == sp.compose_spans(
-            h, f
-        ) + sp.compose_spans(h2, f), name
-        assert sp.compose_spans(h.scale(3), f) == sp.compose_spans(h, f).scale(
-            3
+        assert sp.compose_spans(add_spans(h, h2), f) == add_spans(
+            sp.compose_spans(h, f), sp.compose_spans(h2, f)
+        ), name
+        assert sp.compose_spans(scale_span(h, 3), f) == scale_span(
+            sp.compose_spans(h, f), 3
         ), name
         checked += 1
     assert checked >= 500
@@ -128,7 +135,7 @@ def test_criterion_3_semiadditivity():
         G = corpus_group(name)
         objs = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, 3)]
         for X, Xp, Y in itertools.product(objs, repeat=3):
-            assert sp.semiadditivity_check(X, Xp, Y), (name, X, Xp, Y)
+            assert semiadditivity_check(X, Xp, Y), (name, X, Xp, Y)
 
 
 @_criterion(4, "capped G-set categories glue along inflation into the tower model")

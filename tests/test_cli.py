@@ -15,6 +15,7 @@ from profspan.cli import main
 from profspan.corpus import corpus_group
 from profspan.errors import Verdict
 
+from oracles import element_order
 from test_cli_golden import CASES, GOLDEN, run
 
 
@@ -300,7 +301,7 @@ def test_non_normal_kernel_exits_2(tmp_path, capsys):
     (tmp_path / "m.mackey").write_text(
         fm.serialize_mackey(mk.burnside_mackey(G), "s3.grp")
     )
-    t = next(x for x in G.elements() if G.element_order(x) == 2)
+    t = next(x for x in G.elements() if element_order(G, x) == 2)
     assert main(["mackey-fixed", str(tmp_path / "m.mackey"), f"0,{t}"]) == 2
     assert capsys.readouterr().err.startswith("error: subgroup is not normal")
 
@@ -347,6 +348,18 @@ def test_group_file_does_not_leak_into_the_next_call(files, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "mackey x.grp"
     assert main(["mackey-fixed", mackey, "0,2"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "mackey quotient.grp"
+
+
+@pytest.mark.parametrize("name", ["", " ", "a b", "x.grp\n", "\tx.grp"])
+def test_group_file_that_is_empty_or_has_whitespace_exits_2(files, capsys, name):
+    """The name is the second field of the output's header, so a name that
+    splits into more or fewer fields would print a file that does not
+    parse."""
+    mackey = str(files / "m.mackey")
+    assert main(["mackey-fixed", mackey, "0,2", "--group-file", name]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: <args>:0: --group-file needs a name, got {name!r}\n"
 
 
 def test_closed_stdout_ends_quietly():

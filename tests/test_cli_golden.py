@@ -7,8 +7,9 @@ the exact stderr when the run wrote any (the input errors).  A change that must 
 report (a speed-up, a refactor) leaves every file matching byte for byte.
 
 The file verbs read group, G-set and Burnside Mackey files of corpus
-groups, written to a temporary directory first; no report embeds the
-path of that directory.
+groups, written to a temporary directory first.  No report embeds the
+path of that directory; an error line that names an input file names it
+as `{dir}/<file>`.
 
 Regenerate the files, only when a report is meant to change, with
 
@@ -88,6 +89,17 @@ CASES.update({
     "error-colim-gset-tower-4-2": ["--tower", "4,2", "verify", "colim-gset"],
     "error-mackey-limit-tower-x-y": ["--tower", "x,y", "verify", "mackey-limit"],
     "error-adjunction-tower-4-2": ["--tower", "4,2", "verify", "adjunction"],
+    "error-group-show-not-a-group": ["group-show", "{dir}/not-a-group.grp"],
+    "error-mackey-fixed-S3-not-normal": ["mackey-fixed", "{dir}/S3.mackey", "0,1"],
+    "error-mackey-fixed-group-file-empty": [
+        "mackey-fixed", "{dir}/C4.mackey", "0,2", "--group-file", ""
+    ],
+    "error-span-hom-short-row": [
+        "span-hom", "{dir}/S3-x-short-row.gset", "{dir}/S3-y.gset"
+    ],
+    "error-span-hom-different-groups": [
+        "span-hom", "{dir}/S3-x.gset", "{dir}/D4-x.gset"
+    ],
 })
 CASES.update({
     f"{verb}-{name}": [verb, f"{{dir}}/{name}.grp"]
@@ -122,11 +134,17 @@ GSETS = {
     "D4-y": ("D4", (2, 3)),
 }
 
+# A Latin square with identity 0 in which every element is its own
+# inverse: a loop of order 5 that is not a group, since the group of
+# order 5 is cyclic.
+NOT_A_GROUP = "group 5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n"
+
 
 def write_input_files(directory: Path) -> None:
     """`<name>.grp` and the Burnside functor `<name>.mackey` per group of
-    MACKEY_FILES, the corrupted Burnside files of BAD_MACKEY, and the
-    G-sets of GSETS."""
+    MACKEY_FILES, the corrupted Burnside files of BAD_MACKEY, the G-sets
+    of GSETS, `not-a-group.grp` (NOT_A_GROUP), and `S3-x-short-row.gset`,
+    S3-x with the last entry of its first action row dropped."""
     for name in MACKEY_FILES:
         G = corpus_group(name)
         (directory / f"{name}.grp").write_text(fm.serialize_group(G))
@@ -147,18 +165,23 @@ def write_input_files(directory: Path) -> None:
         (directory / f"{name}.gset").write_text(
             fm.serialize_gset(X, f"{group}.grp")
         )
+    (directory / "not-a-group.grp").write_text(NOT_A_GROUP)
+    header, row, *rows = (directory / "S3-x.gset").read_text().splitlines()
+    short = [header, row.rsplit(" ", 1)[0], *rows]
+    (directory / "S3-x-short-row.gset").write_text("\n".join(short) + "\n")
 
 
 def run(argv, directory: Path) -> str:
     """`exit <code>` followed by the stdout of `profspan <argv>`, and by
     `stderr:` and the stderr when there is any, with `{dir}` in argv
-    standing for the directory of the input files."""
+    standing for the directory of the input files, and in stderr for
+    that directory."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([a.format(dir=directory) for a in argv])
     text = f"exit {code}\n{out.getvalue()}"
     if err.getvalue():
-        text += f"stderr:\n{err.getvalue()}"
+        text += f"stderr:\n{err.getvalue().replace(str(directory), '{dir}')}"
     return text
 
 

@@ -5,10 +5,18 @@ import pytest
 
 from profspan import groups as g
 from profspan import spans as sp
-from profspan.corpus import corpus_group, corpus_groups, groups_of_order_at_most
+from profspan.corpus import corpus_group, corpus_groups
 from profspan.errors import NotAGroup, NotNormal, NotPrime
 
-from oracles import associativity_oracle, generating_set_oracle
+from oracles import (
+    are_isomorphic,
+    associativity_oracle,
+    closure,
+    element_order,
+    generating_set_oracle,
+    groups_of_order_at_most,
+    subgroups_oracle,
+)
 from test_spans import _relabelled
 
 
@@ -94,7 +102,7 @@ def test_subgroup_lattice_c4():
 
 
 def test_subgroup_lattice_s3():
-    G = g.symmetric3()
+    G = g.dihedral(3)
     lat = g.subgroup_lattice(G)
     assert len(lat.subgroups) == 6
     assert len(lat.classes) == 4
@@ -155,6 +163,58 @@ def test_generating_set_of_cyclic_tower_stages(p, depth):
         assert g.generating_set(G.mult) == generating_set_oracle(G)
 
 
+def _by_order(subgroups):
+    return sorted(subgroups, key=lambda e: (len(e), e))
+
+
+@pytest.mark.parametrize("relabel_seed", [None, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+def test_subgroup_lattice_matches_the_exhaustive_oracle(name, relabel_seed):
+    G = corpus_group(name)
+    if relabel_seed is not None:
+        G = _relabelled(G, relabel_seed)
+    subs = [H.elements for H in g.subgroup_lattice(G).subgroups]
+    assert subs == _by_order(subgroups_oracle(G))
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(1, 9)] + [3**k for k in range(1, 6)])
+def test_subgroup_lattice_of_a_cyclic_group_matches_the_oracle(n):
+    G = g.cyclic(n)
+    subs = [H.elements for H in g.subgroup_lattice(G).subgroups]
+    assert subs == _by_order(subgroups_oracle(G))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+def test_cyclic_generators_are_the_least_generator_of_each_cyclic_subgroup(name):
+    G = corpus_group(name)
+    cyclic: dict = {}
+    for x in range(1, G.order):
+        cyclic.setdefault(closure(G, (x,)), x)
+    assert g._cyclic_generators(G) == sorted(cyclic.values())
+
+
+@pytest.mark.parametrize("name", ["S3", "C2xC2", "C6"])
+def test_make_subgroup_accepts_exactly_the_closed_subsets(name):
+    G = corpus_group(name)
+    for r in range(G.order + 1):
+        for elems in itertools.combinations(G.elements(), r):
+            if closure(G, elems) == elems:
+                assert g.make_subgroup(G, elems).elements == elems
+            else:
+                with pytest.raises(ValueError, match="not closed"):
+                    g.make_subgroup(G, elems)
+
+
+def test_subgroup_lattice_of_the_largest_tower_stage():
+    """C1024, the top stage of --tower 2,10: one subgroup per divisor,
+    each normal and its own class."""
+    lat = g.subgroup_lattice(g.cyclic(1024))
+    assert [H.elements for H in lat.subgroups] == [
+        tuple(range(0, 1024, 1024 // 2**k)) for k in range(11)
+    ]
+    assert all(lat.normal) and lat.classes == tuple((i,) for i in range(11))
+
+
 def test_quotient_whole_group():
     G = g.cyclic(4)
     lat = g.subgroup_lattice(G)
@@ -171,7 +231,7 @@ def test_quotient_c4_by_c2():
 
 
 def test_quotient_not_normal():
-    G = g.symmetric3()
+    G = g.dihedral(3)
     lat = g.subgroup_lattice(G)
     H = next(H for H in lat.subgroups if H.order == 2)
     with pytest.raises(NotNormal) as err:
@@ -187,7 +247,7 @@ def test_quotient_coherence_c8():
     G2 = q1.target
     q2 = g.quotient(G2, g.make_subgroup(G2, (0, 2)))
     q_direct = g.quotient(G, g.make_subgroup(G, (0, 2, 4, 6)))
-    assert g.are_isomorphic(q2.target, q_direct.target)
+    assert are_isomorphic(q2.target, q_direct.target)
 
 
 def test_cyclic_tower_2_3():
@@ -295,19 +355,19 @@ def test_corpus_is_complete_and_distinct():
     assert len(gs) == 24
     for (n1, G1), (n2, G2) in itertools.combinations(gs, 2):
         if G1.order == G2.order:
-            assert not g.are_isomorphic(G1, G2), (n1, n2)
+            assert not are_isomorphic(G1, G2), (n1, n2)
 
 
 def test_quaternion_and_dicyclic_structure():
     Q8 = corpus_group("Q8")
-    assert sorted(Q8.element_order(a) for a in Q8.elements()) == [1, 2] + [4] * 6
+    assert sorted(element_order(Q8, a) for a in Q8.elements()) == [1, 2] + [4] * 6
     D = corpus_group("Dic3")
     assert D.order == 12
     # unique element of order 2 in a dicyclic group
-    assert sum(1 for a in D.elements() if D.element_order(a) == 2) == 1
+    assert sum(1 for a in D.elements() if element_order(D, a) == 2) == 1
 
 
 def test_find_isomorphism_detects():
-    assert g.are_isomorphic(g.cyclic(4), g.cyclic(4))
-    assert not g.are_isomorphic(g.cyclic(4), g.direct_product(g.cyclic(2), g.cyclic(2)))
-    assert not g.are_isomorphic(corpus_group("D6"), corpus_group("A4"))
+    assert are_isomorphic(g.cyclic(4), g.cyclic(4))
+    assert not are_isomorphic(g.cyclic(4), g.direct_product(g.cyclic(2), g.cyclic(2)))
+    assert not are_isomorphic(corpus_group("D6"), corpus_group("A4"))

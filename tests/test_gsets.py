@@ -6,16 +6,16 @@ import pytest
 from profspan import groups as g
 from profspan import gsets as gs
 from profspan import spans as sp
-from profspan.corpus import corpus_group, groups_of_order_at_most
+from profspan.corpus import corpus_group
 from profspan.errors import GroupMismatch
 
-from oracles import adjunction_report
+from oracles import adjunction_report, groups_of_order_at_most
 from test_spans import _relabelled
 
 
 C2 = g.cyclic(2)
 C4 = g.cyclic(4)
-S3 = g.symmetric3()
+S3 = g.dihedral(3)
 
 
 def regular(G):

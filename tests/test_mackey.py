@@ -8,10 +8,14 @@ from profspan import groups as g
 from profspan import gsets as gs
 from profspan import mackey as mk
 from profspan import spans as sp
-from profspan.corpus import corpus_group, corpus_groups, groups_of_order_at_most
+from profspan.corpus import corpus_group, corpus_groups
 from profspan.errors import IncoherentFamily
 
-from oracles import categorical_fixed_points_oracle, mackey_composition_oracle
+from oracles import (
+    categorical_fixed_points_oracle,
+    groups_of_order_at_most,
+    mackey_composition_oracle,
+)
 
 
 C2 = g.cyclic(2)
@@ -203,7 +207,7 @@ def test_check_mackey_torsion_well_definedness():
         if c1 == c2 and rows == cols:
             gen_action[(c1, c2, key)] = mk._identity(rows)
         else:
-            gen_action[(c1, c2, key)] = mk._zeros(rows, cols)
+            gen_action[(c1, c2, key)] = ((0,) * cols,) * rows
     ok_shape = mk.MackeyFunctor(C2, levels, gen_action)
     bad_key = next(k for k in gen_action if k[0] == 0 and k[1] == 1)
     bad_action = dict(gen_action)

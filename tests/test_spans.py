@@ -6,24 +6,31 @@ import pytest
 from profspan import groups as g
 from profspan import gsets as gs
 from profspan import spans as sp
-from profspan.corpus import corpus_group, corpus_groups, groups_of_order_at_most
+from profspan.corpus import corpus_group, corpus_groups
 from profspan.errors import ObjectMismatch
 
 from oracles import (
     OrbitQuotientFunctor,
+    add_spans,
     canonical_key_oracle,
     compose_keys_oracle,
     double_coset_count,
+    groups_of_order_at_most,
+    inverse_map,
     left_exact_oracle,
+    scale_span,
+    semiadditivity_check,
     span_basis_count_oracle,
     span_basis_oracle,
     span_of_functor_oracle,
+    transport_span,
+    zero_span,
 )
 
 
 C2 = g.cyclic(2)
 C4 = g.cyclic(4)
-S3 = g.symmetric3()
+S3 = g.dihedral(3)
 
 
 def test_span_basis_point_endomorphisms_c2():
@@ -64,7 +71,7 @@ def test_span_basis_counts_are_double_cosets_for_free_source():
 
 
 def test_identity_span_shapes():
-    assert sp.identity_span(gs.empty_gset(C2)).is_zero()
+    assert not sp.identity_span(gs.empty_gset(C2)).terms
     assert len(sp.identity_span(gs.point_gset(C2)).terms) == 1
     A = gs.canonical_gset(C4, (1,))
     B = gs.canonical_gset(C4, (0, 2))
@@ -92,14 +99,14 @@ def test_burnside_relation_c2():
         for b in sp.span_basis(pt, pt)
         if sp.basis_legs(pt, pt, b)[0].src.size == 2
     )
-    assert sp.compose_spans(t, t) == t + t
+    assert sp.compose_spans(t, t) == add_spans(t, t)
 
 
 def test_compose_with_zero():
     pt = gs.point_gset(C2)
     t = sp.basis_span_mor(pt, pt, sp.span_basis(pt, pt)[0])
-    assert sp.compose_spans(sp.zero_span(pt, pt), t).is_zero()
-    assert sp.compose_spans(t, sp.zero_span(pt, pt)).is_zero()
+    assert not sp.compose_spans(zero_span(pt, pt), t).terms
+    assert not sp.compose_spans(t, zero_span(pt, pt)).terms
 
 
 def test_compose_rejects_mismatched_middle():
@@ -225,10 +232,13 @@ def test_bilinearity():
     basis_pp = sp.span_basis(pt, pt)
     a = sp.basis_span_mor(X, pt, basis_xp[0])
     b = sp.basis_span_mor(X, pt, basis_xp[-1])
-    c = sp.basis_span_mor(pt, pt, basis_pp[0]) + sp.basis_span_mor(
-        pt, pt, basis_pp[1]
-    ).scale(2)
-    assert sp.compose_spans(c, a + b) == sp.compose_spans(c, a) + sp.compose_spans(c, b)
+    c = add_spans(
+        sp.basis_span_mor(pt, pt, basis_pp[0]),
+        scale_span(sp.basis_span_mor(pt, pt, basis_pp[1]), 2),
+    )
+    assert sp.compose_spans(c, add_spans(a, b)) == add_spans(
+        sp.compose_spans(c, a), sp.compose_spans(c, b)
+    )
 
 
 def test_burnside_tables_trivial_group():
@@ -268,12 +278,12 @@ def test_burnside_tables_s3():
 def test_semiadditivity_unit_law():
     X = gs.canonical_gset(C2, (0,))
     Y = gs.point_gset(C2)
-    assert sp.semiadditivity_check(X, gs.empty_gset(C2), Y)
+    assert semiadditivity_check(X, gs.empty_gset(C2), Y)
 
 
 def test_semiadditivity_point_counts():
     pt = gs.point_gset(C2)
-    assert sp.semiadditivity_check(pt, pt, pt)
+    assert semiadditivity_check(pt, pt, pt)
     XX = gs.coproduct(pt, pt)[0]
     assert len(sp.span_basis(XX, pt)) == 4
 
@@ -284,7 +294,7 @@ def test_semiadditivity_exhaustive_small_c4():
         X = gs.canonical_gset(C4, mx)
         Xp = gs.canonical_gset(C4, mxp)
         Y = gs.canonical_gset(C4, my)
-        assert sp.semiadditivity_check(X, Xp, Y)
+        assert semiadditivity_check(X, Xp, Y)
 
 
 def test_transport_span_roundtrip():
@@ -294,8 +304,8 @@ def test_transport_span_roundtrip():
     auto = next(f for f in gs.hom_gset(X, X) if f.is_iso())
     for b in sp.span_basis(X, Y):
         m = sp.basis_span_mor(X, Y, b)
-        moved = sp.transport_span(m, auto, gs.identity_map(Y))
-        back = sp.transport_span(moved, auto.inverse(), gs.identity_map(Y))
+        moved = transport_span(m, auto, gs.identity_map(Y))
+        back = transport_span(moved, inverse_map(auto), gs.identity_map(Y))
         assert back == m
 
 
@@ -518,7 +528,7 @@ def test_span_of_functor_keeps_images_apart_per_endpoints():
     assert (3, (8,), (0,)) in shared
     for X in (Xa, Xb):
         for key in shared:
-            m = sp.basis_span_mor(X, pt, key).scale(2)
+            m = scale_span(sp.basis_span_mor(X, pt, key), 2)
             assert SpF(m) == oracle(m)
 
 

@@ -25,9 +25,11 @@ from profspan.errors import Verdict
 
 from oracles import (
     OrbitQuotientFunctor,
+    add_spans,
     colim_gset_equivalence_oracle,
     colim_span_oracle,
     limit_span_oracle,
+    scale_span,
     span_basis_count_oracle,
 )
 
@@ -410,7 +412,7 @@ def _corrupt(monkeypatch, functor, link, c1, c2, images):
             out = apply(sp.SpanMor(X, Y, kept))
             for key, mult in m.terms:
                 if key in images:
-                    out = out + images[key].scale(mult)
+                    out = add_spans(out, scale_span(images[key], mult))
             return out
 
         return corrupted
