@@ -1,13 +1,12 @@
 """Finite G-sets and equivariant maps: orbits, fixed points, inflation,
-(co)products, pullbacks, and the counit squares of the
-inflation/fixed-points adjunction.
+coproducts, and the counit squares of the inflation/fixed-points
+adjunction.
 
 The N-fixed points of a G-set X, for N the kernel of a quotient map q,
 are computed once per (X, q) and kept (`fixed_point_data`): X^N with its
 residual action and the index of each fixed point.  `fixed_points`,
 `counit_map`, `unit_map`, `fixed_points_map` and the counit-square
-functions read that record.  A square of G-sets is decided to be a
-pullback by counting the fibre product, not by building it.  The counit
+functions read that record.  No square of G-sets is built: the counit
 square of f: X -> X' is a pullback iff f sends no orbit outside X^N into
 X'^N, so it is decided per orbit factor of hom(X, X')
 (`counit_square_counts`).  A unit square needs no test: its parallel
@@ -18,7 +17,7 @@ hom(X, Y) is the product, over the orbits of X, of the sets Y^Stab(orbit)
 point fixed by its stabilizer, and the size of that factor is the mark of
 the stabilizer on Y.  Properties of hom-sets are decided per factor;
 `hom_gset` multiplies the factors out only where the maps themselves are
-needed: the left-exactness probes, one counit-square witness and tests.
+needed: one counit-square witness, and the tests.
 Orbits and point stabilizers are computed once per G-set.
 
 What is computed once is kept for the rest of the process, in lru_caches
@@ -32,7 +31,6 @@ the same G-set, with the orbits and stabilizers it has already found.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -123,11 +121,6 @@ class EqMap:
     src: GSet
     dst: GSet
     values: tuple[int, ...]
-
-    def then(self, other: "EqMap") -> "EqMap":
-        if self.dst != other.src:
-            raise ValueError("maps do not compose")
-        return EqMap(self.src, other.dst, tuple(other.values[v] for v in self.values))
 
     def is_injective(self) -> bool:
         return len(set(self.values)) == self.src.size
@@ -322,49 +315,6 @@ def coproduct(X: GSet, Y: GSet) -> tuple[GSet, EqMap, EqMap]:
     inc1 = EqMap(X, Z, tuple(range(n)))
     inc2 = EqMap(Y, Z, tuple(range(n, n + Y.size)))
     return Z, inc1, inc2
-
-
-def fibre_product(A: GSet, a, B: GSet, b) -> tuple[GSet, list[tuple[int, int]]]:
-    """The G-set of pairs (x, y) with a[x] == b[y], and the pairs in point
-    order; a and b are the leg values on A and B."""
-    over: dict = {}
-    for y in B.points():
-        over.setdefault(b[y], []).append(y)
-    pairs = [(x, y) for x in A.points() for y in over.get(a[x], ())]
-    index = {p: i for i, p in enumerate(pairs)}
-    action = tuple(
-        tuple(map(index.__getitem__, zip(A.action[x], B.action[y])))
-        for (x, y) in pairs
-    )
-    return GSet(A.group, action), pairs
-
-
-def pullback(f: EqMap, g: EqMap) -> tuple[GSet, EqMap, EqMap]:
-    """The fibre product of f and g over their common target."""
-    if f.dst != g.dst:
-        raise ValueError("pullback legs must share a target")
-    if f.src.group != g.src.group:
-        raise GroupMismatch("pullback requires a common group")
-    P, pairs = fibre_product(f.src, f.values, g.src, g.values)
-    proj1 = EqMap(P, f.src, tuple(x for x, _ in pairs))
-    proj2 = EqMap(P, g.src, tuple(y for _, y in pairs))
-    return P, proj1, proj2
-
-
-def square_is_pullback(top: EqMap, left: EqMap, right: EqMap, bottom: EqMap) -> bool:
-    """Whether a commuting square is a pullback.
-
-    Corners: top: A -> B, left: A -> C, right: B -> D, bottom: C -> D.
-    The square is a pullback iff a -> (top a, left a) is a bijection onto
-    the fibre product of right and bottom, that is, iff it is injective
-    and |A| is the size sum over d of |right^-1(d)| * |bottom^-1(d)|.
-    """
-    for a in top.src.points():
-        if right.values[top.values[a]] != bottom.values[left.values[a]]:
-            raise ValueError("square does not commute")
-    over = Counter(right.values)
-    size = sum(over[d] for d in bottom.values)
-    return len(set(zip(top.values, left.values))) == top.src.size == size
 
 
 def counit_square_counts(q: QuotientMap, X: GSet, Y: GSet) -> tuple[int, int]:

@@ -22,36 +22,33 @@ hom(X, Y) is read off pairs of fixed points: a span with apex G/K is a
 point of X^K and a point of Y^K.  span_basis keys one pair (x, y) of
 K-fixed points per orbit of the normaliser of K, for one K per subgroup
 class, without enumerating hom-sets.  basis_legs turns a key back into
-its two legs, and basis_span_mor into a one-term SpanMor.  orbit_basis
-is the basis between two canonical orbits, endpoint_keys its generators,
-and orbit_keys lists every basis key between orbits.
+its two legs.  orbit_basis is the basis between two canonical orbits,
+endpoint_keys its generators, and orbit_keys lists every basis key
+between orbits.
 
-The way from legs back to keys is one loop, _sum_spans: it canonicalises
-every orbit of the apex of each span it is given and adds up the keys.
-span_from_maps and the maps of span_of_functor are each one call to
-it.  The Mackey and Burnside code works on keys alone and calls
-canonical_key directly: the reversed span of a key is its apex orbit's
-key with the legs swapped, the identity of an orbit X is the key of X
-with both legs the identity, and mackey.categorical_fixed_points keys
-legs renamed before keying.  The pullback composite, the hom-enumerating
-basis and Span(F) applied term by term stay as oracles in the test
-suite, as do span sums, transport and the semiadditivity check.
+The way from legs back to keys is one loop, span_from_maps: it
+canonicalises every orbit of the apex and adds up the keys.  The Mackey
+and Burnside code works on keys alone and calls canonical_key directly:
+the reversed span of a key is its apex orbit's key with the legs
+swapped, the identity of an orbit X is the key of X with both legs the
+identity, and mackey.categorical_fixed_points keys legs renamed before
+keying.  The pullback composite, the hom-enumerating basis and Span(F)
+applied term by term stay as oracles in the test suite, as do span sums,
+transport and the semiadditivity check.
 
-Span(F), the function span_of_functor returns, computes the image of
-each basis key, per (X, Y, key), once, for as long as it lives: one span
-check of verify.  F.mapped maps each map once for as long as F lives,
-for Span(F) and check_left_exact both.  The composites of basis keys
-(_compose_keys) and the coset tables are kept for the process.
+The span checks of verify tabulate Span(F), for a GSetFunctor F, on the
+basis spans between orbits: each image is span_from_maps of F on the
+key's legs.  The composites of basis keys (_compose_keys) and the coset
+tables are kept for the process.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import GroupMismatch, ObjectMismatch, Verdict
+from .errors import GroupMismatch, ObjectMismatch
 from .groups import FiniteGroup, QuotientMap, left_cosets, subgroup_lattice
 from . import gsets as gs
 from .gsets import EqMap, GSet
@@ -241,26 +238,16 @@ def _normalize(counts: dict) -> tuple:
     return tuple(sorted((k, m) for k, m in counts.items() if m))
 
 
-def basis_span_mor(X: GSet, Y: GSet, key: Key) -> SpanMor:
-    return SpanMor(X, Y, ((key, 1),))
-
-
-def _sum_spans(left: GSet, right: GSet, parts) -> SpanMor:
-    """The sum of mult · [left <-f- S -g-> right] over (f, g, mult) in
-    parts, keyed orbit by orbit of each apex S."""
-    counts: dict = {}
-    for f, g, mult in parts:
-        for orb in f.src.orbits():
-            k = canonical_key(f.src, orb[0], f.values, g.values)
-            counts[k] = counts.get(k, 0) + mult
-    return SpanMor(left, right, _normalize(counts))
-
-
 def span_from_maps(f: EqMap, g: EqMap) -> SpanMor:
-    """The span class of X <-f- S -g-> Y for an arbitrary finite apex S."""
+    """The span class of X <-f- S -g-> Y for an arbitrary finite apex S,
+    keyed orbit by orbit of S."""
     if f.src != g.src:
         raise ObjectMismatch("legs must share an apex")
-    return _sum_spans(f.dst, g.dst, [(f, g, 1)])
+    counts: dict = {}
+    for orb in f.src.orbits():
+        k = canonical_key(f.src, orb[0], f.values, g.values)
+        counts[k] = counts.get(k, 0) + 1
+    return SpanMor(f.dst, g.dst, _normalize(counts))
 
 
 def identity_span(X: GSet) -> SpanMor:
@@ -353,19 +340,9 @@ def burnside_tables(G: FiniteGroup) -> BurnsideTables:
 
 class GSetFunctor:
     """A functor between G-set universes, given on objects and maps by
-    the obj(X) and map(f) of each subclass."""
+    the obj(X) and map(f) of each subclass, from G-sets over src_group."""
 
     src_group: FiniteGroup
-    dst_group: FiniteGroup
-
-    def mapped(self, f: EqMap) -> EqMap:
-        """F.map(f), computed once per map for as long as F lives; the
-        probes of check_left_exact and the legs of Span(F) share it."""
-        memo = self.__dict__.setdefault("_mapped", {})
-        Ff = memo.get(f)
-        if Ff is None:
-            Ff = memo[f] = self.map(f)
-        return Ff
 
 
 class InflationGSetFunctor(GSetFunctor):
@@ -374,7 +351,6 @@ class InflationGSetFunctor(GSetFunctor):
     def __init__(self, q: QuotientMap):
         self.q = q
         self.src_group = q.target
-        self.dst_group = q.source
 
     def obj(self, X):
         return gs.inflate(X, self.q)
@@ -389,69 +365,9 @@ class FixedPointsGSetFunctor(GSetFunctor):
     def __init__(self, q: QuotientMap):
         self.q = q
         self.src_group = q.source
-        self.dst_group = q.target
 
     def obj(self, X):
         return gs.fixed_points(X, self.q)
 
     def map(self, f):
         return gs.fixed_points_map(f, self.q)
-
-
-def check_left_exact(F: GSetFunctor, objects) -> Verdict:
-    """Whether F carries pullbacks of maps between the given G-sets to
-    pullbacks; the witness of a failure is the cospan X -f-> Z <-g- Y as
-    (X, Y, Z actions, f and g values).
-
-    (a∘f, a∘g), for a in Aut(Z), has the pullback of (f, g), and F maps
-    its square to F(a) after theirs; so f runs over the least map of each
-    Aut(Z)-orbit of hom(X, Z), which Aut(Z) acts freely on for X
-    transitive.  G-sets are extensive, so for F preserving coproducts, as
-    inflation and fixed points do, one orbit per subgroup class decides
-    it.  The squares share legs; F.mapped maps each one once."""
-    for Z in objects:
-        autos = [a for a in gs.hom_gset(Z, Z) if a.is_iso()]
-        homs = {Y: gs.hom_gset(Y, Z) for Y in objects}
-        for X in objects:
-            least = [
-                f for f in homs[X] if all(f.then(a).values >= f.values for a in autos)
-            ]
-            for Y in objects:
-                for f, g in itertools.product(least, homs[Y]):
-                    P, p1, p2 = gs.pullback(f, g)
-                    if not gs.square_is_pullback(
-                        F.mapped(p1), F.mapped(p2), F.mapped(f), F.mapped(g)
-                    ):
-                        square = (X.action, Y.action, Z.action, f.values, g.values)
-                        return Verdict(False, "pullback not preserved", square)
-    return Verdict(True)
-
-
-def span_of_functor(F: GSetFunctor):
-    """Span(F): the induced map on span morphisms, for a left exact F
-    (the span checks of verify test that first with check_left_exact).
-
-    The image of a basis span is F applied to its endpoints and legs,
-    with the orbits of the image apex keyed by _sum_spans.  Span(F) is
-    additive, so the returned function adds up mult · image over the
-    terms of a morphism.  It keeps the image terms of each basis key per
-    (X, Y, key) for as long as it lives, and maps each distinct leg once
-    through F.mapped."""
-    images: dict = {}
-
-    def image(X: GSet, Y: GSet, key: Key) -> tuple:
-        terms = images.get((X, Y, key))
-        if terms is None:  # a zero image is (), not None
-            f, g = basis_legs(X, Y, key)
-            m = _sum_spans(F.obj(X), F.obj(Y), [(F.mapped(f), F.mapped(g), 1)])
-            terms = images[X, Y, key] = m.terms
-        return terms
-
-    def apply(m: SpanMor) -> SpanMor:
-        counts: dict = {}
-        for key, mult in m.terms:
-            for k, c in image(m.left, m.right, key):
-                counts[k] = counts.get(k, 0) + mult * c
-        return SpanMor(F.obj(m.left), F.obj(m.right), _normalize(counts))
-
-    return apply

@@ -5,30 +5,33 @@ tables or hom factors: the hom-enumerating span basis, the pullback
 composite of two basis keys, the least-key canonicalisation of a span
 orbit, the rank of a basis hom by orbit counting, the colim-gset
 equivalence with every hom-set enumerated, Span(F) applied term by term
-with nothing kept between calls, and the adjunction's unit and counit
-squares built and decided for one map at a time, the Mackey
-composition law tested on every pair of basis spans between orbits,
-categorical fixed points through inflated G-sets, associativity of a
-multiplication table tested on every triple, the greedy generating set
-of a group found by closures, left
-exactness over every cospan of the given G-sets, and the span checks of
-verify as they were before they were decided on orbit generators: on
-the stage objects up to a size cap, with functoriality sampled or tested
-on the first four objects.  OrbitQuotientFunctor is a functor that is not
-left exact, for the negative controls.
+with nothing kept between calls (the Span(F) the tests apply), the
+adjunction's unit and counit squares built and decided for one map at a
+time, the Mackey composition law tested on every pair of basis spans
+between orbits, categorical fixed points through inflated G-sets,
+associativity of a multiplication table tested on every triple, the
+greedy generating set of a group found by closures, left exactness over
+every cospan of the given G-sets with every pullback built, and the span
+checks of verify as they were before they were decided on orbit
+generators: on the stage objects up to a size cap, with functoriality
+sampled or tested on the first four objects.  OrbitQuotientFunctor is a
+functor that is not left exact, for the negative controls.
 
 The exhaustive subgroup search, which closes each subgroup found with
 every element outside it, is the oracle of subgroup_lattice.  The rest
 is what only the tests use: the corpus groups of bounded order, element
 orders and an isomorphism search, the subgroup a set generates, inverse
 maps, the sum and multiples of span morphisms, the transport of a span
-along maps of its endpoints, and the semiadditivity check built on them.
+along maps of its endpoints, and the semiadditivity check built on them;
+one-term span morphisms, composite maps, fibre products and pullbacks of
+G-sets, and the test of a square for being a pullback by counting.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from profspan import groups as g
@@ -145,7 +148,7 @@ def compose_keys_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> tuple:
     lat = subgroup_lattice(G)
     apex1 = gs.coset_gset(G, lat.class_rep(k1[0]).elements)
     apex2 = gs.coset_gset(G, lat.class_rep(k2[0]).elements)
-    P, pairs = gs.fibre_product(apex1, k1[2], apex2, k2[1])
+    P, pairs = fibre_product(apex1, k1[2], apex2, k2[1])
     legL = [k1[1][x] for x, _ in pairs]
     legR = [k2[2][y] for _, y in pairs]
     counts: dict = {}
@@ -189,16 +192,16 @@ def colim_gset_equivalence_oracle(tower: g.GroupTower, cap: int) -> tuple[bool, 
 
 
 def span_of_functor_oracle(F: sp.GSetFunctor):
-    """Span(F) with nothing kept: F applied to the endpoints and to both
-    legs of every basis term, and the image apexes keyed by one
-    _sum_spans call."""
+    """Span(F) term by term, with nothing kept: F applied to the endpoints
+    and to both legs of every basis term, and the image apexes keyed by
+    sum_of_spans."""
 
     def apply(m: sp.SpanMor) -> sp.SpanMor:
         parts = []
         for key, mult in m.terms:
             f, g = sp.basis_legs(m.left, m.right, key)
             parts.append((F.map(f), F.map(g), mult))
-        return sp._sum_spans(F.obj(m.left), F.obj(m.right), parts)
+        return sum_of_spans(F.obj(m.left), F.obj(m.right), parts)
 
     return apply
 
@@ -235,12 +238,12 @@ def adjunction_report(q: QuotientMap, X: GSet, f: EqMap) -> AdjunctionReport:
     # an inflated G-set is N-fixed, so (inf f^N)^N has the values of f^N
     f_fixed = gs.fixed_points_map(f, q)
     values = f_fixed.values
-    unit_sq = gs.square_is_pullback(
+    unit_sq = square_is_pullback(
         unit, f_fixed, EqMap(unit.dst, unit_p.dst, values), unit_p
     )
 
     # counit naturality square over G
-    counit_sq = gs.square_is_pullback(
+    counit_sq = square_is_pullback(
         counit, EqMap(counit.src, counit_p.src, values), f, counit_p
     )
     witness = None if counit_sq else (X.action, f.values)
@@ -322,14 +325,14 @@ def categorical_fixed_points_oracle(
     sigma = [gs.canonical_iso(gs.inflate(gs.orbit_gset(Q, c), q)) for c in range(nq)]
     pre = [gs.orbit_class_multiset(s.dst)[0] for s in sigma]
     levels = tuple(M.levels[c] for c in pre)
-    SpInf = sp.span_of_functor(sp.InflationGSetFunctor(q))
+    SpInf = span_of_functor_oracle(sp.InflationGSetFunctor(q))
     gen_action: dict = {}
     for c1 in range(nq):
         X = gs.orbit_gset(Q, c1)
         for c2 in range(nq):
             Y = gs.orbit_gset(Q, c2)
             for key in sp.orbit_basis(Q, c1, c2):
-                m = sp.basis_span_mor(X, Y, key)
+                m = basis_span_mor(X, Y, key)
                 image = transport_span(SpInf(m), sigma[c1], sigma[c2])
                 (gkey, mult), = image.terms
                 assert mult == 1
@@ -378,14 +381,15 @@ def generating_set_oracle(G: FiniteGroup) -> tuple[int, ...]:
 
 
 def left_exact_oracle(F: sp.GSetFunctor, objects) -> Verdict:
-    """check_left_exact without the reduction by automorphisms: every
-    cospan X -f-> Z <-g- Y of the given G-sets, with F.map applied to every
-    leg of every square."""
+    """Whether F keeps the pullback of every cospan X -f-> Z <-g- Y of the
+    given G-sets, each pullback built and F.map applied to every leg of
+    its square; the witness of a failure is (X, Y, Z actions, f and g
+    values)."""
     for X, Y, Z in itertools.product(objects, repeat=3):
         for f in gs.hom_gset(X, Z):
             for g_ in gs.hom_gset(Y, Z):
-                P, p1, p2 = gs.pullback(f, g_)
-                if not gs.square_is_pullback(F.map(p1), F.map(p2), F.map(f), F.map(g_)):
+                P, p1, p2 = pullback(f, g_)
+                if not square_is_pullback(F.map(p1), F.map(p2), F.map(f), F.map(g_)):
                     square = (X.action, Y.action, Z.action, f.values, g_.values)
                     return Verdict(False, "pullback not preserved", square)
     return Verdict(True)
@@ -411,7 +415,7 @@ def colim_span_oracle(tower: g.GroupTower, cap: int, seed: int = 0) -> Verdict:
         exact = left_exact_oracle(Inf, _capped_objects(q.target, min(cap, 2)))
         if not exact:
             return fail("inflation not left exact", exact.witness)
-        SpInf = sp.span_of_functor(Inf)
+        SpInf = span_of_functor_oracle(Inf)
         bases = {}
         for X in objs:
             for Y in objs:
@@ -419,7 +423,7 @@ def colim_span_oracle(tower: g.GroupTower, cap: int, seed: int = 0) -> Verdict:
                 target_keys = set(sp.span_basis(gs.inflate(X, q), gs.inflate(Y, q)))
                 images = set()
                 for b in basis:
-                    m = SpInf(sp.basis_span_mor(X, Y, b))
+                    m = SpInf(basis_span_mor(X, Y, b))
                     if len(m.terms) != 1 or m.terms[0][1] != 1:
                         return fail("inflation of a basis span is not basic")
                     images.add(m.terms[0][0])
@@ -430,8 +434,8 @@ def colim_span_oracle(tower: g.GroupTower, cap: int, seed: int = 0) -> Verdict:
             b1, b2 = bases[X, Y], bases[Y, Z]
             if not (b1 and b2):
                 continue
-            m1 = sp.basis_span_mor(X, Y, rng.choice(b1))
-            m2 = sp.basis_span_mor(Y, Z, rng.choice(b2))
+            m1 = basis_span_mor(X, Y, rng.choice(b1))
+            m2 = basis_span_mor(Y, Z, rng.choice(b2))
             if SpInf(sp.compose_spans(m2, m1)) != sp.compose_spans(
                 SpInf(m2), SpInf(m1)
             ):
@@ -457,14 +461,14 @@ def limit_span_oracle(tower: g.GroupTower, cap: int) -> Verdict:
         exact = left_exact_oracle(Fix, _capped_objects(G, min(cap, 2)))
         if not exact:
             return fail("not left exact", exact.witness)
-        SpFix = sp.span_of_functor(Fix)
+        SpFix = span_of_functor_oracle(Fix)
         objs = _capped_objects(G, cap)
         images = {}
         for X in objs:
             for Y in objs:
                 images[X, Y] = []
                 for b in sp.span_basis(X, Y):
-                    m = sp.basis_span_mor(X, Y, b)
+                    m = basis_span_mor(X, Y, b)
                     image = SpFix(m)
                     images[X, Y].append((m, image))
                     if N <= set(lat.class_rep(b[0]).elements):
@@ -491,7 +495,6 @@ class OrbitQuotientFunctor(sp.GSetFunctor):
     def __init__(self, q):
         self.q = q
         self.src_group = q.source
-        self.dst_group = q.target
 
     def _orbit_index(self, X):
         N = self.q.kernel.elements
@@ -637,6 +640,15 @@ def scale_span(m: sp.SpanMor, n: int) -> sp.SpanMor:
     return sp.SpanMor(m.left, m.right, tuple((k, n * c) for k, c in m.terms))
 
 
+def sum_of_spans(left: GSet, right: GSet, parts) -> sp.SpanMor:
+    """The sum of mult · [left <-f- S -g-> right] over (f, g, mult) in
+    parts, each span keyed by span_from_maps."""
+    total = zero_span(left, right)
+    for f, g_, mult in parts:
+        total = add_spans(total, scale_span(sp.span_from_maps(f, g_), mult))
+    return total
+
+
 def transport_span(m: sp.SpanMor, isoL: EqMap, isoR: EqMap) -> sp.SpanMor:
     """Push the endpoints along maps left -> left', right -> right' (in
     practice isomorphisms or coproduct inclusions), keying the moved legs
@@ -646,8 +658,8 @@ def transport_span(m: sp.SpanMor, isoL: EqMap, isoR: EqMap) -> sp.SpanMor:
     parts = []
     for key, mult in m.terms:
         f, g_ = sp.basis_legs(m.left, m.right, key)
-        parts.append((f.then(isoL), g_.then(isoR), mult))
-    return sp._sum_spans(isoL.dst, isoR.dst, parts)
+        parts.append((then_map(f, isoL), then_map(g_, isoR), mult))
+    return sum_of_spans(isoL.dst, isoR.dst, parts)
 
 
 def _whole_basis(X: GSet, Y: GSet) -> sp.SpanMor:
@@ -676,3 +688,58 @@ def semiadditivity_check(X: GSet, Xp: GSet, Y: GSet) -> Verdict:
         if whole != moved:
             return Verdict(False, reason, set(whole.terms) ^ set(moved.terms))
     return Verdict(True)
+
+
+def basis_span_mor(X: GSet, Y: GSet, key: sp.Key) -> sp.SpanMor:
+    """The basis span of key as a one-term span morphism X -> Y."""
+    return sp.SpanMor(X, Y, ((key, 1),))
+
+
+def then_map(f: EqMap, g: EqMap) -> EqMap:
+    """g after f."""
+    if f.dst != g.src:
+        raise ValueError("maps do not compose")
+    return EqMap(f.src, g.dst, tuple(g.values[v] for v in f.values))
+
+
+def fibre_product(A: GSet, a, B: GSet, b) -> tuple[GSet, list[tuple[int, int]]]:
+    """The G-set of pairs (x, y) with a[x] == b[y], and the pairs in point
+    order; a and b are the leg values on A and B."""
+    over: dict = {}
+    for y in B.points():
+        over.setdefault(b[y], []).append(y)
+    pairs = [(x, y) for x in A.points() for y in over.get(a[x], ())]
+    index = {p: i for i, p in enumerate(pairs)}
+    action = tuple(
+        tuple(map(index.__getitem__, zip(A.action[x], B.action[y])))
+        for (x, y) in pairs
+    )
+    return GSet(A.group, action), pairs
+
+
+def pullback(f: EqMap, g: EqMap) -> tuple[GSet, EqMap, EqMap]:
+    """The fibre product of f and g over their common target."""
+    if f.dst != g.dst:
+        raise ValueError("pullback legs must share a target")
+    if f.src.group != g.src.group:
+        raise GroupMismatch("pullback requires a common group")
+    P, pairs = fibre_product(f.src, f.values, g.src, g.values)
+    proj1 = EqMap(P, f.src, tuple(x for x, _ in pairs))
+    proj2 = EqMap(P, g.src, tuple(y for _, y in pairs))
+    return P, proj1, proj2
+
+
+def square_is_pullback(top: EqMap, left: EqMap, right: EqMap, bottom: EqMap) -> bool:
+    """Whether a commuting square is a pullback.
+
+    Corners: top: A -> B, left: A -> C, right: B -> D, bottom: C -> D.
+    The square is a pullback iff a -> (top a, left a) is a bijection onto
+    the fibre product of right and bottom, that is, iff it is injective
+    and |A| is the size sum over d of |right^-1(d)| * |bottom^-1(d)|.
+    """
+    for a in top.src.points():
+        if right.values[top.values[a]] != bottom.values[left.values[a]]:
+            raise ValueError("square does not commute")
+    over = Counter(right.values)
+    size = sum(over[d] for d in bottom.values)
+    return len(set(zip(top.values, left.values))) == top.src.size == size

@@ -15,6 +15,7 @@ from oracles import (
     categorical_fixed_points_oracle,
     groups_of_order_at_most,
     mackey_composition_oracle,
+    then_map,
 )
 
 
@@ -315,7 +316,7 @@ def test_fixed_points_change_under_a_wrong_renaming(monkeypatch, name, kernel):
             for a in gs.hom_gset(iso.dst, iso.dst)
             if a.is_iso() and a.values != tuple(iso.dst.points())
         )
-        return iso.then(auto)
+        return then_map(iso, auto)
 
     monkeypatch.setattr(gs, "canonical_iso", wrong_iso)
     wrong = mk.categorical_fixed_points(M, q)

@@ -1,28 +1,33 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from profspan import groups as g
 from profspan import gsets as gs
 from profspan import spans as sp
+from profspan import verify as vf
 from profspan.corpus import corpus_group, corpus_groups
 from profspan.errors import ObjectMismatch
 
 from oracles import (
     OrbitQuotientFunctor,
     add_spans,
+    basis_span_mor,
     canonical_key_oracle,
     compose_keys_oracle,
     double_coset_count,
     groups_of_order_at_most,
     inverse_map,
     left_exact_oracle,
+    pullback,
     scale_span,
     semiadditivity_check,
     span_basis_count_oracle,
     span_basis_oracle,
     span_of_functor_oracle,
+    square_is_pullback,
     transport_span,
     zero_span,
 )
@@ -87,7 +92,7 @@ def test_identity_law():
                 X = gs.canonical_gset(G, mx)
                 Y = gs.canonical_gset(G, my)
                 for b in sp.span_basis(X, Y):
-                    m = sp.basis_span_mor(X, Y, b)
+                    m = basis_span_mor(X, Y, b)
                     assert sp.compose_spans(sp.identity_span(Y), m) == m
                     assert sp.compose_spans(m, sp.identity_span(X)) == m
 
@@ -95,7 +100,7 @@ def test_identity_law():
 def test_burnside_relation_c2():
     pt = gs.point_gset(C2)
     t = next(
-        sp.basis_span_mor(pt, pt, b)
+        basis_span_mor(pt, pt, b)
         for b in sp.span_basis(pt, pt)
         if sp.basis_legs(pt, pt, b)[0].src.size == 2
     )
@@ -104,7 +109,7 @@ def test_burnside_relation_c2():
 
 def test_compose_with_zero():
     pt = gs.point_gset(C2)
-    t = sp.basis_span_mor(pt, pt, sp.span_basis(pt, pt)[0])
+    t = basis_span_mor(pt, pt, sp.span_basis(pt, pt)[0])
     assert not sp.compose_spans(zero_span(pt, pt), t).terms
     assert not sp.compose_spans(t, zero_span(pt, pt)).terms
 
@@ -217,9 +222,9 @@ def test_associativity_sampled():
             b3 = sp.span_basis(Z, W)
             if not (b1 and b2 and b3):
                 continue
-            m1 = sp.basis_span_mor(X, Y, rng.choice(b1))
-            m2 = sp.basis_span_mor(Y, Z, rng.choice(b2))
-            m3 = sp.basis_span_mor(Z, W, rng.choice(b3))
+            m1 = basis_span_mor(X, Y, rng.choice(b1))
+            m2 = basis_span_mor(Y, Z, rng.choice(b2))
+            m3 = basis_span_mor(Z, W, rng.choice(b3))
             lhs = sp.compose_spans(sp.compose_spans(m3, m2), m1)
             rhs = sp.compose_spans(m3, sp.compose_spans(m2, m1))
             assert lhs == rhs
@@ -230,11 +235,11 @@ def test_bilinearity():
     X = gs.canonical_gset(C4, (0, 1))
     basis_xp = sp.span_basis(X, pt)
     basis_pp = sp.span_basis(pt, pt)
-    a = sp.basis_span_mor(X, pt, basis_xp[0])
-    b = sp.basis_span_mor(X, pt, basis_xp[-1])
+    a = basis_span_mor(X, pt, basis_xp[0])
+    b = basis_span_mor(X, pt, basis_xp[-1])
     c = add_spans(
-        sp.basis_span_mor(pt, pt, basis_pp[0]),
-        scale_span(sp.basis_span_mor(pt, pt, basis_pp[1]), 2),
+        basis_span_mor(pt, pt, basis_pp[0]),
+        scale_span(basis_span_mor(pt, pt, basis_pp[1]), 2),
     )
     assert sp.compose_spans(c, add_spans(a, b)) == add_spans(
         sp.compose_spans(c, a), sp.compose_spans(c, b)
@@ -303,7 +308,7 @@ def test_transport_span_roundtrip():
     # relabel through a nontrivial automorphism and back
     auto = next(f for f in gs.hom_gset(X, X) if f.is_iso())
     for b in sp.span_basis(X, Y):
-        m = sp.basis_span_mor(X, Y, b)
+        m = basis_span_mor(X, Y, b)
         moved = transport_span(m, auto, gs.identity_map(Y))
         back = transport_span(moved, inverse_map(auto), gs.identity_map(Y))
         assert back == m
@@ -311,10 +316,10 @@ def test_transport_span_roundtrip():
 
 def test_span_of_inflation_sends_free_apex_to_subgroup_apex():
     q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
-    F = sp.span_of_functor(sp.InflationGSetFunctor(q))
+    F = span_of_functor_oracle(sp.InflationGSetFunctor(q))
     pt = gs.point_gset(C2)
     t = next(
-        sp.basis_span_mor(pt, pt, b)
+        basis_span_mor(pt, pt, b)
         for b in sp.span_basis(pt, pt)
         if sp.basis_legs(pt, pt, b)[0].src.size == 2
     )
@@ -330,73 +335,67 @@ def test_span_functors_are_left_exact():
     q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
     small_c2 = [gs.canonical_gset(C2, m) for m in gs.gset_isoclasses(C2, 2)]
     small_c4 = [gs.canonical_gset(C4, m) for m in gs.gset_isoclasses(C4, 2)]
-    assert sp.check_left_exact(sp.InflationGSetFunctor(q), small_c2)
-    assert sp.check_left_exact(sp.FixedPointsGSetFunctor(q), small_c4)
+    assert left_exact_oracle(sp.InflationGSetFunctor(q), small_c2)
+    assert left_exact_oracle(sp.FixedPointsGSetFunctor(q), small_c4)
 
 
 def _orbits(G):
     return [gs.orbit_gset(G, c) for c in range(g.subgroup_lattice(G).num_classes)]
 
 
-@pytest.mark.parametrize(
-    "functor,maps", [(sp.InflationGSetFunctor, 6), (sp.FixedPointsGSetFunctor, 27)]
-)
-def test_check_left_exact_maps_each_distinct_map_once(functor, maps, monkeypatch):
-    # the probes of verify colim-span and limit-span on the 2,2 tower: the
-    # orbits of C2 (6 squares) or of C4 (21 squares), whose
-    # legs are 6 or 27 distinct maps
-    F = functor(g.cyclic_tower(2, 2).links[0])
-    probes = _orbits(F.src_group)
-    calls = []
-    unwrapped = functor.map
-    monkeypatch.setattr(
-        functor, "map", lambda self, f: calls.append(f) or unwrapped(self, f)
-    )
-    assert sp.check_left_exact(F, probes)
-    assert len(calls) == len(set(calls)) == maps
+def _quotients(G):
+    """The quotient map of G by each of its normal subgroups."""
+    lat = g.subgroup_lattice(G)
+    return [g.quotient(G, N) for N, normal in zip(lat.subgroups, lat.normal) if normal]
+
+
+# The corpus groups of order at most 6, with D4 and Q8, each with every
+# normal subgroup N: (transitive cospans, cospans whose pullback F does not
+# keep) over the orbits of G, or of G/N for inflation.
+LAW_GROUPS = [name for name, G in corpus_groups() if G.order <= 6] + ["D4", "Q8"]
+EXPECTED_COSPANS = {
+    sp.FixedPointsGSetFunctor: (5537, 0),
+    sp.InflationGSetFunctor: (1365, 0),
+    OrbitQuotientFunctor: (5537, 954),
+}
 
 
 @pytest.mark.parametrize("functor", [
-    sp.InflationGSetFunctor, sp.FixedPointsGSetFunctor, OrbitQuotientFunctor
+    sp.FixedPointsGSetFunctor, sp.InflationGSetFunctor, OrbitQuotientFunctor
 ])
-@pytest.mark.parametrize("p,depth", [(2, 2), (2, 3), (3, 2)])
-def test_check_left_exact_agrees_with_every_cospan(functor, p, depth):
-    """Taking f up to automorphisms of Z keeps the verdict of the check
-    over every cospan, on the orbits and on the G-sets of size at most 3
-    of each link's source group.  The N-orbit quotient fails on the
-    orbits (on G/1 -> G/G <- G/1), not on the small G-sets."""
-    for q in g.cyclic_tower(p, depth).links:
-        F = functor(q)
-        G = F.src_group
-        small = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, 3)]
-        for objects in (_orbits(G), small):
-            fast, slow = sp.check_left_exact(F, objects), left_exact_oracle(F, objects)
-            assert fast.ok == slow.ok
-        exact = sp.check_left_exact(F, _orbits(G)).ok
-        assert exact == (functor is not OrbitQuotientFunctor)
-
-
-def test_check_left_exact_rejects_orbit_quotient():
-    q = g.quotient(C2, g.make_subgroup(C2, (0, 1)))
-    bad = OrbitQuotientFunctor(q)
-    probes = [gs.canonical_gset(C2, m) for m in gs.gset_isoclasses(C2, 2)]
-    verdict = sp.check_left_exact(bad, probes)
-    assert not verdict
-    assert verdict.reason == "pullback not preserved"
-    # the witness names the cospan X -f-> Z <-h- Y of a square F breaks
-    X, Y, Z = (gs.GSet(C2, action) for action in verdict.witness[:3])
-    f = gs.EqMap(X, Z, verdict.witness[3])
-    h = gs.EqMap(Y, Z, verdict.witness[4])
-    P, p1, p2 = gs.pullback(f, h)
-    square = [bad.map(m) for m in (p1, p2, f, h)]
-    assert not gs.square_is_pullback(*square)
+def test_law_on_transfer_restriction_pairs_decides_left_exactness(functor):
+    """For a transfer k1 = [X <- X -f-> Z] and a restriction
+    k2 = [Z <-h- Y -> Y] between orbits, the law of the span checks holds
+    on (k1, k2) exactly when F keeps the pullback of f and h, decided on
+    the built square.  Fixed points and inflation keep every one; the
+    N-orbit quotient does not."""
+    cospans = failing = 0
+    for name in LAW_GROUPS:
+        for q in _quotients(corpus_group(name)):
+            F = functor(q)
+            G = F.src_group
+            orbits = _orbits(G)
+            image = vf._span_images(F, orbits)
+            for c1, c2, c3 in itertools.product(range(len(orbits)), repeat=3):
+                transfers = [k for k in sp.endpoint_keys(G, c1, c2) if k[0] == c1]
+                restrictions = [k for k in sp.endpoint_keys(G, c2, c3) if k[0] == c3]
+                for k1, k2 in itertools.product(transfers, restrictions):
+                    f = sp.basis_legs(orbits[c1], orbits[c2], k1)[1]
+                    h = sp.basis_legs(orbits[c2], orbits[c3], k2)[0]
+                    P, p1, p2 = pullback(f, h)
+                    kept = square_is_pullback(*map(F.map, (p1, p2, f, h)))
+                    law = vf._law_holds(G, image, c1, c2, c3, k1, k2)
+                    assert law == kept, (name, q.kernel.elements, c1, c2, c3, k1, k2)
+                    cospans += 1
+                    failing += not kept
+    assert (cospans, failing) == EXPECTED_COSPANS[functor]
 
 
 def test_span_functoriality_on_composable_pairs():
     q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
     for F in (sp.InflationGSetFunctor(q), sp.FixedPointsGSetFunctor(q)):
         G0 = F.src_group
-        SpF = sp.span_of_functor(F)
+        SpF = span_of_functor_oracle(F)
         classes = gs.gset_isoclasses(G0, 2)
         for mx, my, mz in itertools.product(classes, repeat=3):
             X = gs.canonical_gset(G0, mx)
@@ -404,8 +403,8 @@ def test_span_functoriality_on_composable_pairs():
             Z = gs.canonical_gset(G0, mz)
             for b1 in sp.span_basis(X, Y):
                 for b2 in sp.span_basis(Y, Z):
-                    m1 = sp.basis_span_mor(X, Y, b1)
-                    m2 = sp.basis_span_mor(Y, Z, b2)
+                    m1 = basis_span_mor(X, Y, b1)
+                    m2 = basis_span_mor(Y, Z, b2)
                     assert SpF(sp.compose_spans(m2, m1)) == sp.compose_spans(
                         SpF(m2), SpF(m1)
                     )
@@ -416,13 +415,13 @@ def test_span_of_composed_functors():
     q1 = t.links[1]  # C8 -> C4
     q0 = t.links[0]  # C4 -> C2
     F = sp.InflationGSetFunctor(g.compose_quotients(q0, q1))
-    direct = sp.span_of_functor(F)
-    step = sp.span_of_functor(sp.InflationGSetFunctor(q1))
-    first = sp.span_of_functor(sp.InflationGSetFunctor(q0))
+    direct = span_of_functor_oracle(F)
+    step = span_of_functor_oracle(sp.InflationGSetFunctor(q1))
+    first = span_of_functor_oracle(sp.InflationGSetFunctor(q0))
     pt = gs.point_gset(C2)
     X = gs.canonical_gset(C2, (0, 1))
     for b in sp.span_basis(X, pt):
-        m = sp.basis_span_mor(X, pt, b)
+        m = basis_span_mor(X, pt, b)
         assert direct(m) == step(first(m))
 
 
@@ -497,76 +496,48 @@ def _whole_basis_times(X, Y, first):
     return sp.SpanMor(X, Y, tuple((k, first + i % 3) for i, k in enumerate(basis)))
 
 
-@LINK_TOWERS
-def test_span_of_functor_matches_term_by_term_oracle(tower):
-    for F in _link_functors(*tower):
-        SpF, oracle = sp.span_of_functor(F), span_of_functor_oracle(F)
-        G = F.src_group
-        objs = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, 3)]
-        multi = {
-            (X, Y): _whole_basis_times(X, Y, 2)
-            for X, Y in itertools.product(objs, repeat=2)
-        }
-        for m in multi.values():
-            assert SpF(m) == oracle(m)
-        for X, Y, Z in itertools.product(objs, repeat=3):
-            composite = sp.compose_spans(multi[Y, Z], multi[X, Y])
-            assert SpF(composite) == oracle(composite)
-
-
 def test_span_of_functor_keeps_images_apart_per_endpoints():
     """Over C8 -> C4 the keys into point 8 of C8/1 + pt and of
     C8/C2 + C8/C2 + pt coincide, but that point is the first N-fixed point
-    of the one and the ninth of the other."""
+    of the one and the ninth of the other, so Span(fixed points) sends the
+    key to two different spans: an image is known from its key only with
+    its endpoints, which index the span checks' table too."""
     q = g.cyclic_tower(2, 3).links[1]
-    F = sp.FixedPointsGSetFunctor(q)
-    SpF, oracle = sp.span_of_functor(F), span_of_functor_oracle(F)
+    SpF = span_of_functor_oracle(sp.FixedPointsGSetFunctor(q))
     G = q.source
     pt = gs.point_gset(G)
     Xa, Xb = gs.canonical_gset(G, (0, 3)), gs.canonical_gset(G, (1, 1, 3))
-    shared = sorted(set(sp.span_basis(Xa, pt)) & set(sp.span_basis(Xb, pt)))
-    assert (3, (8,), (0,)) in shared
-    for X in (Xa, Xb):
-        for key in shared:
-            m = scale_span(sp.basis_span_mor(X, pt, key), 2)
-            assert SpF(m) == oracle(m)
-
-
-class _CountingFunctor(sp.GSetFunctor):
-    """A functor that counts its calls of map."""
-
-    def __init__(self, F):
-        self.F = F
-        self.src_group = F.src_group
-        self.dst_group = F.dst_group
-        self.maps = 0
-
-    def obj(self, X):
-        return self.F.obj(X)
-
-    def map(self, f):
-        self.maps += 1
-        return self.F.map(f)
+    key = (3, (8,), (0,))
+    assert key in sp.span_basis(Xa, pt) and key in sp.span_basis(Xb, pt)
+    image_a, image_b = (SpF(basis_span_mor(X, pt, key)) for X in (Xa, Xb))
+    assert image_a.terms != image_b.terms
 
 
 @LINK_TOWERS
-def test_span_of_functor_maps_each_basis_leg_once(tower):
+def test_span_of_functor_matches_term_by_term_oracle(tower):
+    """The Span(F) table of the span checks, added up over the terms of a
+    morphism between orbits, is Span(F) applied term by term: on every
+    basis between two orbits with multiplicities, and on their
+    composites."""
     for F in _link_functors(*tower):
-        counting = _CountingFunctor(F)
-        SpF = sp.span_of_functor(counting)
-        G = F.src_group
-        objs = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, 3)]
-        morphisms = [
-            _whole_basis_times(X, Y, 2) for X, Y in itertools.product(objs, repeat=2)
-        ]
-        morphisms += [
-            sp.compose_spans(morphisms[j], morphisms[i])
-            for i, j in itertools.product(range(len(morphisms)), repeat=2)
-            if morphisms[i].right == morphisms[j].left
-        ]
-        keys = {(m.left, m.right, k) for m in morphisms for k, _ in m.terms}
-        images = [SpF(m) for m in morphisms]
-        assert 0 < counting.maps <= 2 * len(keys)
-        before = counting.maps
-        assert [SpF(m) for m in morphisms] == images
-        assert counting.maps == before
+        oracle = span_of_functor_oracle(F)
+        orbits = _orbits(F.src_group)
+        image = vf._span_images(F, orbits)
+
+        def tabulated(c1, c2, m):
+            counts: Counter = Counter()
+            for key, mult in m.terms:
+                for k, c in image[c1, c2, key].terms:
+                    counts[k] += mult * c
+            return tuple(sorted(counts.items()))
+
+        pairs = list(itertools.product(range(len(orbits)), repeat=2))
+        multi = {
+            (c1, c2): _whole_basis_times(orbits[c1], orbits[c2], 2)
+            for c1, c2 in pairs
+        }
+        for (c1, c2), m in multi.items():
+            assert tabulated(c1, c2, m) == oracle(m).terms
+        for c1, c2, c3 in itertools.product(range(len(orbits)), repeat=3):
+            composite = sp.compose_spans(multi[c2, c3], multi[c1, c2])
+            assert tabulated(c1, c3, composite) == oracle(composite).terms

@@ -3,9 +3,9 @@ an oracle that enumerates every hom-set, with negative controls and work
 guards; the span checks, decided on orbit generators: their FAIL lines on
 corrupted images and on a functor that is not left exact, their verdicts
 against the capped checks they replaced, their counts at the requested
-tower against orbit-counting formulas, and their independence of --cap
-and --seed; and invariance of the tower checks under relabelling of the
-tower's groups."""
+tower against orbit-counting formulas, their independence of --cap and
+--seed, and that they enumerate no hom-set; and invariance of the tower
+checks under relabelling of the tower's groups."""
 
 import contextlib
 import io
@@ -25,12 +25,13 @@ from profspan.errors import Verdict
 
 from oracles import (
     OrbitQuotientFunctor,
-    add_spans,
+    basis_span_mor,
     colim_gset_equivalence_oracle,
     colim_span_oracle,
     limit_span_oracle,
-    scale_span,
+    pullback,
     span_basis_count_oracle,
+    square_is_pullback,
 )
 
 TOWER_GRID = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]
@@ -133,11 +134,9 @@ def test_adjunction_enumerates_one_hom_set_and_builds_no_square(monkeypatch):
         calls.append((X, Y))
         return hom_gset(X, Y)
 
-    def refuse(*args):
-        raise AssertionError("built a naturality square")
-
     monkeypatch.setattr(gs, "hom_gset", counted)
-    monkeypatch.setattr(gs, "square_is_pullback", refuse)
+    # pullbacks and the square test are oracles, so no square can be built
+    assert not hasattr(gs, "square_is_pullback") and not hasattr(gs, "pullback")
     assert vf.verify_adjunction(6).ok
     assert len(calls) <= 1
 
@@ -159,9 +158,9 @@ def test_adjunction_squares_are_products_of_marks():
 
 
 def test_colim_span_fails_on_a_trivial_link():
-    """Inflation along the trivial map passes the left-exactness probes,
-    but it sends the free C2-orbit to two C4-fixed points, so a basis
-    span with that apex inflates to a span with two orbits."""
+    """Inflation along the trivial map sends the free C2-orbit to two
+    C4-fixed points, so a basis span with that apex inflates to a span
+    with two orbits."""
     report = vf.verify_colim_span(_trivial_first_link(2))
     assert not report.ok
     assert report.reason == "inflation of a basis span is not basic at stage 0"
@@ -185,53 +184,18 @@ def _orbits(G):
     return [gs.orbit_gset(G, c) for c in range(g.subgroup_lattice(G).num_classes)]
 
 
-def _forced_not_left_exact(F, objects):
-    """A check_left_exact verdict that fails on the identity cospan of the
-    last probe orbit, as (X, Y, Z actions, f and g values)."""
-    X = objects[-1]
-    identity = tuple(X.points())
-    return Verdict(False, "forced", (X.action, X.action, X.action, identity, identity))
+@pytest.mark.parametrize("tower", ["2,3", "3,2"])
+@pytest.mark.parametrize("check", ["colim-span", "limit-span"])
+def test_span_checks_enumerate_no_hom_set(check, tower, monkeypatch):
+    """Left exactness is decided by the law on endpoint keys, so the span
+    checks build no pullback square and enumerate no hom-set."""
 
+    def refuse(*args):
+        raise AssertionError("enumerated a hom-set")
 
-def _forced_fail_line(check, probe_group, monkeypatch):
-    """The FAIL line of `verify <check>` on the 2,2 tower at cap 3 with
-    check_left_exact forced to fail, and the witness it should name."""
-    monkeypatch.setattr(sp, "check_left_exact", _forced_not_left_exact)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["--tower", "2,2", "--cap", "3", "verify", check])
-    assert code == 1
-    square = _forced_not_left_exact(None, _orbits(probe_group)).witness
-    return out.getvalue().splitlines()[1], f"(witness {square})"
-
-
-def test_colim_span_reports_inflation_not_left_exact(monkeypatch):
-    """A functor that fails check_left_exact is a FAIL line with exit 1,
-    not an exception, and the line names the square."""
-    line, witness = _forced_fail_line("colim-span", g.cyclic(2), monkeypatch)
-    assert line == f"FAIL inflation not left exact at stage 0 {witness}"
-
-
-def test_limit_span_reports_fixed_points_not_left_exact(monkeypatch):
-    line, witness = _forced_fail_line("limit-span", g.cyclic(4), monkeypatch)
-    assert line == f"FAIL fixed points not left exact at stage 0 {witness}"
-
-
-@pytest.mark.parametrize("check,maps", [("colim-span", 6), ("limit-span", 27)])
-def test_span_checks_map_each_distinct_map_once(check, maps, monkeypatch):
-    """The left-exactness probes and Span(F) share F.mapped, so F.map runs
-    once per distinct map over the whole check."""
-    calls = []
-    for functor in (sp.InflationGSetFunctor, sp.FixedPointsGSetFunctor):
-        monkeypatch.setattr(
-            functor,
-            "map",
-            lambda self, f, unwrapped=functor.map: calls.append(f)
-            or unwrapped(self, f),
-        )
+    monkeypatch.setattr(gs, "hom_gset", refuse)
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["--tower", "2,2", "--cap", "3", "verify", check]) == 0
-    assert len(calls) == len(set(calls)) == maps
+        assert main(["--tower", tower, "verify", check]) == 0
 
 
 def _relabelled_tower(tower, rng):
@@ -374,18 +338,18 @@ def _image_mutants(functor, tower):
     another functor: in C3 the two rotations of the free orbit.)"""
     for i, q in enumerate(tower.links):
         F = functor(q)
-        SpF = sp.span_of_functor(F)
         G = F.src_group
         orbits = _orbits(G)
+        table = vf._span_images(F, orbits)
         for (c1, X), (c2, Y) in itertools.product(enumerate(orbits), repeat=2):
             FX, FY = F.obj(X), F.obj(Y)
             keys = sp.orbit_basis(G, c1, c2)
-            true = {k: SpF(sp.basis_span_mor(X, Y, k)) for k in keys}
+            true = {k: table[c1, c2, k] for k in keys}
             for key in keys:
                 hit = {k for k, _ in true[key].terms}
                 other = [b for b in sp.span_basis(FX, FY) if b not in hit]
                 if other:
-                    image = sp.basis_span_mor(FX, FY, other[0])
+                    image = basis_span_mor(FX, FY, other[0])
                     yield "replaced", i, c1, c2, {key: image}
             ends = sp.endpoint_keys(G, c1, c2)
             basic = [k for k in keys if len(true[k].terms) == 1 and k not in ends]
@@ -394,30 +358,18 @@ def _image_mutants(functor, tower):
 
 
 def _corrupt(monkeypatch, functor, link, c1, c2, images):
-    """Make every Span(F) for F = functor(link) send each basis span key
-    of `images` between the orbits of classes c1 and c2 to its image."""
-    span_of_functor = sp.span_of_functor
-    G = functor(link).src_group
-    X, Y = gs.orbit_gset(G, c1), gs.orbit_gset(G, c2)
+    """Make the Span(F) table of every F = functor(link) send each basis
+    span key of `images` between the orbits of classes c1 and c2 to its
+    image."""
+    span_images = vf._span_images
 
-    def corrupted_span_of_functor(F):
-        apply = span_of_functor(F)
-        if not (isinstance(F, functor) and F.q == link):
-            return apply
+    def corrupted(F, orbits):
+        table = span_images(F, orbits)
+        if isinstance(F, functor) and F.q == link:
+            table.update({(c1, c2, key): image for key, image in images.items()})
+        return table
 
-        def corrupted(m):
-            if (m.left, m.right) != (X, Y):
-                return apply(m)
-            kept = tuple(t for t in m.terms if t[0] not in images)
-            out = apply(sp.SpanMor(X, Y, kept))
-            for key, mult in m.terms:
-                if key in images:
-                    out = add_spans(out, scale_span(images[key], mult))
-            return out
-
-        return corrupted
-
-    monkeypatch.setattr(sp, "span_of_functor", corrupted_span_of_functor)
+    monkeypatch.setattr(vf, "_span_images", corrupted)
 
 
 @pytest.mark.parametrize("p,depth", [(2, 3), (3, 3)])
@@ -451,22 +403,31 @@ def test_span_checks_fail_on_corrupted_basis_images(check, p, depth, monkeypatch
 
 def test_limit_span_fails_on_a_functor_that_is_not_left_exact(monkeypatch):
     """With fixed points replaced by the N-orbit quotient, a left adjoint
-    that is not left exact, limit-span prints a FAIL line whose witness is
-    a transitive cospan whose pullback the functor does not keep."""
+    that is not left exact, limit-span prints a FAIL line: the quotient
+    keeps a basis span whose apex does not contain the kernel.  With that
+    basis test passed over, the law fails on a transfer and a restriction
+    whose cospan's pullback the functor does not keep."""
     monkeypatch.setattr(sp, "FixedPointsGSetFunctor", OrbitQuotientFunctor)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["--tower", "2,2", "verify", "limit-span"]) == 1
     report = vf.verify_limit_span(g.cyclic_tower(2, 2))
-    assert report.reason == "fixed points not left exact at stage 0"
+    assert report.reason == "fixed points of a kernel-moved apex is not zero at stage 0"
     assert out.getvalue().splitlines()[1] == report.render()
-    G = g.cyclic(4)
-    X, Y, Z = (gs.GSet(G, action) for action in report.witness[:3])
-    assert all(len(W.orbits()) == 1 for W in (X, Y, Z))
-    f, h = gs.EqMap(X, Z, report.witness[3]), gs.EqMap(Y, Z, report.witness[4])
-    P, p1, p2 = gs.pullback(f, h)
-    bad = OrbitQuotientFunctor(g.cyclic_tower(2, 2).links[0])
-    assert not gs.square_is_pullback(*(bad.map(m) for m in (p1, p2, f, h)))
+    monkeypatch.setattr(vf, "_basis_failure", lambda *args: None)
+    for p, depth in [(2, 2), (2, 3), (3, 2), (5, 2)]:
+        tower = g.cyclic_tower(p, depth)
+        report = vf.verify_limit_span(tower)
+        assert report.reason == "Span(fixed points) not functorial at stage 0"
+        c1, c2, c3, k1, k2 = report.witness
+        assert (c1, c2, c3) == (0, 1, 0)
+        assert (k1[0], k2[0]) == (c1, c3)  # a transfer, then a restriction
+        X, Z, Y = (gs.orbit_gset(tower.stages[1], c) for c in (c1, c2, c3))
+        f = sp.basis_legs(X, Z, k1)[1]
+        h = sp.basis_legs(Z, Y, k2)[0]
+        P, p1, p2 = pullback(f, h)
+        bad = OrbitQuotientFunctor(tower.links[0])
+        assert not square_is_pullback(*(bad.map(m) for m in (p1, p2, f, h)))
 
 
 @pytest.mark.parametrize("n", [6, 8, 12])
