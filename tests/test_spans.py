@@ -9,7 +9,7 @@ from profspan import gsets as gs
 from profspan import spans as sp
 from profspan import verify as vf
 from profspan.corpus import corpus_group, corpus_groups
-from profspan.errors import ObjectMismatch
+from profspan.errors import ObjectMismatch, Verdict
 
 from oracles import (
     OrbitQuotientFunctor,
@@ -349,6 +349,74 @@ def _quotients(G):
     return [g.quotient(G, N) for N, normal in zip(lat.subgroups, lat.normal) if normal]
 
 
+def _transfer_restriction_pairs(G, orbits):
+    """Every transfer k1 = [X <- X -f-> Z] and restriction k2 = [Z <-h- Y -> Y]
+    between the orbits, as (c1, c2, c3, k1, k2, f, h) for X, Z, Y the orbits
+    c1, c2, c3: one pair per transitive cospan X -f-> Z <-h- Y up to
+    isomorphism."""
+    for c1, c2, c3 in itertools.product(range(len(orbits)), repeat=3):
+        transfers = [k for k in sp.endpoint_keys(G, c1, c2) if k[0] == c1]
+        restrictions = [k for k in sp.endpoint_keys(G, c2, c3) if k[0] == c3]
+        for k1, k2 in itertools.product(transfers, restrictions):
+            f = sp.basis_legs(orbits[c1], orbits[c2], k1)[1]
+            h = sp.basis_legs(orbits[c2], orbits[c3], k2)[0]
+            yield c1, c2, c3, k1, k2, f, h
+
+
+def check_left_exact(F) -> Verdict:
+    """Left exactness of F as the span checks decide it: the law of
+    Span(F) on every transfer-restriction pair between the orbits of F's
+    source group (verify._span_functor_check gives the proof).  The
+    witness of a failure is the cospan X -f-> Z <-h- Y as (X, Y, Z
+    actions, f and h values)."""
+    G = F.src_group
+    orbits = _orbits(G)
+    image = vf._span_images(F, orbits)
+    for c1, c2, c3, k1, k2, f, h in _transfer_restriction_pairs(G, orbits):
+        if not vf._law_holds(G, image, c1, c2, c3, k1, k2):
+            X, Z, Y = orbits[c1], orbits[c2], orbits[c3]
+            square = (X.action, Y.action, Z.action, f.values, h.values)
+            return Verdict(False, "pullback not preserved", square)
+    return Verdict(True)
+
+
+@pytest.mark.parametrize("functor", [
+    sp.InflationGSetFunctor, sp.FixedPointsGSetFunctor, OrbitQuotientFunctor
+])
+@pytest.mark.parametrize("p,depth", [(2, 2), (2, 3), (3, 2)])
+def test_check_left_exact_agrees_with_every_cospan(functor, p, depth):
+    """The law's verdict on the orbits of each link's source group is the
+    verdict of building the pullback of every cospan of orbits.  Inflation
+    and fixed points keep coproducts, so the orbits decide every G-set:
+    they keep the pullbacks of the G-sets of size at most 3 too.  The
+    N-orbit quotient fails on the orbits (on G/1 -> G/G <- G/1), not on
+    the small G-sets."""
+    for q in g.cyclic_tower(p, depth).links:
+        F = functor(q)
+        G = F.src_group
+        exact = check_left_exact(F).ok
+        assert exact == left_exact_oracle(F, _orbits(G)).ok
+        assert exact == (functor is not OrbitQuotientFunctor)
+        small = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, 3)]
+        assert left_exact_oracle(F, small)
+
+
+def test_check_left_exact_rejects_orbit_quotient():
+    q = g.quotient(C2, g.make_subgroup(C2, (0, 1)))
+    bad = OrbitQuotientFunctor(q)
+    verdict = check_left_exact(bad)
+    assert not verdict
+    assert verdict.reason == "pullback not preserved"
+    # the witness names the cospan X -f-> Z <-h- Y of a square F breaks
+    X, Y, Z = (gs.GSet(C2, action) for action in verdict.witness[:3])
+    f = gs.EqMap(X, Z, verdict.witness[3])
+    h = gs.EqMap(Y, Z, verdict.witness[4])
+    P, p1, p2 = pullback(f, h)
+    square = [bad.map(m) for m in (p1, p2, f, h)]
+    assert not square_is_pullback(*square)
+    assert not left_exact_oracle(bad, [X, Y, Z])
+
+
 # The corpus groups of order at most 6, with D4 and Q8, each with every
 # normal subgroup N: (transitive cospans, cospans whose pullback F does not
 # keep) over the orbits of G, or of G/N for inflation.
@@ -376,18 +444,13 @@ def test_law_on_transfer_restriction_pairs_decides_left_exactness(functor):
             G = F.src_group
             orbits = _orbits(G)
             image = vf._span_images(F, orbits)
-            for c1, c2, c3 in itertools.product(range(len(orbits)), repeat=3):
-                transfers = [k for k in sp.endpoint_keys(G, c1, c2) if k[0] == c1]
-                restrictions = [k for k in sp.endpoint_keys(G, c2, c3) if k[0] == c3]
-                for k1, k2 in itertools.product(transfers, restrictions):
-                    f = sp.basis_legs(orbits[c1], orbits[c2], k1)[1]
-                    h = sp.basis_legs(orbits[c2], orbits[c3], k2)[0]
-                    P, p1, p2 = pullback(f, h)
-                    kept = square_is_pullback(*map(F.map, (p1, p2, f, h)))
-                    law = vf._law_holds(G, image, c1, c2, c3, k1, k2)
-                    assert law == kept, (name, q.kernel.elements, c1, c2, c3, k1, k2)
-                    cospans += 1
-                    failing += not kept
+            for c1, c2, c3, k1, k2, f, h in _transfer_restriction_pairs(G, orbits):
+                P, p1, p2 = pullback(f, h)
+                kept = square_is_pullback(*map(F.map, (p1, p2, f, h)))
+                law = vf._law_holds(G, image, c1, c2, c3, k1, k2)
+                assert law == kept, (name, q.kernel.elements, c1, c2, c3, k1, k2)
+                cospans += 1
+                failing += not kept
     assert (cospans, failing) == EXPECTED_COSPANS[functor]
 
 
