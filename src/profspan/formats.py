@@ -6,20 +6,32 @@ G-set or Mackey file has its header on line 1, and the group file it names
 is resolved relative to the file's directory.  A group, tower or G-set
 file ends with the rows its header announces.  A Mackey file may not
 repeat a `level` index or a `gen` key, and a `gen` line's row and column
-counts are non-negative; a matrix with no columns has no lines.  Every
-error is a ParseError that names `source:line`.
+counts are non-negative; a matrix with no columns has no lines.  A `gen`
+key is looked up in the group's _key_table, or parsed if spelled another
+way, and shapes are checked as they are read; check_structure runs only to
+name an error.  Every error is a ParseError that names `source:line`.
 """
 
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from itertools import chain, islice
 from operator import itemgetter
 
 from .errors import ParseError
 from .groups import FiniteGroup, GroupTower, make_group, make_tower, quotient_map
 from .gsets import GSet, make_gset
+from . import spans as sp
 from .mackey import AbPresentation, MackeyFunctor, check_structure
+
+
+class _Ints(dict):
+    """Small decimal integers by their text; int reads any other field."""
+    __missing__ = int
+
+
+_INT = _Ints((str(i), i) for i in range(-256, 256)).__getitem__
 
 
 class _Rows:
@@ -67,14 +79,15 @@ class _Rows:
 
         A row of no integers is a blank line, which is never read, so a
         table of width 0 is `height` empty rows and takes no line.  The
-        rows are taken and converted in one pass.  If that finds an error,
-        they are put back and read again row by row with `ints`, so the
-        error and the line it names are the ones `ints` gives."""
+        rows are taken and converted in one pass, by _INT (a lookup costs
+        half an int call).  If that finds an error, they are put back and
+        read again row by row with `ints`, so the error and the line it
+        names are the ones `ints` gives."""
         if height <= 0 or width == 0:
             return ((),) * height
         taken = [self._ahead, *islice(self._rows, height - 1)]
         try:
-            table = tuple([tuple(map(int, fields)) for _, fields in taken])
+            table = tuple([tuple(map(_INT, fields)) for _, fields in taken])
         except ValueError:
             table = ()
         # a row is never empty, so an empty one is the end of the text
@@ -236,16 +249,21 @@ def _parse_key_token(rows: _Rows, token: str):
     return c1, c2, (apex, legL, legR)
 
 
+@lru_cache(maxsize=None)
+def _key_table(G: FiniteGroup) -> dict[str, tuple]:
+    """The _key_token of each triple of orbit_keys(G), in order -> it."""
+    return {_key_token(*k): k for k in sp.orbit_keys(G)}
+
+
 def serialize_mackey(M: MackeyFunctor, group_file: str) -> str:
     out = [f"mackey {group_file}"]
     for c, lv in enumerate(M.levels):
         torsion = " ".join(str(d) for d in lv.invariant_factors)
         out.append(f"level {c} rank {lv.rank} torsion {torsion}".rstrip())
-    for (c1, c2, key) in sorted(M.gen_action):
-        mat = M.gen_action[(c1, c2, key)]
-        rows = len(mat)
+    for token, k in _key_table(M.group).items():
+        mat = M.gen_action[k]
         cols = len(mat[0]) if mat else 0
-        out.append(f"gen {_key_token(c1, c2, key)} rows {rows} cols {cols}")
+        out.append(f"gen {token} rows {len(mat)} cols {cols}")
         if cols:
             out += [" ".join(map(str, row)) for row in mat]
     return "\n".join(out) + "\n"
@@ -275,13 +293,16 @@ def parse_mackey(
             raise rows.error(f"invalid presentation: {exc}")
     if sorted(levels) != list(range(len(levels))):
         raise rows.error("level indices must cover 0..n-1")
+    dims = [levels[c].dims for c in range(len(levels))]
+    table = _key_table(group)
+    regular = len(dims) == len(sp.coset_tables(group).classes)
     gen_action: dict = {}
     while rows.more():
         parts = rows.next("gen")
         if len(parts) != 6 or parts[2] != "rows" or parts[4] != "cols":
             raise rows.error("malformed gen line")
-        c1, c2, key = _parse_key_token(rows, parts[1])
-        if (c1, c2, key) in gen_action:
+        k = table.get(parts[1]) or _parse_key_token(rows, parts[1])
+        if k in gen_action:
             raise rows.error(f"repeated gen key {parts[1]}")
         try:
             height, width = int(parts[3]), int(parts[5])
@@ -289,11 +310,17 @@ def parse_mackey(
             raise rows.error("malformed gen line")
         if height < 0 or width < 0:
             raise rows.error("gen rows and cols must be non-negative")
-        gen_action[c1, c2, key] = rows.table(height, width)
+        # check_structure names a key off the table or a shape off the levels
+        regular = regular and parts[1] in table and height == dims[k[1]]
+        regular = regular and (width == dims[k[0]] or not height)
+        if not width:  # no lines: keep at most one row more than any level
+            height = min(height, max(dims, default=0) + 1)
+        gen_action[k] = rows.table(height, width)
     M = MackeyFunctor(group, tuple(levels[c] for c in sorted(levels)), gen_action)
-    verdict = check_structure(M)
-    if not verdict:
-        raise rows.error(f"{verdict.reason}, witness={verdict.witness!r}")
+    if not (regular and len(gen_action) == len(table)):
+        verdict = check_structure(M)
+        if not verdict:
+            raise rows.error(f"{verdict.reason}, witness={verdict.witness!r}")
     return M
 
 

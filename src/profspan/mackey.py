@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 
 from .errors import GroupMismatch, IncoherentFamily, Verdict
@@ -289,38 +290,46 @@ def reduce_mod(M: MackeyFunctor, n: int) -> MackeyFunctor:
     return MackeyFunctor(M.group, levels, dict(M.gen_action))
 
 
-def categorical_fixed_points(M: MackeyFunctor, q: QuotientMap) -> MackeyFunctor:
-    """Restriction along the inflated spans: the Mackey functor over
-    q.target = G/N whose level at H/N is M's level at the preimage of H/N,
-    and whose matrix on a basis key of G/N is M's on the inflated key.
+@lru_cache(maxsize=None)
+def _inflated_keys(q: QuotientMap) -> tuple[tuple[int, ...], tuple]:
+    """The preimage class of each class of Q = q.target, and each Q-key of
+    orbit_keys(Q) with the G-key of its inflated span, held by orbit_basis.
 
-    Inflation keeps the points of the orbit Q/C of a class of Q = G/N,
-    with g acting as q(g): point q(g)·C at g, stabilizer q⁻¹(C).  So the
-    inflated span of a key (a, legL, legR) between the orbits of classes
-    c1 and c2 has the inflated orbit of class a as its apex, with the same
-    leg values.  σ_c, the canonical_iso of the inflated orbit of class c,
+    Inflation keeps the points of the orbit Q/C of a class of Q, with g
+    acting as q(g): point q(g)·C at g, stabilizer q⁻¹(C).  So the inflated
+    span of a key (a, legL, legR) between the orbits of classes c1 and c2
+    has the inflated orbit of class a as its apex, with the same leg
+    values.  σ_c, the canonical_iso of the inflated orbit of class c,
     renames it onto G's canonical orbit of the preimage class.  The G-key
     is one canonical_key of that apex with legs σ_c1∘legL and σ_c2∘legR,
     which reads the apex only through its row q(g)·C_a; no G-set or map
     is built per key."""
-    G = M.group
-    if q.source != G:
-        raise GroupMismatch("quotient map is not from the functor's group")
-    Q = q.target
+    G, Q = q.source, q.target
     nq = subgroup_lattice(Q).num_classes
     inflated = [gs.inflate(gs.orbit_gset(Q, c), q) for c in range(nq)]
     sigma = [gs.canonical_iso(X) for X in inflated]
-    pre = [gs.orbit_class_multiset(s.dst)[0] for s in sigma]
-    levels = tuple(M.levels[c] for c in pre)
-    gen_action: dict = {}
+    pre = tuple(gs.orbit_class_multiset(s.dst)[0] for s in sigma)
+    own = {k: k for a in pre for b in pre for k in sp.orbit_basis(G, a, b)}
+    pairs = []
     for c1, c2, key in sp.orbit_keys(Q):
         a, legL, legR = key
         s1, s2 = sigma[c1].values, sigma[c2].values
         gkey = sp.canonical_key(
             inflated[a], 0, [s1[x] for x in legL], [s2[y] for y in legR]
         )
-        gen_action[c1, c2, key] = M.gen_action[pre[c1], pre[c2], gkey]
-    return MackeyFunctor(Q, levels, gen_action)
+        pairs.append(((c1, c2, key), (pre[c1], pre[c2], own[gkey])))
+    return pre, tuple(pairs)
+
+
+def categorical_fixed_points(M: MackeyFunctor, q: QuotientMap) -> MackeyFunctor:
+    """Restriction along the inflated spans: the Mackey functor over
+    q.target = G/N whose level at H/N is M's level at the preimage of H/N,
+    and whose matrix on a basis key of G/N is M's on the inflated key."""
+    if q.source != M.group:
+        raise GroupMismatch("quotient map is not from the functor's group")
+    pre, pairs = _inflated_keys(q)
+    gen_action = {qkey: M.gen_action[gkey] for qkey, gkey in pairs}
+    return MackeyFunctor(q.target, tuple(M.levels[c] for c in pre), gen_action)
 
 
 def _same_mackey(A: MackeyFunctor, B: MackeyFunctor):

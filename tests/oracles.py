@@ -18,7 +18,11 @@ sampled or tested on the first four objects.  OrbitQuotientFunctor is a
 functor that is not left exact, for the negative controls.
 
 The exhaustive subgroup search, which closes each subgroup found with
-every element outside it, is the oracle of subgroup_lattice.  The rest
+every element outside it, and the conjugacy pass that conjugates each
+class representative by every element are the oracles of
+subgroup_lattice.  The Mackey file reader as it was before its key table,
+which parses every key token and checks the structure after the last
+block, is the oracle of parse_mackey.  The rest
 is what only the tests use: the corpus groups of bounded order, element
 orders and an isomorphism search, the subgroup a set generates, inverse
 maps, the sum and multiples of span morphisms, the transport of a span
@@ -34,6 +38,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
+from profspan import formats as fm
 from profspan import groups as g
 from profspan import gsets as gs
 from profspan import mackey as mk
@@ -612,6 +617,30 @@ def subgroups_oracle(G: FiniteGroup) -> set[tuple[int, ...]]:
     return found
 
 
+def conjugacy_classes_oracle(G: FiniteGroup):
+    """The classes, normal flags and conjugators of subgroup_lattice(G),
+    found by conjugating each class representative by every element: the
+    conjugator of a subgroup H is the inverse of the first g with
+    g·R·g⁻¹ = H, for R its class representative."""
+    subs = subgroup_lattice(G).subgroups
+    index = {H.elements: i for i, H in enumerate(subs)}
+    conjugators: dict[int, int] = {}
+    classes = []
+    normal = [False] * len(subs)
+    for i, R in enumerate(subs):
+        if i in conjugators:
+            continue
+        first: dict[int, int] = {}
+        for x in G.elements():
+            first.setdefault(index[R.conjugate(x).elements], x)
+        conjugators.update((j, G.inv(x)) for j, x in first.items())
+        normal[i] = len(first) == 1
+        classes.append(tuple(sorted(first)))
+    classes.sort(key=lambda c: (subs[c[0]].order, subs[c[0]].elements))
+    conj = tuple(conjugators[i] for i in range(len(subs)))
+    return tuple(classes), tuple(normal), conj
+
+
 def inverse_map(f: EqMap) -> EqMap:
     if not f.is_iso():
         raise ValueError("map is not invertible")
@@ -743,3 +772,52 @@ def square_is_pullback(top: EqMap, left: EqMap, right: EqMap, bottom: EqMap) -> 
     over = Counter(right.values)
     size = sum(over[d] for d in bottom.values)
     return len(set(zip(top.values, left.values))) == top.src.size == size
+
+
+def parse_mackey_oracle(
+    text: str, group: FiniteGroup, source: str = "<mackey>"
+) -> mk.MackeyFunctor:
+    """parse_mackey as it read before its key table: every `gen` block read
+    by the row reader, its key parsed from its token, and the whole
+    functor checked by check_structure after the last block."""
+    rows = fm._Rows(text, source)
+    if len(rows.next("mackey")) != 2:
+        raise rows.error("mackey header needs a group file")
+    levels: dict[int, mk.AbPresentation] = {}
+    while rows.more("level"):
+        parts = rows.next()
+        if len(parts) < 5 or parts[2] != "rank" or parts[4] != "torsion":
+            raise rows.error("malformed level line")
+        try:
+            c, rank = int(parts[1]), int(parts[3])
+            torsion = tuple(int(v) for v in parts[5:])
+        except ValueError:
+            raise rows.error("malformed level line")
+        if c in levels:
+            raise rows.error(f"repeated level {c}")
+        try:
+            levels[c] = mk.AbPresentation(rank, torsion)
+        except ValueError as exc:
+            raise rows.error(f"invalid presentation: {exc}")
+    if sorted(levels) != list(range(len(levels))):
+        raise rows.error("level indices must cover 0..n-1")
+    gen_action: dict = {}
+    while rows.more():
+        parts = rows.next("gen")
+        if len(parts) != 6 or parts[2] != "rows" or parts[4] != "cols":
+            raise rows.error("malformed gen line")
+        c1, c2, key = fm._parse_key_token(rows, parts[1])
+        if (c1, c2, key) in gen_action:
+            raise rows.error(f"repeated gen key {parts[1]}")
+        try:
+            height, width = int(parts[3]), int(parts[5])
+        except ValueError:
+            raise rows.error("malformed gen line")
+        if height < 0 or width < 0:
+            raise rows.error("gen rows and cols must be non-negative")
+        gen_action[c1, c2, key] = rows.table(height, width)
+    M = mk.MackeyFunctor(group, tuple(levels[c] for c in sorted(levels)), gen_action)
+    verdict = mk.check_structure(M)
+    if not verdict:
+        raise rows.error(f"{verdict.reason}, witness={verdict.witness!r}")
+    return M

@@ -319,6 +319,39 @@ def test_kernel_element_out_of_range_exits_2(tmp_path, capsys, kernel):
     assert len(err.splitlines()) == 1, err
 
 
+@pytest.mark.parametrize("height", [2, 10**9])
+def test_a_tall_zero_width_gen_block_is_a_shape_error(tmp_path, height):
+    """A matrix with no columns takes no lines, so its height costs the
+    file nothing; the reader keeps no more rows of it than the shape check
+    needs.  The CLI runs in a child limited to 1.5 GB of address space, in
+    which a billion empty rows do not fit."""
+    G = g.cyclic(1)
+    (tmp_path / "c1.grp").write_text(fm.serialize_group(G))
+    lines = fm.serialize_mackey(mk.burnside_mackey(G), "c1.grp").splitlines()
+    assert lines[2:] == ["gen 0:0:0:0:0 rows 1 cols 1", "1"]
+    lines[2:] = [f"gen 0:0:0:0:0 rows {height} cols 0"]
+    path = tmp_path / "m.mackey"
+    path.write_text("\n".join(lines) + "\n")
+    limit = (
+        "import resource, runpy, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20)); "
+        "sys.argv = ['profspan'] + sys.argv[1:]; "
+        "runpy.run_module('profspan', run_name='__main__')"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", limit, "mackey-check", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: {path}:3: matrix shape mismatch, witness=(0, 0, (0, (0,), (0,)))\n"
+    )
+
+
 def test_negative_cap_exits_2(capsys):
     assert main(["--cap", "-1", "verify", "adjunction"]) == 2
     assert "--cap" in capsys.readouterr().err

@@ -77,6 +77,7 @@ CASES.update({
     "mackey-fixed-S3": ["mackey-fixed", "{dir}/S3.mackey", "0,3,4"],
     "mackey-fixed-C4": ["mackey-fixed", "{dir}/C4.mackey", "0,2"],
     "mackey-check-C4": ["mackey-check", "{dir}/C4.mackey"],
+    "mackey-check-C4-signed-key": ["mackey-check", "{dir}/C4-signed-key.mackey"],
     "mackey-check-S3-bad": ["mackey-check", "{dir}/S3-bad.mackey"],
     "mackey-check-D4-bad": ["mackey-check", "{dir}/D4-bad.mackey"],
     "span-hom-S3": ["span-hom", "{dir}/S3-x.gset", "{dir}/S3-y.gset"],
@@ -143,8 +144,10 @@ NOT_A_GROUP = "group 5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n"
 def write_input_files(directory: Path) -> None:
     """`<name>.grp` and the Burnside functor `<name>.mackey` per group of
     MACKEY_FILES, the corrupted Burnside files of BAD_MACKEY, the G-sets
-    of GSETS, `not-a-group.grp` (NOT_A_GROUP), and `S3-x-short-row.gset`,
-    S3-x with the last entry of its first action row dropped."""
+    of GSETS, `not-a-group.grp` (NOT_A_GROUP), `S3-x-short-row.gset`,
+    S3-x with the last entry of its first action row dropped, and
+    `C4-signed-key.mackey`, the C4 file with its first key token written
+    with a leading `+`, which is no key table token."""
     for name in MACKEY_FILES:
         G = corpus_group(name)
         (directory / f"{name}.grp").write_text(fm.serialize_group(G))
@@ -169,6 +172,8 @@ def write_input_files(directory: Path) -> None:
     header, row, *rows = (directory / "S3-x.gset").read_text().splitlines()
     short = [header, row.rsplit(" ", 1)[0], *rows]
     (directory / "S3-x-short-row.gset").write_text("\n".join(short) + "\n")
+    signed = (directory / "C4.mackey").read_text().replace("\ngen ", "\ngen +", 1)
+    (directory / "C4-signed-key.mackey").write_text(signed)
 
 
 def run(argv, directory: Path) -> str:

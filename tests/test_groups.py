@@ -12,6 +12,7 @@ from oracles import (
     are_isomorphic,
     associativity_oracle,
     closure,
+    conjugacy_classes_oracle,
     element_order,
     generating_set_oracle,
     groups_of_order_at_most,
@@ -182,6 +183,30 @@ def test_subgroup_lattice_of_a_cyclic_group_matches_the_oracle(n):
     G = g.cyclic(n)
     subs = [H.elements for H in g.subgroup_lattice(G).subgroups]
     assert subs == _by_order(subgroups_oracle(G))
+
+
+def _conjugacy_cases():
+    for name, G in corpus_groups():
+        yield name, G
+        yield f"{name}-relabelled", _relabelled(G, 23)
+    for p, top in [(2, 10), (3, 6)]:
+        for k in range(1, top + 1):
+            yield f"C{p}^{k}", g.cyclic(p**k)
+
+
+@pytest.mark.parametrize("label, G", list(_conjugacy_cases()))
+def test_conjugacy_classes_match_conjugation_by_every_element(label, G):
+    """Closing each class under conjugation by the generators gives the
+    classes and normal flags that conjugating by every element gives; the
+    conjugators may differ, and each still carries its subgroup onto the
+    class representative."""
+    lat = g.subgroup_lattice(G)
+    classes, normal, _ = conjugacy_classes_oracle(G)
+    assert (lat.classes, lat.normal) == (classes, normal)
+    for c, members in enumerate(lat.classes):
+        for i in members:
+            H = lat.subgroups[i]
+            assert H.conjugate(lat.conjugators[i]) == lat.class_rep(c), (label, i)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])

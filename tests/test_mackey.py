@@ -318,8 +318,14 @@ def test_fixed_points_change_under_a_wrong_renaming(monkeypatch, name, kernel):
         )
         return then_map(iso, auto)
 
+    # the inflated keys of q are kept per quotient map, so they are built
+    # afresh under the wrong renaming and dropped after it
     monkeypatch.setattr(gs, "canonical_iso", wrong_iso)
-    wrong = mk.categorical_fixed_points(M, q)
+    mk._inflated_keys.cache_clear()
+    try:
+        wrong = mk.categorical_fixed_points(M, q)
+    finally:
+        mk._inflated_keys.cache_clear()
     assert wrong.levels == right.levels
     assert wrong.gen_action != right.gen_action
 
