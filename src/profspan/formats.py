@@ -35,14 +35,16 @@ _INT = _Ints((str(i), i) for i in range(-256, 256)).__getitem__
 
 
 class _Rows:
-    """The non-blank lines of a text as (index, fields), each split when it
-    is reached, with one row of lookahead.  A 0-based index is the number
-    of the line before the row.  Errors name `line`: the row `next` took,
-    or after `more` the line before the row ahead."""
+    """The non-blank lines of a text, or of its list of lines, as (index,
+    fields), each split when it is reached, with one row of lookahead.  A
+    0-based index is the number of the line before the row.  Errors name
+    `line`: the row `next` took, or after `more` the line before the row
+    ahead.  `count` is the number of lines."""
 
-    def __init__(self, text: str, source: str):
-        lines = text.splitlines()
+    def __init__(self, text: str | list[str], source: str):
+        lines = text.splitlines() if isinstance(text, str) else text
         self.source = source
+        self.count = len(lines)
         self._rows = filter(itemgetter(1), enumerate(map(str.split, lines)))
         self._end = (len(lines), [])
         self._ahead = next(self._rows, self._end)
@@ -123,15 +125,16 @@ def _read(path: str) -> str:
 
 
 def _load_over_group(path: str, parse, keyword: str, width: int, needs: str):
-    """`parse(text, group, path)` of the file at `path`, over the group file
-    named by its header: line 1, `width` fields, `keyword` first.  The group
-    file is resolved relative to the directory of `path`."""
-    text = _read(path)
-    fields = next(iter(text.splitlines()), "").split()
+    """`parse(lines, group, path)` of the lines of the file at `path`, split
+    once, over the group file named by its header: line 1, `width` fields,
+    `keyword` first.  The group file is resolved relative to the directory
+    of `path`."""
+    lines = _read(path).splitlines()
+    fields = lines[0].split() if lines else []
     if len(fields) != width or fields[0] != keyword:
         raise ParseError(path, 1, f"{keyword} header needs {needs}")
     group = load_group(os.path.join(os.path.dirname(path) or ".", fields[1]))
-    return parse(text, group, path)
+    return parse(lines, group, path)
 
 
 def serialize_group(G: FiniteGroup) -> str:
@@ -206,7 +209,9 @@ def serialize_gset(X: GSet, group_file: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_gset(text: str, group: FiniteGroup, source: str = "<gset>") -> GSet:
+def parse_gset(
+    text: str | list[str], group: FiniteGroup, source: str = "<gset>"
+) -> GSet:
     rows = _Rows(text, source)
     header = rows.next("gset")
     if len(header) != 3:
@@ -270,7 +275,7 @@ def serialize_mackey(M: MackeyFunctor, group_file: str) -> str:
 
 
 def parse_mackey(
-    text: str, group: FiniteGroup, source: str = "<mackey>"
+    text: str | list[str], group: FiniteGroup, source: str = "<mackey>"
 ) -> MackeyFunctor:
     rows = _Rows(text, source)
     if len(rows.next("mackey")) != 2:
@@ -313,8 +318,11 @@ def parse_mackey(
         # check_structure names a key off the table or a shape off the levels
         regular = regular and parts[1] in table and height == dims[k[1]]
         regular = regular and (width == dims[k[0]] or not height)
-        if not width:  # no lines: keep at most one row more than any level
-            height = min(height, max(dims, default=0) + 1)
+        # a block with no columns takes no lines, and a level of d > 0 dims
+        # needs a d-line identity block, so a height past the line count is
+        # wrong anyway: keep at most one row more than the text has lines
+        if not width:
+            height = min(height, rows.count + 1)
         gen_action[k] = rows.table(height, width)
     M = MackeyFunctor(group, tuple(levels[c] for c in sorted(levels)), gen_action)
     if not (regular and len(gen_action) == len(table)):

@@ -4,6 +4,9 @@ and chain-shaped quotient towers.
 Elements are indices 0..order-1 with 0 the identity; input tables with the
 identity elsewhere are relabelled on ingestion.  quotient_map builds every
 quotient map, checking it, and make_tower checks every link of a tower.
+A tower is read link by link: class_preimages gives, per link, the
+preimage of each subgroup class, which is all that inflating an orbit
+along it needs, so no composite projection is built.
 subgroup_lattice finds the subgroups by cyclic extension; the exhaustive
 search it replaced is a test oracle.
 """
@@ -366,12 +369,19 @@ def quotient(G: FiniteGroup, N: Subgroup) -> QuotientMap:
     return quotient_map(G, FiniteGroup(table), coset_of)
 
 
-def compose_quotients(q_outer: QuotientMap, q_inner: QuotientMap) -> QuotientMap:
-    """Composite projection: q_inner then q_outer."""
-    if q_inner.target != q_outer.source:
-        raise ValueError("quotient maps do not compose")
-    projection = (q_outer.projection[c] for c in q_inner.projection)
-    return quotient_map(q_inner.source, q_outer.target, projection)
+def class_preimages(q: QuotientMap) -> list[tuple[tuple[int, ...], int]]:
+    """The preimage table of q: for each subgroup class c of q.target, the
+    sorted elements of q⁻¹(R_c), R_c the class representative, and the
+    class of that subgroup of q.source.  Inflating the orbit q.target/R_c
+    along q gives the one orbit q.source/q⁻¹(R_c) when q is onto."""
+    below = subgroup_lattice(q.target)
+    where = subgroup_lattice(q.source).where
+    table = []
+    for c in range(below.num_classes):
+        inside = set(below.class_rep(c).elements)
+        pre = tuple(a for a, x in enumerate(q.projection) if x in inside)
+        table.append((pre, where[pre][0]))
+    return table
 
 
 @memoise_hash
@@ -386,22 +396,6 @@ class GroupTower:
     @property
     def depth(self) -> int:
         return len(self.stages)
-
-    def projection(self, src_level: int, dst_level: int) -> QuotientMap:
-        """Composite projection from stage src_level down to dst_level,
-        built once per (tower, src_level, dst_level)."""
-        if not 0 <= dst_level <= src_level < self.depth:
-            raise ValueError(f"bad levels {src_level} -> {dst_level}")
-        return _tower_projection(self, src_level, dst_level)
-
-
-@lru_cache(maxsize=None)
-def _tower_projection(tower: GroupTower, src_level: int, dst_level: int) -> QuotientMap:
-    G = tower.stages[src_level]
-    q = quotient_map(G, G, G.elements())
-    for i in range(src_level - 1, dst_level - 1, -1):
-        q = compose_quotients(tower.links[i], q)
-    return q
 
 
 def make_tower(stages, links) -> GroupTower:

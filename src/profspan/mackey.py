@@ -27,7 +27,8 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import GroupMismatch, IncoherentFamily, Verdict
-from .groups import FiniteGroup, GroupTower, QuotientMap, subgroup_lattice
+from .groups import FiniteGroup, GroupTower, QuotientMap
+from .groups import class_preimages, subgroup_lattice
 from . import gsets as gs
 from . import spans as sp
 
@@ -299,16 +300,17 @@ def _inflated_keys(q: QuotientMap) -> tuple[tuple[int, ...], tuple]:
     acting as q(g): point q(g)·C at g, stabilizer q⁻¹(C).  So the inflated
     span of a key (a, legL, legR) between the orbits of classes c1 and c2
     has the inflated orbit of class a as its apex, with the same leg
-    values.  σ_c, the canonical_iso of the inflated orbit of class c,
-    renames it onto G's canonical orbit of the preimage class.  The G-key
-    is one canonical_key of that apex with legs σ_c1∘legL and σ_c2∘legR,
-    which reads the apex only through its row q(g)·C_a; no G-set or map
-    is built per key."""
+    values.  The class of q⁻¹(C) is read from groups.class_preimages.
+    σ_c, the canonical_iso of the inflated orbit of class c, renames it
+    onto G's canonical orbit of the preimage class.  The G-key is one
+    canonical_key of that apex with legs σ_c1∘legL and σ_c2∘legR, which
+    reads the apex only through its row q(g)·C_a; no G-set or map is
+    built per key."""
     G, Q = q.source, q.target
     nq = subgroup_lattice(Q).num_classes
     inflated = [gs.inflate(gs.orbit_gset(Q, c), q) for c in range(nq)]
     sigma = [gs.canonical_iso(X) for X in inflated]
-    pre = tuple(gs.orbit_class_multiset(s.dst)[0] for s in sigma)
+    pre = tuple(c for _, c in class_preimages(q))
     own = {k: k for a in pre for b in pre for k in sp.orbit_basis(G, a, b)}
     pairs = []
     for c1, c2, key in sp.orbit_keys(Q):

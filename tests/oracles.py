@@ -24,7 +24,8 @@ subgroup_lattice.  The Mackey file reader as it was before its key table,
 which parses every key token and checks the structure after the last
 block, is the oracle of parse_mackey.  The rest
 is what only the tests use: the corpus groups of bounded order, element
-orders and an isomorphism search, the subgroup a set generates, inverse
+orders and an isomorphism search, composite quotient maps, the subgroup a
+set generates, inverse
 maps, the sum and multiples of span morphisms, the transport of a span
 along maps of its endpoints, and the semiadditivity check built on them;
 one-term span morphisms, composite maps, fibre products and pullbacks of
@@ -161,6 +162,14 @@ def compose_keys_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> tuple:
         k = canonical_key_oracle(P, orb[0], legL, legR)
         counts[k] = counts.get(k, 0) + 1
     return sp._normalize(counts)
+
+
+def compose_quotients(q_outer: QuotientMap, q_inner: QuotientMap) -> QuotientMap:
+    """Composite projection: q_inner then q_outer."""
+    if q_inner.target != q_outer.source:
+        raise ValueError("quotient maps do not compose")
+    projection = (q_outer.projection[c] for c in q_inner.projection)
+    return g.quotient_map(q_inner.source, q_outer.target, projection)
 
 
 def colim_gset_equivalence_oracle(tower: g.GroupTower, cap: int) -> tuple[bool, int]:

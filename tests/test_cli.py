@@ -319,6 +319,25 @@ def test_kernel_element_out_of_range_exits_2(tmp_path, capsys, kernel):
     assert len(err.splitlines()) == 1, err
 
 
+def _mackey_check_in_1536_mb(path):
+    """`profspan mackey-check path`, run in a child limited to 1.5 GB of
+    address space."""
+    limit = (
+        "import resource, runpy, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20)); "
+        "sys.argv = ['profspan'] + sys.argv[1:]; "
+        "runpy.run_module('profspan', run_name='__main__')"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-c", limit, "mackey-check", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+
+
 @pytest.mark.parametrize("height", [2, 10**9])
 def test_a_tall_zero_width_gen_block_is_a_shape_error(tmp_path, height):
     """A matrix with no columns takes no lines, so its height costs the
@@ -332,23 +351,35 @@ def test_a_tall_zero_width_gen_block_is_a_shape_error(tmp_path, height):
     lines[2:] = [f"gen 0:0:0:0:0 rows {height} cols 0"]
     path = tmp_path / "m.mackey"
     path.write_text("\n".join(lines) + "\n")
-    limit = (
-        "import resource, runpy, sys; "
-        "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20)); "
-        "sys.argv = ['profspan'] + sys.argv[1:]; "
-        "runpy.run_module('profspan', run_name='__main__')"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", limit, "mackey-check", str(path)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-        timeout=60,
-    )
+    proc = _mackey_check_in_1536_mb(path)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
         f"error: {path}:3: matrix shape mismatch, witness=(0, 0, (0, (0,), (0,)))\n"
+    )
+
+
+def test_a_tall_zero_width_block_of_a_tall_level_is_an_error(tmp_path):
+    """A level's rank costs the file one token, so the dims of the levels
+    do not bound a zero-width block: a billion empty rows from the free
+    C2-orbit to a level of rank 10⁹ have the right shape.  The reader
+    keeps no more rows than the file has lines, and the file, which has no
+    identity block of that level, is an input error."""
+    G = g.cyclic(2)
+    (tmp_path / "c2.grp").write_text(fm.serialize_group(G))
+    text = (
+        "mackey c2.grp\n"
+        "level 0 rank 0 torsion\n"
+        "level 1 rank 1000000000 torsion\n"
+        "gen 0:1:0:0,1:0,0 rows 1000000000 cols 0\n"
+    )
+    path = tmp_path / "m.mackey"
+    path.write_text(text)
+    assert "0:1:0:0,1:0,0" in fm._key_table(G)
+    proc = _mackey_check_in_1536_mb(path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: {path}:4: missing generator action, "
+        "witness=(0, 0, (0, (0, 1), (0, 1)))\n"
     )
 
 

@@ -50,6 +50,9 @@ CASES.update({
     "colim-gset-2-3-cap5": ["--tower", "2,3", "--cap", "5", "verify", "colim-gset"],
     "colim-gset-2-3-cap6": ["--tower", "2,3", "--cap", "6", "verify", "colim-gset"],
     "colim-gset-2-3-cap7": ["--tower", "2,3", "--cap", "7", "verify", "colim-gset"],
+    "colim-gset-2-10-cap16": [
+        "--tower", "2,10", "--cap", "16", "verify", "colim-gset"
+    ],
     "adjunction-cap4": ["--cap", "4", "verify", "adjunction"],
     "adjunction-cap5": ["--cap", "5", "verify", "adjunction"],
     "adjunction-cap6": ["--cap", "6", "verify", "adjunction"],

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from profspan import groups as g
+from profspan import gsets as gs
 from profspan import spans as sp
 from profspan.corpus import corpus_group, corpus_groups
 from profspan.errors import NotAGroup, NotNormal, NotPrime
@@ -12,6 +13,7 @@ from oracles import (
     are_isomorphic,
     associativity_oracle,
     closure,
+    compose_quotients,
     conjugacy_classes_oracle,
     element_order,
     generating_set_oracle,
@@ -363,16 +365,26 @@ def test_tower_kernel_sizes_multiply():
 
 def test_tower_composite_projection():
     t = g.cyclic_tower(2, 3)
-    q = t.projection(2, 0)
+    q = compose_quotients(t.links[0], t.links[1])
     assert q.projection == tuple(x % 2 for x in range(8))
     assert q.kernel.elements == (0, 2, 4, 6)
+    assert g.cyclic_tower(2, 3) is t  # the tower is built once
 
 
-def test_tower_projection_is_built_once():
-    t = g.cyclic_tower(2, 3)
-    assert t.projection(2, 0) is t.projection(2, 0)
-    assert g.cyclic_tower(2, 3).projection(2, 1) is t.projection(2, 1)
-    assert g.cyclic_tower(2, 3) is t  # the tower itself is built once
+def test_class_preimages_are_the_inflated_orbit_classes():
+    """Inflating the orbit of class c along a link gives one orbit, of
+    the class the preimage table gives for c, stabilized at point 0 by
+    the preimage of the class representative."""
+    for name, kernel in [("C8", (0, 4)), ("D4", (0, 5)), ("S3", (0, 3, 4))]:
+        G = corpus_group(name)
+        q = g.quotient(G, g.make_subgroup(G, kernel))
+        table = g.class_preimages(q)
+        assert len(table) == g.subgroup_lattice(q.target).num_classes
+        for c, (pre, cls) in enumerate(table):
+            X = gs.inflate(gs.orbit_gset(q.target, c), q)
+            assert len(X.orbits()) == 1
+            assert tuple(sorted(X.point_stabilizers[0])) == pre
+            assert gs.orbit_class_multiset(X) == (cls,)
 
 
 def test_corpus_is_complete_and_distinct():

@@ -198,8 +198,8 @@ def test_some_mutants_read_and_some_fail_in_every_way():
 
 @pytest.mark.parametrize("height", [0, 2, 3])
 def test_a_zero_width_block_of_the_wrong_height_is_a_shape_error(height):
-    """The reader keeps at most one empty row more than the largest level
-    has, which still tells a wrong height from the right one."""
+    """The reader keeps at most one empty row more than the text has
+    lines, which still tells a wrong height from the right one."""
     zero = _zero_level_c2()
     text = fm.serialize_mackey(zero, "g")
     assert "rows 1 cols 0\n" in text

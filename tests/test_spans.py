@@ -17,6 +17,7 @@ from oracles import (
     basis_span_mor,
     canonical_key_oracle,
     compose_keys_oracle,
+    compose_quotients,
     double_coset_count,
     groups_of_order_at_most,
     inverse_map,
@@ -477,7 +478,7 @@ def test_span_of_composed_functors():
     t = g.cyclic_tower(2, 3)
     q1 = t.links[1]  # C8 -> C4
     q0 = t.links[0]  # C4 -> C2
-    F = sp.InflationGSetFunctor(g.compose_quotients(q0, q1))
+    F = sp.InflationGSetFunctor(compose_quotients(q0, q1))
     direct = span_of_functor_oracle(F)
     step = span_of_functor_oracle(sp.InflationGSetFunctor(q1))
     first = span_of_functor_oracle(sp.InflationGSetFunctor(q0))
