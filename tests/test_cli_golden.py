@@ -73,6 +73,10 @@ CASES.update({
     "limit-span-2-2-cap3": ["--tower", "2,2", "--cap", "3", "verify", "limit-span"],
     "limit-span-3-2-cap3": ["--tower", "3,2", "--cap", "3", "verify", "limit-span"],
     "limit-span-5-2-cap3": ["--tower", "5,2", "--cap", "3", "verify", "limit-span"],
+    "limit-span-2-5": ["--tower", "2,5", "verify", "limit-span"],
+    "limit-span-3-3": ["--tower", "3,3", "verify", "limit-span"],
+    "colim-span-2-5": ["--tower", "2,5", "verify", "colim-span"],
+    "mackey-limit-3-3": ["--tower", "3,3", "verify", "mackey-limit"],
     "verify-all-cap4": ["--cap", "4", "verify", "all"],
     "verify-all-default": ["verify", "all"],
     "mackey-fixed-D4": ["mackey-fixed", "{dir}/D4.mackey", "0,5"],
@@ -80,6 +84,8 @@ CASES.update({
     "mackey-fixed-S3": ["mackey-fixed", "{dir}/S3.mackey", "0,3,4"],
     "mackey-fixed-C4": ["mackey-fixed", "{dir}/C4.mackey", "0,2"],
     "mackey-check-C4": ["mackey-check", "{dir}/C4.mackey"],
+    "mackey-check-D4": ["mackey-check", "{dir}/D4.mackey"],
+    "mackey-check-C2xC2xC2": ["mackey-check", "{dir}/C2xC2xC2.mackey"],
     "mackey-check-C4-signed-key": ["mackey-check", "{dir}/C4-signed-key.mackey"],
     "mackey-check-S3-bad": ["mackey-check", "{dir}/S3-bad.mackey"],
     "mackey-check-D4-bad": ["mackey-check", "{dir}/D4-bad.mackey"],
