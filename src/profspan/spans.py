@@ -4,10 +4,13 @@ A morphism X -> Y is a finitely supported multiset of isomorphism classes
 of spans X <- S -> Y with transitive apex S; hom-sets are free commutative
 monoids on these basis classes.  Two basis spans with apexes G/K1 and G/K2
 compose by the double-coset formula: the orbits of their pullback are the
-K1-orbits on one fibre of G/K2, with stabilizers K1 ∩ hK2h⁻¹, and each is
-canonicalised from per-group coset tables (coset_tables) without building
-the pullback G-set.  Composition is exact (integer multiplicities, no
-tolerance).
+K1-orbits on one fibre of G/K2, with stabilizers K1 ∩ hK2h⁻¹.  The
+K1-orbits on G/K2, with the class and conjugator of each stabilizer, are
+one table per pair of apex classes (_double_cosets), which every pair of
+keys with those apexes reads; each orbit in the fibre is canonicalised
+from that table and the action rows of the two canonical orbits, without
+building the pullback G-set or any table of length |G|.  Composition is
+exact (integer multiplicities, no tolerance).
 
 Each choice behind a key is made in one place.  Left cosets are numbered
 by groups.left_cosets, for the canonical orbits (gs.coset_gset) and the
@@ -38,8 +41,8 @@ transport and the semiadditivity check.
 
 The span checks of verify tabulate Span(F), for a GSetFunctor F, on the
 basis spans between orbits: each image is span_from_maps of F on the
-key's legs.  The composites of basis keys (_compose_keys) and the coset
-tables are kept for the process.
+key's legs.  The composites of basis keys (_compose_keys), the
+double-coset tables and the coset tables are kept for the process.
 """
 
 from __future__ import annotations
@@ -254,6 +257,45 @@ def identity_span(X: GSet) -> SpanMor:
     return span_from_maps(gs.identity_map(X), gs.identity_map(X))
 
 
+class DoubleCosets(NamedTuple):
+    """The (K1, K2) double cosets of two class representatives, as the
+    K1-orbits on G/K2, with the two canonical orbits' action rows."""
+
+    act1: tuple[tuple[int, ...], ...]  # gs.orbit_gset(G, c1).action
+    act2: tuple[tuple[int, ...], ...]  # gs.orbit_gset(G, c2).action
+    orbits: tuple[tuple[int, int, int, int], ...]  # (y, c, t0, h) per orbit
+
+
+@lru_cache(maxsize=None)
+def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> DoubleCosets:
+    """The double cosets of the representatives K1, K2 of classes c1, c2.
+
+    Each K1-orbit on G/K2 gives one (y, c, t0, h): y the least point of
+    the orbit, h = mins[y] the least element of the coset y = hK2, and
+    (c, t0) the class of the stabilizer K1 ∩ hK2h⁻¹ and its conjugator,
+    read from CosetTables.conjugator.  The table depends only on the two
+    classes, so every pair of keys with these apexes composes through it.
+    The action rows are those gs.coset_gset keeps for the process."""
+    T = coset_tables(G)
+    mult = G.mult
+    K1 = T.classes[c1].rep
+    coset2, mins2 = T.classes[c2].coset, T.classes[c2].mins
+    orbits = []
+    seen: set = set()
+    for y, h in enumerate(mins2):
+        if y in seen:
+            continue
+        stab = []
+        for a in K1:
+            z = coset2[mult[a][h]]
+            seen.add(z)
+            if z == y:
+                stab.append(a)
+        orbits.append((y, *T.conjugator[tuple(stab)], h))
+    act1, act2 = (gs.orbit_gset(G, c).action for c in (c1, c2))
+    return DoubleCosets(act1, act2, tuple(orbits))
+
+
 @lru_cache(maxsize=None)
 def _compose_keys(G: FiniteGroup, k2: Key, k1: Key) -> tuple:
     """Composite of two basis keys as a tuple of (key, mult); the result
@@ -262,30 +304,38 @@ def _compose_keys(G: FiniteGroup, k2: Key, k1: Key) -> tuple:
     By the double-coset formula the orbits of the pullback of
     G/K1 -> Y <- G/K2 are the K1-orbits on the fibre of G/K2 over the image
     of the coset K1, and the orbit through (K1, hK2) has stabilizer
-    K1 ∩ hK2h⁻¹.  No pullback G-set is built.
+    K1 ∩ hK2h⁻¹.  No pullback G-set is built.  The fibre is K1-stable, so
+    the one point y = hK2 that _double_cosets lists per K1-orbit decides
+    whether the whole orbit lies in it.
+
+    The legs at g·(K1, hK2) are left1 at gK1 and right2 at ghK2.  Each
+    orbit in the fibre is keyed as _least_key would key it from its class
+    c and conjugator t0, with no table of length |G|: the relabellings are
+    the n·t0 for n in N(R)/R, and the least pair (left1 at n·t0·K1,
+    right2 at n·t0·h·K2), read off the action rows at the points t0·K1
+    and t0·h·K2, picks one.  Only that relabelling is tabulated, from the
+    action rows at its two points.  Where several n reach the least pair
+    they give the same tables, by the argument in _least_key's docstring.
     """
     T = coset_tables(G)
     mult = G.mult
     (c1, left1, right1), (c2, left2, right2) = k1, k2
-    K1 = T.classes[c1].rep
-    coset2, mins2 = T.classes[c2].coset, T.classes[c2].mins
-    # the legs at g·(K1, hK2) are left1 at gK1 and right2 at ghK2
-    lg = [left1[p] for p in T.classes[c1].coset]
-    r2 = [right2[p] for p in coset2]
+    coset1, coset2 = T.classes[c1].coset, T.classes[c2].coset
+    act1, act2, orbits = _double_cosets(G, c1, c2)
+    fibre = right1[0]
     counts: dict = {}
-    seen: set = set()
-    for y, v in enumerate(left2):
-        if v != right1[0] or y in seen:
+    for y, c, t0, h in orbits:
+        if left2[y] != fibre:
             continue
-        h = mins2[y]
-        stab = []
-        for a in K1:
-            z = coset2[mult[a][h]]
-            seen.add(z)
-            if z == y:
-                stab.append(a)
-        c, t0 = T.conjugator[tuple(stab)]
-        key = _least_key(G, T, c, t0, lg, [r2[row[h]] for row in mult])
+        cls = T.classes[c]
+        u1, u2 = act1[coset1[t0]], act2[coset2[mult[t0][h]]]
+        _, _, n = min((left1[u1[a]], right2[u2[a]], a) for a in cls.normaliser)
+        row1, row2 = act1[u1[n]], act2[u2[n]]
+        key = (
+            c,
+            tuple([left1[row1[m]] for m in cls.mins]),
+            tuple([right2[row2[m]] for m in cls.mins]),
+        )
         counts[key] = counts.get(key, 0) + 1
     return _normalize(counts)
 

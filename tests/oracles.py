@@ -2,7 +2,8 @@
 
 Each recomputes by enumeration what the package computes from per-group
 tables or hom factors: the hom-enumerating span basis, the pullback
-composite of two basis keys, the least-key canonicalisation of a span
+composite of two basis keys and the composite walked element by element
+with leg tables of length |G|, the least-key canonicalisation of a span
 orbit, the rank of a basis hom by orbit counting, the colim-gset
 equivalence with every hom-set enumerated, Span(F) applied term by term
 with nothing kept between calls (the Span(F) the tests apply), the
@@ -164,6 +165,36 @@ def compose_keys_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> tuple:
     return sp._normalize(counts)
 
 
+def compose_keys_per_element_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> tuple:
+    """Oracle for _compose_keys: the K1-orbits on the fibre of G/K2 found
+    by walking every point of G/K2 and every element of K1, and each keyed
+    by _least_key from leg tables of length |G|."""
+    T = sp.coset_tables(G)
+    mult = G.mult
+    (c1, left1, right1), (c2, left2, right2) = k1, k2
+    K1 = T.classes[c1].rep
+    coset2, mins2 = T.classes[c2].coset, T.classes[c2].mins
+    # the legs at g·(K1, hK2) are left1 at gK1 and right2 at ghK2
+    lg = [left1[p] for p in T.classes[c1].coset]
+    r2 = [right2[p] for p in coset2]
+    counts: dict = {}
+    seen: set = set()
+    for y, v in enumerate(left2):
+        if v != right1[0] or y in seen:
+            continue
+        h = mins2[y]
+        stab = []
+        for a in K1:
+            z = coset2[mult[a][h]]
+            seen.add(z)
+            if z == y:
+                stab.append(a)
+        c, t0 = T.conjugator[tuple(stab)]
+        key = sp._least_key(G, T, c, t0, lg, [r2[row[h]] for row in mult])
+        counts[key] = counts.get(key, 0) + 1
+    return sp._normalize(counts)
+
+
 def compose_quotients(q_outer: QuotientMap, q_inner: QuotientMap) -> QuotientMap:
     """Composite projection: q_inner then q_outer."""
     if q_inner.target != q_outer.source:
@@ -316,7 +347,12 @@ def mackey_composition_oracle(M: mk.MackeyFunctor) -> Verdict:
                             for row, term_row in zip(expanded, term):
                                 for j, a in enumerate(term_row):
                                     row[j] += m * a
-                        direct = mk._matmul(M.gen_action[(c2, c3, k2)], A1, cols)
+                        A2 = M.gen_action[(c2, c3, k2)]
+                        direct = [
+                            [sum(a * A1[k][j] for k, a in enumerate(row))
+                             for j in range(cols)]
+                            for row in A2
+                        ]
                         if not mk._congruent(direct, expanded, tgt_orders):
                             return Verdict(
                                 False, "composition law fails", (c1, c2, c3, k1, k2)

@@ -17,6 +17,7 @@ from oracles import (
     basis_span_mor,
     canonical_key_oracle,
     compose_keys_oracle,
+    compose_keys_per_element_oracle,
     compose_quotients,
     double_coset_count,
     groups_of_order_at_most,
@@ -183,6 +184,73 @@ def test_compose_keys_match_pullback_oracle(name, relabel_seed):
             k2,
             k1,
         )
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+def test_compose_keys_match_the_per_element_oracle(name):
+    """Every composable pair of the given group, and a seeded sample of
+    them in a relabelled copy: the double-coset table keys each fibre
+    orbit as _least_key does from leg tables of length |G|."""
+    G = corpus_group(name)
+    for k2, k1 in _composable_basis_pairs(G):
+        assert sp._compose_keys(G, k2, k1) == compose_keys_per_element_oracle(
+            G, k2, k1
+        ), (k2, k1)
+    H = _relabelled(G, 17)
+    pairs = _composable_basis_pairs(H)
+    for k2, k1 in random.Random(name).sample(pairs, min(len(pairs), 100)):
+        assert sp._compose_keys(H, k2, k1) == compose_keys_per_element_oracle(
+            H, k2, k1
+        ), (k2, k1)
+
+
+@pytest.mark.parametrize("order", [64, 81, 128])
+def test_compose_keys_match_the_per_element_oracle_on_cyclic_endpoint_keys(order):
+    """A seeded sample of the endpoint-key pairs that the span and Mackey
+    checks of deep cyclic towers compose, where the pullback oracle is
+    slow."""
+    G = g.cyclic(order)
+    n = g.subgroup_lattice(G).num_classes
+    pairs = [
+        (k2, k1)
+        for c1, c2, c3 in itertools.product(range(n), repeat=3)
+        for k1 in sp.endpoint_keys(G, c1, c2)
+        for k2 in sp.endpoint_keys(G, c2, c3)
+    ]
+    for k2, k1 in random.Random(order).sample(pairs, 200):
+        assert sp._compose_keys(G, k2, k1) == compose_keys_per_element_oracle(
+            G, k2, k1
+        ), (k2, k1)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+def test_double_coset_table_matches_an_independent_count(name):
+    """For every pair of class representatives K1, K2 the table lists the
+    (K1, K2) double cosets, each as a K1-orbit on G/K2 given by its least
+    point, with the class and conjugator of its stabilizer; the orbits
+    are recomputed here from the multiplication table alone."""
+    G = corpus_group(name)
+    T = sp.coset_tables(G)
+    for (c1, A), (c2, B) in itertools.product(enumerate(T.classes), repeat=2):
+        K1, K2 = A.rep, B.rep
+        table = sp._double_cosets(G, c1, c2)
+        assert table.act1 == gs.orbit_gset(G, c1).action
+        assert table.act2 == gs.orbit_gset(G, c2).action
+        assert len(table.orbits) == double_coset_count(G, K1, K2)
+        cosets = {frozenset(G.mul(x, k) for k in K2) for x in G.elements()}
+        covered: set = set()
+        sizes = []
+        for y, c, t0, h in table.orbits:
+            hK2 = frozenset(G.mul(h, k) for k in K2)
+            orbit = {frozenset(G.mul(a, x) for x in hK2) for a in K1}
+            assert h == min(hK2) == min(map(min, orbit)) and B.coset[h] == y
+            stab = [a for a in K1 if frozenset(G.mul(a, x) for x in hK2) == hK2]
+            assert len(orbit) * len(stab) == len(K1)
+            assert sorted(G.conj(t0, a) for a in stab) == list(T.classes[c].rep)
+            covered |= orbit
+            sizes.append(len(orbit))
+        assert sum(sizes) == G.order // len(K2) == len(cosets)
+        assert covered == cosets
 
 
 @pytest.mark.parametrize("relabel_seed", [None, 5], ids=["given", "relabelled"])
