@@ -77,6 +77,11 @@ CASES.update({
     "limit-span-3-3": ["--tower", "3,3", "verify", "limit-span"],
     "colim-span-2-5": ["--tower", "2,5", "verify", "colim-span"],
     "mackey-limit-3-3": ["--tower", "3,3", "verify", "mackey-limit"],
+    "mackey-limit-2-5": ["--tower", "2,5", "verify", "mackey-limit"],
+    "mackey-limit-3-4": ["--tower", "3,4", "verify", "mackey-limit"],
+    "limit-span-3-4": ["--tower", "3,4", "verify", "limit-span"],
+    "colim-span-5-3": ["--tower", "5,3", "verify", "colim-span"],
+    "mackey-limit-5-3": ["--tower", "5,3", "verify", "mackey-limit"],
     "verify-all-cap4": ["--cap", "4", "verify", "all"],
     "verify-all-default": ["verify", "all"],
     "mackey-fixed-D4": ["mackey-fixed", "{dir}/D4.mackey", "0,5"],
