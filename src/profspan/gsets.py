@@ -300,10 +300,6 @@ def empty_gset(G: FiniteGroup) -> GSet:
     return GSet(G, ())
 
 
-def point_gset(G: FiniteGroup) -> GSet:
-    return GSet(G, (tuple(0 for _ in G.elements()),))
-
-
 def coproduct(X: GSet, Y: GSet) -> tuple[GSet, EqMap, EqMap]:
     if X.group != Y.group:
         raise GroupMismatch("coproduct requires a common group")

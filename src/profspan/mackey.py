@@ -9,9 +9,11 @@ double-coset formula, and all arithmetic is exact.
 The module works on basis keys only, and builds no span morphism.  The
 basis spans between orbits, which gen_action is keyed by, are
 spans.orbit_keys; a key is made with spans.canonical_key (reversed and
-identity spans included) and composed with spans._compose_keys, which
-number cosets and choose conjugators as spans.coset_tables does and
-read one double-coset table per pair of apex classes.
+identity spans included) and composed with spans._compose_keys, given
+the canonical orbits at its two ends.  Both number cosets and choose
+conjugators as spans.coset_tables does, and key every orbit from the
+W-orbit table of each end and class (spans._least_points), so every
+key of one functor shares the leg tuples of those tables.
 
 check_mackey decides the composition law on the pairs of endpoint keys
 (spans.endpoint_keys): the transfers, restrictions and conjugations,
@@ -141,17 +143,19 @@ def burnside_mackey(G: FiniteGroup) -> MackeyFunctor:
     lat = subgroup_lattice(G)
     n = lat.num_classes
     pt_class = lat.class_of(tuple(G.elements()))
+    orbits = [gs.orbit_gset(G, c) for c in range(n)]
+    pt = orbits[pt_class]
     level_basis = [sp.orbit_basis(G, c, pt_class) for c in range(n)]
     levels = tuple(AbPresentation(len(bs)) for bs in level_basis)
     tgt_index = [{k: i for i, k in enumerate(bs)} for bs in level_basis]
     gen_action: dict = {}
     for c1, c2, key in sp.orbit_keys(G):
         a, legL, legR = key
-        flipped = sp.canonical_key(gs.orbit_gset(G, a), 0, legR, legL)
+        flipped = sp.canonical_key(orbits[a], 0, legR, legL, orbits[c2], orbits[c1])
         cols = []
         for src_key in level_basis[c1]:
             col = [0] * len(level_basis[c2])
-            for k, m in sp._compose_keys(G, src_key, flipped):
+            for k, m in sp._compose_keys(orbits[c2], pt, src_key, flipped):
                 col[tgt_index[c2][k]] = m
             cols.append(col)
         # every level has the span of the orbit itself, so cols is not empty
@@ -197,8 +201,8 @@ def _composition_failure(M: MackeyFunctor, bases) -> tuple | None:
     """The first (c1, c2, c3, k1, k2) with k1 in bases[c1][c2] and k2 in
     bases[c2][c3] for which M(k2 ∘ k1) and M(k2)·M(k1) differ as maps into
     level c3, in that lexicographic order; None if there is none."""
-    G = M.group
     n = len(bases)
+    orbits = [gs.orbit_gset(M.group, c) for c in range(n)]
     for c1 in range(n):
         cols = M.levels[c1].dims
         for c2 in range(n):
@@ -217,7 +221,7 @@ def _composition_failure(M: MackeyFunctor, bases) -> tuple | None:
                             tuple(sum(map(mul, row, col)) for col in A1t)
                             for row in M.gen_action[(c2, c3, k2)]
                         )
-                        composite = sp._compose_keys(G, k2, k1)
+                        composite = sp._compose_keys(orbits[c1], orbits[c3], k2, k1)
                         expanded = _value(M, c1, c3, composite, rows, cols)
                         if direct != expanded and not _congruent(
                             direct, expanded, tgt_orders
@@ -259,7 +263,7 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
                     )
     for c in range(n):
         X = gs.orbit_gset(G, c)
-        A = M.gen_action[(c, c, sp.canonical_key(X, 0, X.points(), X.points()))]
+        A = M.gen_action[(c, c, sp.canonical_key(X, 0, X.points(), X.points(), X, X))]
         if not _congruent(A, _identity(M.levels[c].dims), M.levels[c].orders()):
             return Verdict(False, "identity span does not act as identity", c)
     generators = [[sp.endpoint_keys(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
@@ -305,21 +309,27 @@ def _inflated_keys(q: QuotientMap) -> tuple[tuple[int, ...], tuple]:
     values.  The class of q⁻¹(C) is read from groups.class_preimages.
     σ_c, the canonical_iso of the inflated orbit of class c, renames it
     onto G's canonical orbit of the preimage class.  The G-key is one
-    canonical_key of that apex with legs σ_c1∘legL and σ_c2∘legR, which
-    reads the apex only through its row q(g)·C_a; no G-set or map is
-    built per key."""
+    canonical_key of that apex with legs σ_c1∘legL and σ_c2∘legR into
+    those canonical orbits, which reads the apex only through its row
+    q(g)·C_a; no G-set or map is built per key."""
     G, Q = q.source, q.target
     nq = subgroup_lattice(Q).num_classes
     inflated = [gs.inflate(gs.orbit_gset(Q, c), q) for c in range(nq)]
     sigma = [gs.canonical_iso(X) for X in inflated]
     pre = tuple(c for _, c in class_preimages(q))
+    targets = [gs.orbit_gset(G, c) for c in pre]
     own = {k: k for a in pre for b in pre for k in sp.orbit_basis(G, a, b)}
     pairs = []
     for c1, c2, key in sp.orbit_keys(Q):
         a, legL, legR = key
         s1, s2 = sigma[c1].values, sigma[c2].values
         gkey = sp.canonical_key(
-            inflated[a], 0, [s1[x] for x in legL], [s2[y] for y in legR]
+            inflated[a],
+            0,
+            [s1[x] for x in legL],
+            [s2[y] for y in legR],
+            targets[c1],
+            targets[c2],
         )
         pairs.append(((c1, c2, key), (pre[c1], pre[c2], own[gkey])))
     return pre, tuple(pairs)

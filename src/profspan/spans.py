@@ -7,27 +7,32 @@ compose by the double-coset formula: the orbits of their pullback are the
 K1-orbits on one fibre of G/K2, with stabilizers K1 ∩ hK2h⁻¹.  The
 K1-orbits on G/K2, with the class and conjugator of each stabilizer, are
 one table per pair of apex classes (_double_cosets), which every pair of
-keys with those apexes reads; each orbit in the fibre is canonicalised
-from that table and the action rows of the two canonical orbits, without
-building the pullback G-set or any table of length |G|.  Composition is
-exact (integer multiplicities, no tolerance).
+keys with those apexes reads.  Composition is exact (integer
+multiplicities, no tolerance), and builds no pullback G-set and no table
+of length |G|.
+
+A basis span is its key alone: the class c of its apex stabilizer and
+its two legs tabulated on the canonical coset apex G/R_c.  A span with
+apex G/R is a pair (x, y) of R-fixed points of its two ends, and its key
+tabulates the least pair (n·x, n·y) over W = N(R)/R.  One table per
+G-set X and class c (_least_points) gives, for every x in X^R, the least
+point x* of its W-orbit, the carriers n with n·x = x*, and the leg table
+of x, built once and shared by every key that reads it.  Every key is
+made from that table, in one place (_pair_key): a fibre orbit of a
+composite (_compose_keys), an orbit of an arbitrary apex (canonical_key)
+and a pair of fixed points of the basis (span_basis), which keeps a pair
+iff x = x* and no carrier of x lowers y.  So a key costs |Stab_W(x)|
+actions, not |W|, and a composite holds the tables' own tuples.
 
 Each choice behind a key is made in one place.  Left cosets are numbered
 by groups.left_cosets, for the canonical orbits (gs.coset_gset) and the
 coset tables alike.  The element conjugating a subgroup onto its class
-representative is the one subgroup_lattice records; _least_key gives the
-same key for any other.  A key is canonicalised by _least_key, through
-canonical_key, and composed by _compose_keys.
+representative is the one subgroup_lattice records; _pair_key gives the
+same key for any other.
 
-A basis span is its key alone: the class c of its apex stabilizer and
-its two legs tabulated on the canonical coset apex G/R_c.  The basis of
-hom(X, Y) is read off pairs of fixed points: a span with apex G/K is a
-point of X^K and a point of Y^K.  span_basis keys one pair (x, y) of
-K-fixed points per orbit of the normaliser of K, for one K per subgroup
-class, without enumerating hom-sets.  basis_legs turns a key back into
-its two legs.  orbit_basis is the basis between two canonical orbits,
-endpoint_keys its generators, and orbit_keys lists every basis key
-between orbits.
+basis_legs turns a key back into its two legs.  orbit_basis is the basis
+between two canonical orbits, endpoint_keys its generators, and
+orbit_keys lists every basis key between orbits.
 
 The way from legs back to keys is one loop, span_from_maps: it
 canonicalises every orbit of the apex and adds up the keys.  The Mackey
@@ -35,14 +40,16 @@ and Burnside code works on keys alone and calls canonical_key directly:
 the reversed span of a key is its apex orbit's key with the legs
 swapped, the identity of an orbit X is the key of X with both legs the
 identity, and mackey.categorical_fixed_points keys legs renamed before
-keying.  The pullback composite, the hom-enumerating basis and Span(F)
-applied term by term stay as oracles in the test suite, as do span sums,
-transport and the semiadditivity check.
+keying.  The pullback composite, the least-key canonicalisation from leg
+tables of length |G|, the hom-enumerating basis and Span(F) applied term
+by term stay as oracles in the test suite, as do span sums, transport and
+the semiadditivity check.
 
 The span checks of verify tabulate Span(F), for a GSetFunctor F, on the
 basis spans between orbits: each image is span_from_maps of F on the
-key's legs.  The composites of basis keys (_compose_keys), the
-double-coset tables and the coset tables are kept for the process.
+key's legs.  The composites of basis keys (_compose_keys), the W-orbit
+tables, the double-coset tables and the coset tables are kept for the
+process.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from .gsets import EqMap, GSet
 
 # A basis key is (apex stabilizer class index, legL values, legR values)
 # with the legs tabulated on the canonical coset apex and minimized
-# lexicographically over all apex relabelings.
+# lexicographically over all apex relabelings (_pair_key).
 Key = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
@@ -99,60 +106,81 @@ def coset_tables(G: FiniteGroup) -> CosetTables:
     return CosetTables(tuple(classes), lat.where)
 
 
-def _least_key(G: FiniteGroup, T: CosetTables, c: int, t0: int, lg, rg) -> Key:
-    """The key of one orbit of a span's apex.
+class LeastPoints(NamedTuple):
+    """The W-orbits on X^R of one G-set X and one subgroup class, R the
+    class representative and W = N(R)/R as OrbitClass.normaliser lists it.
 
-    The orbit's base point has a stabilizer S with t0 S t0⁻¹ the class-c
-    representative R, and lg[g], rg[g] are the leg values at g·base.  The
-    points with stabilizer exactly R are n·t0·base for n in N(R)/R, one per
-    relabelling of the apex as G/R.  The legs are equivariant, so each
-    relabelling's leg tables are fixed by their values at point 0 (the
-    coset R), which they list first; the lexicographic minimum is therefore
-    the relabelling with the least pair of values there.
-
-    The key does not depend on which conjugator t0 is given.  Every t with
-    t S t⁻¹ = R is m·t0 for some m in N(R), and n·m runs over N(R)/R as n
-    does, so every choice reaches the same points n·t0·base.  The minimum
-    over those points may be reached at several; but two equivariant legs
-    with equal values at point 0 have equal tables, because the value at
-    coset mR is m times the value at R.  So every choice gives the same
-    tables.
+    A span with apex G/R is a pair of R-fixed points, and n in W relabels
+    the apex, moving the pair (x, y) to (n·x, n·y); its key tabulates the
+    least pair.  That pair has x* = min{n·x}, and the y part is least over
+    the carriers of x, the n with n·x = x*: |Stab_W(x)| of them, not |W|.
+    The tables are indexed by the points of X; a point outside X^R has
+    least -1, no carriers and no legs.  Every key made from X shares the
+    one leg tuple of each point.
     """
-    mult = G.mult
-    cls = T.classes[c]
-    g = min((mult[n][t0] for n in cls.normaliser), key=lambda x: (lg[x], rg[x]))
-    imgs = [mult[m][g] for m in cls.mins]
-    return (c, tuple(map(lg.__getitem__, imgs)), tuple(map(rg.__getitem__, imgs)))
+
+    fixed: tuple[int, ...]  # X^R, in point order
+    least: tuple[int, ...]  # x*, the least point of the W-orbit of x
+    carriers: tuple[tuple[int, ...], ...]  # the n in W with n·x = x*
+    legs: tuple  # x's leg table, tuple(X.action[x][m] for m in mins)
 
 
-def canonical_key(apex: GSet, base: int, legL, legR) -> Key:
+@lru_cache(maxsize=None)
+def _least_points(X: GSet, c: int) -> LeastPoints:
+    """The W-orbit table of X and class c, built on first use."""
+    cls = coset_tables(X.group).classes[c]
+    fixed = gs.fixed_by(X, cls.rep)
+    least, carriers, legs = [-1] * X.size, [()] * X.size, [None] * X.size
+    for x in fixed:
+        row = X.action[x]
+        images = [row[n] for n in cls.normaliser]
+        least[x] = star = min(images)
+        carriers[x] = tuple(n for n, v in zip(cls.normaliser, images) if v == star)
+        legs[x] = tuple(map(row.__getitem__, cls.mins))
+    return LeastPoints(fixed, tuple(least), tuple(carriers), tuple(legs))
+
+
+def _pair_key(c: int, X: GSet, x0: int, Y: GSet, y0: int) -> Key:
+    """The key of the span with apex G/R, R the class-c representative,
+    and legs gR -> g·x0 into X and gR -> g·y0 into Y.
+
+    The points of the apex with stabilizer exactly R are the n·R for n in
+    W = N(R)/R, one per relabelling of the apex as G/R.  The legs are
+    equivariant, so each relabelling's leg tables are fixed by their
+    values at point 0, which they list first, and two relabellings with
+    equal values there have equal tables (the value at mR is m times the
+    value at R).  So the lexicographic minimum is the relabelling with the
+    least pair (n·x0, n·y0): n·x0 = x0* for the carriers n of x0, and
+    among those the least n·y0.  Given (m·x0, m·y0) for some m in W, the
+    carriers are those of x0 times m⁻¹, which reach the same pair; so the
+    key does not depend on which point with stabilizer R is given."""
+    lx = _least_points(X, c)
+    row = Y.action[y0]
+    y = min(map(row.__getitem__, lx.carriers[x0]))
+    return (c, lx.legs[lx.least[x0]], _least_points(Y, c).legs[y])
+
+
+def canonical_key(apex: GSet, base: int, legL, legR, X: GSet, Y: GSet) -> Key:
     """Canonical key of the span X <- apex -> Y restricted to the orbit of
-    base; the legs are given as full value tables on apex and must be
-    equivariant (every caller passes EqMap values or key tables).
+    base; the legs are given as full value tables on apex, into X and Y,
+    and must be equivariant (every caller passes EqMap values or key
+    tables).
 
     The apex is read only through its position table row[g] = g·base.
     The orbit is G/S by g·base ↦ gS, for S = {g : row[g] = base}, and the
-    legs at gS are legL[row[g]] and legR[row[g]]; these are what
-    _least_key reads.  _least_key minimizes over every relabelling of the
-    orbit as G/R, so the key depends only on the class of the span.  So
-    legs renamed along isomorphisms X ≅ X', Y ≅ Y' before the call give
-    the key of the renamed span in one call: the key that keying the span,
-    renaming the legs of its key and keying again gives."""
+    point t0·base, for the conjugator t0 of S onto the class
+    representative R, has stabilizer R; the legs there are what _pair_key
+    reads.  _pair_key minimizes over every relabelling of the orbit as
+    G/R, so the key depends only on the class of the span, and any t with
+    t S t⁻¹ = R, which is m·t0 for some m in N(R), gives the same key.
+    So legs renamed along isomorphisms X ≅ X', Y ≅ Y' before the call
+    give the key of the renamed span in one call: the key that keying the
+    span, renaming the legs of its key and keying again gives."""
     G = apex.group
-    T = coset_tables(G)
     row = apex.action[base]
-    c, t0 = T.conjugator[tuple(g for g in G.elements() if row[g] == base)]
-    return _least_key(G, T, c, t0, [legL[x] for x in row], [legR[x] for x in row])
-
-
-def _fixed_by_class(X: GSet, T: CosetTables) -> list[tuple[int, ...]]:
-    """X^R for the representative R of each subgroup class, in point order,
-    read from the point stabilizers X keeps.  Keeping those of the coset
-    G-sets that coset_gset holds for the process costs little memory: the
-    `corpus_mackey` benchmark's peak_rss_mb is 59.52 MB, against 59.06 MB
-    with the stabilizers computed per call (medians of ten runs, Python
-    3.11.7, 2 cores)."""
-    return [gs.fixed_by(X, cls.rep) for cls in T.classes]
+    c, t0 = coset_tables(G).conjugator[tuple(g for g in G.elements() if row[g] == base)]
+    point = row[t0]
+    return _pair_key(c, X, legL[point], Y, legR[point])
 
 
 def span_basis(X: GSet, Y: GSet) -> list[Key]:
@@ -160,29 +188,29 @@ def span_basis(X: GSet, Y: GSet) -> list[Key]:
 
     A span with apex G/K, for K the representative of class c, is a pair
     (x, y) of K-fixed points, with legs gK -> g·x and gK -> g·y.  Two
-    pairs give isomorphic spans iff an element n of the normaliser N(K)
-    carries one to the other, and the key of a pair (as in _least_key)
-    tabulates the least pair (n·x, n·y) of its N(K)-orbit over the coset
-    minima.  So the basis is one key per pair that is least in its
-    orbit; the tables start with x and y, so the keys come out sorted.
+    pairs give isomorphic spans iff an element n of N(K)/K carries one to
+    the other, and the key of a pair (as in _pair_key) tabulates the
+    least pair (n·x, n·y) of its orbit.  So the basis is one key per pair
+    that is least in its orbit: x is the least point x* of its W-orbit,
+    and y ≤ n·y for every carrier n of x (_least_points).  The tables
+    start with x and y, so the keys come out sorted.
     """
     if X.group != Y.group:
         raise GroupMismatch("span endpoints require a common group")
-    T = coset_tables(X.group)
-    fixed_x, fixed_y = _fixed_by_class(X, T), _fixed_by_class(Y, T)
     keys: list[Key] = []
-    for c, cls in enumerate(T.classes):
-        ys = fixed_y[c]
-        if not ys:
+    for c in range(len(coset_tables(X.group).classes)):
+        ly = _least_points(Y, c)
+        if not ly.fixed:
             continue
-        right = [tuple(map(Y.action[y].__getitem__, cls.mins)) for y in ys]
-        for x in fixed_x[c]:
-            gx = X.action[x]
-            left = tuple(map(gx.__getitem__, cls.mins))
-            for y, table in zip(ys, right):
-                gy = Y.action[y]
-                if all((gx[n], gy[n]) >= (x, y) for n in cls.normaliser):
-                    keys.append((c, left, table))
+        lx = _least_points(X, c)
+        for x in lx.fixed:
+            if lx.least[x] != x:
+                continue
+            carriers, left = lx.carriers[x], lx.legs[x]
+            for y in ly.fixed:
+                row = Y.action[y]
+                if all(row[n] >= y for n in carriers):
+                    keys.append((c, left, ly.legs[y]))
     return keys
 
 
@@ -248,7 +276,7 @@ def span_from_maps(f: EqMap, g: EqMap) -> SpanMor:
         raise ObjectMismatch("legs must share an apex")
     counts: dict = {}
     for orb in f.src.orbits():
-        k = canonical_key(f.src, orb[0], f.values, g.values)
+        k = canonical_key(f.src, orb[0], f.values, g.values, f.dst, g.dst)
         counts[k] = counts.get(k, 0) + 1
     return SpanMor(f.dst, g.dst, _normalize(counts))
 
@@ -257,25 +285,16 @@ def identity_span(X: GSet) -> SpanMor:
     return span_from_maps(gs.identity_map(X), gs.identity_map(X))
 
 
-class DoubleCosets(NamedTuple):
-    """The (K1, K2) double cosets of two class representatives, as the
-    K1-orbits on G/K2, with the two canonical orbits' action rows."""
-
-    act1: tuple[tuple[int, ...], ...]  # gs.orbit_gset(G, c1).action
-    act2: tuple[tuple[int, ...], ...]  # gs.orbit_gset(G, c2).action
-    orbits: tuple[tuple[int, int, int, int], ...]  # (y, c, t0, h) per orbit
-
-
 @lru_cache(maxsize=None)
-def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> DoubleCosets:
-    """The double cosets of the representatives K1, K2 of classes c1, c2.
+def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> tuple:
+    """The double cosets of the representatives K1, K2 of classes c1, c2,
+    as the K1-orbits on G/K2.
 
     Each K1-orbit on G/K2 gives one (y, c, t0, h): y the least point of
     the orbit, h = mins[y] the least element of the coset y = hK2, and
     (c, t0) the class of the stabilizer K1 ∩ hK2h⁻¹ and its conjugator,
     read from CosetTables.conjugator.  The table depends only on the two
-    classes, so every pair of keys with these apexes composes through it.
-    The action rows are those gs.coset_gset keeps for the process."""
+    classes, so every pair of keys with these apexes composes through it."""
     T = coset_tables(G)
     mult = G.mult
     K1 = T.classes[c1].rep
@@ -292,14 +311,14 @@ def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> DoubleCosets:
             if z == y:
                 stab.append(a)
         orbits.append((y, *T.conjugator[tuple(stab)], h))
-    act1, act2 = (gs.orbit_gset(G, c).action for c in (c1, c2))
-    return DoubleCosets(act1, act2, tuple(orbits))
+    return tuple(orbits)
 
 
 @lru_cache(maxsize=None)
-def _compose_keys(G: FiniteGroup, k2: Key, k1: Key) -> tuple:
-    """Composite of two basis keys as a tuple of (key, mult); the result
-    depends only on the group and the keys, not on the middle object.
+def _compose_keys(X: GSet, Z: GSet, k2: Key, k1: Key) -> tuple:
+    """Composite of basis keys k1: X -> Y and k2: Y -> Z as a tuple of
+    (key, mult).  The middle object Y is not needed: k2's left leg and
+    k1's right leg are tabulated on it.
 
     By the double-coset formula the orbits of the pullback of
     G/K1 -> Y <- G/K2 are the K1-orbits on the fibre of G/K2 over the image
@@ -308,34 +327,22 @@ def _compose_keys(G: FiniteGroup, k2: Key, k1: Key) -> tuple:
     the one point y = hK2 that _double_cosets lists per K1-orbit decides
     whether the whole orbit lies in it.
 
-    The legs at g·(K1, hK2) are left1 at gK1 and right2 at ghK2.  Each
-    orbit in the fibre is keyed as _least_key would key it from its class
-    c and conjugator t0, with no table of length |G|: the relabellings are
-    the n·t0 for n in N(R)/R, and the least pair (left1 at n·t0·K1,
-    right2 at n·t0·h·K2), read off the action rows at the points t0·K1
-    and t0·h·K2, picks one.  Only that relabelling is tabulated, from the
-    action rows at its two points.  Where several n reach the least pair
-    they give the same tables, by the argument in _least_key's docstring.
+    The legs at g·(K1, hK2) are left1 at gK1 and right2 at ghK2.  The
+    point t0·(K1, hK2) of the orbit, for its class c and conjugator t0,
+    has stabilizer R_c, and the legs there are x0 = left1 at t0·K1 and
+    z0 = right2 at t0·h·K2: _pair_key keys the orbit from those two
+    points, reading the W-orbit tables of X and Z and tabulating nothing.
     """
-    T = coset_tables(G)
-    mult = G.mult
+    T = coset_tables(X.group)
+    mult = X.group.mult
     (c1, left1, right1), (c2, left2, right2) = k1, k2
     coset1, coset2 = T.classes[c1].coset, T.classes[c2].coset
-    act1, act2, orbits = _double_cosets(G, c1, c2)
     fibre = right1[0]
     counts: dict = {}
-    for y, c, t0, h in orbits:
+    for y, c, t0, h in _double_cosets(X.group, c1, c2):
         if left2[y] != fibre:
             continue
-        cls = T.classes[c]
-        u1, u2 = act1[coset1[t0]], act2[coset2[mult[t0][h]]]
-        _, _, n = min((left1[u1[a]], right2[u2[a]], a) for a in cls.normaliser)
-        row1, row2 = act1[u1[n]], act2[u2[n]]
-        key = (
-            c,
-            tuple([left1[row1[m]] for m in cls.mins]),
-            tuple([right2[row2[m]] for m in cls.mins]),
-        )
+        key = _pair_key(c, X, left1[coset1[t0]], Z, right2[coset2[mult[t0][h]]])
         counts[key] = counts.get(key, 0) + 1
     return _normalize(counts)
 
@@ -345,13 +352,13 @@ def compose_spans(m2: SpanMor, m1: SpanMor) -> SpanMor:
     extending bilinearly."""
     if m1.right != m2.left:
         raise ObjectMismatch("span morphisms do not compose")
-    G = m1.left.group
+    X, Z = m1.left, m2.right
     counts: dict = {}
     for k1, c1 in m1.terms:
         for k2, c2 in m2.terms:
-            for k, c in _compose_keys(G, k2, k1):
+            for k, c in _compose_keys(X, Z, k2, k1):
                 counts[k] = counts.get(k, 0) + c1 * c2 * c
-    return SpanMor(m1.left, m2.right, _normalize(counts))
+    return SpanMor(X, Z, _normalize(counts))
 
 
 @dataclass(frozen=True)
@@ -370,9 +377,11 @@ def burnside_tables(G: FiniteGroup) -> BurnsideTables:
     """
     T = coset_tables(G)
     n = len(T.classes)
-    orbits = (gs.orbit_gset(G, c) for c in range(n))
-    marks = tuple(tuple(map(len, _fixed_by_class(X, T))) for X in orbits)
-    pt = gs.point_gset(G)
+    orbits = [gs.orbit_gset(G, c) for c in range(n)]
+    marks = tuple(
+        tuple(len(gs.fixed_by(X, cls.rep)) for cls in T.classes) for X in orbits
+    )
+    pt = orbits[-1]  # the class of G is the last, the only one of its order
     basis = span_basis(pt, pt)
     assert len(basis) == n
     index = {k: i for i, k in enumerate(basis)}
@@ -381,7 +390,7 @@ def burnside_tables(G: FiniteGroup) -> BurnsideTables:
         row = []
         for b_j in basis:
             coeffs = [0] * n
-            for k, m in _compose_keys(G, b_i, b_j):
+            for k, m in _compose_keys(pt, pt, b_i, b_j):
                 coeffs[index[k]] = m
             row.append(tuple(coeffs))
         ring.append(tuple(row))

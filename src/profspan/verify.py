@@ -148,17 +148,18 @@ def _basis_failure(F: sp.GSetFunctor, image, orbits, kept) -> str | None:
         if len(hit) != sum(map(bool, images)) or not hit.issubset(target):
             return "not injective on basis"
     for c, X in enumerate(orbits):
-        key = sp.canonical_key(X, 0, X.points(), X.points())
+        key = sp.canonical_key(X, 0, X.points(), X.points(), X, X)
         if image[c, c, key] != sp.identity_span(F.obj(X)):
             return "does not preserve an identity span"
     return None
 
 
-def _law_holds(G, image, c1, c2, c3, k1, k2) -> bool:
+def _law_holds(orbits, image, c1, c2, c3, k1, k2) -> bool:
     """Span(F)(k2 ∘ k1) = Span(F)(k2) ∘ Span(F)(k1) for keys k1: c1 -> c2
-    and k2: c2 -> c3, both sides read from the image table."""
+    and k2: c2 -> c3 between the orbits, both sides read from the image
+    table."""
     left: Counter = Counter()
-    for k, m in sp._compose_keys(G, k2, k1):
+    for k, m in sp._compose_keys(orbits[c1], orbits[c3], k2, k1):
         for key, c in image[c1, c3, k].terms:
             left[key] += m * c
     right = sp.compose_spans(image[c2, c3, k2], image[c1, c2, k1])
@@ -205,7 +206,7 @@ def _span_functor_check(tower, name: str, functor, kept, conclusion: str) -> Ver
         for c1, c2, c3 in itertools.product(classes, repeat=3):
             ends = sp.endpoint_keys(G, c1, c2), sp.endpoint_keys(G, c2, c3)
             for k1, k2 in itertools.product(*ends):
-                if not _law_holds(G, image, c1, c2, c3, k1, k2):
+                if not _law_holds(orbits, image, c1, c2, c3, k1, k2):
                     reason = f"Span({name}) not functorial at stage {i}"
                     return Verdict(False, reason, (c1, c2, c3, k1, k2))
                 composed += 1

@@ -3,34 +3,36 @@
 Each recomputes by enumeration what the package computes from per-group
 tables or hom factors: the hom-enumerating span basis, the pullback
 composite of two basis keys and the composite walked element by element
-with leg tables of length |G|, the least-key canonicalisation of a span
-orbit, the rank of a basis hom by orbit counting, the colim-gset
-equivalence with every hom-set enumerated, Span(F) applied term by term
-with nothing kept between calls (the Span(F) the tests apply), the
-adjunction's unit and counit squares built and decided for one map at a
-time, the Mackey composition law tested on every pair of basis spans
-between orbits, categorical fixed points through inflated G-sets,
-associativity of a multiplication table tested on every triple, the
-greedy generating set of a group found by closures, left exactness over
-every cospan of the given G-sets with every pullback built, and the span
-checks of verify as they were before they were decided on orbit
-generators: on the stage objects up to a size cap, with functoriality
-sampled or tested on the first four objects.  OrbitQuotientFunctor is a
-functor that is not left exact, for the negative controls.
+with leg tables of length |G|, each orbit keyed by a min over N(R)/R
+(least_key) in place of the W-orbit tables, the least-key
+canonicalisation of a span orbit over every point of it, the rank of a
+basis hom by orbit counting, the colim-gset equivalence with every
+hom-set enumerated, Span(F) applied term by term with nothing kept
+between calls (the Span(F) the tests apply), the adjunction's unit and
+counit squares built and decided for one map at a time, the Mackey
+composition law tested on every pair of basis spans between orbits,
+categorical fixed points through inflated G-sets, associativity of a
+multiplication table tested on every triple, the greedy generating set
+of a group found by closures, left exactness over every cospan of the
+given G-sets with every pullback built, and the span checks of verify as
+they were before they were decided on orbit generators: on the stage
+objects up to a size cap, with functoriality sampled or tested on the
+first four objects.  OrbitQuotientFunctor is a functor that is not left
+exact, for the negative controls.
 
 The exhaustive subgroup search, which closes each subgroup found with
 every element outside it, and the conjugacy pass that conjugates each
 class representative by every element are the oracles of
 subgroup_lattice.  The Mackey file reader as it was before its key table,
 which parses every key token and checks the structure after the last
-block, is the oracle of parse_mackey.  The rest
-is what only the tests use: the corpus groups of bounded order, element
-orders and an isomorphism search, composite quotient maps, the subgroup a
-set generates, inverse
-maps, the sum and multiples of span morphisms, the transport of a span
-along maps of its endpoints, and the semiadditivity check built on them;
-one-term span morphisms, composite maps, fibre products and pullbacks of
-G-sets, and the test of a square for being a pullback by counting.
+block, is the oracle of parse_mackey.  The rest is what only the tests
+use: the corpus groups of bounded order, element orders and an
+isomorphism search, composite quotient maps, the subgroup a set
+generates, inverse maps, the sum and multiples of span morphisms, the
+transport of a span along maps of its endpoints, and the semiadditivity
+check built on them; the one-point G-set built afresh, one-term span
+morphisms, composite maps, fibre products and pullbacks of G-sets, and
+the test of a square for being a pullback by counting.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def span_basis_oracle(X: GSet, Y: GSet) -> list[sp.Key]:
         apex = gs.coset_gset(G, lat.class_rep(c).elements)
         for f in gs.hom_gset(apex, X):
             for g in gs.hom_gset(apex, Y):
-                keys.add(sp.canonical_key(apex, 0, f.values, g.values))
+                keys.add(sp.canonical_key(apex, 0, f.values, g.values, X, Y))
     return sorted(keys)
 
 
@@ -165,10 +167,37 @@ def compose_keys_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> tuple:
     return sp._normalize(counts)
 
 
+def least_key(G: FiniteGroup, T: sp.CosetTables, c: int, t0: int, lg, rg) -> sp.Key:
+    """Oracle for _pair_key: the key of one orbit of a span's apex, from
+    leg tables of length |G| and a min over N(R)/R.
+
+    The orbit's base point has a stabilizer S with t0 S t0⁻¹ the class-c
+    representative R, and lg[g], rg[g] are the leg values at g·base.  The
+    points with stabilizer exactly R are n·t0·base for n in N(R)/R, one per
+    relabelling of the apex as G/R.  The legs are equivariant, so each
+    relabelling's leg tables are fixed by their values at point 0 (the
+    coset R), which they list first; the lexicographic minimum is therefore
+    the relabelling with the least pair of values there.
+
+    The key does not depend on which conjugator t0 is given.  Every t with
+    t S t⁻¹ = R is m·t0 for some m in N(R), and n·m runs over N(R)/R as n
+    does, so every choice reaches the same points n·t0·base.  The minimum
+    over those points may be reached at several; but two equivariant legs
+    with equal values at point 0 have equal tables, because the value at
+    coset mR is m times the value at R.  So every choice gives the same
+    tables.
+    """
+    mult = G.mult
+    cls = T.classes[c]
+    g = min((mult[n][t0] for n in cls.normaliser), key=lambda x: (lg[x], rg[x]))
+    imgs = [mult[m][g] for m in cls.mins]
+    return (c, tuple(map(lg.__getitem__, imgs)), tuple(map(rg.__getitem__, imgs)))
+
+
 def compose_keys_per_element_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> tuple:
     """Oracle for _compose_keys: the K1-orbits on the fibre of G/K2 found
     by walking every point of G/K2 and every element of K1, and each keyed
-    by _least_key from leg tables of length |G|."""
+    by least_key from leg tables of length |G|."""
     T = sp.coset_tables(G)
     mult = G.mult
     (c1, left1, right1), (c2, left2, right2) = k1, k2
@@ -190,7 +219,7 @@ def compose_keys_per_element_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> t
             if z == y:
                 stab.append(a)
         c, t0 = T.conjugator[tuple(stab)]
-        key = sp._least_key(G, T, c, t0, lg, [r2[row[h]] for row in mult])
+        key = least_key(G, T, c, t0, lg, [r2[row[h]] for row in mult])
         counts[key] = counts.get(key, 0) + 1
     return sp._normalize(counts)
 
@@ -576,6 +605,12 @@ class OrbitQuotientFunctor(sp.GSetFunctor):
         for x, i in src_idx.items():
             values[i] = dst_idx[f.values[x]]
         return gs.EqMap(self.obj(f.src), self.obj(f.dst), tuple(values))
+
+
+def point_gset(G: FiniteGroup) -> GSet:
+    """The one-point G-set, built afresh; the package reads the canonical
+    orbit of the class of G instead, which coset_gset keeps."""
+    return GSet(G, (tuple(0 for _ in G.elements()),))
 
 
 def groups_of_order_at_most(n: int):

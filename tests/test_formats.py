@@ -9,6 +9,8 @@ from profspan import spans as sp
 from profspan.corpus import corpus_group
 from profspan.errors import ParseError
 
+from oracles import point_gset
+
 
 def test_group_roundtrip():
     for name in ("C2", "S3", "Q8"):
@@ -115,7 +117,8 @@ def test_mackey_roundtrip_with_a_zero_level():
     # to the point are 1x0, written with no rows
     G = corpus_group("C2")
     dims = (0, 1)
-    ident = sp.canonical_key(gs.point_gset(G), 0, (0,), (0,))
+    pt = point_gset(G)
+    ident = sp.canonical_key(pt, 0, (0,), (0,), pt, pt)
     gen_action = {}
     for c1, c2, key in sp.orbit_keys(G):
         row = (int(key == ident),) * dims[c1]

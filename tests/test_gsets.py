@@ -12,6 +12,7 @@ from profspan.errors import GroupMismatch
 from oracles import (
     adjunction_report,
     groups_of_order_at_most,
+    point_gset,
     pullback,
     square_is_pullback,
     then_map,
@@ -139,8 +140,8 @@ def test_hom_gset_matches_brute_force():
 def test_hom_gset_counts():
     assert len(gs.hom_gset(regular(C2), regular(C2))) == 2
     X = gs.canonical_gset(C4, (0, 1, 2))
-    assert len(gs.hom_gset(X, gs.point_gset(C4))) == 1
-    assert len(gs.hom_gset(gs.point_gset(C2), regular(C2))) == 0
+    assert len(gs.hom_gset(X, point_gset(C4))) == 1
+    assert len(gs.hom_gset(point_gset(C2), regular(C2))) == 0
 
 
 def test_hom_factor_sizes_are_marks():
@@ -211,7 +212,7 @@ def test_pullback_diagonal():
 def test_pullback_over_point_is_product():
     X = regular(C2)
     Y = gs.canonical_gset(C2, (1,))
-    t = gs.point_gset(C2)
+    t = point_gset(C2)
     fx = gs.hom_gset(X, t)[0]
     fy = gs.hom_gset(Y, t)[0]
     P, _, _ = pullback(fx, fy)
@@ -307,7 +308,7 @@ def test_coproduct():
     X = regular(C2)
     E = gs.empty_gset(C2)
     assert gs.orbit_class_multiset(gs.coproduct(X, E)[0]) == gs.orbit_class_multiset(X)
-    pt = gs.point_gset(C2)
+    pt = point_gset(C2)
     assert gs.coproduct(X, pt)[0].size == 3
     Y = gs.canonical_gset(C2, (0, 1))
     merged = gs.orbit_class_multiset(gs.coproduct(X, Y)[0])
@@ -332,7 +333,7 @@ def test_adjunction_report_counit_failure():
     # G = C2, N = C2, X = C2 regular, f: X -> point
     q = g.quotient(C2, g.make_subgroup(C2, (0, 1)))
     X = regular(C2)
-    f = gs.hom_gset(X, gs.point_gset(C2))[0]
+    f = gs.hom_gset(X, point_gset(C2))[0]
     rep = adjunction_report(q, X, f)
     assert rep.unit_is_iso
     assert rep.counit_is_injective

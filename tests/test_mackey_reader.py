@@ -19,13 +19,12 @@ import pytest
 
 from profspan import formats as fm
 from profspan import groups as g
-from profspan import gsets as gs
 from profspan import mackey as mk
 from profspan import spans as sp
 from profspan.corpus import corpus_group, corpus_groups
 from profspan.errors import ParseError
 
-from oracles import parse_mackey_oracle
+from oracles import parse_mackey_oracle, point_gset
 from test_spans import _relabelled
 
 MUTANTS_PER_FILE = 30
@@ -37,7 +36,8 @@ def _zero_level_c2() -> mk.MackeyFunctor:
     free orbit to the point are 1 x 0, written with no lines."""
     G = corpus_group("C2")
     dims = (0, 1)
-    ident = sp.canonical_key(gs.point_gset(G), 0, (0,), (0,))
+    pt = point_gset(G)
+    ident = sp.canonical_key(pt, 0, (0,), (0,), pt, pt)
     gen_action = {}
     for c1, c2, key in sp.orbit_keys(G):
         row = (int(key == ident),) * dims[c1]

@@ -22,7 +22,9 @@ from oracles import (
     double_coset_count,
     groups_of_order_at_most,
     inverse_map,
+    least_key,
     left_exact_oracle,
+    point_gset,
     pullback,
     scale_span,
     semiadditivity_check,
@@ -41,15 +43,15 @@ S3 = g.dihedral(3)
 
 
 def test_span_basis_point_endomorphisms_c2():
-    pt = gs.point_gset(C2)
+    pt = point_gset(C2)
     basis = sp.span_basis(pt, pt)
     assert len(basis) == 2
     assert sorted(sp.basis_legs(pt, pt, b)[0].src.size for b in basis) == [1, 2]
 
 
 def test_span_basis_empty_endpoint():
-    assert sp.span_basis(gs.empty_gset(C2), gs.point_gset(C2)) == []
-    assert sp.span_basis(gs.point_gset(C2), gs.empty_gset(C2)) == []
+    assert sp.span_basis(gs.empty_gset(C2), point_gset(C2)) == []
+    assert sp.span_basis(point_gset(C2), gs.empty_gset(C2)) == []
 
 
 def test_span_basis_counts_match_oracle():
@@ -79,7 +81,7 @@ def test_span_basis_counts_are_double_cosets_for_free_source():
 
 def test_identity_span_shapes():
     assert not sp.identity_span(gs.empty_gset(C2)).terms
-    assert len(sp.identity_span(gs.point_gset(C2)).terms) == 1
+    assert len(sp.identity_span(point_gset(C2)).terms) == 1
     A = gs.canonical_gset(C4, (1,))
     B = gs.canonical_gset(C4, (0, 2))
     AB = gs.coproduct(A, B)[0]
@@ -100,7 +102,7 @@ def test_identity_law():
 
 
 def test_burnside_relation_c2():
-    pt = gs.point_gset(C2)
+    pt = point_gset(C2)
     t = next(
         basis_span_mor(pt, pt, b)
         for b in sp.span_basis(pt, pt)
@@ -110,14 +112,14 @@ def test_burnside_relation_c2():
 
 
 def test_compose_with_zero():
-    pt = gs.point_gset(C2)
+    pt = point_gset(C2)
     t = basis_span_mor(pt, pt, sp.span_basis(pt, pt)[0])
     assert not sp.compose_spans(zero_span(pt, pt), t).terms
     assert not sp.compose_spans(t, zero_span(pt, pt)).terms
 
 
 def test_compose_rejects_mismatched_middle():
-    pt = gs.point_gset(C2)
+    pt = point_gset(C2)
     free = gs.canonical_gset(C2, (0,))
     m1 = sp.identity_span(pt)
     m2 = sp.identity_span(free)
@@ -142,10 +144,10 @@ def _relabelled(G, seed):
 
 
 def _composable_basis_pairs(G):
-    """Every (k2, k1) of basis keys of spans G/H1 -> G/H2 and
-    G/H2 -> G/H3 over subgroup class representatives: the pairs the
-    exhaustive Mackey oracle composes, of which check_mackey composes
-    those with both apexes at an end."""
+    """Every (X, Z, k2, k1) with k1, k2 basis keys of spans X -> Y and
+    Y -> Z, for X = G/H1, Y = G/H2 and Z = G/H3 over subgroup class
+    representatives: the pairs the exhaustive Mackey oracle composes, of
+    which check_mackey composes those with both apexes at an end."""
     lat = g.subgroup_lattice(G)
     orbits = [
         gs.coset_gset(G, lat.class_rep(c).elements) for c in range(lat.num_classes)
@@ -154,7 +156,7 @@ def _composable_basis_pairs(G):
         (X, Y): sp.span_basis(X, Y) for X in orbits for Y in orbits
     }
     return [
-        (k2, k1)
+        (X, Z, k2, k1)
         for X, Y, Z in itertools.product(orbits, repeat=3)
         for k1 in basis[(X, Y)]
         for k2 in basis[(Y, Z)]
@@ -179,8 +181,8 @@ def test_compose_keys_match_pullback_oracle(name, relabel_seed):
         pairs = random.Random(name).sample(pairs, min(len(pairs), SAMPLE_LARGE))
     elif len(pairs) > ALL_PAIRS_UP_TO:
         pairs = random.Random(name).sample(pairs, SAMPLE_SMALL)
-    for k2, k1 in pairs:
-        assert sp._compose_keys(G, k2, k1) == compose_keys_oracle(G, k2, k1), (
+    for X, Z, k2, k1 in pairs:
+        assert sp._compose_keys(X, Z, k2, k1) == compose_keys_oracle(G, k2, k1), (
             k2,
             k1,
         )
@@ -189,17 +191,17 @@ def test_compose_keys_match_pullback_oracle(name, relabel_seed):
 @pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
 def test_compose_keys_match_the_per_element_oracle(name):
     """Every composable pair of the given group, and a seeded sample of
-    them in a relabelled copy: the double-coset table keys each fibre
-    orbit as _least_key does from leg tables of length |G|."""
+    them in a relabelled copy: the W-orbit tables key each fibre orbit
+    as least_key does from leg tables of length |G|."""
     G = corpus_group(name)
-    for k2, k1 in _composable_basis_pairs(G):
-        assert sp._compose_keys(G, k2, k1) == compose_keys_per_element_oracle(
+    for X, Z, k2, k1 in _composable_basis_pairs(G):
+        assert sp._compose_keys(X, Z, k2, k1) == compose_keys_per_element_oracle(
             G, k2, k1
         ), (k2, k1)
     H = _relabelled(G, 17)
     pairs = _composable_basis_pairs(H)
-    for k2, k1 in random.Random(name).sample(pairs, min(len(pairs), 100)):
-        assert sp._compose_keys(H, k2, k1) == compose_keys_per_element_oracle(
+    for X, Z, k2, k1 in random.Random(name).sample(pairs, min(len(pairs), 100)):
+        assert sp._compose_keys(X, Z, k2, k1) == compose_keys_per_element_oracle(
             H, k2, k1
         ), (k2, k1)
 
@@ -210,17 +212,16 @@ def test_compose_keys_match_the_per_element_oracle_on_cyclic_endpoint_keys(order
     checks of deep cyclic towers compose, where the pullback oracle is
     slow."""
     G = g.cyclic(order)
-    n = g.subgroup_lattice(G).num_classes
+    orbits = _orbits(G)
     pairs = [
-        (k2, k1)
-        for c1, c2, c3 in itertools.product(range(n), repeat=3)
+        (c1, c3, k2, k1)
+        for c1, c2, c3 in itertools.product(range(len(orbits)), repeat=3)
         for k1 in sp.endpoint_keys(G, c1, c2)
         for k2 in sp.endpoint_keys(G, c2, c3)
     ]
-    for k2, k1 in random.Random(order).sample(pairs, 200):
-        assert sp._compose_keys(G, k2, k1) == compose_keys_per_element_oracle(
-            G, k2, k1
-        ), (k2, k1)
+    for c1, c3, k2, k1 in random.Random(order).sample(pairs, 200):
+        composite = sp._compose_keys(orbits[c1], orbits[c3], k2, k1)
+        assert composite == compose_keys_per_element_oracle(G, k2, k1), (k2, k1)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
@@ -234,13 +235,11 @@ def test_double_coset_table_matches_an_independent_count(name):
     for (c1, A), (c2, B) in itertools.product(enumerate(T.classes), repeat=2):
         K1, K2 = A.rep, B.rep
         table = sp._double_cosets(G, c1, c2)
-        assert table.act1 == gs.orbit_gset(G, c1).action
-        assert table.act2 == gs.orbit_gset(G, c2).action
-        assert len(table.orbits) == double_coset_count(G, K1, K2)
+        assert len(table) == double_coset_count(G, K1, K2)
         cosets = {frozenset(G.mul(x, k) for k in K2) for x in G.elements()}
         covered: set = set()
         sizes = []
-        for y, c, t0, h in table.orbits:
+        for y, c, t0, h in table:
             hK2 = frozenset(G.mul(h, k) for k in K2)
             orbit = {frozenset(G.mul(a, x) for x in hK2) for a in K1}
             assert h == min(hK2) == min(map(min, orbit)) and B.coset[h] == y
@@ -271,11 +270,13 @@ def test_canonical_key_matches_brute_force_on_two_orbit_apexes(relabel_seed):
             while len(legs) < 2:
                 homs = gs.hom_gset(apex, gs.canonical_gset(G, rng.choice(shapes)))
                 if homs:
-                    legs.append(rng.choice(homs).values)
+                    legs.append(rng.choice(homs))
+            f, h = legs
             for base in apex.points():
-                assert sp.canonical_key(apex, base, *legs) == canonical_key_oracle(
-                    apex, base, *legs
-                ), (name, c, d, base)
+                key = sp.canonical_key(apex, base, f.values, h.values, f.dst, h.dst)
+                assert key == canonical_key_oracle(apex, base, f.values, h.values), (
+                    name, c, d, base,
+                )
 
 
 def test_associativity_sampled():
@@ -300,7 +301,7 @@ def test_associativity_sampled():
 
 
 def test_bilinearity():
-    pt = gs.point_gset(C4)
+    pt = point_gset(C4)
     X = gs.canonical_gset(C4, (0, 1))
     basis_xp = sp.span_basis(X, pt)
     basis_pp = sp.span_basis(pt, pt)
@@ -351,12 +352,12 @@ def test_burnside_tables_s3():
 
 def test_semiadditivity_unit_law():
     X = gs.canonical_gset(C2, (0,))
-    Y = gs.point_gset(C2)
+    Y = point_gset(C2)
     assert semiadditivity_check(X, gs.empty_gset(C2), Y)
 
 
 def test_semiadditivity_point_counts():
-    pt = gs.point_gset(C2)
+    pt = point_gset(C2)
     assert semiadditivity_check(pt, pt, pt)
     XX = gs.coproduct(pt, pt)[0]
     assert len(sp.span_basis(XX, pt)) == 4
@@ -386,7 +387,7 @@ def test_transport_span_roundtrip():
 def test_span_of_inflation_sends_free_apex_to_subgroup_apex():
     q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
     F = span_of_functor_oracle(sp.InflationGSetFunctor(q))
-    pt = gs.point_gset(C2)
+    pt = point_gset(C2)
     t = next(
         basis_span_mor(pt, pt, b)
         for b in sp.span_basis(pt, pt)
@@ -442,7 +443,7 @@ def check_left_exact(F) -> Verdict:
     orbits = _orbits(G)
     image = vf._span_images(F, orbits)
     for c1, c2, c3, k1, k2, f, h in _transfer_restriction_pairs(G, orbits):
-        if not vf._law_holds(G, image, c1, c2, c3, k1, k2):
+        if not vf._law_holds(orbits, image, c1, c2, c3, k1, k2):
             X, Z, Y = orbits[c1], orbits[c2], orbits[c3]
             square = (X.action, Y.action, Z.action, f.values, h.values)
             return Verdict(False, "pullback not preserved", square)
@@ -516,7 +517,7 @@ def test_law_on_transfer_restriction_pairs_decides_left_exactness(functor):
             for c1, c2, c3, k1, k2, f, h in _transfer_restriction_pairs(G, orbits):
                 P, p1, p2 = pullback(f, h)
                 kept = square_is_pullback(*map(F.map, (p1, p2, f, h)))
-                law = vf._law_holds(G, image, c1, c2, c3, k1, k2)
+                law = vf._law_holds(orbits, image, c1, c2, c3, k1, k2)
                 assert law == kept, (name, q.kernel.elements, c1, c2, c3, k1, k2)
                 cospans += 1
                 failing += not kept
@@ -550,7 +551,7 @@ def test_span_of_composed_functors():
     direct = span_of_functor_oracle(F)
     step = span_of_functor_oracle(sp.InflationGSetFunctor(q1))
     first = span_of_functor_oracle(sp.InflationGSetFunctor(q0))
-    pt = gs.point_gset(C2)
+    pt = point_gset(C2)
     X = gs.canonical_gset(C2, (0, 1))
     for b in sp.span_basis(X, pt):
         m = basis_span_mor(X, pt, b)
@@ -587,10 +588,12 @@ def test_orbit_keys_join_the_orbit_bases_in_order(name, relabel_seed):
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
 def test_least_key_does_not_depend_on_the_conjugator(name):
     # every m·t0 with m in N(R) conjugates the base point's stabilizer
-    # onto R; each must give the key that the recorded t0 gives
+    # onto R; each must give the key that the recorded t0 gives, to the
+    # oracle's least_key and to canonical_key, which at the base point
+    # m·t0·0, whose stabilizer is R itself, keys from the legs there
     G = corpus_group(name)
     lat, T = g.subgroup_lattice(G), sp.coset_tables(G)
-    orbits = [gs.orbit_gset(G, c) for c in range(lat.num_classes)]
+    orbits = _orbits(G)
     for i, L in enumerate(lat.subgroups):
         c = lat.class_of(L.elements)
         R = lat.class_rep(c)
@@ -598,15 +601,65 @@ def test_least_key_does_not_depend_on_the_conjugator(name):
         normaliser = [m for m in G.elements() if R.conjugate(m) == R]
         apex = gs.coset_gset(G, L.elements)
         row = apex.action[0]
-        tables = [
-            [f.values[x] for x in row] for X in orbits for f in gs.hom_gset(apex, X)
-        ]
-        for lg, rg in itertools.product(tables, repeat=2):
-            key = sp._least_key(G, T, c, t0, lg, rg)
+        maps = [f for X in orbits for f in gs.hom_gset(apex, X)]
+        for f, h in itertools.product(maps, repeat=2):
+            lg, rg = [f.values[x] for x in row], [h.values[x] for x in row]
+            key = least_key(G, T, c, t0, lg, rg)
+            legs = (f.values, h.values, f.dst, h.dst)
+            assert sp.canonical_key(apex, 0, *legs) == key
             for m in normaliser:
-                assert sp._least_key(G, T, c, G.mul(m, t0), lg, rg) == key, (
+                t = G.mul(m, t0)
+                assert least_key(G, T, c, t, lg, rg) == key, (name, L.elements, m)
+                assert sp.canonical_key(apex, row[t], *legs) == key, (
                     name, L.elements, m,
                 )
+
+
+def _assert_least_points_recomputed(X):
+    """Every W-orbit table of X against a recomputation from X.action,
+    with W = N(R)/R found by conjugating R by every element."""
+    G = X.group
+    lat, T = g.subgroup_lattice(G), sp.coset_tables(G)
+    for c in range(lat.num_classes):
+        R = lat.class_rep(c)
+        normaliser = [n for n in G.elements() if R.conjugate(n) == R]
+        W = sorted({min(G.mul(n, r) for r in R.elements) for n in normaliser})
+        table = sp._least_points(X, c)
+        fixed = [x for x in X.points() if all(X.action[x][r] == x for r in R.elements)]
+        assert list(table.fixed) == fixed
+        for x in X.points():
+            if x not in fixed:
+                assert table.least[x] == -1 and not table.carriers[x]
+                assert table.legs[x] is None
+                continue
+            images = [X.action[x][n] for n in W]
+            star = min(images)
+            assert table.least[x] == star
+            assert set(table.carriers[x]) == {n for n, y in zip(W, images) if y == star}
+            assert len(set(images)) * len(table.carriers[x]) == len(W)
+            coset = T.classes[c].coset
+            assert all(
+                table.legs[x][coset[a]] == X.action[x][a] for a in G.elements()
+            )
+            assert table.legs[x] == tuple(X.action[x][m] for m in T.classes[c].mins)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+def test_least_points_match_a_recomputation_on_the_corpus_orbits(name):
+    for X in _orbits(corpus_group(name)):
+        _assert_least_points_recomputed(X)
+
+
+@pytest.mark.parametrize(
+    "tower", [(2, 6), (3, 4), (5, 3)], ids=["2,6", "3,4", "5,3"]
+)
+def test_least_points_match_a_recomputation_on_the_link_images(tower):
+    """The fixed-point and inflation images of the orbits, which the span
+    checks compose through compose_spans, at towers where |W| reaches 64,
+    81 and 125."""
+    for F in _link_functors(*tower):
+        for X in _orbits(F.src_group):
+            _assert_least_points_recomputed(F.obj(X))
 
 
 LINK_TOWERS = pytest.mark.parametrize(
@@ -637,7 +690,7 @@ def test_span_of_functor_keeps_images_apart_per_endpoints():
     q = g.cyclic_tower(2, 3).links[1]
     SpF = span_of_functor_oracle(sp.FixedPointsGSetFunctor(q))
     G = q.source
-    pt = gs.point_gset(G)
+    pt = point_gset(G)
     Xa, Xb = gs.canonical_gset(G, (0, 3)), gs.canonical_gset(G, (1, 1, 3))
     key = (3, (8,), (0,))
     assert key in sp.span_basis(Xa, pt) and key in sp.span_basis(Xb, pt)
