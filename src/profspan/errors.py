@@ -56,10 +56,6 @@ class GroupMismatch(ValueError):
     pass
 
 
-class ObjectMismatch(ValueError):
-    pass
-
-
 class IncoherentFamily(ValueError):
     """A stage family lacks the required coherence; carries stage and witness."""
 

@@ -129,10 +129,6 @@ class EqMap:
         return self.src.size == self.dst.size and self.is_injective()
 
 
-def identity_map(X: GSet) -> EqMap:
-    return EqMap(X, X, tuple(X.points()))
-
-
 @lru_cache(maxsize=None)
 def coset_gset(G: FiniteGroup, subgroup_elements: tuple[int, ...]) -> GSet:
     """Canonical transitive G-set on left cosets of a subgroup, numbered

@@ -14,6 +14,8 @@ the canonical orbits at its two ends.  Both number cosets and choose
 conjugators as spans.coset_tables does, and key every orbit from the
 W-orbit table of each end and class (spans._least_points), so every
 key of one functor shares the leg tuples of those tables.
+categorical_fixed_points reads Span(inflation) from the table of its
+link (spans.span_images), as the colim-span check does.
 
 check_mackey decides the composition law on the pairs of endpoint keys
 (spans.endpoint_keys): the transfers, restrictions and conjugations,
@@ -27,12 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul
 
 from .errors import GroupMismatch, IncoherentFamily, Verdict
-from .groups import FiniteGroup, GroupTower, QuotientMap
-from .groups import class_preimages, subgroup_lattice
+from .groups import FiniteGroup, GroupTower, QuotientMap, subgroup_lattice
 from . import gsets as gs
 from . import spans as sp
 
@@ -297,52 +297,19 @@ def reduce_mod(M: MackeyFunctor, n: int) -> MackeyFunctor:
     return MackeyFunctor(M.group, levels, dict(M.gen_action))
 
 
-@lru_cache(maxsize=None)
-def _inflated_keys(q: QuotientMap) -> tuple[tuple[int, ...], tuple]:
-    """The preimage class of each class of Q = q.target, and each Q-key of
-    orbit_keys(Q) with the G-key of its inflated span, held by orbit_basis.
-
-    Inflation keeps the points of the orbit Q/C of a class of Q, with g
-    acting as q(g): point q(g)·C at g, stabilizer q⁻¹(C).  So the inflated
-    span of a key (a, legL, legR) between the orbits of classes c1 and c2
-    has the inflated orbit of class a as its apex, with the same leg
-    values.  The class of q⁻¹(C) is read from groups.class_preimages.
-    σ_c, the canonical_iso of the inflated orbit of class c, renames it
-    onto G's canonical orbit of the preimage class.  The G-key is one
-    canonical_key of that apex with legs σ_c1∘legL and σ_c2∘legR into
-    those canonical orbits, which reads the apex only through its row
-    q(g)·C_a; no G-set or map is built per key."""
-    G, Q = q.source, q.target
-    nq = subgroup_lattice(Q).num_classes
-    inflated = [gs.inflate(gs.orbit_gset(Q, c), q) for c in range(nq)]
-    sigma = [gs.canonical_iso(X) for X in inflated]
-    pre = tuple(c for _, c in class_preimages(q))
-    targets = [gs.orbit_gset(G, c) for c in pre]
-    own = {k: k for a in pre for b in pre for k in sp.orbit_basis(G, a, b)}
-    pairs = []
-    for c1, c2, key in sp.orbit_keys(Q):
-        a, legL, legR = key
-        s1, s2 = sigma[c1].values, sigma[c2].values
-        gkey = sp.canonical_key(
-            inflated[a],
-            0,
-            [s1[x] for x in legL],
-            [s2[y] for y in legR],
-            targets[c1],
-            targets[c2],
-        )
-        pairs.append(((c1, c2, key), (pre[c1], pre[c2], own[gkey])))
-    return pre, tuple(pairs)
-
-
 def categorical_fixed_points(M: MackeyFunctor, q: QuotientMap) -> MackeyFunctor:
     """Restriction along the inflated spans: the Mackey functor over
     q.target = G/N whose level at H/N is M's level at the preimage of H/N,
-    and whose matrix on a basis key of G/N is M's on the inflated key."""
+    and whose matrix on a basis key of G/N is M's on the inflated key, the
+    one term of its image in the Span(inflation) table."""
     if q.source != M.group:
         raise GroupMismatch("quotient map is not from the functor's group")
-    pre, pairs = _inflated_keys(q)
-    gen_action = {qkey: M.gen_action[gkey] for qkey, gkey in pairs}
+    table = sp.span_images(sp.InflationGSetFunctor, q)
+    pre = [c for c, in table.classes]
+    gen_action = {
+        qkey: M.gen_action[pre[qkey[0]], pre[qkey[1]], gkey]
+        for qkey, ((gkey, _),) in table.terms.items()
+    }
     return MackeyFunctor(q.target, tuple(M.levels[c] for c in pre), gen_action)
 
 

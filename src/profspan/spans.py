@@ -30,35 +30,28 @@ coset tables alike.  The element conjugating a subgroup onto its class
 representative is the one subgroup_lattice records; _pair_key gives the
 same key for any other.
 
-basis_legs turns a key back into its two legs.  orbit_basis is the basis
+basis_legs turns a key back into its two legs, and canonical_key legs
+into keys, one call per orbit of the apex.  orbit_basis is the basis
 between two canonical orbits, endpoint_keys its generators, and
-orbit_keys lists every basis key between orbits.
+orbit_keys lists every basis key between orbits.  No span morphism is
+built: span morphisms, their composition and the slow routes to keys
+and composites are oracles in tests/oracles.py.
 
-The way from legs back to keys is one loop, span_from_maps: it
-canonicalises every orbit of the apex and adds up the keys.  The Mackey
-and Burnside code works on keys alone and calls canonical_key directly:
-the reversed span of a key is its apex orbit's key with the legs
-swapped, the identity of an orbit X is the key of X with both legs the
-identity, and mackey.categorical_fixed_points keys legs renamed before
-keying.  The pullback composite, the least-key canonicalisation from leg
-tables of length |G|, the hom-enumerating basis and Span(F) applied term
-by term stay as oracles in the test suite, as do span sums, transport and
-the semiadditivity check.
-
-The span checks of verify tabulate Span(F), for a GSetFunctor F, on the
-basis spans between orbits: each image is span_from_maps of F on the
-key's legs.  The composites of basis keys (_compose_keys), the W-orbit
-tables, the double-coset tables and the coset tables are kept for the
-process.
+Span(F), for F inflation or fixed points along a quotient map, is one
+table per functor and link (span_images), which both span checks of
+verify and mackey.categorical_fixed_points read.  The tables, the
+composites of basis keys (_compose_keys), the W-orbit tables, the
+double-coset tables and the coset tables are kept for the process.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import GroupMismatch, ObjectMismatch
+from .errors import GroupMismatch
 from .groups import FiniteGroup, QuotientMap, left_cosets, subgroup_lattice
 from . import gsets as gs
 from .gsets import EqMap, GSet
@@ -258,31 +251,8 @@ def endpoint_keys(G: FiniteGroup, c1: int, c2: int) -> tuple[Key, ...]:
     return tuple(k for k in orbit_basis(G, c1, c2) if k[0] in (c1, c2))
 
 
-@dataclass(frozen=True)
-class SpanMor:
-    left: GSet
-    right: GSet
-    terms: tuple[tuple[Key, int], ...]  # sorted, multiplicities >= 1
-
-
 def _normalize(counts: dict) -> tuple:
     return tuple(sorted((k, m) for k, m in counts.items() if m))
-
-
-def span_from_maps(f: EqMap, g: EqMap) -> SpanMor:
-    """The span class of X <-f- S -g-> Y for an arbitrary finite apex S,
-    keyed orbit by orbit of S."""
-    if f.src != g.src:
-        raise ObjectMismatch("legs must share an apex")
-    counts: dict = {}
-    for orb in f.src.orbits():
-        k = canonical_key(f.src, orb[0], f.values, g.values, f.dst, g.dst)
-        counts[k] = counts.get(k, 0) + 1
-    return SpanMor(f.dst, g.dst, _normalize(counts))
-
-
-def identity_span(X: GSet) -> SpanMor:
-    return span_from_maps(gs.identity_map(X), gs.identity_map(X))
 
 
 @lru_cache(maxsize=None)
@@ -345,20 +315,6 @@ def _compose_keys(X: GSet, Z: GSet, k2: Key, k1: Key) -> tuple:
         key = _pair_key(c, X, left1[coset1[t0]], Z, right2[coset2[mult[t0][h]]])
         counts[key] = counts.get(key, 0) + 1
     return _normalize(counts)
-
-
-def compose_spans(m2: SpanMor, m1: SpanMor) -> SpanMor:
-    """m2 after m1, composing basis terms by the double-coset formula and
-    extending bilinearly."""
-    if m1.right != m2.left:
-        raise ObjectMismatch("span morphisms do not compose")
-    X, Z = m1.left, m2.right
-    counts: dict = {}
-    for k1, c1 in m1.terms:
-        for k2, c2 in m2.terms:
-            for k, c in _compose_keys(X, Z, k2, k1):
-                counts[k] = counts.get(k, 0) + c1 * c2 * c
-    return SpanMor(X, Z, _normalize(counts))
 
 
 @dataclass(frozen=True)
@@ -430,3 +386,46 @@ class FixedPointsGSetFunctor(GSetFunctor):
 
     def map(self, f):
         return gs.fixed_points_map(f, self.q)
+
+
+class SpanImages(NamedTuple):
+    """Span(F) between the canonical orbits of F's source group."""
+
+    orbits: tuple[GSet, ...]  # the orbit of each subgroup class c
+    classes: tuple[tuple[int, ...], ...]  # the orbit classes of F(orbit c)
+    targets: tuple[GSet, ...]  # F(orbit c) renamed onto canonical G-sets
+    terms: dict  # (c1, c2, key) -> sorted (key, mult) between the targets
+
+
+@lru_cache(maxsize=None)
+def span_images(functor: type[GSetFunctor], q: QuotientMap) -> SpanImages:
+    """Span(F) for F = functor(q) on the keys of orbit_keys, in order: F
+    of the key's apex and legs, the legs renamed by canonical_iso of each
+    F(orbit) onto the targets (one orbit: gs.orbit_gset, which the next
+    link and the Mackey code key too), each orbit of F(apex) keyed as the
+    basis object of its hom.  F need not be onto or left exact."""
+    F = functor(q)
+    G = F.src_group
+    orbits = tuple(gs.orbit_gset(G, c) for c in range(len(coset_tables(G).classes)))
+    sigma = [gs.canonical_iso(F.obj(X)) for X in orbits]
+    classes = tuple(gs.orbit_class_multiset(F.obj(X)) for X in orbits)
+    H = sigma[0].dst.group
+    targets = tuple(
+        gs.orbit_gset(H, m[0]) if len(m) == 1 else s.dst for m, s in zip(classes, sigma)
+    )
+    terms: dict = {}
+    for c1, c2 in itertools.product(range(len(orbits)), repeat=2):
+        m1, m2, T1, T2 = classes[c1], classes[c2], targets[c1], targets[c2]
+        single = len(m1) == len(m2) == 1
+        basis = orbit_basis(H, m1[0], m2[0]) if single else span_basis(T1, T2)
+        own = dict(zip(basis, basis))
+        s1, s2 = sigma[c1].values, sigma[c2].values
+        for key in orbit_basis(G, c1, c2):
+            f, h = map(F.map, basis_legs(orbits[c1], orbits[c2], key))
+            left, right = [s1[x] for x in f.values], [s2[y] for y in h.values]
+            counts: dict = {}
+            for o in f.src.orbits():
+                k = own[canonical_key(f.src, o[0], left, right, T1, T2)]
+                counts[k] = counts.get(k, 0) + 1
+            terms[c1, c2, key] = _normalize(counts)
+    return SpanImages(orbits, classes, targets, terms)

@@ -13,10 +13,11 @@ The span-category statements are verified at the level of hom-monoid
 bases: span hom-sets are free commutative monoids on transitive-apex
 classes, so an additive comparison map is an isomorphism exactly when it
 restricts to a bijection of bases.  Both span checks decide Span(F) on
-its generators (_span_functor_check), so their reports depend on neither
-the size cap nor the seed; only funcat reads the seed.  The composition
-law on those generators also decides whether F keeps pullbacks, so no
-pullback G-set is built.
+its generators (_span_functor_check), read from one table per link
+(spans.span_images), so their reports depend on neither the size cap
+nor the seed; only funcat reads the seed.  The composition law on those
+generators also decides whether F keeps pullbacks, so no pullback G-set
+is built.
 
 A check that would test nothing at the requested tower or cap raises
 ParseError, an input error, naming its minimum: the link checks need a
@@ -120,58 +121,56 @@ def _links_verdict(tower, tables, cap) -> Verdict:
     return Verdict(True)
 
 
-def _span_images(F: sp.GSetFunctor, orbits) -> dict:
-    """Span(F) on every basis span between the orbits, as (c1, c2, key) ->
-    the span class of F applied to both legs of key."""
-    image = {}
-    for c1, c2, key in sp.orbit_keys(F.src_group):
-        legs = sp.basis_legs(orbits[c1], orbits[c2], key)
-        image[c1, c2, key] = sp.span_from_maps(*map(F.map, legs))
-    return image
-
-
-def _basis_failure(F: sp.GSetFunctor, image, orbits, kept) -> str | None:
-    """How the image table fails on the basis spans between the orbits,
-    or None: a key goes to one basis span if kept(its apex class), else to
-    zero; the kept keys of one hom go to distinct basis spans of the image
-    hom; an identity span goes to the identity span."""
-    for (c1, X), (c2, Y) in itertools.product(enumerate(orbits), repeat=2):
-        basis = sp.orbit_basis(F.src_group, c1, c2)
-        images = [image[c1, c2, k].terms for k in basis]
+def _basis_failure(table: sp.SpanImages, kept) -> str | None:
+    """How the Span(F) table fails, or None: a key goes to one basis span
+    if kept(its apex class), else to zero; the kept keys of one hom go to
+    distinct basis spans of the image hom; an identity span goes to the
+    identity span."""
+    G, n = table.orbits[0].group, len(table.orbits)
+    for c1, c2 in itertools.product(range(n), repeat=2):
+        basis = sp.orbit_basis(G, c1, c2)
+        images = [table.terms[c1, c2, k] for k in basis]
         for key, terms in zip(basis, images):
             if not kept(key[0]) and terms:
                 return "of a kernel-moved apex is not zero"
             if kept(key[0]) and (len(terms) != 1 or terms[0][1] != 1):
                 return "of a basis span is not basic"
-        hit = {terms[0][0] for terms in images if terms}
-        target = sp.span_basis(F.obj(X), F.obj(Y))
-        if len(hit) != sum(map(bool, images)) or not hit.issubset(target):
+        if len({terms[0][0] for terms in images if terms}) != sum(map(bool, images)):
             return "not injective on basis"
-    for c, X in enumerate(orbits):
+    for c, (X, T) in enumerate(zip(table.orbits, table.targets)):
         key = sp.canonical_key(X, 0, X.points(), X.points(), X, X)
-        if image[c, c, key] != sp.identity_span(F.obj(X)):
+        pts = T.points()
+        ids = Counter(sp.canonical_key(T, o[0], pts, pts, T, T) for o in T.orbits())
+        if table.terms[c, c, key] != sp._normalize(ids):
             return "does not preserve an identity span"
     return None
 
 
-def _law_holds(orbits, image, c1, c2, c3, k1, k2) -> bool:
+def _law_holds(table: sp.SpanImages, c1, c2, c3, k1, k2) -> bool:
     """Span(F)(k2 ∘ k1) = Span(F)(k2) ∘ Span(F)(k1) for keys k1: c1 -> c2
-    and k2: c2 -> c3 between the orbits, both sides read from the image
-    table."""
+    and k2: c2 -> c3 between the orbits, both sides read from the Span(F)
+    table and composed on the orbits and on the targets."""
+    orbits, targets, terms = table.orbits, table.targets, table.terms
     left: Counter = Counter()
     for k, m in sp._compose_keys(orbits[c1], orbits[c3], k2, k1):
-        for key, c in image[c1, c3, k].terms:
+        for key, c in terms[c1, c3, k]:
             left[key] += m * c
-    right = sp.compose_spans(image[c2, c3, k2], image[c1, c2, k1])
-    return tuple(sorted(left.items())) == right.terms
+    right: Counter = Counter()
+    for i1, m1 in terms[c1, c2, k1]:
+        for i2, m2 in terms[c2, c3, k2]:
+            for key, c in sp._compose_keys(targets[c1], targets[c3], i2, i1):
+                right[key] += m1 * m2 * c
+    return left == right
 
 
 def _span_functor_check(tower, name: str, functor, kept, conclusion: str) -> Verdict:
     """Span(F) for F = functor(q), named `name`, at every link q of the
     tower, decided on the orbits of F's source group, one per subgroup
-    class: its images of the basis spans between them (_span_images) pass
-    _basis_failure with kept(q, apex class), and the law holds on every
-    pair of endpoint keys (_law_holds; witness (c1, c2, c3, k1, k2)).
+    class: its images of the basis spans between them (spans.span_images)
+    pass _basis_failure with kept(q, apex class), and the law holds on
+    every pair of endpoint keys (_law_holds; witness (c1, c2, c3, k1, k2)).
+    The table renames each F(orbit) onto its canonical isomorph, and
+    renaming endpoints along isomorphisms changes neither side of the law.
 
     Inflation and fixed points preserve coproducts and X ⊔ Y is a
     biproduct of spans, so Span(F) is fixed by its values between orbits,
@@ -194,19 +193,16 @@ def _span_functor_check(tower, name: str, functor, kept, conclusion: str) -> Ver
     """
     mapped = composed = 0
     for i, q in enumerate(tower.links):
-        F = functor(q)
-        G = F.src_group
-        classes = range(g.subgroup_lattice(G).num_classes)
-        orbits = [gs.orbit_gset(G, c) for c in classes]
-        image = _span_images(F, orbits)
-        mapped += len(image)
-        failure = _basis_failure(F, image, orbits, lambda c: kept(q, c))
+        table = sp.span_images(functor, q)
+        G = table.orbits[0].group
+        mapped += len(table.terms)
+        failure = _basis_failure(table, lambda c: kept(q, c))
         if failure:
             return Verdict(False, f"{name} {failure} at stage {i}")
-        for c1, c2, c3 in itertools.product(classes, repeat=3):
+        for c1, c2, c3 in itertools.product(range(len(table.orbits)), repeat=3):
             ends = sp.endpoint_keys(G, c1, c2), sp.endpoint_keys(G, c2, c3)
             for k1, k2 in itertools.product(*ends):
-                if not _law_holds(orbits, image, c1, c2, c3, k1, k2):
+                if not _law_holds(table, c1, c2, c3, k1, k2):
                     reason = f"Span({name}) not functorial at stage {i}"
                     return Verdict(False, reason, (c1, c2, c3, k1, k2))
                 composed += 1
@@ -248,7 +244,7 @@ def verify_limit_span(tower: g.GroupTower) -> Verdict:
     )
 
 
-def verify_adjunction(cap: int = 4) -> Verdict:
+def verify_adjunction(cap: int) -> Verdict:
     """Unit/counit naturality squares for inflation/fixed points over C4
     with the order-2 kernel: every unit square is a pullback; at least one
     counit square is not, and its witness is reported as expected.

@@ -8,17 +8,19 @@ with leg tables of length |G|, each orbit keyed by a min over N(R)/R
 canonicalisation of a span orbit over every point of it, the rank of a
 basis hom by orbit counting, the colim-gset equivalence with every
 hom-set enumerated, Span(F) applied term by term with nothing kept
-between calls (the Span(F) the tests apply), the adjunction's unit and
-counit squares built and decided for one map at a time, the Mackey
-composition law tested on every pair of basis spans between orbits,
-categorical fixed points through inflated G-sets, associativity of a
-multiplication table tested on every triple, the greedy generating set
-of a group found by closures, left exactness over every cospan of the
-given G-sets with every pullback built, and the span checks of verify as
-they were before they were decided on orbit generators: on the stage
-objects up to a size cap, with functoriality sampled or tested on the
-first four objects.  OrbitQuotientFunctor is a functor that is not left
-exact, for the negative controls.
+between calls (the Span(F) the tests apply), the two routes that
+spans.span_images replaced (span_from_maps per key renamed by
+canonical_iso, and the inflated keys of categorical fixed points), the
+adjunction's unit and counit squares built and decided for one map at a
+time, the Mackey composition law tested on every pair of basis spans
+between orbits, categorical fixed points through inflated G-sets,
+associativity of a multiplication table tested on every triple, the
+greedy generating set of a group found by closures, left exactness over
+every cospan of the given G-sets with every pullback built, and the
+span checks of verify as they were before they were decided on orbit
+generators: on the stage objects up to a size cap, with functoriality
+sampled or tested on the first four objects.  OrbitQuotientFunctor is a
+functor that is not left exact, for the negative controls.
 
 The exhaustive subgroup search, which closes each subgroup found with
 every element outside it, and the conjugacy pass that conjugates each
@@ -28,11 +30,12 @@ which parses every key token and checks the structure after the last
 block, is the oracle of parse_mackey.  The rest is what only the tests
 use: the corpus groups of bounded order, element orders and an
 isomorphism search, composite quotient maps, the subgroup a set
-generates, inverse maps, the sum and multiples of span morphisms, the
+generates, inverse maps, span morphisms (SpanMor) with span_from_maps,
+identity spans and bilinear composition, their sums and multiples, the
 transport of a span along maps of its endpoints, and the semiadditivity
 check built on them; the one-point G-set built afresh, one-term span
-morphisms, composite maps, fibre products and pullbacks of G-sets, and
-the test of a square for being a pullback by counting.
+morphisms, identity and composite maps, fibre products and pullbacks of
+G-sets, and the test of a square for being a pullback by counting.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from profspan import gsets as gs
 from profspan import mackey as mk
 from profspan import spans as sp
 from profspan.corpus import corpus_groups
-from profspan.errors import GroupMismatch, ObjectMismatch, Verdict
+from profspan.errors import GroupMismatch, Verdict
 from profspan.groups import FiniteGroup, QuotientMap, subgroup_lattice
 from profspan.gsets import EqMap, GSet
 
@@ -270,7 +273,7 @@ def span_of_functor_oracle(F: sp.GSetFunctor):
     and to both legs of every basis term, and the image apexes keyed by
     sum_of_spans."""
 
-    def apply(m: sp.SpanMor) -> sp.SpanMor:
+    def apply(m: SpanMor) -> SpanMor:
         parts = []
         for key, mult in m.terms:
             f, g = sp.basis_legs(m.left, m.right, key)
@@ -278,6 +281,52 @@ def span_of_functor_oracle(F: sp.GSetFunctor):
         return sum_of_spans(F.obj(m.left), F.obj(m.right), parts)
 
     return apply
+
+
+def span_images_oracle(F: sp.GSetFunctor) -> dict:
+    """spans.span_images(type(F), F.q).terms as the span checks computed
+    it before the one table: for each basis key between the canonical
+    orbits of F's source group, span_from_maps of F on both legs, over the
+    G-sets F(orbit), then renamed by σ, the canonical_iso of each F(orbit),
+    with transport_span, which keys the renamed legs again."""
+    G = F.src_group
+    orbits = [gs.orbit_gset(G, c) for c in range(subgroup_lattice(G).num_classes)]
+    sigma = [gs.canonical_iso(F.obj(X)) for X in orbits]
+    image = {}
+    for c1, c2, key in sp.orbit_keys(G):
+        legs = sp.basis_legs(orbits[c1], orbits[c2], key)
+        m = span_from_maps(*map(F.map, legs))
+        image[c1, c2, key] = transport_span(m, sigma[c1], sigma[c2]).terms
+    return image
+
+
+def inflated_keys_oracle(q: QuotientMap) -> tuple[tuple[int, ...], tuple]:
+    """The inflated keys as categorical_fixed_points read them before the
+    one table: the preimage class of each class of Q = q.target, and each
+    Q-key of orbit_keys(Q) with the G-key of its inflated span.  The
+    G-key is one canonical_key of the inflated apex orbit, with the legs
+    renamed by σ_c, the canonical_iso of the inflated orbit of class c,
+    onto G's canonical orbits of the preimage classes."""
+    G, Q = q.source, q.target
+    nq = subgroup_lattice(Q).num_classes
+    inflated = [gs.inflate(gs.orbit_gset(Q, c), q) for c in range(nq)]
+    sigma = [gs.canonical_iso(X) for X in inflated]
+    pre = tuple(c for _, c in g.class_preimages(q))
+    targets = [gs.orbit_gset(G, c) for c in pre]
+    pairs = []
+    for c1, c2, key in sp.orbit_keys(Q):
+        a, legL, legR = key
+        s1, s2 = sigma[c1].values, sigma[c2].values
+        gkey = sp.canonical_key(
+            inflated[a],
+            0,
+            [s1[x] for x in legL],
+            [s2[y] for y in legR],
+            targets[c1],
+            targets[c2],
+        )
+        pairs.append(((c1, c2, key), (pre[c1], pre[c2], gkey)))
+    return pre, tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -352,7 +401,7 @@ def mackey_composition_oracle(M: mk.MackeyFunctor) -> Verdict:
                             )
     for c in range(n):
         X = gs.orbit_gset(G, c)
-        (ikey, m), = sp.identity_span(X).terms
+        (ikey, m), = identity_span(X).terms
         A = M.gen_action[(c, c, ikey)]
         identity = mk._identity(M.levels[c].dims)
         if m != 1 or not mk._congruent(A, identity, M.levels[c].orders()):
@@ -366,10 +415,10 @@ def mackey_composition_oracle(M: mk.MackeyFunctor) -> Verdict:
                 tgt_orders = M.levels[c3].orders()
                 rows, cols = M.levels[c3].dims, M.levels[c1].dims
                 for k1 in sp.orbit_basis(G, c1, c2):
-                    m1 = sp.SpanMor(X, Y, ((k1, 1),))
+                    m1 = SpanMor(X, Y, ((k1, 1),))
                     A1 = M.gen_action[(c1, c2, k1)]
                     for k2 in sp.orbit_basis(G, c2, c3):
-                        composite = sp.compose_spans(sp.SpanMor(Y, Z, ((k2, 1),)), m1)
+                        composite = compose_spans(SpanMor(Y, Z, ((k2, 1),)), m1)
                         expanded = [[0] * cols for _ in range(rows)]
                         for k, m in composite.terms:
                             term = M.gen_action[(c1, c3, k)]
@@ -515,7 +564,7 @@ def colim_span_oracle(tower: g.GroupTower, cap: int, seed: int = 0) -> Verdict:
                 continue
             m1 = basis_span_mor(X, Y, rng.choice(b1))
             m2 = basis_span_mor(Y, Z, rng.choice(b2))
-            if SpInf(sp.compose_spans(m2, m1)) != sp.compose_spans(
+            if SpInf(compose_spans(m2, m1)) != compose_spans(
                 SpInf(m2), SpInf(m1)
             ):
                 return fail("Span(inflation) not functorial")
@@ -555,12 +604,12 @@ def limit_span_oracle(tower: g.GroupTower, cap: int) -> Verdict:
                             return fail("of a basis span is not basic")
                     elif image.terms:
                         return fail("of a kernel-moved apex is not zero")
-            if SpFix(sp.identity_span(X)) != sp.identity_span(gs.fixed_points(X, q)):
+            if SpFix(identity_span(X)) != identity_span(gs.fixed_points(X, q)):
                 return fail("does not preserve an identity span")
         for X, Y, Z in itertools.product(objs[:4], repeat=3):
             for m1, f1 in images[X, Y]:
                 for m2, f2 in images[Y, Z]:
-                    if SpFix(sp.compose_spans(m2, m1)) != sp.compose_spans(f2, f1):
+                    if SpFix(compose_spans(m2, m1)) != compose_spans(f2, f1):
                         return Verdict(
                             False, f"Span(fixed points) not functorial at stage {i}"
                         )
@@ -730,35 +779,78 @@ def inverse_map(f: EqMap) -> EqMap:
     return EqMap(f.dst, f.src, tuple(inv))
 
 
-def zero_span(left: GSet, right: GSet) -> sp.SpanMor:
-    return sp.SpanMor(left, right, ())
+class ObjectMismatch(ValueError):
+    """Span morphisms whose endpoints do not match."""
 
 
-def add_spans(a: sp.SpanMor, b: sp.SpanMor) -> sp.SpanMor:
+@dataclass(frozen=True)
+class SpanMor:
+    """A span morphism X -> Y: an exact multiset of basis keys."""
+
+    left: GSet
+    right: GSet
+    terms: tuple[tuple[sp.Key, int], ...]  # sorted, multiplicities >= 1
+
+
+def span_from_maps(f: EqMap, g: EqMap) -> SpanMor:
+    """The span class of X <-f- S -g-> Y for an arbitrary finite apex S,
+    keyed orbit by orbit of S."""
+    if f.src != g.src:
+        raise ObjectMismatch("legs must share an apex")
+    counts: dict = {}
+    for orb in f.src.orbits():
+        k = sp.canonical_key(f.src, orb[0], f.values, g.values, f.dst, g.dst)
+        counts[k] = counts.get(k, 0) + 1
+    return SpanMor(f.dst, g.dst, sp._normalize(counts))
+
+
+def identity_span(X: GSet) -> SpanMor:
+    return span_from_maps(identity_map(X), identity_map(X))
+
+
+def compose_spans(m2: SpanMor, m1: SpanMor) -> SpanMor:
+    """m2 after m1, composing basis terms by the double-coset formula and
+    extending bilinearly."""
+    if m1.right != m2.left:
+        raise ObjectMismatch("span morphisms do not compose")
+    X, Z = m1.left, m2.right
+    counts: dict = {}
+    for k1, c1 in m1.terms:
+        for k2, c2 in m2.terms:
+            for k, c in sp._compose_keys(X, Z, k2, k1):
+                counts[k] = counts.get(k, 0) + c1 * c2 * c
+    return SpanMor(X, Z, sp._normalize(counts))
+
+
+def zero_span(left: GSet, right: GSet) -> SpanMor:
+    return SpanMor(left, right, ())
+
+
+def add_spans(a: SpanMor, b: SpanMor) -> SpanMor:
     if a.left != b.left or a.right != b.right:
         raise ObjectMismatch("span morphisms must share endpoints")
     counts = dict(a.terms)
     for k, m in b.terms:
         counts[k] = counts.get(k, 0) + m
-    return sp.SpanMor(a.left, a.right, sp._normalize(counts))
+    return SpanMor(a.left, a.right, sp._normalize(counts))
 
 
-def scale_span(m: sp.SpanMor, n: int) -> sp.SpanMor:
+def scale_span(m: SpanMor, n: int) -> SpanMor:
     if n == 0:
         return zero_span(m.left, m.right)
-    return sp.SpanMor(m.left, m.right, tuple((k, n * c) for k, c in m.terms))
+    return SpanMor(m.left, m.right, tuple((k, n * c) for k, c in m.terms))
 
 
-def sum_of_spans(left: GSet, right: GSet, parts) -> sp.SpanMor:
+def sum_of_spans(left: GSet, right: GSet, parts) -> SpanMor:
     """The sum of mult · [left <-f- S -g-> right] over (f, g, mult) in
     parts, each span keyed by span_from_maps."""
     total = zero_span(left, right)
     for f, g_, mult in parts:
-        total = add_spans(total, scale_span(sp.span_from_maps(f, g_), mult))
+        total = add_spans(total, scale_span(span_from_maps(f, g_), mult))
     return total
 
 
-def transport_span(m: sp.SpanMor, isoL: EqMap, isoR: EqMap) -> sp.SpanMor:
+def transport_span(m: SpanMor, isoL: EqMap, isoR: EqMap) -> SpanMor:
     """Push the endpoints along maps left -> left', right -> right' (in
     practice isomorphisms or coproduct inclusions), keying the moved legs
     again."""
@@ -771,9 +863,9 @@ def transport_span(m: sp.SpanMor, isoL: EqMap, isoR: EqMap) -> sp.SpanMor:
     return sum_of_spans(isoL.dst, isoR.dst, parts)
 
 
-def _whole_basis(X: GSet, Y: GSet) -> sp.SpanMor:
+def _whole_basis(X: GSet, Y: GSet) -> SpanMor:
     """The sum of every basis span of hom(X, Y), each once."""
-    return sp.SpanMor(X, Y, tuple((k, 1) for k in sp.span_basis(X, Y)))
+    return SpanMor(X, Y, tuple((k, 1) for k in sp.span_basis(X, Y)))
 
 
 def semiadditivity_check(X: GSet, Xp: GSet, Y: GSet) -> Verdict:
@@ -785,7 +877,7 @@ def semiadditivity_check(X: GSet, Xp: GSet, Y: GSet) -> Verdict:
         raise GroupMismatch("semiadditivity requires a common group")
     XX, i1, i2 = gs.coproduct(X, Xp)
     YY, j1, j2 = gs.coproduct(Y, Xp)
-    idX, idY = gs.identity_map(X), gs.identity_map(Y)
+    idX, idY = identity_map(X), identity_map(Y)
     for reason, A, B, parts in (
         ("coproduct variable", XX, Y, [(X, Y, i1, idY), (Xp, Y, i2, idY)]),
         ("second variable", X, YY, [(X, Y, idX, j1), (X, Xp, idX, j2)]),
@@ -799,9 +891,13 @@ def semiadditivity_check(X: GSet, Xp: GSet, Y: GSet) -> Verdict:
     return Verdict(True)
 
 
-def basis_span_mor(X: GSet, Y: GSet, key: sp.Key) -> sp.SpanMor:
+def basis_span_mor(X: GSet, Y: GSet, key: sp.Key) -> SpanMor:
     """The basis span of key as a one-term span morphism X -> Y."""
-    return sp.SpanMor(X, Y, ((key, 1),))
+    return SpanMor(X, Y, ((key, 1),))
+
+
+def identity_map(X: GSet) -> EqMap:
+    return EqMap(X, X, tuple(X.points()))
 
 
 def then_map(f: EqMap, g: EqMap) -> EqMap:

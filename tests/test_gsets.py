@@ -12,6 +12,7 @@ from profspan.errors import GroupMismatch
 from oracles import (
     adjunction_report,
     groups_of_order_at_most,
+    identity_map,
     point_gset,
     pullback,
     square_is_pullback,
@@ -122,7 +123,7 @@ def test_inflation_is_built_once():
     X = gs.canonical_gset(t.stages[1], (0, 1))
     assert gs.inflate(X, q) is gs.inflate(X, q)
     assert gs.inflate(X, g.cyclic_tower(2, 3).links[1]) is gs.inflate(X, q)
-    f = gs.identity_map(X)
+    f = identity_map(X)
     assert gs.inflate_map(f, q).src is gs.inflate(X, q)
 
 
@@ -205,7 +206,7 @@ def test_inflation_fully_faithful():
 
 def test_pullback_diagonal():
     X = regular(C2)
-    P, p1, p2 = pullback(gs.identity_map(X), gs.identity_map(X))
+    P, p1, p2 = pullback(identity_map(X), identity_map(X))
     assert gs.orbit_class_multiset(P) == gs.orbit_class_multiset(X)
 
 
@@ -222,7 +223,7 @@ def test_pullback_over_point_is_product():
 def test_pullback_swap_free_orbit():
     X = regular(C2)
     swap = next(f for f in gs.hom_gset(X, X) if f.values != (0, 1))
-    P, _, _ = pullback(gs.identity_map(X), swap)
+    P, _, _ = pullback(identity_map(X), swap)
     assert P.size == 2
     assert gs.orbit_class_multiset(P) == (0,)  # one free orbit
 
@@ -281,7 +282,7 @@ def test_square_is_pullback_matches_fibre_product_oracle():
 def test_square_is_pullback_rejects_a_square_that_does_not_commute():
     X = regular(C2)
     swap = next(f for f in gs.hom_gset(X, X) if f.values != (0, 1))
-    ident = gs.identity_map(X)
+    ident = identity_map(X)
     with pytest.raises(ValueError):
         square_is_pullback(ident, ident, swap, ident)
 
@@ -323,7 +324,7 @@ def test_coproduct_disjoint_and_universal():
     Z = gs.canonical_gset(C2, (0, 1))
     XY, i1, i2 = gs.coproduct(X, Y)
     homs = gs.hom_gset(XY, Z)
-    pairs = {(then_map(f, gs.identity_map(Z)).values, None) for f in homs}
+    pairs = {(then_map(f, identity_map(Z)).values, None) for f in homs}
     assert len(homs) == len(gs.hom_gset(X, Z)) * len(gs.hom_gset(Y, Z))
     restricted = {(then_map(i1, f).values, then_map(i2, f).values) for f in homs}
     assert len(restricted) == len(homs)
@@ -346,7 +347,7 @@ def test_adjunction_report_trivial_n_action():
     # X with trivial N-action: counit is an isomorphism, square is a pullback
     q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
     X = gs.canonical_gset(C4, (1, 2))  # N acts trivially on both orbits
-    f = gs.identity_map(X)
+    f = identity_map(X)
     rep = adjunction_report(q, X, f)
     assert rep.counit_square_is_pullback
 

@@ -320,14 +320,12 @@ def test_fixed_points_change_under_a_wrong_renaming(monkeypatch, name, kernel):
         )
         return then_map(iso, auto)
 
-    # the inflated keys of q are kept per quotient map, so they are built
-    # afresh under the wrong renaming and dropped after it
+    # the Span table of q is kept per functor and link, so it is built
+    # afresh under the wrong renaming by the uncached function, and the
+    # kept table is neither read nor written
     monkeypatch.setattr(gs, "canonical_iso", wrong_iso)
-    mk._inflated_keys.cache_clear()
-    try:
-        wrong = mk.categorical_fixed_points(M, q)
-    finally:
-        mk._inflated_keys.cache_clear()
+    monkeypatch.setattr(sp, "span_images", sp.span_images.__wrapped__)
+    wrong = mk.categorical_fixed_points(M, q)
     assert wrong.levels == right.levels
     assert wrong.gen_action != right.gen_action
 

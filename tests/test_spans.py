@@ -9,18 +9,24 @@ from profspan import gsets as gs
 from profspan import spans as sp
 from profspan import verify as vf
 from profspan.corpus import corpus_group, corpus_groups
-from profspan.errors import ObjectMismatch, Verdict
+from profspan.errors import Verdict
 
 from oracles import (
+    ObjectMismatch,
     OrbitQuotientFunctor,
+    SpanMor,
     add_spans,
     basis_span_mor,
     canonical_key_oracle,
     compose_keys_oracle,
     compose_keys_per_element_oracle,
     compose_quotients,
+    compose_spans,
     double_coset_count,
     groups_of_order_at_most,
+    identity_map,
+    identity_span,
+    inflated_keys_oracle,
     inverse_map,
     least_key,
     left_exact_oracle,
@@ -30,11 +36,13 @@ from oracles import (
     semiadditivity_check,
     span_basis_count_oracle,
     span_basis_oracle,
+    span_images_oracle,
     span_of_functor_oracle,
     square_is_pullback,
     transport_span,
     zero_span,
 )
+from test_verify import TOWER_GRID, _trivial_first_link
 
 
 C2 = g.cyclic(2)
@@ -80,12 +88,12 @@ def test_span_basis_counts_are_double_cosets_for_free_source():
 
 
 def test_identity_span_shapes():
-    assert not sp.identity_span(gs.empty_gset(C2)).terms
-    assert len(sp.identity_span(point_gset(C2)).terms) == 1
+    assert not identity_span(gs.empty_gset(C2)).terms
+    assert len(identity_span(point_gset(C2)).terms) == 1
     A = gs.canonical_gset(C4, (1,))
     B = gs.canonical_gset(C4, (0, 2))
     AB = gs.coproduct(A, B)[0]
-    ia, ib, iab = sp.identity_span(A), sp.identity_span(B), sp.identity_span(AB)
+    ia, ib, iab = identity_span(A), identity_span(B), identity_span(AB)
     assert len(iab.terms) == len(ia.terms) + len(ib.terms)
 
 
@@ -97,8 +105,8 @@ def test_identity_law():
                 Y = gs.canonical_gset(G, my)
                 for b in sp.span_basis(X, Y):
                     m = basis_span_mor(X, Y, b)
-                    assert sp.compose_spans(sp.identity_span(Y), m) == m
-                    assert sp.compose_spans(m, sp.identity_span(X)) == m
+                    assert compose_spans(identity_span(Y), m) == m
+                    assert compose_spans(m, identity_span(X)) == m
 
 
 def test_burnside_relation_c2():
@@ -108,30 +116,36 @@ def test_burnside_relation_c2():
         for b in sp.span_basis(pt, pt)
         if sp.basis_legs(pt, pt, b)[0].src.size == 2
     )
-    assert sp.compose_spans(t, t) == add_spans(t, t)
+    assert compose_spans(t, t) == add_spans(t, t)
 
 
 def test_compose_with_zero():
     pt = point_gset(C2)
     t = basis_span_mor(pt, pt, sp.span_basis(pt, pt)[0])
-    assert not sp.compose_spans(zero_span(pt, pt), t).terms
-    assert not sp.compose_spans(t, zero_span(pt, pt)).terms
+    assert not compose_spans(zero_span(pt, pt), t).terms
+    assert not compose_spans(t, zero_span(pt, pt)).terms
 
 
 def test_compose_rejects_mismatched_middle():
     pt = point_gset(C2)
     free = gs.canonical_gset(C2, (0,))
-    m1 = sp.identity_span(pt)
-    m2 = sp.identity_span(free)
+    m1 = identity_span(pt)
+    m2 = identity_span(free)
     with pytest.raises(ObjectMismatch):
-        sp.compose_spans(m2, m1)
+        compose_spans(m2, m1)
+
+
+def _renumbering(G, seed):
+    """A seeded permutation of the non-identity elements of G: element a
+    of G is element new[a] of the copy that _relabelled makes."""
+    rest = list(G.elements())[1:]
+    random.Random(seed).shuffle(rest)
+    return [0] + rest
 
 
 def _relabelled(G, seed):
     """G with its non-identity elements renumbered by a seeded permutation."""
-    rest = list(G.elements())[1:]
-    random.Random(seed).shuffle(rest)
-    new = [0] + rest  # element a of G is element new[a] of the copy
+    new = _renumbering(G, seed)
     old = [0] * G.order
     for a, v in enumerate(new):
         old[v] = a
@@ -295,8 +309,8 @@ def test_associativity_sampled():
             m1 = basis_span_mor(X, Y, rng.choice(b1))
             m2 = basis_span_mor(Y, Z, rng.choice(b2))
             m3 = basis_span_mor(Z, W, rng.choice(b3))
-            lhs = sp.compose_spans(sp.compose_spans(m3, m2), m1)
-            rhs = sp.compose_spans(m3, sp.compose_spans(m2, m1))
+            lhs = compose_spans(compose_spans(m3, m2), m1)
+            rhs = compose_spans(m3, compose_spans(m2, m1))
             assert lhs == rhs
 
 
@@ -311,8 +325,8 @@ def test_bilinearity():
         basis_span_mor(pt, pt, basis_pp[0]),
         scale_span(basis_span_mor(pt, pt, basis_pp[1]), 2),
     )
-    assert sp.compose_spans(c, add_spans(a, b)) == add_spans(
-        sp.compose_spans(c, a), sp.compose_spans(c, b)
+    assert compose_spans(c, add_spans(a, b)) == add_spans(
+        compose_spans(c, a), compose_spans(c, b)
     )
 
 
@@ -379,8 +393,8 @@ def test_transport_span_roundtrip():
     auto = next(f for f in gs.hom_gset(X, X) if f.is_iso())
     for b in sp.span_basis(X, Y):
         m = basis_span_mor(X, Y, b)
-        moved = transport_span(m, auto, gs.identity_map(Y))
-        back = transport_span(moved, inverse_map(auto), gs.identity_map(Y))
+        moved = transport_span(m, auto, identity_map(Y))
+        back = transport_span(moved, inverse_map(auto), identity_map(Y))
         assert back == m
 
 
@@ -441,9 +455,9 @@ def check_left_exact(F) -> Verdict:
     actions, f and h values)."""
     G = F.src_group
     orbits = _orbits(G)
-    image = vf._span_images(F, orbits)
+    table = sp.span_images(type(F), F.q)
     for c1, c2, c3, k1, k2, f, h in _transfer_restriction_pairs(G, orbits):
-        if not vf._law_holds(orbits, image, c1, c2, c3, k1, k2):
+        if not vf._law_holds(table, c1, c2, c3, k1, k2):
             X, Z, Y = orbits[c1], orbits[c2], orbits[c3]
             square = (X.action, Y.action, Z.action, f.values, h.values)
             return Verdict(False, "pullback not preserved", square)
@@ -513,11 +527,11 @@ def test_law_on_transfer_restriction_pairs_decides_left_exactness(functor):
             F = functor(q)
             G = F.src_group
             orbits = _orbits(G)
-            image = vf._span_images(F, orbits)
+            table = sp.span_images(functor, q)
             for c1, c2, c3, k1, k2, f, h in _transfer_restriction_pairs(G, orbits):
                 P, p1, p2 = pullback(f, h)
                 kept = square_is_pullback(*map(F.map, (p1, p2, f, h)))
-                law = vf._law_holds(orbits, image, c1, c2, c3, k1, k2)
+                law = vf._law_holds(table, c1, c2, c3, k1, k2)
                 assert law == kept, (name, q.kernel.elements, c1, c2, c3, k1, k2)
                 cospans += 1
                 failing += not kept
@@ -538,7 +552,7 @@ def test_span_functoriality_on_composable_pairs():
                 for b2 in sp.span_basis(Y, Z):
                     m1 = basis_span_mor(X, Y, b1)
                     m2 = basis_span_mor(Y, Z, b2)
-                    assert SpF(sp.compose_spans(m2, m1)) == sp.compose_spans(
+                    assert SpF(compose_spans(m2, m1)) == compose_spans(
                         SpF(m2), SpF(m1)
                     )
 
@@ -654,9 +668,8 @@ def test_least_points_match_a_recomputation_on_the_corpus_orbits(name):
     "tower", [(2, 6), (3, 4), (5, 3)], ids=["2,6", "3,4", "5,3"]
 )
 def test_least_points_match_a_recomputation_on_the_link_images(tower):
-    """The fixed-point and inflation images of the orbits, which the span
-    checks compose through compose_spans, at towers where |W| reaches 64,
-    81 and 125."""
+    """The fixed-point and inflation images of the orbits, at towers
+    where |W| reaches 64, 81 and 125."""
     for F in _link_functors(*tower):
         for X in _orbits(F.src_group):
             _assert_least_points_recomputed(F.obj(X))
@@ -678,7 +691,7 @@ def _whole_basis_times(X, Y, first):
     """Every basis span of hom(X, Y), with multiplicities first, first + 1,
     first + 2, first, ... in key order."""
     basis = sp.span_basis(X, Y)
-    return sp.SpanMor(X, Y, tuple((k, first + i % 3) for i, k in enumerate(basis)))
+    return SpanMor(X, Y, tuple((k, first + i % 3) for i, k in enumerate(basis)))
 
 
 def test_span_of_functor_keeps_images_apart_per_endpoints():
@@ -701,20 +714,24 @@ def test_span_of_functor_keeps_images_apart_per_endpoints():
 @LINK_TOWERS
 def test_span_of_functor_matches_term_by_term_oracle(tower):
     """The Span(F) table of the span checks, added up over the terms of a
-    morphism between orbits, is Span(F) applied term by term: on every
-    basis between two orbits with multiplicities, and on their
-    composites."""
+    morphism between orbits, is Span(F) applied term by term and renamed
+    onto the table's targets: on every basis between two orbits with
+    multiplicities, and on their composites."""
     for F in _link_functors(*tower):
         oracle = span_of_functor_oracle(F)
         orbits = _orbits(F.src_group)
-        image = vf._span_images(F, orbits)
+        table = sp.span_images(type(F), F.q)
+        sigma = [gs.canonical_iso(F.obj(X)) for X in orbits]
 
         def tabulated(c1, c2, m):
             counts: Counter = Counter()
             for key, mult in m.terms:
-                for k, c in image[c1, c2, key].terms:
+                for k, c in table.terms[c1, c2, key]:
                     counts[k] += mult * c
             return tuple(sorted(counts.items()))
+
+        def renamed(c1, c2, m):
+            return transport_span(oracle(m), sigma[c1], sigma[c2]).terms
 
         pairs = list(itertools.product(range(len(orbits)), repeat=2))
         multi = {
@@ -722,7 +739,68 @@ def test_span_of_functor_matches_term_by_term_oracle(tower):
             for c1, c2 in pairs
         }
         for (c1, c2), m in multi.items():
-            assert tabulated(c1, c2, m) == oracle(m).terms
+            assert tabulated(c1, c2, m) == renamed(c1, c2, m)
         for c1, c2, c3 in itertools.product(range(len(orbits)), repeat=3):
-            composite = sp.compose_spans(multi[c2, c3], multi[c1, c2])
-            assert tabulated(c1, c3, composite) == oracle(composite).terms
+            composite = compose_spans(multi[c2, c3], multi[c1, c2])
+            assert tabulated(c1, c3, composite) == renamed(c1, c3, composite)
+
+
+def _relabelled_target(q, seed):
+    """q followed by the renumbering of its target that _relabelled makes:
+    the inflated and fixed-point orbits are then numbered apart from the
+    canonical orbits, so canonical_iso renames them."""
+    new = _renumbering(q.target, seed)
+    projection = [new[x] for x in q.projection]
+    return g.quotient_map(q.source, _relabelled(q.target, seed), projection)
+
+
+def _span_image_links():
+    """Every link of the verify tower grid, and the quotient map of every
+    corpus group by each of its normal subgroups, each also followed by a
+    renumbering of its target."""
+    links = [
+        (f"tower-{p}-{depth}-link-{i}", q)
+        for p, depth in TOWER_GRID
+        for i, q in enumerate(g.cyclic_tower(p, depth).links)
+    ]
+    links += [
+        (f"{name}/{len(q.kernel.elements)}", q)
+        for name, G in corpus_groups()
+        for q in _quotients(G)
+    ]
+    for label, q in links:
+        yield pytest.param(q, id=label)
+        yield pytest.param(_relabelled_target(q, 5), id=f"{label}-renumbered")
+
+
+@pytest.mark.parametrize("q", list(_span_image_links()))
+def test_span_images_match_both_routes_they_replace(q):
+    """The Span(F) table of inflation and of fixed points along q is, key
+    for key, span_from_maps of F on the legs renamed by canonical_iso; for
+    inflation each image is the one key that categorical fixed points
+    read through canonical_iso, as the basis object of orbit_basis
+    itself."""
+    for functor in (sp.InflationGSetFunctor, sp.FixedPointsGSetFunctor):
+        table = sp.span_images(functor, q)
+        assert table.terms == span_images_oracle(functor(q))
+        assert list(table.terms) == sp.orbit_keys(functor(q).src_group)
+    table = sp.span_images(sp.InflationGSetFunctor, q)
+    pre, pairs = inflated_keys_oracle(q)
+    assert table.classes == tuple((c,) for c in pre)
+    assert list(table.terms.items()) == [
+        (qkey, ((gkey[2], 1),)) for qkey, gkey in pairs
+    ]
+    for (c1, c2, _), ((gkey, _),) in table.terms.items():
+        assert any(gkey is k for k in sp.orbit_basis(q.source, pre[c1], pre[c2]))
+
+
+def test_span_images_of_a_link_that_is_not_onto():
+    """Along the trivial map C4 -> C2, inflation sends the free orbit of
+    C2 to two fixed points: the table's targets are canonical G-sets of
+    several orbits, images have several terms, and the table is the
+    renamed span_from_maps route."""
+    q = _trivial_first_link(3).links[0]
+    table = sp.span_images(sp.InflationGSetFunctor, q)
+    assert table.terms == span_images_oracle(sp.InflationGSetFunctor(q))
+    assert max(map(len, table.classes)) == 2
+    assert max(len(terms) for terms in table.terms.values()) > 1

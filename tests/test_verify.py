@@ -24,7 +24,6 @@ from profspan.cli import main
 
 from oracles import (
     OrbitQuotientFunctor,
-    basis_span_mor,
     colim_gset_equivalence_oracle,
     colim_span_oracle,
     limit_span_oracle,
@@ -177,11 +176,6 @@ def test_make_tower_rejects_a_trivial_link_that_limit_span_cannot_run_on():
         g.make_tower(raw.stages, raw.links)
     with pytest.raises(ValueError):
         vf.verify_limit_span(raw)
-
-
-def _orbits(G):
-    """The canonical orbit of every subgroup class of G."""
-    return [gs.orbit_gset(G, c) for c in range(g.subgroup_lattice(G).num_classes)]
 
 
 @pytest.mark.parametrize("tower", ["2,3", "3,2"])
@@ -337,39 +331,38 @@ def _image_mutants(functor, tower):
     images, the two images "swapped".  (A swap of endpoint keys can give
     another functor: in C3 the two rotations of the free orbit.)"""
     for i, q in enumerate(tower.links):
-        F = functor(q)
-        G = F.src_group
-        orbits = _orbits(G)
-        table = vf._span_images(F, orbits)
-        for (c1, X), (c2, Y) in itertools.product(enumerate(orbits), repeat=2):
-            FX, FY = F.obj(X), F.obj(Y)
+        table = sp.span_images(functor, q)
+        G, n = table.orbits[0].group, len(table.orbits)
+        for c1, c2 in itertools.product(range(n), repeat=2):
+            T1, T2 = table.targets[c1], table.targets[c2]
             keys = sp.orbit_basis(G, c1, c2)
-            true = {k: table[c1, c2, k] for k in keys}
+            true = {k: table.terms[c1, c2, k] for k in keys}
             for key in keys:
-                hit = {k for k, _ in true[key].terms}
-                other = [b for b in sp.span_basis(FX, FY) if b not in hit]
+                hit = {k for k, _ in true[key]}
+                other = [b for b in sp.span_basis(T1, T2) if b not in hit]
                 if other:
-                    image = basis_span_mor(FX, FY, other[0])
-                    yield "replaced", i, c1, c2, {key: image}
+                    yield "replaced", i, c1, c2, {key: ((other[0], 1),)}
             ends = sp.endpoint_keys(G, c1, c2)
-            basic = [k for k in keys if len(true[k].terms) == 1 and k not in ends]
+            basic = [k for k in keys if len(true[k]) == 1 and k not in ends]
             for k1, k2 in zip(basic, basic[1:]):
                 yield "swapped", i, c1, c2, {k1: true[k2], k2: true[k1]}
 
 
 def _corrupt(monkeypatch, functor, link, c1, c2, images):
-    """Make the Span(F) table of every F = functor(link) send each basis
-    span key of `images` between the orbits of classes c1 and c2 to its
-    image."""
-    span_images = vf._span_images
+    """Make the Span(F) table of functor along link send each basis span
+    key of `images` between the orbits of classes c1 and c2 to its image,
+    in a copy: the kept table is left as it is."""
+    span_images = sp.span_images
 
-    def corrupted(F, orbits):
-        table = span_images(F, orbits)
-        if isinstance(F, functor) and F.q == link:
-            table.update({(c1, c2, key): image for key, image in images.items()})
-        return table
+    def corrupted(kind, q):
+        table = span_images(kind, q)
+        if kind is not functor or q != link:
+            return table
+        terms = dict(table.terms)
+        terms.update({(c1, c2, key): image for key, image in images.items()})
+        return table._replace(terms=terms)
 
-    monkeypatch.setattr(vf, "_span_images", corrupted)
+    monkeypatch.setattr(sp, "span_images", corrupted)
 
 
 @pytest.mark.parametrize("p,depth", [(2, 3), (3, 3)])
@@ -407,7 +400,16 @@ def test_limit_span_fails_on_a_functor_that_is_not_left_exact(monkeypatch):
     keeps a basis span whose apex does not contain the kernel.  With that
     basis test passed over, the law fails on a transfer and a restriction
     whose cospan's pullback the functor does not keep."""
-    monkeypatch.setattr(sp, "FixedPointsGSetFunctor", OrbitQuotientFunctor)
+    span_images = sp.span_images
+
+    def quotient_images(functor, q):
+        # the N-orbit quotient's table, built uncached in place of that of
+        # fixed points; no kept table is read or written
+        if functor is sp.FixedPointsGSetFunctor:
+            return span_images.__wrapped__(OrbitQuotientFunctor, q)
+        return span_images(functor, q)
+
+    monkeypatch.setattr(sp, "span_images", quotient_images)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["--tower", "2,2", "verify", "limit-span"]) == 1
