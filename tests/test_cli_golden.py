@@ -57,6 +57,7 @@ CASES.update({
     "adjunction-cap5": ["--cap", "5", "verify", "adjunction"],
     "adjunction-cap6": ["--cap", "6", "verify", "adjunction"],
     "adjunction-cap7": ["--cap", "7", "verify", "adjunction"],
+    "adjunction-cap16": ["--cap", "16", "verify", "adjunction"],
     "funcat-seed0": ["--seed", "0", "verify", "funcat"],
     "funcat-seed3": ["--seed", "3", "verify", "funcat"],
     "mackey-limit-2-2": ["--tower", "2,2", "verify", "mackey-limit"],
