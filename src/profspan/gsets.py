@@ -1,23 +1,25 @@
 """Finite G-sets and equivariant maps: orbits, fixed points, inflation,
-coproducts, and the counit squares of the inflation/fixed-points
+canonical G-sets, and the counit squares of the inflation/fixed-points
 adjunction.
 
 The N-fixed points of a G-set X, for N the kernel of a quotient map q,
 are computed once per (X, q) and kept (`fixed_point_data`): X^N with its
 residual action and the index of each fixed point.  `fixed_points`,
-`counit_map`, `unit_map`, `fixed_points_map` and the counit-square
-functions read that record.  No square of G-sets is built: the counit
-square of f: X -> X' is a pullback iff f sends no orbit outside X^N into
-X'^N, so it is decided per orbit factor of hom(X, X')
-(`counit_square_counts`).  A unit square needs no test: its parallel
-sides are units, isomorphisms, so it is always a pullback.
+`fixed_points_map` and the counit-square functions read that record.
+No square of G-sets is built: the counit square of f: X -> X' is a
+pullback iff f sends no orbit outside X^N into X'^N, so it is decided
+per orbit factor of hom(X, X') (`counit_square_counts`).  A unit square
+needs no test: its parallel sides are units, isomorphisms, so it is
+always a pullback.
 
 hom(X, Y) is the product, over the orbits of X, of the sets Y^Stab(orbit)
 (`hom_factors`): a map is free to send each orbit's base point to any
 point fixed by its stabilizer, and the size of that factor is the mark of
-the stabilizer on Y.  Properties of hom-sets are decided per factor;
-`hom_gset` multiplies the factors out only where the maps themselves are
-needed: one counit-square witness, and the tests.
+the stabilizer on Y.  Properties of hom-sets are decided per factor, and
+the one map the package needs, a counit-square witness, is written from
+one choice per factor (`counit_square_witness`): no hom-set is enumerated
+in the package.  A canonical G-set is the rows of its canonical orbits
+(`orbit_gset`), shifted past the points before them (`canonical_gset`).
 Orbits and point stabilizers are computed once per G-set.
 
 What is computed once is kept for the rest of the process, in lru_caches
@@ -30,7 +32,6 @@ the same G-set, with the orbits and stabilizers it has already found.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -122,12 +123,6 @@ class EqMap:
     dst: GSet
     values: tuple[int, ...]
 
-    def is_injective(self) -> bool:
-        return len(set(self.values)) == self.src.size
-
-    def is_iso(self) -> bool:
-        return self.src.size == self.dst.size and self.is_injective()
-
 
 @lru_cache(maxsize=None)
 def coset_gset(G: FiniteGroup, subgroup_elements: tuple[int, ...]) -> GSet:
@@ -209,18 +204,6 @@ def fixed_points(X: GSet, q: QuotientMap) -> GSet:
     return fixed_point_data(X, q).fixed
 
 
-def counit_map(X: GSet, q: QuotientMap) -> EqMap:
-    """inf(X^N) -> X; the inclusion of the fixed points."""
-    fixed, index = fixed_point_data(X, q)
-    return EqMap(inflate(fixed, q), X, tuple(index))
-
-
-def unit_map(X: GSet, q: QuotientMap) -> EqMap:
-    """X -> (inf X)^N for X over G/N."""
-    fixed, index = fixed_point_data(inflate(X, q), q)
-    return EqMap(X, fixed, tuple(index[x] for x in X.points()))
-
-
 @lru_cache(maxsize=None)
 def inflate(X: GSet, q: QuotientMap) -> GSet:
     """Pull the action back along the projection; every point is N-fixed.
@@ -266,49 +249,6 @@ def hom_factors(X: GSet, Y: GSet) -> list[HomFactor]:
     return out
 
 
-def hom_gset(X: GSet, Y: GSet) -> list[EqMap]:
-    """All equivariant maps X -> Y, in the product order of hom_factors.
-
-    A factor choice y writes the orbit's row g.x -> g.y, tabulated once
-    per (orbit, y) over the first g reaching each orbit point."""
-    factors = hom_factors(X, Y)
-    rows = []
-    order: list[int] = []  # the orbit points in row order
-    for base, _, points in factors:
-        first: dict = {}
-        for g, z in enumerate(X.action[base]):
-            first.setdefault(z, g)
-        orbit = sorted(first)
-        order += orbit
-        reach = [first[z] for z in orbit]
-        rows.append([tuple(map(Y.action[y].__getitem__, reach)) for y in points])
-    slot = [0] * X.size
-    for k, z in enumerate(order):
-        slot[z] = k
-    maps = []
-    for combo in itertools.product(*rows):
-        flat = tuple(itertools.chain.from_iterable(combo))
-        maps.append(EqMap(X, Y, tuple(map(flat.__getitem__, slot))))
-    return maps
-
-
-def empty_gset(G: FiniteGroup) -> GSet:
-    return GSet(G, ())
-
-
-def coproduct(X: GSet, Y: GSet) -> tuple[GSet, EqMap, EqMap]:
-    if X.group != Y.group:
-        raise GroupMismatch("coproduct requires a common group")
-    n = X.size
-    action = X.action + tuple(
-        tuple(v + n for v in row) for row in Y.action
-    )
-    Z = GSet(X.group, action)
-    inc1 = EqMap(X, Z, tuple(range(n)))
-    inc2 = EqMap(Y, Z, tuple(range(n, n + Y.size)))
-    return Z, inc1, inc2
-
-
 def counit_square_counts(q: QuotientMap, X: GSet, Y: GSet) -> tuple[int, int]:
     """The number of maps f: X -> Y, and of those whose counit square
     (over f and inf f^N) is a pullback, for N = ker q.
@@ -333,15 +273,35 @@ def counit_square_counts(q: QuotientMap, X: GSet, Y: GSet) -> tuple[int, int]:
 
 
 def counit_square_witness(q: QuotientMap, X: GSet, Y: GSet) -> EqMap | None:
-    """The first map of hom_gset(X, Y) whose counit square is not a
-    pullback, the first that sends a point outside X^N into Y^N, or None."""
-    fixed_x = fixed_point_data(X, q).index
-    fixed_y = fixed_point_data(Y, q).index
-    moved = [x for x in X.points() if x not in fixed_x]
-    return next(
-        (f for f in hom_gset(X, Y) if any(f.values[x] in fixed_y for x in moved)),
-        None,
-    )
+    """The first map f: X -> Y whose counit square is not a pullback, the
+    first that sends an orbit outside X^N into Y^N, or None; maps come in
+    the product order of hom_factors, the last factor's choice varying
+    fastest.
+
+    The first map of all chooses every factor's first point, and is the
+    witness if it fails.  Otherwise no moved orbit (N not in its
+    stabilizer) has its first choice in Y^N, and a map failing at a moved
+    orbit moves that orbit's choice off its first point.  Of the least
+    such maps, one per moved orbit with a choice in Y^N, the one at the
+    last orbit comes first: it keeps every earlier factor at its first
+    point.  The map writes g·base -> g·y for each factor's choice y."""
+    N = set(q.kernel.elements)
+    fixed = fixed_point_data(Y, q).index
+    factors = hom_factors(X, Y)
+    if not all(f.points for f in factors):
+        return None
+    choice = [f.points[0] for f in factors]
+    moved = [i for i, f in enumerate(factors) if not N.issubset(f.stabilizer)]
+    if not any(choice[i] in fixed for i in moved):
+        reach = [i for i in moved if any(y in fixed for y in factors[i].points)]
+        if not reach:
+            return None
+        choice[reach[-1]] = next(y for y in factors[reach[-1]].points if y in fixed)
+    values = [0] * X.size
+    for f, y in zip(factors, choice):
+        for x, y_at in zip(X.action[f.base], Y.action[y]):
+            values[x] = y_at
+    return EqMap(X, Y, tuple(values))
 
 
 def fixed_points_map(f: EqMap, q: QuotientMap) -> EqMap:
@@ -353,11 +313,14 @@ def fixed_points_map(f: EqMap, q: QuotientMap) -> EqMap:
 
 
 def canonical_gset(G: FiniteGroup, class_multiset) -> GSet:
-    """Disjoint union of canonical coset G-sets for the given orbit classes."""
-    X = empty_gset(G)
+    """Disjoint union of the canonical orbits of the given classes, in
+    that order: the rows of each orbit_gset, shifted past the points of
+    the orbits before it."""
+    action: list[tuple[int, ...]] = []
     for c in class_multiset:
-        X = coproduct(X, orbit_gset(G, c))[0]
-    return X
+        n = len(action)
+        action += (tuple(v + n for v in row) for row in orbit_gset(G, c).action)
+    return GSet(G, tuple(action))
 
 
 def gset_isoclasses(G: FiniteGroup, size_cap: int) -> list[tuple[int, ...]]:

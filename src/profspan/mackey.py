@@ -8,12 +8,13 @@ double-coset formula, and all arithmetic is exact.
 
 The module works on basis keys only, and builds no span morphism.  The
 basis spans between orbits, which gen_action is keyed by, are
-spans.orbit_keys; a key is made with spans.canonical_key (reversed and
-identity spans included) and composed with spans._compose_keys, given
-the canonical orbits at its two ends.  Both number cosets and choose
-conjugators as spans.coset_tables does, and key every orbit from the
-W-orbit table of each end and class (spans._least_points), so every
-key of one functor shares the leg tuples of those tables.
+spans.orbit_keys; a reversed or identity span is keyed from a point of
+each end with spans.pair_key, and keys are composed with
+spans._compose_keys, given the canonical orbits at their two ends.
+Both number cosets and choose conjugators as spans.coset_tables does,
+and key every orbit from the W-orbit table of each end and class
+(spans._least_points), so every key of one functor shares the leg
+tuples of those tables.
 categorical_fixed_points reads Span(inflation) from the table of its
 link (spans.span_images), as the colim-span check does.
 
@@ -150,8 +151,10 @@ def burnside_mackey(G: FiniteGroup) -> MackeyFunctor:
     tgt_index = [{k: i for i, k in enumerate(bs)} for bs in level_basis]
     gen_action: dict = {}
     for c1, c2, key in sp.orbit_keys(G):
+        # point 0 of the apex G/R_a has stabilizer R_a, so the reversed
+        # span is keyed from its legs there
         a, legL, legR = key
-        flipped = sp.canonical_key(orbits[a], 0, legR, legL, orbits[c2], orbits[c1])
+        flipped = sp.pair_key(a, orbits[c2], legR[0], orbits[c1], legL[0])
         cols = []
         for src_key in level_basis[c1]:
             col = [0] * len(level_basis[c2])
@@ -263,7 +266,7 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
                     )
     for c in range(n):
         X = gs.orbit_gset(G, c)
-        A = M.gen_action[(c, c, sp.canonical_key(X, 0, X.points(), X.points(), X, X))]
+        A = M.gen_action[(c, c, sp.pair_key(c, X, 0, X, 0))]
         if not _congruent(A, _identity(M.levels[c].dims), M.levels[c].orders()):
             return Verdict(False, "identity span does not act as identity", c)
     generators = [[sp.endpoint_keys(G, c1, c2) for c2 in range(n)] for c1 in range(n)]

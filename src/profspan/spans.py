@@ -18,24 +18,26 @@ tabulates the least pair (n·x, n·y) over W = N(R)/R.  One table per
 G-set X and class c (_least_points) gives, for every x in X^R, the least
 point x* of its W-orbit, the carriers n with n·x = x*, and the leg table
 of x, built once and shared by every key that reads it.  Every key is
-made from that table, in one place (_pair_key): a fibre orbit of a
-composite (_compose_keys), an orbit of an arbitrary apex (canonical_key)
-and a pair of fixed points of the basis (span_basis), which keeps a pair
-iff x = x* and no carrier of x lowers y.  So a key costs |Stab_W(x)|
-actions, not |W|, and a composite holds the tables' own tuples.
+made from that table, in one place (pair_key): a fibre orbit of a
+composite (_compose_keys), an identity or reversed basis span, read from
+a point of each end (mackey, verify), an orbit of an apex that is no
+canonical orbit (canonical_key) and a pair of fixed points of the basis
+(span_basis), which keeps a pair iff x = x* and no carrier of x lowers
+y.  So a key costs |Stab_W(x)| actions, not |W|, and a composite holds
+the tables' own tuples.
 
 Each choice behind a key is made in one place.  Left cosets are numbered
 by groups.left_cosets, for the canonical orbits (gs.coset_gset) and the
 coset tables alike.  The element conjugating a subgroup onto its class
-representative is the one subgroup_lattice records; _pair_key gives the
+representative is the one subgroup_lattice records; pair_key gives the
 same key for any other.
 
 basis_legs turns a key back into its two legs, and canonical_key legs
-into keys, one call per orbit of the apex.  orbit_basis is the basis
-between two canonical orbits, endpoint_keys its generators, and
-orbit_keys lists every basis key between orbits.  No span morphism is
-built: span morphisms, their composition and the slow routes to keys
-and composites are oracles in tests/oracles.py.
+into keys, one call per orbit of an apex that span_images builds.
+orbit_basis is the basis between two canonical orbits, endpoint_keys
+its generators, and orbit_keys lists every basis key between orbits.
+No span morphism is built: span morphisms, their composition and the
+slow routes to keys and composites are oracles in tests/oracles.py.
 
 Span(F), for F inflation or fixed points along a quotient map, is one
 table per functor and link (span_images), which both span checks of
@@ -59,7 +61,7 @@ from .gsets import EqMap, GSet
 
 # A basis key is (apex stabilizer class index, legL values, legR values)
 # with the legs tabulated on the canonical coset apex and minimized
-# lexicographically over all apex relabelings (_pair_key).
+# lexicographically over all apex relabelings (pair_key).
 Key = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
@@ -133,7 +135,7 @@ def _least_points(X: GSet, c: int) -> LeastPoints:
     return LeastPoints(fixed, tuple(least), tuple(carriers), tuple(legs))
 
 
-def _pair_key(c: int, X: GSet, x0: int, Y: GSet, y0: int) -> Key:
+def pair_key(c: int, X: GSet, x0: int, Y: GSet, y0: int) -> Key:
     """The key of the span with apex G/R, R the class-c representative,
     and legs gR -> g·x0 into X and gR -> g·y0 into Y.
 
@@ -156,14 +158,15 @@ def _pair_key(c: int, X: GSet, x0: int, Y: GSet, y0: int) -> Key:
 def canonical_key(apex: GSet, base: int, legL, legR, X: GSet, Y: GSet) -> Key:
     """Canonical key of the span X <- apex -> Y restricted to the orbit of
     base; the legs are given as full value tables on apex, into X and Y,
-    and must be equivariant (every caller passes EqMap values or key
-    tables).
+    and must be equivariant.  It serves apexes that are not canonical
+    orbits, the images of span_images: on a canonical orbit G/R, point 0
+    has stabilizer R, and pair_key reads the legs there directly.
 
     The apex is read only through its position table row[g] = g·base.
     The orbit is G/S by g·base ↦ gS, for S = {g : row[g] = base}, and the
     point t0·base, for the conjugator t0 of S onto the class
-    representative R, has stabilizer R; the legs there are what _pair_key
-    reads.  _pair_key minimizes over every relabelling of the orbit as
+    representative R, has stabilizer R; the legs there are what pair_key
+    reads.  pair_key minimizes over every relabelling of the orbit as
     G/R, so the key depends only on the class of the span, and any t with
     t S t⁻¹ = R, which is m·t0 for some m in N(R), gives the same key.
     So legs renamed along isomorphisms X ≅ X', Y ≅ Y' before the call
@@ -173,7 +176,7 @@ def canonical_key(apex: GSet, base: int, legL, legR, X: GSet, Y: GSet) -> Key:
     row = apex.action[base]
     c, t0 = coset_tables(G).conjugator[tuple(g for g in G.elements() if row[g] == base)]
     point = row[t0]
-    return _pair_key(c, X, legL[point], Y, legR[point])
+    return pair_key(c, X, legL[point], Y, legR[point])
 
 
 def span_basis(X: GSet, Y: GSet) -> list[Key]:
@@ -182,7 +185,7 @@ def span_basis(X: GSet, Y: GSet) -> list[Key]:
     A span with apex G/K, for K the representative of class c, is a pair
     (x, y) of K-fixed points, with legs gK -> g·x and gK -> g·y.  Two
     pairs give isomorphic spans iff an element n of N(K)/K carries one to
-    the other, and the key of a pair (as in _pair_key) tabulates the
+    the other, and the key of a pair (as in pair_key) tabulates the
     least pair (n·x, n·y) of its orbit.  So the basis is one key per pair
     that is least in its orbit: x is the least point x* of its W-orbit,
     and y ≤ n·y for every carrier n of x (_least_points).  The tables
@@ -300,7 +303,7 @@ def _compose_keys(X: GSet, Z: GSet, k2: Key, k1: Key) -> tuple:
     The legs at g·(K1, hK2) are left1 at gK1 and right2 at ghK2.  The
     point t0·(K1, hK2) of the orbit, for its class c and conjugator t0,
     has stabilizer R_c, and the legs there are x0 = left1 at t0·K1 and
-    z0 = right2 at t0·h·K2: _pair_key keys the orbit from those two
+    z0 = right2 at t0·h·K2: pair_key keys the orbit from those two
     points, reading the W-orbit tables of X and Z and tabulating nothing.
     """
     T = coset_tables(X.group)
@@ -312,7 +315,7 @@ def _compose_keys(X: GSet, Z: GSet, k2: Key, k1: Key) -> tuple:
     for y, c, t0, h in _double_cosets(X.group, c1, c2):
         if left2[y] != fibre:
             continue
-        key = _pair_key(c, X, left1[coset1[t0]], Z, right2[coset2[mult[t0][h]]])
+        key = pair_key(c, X, left1[coset1[t0]], Z, right2[coset2[mult[t0][h]]])
         counts[key] = counts.get(key, 0) + 1
     return _normalize(counts)
 

@@ -125,7 +125,10 @@ def _basis_failure(table: sp.SpanImages, kept) -> str | None:
     """How the Span(F) table fails, or None: a key goes to one basis span
     if kept(its apex class), else to zero; the kept keys of one hom go to
     distinct basis spans of the image hom; an identity span goes to the
-    identity span."""
+    identity span.  The targets are canonical G-sets of the table's
+    classes, so the identity of either end is keyed from points: one
+    pair_key per orbit, of its class at its first point, whose stabilizer
+    is the class representative."""
     G, n = table.orbits[0].group, len(table.orbits)
     for c1, c2 in itertools.product(range(n), repeat=2):
         basis = sp.orbit_basis(G, c1, c2)
@@ -138,10 +141,9 @@ def _basis_failure(table: sp.SpanImages, kept) -> str | None:
         if len({terms[0][0] for terms in images if terms}) != sum(map(bool, images)):
             return "not injective on basis"
     for c, (X, T) in enumerate(zip(table.orbits, table.targets)):
-        key = sp.canonical_key(X, 0, X.points(), X.points(), X, X)
-        pts = T.points()
-        ids = Counter(sp.canonical_key(T, o[0], pts, pts, T, T) for o in T.orbits())
-        if table.terms[c, c, key] != sp._normalize(ids):
+        orbits = zip(table.classes[c], T.orbits())
+        ids = Counter(sp.pair_key(m, T, o[0], T, o[0]) for m, o in orbits)
+        if table.terms[c, c, sp.pair_key(c, X, 0, X, 0)] != sp._normalize(ids):
             return "does not preserve an identity span"
     return None
 
@@ -249,22 +251,19 @@ def verify_adjunction(cap: int) -> Verdict:
     with the order-2 kernel: every unit square is a pullback; at least one
     counit square is not, and its witness is reported as expected.
 
-    The laws are checked once per object.  A unit square's parallel sides
-    are units, so with the unit an isomorphism on every object, every unit
-    square is a pullback.  Counit squares are counted per orbit factor: a
-    square fails iff its map sends an orbit outside X^N into X'^N.  Only
-    the first pair (X, X') with a failing square has its maps enumerated.
+    The unit and counit laws hold by construction and are not tested:
+    every point of an inflated G-set is N-fixed, so the unit is the
+    identity numbering, an isomorphism, and the counit lists distinct
+    fixed points, so it is injective.  A unit square's parallel sides are
+    units, so every unit square is a pullback.  Counit squares are counted
+    per orbit factor: a square fails iff its map sends an orbit outside
+    X^N into X'^N.  The witness of the first pair (X, X') with a failing
+    square is written from its hom factors (gs.counit_square_witness).
     """
     _require_cap(cap)
     G = g.cyclic(4)
     q = g.quotient(G, g.make_subgroup(G, (0, 2)))
     objs = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, cap)]
-    for X in objs:
-        unit = gs.unit_map(gs.fixed_points(X, q), q)
-        if not (unit.is_iso() and gs.counit_map(X, q).is_injective()):
-            return Verdict(
-                False, f"unit/counit law violated for X with action {X.action}"
-            )
     squares = failures = 0
     first = None
     for X in objs:
@@ -297,11 +296,9 @@ def verify_mackey_limit(tower: g.GroupTower) -> Verdict:
     deepest = mk.burnside_mackey(tower.stages[-1])
     family = mk.tower_family(tower, deepest)
     try:
-        assembled = mk.assemble_from_tower(tower, family)
+        mk.assemble_from_tower(tower, family)
     except IncoherentFamily as exc:
         return Verdict(False, f"coherent family rejected: {exc}")
-    if assembled is not deepest:
-        return Verdict(False, "assembly did not return the deepest stage")
     for i, M in enumerate(family):
         verdict = mk.check_mackey(M)
         if not verdict:

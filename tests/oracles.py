@@ -36,6 +36,15 @@ transport of a span along maps of its endpoints, and the semiadditivity
 check built on them; the one-point G-set built afresh, one-term span
 morphisms, identity and composite maps, fibre products and pullbacks of
 G-sets, and the test of a square for being a pullback by counting.
+
+The package enumerates no hom-set and builds no map or G-set only to
+test it, so what did lives here as the reference the tests compare
+against: every map of a hom-set multiplied out of its factors
+(hom_gset), the unit and counit maps of the adjunction, coproducts with
+their inclusions, the empty G-set, canonical G-sets as a chain of
+coproducts, injectivity and invertibility of a map, and the unit,
+associativity and functoriality checks of hand-built categories and
+functors (validate_category, validate_functor).
 """
 
 from __future__ import annotations
@@ -56,6 +65,113 @@ from profspan.groups import FiniteGroup, QuotientMap, subgroup_lattice
 from profspan.gsets import EqMap, GSet
 
 
+def is_injective(f: EqMap) -> bool:
+    return len(set(f.values)) == f.src.size
+
+
+def is_iso(f: EqMap) -> bool:
+    return f.src.size == f.dst.size and is_injective(f)
+
+
+def hom_gset(X: GSet, Y: GSet) -> list[EqMap]:
+    """All equivariant maps X -> Y, in the product order of gs.hom_factors.
+
+    A factor choice y writes the orbit's row g.x -> g.y, tabulated once
+    per (orbit, y) over the first g reaching each orbit point."""
+    factors = gs.hom_factors(X, Y)
+    rows = []
+    order: list[int] = []  # the orbit points in row order
+    for base, _, points in factors:
+        first: dict = {}
+        for g_, z in enumerate(X.action[base]):
+            first.setdefault(z, g_)
+        orbit = sorted(first)
+        order += orbit
+        reach = [first[z] for z in orbit]
+        rows.append([tuple(map(Y.action[y].__getitem__, reach)) for y in points])
+    slot = [0] * X.size
+    for k, z in enumerate(order):
+        slot[z] = k
+    maps = []
+    for combo in itertools.product(*rows):
+        flat = tuple(itertools.chain.from_iterable(combo))
+        maps.append(EqMap(X, Y, tuple(map(flat.__getitem__, slot))))
+    return maps
+
+
+def empty_gset(G: FiniteGroup) -> GSet:
+    return GSet(G, ())
+
+
+def coproduct(X: GSet, Y: GSet) -> tuple[GSet, EqMap, EqMap]:
+    """X ⊔ Y, the points of Y numbered after those of X, with the two
+    inclusions."""
+    if X.group != Y.group:
+        raise GroupMismatch("coproduct requires a common group")
+    n = X.size
+    action = X.action + tuple(tuple(v + n for v in row) for row in Y.action)
+    Z = GSet(X.group, action)
+    inc1 = EqMap(X, Z, tuple(range(n)))
+    inc2 = EqMap(Y, Z, tuple(range(n, n + Y.size)))
+    return Z, inc1, inc2
+
+
+def canonical_gset_oracle(G: FiniteGroup, class_multiset) -> GSet:
+    """gs.canonical_gset as a chain of coproducts of canonical orbits,
+    from the empty G-set."""
+    X = empty_gset(G)
+    for c in class_multiset:
+        X = coproduct(X, gs.orbit_gset(G, c))[0]
+    return X
+
+
+def counit_map(X: GSet, q: QuotientMap) -> EqMap:
+    """inf(X^N) -> X; the inclusion of the fixed points."""
+    fixed, index = gs.fixed_point_data(X, q)
+    return EqMap(gs.inflate(fixed, q), X, tuple(index))
+
+
+def unit_map(X: GSet, q: QuotientMap) -> EqMap:
+    """X -> (inf X)^N for X over G/N."""
+    fixed, index = gs.fixed_point_data(gs.inflate(X, q), q)
+    return EqMap(X, fixed, tuple(index[x] for x in X.points()))
+
+
+def validate_category(cat) -> None:
+    """Exhaustive unit and associativity check of a FinCat; quadratic in
+    hom sizes."""
+    for a in cat.objects:
+        ida = cat.identity(a)
+        assert ida[0] == a and ida[1] == a
+        for b in cat.objects:
+            for f in cat.hom(a, b):
+                assert f[0] == a and f[1] == b
+                assert cat.compose(f, ida) == f
+                assert cat.compose(cat.identity(b), f) == f
+    for a, b, c, d in itertools.product(cat.objects, repeat=4):
+        for f in cat.hom(a, b):
+            for g_ in cat.hom(b, c):
+                gf = cat.compose(g_, f)
+                assert gf in cat.hom(a, c)
+                for h in cat.hom(c, d):
+                    assert cat.compose(h, gf) == cat.compose(cat.compose(h, g_), f)
+
+
+def validate_functor(F) -> None:
+    """Exhaustive check that a CatFunctor keeps identities, endpoints and
+    composites."""
+    src, dst = F.src, F.dst
+    for a in src.objects:
+        assert F.mor(src.identity(a)) == dst.identity(F.obj(a))
+    for a, b, c in itertools.product(src.objects, repeat=3):
+        for f in src.hom(a, b):
+            ff = F.mor(f)
+            assert ff[0] == F.obj(a) and ff[1] == F.obj(b)
+            assert ff in dst.hom(F.obj(a), F.obj(b))
+            for g_ in src.hom(b, c):
+                assert F.mor(src.compose(g_, f)) == dst.compose(F.mor(g_), ff)
+
+
 def span_basis_oracle(X: GSet, Y: GSet) -> list[sp.Key]:
     """span_basis by enumeration: canonicalise every pair of equivariant
     maps G/K -> X, G/K -> Y, over one K per subgroup class."""
@@ -64,8 +180,8 @@ def span_basis_oracle(X: GSet, Y: GSet) -> list[sp.Key]:
     keys: set = set()
     for c in range(lat.num_classes):
         apex = gs.coset_gset(G, lat.class_rep(c).elements)
-        for f in gs.hom_gset(apex, X):
-            for g in gs.hom_gset(apex, Y):
+        for f in hom_gset(apex, X):
+            for g in hom_gset(apex, Y):
                 keys.add(sp.canonical_key(apex, 0, f.values, g.values, X, Y))
     return sorted(keys)
 
@@ -259,9 +375,9 @@ def colim_gset_equivalence_oracle(tower: g.GroupTower, cap: int) -> tuple[bool, 
         objs = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, cap)]
         for X in objs:
             for Y in objs:
-                below = [f.values for f in gs.hom_gset(X, Y)]
+                below = [f.values for f in hom_gset(X, Y)]
                 above = [
-                    f.values for f in gs.hom_gset(gs.inflate(X, q), gs.inflate(Y, q))
+                    f.values for f in hom_gset(gs.inflate(X, q), gs.inflate(Y, q))
                 ]
                 if len(set(above)) != len(above) or set(above) != set(below):
                     return False, len(reps)
@@ -350,12 +466,12 @@ def adjunction_report(q: QuotientMap, X: GSet, f: EqMap) -> AdjunctionReport:
     """
     if X.group != q.source or f.src != X:
         raise GroupMismatch("report requires X over the quotient source")
-    unit = gs.unit_map(gs.fixed_points(X, q), q)
-    unit_p = gs.unit_map(gs.fixed_points(f.dst, q), q)
-    counit, counit_p = gs.counit_map(X, q), gs.counit_map(f.dst, q)
+    unit = unit_map(gs.fixed_points(X, q), q)
+    unit_p = unit_map(gs.fixed_points(f.dst, q), q)
+    counit, counit_p = counit_map(X, q), counit_map(f.dst, q)
 
-    unit_is_iso = unit.is_iso()
-    counit_injective = counit.is_injective() and counit_p.is_injective()
+    unit_is_iso = is_iso(unit)
+    counit_injective = is_injective(counit) and is_injective(counit_p)
 
     # unit naturality square over G/N for f^N: X^N -> X'^N; every point of
     # an inflated G-set is N-fixed, so (inf f^N)^N has the values of f^N
@@ -514,8 +630,8 @@ def left_exact_oracle(F: sp.GSetFunctor, objects) -> Verdict:
     its square; the witness of a failure is (X, Y, Z actions, f and g
     values)."""
     for X, Y, Z in itertools.product(objects, repeat=3):
-        for f in gs.hom_gset(X, Z):
-            for g_ in gs.hom_gset(Y, Z):
+        for f in hom_gset(X, Z):
+            for g_ in hom_gset(Y, Z):
                 P, p1, p2 = pullback(f, g_)
                 if not square_is_pullback(F.map(p1), F.map(p2), F.map(f), F.map(g_)):
                     square = (X.action, Y.action, Z.action, f.values, g_.values)
@@ -771,7 +887,7 @@ def conjugacy_classes_oracle(G: FiniteGroup):
 
 
 def inverse_map(f: EqMap) -> EqMap:
-    if not f.is_iso():
+    if not is_iso(f):
         raise ValueError("map is not invertible")
     inv = [0] * f.dst.size
     for x, y in enumerate(f.values):
@@ -875,8 +991,8 @@ def semiadditivity_check(X: GSet, Xp: GSet, Y: GSet) -> Verdict:
     pushed along the coproduct inclusions."""
     if X.group != Xp.group or X.group != Y.group:
         raise GroupMismatch("semiadditivity requires a common group")
-    XX, i1, i2 = gs.coproduct(X, Xp)
-    YY, j1, j2 = gs.coproduct(Y, Xp)
+    XX, i1, i2 = coproduct(X, Xp)
+    YY, j1, j2 = coproduct(Y, Xp)
     idX, idY = identity_map(X), identity_map(Y)
     for reason, A, B, parts in (
         ("coproduct variable", XX, Y, [(X, Y, i1, idY), (Xp, Y, i2, idY)]),

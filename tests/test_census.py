@@ -25,7 +25,6 @@ PACKAGE = Path(profspan.__file__).parent
 
 _TOWER_FILES = "tower files, which no verb reads yet (ROADMAP item 4)"
 _MOD_N = "Burnside functors mod n, a mackey-limit family to come (ROADMAP item 5)"
-_VALIDATE = "checks a hand-built category or functor; the tests validate them"
 _IMPORT = "called at import, before any case runs"
 _REPR = "the repr of a failing test's operands"
 
@@ -37,8 +36,6 @@ ALLOWED = {
     "mackey.reduce_mod": _MOD_N,
     "mackey.normalize_factors": _MOD_N,
     "mackey._prime_factors": _MOD_N,
-    "fincat.FinCat.validate": _VALIDATE,
-    "fincat.CatFunctor.validate": _VALIDATE,
     "fincat.colimit_chain.identity": (
         "FinCat requires an identity function, and no check asks the "
         "colimit for one"

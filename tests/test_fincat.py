@@ -8,6 +8,8 @@ from profspan import gsets as gs
 from profspan.corpus import corpus_group
 from profspan.errors import IncoherentFamily
 
+from oracles import validate_category, validate_functor
+
 
 def poset_cat(elems, le):
     """Thin category of a finite poset; at most one morphism per pair."""
@@ -17,7 +19,7 @@ def poset_cat(elems, le):
         lambda g, f: (f[0], g[1], "le"),
         lambda a: (a, a, "le"),
     )
-    cat.validate()
+    validate_category(cat)
     return cat
 
 
@@ -45,7 +47,7 @@ def group_cat(G):
         lambda g, f: mor(G.mul(g[2], f[2])),
         lambda a: mor(0),
     )
-    cat.validate()
+    validate_category(cat)
     return cat
 
 
@@ -60,7 +62,7 @@ def test_gcd_cat_validates():
     cat = gcd_cat(6)
     assert len(cat.objects) == 4
     assert len(cat.hom(1, 6)) == 1 and cat.hom(6, 1) == ()
-    cat.validate()
+    validate_category(cat)
 
 
 def test_validate_catches_broken_composition():
@@ -78,7 +80,7 @@ def test_validate_catches_broken_composition():
         lambda a: mor("e"),
     )
     with pytest.raises((AssertionError, ValueError)):
-        cat.validate()
+        validate_category(cat)
 
 
 def test_isos_and_inverse():
@@ -128,7 +130,7 @@ def test_colimit_single_stage():
     colim = fc.colimit_chain(fc.ChainDiagram([cat], []))
     assert colim.reps == list(cat.objects)
     assert_homs_of_reps(colim)
-    colim.injections[0].validate()
+    validate_functor(colim.injections[0])
 
 
 def test_colimit_identity_link():
@@ -138,7 +140,7 @@ def test_colimit_identity_link():
     assert colim.reps == list(cat.objects)
     assert_homs_of_reps(colim)
     for inj in colim.injections:
-        inj.validate()
+        validate_functor(inj)
 
 
 def test_colimit_gcd_link_c12_c6():
@@ -148,7 +150,7 @@ def test_colimit_gcd_link_c12_c6():
     assert colim.class_members[1] == [(0, 2), (0, 4), (1, 2)]
     assert_homs_of_reps(colim)
     for inj in colim.injections:
-        inj.validate()
+        validate_functor(inj)
 
 
 def test_colimit_inverts_links():
@@ -175,7 +177,7 @@ def test_functor_from_family_roundtrip():
     fam = fc.FunctorFamily([F0, F1], [eta])
     colim = fc.colimit_chain(D)
     F = fc.functor_from_family(colim, fam)
-    F.validate()
+    validate_functor(F)
     for i in range(2):
         assert fc.naturally_isomorphic(colim.injections[i].then(F), fam.components[i])
 
@@ -214,12 +216,12 @@ def test_naturally_isomorphic():
     )
     twist = lambda m: ("*", "*", G.conj(s, m[2]))
     twisted = fc.CatFunctor(cat, cat, lambda a: a, twist)
-    twisted.validate()
+    validate_functor(twisted)
     assert any(twist(m) != m for m in cat.hom("*", "*"))
     assert fc.naturally_isomorphic(ident, twisted)
     # the constant functor at the identity is not isomorphic to it
     const = fc.CatFunctor(cat, cat, lambda a: a, lambda m: cat.identity("*"))
-    const.validate()
+    validate_functor(const)
     assert not fc.naturally_isomorphic(ident, const)
 
 
@@ -237,6 +239,6 @@ def test_preserves_binary_products():
     assert fc.preserves_binary_products(good)
     # collapsing everything above 1 to 6 destroys gcd(4, 3) = 1
     bad = monotone_functor(c12, c6, lambda d: 1 if d == 1 else 6)
-    bad.validate()
+    validate_functor(bad)
     verdict = fc.preserves_binary_products(bad)
     assert not verdict and verdict.witness is not None

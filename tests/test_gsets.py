@@ -6,17 +6,25 @@ import pytest
 from profspan import groups as g
 from profspan import gsets as gs
 from profspan import spans as sp
-from profspan.corpus import corpus_group
+from profspan.corpus import corpus_group, corpus_groups
 from profspan.errors import GroupMismatch
 
 from oracles import (
     adjunction_report,
+    canonical_gset_oracle,
+    coproduct,
+    counit_map,
+    empty_gset,
     groups_of_order_at_most,
+    hom_gset,
     identity_map,
+    is_injective,
+    is_iso,
     point_gset,
     pullback,
     square_is_pullback,
     then_map,
+    unit_map,
 )
 from test_spans import _relabelled
 
@@ -54,7 +62,7 @@ def test_make_gset_rejects_bad_action():
 
 
 def test_orbit_decompose_empty():
-    assert gs.orbit_class_multiset(gs.empty_gset(C2)) == ()
+    assert gs.orbit_class_multiset(empty_gset(C2)) == ()
 
 
 def test_orbit_decompose_regular_c2():
@@ -108,7 +116,7 @@ def test_inflate_shapes_and_fixedness():
     for x in infl.points():
         for n in q.kernel.elements:
             assert infl.action[x][n] == x
-    assert gs.inflate(gs.empty_gset(C2), q).size == 0
+    assert gs.inflate(empty_gset(C2), q).size == 0
 
 
 def test_inflate_group_mismatch():
@@ -134,15 +142,15 @@ def test_hom_gset_matches_brute_force():
         (gs.canonical_gset(S3, (1,)), gs.canonical_gset(S3, (1, 3))),
     ]
     for X, Y in cases:
-        ours = sorted(f.values for f in gs.hom_gset(X, Y))
+        ours = sorted(f.values for f in hom_gset(X, Y))
         assert ours == brute_force_homs(X, Y)
 
 
 def test_hom_gset_counts():
-    assert len(gs.hom_gset(regular(C2), regular(C2))) == 2
+    assert len(hom_gset(regular(C2), regular(C2))) == 2
     X = gs.canonical_gset(C4, (0, 1, 2))
-    assert len(gs.hom_gset(X, point_gset(C4))) == 1
-    assert len(gs.hom_gset(point_gset(C2), regular(C2))) == 0
+    assert len(hom_gset(X, point_gset(C4))) == 1
+    assert len(hom_gset(point_gset(C2), regular(C2))) == 0
 
 
 def test_hom_factor_sizes_are_marks():
@@ -159,7 +167,7 @@ def test_hom_factor_sizes_are_marks():
                 assert len(factors) == len(mx)
                 product = math.prod(len(f.points) for f in factors)
                 by_marks = math.prod(sum(marks[i][j] for i in my) for j in mx)
-                assert product == len(gs.hom_gset(X, Y)) == by_marks, (name, mx, my)
+                assert product == len(hom_gset(X, Y)) == by_marks, (name, mx, my)
 
 
 def test_hom_gset_keeps_product_order_on_interleaved_orbits():
@@ -167,7 +175,7 @@ def test_hom_gset_keeps_product_order_on_interleaved_orbits():
     the product order of the factors and match the brute force."""
     X = gs.make_gset(C4, [[0, 2, 0, 2], [1, 3, 1, 3], [2, 0, 2, 0], [3, 1, 3, 1]])
     Y = gs.canonical_gset(C4, (1, 2))
-    maps = [f.values for f in gs.hom_gset(X, Y)]
+    maps = [f.values for f in hom_gset(X, Y)]
     assert sorted(maps) == brute_force_homs(X, Y)
     factors = gs.hom_factors(X, Y)
     assert [f.base for f in factors] == [0, 1]
@@ -186,10 +194,10 @@ def test_unit_is_iso_and_counit_injective_corpus():
             q = g.quotient(G, N)
             for multiset in gs.gset_isoclasses(q.target, 4):
                 Xq = gs.canonical_gset(q.target, multiset)
-                assert gs.unit_map(Xq, q).is_iso()
+                assert is_iso(unit_map(Xq, q))
             for multiset in gs.gset_isoclasses(G, 4):
                 X = gs.canonical_gset(G, multiset)
-                assert gs.counit_map(X, q).is_injective()
+                assert is_injective(counit_map(X, q))
 
 
 def test_inflation_fully_faithful():
@@ -197,9 +205,9 @@ def test_inflation_fully_faithful():
     for mx in gs.gset_isoclasses(C2, 3):
         for my in gs.gset_isoclasses(C2, 3):
             X, Y = gs.canonical_gset(C2, mx), gs.canonical_gset(C2, my)
-            below = {f.values for f in gs.hom_gset(X, Y)}
+            below = {f.values for f in hom_gset(X, Y)}
             above = {
-                f.values for f in gs.hom_gset(gs.inflate(X, q), gs.inflate(Y, q))
+                f.values for f in hom_gset(gs.inflate(X, q), gs.inflate(Y, q))
             }
             assert below == above
 
@@ -214,15 +222,15 @@ def test_pullback_over_point_is_product():
     X = regular(C2)
     Y = gs.canonical_gset(C2, (1,))
     t = point_gset(C2)
-    fx = gs.hom_gset(X, t)[0]
-    fy = gs.hom_gset(Y, t)[0]
+    fx = hom_gset(X, t)[0]
+    fy = hom_gset(Y, t)[0]
     P, _, _ = pullback(fx, fy)
     assert P.size == X.size * Y.size
 
 
 def test_pullback_swap_free_orbit():
     X = regular(C2)
-    swap = next(f for f in gs.hom_gset(X, X) if f.values != (0, 1))
+    swap = next(f for f in hom_gset(X, X) if f.values != (0, 1))
     P, _, _ = pullback(identity_map(X), swap)
     assert P.size == 2
     assert gs.orbit_class_multiset(P) == (0,)  # one free orbit
@@ -232,14 +240,14 @@ def test_pullback_universal_property_exhaustive():
     # every cone with apex size <= 4 factors through exactly one map
     X = gs.canonical_gset(C4, (1, 2))
     Z = gs.canonical_gset(C4, (2,))
-    for f in gs.hom_gset(X, Z):
-        for h in gs.hom_gset(X, Z):
+    for f in hom_gset(X, Z):
+        for h in hom_gset(X, Z):
             P, p1, p2 = pullback(f, h)
             for mw in gs.gset_isoclasses(C4, 4):
                 W = gs.canonical_gset(C4, mw)
-                into_p = gs.hom_gset(W, P)
-                for a in gs.hom_gset(W, X):
-                    for b in gs.hom_gset(W, X):
+                into_p = hom_gset(W, P)
+                for a in hom_gset(W, X):
+                    for b in hom_gset(W, X):
                         if then_map(a, f).values != then_map(b, h).values:
                             continue
                         factors = [
@@ -255,10 +263,10 @@ def commuting_squares(objects):
     """Every commuting square top: A -> B, left: A -> C, right: B -> D,
     bottom: C -> D among the given G-sets."""
     for A, B, C, D in itertools.product(objects, repeat=4):
-        for right in gs.hom_gset(B, D):
-            for bottom in gs.hom_gset(C, D):
-                for top in gs.hom_gset(A, B):
-                    for left in gs.hom_gset(A, C):
+        for right in hom_gset(B, D):
+            for bottom in hom_gset(C, D):
+                for top in hom_gset(A, B):
+                    for left in hom_gset(A, C):
                         if (
                             then_map(top, right).values
                             == then_map(left, bottom).values
@@ -281,7 +289,7 @@ def test_square_is_pullback_matches_fibre_product_oracle():
 
 def test_square_is_pullback_rejects_a_square_that_does_not_commute():
     X = regular(C2)
-    swap = next(f for f in gs.hom_gset(X, X) if f.values != (0, 1))
+    swap = next(f for f in hom_gset(X, X) if f.values != (0, 1))
     ident = identity_map(X)
     with pytest.raises(ValueError):
         square_is_pullback(ident, ident, swap, ident)
@@ -294,10 +302,10 @@ def test_counit_square_fails_exactly_off_the_fixed_points():
     objects = [gs.canonical_gset(C4, m) for m in gs.gset_isoclasses(C4, 4)]
     failures = 0
     for X in objects:
-        fixed = set(gs.counit_map(X, q).values)
+        fixed = set(counit_map(X, q).values)
         for Xp in objects:
-            fixed_p = set(gs.counit_map(Xp, q).values)
-            for f in gs.hom_gset(X, Xp):
+            fixed_p = set(counit_map(Xp, q).values)
+            for f in hom_gset(X, Xp):
                 preimage = {x for x in X.points() if f.values[x] in fixed_p}
                 rep = adjunction_report(q, X, f)
                 assert rep.counit_square_is_pullback == (preimage <= fixed)
@@ -307,12 +315,12 @@ def test_counit_square_fails_exactly_off_the_fixed_points():
 
 def test_coproduct():
     X = regular(C2)
-    E = gs.empty_gset(C2)
-    assert gs.orbit_class_multiset(gs.coproduct(X, E)[0]) == gs.orbit_class_multiset(X)
+    E = empty_gset(C2)
+    assert gs.orbit_class_multiset(coproduct(X, E)[0]) == gs.orbit_class_multiset(X)
     pt = point_gset(C2)
-    assert gs.coproduct(X, pt)[0].size == 3
+    assert coproduct(X, pt)[0].size == 3
     Y = gs.canonical_gset(C2, (0, 1))
-    merged = gs.orbit_class_multiset(gs.coproduct(X, Y)[0])
+    merged = gs.orbit_class_multiset(coproduct(X, Y)[0])
     assert merged == tuple(
         sorted(gs.orbit_class_multiset(X) + gs.orbit_class_multiset(Y))
     )
@@ -322,10 +330,10 @@ def test_coproduct_disjoint_and_universal():
     X = regular(C2)
     Y = gs.canonical_gset(C2, (1,))
     Z = gs.canonical_gset(C2, (0, 1))
-    XY, i1, i2 = gs.coproduct(X, Y)
-    homs = gs.hom_gset(XY, Z)
+    XY, i1, i2 = coproduct(X, Y)
+    homs = hom_gset(XY, Z)
     pairs = {(then_map(f, identity_map(Z)).values, None) for f in homs}
-    assert len(homs) == len(gs.hom_gset(X, Z)) * len(gs.hom_gset(Y, Z))
+    assert len(homs) == len(hom_gset(X, Z)) * len(hom_gset(Y, Z))
     restricted = {(then_map(i1, f).values, then_map(i2, f).values) for f in homs}
     assert len(restricted) == len(homs)
 
@@ -334,7 +342,7 @@ def test_adjunction_report_counit_failure():
     # G = C2, N = C2, X = C2 regular, f: X -> point
     q = g.quotient(C2, g.make_subgroup(C2, (0, 1)))
     X = regular(C2)
-    f = gs.hom_gset(X, point_gset(C2))[0]
+    f = hom_gset(X, point_gset(C2))[0]
     rep = adjunction_report(q, X, f)
     assert rep.unit_is_iso
     assert rep.counit_is_injective
@@ -388,7 +396,7 @@ def test_counit_square_counts_match_the_per_map_oracle(case):
     failures = 0
     for X in objects:
         for Xp in objects:
-            maps = gs.hom_gset(X, Xp)
+            maps = hom_gset(X, Xp)
             bad = [
                 f
                 for f in maps
@@ -403,9 +411,9 @@ def test_counit_square_counts_match_the_per_map_oracle(case):
 
 def test_find_iso():
     X = gs.canonical_gset(C4, (0, 1))
-    Y = gs.coproduct(gs.canonical_gset(C4, (1,)), gs.canonical_gset(C4, (0,)))[0]
+    Y = coproduct(gs.canonical_gset(C4, (1,)), gs.canonical_gset(C4, (0,)))[0]
     iso = gs.find_iso(X, Y)
-    assert iso is not None and iso.is_iso()
+    assert iso is not None and is_iso(iso)
     assert gs.find_iso(X, gs.canonical_gset(C4, (0, 2))) is None
 
 
@@ -414,8 +422,18 @@ def test_canonical_iso_renames_onto_the_canonical_isomorph():
     for m in gs.gset_isoclasses(C2, 3):
         infl = gs.inflate(gs.canonical_gset(C2, m), q)
         iso = gs.canonical_iso(infl)
-        assert iso.src == infl and iso.is_iso()
+        assert iso.src == infl and is_iso(iso)
         assert iso.dst == gs.canonical_gset(C4, gs.orbit_class_multiset(infl))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+def test_canonical_gset_is_the_chain_of_coproducts(name):
+    """canonical_gset, the shifted rows of its canonical orbits, is the
+    G-set that a chain of coproducts of those orbits builds, table for
+    table, on every class multiset up to cap 6."""
+    G = corpus_group(name)
+    for m in gs.gset_isoclasses(G, 6):
+        assert gs.canonical_gset(G, m) == canonical_gset_oracle(G, m), m
 
 
 def test_gset_isoclasses_counts():

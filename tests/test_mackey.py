@@ -15,6 +15,8 @@ from oracles import (
     categorical_fixed_points_oracle,
     compose_quotients,
     groups_of_order_at_most,
+    hom_gset,
+    is_iso,
     mackey_composition_oracle,
     then_map,
 )
@@ -315,8 +317,8 @@ def test_fixed_points_change_under_a_wrong_renaming(monkeypatch, name, kernel):
             return iso
         auto = next(
             a
-            for a in gs.hom_gset(iso.dst, iso.dst)
-            if a.is_iso() and a.values != tuple(iso.dst.points())
+            for a in hom_gset(iso.dst, iso.dst)
+            if is_iso(a) and a.values != tuple(iso.dst.points())
         )
         return then_map(iso, auto)
 

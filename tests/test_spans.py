@@ -22,12 +22,16 @@ from oracles import (
     compose_keys_per_element_oracle,
     compose_quotients,
     compose_spans,
+    coproduct,
     double_coset_count,
+    empty_gset,
     groups_of_order_at_most,
+    hom_gset,
     identity_map,
     identity_span,
     inflated_keys_oracle,
     inverse_map,
+    is_iso,
     least_key,
     left_exact_oracle,
     point_gset,
@@ -58,8 +62,8 @@ def test_span_basis_point_endomorphisms_c2():
 
 
 def test_span_basis_empty_endpoint():
-    assert sp.span_basis(gs.empty_gset(C2), point_gset(C2)) == []
-    assert sp.span_basis(point_gset(C2), gs.empty_gset(C2)) == []
+    assert sp.span_basis(empty_gset(C2), point_gset(C2)) == []
+    assert sp.span_basis(point_gset(C2), empty_gset(C2)) == []
 
 
 def test_span_basis_counts_match_oracle():
@@ -88,11 +92,11 @@ def test_span_basis_counts_are_double_cosets_for_free_source():
 
 
 def test_identity_span_shapes():
-    assert not identity_span(gs.empty_gset(C2)).terms
+    assert not identity_span(empty_gset(C2)).terms
     assert len(identity_span(point_gset(C2)).terms) == 1
     A = gs.canonical_gset(C4, (1,))
     B = gs.canonical_gset(C4, (0, 2))
-    AB = gs.coproduct(A, B)[0]
+    AB = coproduct(A, B)[0]
     ia, ib, iab = identity_span(A), identity_span(B), identity_span(AB)
     assert len(iab.terms) == len(ia.terms) + len(ib.terms)
 
@@ -155,6 +159,28 @@ def _relabelled(G, seed):
             for a in G.elements()
         )
     )
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+def test_identity_and_reversed_keys_from_points_match_canonical_key(name, relabel):
+    """The identity key of every canonical orbit and the reversed key of
+    every orbit key, read by pair_key from point 0 of the apex, whose
+    stabilizer is the class representative, are the keys canonical_key
+    finds from the whole apex, in each corpus group as given and with its
+    elements renumbered."""
+    G = corpus_group(name)
+    if relabel:
+        G = _relabelled(G, 7)
+    n = g.subgroup_lattice(G).num_classes
+    orbits = [gs.orbit_gset(G, c) for c in range(n)]
+    for c, X in enumerate(orbits):
+        pts = X.points()
+        assert sp.pair_key(c, X, 0, X, 0) == sp.canonical_key(X, 0, pts, pts, X, X)
+    for c1, c2, (a, legL, legR) in sp.orbit_keys(G):
+        X, Y = orbits[c1], orbits[c2]
+        reversed_key = sp.canonical_key(orbits[a], 0, legR, legL, Y, X)
+        assert sp.pair_key(a, Y, legR[0], X, legL[0]) == reversed_key
 
 
 def _composable_basis_pairs(G):
@@ -276,13 +302,13 @@ def test_canonical_key_matches_brute_force_on_two_orbit_apexes(relabel_seed):
         shapes = gs.gset_isoclasses(G, 6)
         for _ in range(20):
             c, d = (rng.randrange(lat.num_classes) for _ in range(2))
-            apex = gs.coproduct(
+            apex = coproduct(
                 gs.coset_gset(G, lat.class_rep(c).elements),
                 gs.coset_gset(G, lat.class_rep(d).elements),
             )[0]
             legs = []
             while len(legs) < 2:
-                homs = gs.hom_gset(apex, gs.canonical_gset(G, rng.choice(shapes)))
+                homs = hom_gset(apex, gs.canonical_gset(G, rng.choice(shapes)))
                 if homs:
                     legs.append(rng.choice(homs))
             f, h = legs
@@ -361,19 +387,19 @@ def test_burnside_tables_s3():
         for j in range(n):
             K = gs.coset_gset(S3, lat.class_rep(i).elements)
             H = gs.coset_gset(S3, lat.class_rep(j).elements)
-            assert t.marks[i][j] == len(gs.hom_gset(H, K))
+            assert t.marks[i][j] == len(hom_gset(H, K))
 
 
 def test_semiadditivity_unit_law():
     X = gs.canonical_gset(C2, (0,))
     Y = point_gset(C2)
-    assert semiadditivity_check(X, gs.empty_gset(C2), Y)
+    assert semiadditivity_check(X, empty_gset(C2), Y)
 
 
 def test_semiadditivity_point_counts():
     pt = point_gset(C2)
     assert semiadditivity_check(pt, pt, pt)
-    XX = gs.coproduct(pt, pt)[0]
+    XX = coproduct(pt, pt)[0]
     assert len(sp.span_basis(XX, pt)) == 4
 
 
@@ -390,7 +416,7 @@ def test_transport_span_roundtrip():
     X = gs.canonical_gset(C4, (1, 2))
     Y = gs.canonical_gset(C4, (0, 2))
     # relabel through a nontrivial automorphism and back
-    auto = next(f for f in gs.hom_gset(X, X) if f.is_iso())
+    auto = next(f for f in hom_gset(X, X) if is_iso(f))
     for b in sp.span_basis(X, Y):
         m = basis_span_mor(X, Y, b)
         moved = transport_span(m, auto, identity_map(Y))
@@ -615,7 +641,7 @@ def test_least_key_does_not_depend_on_the_conjugator(name):
         normaliser = [m for m in G.elements() if R.conjugate(m) == R]
         apex = gs.coset_gset(G, L.elements)
         row = apex.action[0]
-        maps = [f for X in orbits for f in gs.hom_gset(apex, X)]
+        maps = [f for X in orbits for f in hom_gset(apex, X)]
         for f, h in itertools.product(maps, repeat=2):
             lg, rg = [f.values[x] for x in row], [h.values[x] for x in row]
             key = least_key(G, T, c, t0, lg, rg)
