@@ -89,6 +89,9 @@ CASES.update({
     "mackey-fixed-C2xC2xC2": ["mackey-fixed", "{dir}/C2xC2xC2.mackey", "0,1"],
     "mackey-fixed-S3": ["mackey-fixed", "{dir}/S3.mackey", "0,3,4"],
     "mackey-fixed-C4": ["mackey-fixed", "{dir}/C4.mackey", "0,2"],
+    "mackey-fixed-D6": ["mackey-fixed", "{dir}/D6.mackey", "0,7"],
+    "mackey-fixed-Dic3": ["mackey-fixed", "{dir}/Dic3.mackey", "0,6"],
+    "mackey-fixed-A4": ["mackey-fixed", "{dir}/A4.mackey", "0,3,8,11"],
     "mackey-check-C4": ["mackey-check", "{dir}/C4.mackey"],
     "mackey-check-D4": ["mackey-check", "{dir}/D4.mackey"],
     "mackey-check-C2xC2xC2": ["mackey-check", "{dir}/C2xC2xC2.mackey"],
@@ -124,7 +127,7 @@ CASES.update({
 })
 CASES["tom-C2xC2xC2"] = ["tom", "{dir}/C2xC2xC2.grp"]
 
-MACKEY_FILES = ("D4", "C2xC2xC2", "C4", "S3")
+MACKEY_FILES = ("D4", "C2xC2xC2", "C4", "S3", "D6", "Dic3", "A4")
 
 # Burnside files with entry (0, 0) of one generator matrix raised by 1.
 # Each key is the span G/H <- G/1 -> G/H, H the reflection class 1, with
