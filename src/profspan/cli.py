@@ -33,7 +33,8 @@ MAX_TOWER_ORDER = 1024
 # The largest --cap accepted.  The capped G-sets of a stage are every
 # orbit-class multiset of total size at most the cap, a count that grows
 # faster than any power of it: cap 16 takes 1.3 s for adjunction, which
-# compares hom-sets of those G-sets, and cap 20 four times as long.
+# counts the counit squares of every pair of those G-sets per orbit
+# factor, and cap 20 four times as long.
 MAX_SIZE_CAP = 16
 
 

@@ -1,33 +1,31 @@
-"""Finite G-sets and equivariant maps: orbits, fixed points, inflation,
-canonical G-sets, and the counit squares of the inflation/fixed-points
+"""Finite G-sets: orbits, fixed points, inflation, canonical G-sets,
+hom factors, and the counit squares of the inflation/fixed-points
 adjunction.
 
-The N-fixed points of a G-set X, for N the kernel of a quotient map q,
-are computed once per (X, q) and kept (`fixed_point_data`): X^N with its
-residual action and the index of each fixed point.  `fixed_points`,
-`fixed_points_map` and the counit-square functions read that record.
-No square of G-sets is built: the counit square of f: X -> X' is a
-pullback iff f sends no orbit outside X^N into X'^N, so it is decided
-per orbit factor of hom(X, X') (`counit_square_counts`).  A unit square
-needs no test: its parallel sides are units, isomorphisms, so it is
-always a pullback.
+A point of X is N-fixed, for N the kernel of a quotient map q, iff N is
+in its stabilizer, which each G-set computes once for all its points
+(`point_stabilizers`).  No square of G-sets is built: the counit square
+of f: X -> X' is a pullback iff f sends no orbit outside X^N into X'^N,
+so it is decided per orbit factor of hom(X, X') (`counit_square_counts`).
+A unit square needs no test: its parallel sides are units, isomorphisms,
+so it is always a pullback.
 
 hom(X, Y) is the product, over the orbits of X, of the sets Y^Stab(orbit)
 (`hom_factors`): a map is free to send each orbit's base point to any
 point fixed by its stabilizer, and the size of that factor is the mark of
 the stabilizer on Y.  Properties of hom-sets are decided per factor, and
-the one map the package needs, a counit-square witness, is written from
-one choice per factor (`counit_square_witness`): no hom-set is enumerated
-in the package.  A canonical G-set is the rows of its canonical orbits
-(`orbit_gset`), shifted past the points before them (`canonical_gset`).
-Orbits and point stabilizers are computed once per G-set.
+the one map the package needs, a counit-square witness, is written as
+its values from one choice per factor (`counit_square_witness`): no
+hom-set is enumerated and no map is built in the package.  A canonical
+G-set is the rows of its canonical orbits (`orbit_gset`), shifted past
+the points before them (`canonical_gset`).  Orbits and point
+stabilizers are computed once per G-set.
 
 What is computed once is kept for the rest of the process, in lru_caches
-on their arguments: the coset G-sets (`coset_gset`), the fixed-point
-records (`fixed_point_data`) and the inflations (`inflate`, per (X, q)).
-So inflating the same G-set along an equal quotient map, for a map, a
-span functor, a Mackey fixed-point functor or a verify check, returns
-the same G-set, with the orbits and stabilizers it has already found.
+on their arguments: the coset G-sets (`coset_gset`) and the inflations
+(`inflate`, per (X, q)).  So inflating the same G-set along an equal
+quotient map returns the same G-set, with the orbits and stabilizers it
+has already found.
 """
 
 from __future__ import annotations
@@ -117,13 +115,6 @@ def make_gset(group: FiniteGroup, action) -> GSet:
     return GSet(group, action)
 
 
-@dataclass(frozen=True)
-class EqMap:
-    src: GSet
-    dst: GSet
-    values: tuple[int, ...]
-
-
 @lru_cache(maxsize=None)
 def coset_gset(G: FiniteGroup, subgroup_elements: tuple[int, ...]) -> GSet:
     """Canonical transitive G-set on left cosets of a subgroup, numbered
@@ -138,72 +129,6 @@ def orbit_gset(G: FiniteGroup, c: int) -> GSet:
     return coset_gset(G, subgroup_lattice(G).class_rep(c).elements)
 
 
-def orbit_class_multiset(X: GSet) -> tuple[int, ...]:
-    """Sorted stabilizer-class indices of the orbits, with repetition."""
-    lat = subgroup_lattice(X.group)
-    return tuple(
-        sorted(lat.class_of(X.point_stabilizers[orb[0]]) for orb in X.orbits())
-    )
-
-
-def find_iso(X: GSet, Y: GSet) -> EqMap | None:
-    """An explicit equivariant bijection X -> Y, or None."""
-    if X.group != Y.group or X.size != Y.size:
-        return None
-    values = [-1] * X.size
-    targets_used: set[int] = set()
-    y_stabs = Y.point_stabilizers
-    for orb in X.orbits():
-        x = orb[0]
-        S = X.point_stabilizers[x]
-        match = None
-        for yorb in Y.orbits():
-            if yorb[0] in targets_used or len(yorb) != len(orb):
-                continue
-            # need a point with exactly the same stabilizer
-            match = next((y for y in yorb if y_stabs[y] == S), None)
-            if match is not None:
-                targets_used.add(yorb[0])
-                break
-        if match is None:
-            return None
-        for gx, gy in zip(X.action[x], Y.action[match]):
-            values[gx] = gy
-    return EqMap(X, Y, tuple(values))
-
-
-def canonical_iso(X: GSet) -> EqMap:
-    """An equivariant bijection from X onto its canonical isomorph."""
-    return find_iso(X, canonical_gset(X.group, orbit_class_multiset(X)))
-
-
-class FixedPointData(NamedTuple):
-    """The N-fixed points of one G-set X, for N = ker q: X^N with the
-    residual G/N action, and the index in X^N of each N-fixed point of X,
-    in point order."""
-
-    fixed: GSet
-    index: dict[int, int]
-
-
-@lru_cache(maxsize=None)
-def fixed_point_data(X: GSet, q: QuotientMap) -> FixedPointData:
-    """The fixed-point record of X, computed once per (X, q)."""
-    if X.group != q.source:
-        raise GroupMismatch("G-set is not over the quotient source")
-    N = q.kernel.elements
-    pts = [x for x in X.points() if all(X.action[x][n] == x for n in N)]
-    index = {x: i for i, x in enumerate(pts)}
-    sections = [q.section(c) for c in q.target.elements()]
-    action = tuple(tuple(index[X.action[x][s]] for s in sections) for x in pts)
-    return FixedPointData(GSet(q.target, action), index)
-
-
-def fixed_points(X: GSet, q: QuotientMap) -> GSet:
-    """N-fixed points of X with the residual G/N action."""
-    return fixed_point_data(X, q).fixed
-
-
 @lru_cache(maxsize=None)
 def inflate(X: GSet, q: QuotientMap) -> GSet:
     """Pull the action back along the projection; every point is N-fixed.
@@ -216,10 +141,6 @@ def inflate(X: GSet, q: QuotientMap) -> GSet:
         for x in X.points()
     )
     return GSet(q.source, action)
-
-
-def inflate_map(f: EqMap, q: QuotientMap) -> EqMap:
-    return EqMap(inflate(f.src, q), inflate(f.dst, q), f.values)
 
 
 class HomFactor(NamedTuple):
@@ -261,22 +182,22 @@ def counit_square_counts(q: QuotientMap, X: GSet, Y: GSet) -> tuple[int, int]:
     factor, all pass when N is in Stab(O), else those outside Y^N.
     """
     N = set(q.kernel.elements)
-    fixed = fixed_point_data(Y, q).index
+    fixed = [N <= st for st in Y.point_stabilizers]
     maps = pullbacks = 1
     for factor in hom_factors(X, Y):
         maps *= len(factor.points)
         if N.issubset(factor.stabilizer):
             pullbacks *= len(factor.points)
         else:
-            pullbacks *= sum(y not in fixed for y in factor.points)
+            pullbacks *= sum(not fixed[y] for y in factor.points)
     return maps, pullbacks
 
 
-def counit_square_witness(q: QuotientMap, X: GSet, Y: GSet) -> EqMap | None:
-    """The first map f: X -> Y whose counit square is not a pullback, the
-    first that sends an orbit outside X^N into Y^N, or None; maps come in
-    the product order of hom_factors, the last factor's choice varying
-    fastest.
+def counit_square_witness(q: QuotientMap, X: GSet, Y: GSet) -> tuple | None:
+    """The values of the first map f: X -> Y whose counit square is not a
+    pullback, the first that sends an orbit outside X^N into Y^N, or None;
+    maps come in the product order of hom_factors, the last factor's
+    choice varying fastest.
 
     The first map of all chooses every factor's first point, and is the
     witness if it fails.  Otherwise no moved orbit (N not in its
@@ -286,30 +207,22 @@ def counit_square_witness(q: QuotientMap, X: GSet, Y: GSet) -> EqMap | None:
     last orbit comes first: it keeps every earlier factor at its first
     point.  The map writes g·base -> g·y for each factor's choice y."""
     N = set(q.kernel.elements)
-    fixed = fixed_point_data(Y, q).index
+    fixed = [N <= st for st in Y.point_stabilizers]
     factors = hom_factors(X, Y)
     if not all(f.points for f in factors):
         return None
     choice = [f.points[0] for f in factors]
     moved = [i for i, f in enumerate(factors) if not N.issubset(f.stabilizer)]
-    if not any(choice[i] in fixed for i in moved):
-        reach = [i for i in moved if any(y in fixed for y in factors[i].points)]
+    if not any(fixed[choice[i]] for i in moved):
+        reach = [i for i in moved if any(fixed[y] for y in factors[i].points)]
         if not reach:
             return None
-        choice[reach[-1]] = next(y for y in factors[reach[-1]].points if y in fixed)
+        choice[reach[-1]] = next(y for y in factors[reach[-1]].points if fixed[y])
     values = [0] * X.size
     for f, y in zip(factors, choice):
         for x, y_at in zip(X.action[f.base], Y.action[y]):
             values[x] = y_at
-    return EqMap(X, Y, tuple(values))
-
-
-def fixed_points_map(f: EqMap, q: QuotientMap) -> EqMap:
-    """f restricted to N-fixed points, over G/N."""
-    src, dst = fixed_point_data(f.src, q), fixed_point_data(f.dst, q)
-    return EqMap(
-        src.fixed, dst.fixed, tuple(dst.index[f.values[x]] for x in src.index)
-    )
+    return tuple(values)
 
 
 def canonical_gset(G: FiniteGroup, class_multiset) -> GSet:

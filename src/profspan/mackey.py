@@ -16,7 +16,9 @@ and key every orbit from the W-orbit table of each end and class
 (spans._least_points), so every key of one functor shares the leg
 tuples of those tables.
 categorical_fixed_points reads Span(inflation) from the table of its
-link (spans.span_images), as the colim-span check does.
+link (spans.span_images), as the colim-span check does: the image class
+of each orbit of G/N is the level it takes, and the one image key of
+each basis key of G/N is the matrix it takes.
 
 check_mackey decides the composition law on the pairs of endpoint keys
 (spans.endpoint_keys): the transfers, restrictions and conjugations,
@@ -307,8 +309,8 @@ def categorical_fixed_points(M: MackeyFunctor, q: QuotientMap) -> MackeyFunctor:
     one term of its image in the Span(inflation) table."""
     if q.source != M.group:
         raise GroupMismatch("quotient map is not from the functor's group")
-    table = sp.span_images(sp.InflationGSetFunctor, q)
-    pre = [c for c, in table.classes]
+    table = sp.span_images(q, "inflation")
+    pre = table.images
     gen_action = {
         qkey: M.gen_action[pre[qkey[0]], pre[qkey[1]], gkey]
         for qkey, ((gkey, _),) in table.terms.items()

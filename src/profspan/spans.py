@@ -20,11 +20,11 @@ point x* of its W-orbit, the carriers n with n·x = x*, and the leg table
 of x, built once and shared by every key that reads it.  Every key is
 made from that table, in one place (pair_key): a fibre orbit of a
 composite (_compose_keys), an identity or reversed basis span, read from
-a point of each end (mackey, verify), an orbit of an apex that is no
-canonical orbit (canonical_key) and a pair of fixed points of the basis
-(span_basis), which keeps a pair iff x = x* and no carrier of x lowers
-y.  So a key costs |Stab_W(x)| actions, not |W|, and a composite holds
-the tables' own tuples.
+a point of each end (mackey, verify), the image of a basis span under
+inflation or fixed points (span_images) and a pair of fixed points of
+the basis (span_basis), which keeps a pair iff x = x* and no carrier of
+x lowers y.  So a key costs |Stab_W(x)| actions, not |W|, and a
+composite holds the tables' own tuples.
 
 Each choice behind a key is made in one place.  Left cosets are numbered
 by groups.left_cosets, for the canonical orbits (gs.coset_gset) and the
@@ -32,18 +32,20 @@ coset tables alike.  The element conjugating a subgroup onto its class
 representative is the one subgroup_lattice records; pair_key gives the
 same key for any other.
 
-basis_legs turns a key back into its two legs, and canonical_key legs
-into keys, one call per orbit of an apex that span_images builds.
 orbit_basis is the basis between two canonical orbits, endpoint_keys
 its generators, and orbit_keys lists every basis key between orbits.
-No span morphism is built: span morphisms, their composition and the
-slow routes to keys and composites are oracles in tests/oracles.py.
+No span morphism, equivariant map or image G-set is built: span
+morphisms, their composition, the legs of a key as maps and the slow
+routes to keys, composites and Span(F) are oracles in tests/oracles.py.
 
 Span(F), for F inflation or fixed points along a quotient map, is one
 table per functor and link (span_images), which both span checks of
-verify and mackey.categorical_fixed_points read.  The tables, the
-composites of basis keys (_compose_keys), the W-orbit tables, the
-double-coset tables and the coset tables are kept for the process.
+verify and mackey.categorical_fixed_points read.  Both functors send a
+canonical orbit to one orbit on the same points, or to nothing, so the
+table is one record per subgroup class (_orbit_image) and one pair_key
+per basis key.  The tables, the composites of basis keys
+(_compose_keys), the W-orbit tables, the double-coset tables and the
+coset tables are kept for the process.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from typing import NamedTuple
 from .errors import GroupMismatch
 from .groups import FiniteGroup, QuotientMap, left_cosets, subgroup_lattice
 from . import gsets as gs
-from .gsets import EqMap, GSet
+from .gsets import GSet
 
 
 # A basis key is (apex stabilizer class index, legL values, legR values)
@@ -155,30 +157,6 @@ def pair_key(c: int, X: GSet, x0: int, Y: GSet, y0: int) -> Key:
     return (c, lx.legs[lx.least[x0]], _least_points(Y, c).legs[y])
 
 
-def canonical_key(apex: GSet, base: int, legL, legR, X: GSet, Y: GSet) -> Key:
-    """Canonical key of the span X <- apex -> Y restricted to the orbit of
-    base; the legs are given as full value tables on apex, into X and Y,
-    and must be equivariant.  It serves apexes that are not canonical
-    orbits, the images of span_images: on a canonical orbit G/R, point 0
-    has stabilizer R, and pair_key reads the legs there directly.
-
-    The apex is read only through its position table row[g] = g·base.
-    The orbit is G/S by g·base ↦ gS, for S = {g : row[g] = base}, and the
-    point t0·base, for the conjugator t0 of S onto the class
-    representative R, has stabilizer R; the legs there are what pair_key
-    reads.  pair_key minimizes over every relabelling of the orbit as
-    G/R, so the key depends only on the class of the span, and any t with
-    t S t⁻¹ = R, which is m·t0 for some m in N(R), gives the same key.
-    So legs renamed along isomorphisms X ≅ X', Y ≅ Y' before the call
-    give the key of the renamed span in one call: the key that keying the
-    span, renaming the legs of its key and keying again gives."""
-    G = apex.group
-    row = apex.action[base]
-    c, t0 = coset_tables(G).conjugator[tuple(g for g in G.elements() if row[g] == base)]
-    point = row[t0]
-    return pair_key(c, X, legL[point], Y, legR[point])
-
-
 def span_basis(X: GSet, Y: GSet) -> list[Key]:
     """The keys of all classes of spans X <- S -> Y with transitive S.
 
@@ -208,13 +186,6 @@ def span_basis(X: GSet, Y: GSet) -> list[Key]:
                 if all(row[n] >= y for n in carriers):
                     keys.append((c, left, ly.legs[y]))
     return keys
-
-
-def basis_legs(X: GSet, Y: GSet, key: Key) -> tuple[EqMap, EqMap]:
-    """The legs X <- G/R -> Y of the basis span key, on the canonical
-    coset apex of its stabilizer class."""
-    apex = gs.orbit_gset(X.group, key[0])
-    return EqMap(apex, X, key[1]), EqMap(apex, Y, key[2])
 
 
 @lru_cache(maxsize=None)
@@ -356,79 +327,93 @@ def burnside_tables(G: FiniteGroup) -> BurnsideTables:
     return BurnsideTables(tuple(len(cls.rep) for cls in T.classes), marks, tuple(ring))
 
 
-class GSetFunctor:
-    """A functor between G-set universes, given on objects and maps by
-    the obj(X) and map(f) of each subclass, from G-sets over src_group."""
+class OrbitImage(NamedTuple):
+    """F of one canonical orbit X = G/R_c, a transitive K-set or nothing.
+    F keeps the points of X, so its image is the orbit K/R of class cls
+    (target), renamed by sigma; base is a point of X whose K-stabilizer is
+    R itself."""
 
-    src_group: FiniteGroup
-
-
-class InflationGSetFunctor(GSetFunctor):
-    """Inflation along a quotient map, from G/N-sets to G-sets."""
-
-    def __init__(self, q: QuotientMap):
-        self.q = q
-        self.src_group = q.target
-
-    def obj(self, X):
-        return gs.inflate(X, self.q)
-
-    def map(self, f):
-        return gs.inflate_map(f, self.q)
+    cls: int
+    target: GSet
+    sigma: tuple[int, ...]  # the point of target of each point of X
+    base: int
 
 
-class FixedPointsGSetFunctor(GSetFunctor):
-    """N-fixed points with residual action, from G-sets to G/N-sets."""
+def _orbit_image(G: FiniteGroup, K: FiniteGroup, rho, N, c: int) -> OrbitImage | None:
+    """F(G/R_c) for the functor F given by (G, K, ρ, N): k in K acts on a
+    point of G/R_c as ρ(k) does, and the orbit has no image when an
+    element of the normal subgroup N moves its point 0 (then N fixes no
+    point of it).
 
-    def __init__(self, q: QuotientMap):
-        self.q = q
-        self.src_group = q.source
-
-    def obj(self, X):
-        return gs.fixed_points(X, self.q)
-
-    def map(self, f):
-        return gs.fixed_points_map(f, self.q)
+    S, the k with ρ(k)·0 = 0, is the K-stabilizer of point 0, and the
+    orbit is K/S by k·0 ↦ kS.  sigma sends k·0 to k·y in the canonical
+    orbit of the class of S, y the least point with stabilizer S: the
+    renaming that the isomorphism search of tests/oracles.py makes.  base
+    is t0·0, for t0 the conjugator of S onto its class representative, so
+    its stabilizer is that representative."""
+    row = gs.orbit_gset(G, c).action[0]
+    if any(row[n] for n in N):
+        return None
+    at = [row[r] for r in rho]  # the point k·0, for each k in K
+    S = tuple(k for k, x in enumerate(at) if x == 0)
+    cls, t0 = coset_tables(K).conjugator[S]
+    target = gs.orbit_gset(K, cls)
+    y = target.point_stabilizers.index(frozenset(S))
+    sigma = [0] * target.size
+    for x, z in zip(at, target.action[y]):
+        sigma[x] = z
+    return OrbitImage(cls, target, tuple(sigma), at[t0])
 
 
 class SpanImages(NamedTuple):
     """Span(F) between the canonical orbits of F's source group."""
 
     orbits: tuple[GSet, ...]  # the orbit of each subgroup class c
-    classes: tuple[tuple[int, ...], ...]  # the orbit classes of F(orbit c)
-    targets: tuple[GSet, ...]  # F(orbit c) renamed onto canonical G-sets
+    images: tuple[int | None, ...]  # the class of F(orbit c), None if empty
+    targets: tuple[GSet | None, ...]  # the canonical orbit of that class
     terms: dict  # (c1, c2, key) -> sorted (key, mult) between the targets
 
 
 @lru_cache(maxsize=None)
-def span_images(functor: type[GSetFunctor], q: QuotientMap) -> SpanImages:
-    """Span(F) for F = functor(q) on the keys of orbit_keys, in order: F
-    of the key's apex and legs, the legs renamed by canonical_iso of each
-    F(orbit) onto the targets (one orbit: gs.orbit_gset, which the next
-    link and the Mackey code key too), each orbit of F(apex) keyed as the
-    basis object of its hom.  F need not be onto or left exact."""
-    F = functor(q)
-    G = F.src_group
-    orbits = tuple(gs.orbit_gset(G, c) for c in range(len(coset_tables(G).classes)))
-    sigma = [gs.canonical_iso(F.obj(X)) for X in orbits]
-    classes = tuple(gs.orbit_class_multiset(F.obj(X)) for X in orbits)
-    H = sigma[0].dst.group
-    targets = tuple(
-        gs.orbit_gset(H, m[0]) if len(m) == 1 else s.dst for m, s in zip(classes, sigma)
-    )
+def span_images(q: QuotientMap, which: str) -> SpanImages:
+    """Span(F) on the keys of orbit_keys, in order, for F "inflation"
+    along q, from q.target-sets to q.source-sets, or "fixed points" by
+    N = ker q, from q.source-sets to q.target-sets.
+
+    Each is given by (G, K, ρ): inflation by (q.target, q.source, q) and
+    fixed points by (q.source, q.target, a section of q).  Both send a
+    transitive G-set to a transitive K-set on the same points, or, fixed
+    points when N moves a point, to nothing (_orbit_image), and a map to
+    the same values.  So the image of a key (a, legL, legR) between the
+    orbits of c1 and c2 is zero or one span, read by pair_key at the base
+    point p of F(G/R_a): its legs there are legL[p] and legR[p], renamed
+    onto the targets, and the key is the basis object of their hom."""
+    if len(set(q.projection)) != q.target.order:
+        raise ValueError("projection is not onto the previous stage")
+    if which == "inflation":
+        G, K, rho, N = q.target, q.source, q.projection, ()
+    else:
+        G, K, N = q.source, q.target, q.kernel.elements
+        rho = tuple(map(q.section, K.elements()))
+    n = len(coset_tables(G).classes)
+    images = [_orbit_image(G, K, rho, N, c) for c in range(n)]
     terms: dict = {}
-    for c1, c2 in itertools.product(range(len(orbits)), repeat=2):
-        m1, m2, T1, T2 = classes[c1], classes[c2], targets[c1], targets[c2]
-        single = len(m1) == len(m2) == 1
-        basis = orbit_basis(H, m1[0], m2[0]) if single else span_basis(T1, T2)
+    for c1, c2 in itertools.product(range(n), repeat=2):
+        i1, i2 = images[c1], images[c2]
+        basis = orbit_basis(K, i1.cls, i2.cls) if i1 and i2 else ()
         own = dict(zip(basis, basis))
-        s1, s2 = sigma[c1].values, sigma[c2].values
         for key in orbit_basis(G, c1, c2):
-            f, h = map(F.map, basis_legs(orbits[c1], orbits[c2], key))
-            left, right = [s1[x] for x in f.values], [s2[y] for y in h.values]
-            counts: dict = {}
-            for o in f.src.orbits():
-                k = own[canonical_key(f.src, o[0], left, right, T1, T2)]
-                counts[k] = counts.get(k, 0) + 1
-            terms[c1, c2, key] = _normalize(counts)
-    return SpanImages(orbits, classes, targets, terms)
+            a, legL, legR = key
+            apex = images[a]
+            if apex is None:
+                terms[c1, c2, key] = ()
+                continue
+            x, y = i1.sigma[legL[apex.base]], i2.sigma[legR[apex.base]]
+            k = own[pair_key(apex.cls, i1.target, x, i2.target, y)]
+            terms[c1, c2, key] = ((k, 1),)
+    return SpanImages(
+        tuple(gs.orbit_gset(G, c) for c in range(n)),
+        tuple(i and i.cls for i in images),
+        tuple(i and i.target for i in images),
+        terms,
+    )

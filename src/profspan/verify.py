@@ -14,10 +14,12 @@ bases: span hom-sets are free commutative monoids on transitive-apex
 classes, so an additive comparison map is an isomorphism exactly when it
 restricts to a bijection of bases.  Both span checks decide Span(F) on
 its generators (_span_functor_check), read from one table per link
-(spans.span_images), so their reports depend on neither the size cap
-nor the seed; only funcat reads the seed.  The composition law on those
-generators also decides whether F keeps pullbacks, so no pullback G-set
-is built.
+(spans.span_images: one orbit image per subgroup class and one key per
+basis key), so their reports depend on neither the size cap nor the
+seed; only funcat reads the seed.  A link that is not onto has no such
+table, and the checks raise ValueError on it, as make_tower does.  The
+composition law on those generators also decides whether F keeps
+pullbacks, so no pullback G-set is built.
 
 A check that would test nothing at the requested tower or cap raises
 ParseError, an input error, naming its minimum: the link checks need a
@@ -125,10 +127,9 @@ def _basis_failure(table: sp.SpanImages, kept) -> str | None:
     """How the Span(F) table fails, or None: a key goes to one basis span
     if kept(its apex class), else to zero; the kept keys of one hom go to
     distinct basis spans of the image hom; an identity span goes to the
-    identity span.  The targets are canonical G-sets of the table's
-    classes, so the identity of either end is keyed from points: one
-    pair_key per orbit, of its class at its first point, whose stabilizer
-    is the class representative."""
+    identity span.  The targets are canonical orbits, so the identity of
+    either end is keyed from point 0, whose stabilizer is the class
+    representative."""
     G, n = table.orbits[0].group, len(table.orbits)
     for c1, c2 in itertools.product(range(n), repeat=2):
         basis = sp.orbit_basis(G, c1, c2)
@@ -140,10 +141,9 @@ def _basis_failure(table: sp.SpanImages, kept) -> str | None:
                 return "of a basis span is not basic"
         if len({terms[0][0] for terms in images if terms}) != sum(map(bool, images)):
             return "not injective on basis"
-    for c, (X, T) in enumerate(zip(table.orbits, table.targets)):
-        orbits = zip(table.classes[c], T.orbits())
-        ids = Counter(sp.pair_key(m, T, o[0], T, o[0]) for m, o in orbits)
-        if table.terms[c, c, sp.pair_key(c, X, 0, X, 0)] != sp._normalize(ids):
+    for c, (X, m, T) in enumerate(zip(table.orbits, table.images, table.targets)):
+        ids = () if m is None else ((sp.pair_key(m, T, 0, T, 0), 1),)
+        if table.terms[c, c, sp.pair_key(c, X, 0, X, 0)] != ids:
             return "does not preserve an identity span"
     return None
 
@@ -165,13 +165,13 @@ def _law_holds(table: sp.SpanImages, c1, c2, c3, k1, k2) -> bool:
     return left == right
 
 
-def _span_functor_check(tower, name: str, functor, kept, conclusion: str) -> Verdict:
-    """Span(F) for F = functor(q), named `name`, at every link q of the
-    tower, decided on the orbits of F's source group, one per subgroup
-    class: its images of the basis spans between them (spans.span_images)
-    pass _basis_failure with kept(q, apex class), and the law holds on
-    every pair of endpoint keys (_law_holds; witness (c1, c2, c3, k1, k2)).
-    The table renames each F(orbit) onto its canonical isomorph, and
+def _span_functor_check(tower, name: str, kept, conclusion: str) -> Verdict:
+    """Span(F) for F the functor `name` along every link q of the tower,
+    decided on the orbits of F's source group, one per subgroup class:
+    its images of the basis spans between them (spans.span_images) pass
+    _basis_failure with kept(q, apex class), and the law holds on every
+    pair of endpoint keys (_law_holds; witness (c1, c2, c3, k1, k2)).
+    The table renames each F(orbit) onto its canonical orbit, and
     renaming endpoints along isomorphisms changes neither side of the law.
 
     Inflation and fixed points preserve coproducts and X ⊔ Y is a
@@ -195,7 +195,7 @@ def _span_functor_check(tower, name: str, functor, kept, conclusion: str) -> Ver
     """
     mapped = composed = 0
     for i, q in enumerate(tower.links):
-        table = sp.span_images(functor, q)
+        table = sp.span_images(q, name)
         G = table.orbits[0].group
         mapped += len(table.terms)
         failure = _basis_failure(table, lambda c: kept(q, c))
@@ -220,9 +220,7 @@ def verify_colim_span(tower: g.GroupTower) -> Verdict:
     model is a basis bijection on every hom."""
     _require_link("colim-span", tower)
     last = "basis-level comparison is bijective on every hom; objects jointly hit"
-    return _span_functor_check(
-        tower, "inflation", sp.InflationGSetFunctor, lambda q, c: True, last
-    )
+    return _span_functor_check(tower, "inflation", lambda q, c: True, last)
 
 
 def verify_limit_span(tower: g.GroupTower) -> Verdict:
@@ -241,9 +239,7 @@ def verify_limit_span(tower: g.GroupTower) -> Verdict:
         return set(q.kernel.elements) <= set(rep.elements)
 
     last = "families along the chain are determined by their deepest component"
-    return _span_functor_check(
-        tower, "fixed points", sp.FixedPointsGSetFunctor, kernel_fixed, last
-    )
+    return _span_functor_check(tower, "fixed points", kernel_fixed, last)
 
 
 def verify_adjunction(cap: int) -> Verdict:
@@ -281,10 +277,10 @@ def verify_adjunction(cap: int) -> Verdict:
     if not failures:
         return Verdict(False, "no counit square failed the pullback test")
     X, Xp = first
-    f = gs.counit_square_witness(q, X, Xp)
+    witness = gs.counit_square_witness(q, X, Xp)
     lines += [
         f"counit squares that are not pullbacks: {failures} (EXPECTED)",
-        f"first witness: X with action {X.action}, map {f.values} (EXPECTED)",
+        f"first witness: X with action {X.action}, map {witness} (EXPECTED)",
     ]
     return Verdict(True, lines=lines)
 

@@ -8,9 +8,11 @@ with leg tables of length |G|, each orbit keyed by a min over N(R)/R
 canonicalisation of a span orbit over every point of it, the rank of a
 basis hom by orbit counting, the colim-gset equivalence with every
 hom-set enumerated, Span(F) applied term by term with nothing kept
-between calls (the Span(F) the tests apply), the two routes that
-spans.span_images replaced (span_from_maps per key renamed by
-canonical_iso, and the inflated keys of categorical fixed points), the
+between calls (the Span(F) the tests apply), the routes that
+spans.span_images replaced (the generic table of any G-set functor,
+span_images_generic, which applies F to every key's apex and legs;
+span_from_maps per key renamed by canonical_iso; and the inflated keys
+of categorical fixed points), the
 adjunction's unit and counit squares built and decided for one map at a
 time, the Mackey composition law tested on every pair of basis spans
 between orbits, categorical fixed points through inflated G-sets,
@@ -39,8 +41,13 @@ G-sets, and the test of a square for being a pullback by counting.
 
 The package enumerates no hom-set and builds no map or G-set only to
 test it, so what did lives here as the reference the tests compare
-against: every map of a hom-set multiplied out of its factors
-(hom_gset), the unit and counit maps of the adjunction, coproducts with
+against: equivariant maps (EqMap), the G-set functors of inflation and
+fixed points (GSetFunctor) with fixed points as G-sets and their maps,
+the legs of a basis key as maps (basis_legs), the key of any span orbit
+(canonical_key), the isomorphism search onto canonical G-sets
+(find_iso, canonical_iso) and the orbit classes of a G-set, every map
+of a hom-set multiplied out of its factors (hom_gset), the unit and
+counit maps of the adjunction, coproducts with
 their inclusions, the empty G-set, canonical G-sets as a chain of
 coproducts, injectivity and invertibility of a map, and the unit,
 associativity and functoriality checks of hand-built categories and
@@ -53,6 +60,8 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from profspan import formats as fm
 from profspan import groups as g
@@ -62,7 +71,220 @@ from profspan import spans as sp
 from profspan.corpus import corpus_groups
 from profspan.errors import GroupMismatch, Verdict
 from profspan.groups import FiniteGroup, QuotientMap, subgroup_lattice
-from profspan.gsets import EqMap, GSet
+from profspan.gsets import GSet
+
+
+@dataclass(frozen=True)
+class EqMap:
+    """An equivariant map src -> dst, by the image of each point."""
+
+    src: GSet
+    dst: GSet
+    values: tuple[int, ...]
+
+
+def orbit_class_multiset(X: GSet) -> tuple[int, ...]:
+    """Sorted stabilizer-class indices of the orbits, with repetition."""
+    lat = subgroup_lattice(X.group)
+    return tuple(
+        sorted(lat.class_of(X.point_stabilizers[orb[0]]) for orb in X.orbits())
+    )
+
+
+def find_iso(X: GSet, Y: GSet) -> EqMap | None:
+    """An explicit equivariant bijection X -> Y, or None: each orbit of X
+    goes to the first unused orbit of Y with a point of the same
+    stabilizer as its least point, the least such point."""
+    if X.group != Y.group or X.size != Y.size:
+        return None
+    values = [-1] * X.size
+    targets_used: set[int] = set()
+    y_stabs = Y.point_stabilizers
+    for orb in X.orbits():
+        x = orb[0]
+        S = X.point_stabilizers[x]
+        match = None
+        for yorb in Y.orbits():
+            if yorb[0] in targets_used or len(yorb) != len(orb):
+                continue
+            # need a point with exactly the same stabilizer
+            match = next((y for y in yorb if y_stabs[y] == S), None)
+            if match is not None:
+                targets_used.add(yorb[0])
+                break
+        if match is None:
+            return None
+        for gx, gy in zip(X.action[x], Y.action[match]):
+            values[gx] = gy
+    return EqMap(X, Y, tuple(values))
+
+
+def canonical_iso(X: GSet) -> EqMap:
+    """An equivariant bijection from X onto its canonical isomorph."""
+    return find_iso(X, gs.canonical_gset(X.group, orbit_class_multiset(X)))
+
+
+class FixedPointData(NamedTuple):
+    """The N-fixed points of one G-set X, for N = ker q: X^N with the
+    residual G/N action, and the index in X^N of each N-fixed point of X,
+    in point order."""
+
+    fixed: GSet
+    index: dict[int, int]
+
+
+@lru_cache(maxsize=None)
+def fixed_point_data(X: GSet, q: QuotientMap) -> FixedPointData:
+    """The fixed-point record of X, a G-set over q.source, computed once
+    per (X, q)."""
+    if X.group != q.source:
+        raise GroupMismatch("G-set is not over the quotient source")
+    N = q.kernel.elements
+    pts = [x for x in X.points() if all(X.action[x][n] == x for n in N)]
+    index = {x: i for i, x in enumerate(pts)}
+    sections = [q.section(c) for c in q.target.elements()]
+    action = tuple(tuple(index[X.action[x][s]] for s in sections) for x in pts)
+    return FixedPointData(GSet(q.target, action), index)
+
+
+def fixed_points(X: GSet, q: QuotientMap) -> GSet:
+    """N-fixed points of X with the residual G/N action."""
+    return fixed_point_data(X, q).fixed
+
+
+def fixed_points_map(f: EqMap, q: QuotientMap) -> EqMap:
+    """f restricted to N-fixed points, over G/N."""
+    src, dst = fixed_point_data(f.src, q), fixed_point_data(f.dst, q)
+    return EqMap(
+        src.fixed, dst.fixed, tuple(dst.index[f.values[x]] for x in src.index)
+    )
+
+
+def inflate_map(f: EqMap, q: QuotientMap) -> EqMap:
+    return EqMap(gs.inflate(f.src, q), gs.inflate(f.dst, q), f.values)
+
+
+class GSetFunctor:
+    """A functor between G-set universes, given on objects and maps by
+    the obj(X) and map(f) of each subclass, from G-sets over src_group."""
+
+    src_group: FiniteGroup
+
+
+class InflationGSetFunctor(GSetFunctor):
+    """Inflation along a quotient map, from G/N-sets to G-sets; `name` is
+    its name in spans.span_images."""
+
+    name = "inflation"
+
+    def __init__(self, q: QuotientMap):
+        self.q = q
+        self.src_group = q.target
+
+    def obj(self, X):
+        return gs.inflate(X, self.q)
+
+    def map(self, f):
+        return inflate_map(f, self.q)
+
+
+class FixedPointsGSetFunctor(GSetFunctor):
+    """N-fixed points with residual action, from G-sets to G/N-sets;
+    `name` is its name in spans.span_images."""
+
+    name = "fixed points"
+
+    def __init__(self, q: QuotientMap):
+        self.q = q
+        self.src_group = q.source
+
+    def obj(self, X):
+        return fixed_points(X, self.q)
+
+    def map(self, f):
+        return fixed_points_map(f, self.q)
+
+
+def basis_legs(X: GSet, Y: GSet, key: sp.Key) -> tuple[EqMap, EqMap]:
+    """The legs X <- G/R -> Y of the basis span key, on the canonical
+    coset apex of its stabilizer class."""
+    apex = gs.orbit_gset(X.group, key[0])
+    return EqMap(apex, X, key[1]), EqMap(apex, Y, key[2])
+
+
+def canonical_key(apex: GSet, base: int, legL, legR, X: GSet, Y: GSet) -> sp.Key:
+    """Canonical key of the span X <- apex -> Y restricted to the orbit of
+    base, for any apex; the legs are given as full value tables on apex,
+    into X and Y, and must be equivariant.
+
+    The apex is read only through its position table row[g] = g·base.
+    The orbit is G/S by g·base ↦ gS, for S = {g : row[g] = base}, and the
+    point t0·base, for the conjugator t0 of S onto the class
+    representative R, has stabilizer R; pair_key reads the legs there and
+    minimizes over every relabelling of the orbit as G/R, so the key
+    depends only on the class of the span."""
+    G = apex.group
+    row = apex.action[base]
+    stab = tuple(g_ for g_ in G.elements() if row[g_] == base)
+    c, t0 = sp.coset_tables(G).conjugator[stab]
+    point = row[t0]
+    return sp.pair_key(c, X, legL[point], Y, legR[point])
+
+
+class GenericSpanImages(NamedTuple):
+    """Span(F) between the canonical orbits of F's source group, for any
+    G-set functor F: the orbit classes of each F(orbit), possibly several
+    or none, and the canonical G-set they make."""
+
+    orbits: tuple[GSet, ...]  # the orbit of each subgroup class c
+    classes: tuple[tuple[int, ...], ...]  # the orbit classes of F(orbit c)
+    targets: tuple[GSet, ...]  # F(orbit c) renamed onto canonical G-sets
+    terms: dict  # (c1, c2, key) -> sorted (key, mult) between the targets
+
+
+def span_images_generic(
+    functor: type[GSetFunctor], q: QuotientMap
+) -> GenericSpanImages:
+    """spans.span_images for any G-set functor, as the package built it
+    before it read one orbit image per class: F of every key's apex and
+    legs, the legs renamed by canonical_iso of each F(orbit) onto the
+    targets (one orbit: gs.orbit_gset), each orbit of F(apex) keyed by
+    canonical_key as the basis object of its hom.  F need not be onto or
+    left exact."""
+    F = functor(q)
+    G = F.src_group
+    orbits = tuple(gs.orbit_gset(G, c) for c in range(len(sp.coset_tables(G).classes)))
+    sigma = [canonical_iso(F.obj(X)) for X in orbits]
+    classes = tuple(orbit_class_multiset(F.obj(X)) for X in orbits)
+    H = sigma[0].dst.group
+    targets = tuple(
+        gs.orbit_gset(H, m[0]) if len(m) == 1 else s.dst for m, s in zip(classes, sigma)
+    )
+    terms: dict = {}
+    for c1, c2 in itertools.product(range(len(orbits)), repeat=2):
+        m1, m2, T1, T2 = classes[c1], classes[c2], targets[c1], targets[c2]
+        single = len(m1) == len(m2) == 1
+        basis = sp.orbit_basis(H, m1[0], m2[0]) if single else sp.span_basis(T1, T2)
+        own = dict(zip(basis, basis))
+        s1, s2 = sigma[c1].values, sigma[c2].values
+        for key in sp.orbit_basis(G, c1, c2):
+            f, h = map(F.map, basis_legs(orbits[c1], orbits[c2], key))
+            left, right = [s1[x] for x in f.values], [s2[y] for y in h.values]
+            counts: dict = {}
+            for o in f.src.orbits():
+                k = own[canonical_key(f.src, o[0], left, right, T1, T2)]
+                counts[k] = counts.get(k, 0) + 1
+            terms[c1, c2, key] = sp._normalize(counts)
+    return GenericSpanImages(orbits, classes, targets, terms)
+
+
+def as_span_images(table: GenericSpanImages) -> sp.SpanImages:
+    """A generic table in the package's form, for a functor that sends
+    every orbit to one orbit or to none."""
+    assert all(len(m) <= 1 for m in table.classes)
+    images = tuple(m[0] if m else None for m in table.classes)
+    targets = tuple(T if m else None for m, T in zip(table.classes, table.targets))
+    return sp.SpanImages(table.orbits, images, targets, table.terms)
 
 
 def is_injective(f: EqMap) -> bool:
@@ -127,13 +349,13 @@ def canonical_gset_oracle(G: FiniteGroup, class_multiset) -> GSet:
 
 def counit_map(X: GSet, q: QuotientMap) -> EqMap:
     """inf(X^N) -> X; the inclusion of the fixed points."""
-    fixed, index = gs.fixed_point_data(X, q)
+    fixed, index = fixed_point_data(X, q)
     return EqMap(gs.inflate(fixed, q), X, tuple(index))
 
 
 def unit_map(X: GSet, q: QuotientMap) -> EqMap:
     """X -> (inf X)^N for X over G/N."""
-    fixed, index = gs.fixed_point_data(gs.inflate(X, q), q)
+    fixed, index = fixed_point_data(gs.inflate(X, q), q)
     return EqMap(X, fixed, tuple(index[x] for x in X.points()))
 
 
@@ -182,7 +404,7 @@ def span_basis_oracle(X: GSet, Y: GSet) -> list[sp.Key]:
         apex = gs.coset_gset(G, lat.class_rep(c).elements)
         for f in hom_gset(apex, X):
             for g in hom_gset(apex, Y):
-                keys.add(sp.canonical_key(apex, 0, f.values, g.values, X, Y))
+                keys.add(canonical_key(apex, 0, f.values, g.values, X, Y))
     return sorted(keys)
 
 
@@ -368,7 +590,7 @@ def colim_gset_equivalence_oracle(tower: g.GroupTower, cap: int) -> tuple[bool, 
             lifted = gs.canonical_gset(G, m)
             for q in tower.links[i:]:
                 lifted = gs.inflate(lifted, q)
-            if all(gs.find_iso(lifted, R) is None for R in reps):
+            if all(find_iso(lifted, R) is None for R in reps):
                 reps.append(lifted)
     for q in tower.links:
         G = q.target
@@ -384,7 +606,7 @@ def colim_gset_equivalence_oracle(tower: g.GroupTower, cap: int) -> tuple[bool, 
     return True, len(reps)
 
 
-def span_of_functor_oracle(F: sp.GSetFunctor):
+def span_of_functor_oracle(F: GSetFunctor):
     """Span(F) term by term, with nothing kept: F applied to the endpoints
     and to both legs of every basis term, and the image apexes keyed by
     sum_of_spans."""
@@ -392,14 +614,14 @@ def span_of_functor_oracle(F: sp.GSetFunctor):
     def apply(m: SpanMor) -> SpanMor:
         parts = []
         for key, mult in m.terms:
-            f, g = sp.basis_legs(m.left, m.right, key)
+            f, g = basis_legs(m.left, m.right, key)
             parts.append((F.map(f), F.map(g), mult))
         return sum_of_spans(F.obj(m.left), F.obj(m.right), parts)
 
     return apply
 
 
-def span_images_oracle(F: sp.GSetFunctor) -> dict:
+def span_images_oracle(F: GSetFunctor) -> dict:
     """spans.span_images(type(F), F.q).terms as the span checks computed
     it before the one table: for each basis key between the canonical
     orbits of F's source group, span_from_maps of F on both legs, over the
@@ -407,10 +629,10 @@ def span_images_oracle(F: sp.GSetFunctor) -> dict:
     with transport_span, which keys the renamed legs again."""
     G = F.src_group
     orbits = [gs.orbit_gset(G, c) for c in range(subgroup_lattice(G).num_classes)]
-    sigma = [gs.canonical_iso(F.obj(X)) for X in orbits]
+    sigma = [canonical_iso(F.obj(X)) for X in orbits]
     image = {}
     for c1, c2, key in sp.orbit_keys(G):
-        legs = sp.basis_legs(orbits[c1], orbits[c2], key)
+        legs = basis_legs(orbits[c1], orbits[c2], key)
         m = span_from_maps(*map(F.map, legs))
         image[c1, c2, key] = transport_span(m, sigma[c1], sigma[c2]).terms
     return image
@@ -426,14 +648,14 @@ def inflated_keys_oracle(q: QuotientMap) -> tuple[tuple[int, ...], tuple]:
     G, Q = q.source, q.target
     nq = subgroup_lattice(Q).num_classes
     inflated = [gs.inflate(gs.orbit_gset(Q, c), q) for c in range(nq)]
-    sigma = [gs.canonical_iso(X) for X in inflated]
+    sigma = [canonical_iso(X) for X in inflated]
     pre = tuple(c for _, c in g.class_preimages(q))
     targets = [gs.orbit_gset(G, c) for c in pre]
     pairs = []
     for c1, c2, key in sp.orbit_keys(Q):
         a, legL, legR = key
         s1, s2 = sigma[c1].values, sigma[c2].values
-        gkey = sp.canonical_key(
+        gkey = canonical_key(
             inflated[a],
             0,
             [s1[x] for x in legL],
@@ -466,8 +688,8 @@ def adjunction_report(q: QuotientMap, X: GSet, f: EqMap) -> AdjunctionReport:
     """
     if X.group != q.source or f.src != X:
         raise GroupMismatch("report requires X over the quotient source")
-    unit = unit_map(gs.fixed_points(X, q), q)
-    unit_p = unit_map(gs.fixed_points(f.dst, q), q)
+    unit = unit_map(fixed_points(X, q), q)
+    unit_p = unit_map(fixed_points(f.dst, q), q)
     counit, counit_p = counit_map(X, q), counit_map(f.dst, q)
 
     unit_is_iso = is_iso(unit)
@@ -475,7 +697,7 @@ def adjunction_report(q: QuotientMap, X: GSet, f: EqMap) -> AdjunctionReport:
 
     # unit naturality square over G/N for f^N: X^N -> X'^N; every point of
     # an inflated G-set is N-fixed, so (inf f^N)^N has the values of f^N
-    f_fixed = gs.fixed_points_map(f, q)
+    f_fixed = fixed_points_map(f, q)
     values = f_fixed.values
     unit_sq = square_is_pullback(
         unit, f_fixed, EqMap(unit.dst, unit_p.dst, values), unit_p
@@ -566,10 +788,10 @@ def categorical_fixed_points_oracle(
         raise GroupMismatch("quotient map is not from the functor's group")
     Q = q.target
     nq = subgroup_lattice(Q).num_classes
-    sigma = [gs.canonical_iso(gs.inflate(gs.orbit_gset(Q, c), q)) for c in range(nq)]
-    pre = [gs.orbit_class_multiset(s.dst)[0] for s in sigma]
+    sigma = [canonical_iso(gs.inflate(gs.orbit_gset(Q, c), q)) for c in range(nq)]
+    pre = [orbit_class_multiset(s.dst)[0] for s in sigma]
     levels = tuple(M.levels[c] for c in pre)
-    SpInf = span_of_functor_oracle(sp.InflationGSetFunctor(q))
+    SpInf = span_of_functor_oracle(InflationGSetFunctor(q))
     gen_action: dict = {}
     for c1 in range(nq):
         X = gs.orbit_gset(Q, c1)
@@ -624,7 +846,7 @@ def generating_set_oracle(G: FiniteGroup) -> tuple[int, ...]:
     return gens
 
 
-def left_exact_oracle(F: sp.GSetFunctor, objects) -> Verdict:
+def left_exact_oracle(F: GSetFunctor, objects) -> Verdict:
     """Whether F keeps the pullback of every cospan X -f-> Z <-g- Y of the
     given G-sets, each pullback built and F.map applied to every leg of
     its square; the witness of a failure is (X, Y, Z actions, f and g
@@ -655,7 +877,7 @@ def colim_span_oracle(tower: g.GroupTower, cap: int, seed: int = 0) -> Verdict:
             return Verdict(False, f"{reason} at stage {i}", witness)
 
         objs = _capped_objects(q.target, cap)
-        Inf = sp.InflationGSetFunctor(q)
+        Inf = InflationGSetFunctor(q)
         exact = left_exact_oracle(Inf, _capped_objects(q.target, min(cap, 2)))
         if not exact:
             return fail("inflation not left exact", exact.witness)
@@ -701,7 +923,7 @@ def limit_span_oracle(tower: g.GroupTower, cap: int) -> Verdict:
         G = q.source
         lat = subgroup_lattice(G)
         N = set(q.kernel.elements)
-        Fix = sp.FixedPointsGSetFunctor(q)
+        Fix = FixedPointsGSetFunctor(q)
         exact = left_exact_oracle(Fix, _capped_objects(G, min(cap, 2)))
         if not exact:
             return fail("not left exact", exact.witness)
@@ -720,7 +942,7 @@ def limit_span_oracle(tower: g.GroupTower, cap: int) -> Verdict:
                             return fail("of a basis span is not basic")
                     elif image.terms:
                         return fail("of a kernel-moved apex is not zero")
-            if SpFix(identity_span(X)) != identity_span(gs.fixed_points(X, q)):
+            if SpFix(identity_span(X)) != identity_span(fixed_points(X, q)):
                 return fail("does not preserve an identity span")
         for X, Y, Z in itertools.product(objs[:4], repeat=3):
             for m1, f1 in images[X, Y]:
@@ -732,7 +954,7 @@ def limit_span_oracle(tower: g.GroupTower, cap: int) -> Verdict:
     return Verdict(True)
 
 
-class OrbitQuotientFunctor(sp.GSetFunctor):
+class OrbitQuotientFunctor(GSetFunctor):
     """Collapse each N-orbit to a point, from G-sets to G/N-sets; a left
     adjoint, not left exact."""
 
@@ -761,7 +983,7 @@ class OrbitQuotientFunctor(sp.GSetFunctor):
             tuple(idx[X.action[inv[i]][self.q.section(c)]] for c in Q.elements())
             for i in pts
         )
-        return gs.GSet(Q, action)
+        return GSet(Q, action)
 
     def map(self, f):
         src_idx = self._orbit_index(f.src)
@@ -769,7 +991,7 @@ class OrbitQuotientFunctor(sp.GSetFunctor):
         values = [0] * (max(src_idx.values()) + 1 if src_idx else 0)
         for x, i in src_idx.items():
             values[i] = dst_idx[f.values[x]]
-        return gs.EqMap(self.obj(f.src), self.obj(f.dst), tuple(values))
+        return EqMap(self.obj(f.src), self.obj(f.dst), tuple(values))
 
 
 def point_gset(G: FiniteGroup) -> GSet:
@@ -915,7 +1137,7 @@ def span_from_maps(f: EqMap, g: EqMap) -> SpanMor:
         raise ObjectMismatch("legs must share an apex")
     counts: dict = {}
     for orb in f.src.orbits():
-        k = sp.canonical_key(f.src, orb[0], f.values, g.values, f.dst, g.dst)
+        k = canonical_key(f.src, orb[0], f.values, g.values, f.dst, g.dst)
         counts[k] = counts.get(k, 0) + 1
     return SpanMor(f.dst, g.dst, sp._normalize(counts))
 
@@ -974,7 +1196,7 @@ def transport_span(m: SpanMor, isoL: EqMap, isoR: EqMap) -> SpanMor:
         raise ObjectMismatch("transport isomorphisms do not match endpoints")
     parts = []
     for key, mult in m.terms:
-        f, g_ = sp.basis_legs(m.left, m.right, key)
+        f, g_ = basis_legs(m.left, m.right, key)
         parts.append((then_map(f, isoL), then_map(g_, isoR), mult))
     return sum_of_spans(isoL.dst, isoR.dst, parts)
 

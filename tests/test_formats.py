@@ -9,7 +9,7 @@ from profspan import spans as sp
 from profspan.corpus import corpus_group
 from profspan.errors import ParseError
 
-from oracles import point_gset
+from oracles import canonical_key, point_gset
 
 
 def test_group_roundtrip():
@@ -118,7 +118,7 @@ def test_mackey_roundtrip_with_a_zero_level():
     G = corpus_group("C2")
     dims = (0, 1)
     pt = point_gset(G)
-    ident = sp.canonical_key(pt, 0, (0,), (0,), pt, pt)
+    ident = canonical_key(pt, 0, (0,), (0,), pt, pt)
     gen_action = {}
     for c1, c2, key in sp.orbit_keys(G):
         row = (int(key == ident),) * dims[c1]

@@ -18,6 +18,7 @@ from oracles import (
     element_order,
     generating_set_oracle,
     groups_of_order_at_most,
+    orbit_class_multiset,
     subgroups_oracle,
 )
 from test_spans import _relabelled
@@ -384,7 +385,7 @@ def test_class_preimages_are_the_inflated_orbit_classes():
             X = gs.inflate(gs.orbit_gset(q.target, c), q)
             assert len(X.orbits()) == 1
             assert tuple(sorted(X.point_stabilizers[0])) == pre
-            assert gs.orbit_class_multiset(X) == (cls,)
+            assert orbit_class_multiset(X) == (cls,)
 
 
 def test_corpus_is_complete_and_distinct():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from profspan import groups as g
-from profspan import gsets as gs
 from profspan import mackey as mk
 from profspan import spans as sp
 from profspan.corpus import corpus_group, corpus_groups
@@ -18,7 +17,6 @@ from oracles import (
     hom_gset,
     is_iso,
     mackey_composition_oracle,
-    then_map,
 )
 
 
@@ -303,29 +301,28 @@ def test_fixed_points_key_every_basis_span_as_the_inflated_g_set_route():
     [("C8", (0, 4)), ("D4", (0, 5)), ("C12", (0, 6)), ("S3", (0,)), ("Q8", (0, 1))],
 )
 def test_fixed_points_change_under_a_wrong_renaming(monkeypatch, name, kernel):
-    # rename the regular orbit of G/N onto its canonical G-orbit by the
-    # right isomorphism followed by a non-identity automorphism
+    # rename the inflated regular orbit of G/N onto its canonical G-orbit
+    # by the right renaming followed by a non-identity automorphism
     G = corpus_group(name)
     q = g.quotient(G, g.make_subgroup(G, kernel))
     M = _key_labelled(G)
     right = mk.categorical_fixed_points(M, q)
-    canonical_iso = gs.canonical_iso
+    orbit_image = sp._orbit_image
 
-    def wrong_iso(X):
-        iso = canonical_iso(X)
-        if X.size != q.target.order:
-            return iso
+    def wrong_image(*args):
+        image = orbit_image(*args)
+        if len(image.sigma) != q.target.order:
+            return image
+        T = image.target
         auto = next(
-            a
-            for a in hom_gset(iso.dst, iso.dst)
-            if is_iso(a) and a.values != tuple(iso.dst.points())
+            a for a in hom_gset(T, T) if is_iso(a) and a.values != tuple(T.points())
         )
-        return then_map(iso, auto)
+        return image._replace(sigma=tuple(auto.values[x] for x in image.sigma))
 
     # the Span table of q is kept per functor and link, so it is built
     # afresh under the wrong renaming by the uncached function, and the
     # kept table is neither read nor written
-    monkeypatch.setattr(gs, "canonical_iso", wrong_iso)
+    monkeypatch.setattr(sp, "_orbit_image", wrong_image)
     monkeypatch.setattr(sp, "span_images", sp.span_images.__wrapped__)
     wrong = mk.categorical_fixed_points(M, q)
     assert wrong.levels == right.levels

@@ -24,7 +24,7 @@ from profspan import spans as sp
 from profspan.corpus import corpus_group, corpus_groups
 from profspan.errors import ParseError
 
-from oracles import parse_mackey_oracle, point_gset
+from oracles import canonical_key, parse_mackey_oracle, point_gset
 from test_spans import _relabelled
 
 MUTANTS_PER_FILE = 30
@@ -37,7 +37,7 @@ def _zero_level_c2() -> mk.MackeyFunctor:
     G = corpus_group("C2")
     dims = (0, 1)
     pt = point_gset(G)
-    ident = sp.canonical_key(pt, 0, (0,), (0,), pt, pt)
+    ident = canonical_key(pt, 0, (0,), (0,), pt, pt)
     gen_action = {}
     for c1, c2, key in sp.orbit_keys(G):
         row = (int(key == ident),) * dims[c1]
@@ -241,6 +241,6 @@ def test_fixed_points_keep_references_to_the_basis_keys_of_the_group():
     lat = g.subgroup_lattice(G)
     N = next(N for N, normal in zip(lat.subgroups[1:], lat.normal[1:]) if normal)
     q = g.quotient(G, N)
-    images = sp.span_images(sp.InflationGSetFunctor, q).terms.values()
+    images = sp.span_images(q, "inflation").terms.values()
     held = {id(k) for c1, c2, _ in sp.orbit_keys(G) for k in sp.orbit_basis(G, c1, c2)}
     assert images and all(id(gkey) in held for ((gkey, _),) in images)

@@ -12,11 +12,18 @@ from profspan.corpus import corpus_group, corpus_groups
 from profspan.errors import Verdict
 
 from oracles import (
+    EqMap,
+    FixedPointsGSetFunctor,
+    InflationGSetFunctor,
     ObjectMismatch,
     OrbitQuotientFunctor,
     SpanMor,
     add_spans,
+    as_span_images,
+    basis_legs,
     basis_span_mor,
+    canonical_iso,
+    canonical_key,
     canonical_key_oracle,
     compose_keys_oracle,
     compose_keys_per_element_oracle,
@@ -40,6 +47,7 @@ from oracles import (
     semiadditivity_check,
     span_basis_count_oracle,
     span_basis_oracle,
+    span_images_generic,
     span_images_oracle,
     span_of_functor_oracle,
     square_is_pullback,
@@ -58,7 +66,7 @@ def test_span_basis_point_endomorphisms_c2():
     pt = point_gset(C2)
     basis = sp.span_basis(pt, pt)
     assert len(basis) == 2
-    assert sorted(sp.basis_legs(pt, pt, b)[0].src.size for b in basis) == [1, 2]
+    assert sorted(basis_legs(pt, pt, b)[0].src.size for b in basis) == [1, 2]
 
 
 def test_span_basis_empty_endpoint():
@@ -118,7 +126,7 @@ def test_burnside_relation_c2():
     t = next(
         basis_span_mor(pt, pt, b)
         for b in sp.span_basis(pt, pt)
-        if sp.basis_legs(pt, pt, b)[0].src.size == 2
+        if basis_legs(pt, pt, b)[0].src.size == 2
     )
     assert compose_spans(t, t) == add_spans(t, t)
 
@@ -176,10 +184,10 @@ def test_identity_and_reversed_keys_from_points_match_canonical_key(name, relabe
     orbits = [gs.orbit_gset(G, c) for c in range(n)]
     for c, X in enumerate(orbits):
         pts = X.points()
-        assert sp.pair_key(c, X, 0, X, 0) == sp.canonical_key(X, 0, pts, pts, X, X)
+        assert sp.pair_key(c, X, 0, X, 0) == canonical_key(X, 0, pts, pts, X, X)
     for c1, c2, (a, legL, legR) in sp.orbit_keys(G):
         X, Y = orbits[c1], orbits[c2]
-        reversed_key = sp.canonical_key(orbits[a], 0, legR, legL, Y, X)
+        reversed_key = canonical_key(orbits[a], 0, legR, legL, Y, X)
         assert sp.pair_key(a, Y, legR[0], X, legL[0]) == reversed_key
 
 
@@ -313,7 +321,7 @@ def test_canonical_key_matches_brute_force_on_two_orbit_apexes(relabel_seed):
                     legs.append(rng.choice(homs))
             f, h = legs
             for base in apex.points():
-                key = sp.canonical_key(apex, base, f.values, h.values, f.dst, h.dst)
+                key = canonical_key(apex, base, f.values, h.values, f.dst, h.dst)
                 assert key == canonical_key_oracle(apex, base, f.values, h.values), (
                     name, c, d, base,
                 )
@@ -426,12 +434,12 @@ def test_transport_span_roundtrip():
 
 def test_span_of_inflation_sends_free_apex_to_subgroup_apex():
     q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
-    F = span_of_functor_oracle(sp.InflationGSetFunctor(q))
+    F = span_of_functor_oracle(InflationGSetFunctor(q))
     pt = point_gset(C2)
     t = next(
         basis_span_mor(pt, pt, b)
         for b in sp.span_basis(pt, pt)
-        if sp.basis_legs(pt, pt, b)[0].src.size == 2
+        if basis_legs(pt, pt, b)[0].src.size == 2
     )
     image = F(t)
     assert len(image.terms) == 1
@@ -445,8 +453,8 @@ def test_span_functors_are_left_exact():
     q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
     small_c2 = [gs.canonical_gset(C2, m) for m in gs.gset_isoclasses(C2, 2)]
     small_c4 = [gs.canonical_gset(C4, m) for m in gs.gset_isoclasses(C4, 2)]
-    assert left_exact_oracle(sp.InflationGSetFunctor(q), small_c2)
-    assert left_exact_oracle(sp.FixedPointsGSetFunctor(q), small_c4)
+    assert left_exact_oracle(InflationGSetFunctor(q), small_c2)
+    assert left_exact_oracle(FixedPointsGSetFunctor(q), small_c4)
 
 
 def _orbits(G):
@@ -468,9 +476,18 @@ def _transfer_restriction_pairs(G, orbits):
         transfers = [k for k in sp.endpoint_keys(G, c1, c2) if k[0] == c1]
         restrictions = [k for k in sp.endpoint_keys(G, c2, c3) if k[0] == c3]
         for k1, k2 in itertools.product(transfers, restrictions):
-            f = sp.basis_legs(orbits[c1], orbits[c2], k1)[1]
-            h = sp.basis_legs(orbits[c2], orbits[c3], k2)[0]
+            f = basis_legs(orbits[c1], orbits[c2], k1)[1]
+            h = basis_legs(orbits[c2], orbits[c3], k2)[0]
             yield c1, c2, c3, k1, k2, f, h
+
+
+def _table(functor, q):
+    """The Span(F) table the span checks read: the package's for
+    inflation and fixed points, the generic builder's for the N-orbit
+    quotient."""
+    if functor is OrbitQuotientFunctor:
+        return as_span_images(span_images_generic(functor, q))
+    return sp.span_images(q, functor.name)
 
 
 def check_left_exact(F) -> Verdict:
@@ -481,7 +498,7 @@ def check_left_exact(F) -> Verdict:
     actions, f and h values)."""
     G = F.src_group
     orbits = _orbits(G)
-    table = sp.span_images(type(F), F.q)
+    table = _table(type(F), F.q)
     for c1, c2, c3, k1, k2, f, h in _transfer_restriction_pairs(G, orbits):
         if not vf._law_holds(table, c1, c2, c3, k1, k2):
             X, Z, Y = orbits[c1], orbits[c2], orbits[c3]
@@ -491,7 +508,7 @@ def check_left_exact(F) -> Verdict:
 
 
 @pytest.mark.parametrize("functor", [
-    sp.InflationGSetFunctor, sp.FixedPointsGSetFunctor, OrbitQuotientFunctor
+    InflationGSetFunctor, FixedPointsGSetFunctor, OrbitQuotientFunctor
 ])
 @pytest.mark.parametrize("p,depth", [(2, 2), (2, 3), (3, 2)])
 def test_check_left_exact_agrees_with_every_cospan(functor, p, depth):
@@ -519,8 +536,8 @@ def test_check_left_exact_rejects_orbit_quotient():
     assert verdict.reason == "pullback not preserved"
     # the witness names the cospan X -f-> Z <-h- Y of a square F breaks
     X, Y, Z = (gs.GSet(C2, action) for action in verdict.witness[:3])
-    f = gs.EqMap(X, Z, verdict.witness[3])
-    h = gs.EqMap(Y, Z, verdict.witness[4])
+    f = EqMap(X, Z, verdict.witness[3])
+    h = EqMap(Y, Z, verdict.witness[4])
     P, p1, p2 = pullback(f, h)
     square = [bad.map(m) for m in (p1, p2, f, h)]
     assert not square_is_pullback(*square)
@@ -532,14 +549,14 @@ def test_check_left_exact_rejects_orbit_quotient():
 # keep) over the orbits of G, or of G/N for inflation.
 LAW_GROUPS = [name for name, G in corpus_groups() if G.order <= 6] + ["D4", "Q8"]
 EXPECTED_COSPANS = {
-    sp.FixedPointsGSetFunctor: (5537, 0),
-    sp.InflationGSetFunctor: (1365, 0),
+    FixedPointsGSetFunctor: (5537, 0),
+    InflationGSetFunctor: (1365, 0),
     OrbitQuotientFunctor: (5537, 954),
 }
 
 
 @pytest.mark.parametrize("functor", [
-    sp.FixedPointsGSetFunctor, sp.InflationGSetFunctor, OrbitQuotientFunctor
+    FixedPointsGSetFunctor, InflationGSetFunctor, OrbitQuotientFunctor
 ])
 def test_law_on_transfer_restriction_pairs_decides_left_exactness(functor):
     """For a transfer k1 = [X <- X -f-> Z] and a restriction
@@ -553,7 +570,7 @@ def test_law_on_transfer_restriction_pairs_decides_left_exactness(functor):
             F = functor(q)
             G = F.src_group
             orbits = _orbits(G)
-            table = sp.span_images(functor, q)
+            table = _table(functor, q)
             for c1, c2, c3, k1, k2, f, h in _transfer_restriction_pairs(G, orbits):
                 P, p1, p2 = pullback(f, h)
                 kept = square_is_pullback(*map(F.map, (p1, p2, f, h)))
@@ -566,7 +583,7 @@ def test_law_on_transfer_restriction_pairs_decides_left_exactness(functor):
 
 def test_span_functoriality_on_composable_pairs():
     q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
-    for F in (sp.InflationGSetFunctor(q), sp.FixedPointsGSetFunctor(q)):
+    for F in (InflationGSetFunctor(q), FixedPointsGSetFunctor(q)):
         G0 = F.src_group
         SpF = span_of_functor_oracle(F)
         classes = gs.gset_isoclasses(G0, 2)
@@ -587,10 +604,10 @@ def test_span_of_composed_functors():
     t = g.cyclic_tower(2, 3)
     q1 = t.links[1]  # C8 -> C4
     q0 = t.links[0]  # C4 -> C2
-    F = sp.InflationGSetFunctor(compose_quotients(q0, q1))
+    F = InflationGSetFunctor(compose_quotients(q0, q1))
     direct = span_of_functor_oracle(F)
-    step = span_of_functor_oracle(sp.InflationGSetFunctor(q1))
-    first = span_of_functor_oracle(sp.InflationGSetFunctor(q0))
+    step = span_of_functor_oracle(InflationGSetFunctor(q1))
+    first = span_of_functor_oracle(InflationGSetFunctor(q0))
     pt = point_gset(C2)
     X = gs.canonical_gset(C2, (0, 1))
     for b in sp.span_basis(X, pt):
@@ -646,11 +663,11 @@ def test_least_key_does_not_depend_on_the_conjugator(name):
             lg, rg = [f.values[x] for x in row], [h.values[x] for x in row]
             key = least_key(G, T, c, t0, lg, rg)
             legs = (f.values, h.values, f.dst, h.dst)
-            assert sp.canonical_key(apex, 0, *legs) == key
+            assert canonical_key(apex, 0, *legs) == key
             for m in normaliser:
                 t = G.mul(m, t0)
                 assert least_key(G, T, c, t, lg, rg) == key, (name, L.elements, m)
-                assert sp.canonical_key(apex, row[t], *legs) == key, (
+                assert canonical_key(apex, row[t], *legs) == key, (
                     name, L.elements, m,
                 )
 
@@ -709,8 +726,8 @@ LINK_TOWERS = pytest.mark.parametrize(
 def _link_functors(p, depth):
     """Inflation and fixed points along every link of the p-tower."""
     for q in g.cyclic_tower(p, depth).links:
-        yield sp.InflationGSetFunctor(q)
-        yield sp.FixedPointsGSetFunctor(q)
+        yield InflationGSetFunctor(q)
+        yield FixedPointsGSetFunctor(q)
 
 
 def _whole_basis_times(X, Y, first):
@@ -727,7 +744,7 @@ def test_span_of_functor_keeps_images_apart_per_endpoints():
     key to two different spans: an image is known from its key only with
     its endpoints, which index the span checks' table too."""
     q = g.cyclic_tower(2, 3).links[1]
-    SpF = span_of_functor_oracle(sp.FixedPointsGSetFunctor(q))
+    SpF = span_of_functor_oracle(FixedPointsGSetFunctor(q))
     G = q.source
     pt = point_gset(G)
     Xa, Xb = gs.canonical_gset(G, (0, 3)), gs.canonical_gset(G, (1, 1, 3))
@@ -746,8 +763,8 @@ def test_span_of_functor_matches_term_by_term_oracle(tower):
     for F in _link_functors(*tower):
         oracle = span_of_functor_oracle(F)
         orbits = _orbits(F.src_group)
-        table = sp.span_images(type(F), F.q)
-        sigma = [gs.canonical_iso(F.obj(X)) for X in orbits]
+        table = sp.span_images(F.q, F.name)
+        sigma = [canonical_iso(F.obj(X)) for X in orbits]
 
         def tabulated(c1, c2, m):
             counts: Counter = Counter()
@@ -780,39 +797,59 @@ def _relabelled_target(q, seed):
     return g.quotient_map(q.source, _relabelled(q.target, seed), projection)
 
 
+def _relabelled_source(q, seed):
+    """q from the renumbering of its source that _relabelled makes."""
+    new = _renumbering(q.source, seed)
+    projection = [0] * q.source.order
+    for a, x in enumerate(q.projection):
+        projection[new[a]] = x
+    return g.quotient_map(_relabelled(q.source, seed), q.target, projection)
+
+
+def _tower_links(towers):
+    return [
+        (f"tower-{p}-{depth}-link-{i}", q)
+        for p, depth in towers
+        for i, q in enumerate(g.cyclic_tower(p, depth).links)
+    ]
+
+
 def _span_image_links():
     """Every link of the verify tower grid, and the quotient map of every
     corpus group by each of its normal subgroups, each also followed by a
-    renumbering of its target."""
-    links = [
-        (f"tower-{p}-{depth}-link-{i}", q)
-        for p, depth in TOWER_GRID
-        for i, q in enumerate(g.cyclic_tower(p, depth).links)
-    ]
-    links += [
+    renumbering of its target; the corpus quotients also from a
+    renumbering of their source; and the links of the deeper towers 2,7,
+    3,5 and 7,3."""
+    corpus = [
         (f"{name}/{len(q.kernel.elements)}", q)
         for name, G in corpus_groups()
         for q in _quotients(G)
     ]
-    for label, q in links:
+    for label, q in _tower_links(TOWER_GRID) + corpus:
         yield pytest.param(q, id=label)
         yield pytest.param(_relabelled_target(q, 5), id=f"{label}-renumbered")
+    for label, q in corpus:
+        yield pytest.param(_relabelled_source(q, 9), id=f"{label}-source-renumbered")
+    for label, q in _tower_links([(2, 7), (3, 5), (7, 3)]):
+        yield pytest.param(q, id=label)
 
 
 @pytest.mark.parametrize("q", list(_span_image_links()))
 def test_span_images_match_both_routes_they_replace(q):
-    """The Span(F) table of inflation and of fixed points along q is, key
-    for key, span_from_maps of F on the legs renamed by canonical_iso; for
-    inflation each image is the one key that categorical fixed points
-    read through canonical_iso, as the basis object of orbit_basis
-    itself."""
-    for functor in (sp.InflationGSetFunctor, sp.FixedPointsGSetFunctor):
-        table = sp.span_images(functor, q)
+    """The Span(F) table of inflation and of fixed points along q, read
+    from one orbit image per class, is the generic table of the G-set
+    functor (images, targets and terms), and key for key span_from_maps
+    of F on the legs renamed by canonical_iso; for inflation each image
+    is the one key that categorical fixed points read through
+    canonical_iso, as the basis object of orbit_basis itself."""
+    for functor in (InflationGSetFunctor, FixedPointsGSetFunctor):
+        table = sp.span_images(q, functor.name)
+        assert table == as_span_images(span_images_generic(functor, q))
         assert table.terms == span_images_oracle(functor(q))
         assert list(table.terms) == sp.orbit_keys(functor(q).src_group)
-    table = sp.span_images(sp.InflationGSetFunctor, q)
+    table = sp.span_images(q, "inflation")
     pre, pairs = inflated_keys_oracle(q)
-    assert table.classes == tuple((c,) for c in pre)
+    assert table.images == pre
     assert list(table.terms.items()) == [
         (qkey, ((gkey[2], 1),)) for qkey, gkey in pairs
     ]
@@ -821,12 +858,16 @@ def test_span_images_match_both_routes_they_replace(q):
 
 
 def test_span_images_of_a_link_that_is_not_onto():
-    """Along the trivial map C4 -> C2, inflation sends the free orbit of
-    C2 to two fixed points: the table's targets are canonical G-sets of
-    several orbits, images have several terms, and the table is the
-    renamed span_from_maps route."""
+    """Along the trivial map C4 -> C2, which is not onto, inflation sends
+    the free orbit of C2 to two fixed points and fixed points have no
+    residual action: span_images raises for both, as make_tower does.
+    The generic table of inflation has targets of several orbits and
+    images of several terms, and is the renamed span_from_maps route."""
     q = _trivial_first_link(3).links[0]
-    table = sp.span_images(sp.InflationGSetFunctor, q)
-    assert table.terms == span_images_oracle(sp.InflationGSetFunctor(q))
+    for which in ("inflation", "fixed points"):
+        with pytest.raises(ValueError, match="projection is not onto the previous"):
+            sp.span_images(q, which)
+    table = span_images_generic(InflationGSetFunctor, q)
+    assert table.terms == span_images_oracle(InflationGSetFunctor(q))
     assert max(map(len, table.classes)) == 2
     assert max(len(terms) for terms in table.terms.values()) > 1

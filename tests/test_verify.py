@@ -24,11 +24,14 @@ from profspan.cli import main
 
 from oracles import (
     OrbitQuotientFunctor,
+    as_span_images,
+    basis_legs,
     colim_gset_equivalence_oracle,
     colim_span_oracle,
     limit_span_oracle,
     pullback,
     span_basis_count_oracle,
+    span_images_generic,
     square_is_pullback,
     validate_category,
 )
@@ -125,10 +128,11 @@ def test_colim_gset_and_span_basis_enumerate_no_hom_set():
 
 
 def test_adjunction_enumerates_no_hom_set_and_builds_no_square():
-    # hom-sets, unit and counit maps, pullbacks and the square test are
-    # oracles, so the adjunction enumerates no hom-set and builds no map
-    # but its witness, and no square
-    for name in ("hom_gset", "unit_map", "counit_map", "pullback", "square_is_pullback"):
+    # hom-sets, maps, the unit and counit maps, pullbacks and the square
+    # test are oracles, so the adjunction enumerates no hom-set, builds no
+    # map (its witness is the values of one) and no square
+    names = ("hom_gset", "EqMap", "unit_map", "counit_map", "pullback")
+    for name in (*names, "square_is_pullback"):
         assert not hasattr(gs, name), name
     assert vf.verify_adjunction(6).ok
 
@@ -149,14 +153,19 @@ def test_adjunction_squares_are_products_of_marks():
     assert report.lines[1] == f"naturality squares checked: {expected}"
 
 
+NOT_ONTO = "projection is not onto the previous stage"
+
+
 def test_colim_span_fails_on_a_trivial_link():
     """Inflation along the trivial map sends the free C2-orbit to two
-    C4-fixed points, so a basis span with that apex inflates to a span
-    with two orbits."""
-    report = vf.verify_colim_span(_trivial_first_link(2))
-    assert not report.ok
-    assert report.reason == "inflation of a basis span is not basic at stage 0"
-    assert report.render() == "FAIL inflation of a basis span is not basic at stage 0"
+    C4-fixed points, not to one orbit.  Span(F) is read from one orbit
+    image per class, which a link that is not onto does not have, so both
+    span checks raise on it, as make_tower does, instead of printing a
+    FAIL line."""
+    tower = _trivial_first_link(2)
+    for run in (vf.verify_colim_span, vf.verify_limit_span):
+        with pytest.raises(ValueError, match=NOT_ONTO):
+            run(tower)
 
 
 def test_make_tower_rejects_a_trivial_link_that_limit_span_cannot_run_on():
@@ -165,9 +174,9 @@ def test_make_tower_rejects_a_trivial_link_that_limit_span_cannot_run_on():
     is made, and limit-span on the raw tower raises instead of printing a
     FAIL line."""
     raw = _trivial_first_link(2)
-    with pytest.raises(ValueError, match="link 0: projection is not onto"):
+    with pytest.raises(ValueError, match=f"link 0: {NOT_ONTO}"):
         g.make_tower(raw.stages, raw.links)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=NOT_ONTO):
         vf.verify_limit_span(raw)
 
 
@@ -290,9 +299,11 @@ def test_span_reports_do_not_depend_on_cap_or_seed(check):
     assert len(reports) == 1
 
 
+# Each span check, its capped oracle, and the name of its functor in
+# spans.span_images and in its FAIL lines.
 SPAN_CHECKS = {
-    "colim-span": (vf.verify_colim_span, colim_span_oracle, sp.InflationGSetFunctor),
-    "limit-span": (vf.verify_limit_span, limit_span_oracle, sp.FixedPointsGSetFunctor),
+    "colim-span": (vf.verify_colim_span, colim_span_oracle, "inflation"),
+    "limit-span": (vf.verify_limit_span, limit_span_oracle, "fixed points"),
 }
 
 
@@ -306,47 +317,57 @@ def test_span_checks_agree_with_the_capped_checks(check, p, depth, cap):
 
 
 def test_colim_span_agrees_with_the_capped_check_on_a_trivial_link():
+    """The capped check applies inflation to G-sets and finds the image
+    of two orbits; both span checks refuse the link that is not onto."""
     tower = _trivial_first_link(3)
-    fast, slow = vf.verify_colim_span(tower), colim_span_oracle(tower, 3)
-    assert (fast.ok, fast.reason) == (slow.ok, slow.reason)
-    assert fast.reason == "inflation of a basis span is not basic at stage 0"
+    slow = colim_span_oracle(tower, 3)
+    assert slow.reason == "inflation of a basis span is not basic at stage 0"
+    for run in (vf.verify_colim_span, vf.verify_limit_span):
+        with pytest.raises(ValueError, match=NOT_ONTO):
+            run(tower)
 
 
-def _image_mutants(functor, tower):
+def _image_mutants(which, tower):
     """Per link i and hom between two orbits of the link's source group,
     (kind, i, c1, c2, images): for each key of the hom, the key "replaced"
     by the first basis span of the image hom other than its true image,
-    or, for a true image of zero, by the first basis span; and for each
-    two consecutive keys that are not endpoint keys and have basic
-    images, the two images "swapped".  (A swap of endpoint keys can give
-    another functor: in C3 the two rotations of the free orbit.)"""
+    or, for a true image of zero, by the first basis span; each basic
+    image "doubled", taken twice; and for each two consecutive keys that
+    are not endpoint keys and have basic images, the two images
+    "swapped".  (A swap of endpoint keys can give another functor: in C3
+    the two rotations of the free orbit.)"""
     for i, q in enumerate(tower.links):
-        table = sp.span_images(functor, q)
+        table = sp.span_images(q, which)
         G, n = table.orbits[0].group, len(table.orbits)
+        K = q.source if which == "inflation" else q.target
         for c1, c2 in itertools.product(range(n), repeat=2):
-            T1, T2 = table.targets[c1], table.targets[c2]
+            m1, m2 = table.images[c1], table.images[c2]
+            image_basis = () if None in (m1, m2) else sp.orbit_basis(K, m1, m2)
             keys = sp.orbit_basis(G, c1, c2)
             true = {k: table.terms[c1, c2, k] for k in keys}
             for key in keys:
                 hit = {k for k, _ in true[key]}
-                other = [b for b in sp.span_basis(T1, T2) if b not in hit]
+                other = [b for b in image_basis if b not in hit]
                 if other:
                     yield "replaced", i, c1, c2, {key: ((other[0], 1),)}
+                if true[key]:
+                    (image, _), = true[key]
+                    yield "doubled", i, c1, c2, {key: ((image, 2),)}
             ends = sp.endpoint_keys(G, c1, c2)
             basic = [k for k in keys if len(true[k]) == 1 and k not in ends]
             for k1, k2 in zip(basic, basic[1:]):
                 yield "swapped", i, c1, c2, {k1: true[k2], k2: true[k1]}
 
 
-def _corrupt(monkeypatch, functor, link, c1, c2, images):
-    """Make the Span(F) table of functor along link send each basis span
-    key of `images` between the orbits of classes c1 and c2 to its image,
-    in a copy: the kept table is left as it is."""
+def _corrupt(monkeypatch, which, link, c1, c2, images):
+    """Make the Span(F) table of the functor `which` along link send each
+    basis span key of `images` between the orbits of classes c1 and c2 to
+    its image, in a copy: the kept table is left as it is."""
     span_images = sp.span_images
 
-    def corrupted(kind, q):
-        table = span_images(kind, q)
-        if kind is not functor or q != link:
+    def corrupted(q, kind):
+        table = span_images(q, kind)
+        if kind != which or q != link:
             return table
         terms = dict(table.terms)
         terms.update({(c1, c2, key): image for key, image in images.items()})
@@ -358,30 +379,31 @@ def _corrupt(monkeypatch, functor, link, c1, c2, images):
 @pytest.mark.parametrize("p,depth", [(2, 3), (3, 3)])
 @pytest.mark.parametrize("check", list(SPAN_CHECKS))
 def test_span_checks_fail_on_corrupted_basis_images(check, p, depth, monkeypatch):
-    """A Span(F) with one basis image between orbits replaced, or two
-    swapped, fails the check at that link.  A swap keeps every image basic
-    and distinct, so it is the law on the endpoint keys r_b, t_b of a
-    swapped b = t_b ∘ r_b that must catch it; the FAIL line names the pair
-    of keys."""
-    run, _, functor = SPAN_CHECKS[check]
-    name = {"colim-span": "inflation", "limit-span": "fixed points"}[check]
+    """A Span(F) with one basis image between orbits replaced or doubled,
+    or two swapped, fails the check at that link.  A doubled image is not
+    basic.  A swap keeps every image basic and distinct, so it is the law
+    on the endpoint keys r_b, t_b of a swapped b = t_b ∘ r_b that must
+    catch it; the FAIL line names the pair of keys."""
+    run, _, name = SPAN_CHECKS[check]
     tower = g.cyclic_tower(p, depth)
     kinds = set()
-    for kind, i, c1, c2, images in list(_image_mutants(functor, tower)):
+    for kind, i, c1, c2, images in list(_image_mutants(name, tower)):
         with monkeypatch.context() as patch:
-            _corrupt(patch, functor, tower.links[i], c1, c2, images)
+            _corrupt(patch, name, tower.links[i], c1, c2, images)
             report = run(tower)
         assert not report.ok, (kind, i, c1, c2, images)
         assert report.reason.endswith(f" at stage {i}"), report.reason
         law = report.reason == f"Span({name}) not functorial at stage {i}"
-        assert law or kind == "replaced", report.reason
+        assert law or kind != "swapped", report.reason
+        if kind == "doubled":
+            assert report.reason == f"{name} of a basis span is not basic at stage {i}"
         if law:
-            G = functor(tower.links[i]).src_group
+            G = sp.span_images(tower.links[i], name).orbits[0].group
             a, b, c, k1, k2 = report.witness
             assert k1 in sp.endpoint_keys(G, a, b) and k2 in sp.endpoint_keys(G, b, c)
             assert report.render() == f"FAIL {report.reason} (witness {report.witness})"
         kinds.add((kind, law))
-    assert {("replaced", False), ("swapped", True)} <= kinds
+    assert {("replaced", False), ("doubled", False), ("swapped", True)} <= kinds
 
 
 def test_limit_span_fails_on_a_functor_that_is_not_left_exact(monkeypatch):
@@ -392,12 +414,12 @@ def test_limit_span_fails_on_a_functor_that_is_not_left_exact(monkeypatch):
     whose cospan's pullback the functor does not keep."""
     span_images = sp.span_images
 
-    def quotient_images(functor, q):
-        # the N-orbit quotient's table, built uncached in place of that of
-        # fixed points; no kept table is read or written
-        if functor is sp.FixedPointsGSetFunctor:
-            return span_images.__wrapped__(OrbitQuotientFunctor, q)
-        return span_images(functor, q)
+    def quotient_images(q, which):
+        # the N-orbit quotient's table, built by the generic builder in
+        # place of that of fixed points; no kept table is read or written
+        if which == "fixed points":
+            return as_span_images(span_images_generic(OrbitQuotientFunctor, q))
+        return span_images(q, which)
 
     monkeypatch.setattr(sp, "span_images", quotient_images)
     out = io.StringIO()
@@ -415,8 +437,8 @@ def test_limit_span_fails_on_a_functor_that_is_not_left_exact(monkeypatch):
         assert (c1, c2, c3) == (0, 1, 0)
         assert (k1[0], k2[0]) == (c1, c3)  # a transfer, then a restriction
         X, Z, Y = (gs.orbit_gset(tower.stages[1], c) for c in (c1, c2, c3))
-        f = sp.basis_legs(X, Z, k1)[1]
-        h = sp.basis_legs(Z, Y, k2)[0]
+        f = basis_legs(X, Z, k1)[1]
+        h = basis_legs(Z, Y, k2)[0]
         P, p1, p2 = pullback(f, h)
         bad = OrbitQuotientFunctor(tower.links[0])
         assert not square_is_pullback(*(bad.map(m) for m in (p1, p2, f, h)))
