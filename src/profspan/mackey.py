@@ -9,7 +9,7 @@ double-coset formula, and all arithmetic is exact.
 The module works on basis keys only, and builds no span morphism.  The
 basis spans between orbits, which gen_action is keyed by, are
 spans.orbit_keys; a reversed or identity span is keyed from a point of
-each end with spans.pair_key, and keys are composed with
+each end with spans.pair_key, and burnside_mackey composes keys with
 spans._compose_keys, given the canonical orbits at their two ends.
 Both number cosets and choose conjugators as spans.coset_tables does,
 and key every orbit from the W-orbit table of each end and class
@@ -24,14 +24,18 @@ check_mackey decides the composition law on the pairs of endpoint keys
 (spans.endpoint_keys): the transfers, restrictions and conjugations,
 which give it on all pairs.  On the corpus this tests 22,995 of the
 88,414 pairs of basis spans; the test suite keeps the exhaustive check
-as its oracle.  Each pair costs one composition and one matrix product,
-with the columns of the first factor taken once per key.
+as its oracle.  Composites are read by position from the group's kept
+tables (spans.endpoint_composites) and M as one list of matrices per
+pair of classes, so each pair costs one matrix product and no key
+lookup.  Only a failing check composes, to find the first failing pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import mul
 
 from .errors import GroupMismatch, IncoherentFamily, Verdict
@@ -151,16 +155,22 @@ def burnside_mackey(G: FiniteGroup) -> MackeyFunctor:
     level_basis = [sp.orbit_basis(G, c, pt_class) for c in range(n)]
     levels = tuple(AbPresentation(len(bs)) for bs in level_basis)
     tgt_index = [{k: i for i, k in enumerate(bs)} for bs in level_basis]
+    # the fibres of the j-th span of level c1 over the orbit of c1, for
+    # the reversed spans with apex class a, bucketed once per (a, c1, j)
+    fibres: dict = {}
     gen_action: dict = {}
     for c1, c2, key in sp.orbit_keys(G):
         # point 0 of the apex G/R_a has stabilizer R_a, so the reversed
         # span is keyed from its legs there
         a, legL, legR = key
-        flipped = sp.pair_key(a, orbits[c2], legR[0], orbits[c1], legL[0])
+        X = orbits[c2]
+        flipped = sp.pair_key(a, X, legR[0], orbits[c1], legL[0])
         cols = []
-        for src_key in level_basis[c1]:
+        for j, src_key in enumerate(level_basis[c1]):
+            if (a, c1, j) not in fibres:
+                fibres[a, c1, j] = sp._fibres(G, a, src_key)
             col = [0] * len(level_basis[c2])
-            for k, m in sp._compose_keys(orbits[c2], pt, src_key, flipped):
+            for k, m in sp._compose_keys(X, pt, src_key, flipped, fibres[a, c1, j]):
                 col[tgt_index[c2][k]] = m
             cols.append(col)
         # every level has the span of the orbit itself, so cols is not empty
@@ -189,49 +199,68 @@ def check_structure(M: MackeyFunctor) -> Verdict:
     return Verdict(True)
 
 
-def _value(M: MackeyFunctor, c1: int, c2: int, terms, rows: int, cols: int):
-    """The matrix of M on Σ m·k over the (k, m) of terms, keys of spans
-    between the orbits of classes c1 and c2."""
+def _value(mats, terms, rows: int, cols: int):
+    """The matrix Σ m·mats[i] over the (i, m) of terms."""
     if len(terms) == 1 and terms[0][1] == 1:
-        return M.gen_action[(c1, c2, terms[0][0])]
+        return mats[terms[0][0]]
     out = [[0] * cols for _ in range(rows)]
-    for k, m in terms:
-        for row, term_row in zip(out, M.gen_action[(c1, c2, k)]):
+    for i, m in terms:
+        for row, term_row in zip(out, mats[i]):
             for j, a in enumerate(term_row):
                 row[j] += m * a
     return tuple(map(tuple, out))
 
 
-def _composition_failure(M: MackeyFunctor, bases) -> tuple | None:
-    """The first (c1, c2, c3, k1, k2) with k1 in bases[c1][c2] and k2 in
-    bases[c2][c3] for which M(k2 ∘ k1) and M(k2)·M(k1) differ as maps into
-    level c3, in that lexicographic order; None if there is none."""
+def _composites(G: FiniteGroup, c1: int, c2: int, c3: int):
+    """k2 ∘ k1 for k1 in orbit_basis(G, c1, c2) and k2 in
+    orbit_basis(G, c2, c3), k1 major, as spans.endpoint_composites lists
+    those of endpoint keys, composed one pair at a time."""
+    X, Z = gs.orbit_gset(G, c1), gs.orbit_gset(G, c3)
+    position = {k: i for i, k in enumerate(sp.orbit_basis(G, c1, c3))}
+    for k1 in sp.orbit_basis(G, c1, c2):
+        for k2 in sp.orbit_basis(G, c2, c3):
+            yield sorted((position[k], m) for k, m in sp._compose_keys(X, Z, k2, k1))
+
+
+def _composition_failure(M: MackeyFunctor, bases, composites) -> tuple | None:
+    """The first (c1, c2, c3, k1, k2), k1 and k2 the keys at the positions
+    bases[c1][c2] and bases[c2][c3] of their orbit_basis, for which
+    M(k2 ∘ k1) and M(k2)·M(k1) differ as maps into level c3, in that
+    lexicographic order; None if there is none.  composites(c1, c2, c3)
+    lists the k2 ∘ k1 in that order, each as (position in
+    orbit_basis(G, c1, c3), mult) pairs.  M is read as one list of
+    matrices per pair of classes, in basis order, so no key is looked up
+    per pair."""
+    G = M.group
     n = len(bases)
-    orbits = [gs.orbit_gset(M.group, c) for c in range(n)]
+    keys = [[sp.orbit_basis(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
+    mats = [
+        [[M.gen_action[c1, c2, k] for k in keys[c1][c2]] for c2 in range(n)]
+        for c1 in range(n)
+    ]
     for c1 in range(n):
         cols = M.levels[c1].dims
         for c2 in range(n):
             # the columns of each M(k1), taken once; an M(k1) with no rows
             # has cols empty columns
             columns = [
-                tuple(zip(*M.gen_action[(c1, c2, k1)])) or ((),) * cols
-                for k1 in bases[c1][c2]
+                tuple(zip(*mats[c1][c2][p])) or ((),) * cols for p in bases[c1][c2]
             ]
             for c3 in range(n):
                 tgt_orders = M.levels[c3].orders()
                 rows = M.levels[c3].dims
-                for k1, A1t in zip(bases[c1][c2], columns):
-                    for k2 in bases[c2][c3]:
+                terms = iter(composites(c1, c2, c3))
+                for p1, A1t in zip(bases[c1][c2], columns):
+                    for p2 in bases[c2][c3]:
                         direct = tuple(
                             tuple(sum(map(mul, row, col)) for col in A1t)
-                            for row in M.gen_action[(c2, c3, k2)]
+                            for row in mats[c2][c3][p2]
                         )
-                        composite = sp._compose_keys(orbits[c1], orbits[c3], k2, k1)
-                        expanded = _value(M, c1, c3, composite, rows, cols)
+                        expanded = _value(mats[c1][c3], next(terms), rows, cols)
                         if direct != expanded and not _congruent(
                             direct, expanded, tgt_orders
                         ):
-                            return (c1, c2, c3, k1, k2)
+                            return (c1, c2, c3, keys[c1][c2][p1], keys[c2][c3][p2])
     return None
 
 
@@ -271,11 +300,15 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
         A = M.gen_action[(c, c, sp.pair_key(c, X, 0, X, 0))]
         if not _congruent(A, _identity(M.levels[c].dims), M.levels[c].orders()):
             return Verdict(False, "identity span does not act as identity", c)
-    generators = [[sp.endpoint_keys(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
-    if _composition_failure(M, generators) is None:
+    ends = [[sp.endpoint_positions(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
+    tables = [[sp.endpoint_composites(G, c1, c3) for c3 in range(n)] for c1 in range(n)]
+    if _composition_failure(M, ends, lambda c1, c2, c3: tables[c1][c3][c2]) is None:
         return Verdict(True)
-    bases = [[sp.orbit_basis(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
-    return Verdict(False, "composition law fails", _composition_failure(M, bases))
+    bases = [
+        [range(len(sp.orbit_basis(G, c1, c2))) for c2 in range(n)] for c1 in range(n)
+    ]
+    witness = _composition_failure(M, bases, partial(_composites, G))
+    return Verdict(False, "composition law fails", witness)
 
 
 def zero_mackey(G: FiniteGroup) -> MackeyFunctor:
@@ -311,10 +344,11 @@ def categorical_fixed_points(M: MackeyFunctor, q: QuotientMap) -> MackeyFunctor:
         raise GroupMismatch("quotient map is not from the functor's group")
     table = sp.span_images(q, "inflation")
     pre = table.images
-    gen_action = {
-        qkey: M.gen_action[pre[qkey[0]], pre[qkey[1]], gkey]
-        for qkey, ((gkey, _),) in table.terms.items()
-    }
+    gen_action = {}
+    for c1, c2 in itertools.product(range(len(pre)), repeat=2):
+        gkeys = sp.orbit_basis(q.source, pre[c1], pre[c2])
+        for qkey, j in zip(sp.orbit_basis(q.target, c1, c2), table.terms[c1][c2]):
+            gen_action[c1, c2, qkey] = M.gen_action[pre[c1], pre[c2], gkeys[j]]
     return MackeyFunctor(q.target, tuple(M.levels[c] for c in pre), gen_action)
 
 

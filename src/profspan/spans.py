@@ -38,14 +38,18 @@ No span morphism, equivariant map or image G-set is built: span
 morphisms, their composition, the legs of a key as maps and the slow
 routes to keys, composites and Span(F) are oracles in tests/oracles.py.
 
+_compose_keys, the one composition routine, keeps nothing; the law
+checks read composites of endpoint keys by position from one table per
+group and pair of end classes (endpoint_composites).
+
 Span(F), for F inflation or fixed points along a quotient map, is one
 table per functor and link (span_images), which both span checks of
 verify and mackey.categorical_fixed_points read.  Both functors send a
 canonical orbit to one orbit on the same points, or to nothing, so the
 table is one record per subgroup class (_orbit_image) and one pair_key
-per basis key.  The tables, the composites of basis keys
-(_compose_keys), the W-orbit tables, the double-coset tables and the
-coset tables are kept for the process.
+per basis key, held as the position of the image in its basis.  The
+module's tables are kept for the process, one per group, G-set or link
+and class or class pair, none per key or pair of keys.
 """
 
 from __future__ import annotations
@@ -207,6 +211,14 @@ def orbit_keys(G: FiniteGroup) -> list[tuple[int, int, Key]]:
     ]
 
 
+@lru_cache(maxsize=None)
+def endpoint_positions(G: FiniteGroup, c1: int, c2: int) -> tuple[int, ...]:
+    """The positions in orbit_basis(G, c1, c2) of its endpoint keys."""
+    basis = orbit_basis(G, c1, c2)
+    return tuple(i for i, k in enumerate(basis) if k[0] in (c1, c2))
+
+
+@lru_cache(maxsize=None)
 def endpoint_keys(G: FiniteGroup, c1: int, c2: int) -> tuple[Key, ...]:
     """The endpoint keys of orbit_basis(G, c1, c2), whose apex is in class
     c1 (transfers, conjugations) or c2 (restrictions, conjugations).
@@ -222,7 +234,8 @@ def endpoint_keys(G: FiniteGroup, c1: int, c2: int) -> tuple[Key, ...]:
 
     each step the law on endpoint keys (Thévenaz–Webb 1995, §2; Dress
     1973)."""
-    return tuple(k for k in orbit_basis(G, c1, c2) if k[0] in (c1, c2))
+    basis = orbit_basis(G, c1, c2)
+    return tuple(basis[i] for i in endpoint_positions(G, c1, c2))
 
 
 def _normalize(counts: dict) -> tuple:
@@ -258,8 +271,20 @@ def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> tuple:
     return tuple(orbits)
 
 
-@lru_cache(maxsize=None)
-def _compose_keys(X: GSet, Z: GSet, k2: Key, k1: Key) -> tuple:
+def _fibres(G: FiniteGroup, c1: int, k2: Key) -> dict:
+    """The double cosets of _double_cosets(G, c1, c2), c2 the apex class
+    of k2, as (c, t0, h), bucketed by the point left2[y] of the middle
+    orbit that k2's left leg sends the orbit's least point y to: the
+    fibre the whole K1-orbit lies in.  A composite with k2 reads the one
+    bucket of its fibre."""
+    left2 = k2[1]
+    fibres: dict = {}
+    for y, c, t0, h in _double_cosets(G, c1, k2[0]):
+        fibres.setdefault(left2[y], []).append((c, t0, h))
+    return fibres
+
+
+def _compose_keys(X: GSet, Z: GSet, k2: Key, k1: Key, fibres=None) -> tuple:
     """Composite of basis keys k1: X -> Y and k2: Y -> Z as a tuple of
     (key, mult).  The middle object Y is not needed: k2's left leg and
     k1's right leg are tabulated on it.
@@ -269,7 +294,9 @@ def _compose_keys(X: GSet, Z: GSet, k2: Key, k1: Key) -> tuple:
     of the coset K1, and the orbit through (K1, hK2) has stabilizer
     K1 ∩ hK2h⁻¹.  No pullback G-set is built.  The fibre is K1-stable, so
     the one point y = hK2 that _double_cosets lists per K1-orbit decides
-    whether the whole orbit lies in it.
+    whether the whole orbit lies in it, and _fibres buckets the orbits by
+    that point.  fibres is _fibres(G, k1's apex class, k2), which a caller
+    composing k2 with many k1 builds once.
 
     The legs at g·(K1, hK2) are left1 at gK1 and right2 at ghK2.  The
     point t0·(K1, hK2) of the orbit, for its class c and conjugator t0,
@@ -280,15 +307,48 @@ def _compose_keys(X: GSet, Z: GSet, k2: Key, k1: Key) -> tuple:
     T = coset_tables(X.group)
     mult = X.group.mult
     (c1, left1, right1), (c2, left2, right2) = k1, k2
+    if fibres is None:
+        fibres = _fibres(X.group, c1, k2)
     coset1, coset2 = T.classes[c1].coset, T.classes[c2].coset
-    fibre = right1[0]
+    keys = [
+        pair_key(c, X, left1[coset1[t0]], Z, right2[coset2[mult[t0][h]]])
+        for c, t0, h in fibres.get(right1[0], ())
+    ]
+    if len(keys) == 1:
+        return ((keys[0], 1),)
     counts: dict = {}
-    for y, c, t0, h in _double_cosets(X.group, c1, c2):
-        if left2[y] != fibre:
-            continue
-        key = pair_key(c, X, left1[coset1[t0]], Z, right2[coset2[mult[t0][h]]])
+    for key in keys:
         counts[key] = counts.get(key, 0) + 1
     return _normalize(counts)
+
+
+@lru_cache(maxsize=None)
+def endpoint_composites(G: FiniteGroup, c1: int, c3: int) -> tuple:
+    """The composites of the endpoint keys between the orbits of classes
+    c1 and c3 through each middle class c2, the table both law checks
+    read: entry c2 lists k2 ∘ k1 for k1 in endpoint_keys(G, c1, c2) and
+    k2 in endpoint_keys(G, c2, c3), k1 major, each as the sorted
+    (position in orbit_basis(G, c1, c3), mult) pairs.  Equal composites
+    are one tuple.  The double cosets are bucketed by fibre once per k2
+    and apex class of k1 (_fibres)."""
+    X, Z = gs.orbit_gset(G, c1), gs.orbit_gset(G, c3)
+    position = {k: i for i, k in enumerate(orbit_basis(G, c1, c3))}
+    shared: dict = {}
+    table = []
+    for c2 in range(len(coset_tables(G).classes)):
+        firsts, seconds = endpoint_keys(G, c1, c2), endpoint_keys(G, c2, c3)
+        width = len(seconds)
+        row: list = [()] * (len(firsts) * width)
+        for j, k2 in enumerate(seconds):
+            fibres: dict = {}
+            for i, k1 in enumerate(firsts):
+                if k1[0] not in fibres:
+                    fibres[k1[0]] = _fibres(G, k1[0], k2)
+                composite = _compose_keys(X, Z, k2, k1, fibres[k1[0]])
+                terms = tuple(sorted((position[k], m) for k, m in composite))
+                row[i * width + j] = shared.setdefault(terms, terms)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -298,12 +358,15 @@ class BurnsideTables:
     ring: tuple[tuple[tuple[int, ...], ...], ...]  # ring[i][j][k] coefficients
 
 
+@lru_cache(maxsize=None)
 def burnside_tables(G: FiniteGroup) -> BurnsideTables:
     """Table of marks and the Burnside ring structure constants.
 
     marks[i][j] = number of H_j-fixed points of G/K_i, over subgroup
     conjugacy classes ordered by subgroup size.  The ring constants expand
-    products of basis endo-spans of the point in the span basis.
+    products of basis endo-spans of the point in the span basis.  The
+    composite of two such spans has the product of their apexes as its
+    apex, so the ring is commutative and each product is composed once.
     """
     T = coset_tables(G)
     n = len(T.classes)
@@ -315,16 +378,14 @@ def burnside_tables(G: FiniteGroup) -> BurnsideTables:
     basis = span_basis(pt, pt)
     assert len(basis) == n
     index = {k: i for i, k in enumerate(basis)}
-    ring = []
-    for b_i in basis:
-        row = []
-        for b_j in basis:
-            coeffs = [0] * n
-            for k, m in _compose_keys(pt, pt, b_i, b_j):
-                coeffs[index[k]] = m
-            row.append(tuple(coeffs))
-        ring.append(tuple(row))
-    return BurnsideTables(tuple(len(cls.rep) for cls in T.classes), marks, tuple(ring))
+    ring: list = [[()] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        coeffs = [0] * n
+        for k, m in _compose_keys(pt, pt, basis[i], basis[j]):
+            coeffs[index[k]] = m
+        ring[i][j] = ring[j][i] = tuple(coeffs)
+    orders = tuple(len(cls.rep) for cls in T.classes)
+    return BurnsideTables(orders, marks, tuple(map(tuple, ring)))
 
 
 class OrbitImage(NamedTuple):
@@ -371,7 +432,9 @@ class SpanImages(NamedTuple):
     orbits: tuple[GSet, ...]  # the orbit of each subgroup class c
     images: tuple[int | None, ...]  # the class of F(orbit c), None if empty
     targets: tuple[GSet | None, ...]  # the canonical orbit of that class
-    terms: dict  # (c1, c2, key) -> sorted (key, mult) between the targets
+    # terms[c1][c2][i]: the position in orbit_basis(K, images[c1],
+    # images[c2]) of the image of orbit_basis(G, c1, c2)[i], None for zero
+    terms: tuple
 
 
 @lru_cache(maxsize=None)
@@ -387,7 +450,8 @@ def span_images(q: QuotientMap, which: str) -> SpanImages:
     the same values.  So the image of a key (a, legL, legR) between the
     orbits of c1 and c2 is zero or one span, read by pair_key at the base
     point p of F(G/R_a): its legs there are legL[p] and legR[p], renamed
-    onto the targets, and the key is the basis object of their hom."""
+    onto the targets, and the key is held as its position in the basis of
+    their hom."""
     if len(set(q.projection)) != q.target.order:
         raise ValueError("projection is not onto the previous stage")
     if which == "inflation":
@@ -397,23 +461,23 @@ def span_images(q: QuotientMap, which: str) -> SpanImages:
         rho = tuple(map(q.section, K.elements()))
     n = len(coset_tables(G).classes)
     images = [_orbit_image(G, K, rho, N, c) for c in range(n)]
-    terms: dict = {}
+    terms = [[()] * n for _ in range(n)]
     for c1, c2 in itertools.product(range(n), repeat=2):
         i1, i2 = images[c1], images[c2]
         basis = orbit_basis(K, i1.cls, i2.cls) if i1 and i2 else ()
-        own = dict(zip(basis, basis))
-        for key in orbit_basis(G, c1, c2):
-            a, legL, legR = key
+        position = {k: j for j, k in enumerate(basis)}
+        row = []
+        for a, legL, legR in orbit_basis(G, c1, c2):
             apex = images[a]
             if apex is None:
-                terms[c1, c2, key] = ()
+                row.append(None)
                 continue
             x, y = i1.sigma[legL[apex.base]], i2.sigma[legR[apex.base]]
-            k = own[pair_key(apex.cls, i1.target, x, i2.target, y)]
-            terms[c1, c2, key] = ((k, 1),)
+            row.append(position[pair_key(apex.cls, i1.target, x, i2.target, y)])
+        terms[c1][c2] = tuple(row)
     return SpanImages(
         tuple(gs.orbit_gset(G, c) for c in range(n)),
         tuple(i and i.cls for i in images),
         tuple(i and i.target for i in images),
-        terms,
+        tuple(map(tuple, terms)),
     )

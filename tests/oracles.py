@@ -280,11 +280,60 @@ def span_images_generic(
 
 def as_span_images(table: GenericSpanImages) -> sp.SpanImages:
     """A generic table in the package's form, for a functor that sends
-    every orbit to one orbit or to none."""
+    every orbit to one orbit or to none and every basis span to one basis
+    span or to zero: each image held as its position in the basis of the
+    image hom."""
     assert all(len(m) <= 1 for m in table.classes)
     images = tuple(m[0] if m else None for m in table.classes)
     targets = tuple(T if m else None for m, T in zip(table.classes, table.targets))
-    return sp.SpanImages(table.orbits, images, targets, table.terms)
+    G, n = table.orbits[0].group, len(table.orbits)
+    terms = [[()] * n for _ in range(n)]
+    for c1, c2 in itertools.product(range(n), repeat=2):
+        row = []
+        for key in sp.orbit_basis(G, c1, c2):
+            image = table.terms[c1, c2, key]
+            if not image:
+                row.append(None)
+                continue
+            (k, mult), = image
+            assert mult == 1
+            H = targets[c1].group
+            row.append(sp.orbit_basis(H, images[c1], images[c2]).index(k))
+        terms[c1][c2] = tuple(row)
+    return sp.SpanImages(table.orbits, images, targets, tuple(map(tuple, terms)))
+
+
+def image_terms(table: sp.SpanImages) -> dict:
+    """The images of a package table as GenericSpanImages holds them:
+    (c1, c2, key) -> ((image key, 1),), or () for zero, in the order of
+    orbit_keys."""
+    G, n = table.orbits[0].group, len(table.orbits)
+    terms = {}
+    for c1, c2 in itertools.product(range(n), repeat=2):
+        T1, m1, m2 = table.targets[c1], table.images[c1], table.images[c2]
+        image_basis = () if None in (m1, m2) else sp.orbit_basis(T1.group, m1, m2)
+        for key, j in zip(sp.orbit_basis(G, c1, c2), table.terms[c1][c2]):
+            terms[c1, c2, key] = () if j is None else ((image_basis[j], 1),)
+    return terms
+
+
+def law_holds_oracle(table: sp.SpanImages, c1, c2, c3, k1, k2) -> bool:
+    """Span(F)(k2 ∘ k1) = Span(F)(k2) ∘ Span(F)(k1) for keys k1: c1 -> c2
+    and k2: c2 -> c3 between the orbits, as the span checks decided it
+    before they read composites by position: both sides composed by
+    _compose_keys, on the orbits and on the targets, with the images
+    looked up by key."""
+    orbits, targets, terms = table.orbits, table.targets, image_terms(table)
+    left: Counter = Counter()
+    for k, m in sp._compose_keys(orbits[c1], orbits[c3], k2, k1):
+        for key, c in terms[c1, c3, k]:
+            left[key] += m * c
+    right: Counter = Counter()
+    for i1, m1 in terms[c1, c2, k1]:
+        for i2, m2 in terms[c2, c3, k2]:
+            for key, c in sp._compose_keys(targets[c1], targets[c3], i2, i1):
+                right[key] += m1 * m2 * c
+    return left == right
 
 
 def is_injective(f: EqMap) -> bool:

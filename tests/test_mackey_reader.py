@@ -13,6 +13,7 @@ being sorted, which is tested on every corpus group under relabellings.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -237,10 +238,21 @@ def test_orbit_keys_are_sorted_and_every_token_reads_back(name, relabel_seed):
 
 
 def test_fixed_points_keep_references_to_the_basis_keys_of_the_group():
+    """The inflation table holds no key of its own: each image is a
+    position in the group's own orbit_basis, which categorical fixed
+    points read the key from."""
     G = corpus_group("D4")
     lat = g.subgroup_lattice(G)
     N = next(N for N, normal in zip(lat.subgroups[1:], lat.normal[1:]) if normal)
     q = g.quotient(G, N)
-    images = sp.span_images(q, "inflation").terms.values()
-    held = {id(k) for c1, c2, _ in sp.orbit_keys(G) for k in sp.orbit_basis(G, c1, c2)}
-    assert images and all(id(gkey) in held for ((gkey, _),) in images)
+    table = sp.span_images(q, "inflation")
+    pre = table.images
+    n = len(pre)
+    for c1, c2 in itertools.product(range(n), repeat=2):
+        basis = sp.orbit_basis(G, pre[c1], pre[c2])
+        images = table.terms[c1][c2]
+        assert images and all(type(j) is int and 0 <= j < len(basis) for j in images)
+    M = mk.burnside_mackey(G)
+    fixed = mk.categorical_fixed_points(M, q)
+    held = {id(A) for A in M.gen_action.values()}
+    assert all(id(A) in held for A in fixed.gen_action.values())

@@ -6,6 +6,7 @@ import pytest
 
 from profspan import groups as g
 from profspan import gsets as gs
+from profspan import mackey as mk
 from profspan import spans as sp
 from profspan import verify as vf
 from profspan.corpus import corpus_group, corpus_groups
@@ -36,9 +37,11 @@ from oracles import (
     hom_gset,
     identity_map,
     identity_span,
+    image_terms,
     inflated_keys_oracle,
     inverse_map,
     is_iso,
+    law_holds_oracle,
     least_key,
     left_exact_oracle,
     point_gset,
@@ -272,6 +275,84 @@ def test_compose_keys_match_the_per_element_oracle_on_cyclic_endpoint_keys(order
         assert composite == compose_keys_per_element_oracle(G, k2, k1), (k2, k1)
 
 
+def _endpoint_pairs(G, c1, c2, c3):
+    """The (k1, k2) of endpoint_composites(G, c1, c3)[c2], in its order."""
+    return list(
+        itertools.product(sp.endpoint_keys(G, c1, c2), sp.endpoint_keys(G, c2, c3))
+    )
+
+
+@pytest.mark.parametrize("relabel_seed", [None, 13], ids=["given", "relabelled"])
+@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+def test_endpoint_composites_match_compose_keys(name, relabel_seed):
+    """Every entry of the endpoint-composite table of every class pair,
+    mapped back to keys, is _compose_keys of its pair, and equal entries
+    of one table are one tuple."""
+    G = corpus_group(name)
+    if relabel_seed is not None:
+        G = _relabelled(G, relabel_seed)
+    orbits = _orbits(G)
+    n = len(orbits)
+    for c1, c3 in itertools.product(range(n), repeat=2):
+        table = sp.endpoint_composites(G, c1, c3)
+        basis = sp.orbit_basis(G, c1, c3)
+        assert len(table) == n
+        for c2, entries in enumerate(table):
+            pairs = _endpoint_pairs(G, c1, c2, c3)
+            assert len(entries) == len(pairs)
+            for (k1, k2), entry in zip(pairs, entries):
+                composite = sp._compose_keys(orbits[c1], orbits[c3], k2, k1)
+                assert tuple((basis[i], m) for i, m in entry) == composite, (k1, k2)
+        entries = [entry for row in table for entry in row]
+        assert len({id(entry) for entry in entries}) == len(set(entries))
+
+
+@pytest.mark.parametrize("order", [64, 81, 128])
+def test_endpoint_composites_match_the_per_element_oracle_on_cyclic_groups(order):
+    """A seeded sample of the endpoint-composite entries that the span and
+    Mackey checks of deep cyclic towers read, mapped back to keys, against
+    the per-element oracle."""
+    G = g.cyclic(order)
+    n = len(_orbits(G))
+    entries = [
+        (c1, c2, c3, i, pair)
+        for c1, c2, c3 in itertools.product(range(n), repeat=3)
+        for i, pair in enumerate(_endpoint_pairs(G, c1, c2, c3))
+    ]
+    for c1, c2, c3, i, (k1, k2) in random.Random(order).sample(entries, 200):
+        entry = sp.endpoint_composites(G, c1, c3)[c2][i]
+        basis = sp.orbit_basis(G, c1, c3)
+        composite = tuple((basis[j], m) for j, m in entry)
+        assert composite == compose_keys_per_element_oracle(G, k2, k1), (k2, k1)
+
+
+def test_compose_keys_keeps_nothing():
+    assert not hasattr(sp._compose_keys, "cache_info")
+
+
+def test_a_warm_rerun_of_the_law_checks_composes_nothing(monkeypatch):
+    """A second check_mackey on the same group, and a second limit-span
+    and colim-span on the same tower, read every composite from the
+    tables the first run built: _compose_keys is not called."""
+    calls = []
+    compose = sp._compose_keys
+
+    def counted(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(sp, "_compose_keys", counted)
+    M = mk.burnside_mackey(_relabelled(corpus_group("D4"), 29))
+    tower = g.cyclic_tower(2, 4)
+    assert mk.check_mackey(M)
+    assert vf.verify_limit_span(tower) and vf.verify_colim_span(tower)
+    assert calls
+    calls.clear()
+    assert mk.check_mackey(M)
+    assert vf.verify_limit_span(tower) and vf.verify_colim_span(tower)
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
 def test_double_coset_table_matches_an_independent_count(name):
     """For every pair of class representatives K1, K2 the table lists the
@@ -498,9 +579,9 @@ def check_left_exact(F) -> Verdict:
     actions, f and h values)."""
     G = F.src_group
     orbits = _orbits(G)
-    table = _table(type(F), F.q)
+    failing = set(vf._law_failures(_table(type(F), F.q)))
     for c1, c2, c3, k1, k2, f, h in _transfer_restriction_pairs(G, orbits):
-        if not vf._law_holds(table, c1, c2, c3, k1, k2):
+        if (c1, c2, c3, k1, k2) in failing:
             X, Z, Y = orbits[c1], orbits[c2], orbits[c3]
             square = (X.action, Y.action, Z.action, f.values, h.values)
             return Verdict(False, "pullback not preserved", square)
@@ -570,15 +651,72 @@ def test_law_on_transfer_restriction_pairs_decides_left_exactness(functor):
             F = functor(q)
             G = F.src_group
             orbits = _orbits(G)
-            table = _table(functor, q)
+            broken = set(vf._law_failures(_table(functor, q)))
             for c1, c2, c3, k1, k2, f, h in _transfer_restriction_pairs(G, orbits):
                 P, p1, p2 = pullback(f, h)
                 kept = square_is_pullback(*map(F.map, (p1, p2, f, h)))
-                law = vf._law_holds(table, c1, c2, c3, k1, k2)
+                law = (c1, c2, c3, k1, k2) not in broken
                 assert law == kept, (name, q.kernel.elements, c1, c2, c3, k1, k2)
                 cospans += 1
                 failing += not kept
     assert (cospans, failing) == EXPECTED_COSPANS[functor]
+
+
+def _replaced_images(table):
+    """Copies of table with one image of an endpoint key replaced by
+    another basis span of its image hom, one copy per such replacement."""
+    G, n = table.orbits[0].group, len(table.orbits)
+    for c1, c2 in itertools.product(range(n), repeat=2):
+        m1, m2 = table.images[c1], table.images[c2]
+        if None in (m1, m2):
+            continue
+        width = len(sp.orbit_basis(table.targets[c1].group, m1, m2))
+        for p in sp.endpoint_positions(G, c1, c2):
+            for j in range(width):
+                if j == table.terms[c1][c2][p]:
+                    continue
+                terms = [list(row) for row in table.terms]
+                row = list(terms[c1][c2])
+                row[p] = j
+                terms[c1][c2] = tuple(row)
+                yield table._replace(terms=tuple(map(tuple, terms)))
+
+
+def _law_failures_oracle(table):
+    G, n = table.orbits[0].group, len(table.orbits)
+    return [
+        (c1, c2, c3, k1, k2)
+        for c1, c2, c3 in itertools.product(range(n), repeat=3)
+        for k1, k2 in _endpoint_pairs(G, c1, c2, c3)
+        if not law_holds_oracle(table, c1, c2, c3, k1, k2)
+    ]
+
+
+@pytest.mark.parametrize("functor", [
+    FixedPointsGSetFunctor, InflationGSetFunctor, OrbitQuotientFunctor
+])
+def test_law_failures_match_the_per_key_law(functor):
+    """The law read by position from the endpoint-composite tables fails
+    on exactly the endpoint-key pairs, in order, on which the law composed
+    key by key fails: on the tables of the links of tower 2,3 and of the
+    corpus groups of order at most 6 with each normal subgroup, and on
+    each copy of the tower's tables with the image of an endpoint key
+    replaced, which may send it to a key that is not an endpoint key."""
+    quotients = list(g.cyclic_tower(2, 3).links) + [
+        q for name in LAW_GROUPS[:-2] for q in _quotients(corpus_group(name))
+    ]
+    failures = 0
+    for q in quotients:
+        table = _table(functor, q)
+        assert list(vf._law_failures(table)) == _law_failures_oracle(table)
+        failures += bool(_law_failures_oracle(table))
+    assert bool(failures) == (functor is OrbitQuotientFunctor)
+    replaced = 0
+    for q in g.cyclic_tower(2, 3).links:
+        for table in _replaced_images(_table(functor, q)):
+            assert list(vf._law_failures(table)) == _law_failures_oracle(table)
+            replaced += 1
+    assert replaced
 
 
 def test_span_functoriality_on_composable_pairs():
@@ -763,13 +901,13 @@ def test_span_of_functor_matches_term_by_term_oracle(tower):
     for F in _link_functors(*tower):
         oracle = span_of_functor_oracle(F)
         orbits = _orbits(F.src_group)
-        table = sp.span_images(F.q, F.name)
+        table = image_terms(sp.span_images(F.q, F.name))
         sigma = [canonical_iso(F.obj(X)) for X in orbits]
 
         def tabulated(c1, c2, m):
             counts: Counter = Counter()
             for key, mult in m.terms:
-                for k, c in table.terms[c1, c2, key]:
+                for k, c in table[c1, c2, key]:
                     counts[k] += mult * c
             return tuple(sorted(counts.items()))
 
@@ -845,16 +983,14 @@ def test_span_images_match_both_routes_they_replace(q):
     for functor in (InflationGSetFunctor, FixedPointsGSetFunctor):
         table = sp.span_images(q, functor.name)
         assert table == as_span_images(span_images_generic(functor, q))
-        assert table.terms == span_images_oracle(functor(q))
-        assert list(table.terms) == sp.orbit_keys(functor(q).src_group)
+        assert image_terms(table) == span_images_oracle(functor(q))
+        assert list(image_terms(table)) == sp.orbit_keys(functor(q).src_group)
     table = sp.span_images(q, "inflation")
     pre, pairs = inflated_keys_oracle(q)
     assert table.images == pre
-    assert list(table.terms.items()) == [
+    assert list(image_terms(table).items()) == [
         (qkey, ((gkey[2], 1),)) for qkey, gkey in pairs
     ]
-    for (c1, c2, _), ((gkey, _),) in table.terms.items():
-        assert any(gkey is k for k in sp.orbit_basis(q.source, pre[c1], pre[c2]))
 
 
 def test_span_images_of_a_link_that_is_not_onto():
