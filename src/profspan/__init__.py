@@ -4,7 +4,7 @@ groups and truncated quotient towers.
 Submodules:
   groups   finite groups, subgroup lattices, quotient maps, towers
   gsets    finite G-sets, inflation, hom factors, counit squares
-  fincat   explicit finite categories, chain colimits, functor families
+  fincat   finite posets, chain colimits, functor families
   spans    span (Burnside) categories with exact multiset arithmetic,
            and Span(F) for inflation and fixed points
   mackey   Mackey functors over integral abelian-group presentations

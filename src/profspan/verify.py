@@ -369,16 +369,13 @@ def verify_mackey_limit(tower: g.GroupTower) -> Verdict:
 
 def _gcd_cat(n: int) -> fc.FinCat:
     """The divisors of n ordered by divisibility: a ≤ b iff a | b."""
-    return fc.FinCat(
-        [d for d in range(1, n + 1) if n % d == 0],
-        lambda a, b: [(a, b, "le")] if b % a == 0 else [],
-        lambda g, f: (f[0], g[1], "le"),
-        lambda a: (a, a, "le"),
-    )
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return fc.FinCat(divisors, lambda a, b: b % a == 0)
 
 
-def _monotone(src, dst, f):
-    return fc.CatFunctor(src, dst, f, lambda m: (f(m[0]), f(m[1]), "le"))
+def _monotone(src: fc.FinCat, f) -> dict:
+    """The object map of f on the objects of src."""
+    return {x: f(x) for x in src.objects}
 
 
 def verify_funcat(seed: int = 0) -> Verdict:
@@ -388,7 +385,10 @@ def verify_funcat(seed: int = 0) -> Verdict:
     and functor-to-family round trips close up to natural isomorphism,
     product-preserving families induce product-preserving functors, and a
     family with one non-preserving component induces a non-preserving
-    functor (the converse direction, by contraposition).
+    functor (the converse direction, by contraposition).  The lattices
+    are posets (fincat), so every claim is decided on the order: a
+    natural isomorphism is an equality of object maps and a product is a
+    meet.
     """
     rng = random.Random(seed)
     lines = [f"seed {seed}"]
@@ -402,56 +402,37 @@ def verify_funcat(seed: int = 0) -> Verdict:
         mods = [n, d1, d2][:stages]
         cats = [_gcd_cat(m) for m in mods]
         links = [
-            _monotone(cats[i], cats[i + 1], lambda x, m=mods[i + 1]: math.gcd(x, m))
+            _monotone(cats[i], lambda x, m=mods[i + 1]: math.gcd(x, m))
             for i in range(stages - 1)
         ]
-        D = fc.ChainDiagram(cats, links)
-        colim = fc.colimit_chain(D)
+        colim, injections = fc.colimit_chain(cats, links)
         m_last = rng.choice(
             [d for d in divisors if mods[-1] % d == 0]
         )
         E = cats[0]
-        comps = [
-            _monotone(cats[i], E, lambda x, m=m_last: math.gcd(x, m))
-            for i in range(stages)
-        ]
-        coh = [
-            {x: (math.gcd(x, m_last), math.gcd(x, m_last), "le") for x in cats[i].objects}
-            for i in range(stages - 1)
-        ]
-        fam = fc.FunctorFamily(comps, coh)
-        F = fc.functor_from_family(colim, fam)
+        comps = [_monotone(cat, lambda x, m=m_last: math.gcd(x, m)) for cat in cats]
+        F = fc.functor_from_family(links, comps)
+        restrictions = [{x: F[y] for x, y in inj.items()} for inj in injections]
         for i in range(stages):
-            if not fc.naturally_isomorphic(colim.injections[i].then(F), comps[i]):
+            if not fc.naturally_isomorphic(restrictions[i], comps[i]):
                 reason = f"restriction differs from component {i}"
                 return Verdict(False, reason)
         # functor -> family -> functor round trip
-        fam_back = fc.FunctorFamily(
-            [colim.injections[i].then(F) for i in range(stages)],
-            [
-                {
-                    x: E.identity(F.obj(colim.injections[i].obj(x)))
-                    for x in cats[i].objects
-                }
-                for i in range(stages - 1)
-            ],
-        )
-        F2 = fc.functor_from_family(colim, fam_back)
+        F2 = fc.functor_from_family(links, restrictions)
         if not fc.naturally_isomorphic(F, F2):
             return Verdict(False, "functor round trip not isomorphic")
-        if not fc.preserves_binary_products(F):
+        if not fc.preserves_binary_products(F, colim, E):
             return Verdict(
                 False, "product-preserving family gave a non-preserving functor"
             )
         corpora += 1
     # constructed counterexample: collapse everything above 1 to the top
     cat = _gcd_cat(12)
-    bad = _monotone(cat, cat, lambda d: 1 if d == 1 else 12)
-    D = fc.ChainDiagram([cat, cat], [fc.identity_functor(cat)])
-    colim = fc.colimit_chain(D)
-    coh = {x: (bad.obj(x), bad.obj(x), "le") for x in cat.objects}
-    Fbad = fc.functor_from_family(colim, fc.FunctorFamily([bad, bad], [coh]))
-    if fc.preserves_binary_products(Fbad):
+    bad = _monotone(cat, lambda d: 1 if d == 1 else 12)
+    same = _monotone(cat, lambda d: d)
+    colim, _ = fc.colimit_chain([cat, cat], [same])
+    Fbad = fc.functor_from_family([same], [bad, bad])
+    if fc.preserves_binary_products(Fbad, colim, cat):
         return Verdict(False, "non-preserving family gave a preserving functor")
     lines += [
         f"seeded corpora checked: {corpora}",

@@ -49,9 +49,7 @@ the legs of a basis key as maps (basis_legs), the key of any span orbit
 of a hom-set multiplied out of its factors (hom_gset), the unit and
 counit maps of the adjunction, coproducts with
 their inclusions, the empty G-set, canonical G-sets as a chain of
-coproducts, injectivity and invertibility of a map, and the unit,
-associativity and functoriality checks of hand-built categories and
-functors (validate_category, validate_functor).
+coproducts, and injectivity and invertibility of a map.
 """
 
 from __future__ import annotations
@@ -406,41 +404,6 @@ def unit_map(X: GSet, q: QuotientMap) -> EqMap:
     """X -> (inf X)^N for X over G/N."""
     fixed, index = fixed_point_data(gs.inflate(X, q), q)
     return EqMap(X, fixed, tuple(index[x] for x in X.points()))
-
-
-def validate_category(cat) -> None:
-    """Exhaustive unit and associativity check of a FinCat; quadratic in
-    hom sizes."""
-    for a in cat.objects:
-        ida = cat.identity(a)
-        assert ida[0] == a and ida[1] == a
-        for b in cat.objects:
-            for f in cat.hom(a, b):
-                assert f[0] == a and f[1] == b
-                assert cat.compose(f, ida) == f
-                assert cat.compose(cat.identity(b), f) == f
-    for a, b, c, d in itertools.product(cat.objects, repeat=4):
-        for f in cat.hom(a, b):
-            for g_ in cat.hom(b, c):
-                gf = cat.compose(g_, f)
-                assert gf in cat.hom(a, c)
-                for h in cat.hom(c, d):
-                    assert cat.compose(h, gf) == cat.compose(cat.compose(h, g_), f)
-
-
-def validate_functor(F) -> None:
-    """Exhaustive check that a CatFunctor keeps identities, endpoints and
-    composites."""
-    src, dst = F.src, F.dst
-    for a in src.objects:
-        assert F.mor(src.identity(a)) == dst.identity(F.obj(a))
-    for a, b, c in itertools.product(src.objects, repeat=3):
-        for f in src.hom(a, b):
-            ff = F.mor(f)
-            assert ff[0] == F.obj(a) and ff[1] == F.obj(b)
-            assert ff in dst.hom(F.obj(a), F.obj(b))
-            for g_ in src.hom(b, c):
-                assert F.mor(src.compose(g_, f)) == dst.compose(F.mor(g_), ff)
 
 
 def span_basis_oracle(X: GSet, Y: GSet) -> list[sp.Key]:

@@ -36,10 +36,6 @@ ALLOWED = {
     "mackey.reduce_mod": _MOD_N,
     "mackey.normalize_factors": _MOD_N,
     "mackey._prime_factors": _MOD_N,
-    "fincat.colimit_chain.identity": (
-        "FinCat requires an identity function, and no check asks the "
-        "colimit for one"
-    ),
     "groups.memoise_hash": _IMPORT,
     "verify._needs_link": _IMPORT,
     "groups.FiniteGroup.__repr__": _REPR,

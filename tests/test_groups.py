@@ -409,3 +409,20 @@ def test_find_isomorphism_detects():
     assert are_isomorphic(g.cyclic(4), g.cyclic(4))
     assert not are_isomorphic(g.cyclic(4), g.direct_product(g.cyclic(2), g.cyclic(2)))
     assert not are_isomorphic(corpus_group("D6"), corpus_group("A4"))
+
+
+def test_memoised_hashes_agree_on_equal_values():
+    G1, G2 = g.cyclic(6), g.cyclic(6)
+    hash(G1)  # G1 memoises first; G2 still computes its own
+    assert G1 == G2 and hash(G2) == hash(G1) == hash((G1.mult,))
+    X1 = gs.coset_gset(G1, (0, 3))
+    X2 = gs.GSet(G2, tuple(tuple(row) for row in X1.action))
+    hash(X2)
+    assert X1 is not X2 and X1 == X2 and hash(X1) == hash(X2)
+    assert len({X1, X2}) == 1
+    T1, T2 = g.cyclic_tower(2, 3), g.cyclic_tower(2, 3)
+    hash(T1)
+    assert T1 == T2 and hash(T2) == hash(T1)
+    q1, q2 = (g.quotient(G, g.make_subgroup(G, (0, 3))) for G in (G1, G2))
+    hash(q1)
+    assert q1 is not q2 and q1 == q2 and hash(q2) == hash(q1)

@@ -4,8 +4,10 @@ guards; the span checks, decided on orbit generators: their FAIL lines on
 corrupted images and on a functor that is not left exact, their verdicts
 against the capped checks they replaced, their counts at the requested
 tower against orbit-counting formulas, their independence of --cap and
---seed, and that they enumerate no hom-set; and invariance of the tower
-checks under relabelling of the tower's groups."""
+--seed, and that they enumerate no hom-set; invariance of the tower
+checks under relabelling of the tower's groups; and verify funcat: its
+divisor lattices, a PASS on every seed from 0 to 999, and one FAIL line
+per reason when a poset function is wrong."""
 
 import contextlib
 import io
@@ -21,6 +23,7 @@ from profspan import gsets as gs
 from profspan import spans as sp
 from profspan import verify as vf
 from profspan.cli import main
+from profspan.errors import Verdict
 
 from oracles import (
     OrbitQuotientFunctor,
@@ -33,7 +36,6 @@ from oracles import (
     span_basis_count_oracle,
     span_images_generic,
     square_is_pullback,
-    validate_category,
 )
 
 TOWER_GRID = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]
@@ -451,9 +453,71 @@ def test_limit_span_fails_on_a_functor_that_is_not_left_exact(monkeypatch):
 @pytest.mark.parametrize("n", [6, 8, 12])
 def test_funcat_divisor_lattice_is_the_divisibility_order(n):
     cat = vf._gcd_cat(n)
-    validate_category(cat)
     assert cat.objects == tuple(d for d in range(1, n + 1) if n % d == 0)
-    for a, b in itertools.product(cat.objects, repeat=2):
-        assert bool(cat.hom(a, b)) == (b % a == 0)
-    for a in cat.objects:
-        assert cat.identity(a) == (a, a, "le")
+    for a, b, c in itertools.product(cat.objects, repeat=3):
+        assert cat.le(a, b) == (b % a == 0)
+        assert cat.le(a, a)
+        assert not (cat.le(a, b) and cat.le(b, a)) or a == b
+        assert not (cat.le(a, b) and cat.le(b, c)) or cat.le(a, c)
+
+
+def test_funcat_passes_on_every_seed():
+    claims = [
+        "seeded corpora checked: 6",
+        "round trips close up to natural isomorphism",
+        "product preservation matches componentwise preservation, both directions",
+    ]
+    for seed in range(1000):
+        expected = "\n".join(["PASS", f"seed {seed}", *claims])
+        assert vf.verify_funcat(seed).render() == expected
+
+
+def _round_trip_corrupted(real):
+    """functor_from_family whose every second call, the round trip of
+    each corpus, returns the functor with one value moved."""
+    calls = itertools.count()
+
+    def patched(links, components):
+        F = real(links, components)
+        if next(calls) % 2 == 0:
+            return F
+        first = next(iter(F))
+        return {**F, first: F[first] + 1}
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "name, patch, line",
+    [
+        (
+            "naturally_isomorphic",
+            lambda real: lambda F, G: False,
+            "FAIL restriction differs from component 0",
+        ),
+        (
+            "functor_from_family",
+            _round_trip_corrupted,
+            "FAIL functor round trip not isomorphic",
+        ),
+        (
+            "preserves_binary_products",
+            lambda real: lambda F, src, dst: Verdict(False, "stub"),
+            "FAIL product-preserving family gave a non-preserving functor",
+        ),
+        (
+            "_is_meet",
+            lambda real: lambda cat, a, b, p: False,
+            "FAIL non-preserving family gave a preserving functor",
+        ),
+    ],
+)
+def test_funcat_fails_when_a_poset_function_is_wrong(
+    monkeypatch, capsys, name, patch, line
+):
+    monkeypatch.setattr(vf.fc, name, patch(getattr(vf.fc, name)))
+    assert vf.verify_funcat(0).render() == line
+    assert main(["verify", "funcat"]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == line
+
+
