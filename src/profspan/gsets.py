@@ -6,9 +6,9 @@ A point of X is N-fixed, for N the kernel of a quotient map q, iff N is
 in its stabilizer, which each G-set computes once for all its points
 (`point_stabilizers`).  No square of G-sets is built: the counit square
 of f: X -> X' is a pullback iff f sends no orbit outside X^N into X'^N,
-so it is decided per orbit factor of hom(X, X') (`counit_square_counts`).
-A unit square needs no test: its parallel sides are units, isomorphisms,
-so it is always a pullback.
+so the squares of a pair of G-sets are counted from the marks of their
+orbit classes (`counit_square_counts`).  A unit square needs no test:
+its parallel sides are units, isomorphisms, so it is always a pullback.
 
 hom(X, Y) is the product, over the orbits of X, of the sets Y^Stab(orbit)
 (`hom_factors`): a map is free to send each orbit's base point to any
@@ -170,26 +170,30 @@ def hom_factors(X: GSet, Y: GSet) -> list[HomFactor]:
     return out
 
 
-def counit_square_counts(q: QuotientMap, X: GSet, Y: GSet) -> tuple[int, int]:
+def counit_square_counts(q: QuotientMap, marks, xs, ys) -> tuple[int, int]:
     """The number of maps f: X -> Y, and of those whose counit square
-    (over f and inf f^N) is a pullback, for N = ker q.
+    (over f and inf f^N) is a pullback, for N = ker q and X, Y the G-sets
+    of the orbit-class multisets xs and ys; marks[b][a] = |(G/R_b)^{R_a}|
+    is the table of marks of q.source (spans.burnside_tables).
 
-    The counit includes the N-fixed points, so the square of f is a
-    pullback iff f sends no point outside X^N into Y^N.  G-sets are
-    extensive, so this is decided orbit by orbit: N is normal, so an orbit
-    O lies in X^N iff N is in Stab(O), and otherwise f(O) lies in Y^N iff
-    its base point's image does.  Of the choices Y^Stab(O) of O's hom
-    factor, all pass when N is in Stab(O), else those outside Y^N.
+    The factor of hom(X, Y) at an orbit G/R_a of X is Y^{R_a}, of size
+    Σ marks[b][a] over the orbits G/R_b of Y.  The square of f is a
+    pullback iff f sends no orbit outside X^N into Y^N, and N is normal,
+    so G/R_b lies in Y^N iff N ⊆ R_b, iff marks[b][c] = marks[b][0] for c
+    the class of N (class 0 is the trivial subgroup).  So a moved orbit
+    of X keeps only its choices in the moved orbits of Y.
     """
-    N = set(q.kernel.elements)
-    fixed = [N <= st for st in Y.point_stabilizers]
+    c = subgroup_lattice(q.source).class_of(q.kernel.elements)
+    fixed = [row[c] == row[0] for row in marks]
     maps = pullbacks = 1
-    for factor in hom_factors(X, Y):
-        maps *= len(factor.points)
-        if N.issubset(factor.stabilizer):
-            pullbacks *= len(factor.points)
-        else:
-            pullbacks *= sum(not fixed[y] for y in factor.points)
+    for a in xs:
+        total = kept = 0
+        for b in ys:
+            total += marks[b][a]
+            if not fixed[b]:
+                kept += marks[b][a]
+        maps *= total
+        pullbacks *= total if fixed[a] else kept
     return maps, pullbacks
 
 

@@ -9,12 +9,10 @@ double-coset formula, and all arithmetic is exact.
 The module works on basis keys only, and builds no span morphism.  The
 basis spans between orbits, which gen_action is keyed by, are
 spans.orbit_keys; a reversed or identity span is keyed from a point of
-each end with spans.pair_key, and burnside_mackey composes keys with
-spans._compose_keys, given the canonical orbits at their two ends.
-Both number cosets and choose conjugators as spans.coset_tables does,
-and key every orbit from the W-orbit table of each end and class
-(spans._least_points), so every key of one functor shares the leg
-tuples of those tables.
+each end with spans.pair_key, and every composite is read from
+spans.composites, as positions in the basis of its two ends.
+burnside_mackey takes one grid of composites per pair of classes: the
+reversed keys between the two orbits against the spans of one level.
 categorical_fixed_points reads Span(inflation) from the table of its
 link (spans.span_images), as the colim-span check does: the image class
 of each orbit of G/N is the level it takes, and the one image key of
@@ -35,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 from operator import mul
 
 from .errors import GroupMismatch, IncoherentFamily, Verdict
@@ -149,32 +146,27 @@ def burnside_mackey(G: FiniteGroup) -> MackeyFunctor:
     acting by composition against the reversed span."""
     lat = subgroup_lattice(G)
     n = lat.num_classes
-    pt_class = lat.class_of(tuple(G.elements()))
+    pt = lat.class_of(tuple(G.elements()))
     orbits = [gs.orbit_gset(G, c) for c in range(n)]
-    pt = orbits[pt_class]
-    level_basis = [sp.orbit_basis(G, c, pt_class) for c in range(n)]
+    level_basis = [sp.orbit_basis(G, c, pt) for c in range(n)]
     levels = tuple(AbPresentation(len(bs)) for bs in level_basis)
-    tgt_index = [{k: i for i, k in enumerate(bs)} for bs in level_basis]
-    # the fibres of the j-th span of level c1 over the orbit of c1, for
-    # the reversed spans with apex class a, bucketed once per (a, c1, j)
-    fibres: dict = {}
     gen_action: dict = {}
-    for c1, c2, key in sp.orbit_keys(G):
+    for c1, c2 in itertools.product(range(n), repeat=2):
+        keys = sp.orbit_basis(G, c1, c2)
         # point 0 of the apex G/R_a has stabilizer R_a, so the reversed
         # span is keyed from its legs there
-        a, legL, legR = key
-        X = orbits[c2]
-        flipped = sp.pair_key(a, X, legR[0], orbits[c1], legL[0])
-        cols = []
-        for j, src_key in enumerate(level_basis[c1]):
-            if (a, c1, j) not in fibres:
-                fibres[a, c1, j] = sp._fibres(G, a, src_key)
-            col = [0] * len(level_basis[c2])
-            for k, m in sp._compose_keys(X, pt, src_key, flipped, fibres[a, c1, j]):
-                col[tgt_index[c2][k]] = m
-            cols.append(col)
-        # every level has the span of the orbit itself, so cols is not empty
-        gen_action[c1, c2, key] = tuple(zip(*cols))
+        flipped = [
+            sp.pair_key(a, orbits[c2], legR[0], orbits[c1], legL[0])
+            for a, legL, legR in keys
+        ]
+        grid = iter(sp.composites(G, c2, pt, flipped, level_basis[c1]))
+        for key in keys:
+            # every level has the orbit's own span, so cols is not empty
+            cols = [[0] * levels[c2].rank for _ in level_basis[c1]]
+            for col, terms in zip(cols, grid):
+                for p, m in terms:
+                    col[p] = m
+            gen_action[c1, c2, key] = tuple(zip(*cols))
     return MackeyFunctor(G, levels, gen_action)
 
 
@@ -209,17 +201,6 @@ def _value(mats, terms, rows: int, cols: int):
             for j, a in enumerate(term_row):
                 row[j] += m * a
     return tuple(map(tuple, out))
-
-
-def _composites(G: FiniteGroup, c1: int, c2: int, c3: int):
-    """k2 ∘ k1 for k1 in orbit_basis(G, c1, c2) and k2 in
-    orbit_basis(G, c2, c3), k1 major, as spans.endpoint_composites lists
-    those of endpoint keys, composed one pair at a time."""
-    X, Z = gs.orbit_gset(G, c1), gs.orbit_gset(G, c3)
-    position = {k: i for i, k in enumerate(sp.orbit_basis(G, c1, c3))}
-    for k1 in sp.orbit_basis(G, c1, c2):
-        for k2 in sp.orbit_basis(G, c2, c3):
-            yield sorted((position[k], m) for k, m in sp._compose_keys(X, Z, k2, k1))
 
 
 def _composition_failure(M: MackeyFunctor, bases, composites) -> tuple | None:
@@ -304,10 +285,11 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
     tables = [[sp.endpoint_composites(G, c1, c3) for c3 in range(n)] for c1 in range(n)]
     if _composition_failure(M, ends, lambda c1, c2, c3: tables[c1][c3][c2]) is None:
         return Verdict(True)
-    bases = [
-        [range(len(sp.orbit_basis(G, c1, c2))) for c2 in range(n)] for c1 in range(n)
-    ]
-    witness = _composition_failure(M, bases, partial(_composites, G))
+    keys = [[sp.orbit_basis(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
+    bases = [[range(len(k)) for k in row] for row in keys]
+    witness = _composition_failure(
+        M, bases, lambda a, b, c: sp.composites(G, a, c, keys[a][b], keys[b][c])
+    )
     return Verdict(False, "composition law fails", witness)
 
 

@@ -19,12 +19,11 @@ G-set X and class c (_least_points) gives, for every x in X^R, the least
 point x* of its W-orbit, the carriers n with n·x = x*, and the leg table
 of x, built once and shared by every key that reads it.  Every key is
 made from that table, in one place (pair_key): a fibre orbit of a
-composite (_compose_keys), an identity or reversed basis span, read from
+composite (composites), an identity or reversed basis span, read from
 a point of each end (mackey, verify), the image of a basis span under
 inflation or fixed points (span_images) and a pair of fixed points of
 the basis (span_basis), which keeps a pair iff x = x* and no carrier of
-x lowers y.  So a key costs |Stab_W(x)| actions, not |W|, and a
-composite holds the tables' own tuples.
+x lowers y.  So a key costs |Stab_W(x)| actions, not |W|.
 
 Each choice behind a key is made in one place.  Left cosets are numbered
 by groups.left_cosets, for the canonical orbits (gs.coset_gset) and the
@@ -38,9 +37,11 @@ No span morphism, equivariant map or image G-set is built: span
 morphisms, their composition, the legs of a key as maps and the slow
 routes to keys, composites and Span(F) are oracles in tests/oracles.py.
 
-_compose_keys, the one composition routine, keeps nothing; the law
-checks read composites of endpoint keys by position from one table per
-group and pair of end classes (endpoint_composites).
+Every composite of the package is between canonical orbits, and one
+routine that keeps nothing makes them all (composites): a grid of k2 ∘ k1
+for keys k1 into a middle orbit and k2 out of it, by the positions of
+its terms in the basis of its ends.  The law checks read one table of
+such grids per group and pair of end classes (endpoint_composites).
 
 Span(F), for F inflation or fixed points along a quotient map, is one
 table per functor and link (span_images), which both span checks of
@@ -238,10 +239,6 @@ def endpoint_keys(G: FiniteGroup, c1: int, c2: int) -> tuple[Key, ...]:
     return tuple(basis[i] for i in endpoint_positions(G, c1, c2))
 
 
-def _normalize(counts: dict) -> tuple:
-    return tuple(sorted((k, m) for k, m in counts.items() if m))
-
-
 @lru_cache(maxsize=None)
 def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> tuple:
     """The double cosets of the representatives K1, K2 of classes c1, c2,
@@ -271,84 +268,73 @@ def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> tuple:
     return tuple(orbits)
 
 
-def _fibres(G: FiniteGroup, c1: int, k2: Key) -> dict:
-    """The double cosets of _double_cosets(G, c1, c2), c2 the apex class
-    of k2, as (c, t0, h), bucketed by the point left2[y] of the middle
-    orbit that k2's left leg sends the orbit's least point y to: the
-    fibre the whole K1-orbit lies in.  A composite with k2 reads the one
-    bucket of its fibre."""
-    left2 = k2[1]
-    fibres: dict = {}
-    for y, c, t0, h in _double_cosets(G, c1, k2[0]):
-        fibres.setdefault(left2[y], []).append((c, t0, h))
-    return fibres
-
-
-def _compose_keys(X: GSet, Z: GSet, k2: Key, k1: Key, fibres=None) -> tuple:
-    """Composite of basis keys k1: X -> Y and k2: Y -> Z as a tuple of
-    (key, mult).  The middle object Y is not needed: k2's left leg and
-    k1's right leg are tabulated on it.
+def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
+    """seconds[j] ∘ firsts[i], for basis keys firsts[i] from the orbit of
+    class c1 to a middle orbit Y and seconds[j] from Y to the orbit of c3,
+    at entry i·len(seconds) + j as the sorted (position in
+    orbit_basis(G, c1, c3), mult) pairs; equal entries are one tuple.  Y
+    is not needed: the right legs of firsts and left legs of seconds are
+    tabulated on it.
 
     By the double-coset formula the orbits of the pullback of
     G/K1 -> Y <- G/K2 are the K1-orbits on the fibre of G/K2 over the image
     of the coset K1, and the orbit through (K1, hK2) has stabilizer
     K1 ∩ hK2h⁻¹.  No pullback G-set is built.  The fibre is K1-stable, so
     the one point y = hK2 that _double_cosets lists per K1-orbit decides
-    whether the whole orbit lies in it, and _fibres buckets the orbits by
-    that point.  fibres is _fibres(G, k1's apex class, k2), which a caller
-    composing k2 with many k1 builds once.
+    whether the whole orbit lies in it, and the orbits are bucketed by
+    that point, once per second key and apex class of the firsts.
 
     The legs at g·(K1, hK2) are left1 at gK1 and right2 at ghK2.  The
     point t0·(K1, hK2) of the orbit, for its class c and conjugator t0,
     has stabilizer R_c, and the legs there are x0 = left1 at t0·K1 and
     z0 = right2 at t0·h·K2: pair_key keys the orbit from those two
-    points, reading the W-orbit tables of X and Z and tabulating nothing.
+    points, reading the W-orbit tables of the two end orbits and
+    tabulating nothing.
     """
-    T = coset_tables(X.group)
-    mult = X.group.mult
-    (c1, left1, right1), (c2, left2, right2) = k1, k2
-    if fibres is None:
-        fibres = _fibres(X.group, c1, k2)
-    coset1, coset2 = T.classes[c1].coset, T.classes[c2].coset
-    keys = [
-        pair_key(c, X, left1[coset1[t0]], Z, right2[coset2[mult[t0][h]]])
-        for c, t0, h in fibres.get(right1[0], ())
-    ]
-    if len(keys) == 1:
-        return ((keys[0], 1),)
-    counts: dict = {}
-    for key in keys:
-        counts[key] = counts.get(key, 0) + 1
-    return _normalize(counts)
+    T = coset_tables(G)
+    mult = G.mult
+    X, Z = gs.orbit_gset(G, c1), gs.orbit_gset(G, c3)
+    position = {k: i for i, k in enumerate(orbit_basis(G, c1, c3))}
+    width = len(seconds)
+    grid: list = [()] * (len(firsts) * width)
+    shared: dict = {}
+    for j, (c2, left2, right2) in enumerate(seconds):
+        coset2 = T.classes[c2].coset
+        fibres: dict = {}  # apex class of k1 -> its orbits by point of Y
+        for i, (a, left1, right1) in enumerate(firsts):
+            if a not in fibres:
+                fibres[a] = {}
+                for orbit in _double_cosets(G, a, c2):
+                    fibres[a].setdefault(left2[orbit[0]], []).append(orbit)
+            coset1 = T.classes[a].coset
+            positions = [
+                position[
+                    pair_key(c, X, left1[coset1[t0]], Z, right2[coset2[mult[t0][h]]])
+                ]
+                for _, c, t0, h in fibres[a].get(right1[0], ())
+            ]
+            if len(positions) == 1:
+                terms: tuple = ((positions[0], 1),)
+            else:
+                counts: dict = {}
+                for p in positions:
+                    counts[p] = counts.get(p, 0) + 1
+                terms = tuple(sorted(counts.items()))
+            grid[i * width + j] = shared.setdefault(terms, terms)
+    return tuple(grid)
 
 
 @lru_cache(maxsize=None)
 def endpoint_composites(G: FiniteGroup, c1: int, c3: int) -> tuple:
-    """The composites of the endpoint keys between the orbits of classes
-    c1 and c3 through each middle class c2, the table both law checks
-    read: entry c2 lists k2 ∘ k1 for k1 in endpoint_keys(G, c1, c2) and
-    k2 in endpoint_keys(G, c2, c3), k1 major, each as the sorted
-    (position in orbit_basis(G, c1, c3), mult) pairs.  Equal composites
-    are one tuple.  The double cosets are bucketed by fibre once per k2
-    and apex class of k1 (_fibres)."""
-    X, Z = gs.orbit_gset(G, c1), gs.orbit_gset(G, c3)
-    position = {k: i for i, k in enumerate(orbit_basis(G, c1, c3))}
+    """The table both law checks read: entry c2 is the grid of the
+    endpoint keys from the orbit of c1 to that of c2 against those from
+    c2 to c3 (composites), and equal entries of the table are one tuple."""
     shared: dict = {}
-    table = []
-    for c2 in range(len(coset_tables(G).classes)):
-        firsts, seconds = endpoint_keys(G, c1, c2), endpoint_keys(G, c2, c3)
-        width = len(seconds)
-        row: list = [()] * (len(firsts) * width)
-        for j, k2 in enumerate(seconds):
-            fibres: dict = {}
-            for i, k1 in enumerate(firsts):
-                if k1[0] not in fibres:
-                    fibres[k1[0]] = _fibres(G, k1[0], k2)
-                composite = _compose_keys(X, Z, k2, k1, fibres[k1[0]])
-                terms = tuple(sorted((position[k], m) for k, m in composite))
-                row[i * width + j] = shared.setdefault(terms, terms)
-        table.append(tuple(row))
-    return tuple(table)
+    grids = (
+        composites(G, c1, c3, endpoint_keys(G, c1, c2), endpoint_keys(G, c2, c3))
+        for c2 in range(len(coset_tables(G).classes))
+    )
+    return tuple(tuple(shared.setdefault(t, t) for t in grid) for grid in grids)
 
 
 @dataclass(frozen=True)
@@ -364,9 +350,9 @@ def burnside_tables(G: FiniteGroup) -> BurnsideTables:
 
     marks[i][j] = number of H_j-fixed points of G/K_i, over subgroup
     conjugacy classes ordered by subgroup size.  The ring constants expand
-    products of basis endo-spans of the point in the span basis.  The
-    composite of two such spans has the product of their apexes as its
-    apex, so the ring is commutative and each product is composed once.
+    products of basis endo-spans of the point in the span basis, whose
+    i-th key has apex class i: the composite of two such spans has the
+    product of their apexes as its apex.
     """
     T = coset_tables(G)
     n = len(T.classes)
@@ -374,18 +360,19 @@ def burnside_tables(G: FiniteGroup) -> BurnsideTables:
     marks = tuple(
         tuple(len(gs.fixed_by(X, cls.rep)) for cls in T.classes) for X in orbits
     )
-    pt = orbits[-1]  # the class of G is the last, the only one of its order
-    basis = span_basis(pt, pt)
+    pt = n - 1  # the class of G is the last, the only one of its order
+    basis = orbit_basis(G, pt, pt)
     assert len(basis) == n
-    index = {k: i for i, k in enumerate(basis)}
-    ring: list = [[()] * n for _ in range(n)]
-    for i, j in itertools.combinations_with_replacement(range(n), 2):
+    grid = composites(G, pt, pt, basis, basis)
+    dense: dict = {}  # one coefficient tuple per distinct product
+    for terms in grid:
         coeffs = [0] * n
-        for k, m in _compose_keys(pt, pt, basis[i], basis[j]):
-            coeffs[index[k]] = m
-        ring[i][j] = ring[j][i] = tuple(coeffs)
+        for k, m in terms:
+            coeffs[k] = m
+        dense.setdefault(terms, tuple(coeffs))
+    ring = tuple(tuple(map(dense.get, grid[i * n : (i + 1) * n])) for i in range(n))
     orders = tuple(len(cls.rep) for cls in T.classes)
-    return BurnsideTables(orders, marks, tuple(map(tuple, ring)))
+    return BurnsideTables(orders, marks, ring)
 
 
 class OrbitImage(NamedTuple):

@@ -188,7 +188,7 @@ def _law_failures(table: sp.SpanImages):
     classes, at the endpoint positions of the two images.  The image of
     an endpoint key is one, its apex class going to the image class of
     its end; a table that breaks this, as no functor of G-sets does, has
-    that composite made by _compose_keys."""
+    that composite made by spans.composites."""
     orbits, images, targets, terms = table
     G, n = orbits[0].group, len(orbits)
     K = targets[-1].group  # the point's image is the point of K
@@ -209,9 +209,7 @@ def _law_failures(table: sp.SpanImages):
                 elif e1 is None or e2 is None:
                     i1 = sp.orbit_basis(K, m1, m2)[j1]
                     i2 = sp.orbit_basis(K, m2, m3)[j2]
-                    basis = sp.orbit_basis(K, m1, m3)
-                    composite = sp._compose_keys(targets[c1], targets[c3], i2, i1)
-                    right = tuple(sorted((basis.index(k), m) for k, m in composite))
+                    right = sp.composites(K, m1, m3, (i1,), (i2,))[0]
                 else:
                     right = rights[e1 * width + e2]
                 if left != right:
@@ -305,23 +303,25 @@ def verify_adjunction(cap: int) -> Verdict:
     identity numbering, an isomorphism, and the counit lists distinct
     fixed points, so it is injective.  A unit square's parallel sides are
     units, so every unit square is a pullback.  Counit squares are counted
-    per orbit factor: a square fails iff its map sends an orbit outside
-    X^N into X'^N.  The witness of the first pair (X, X') with a failing
-    square is written from its hom factors (gs.counit_square_witness).
+    per orbit from the table of marks (gs.counit_square_counts): a square
+    fails iff its map sends an orbit outside X^N into X'^N.  Only the
+    first pair (X, X') with a failing square is built, for its witness
+    (gs.counit_square_witness).
     """
     _require_cap(cap)
     G = g.cyclic(4)
     q = g.quotient(G, g.make_subgroup(G, (0, 2)))
-    objs = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, cap)]
+    marks = sp.burnside_tables(G).marks
+    classes = gs.gset_isoclasses(G, cap)
     squares = failures = 0
     first = None
-    for X in objs:
-        for Xp in objs:
-            maps, pullbacks = gs.counit_square_counts(q, X, Xp)
+    for xs in classes:
+        for ys in classes:
+            maps, pullbacks = gs.counit_square_counts(q, marks, xs, ys)
             squares += maps
             failures += maps - pullbacks
             if first is None and pullbacks < maps:
-                first = X, Xp
+                first = xs, ys
     lines = [
         f"group C4, kernel of order 2, size cap {cap}",
         f"naturality squares checked: {squares}",
@@ -329,7 +329,7 @@ def verify_adjunction(cap: int) -> Verdict:
     ]
     if not failures:
         return Verdict(False, "no counit square failed the pullback test")
-    X, Xp = first
+    X, Xp = (gs.canonical_gset(G, m) for m in first)
     witness = gs.counit_square_witness(q, X, Xp)
     lines += [
         f"counit squares that are not pullbacks: {failures} (EXPECTED)",

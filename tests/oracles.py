@@ -33,7 +33,9 @@ block, is the oracle of parse_mackey.  The rest is what only the tests
 use: the corpus groups of bounded order, element orders and an
 isomorphism search, composite quotient maps, the subgroup a set
 generates, inverse maps, span morphisms (SpanMor) with span_from_maps,
-identity spans and bilinear composition, their sums and multiples, the
+identity spans and bilinear composition between any G-sets, by the
+element walk (the package composes only between canonical orbits),
+their sums and multiples, the
 transport of a span along maps of its endpoints, and the semiadditivity
 check built on them; the one-point G-set built afresh, one-term span
 morphisms, identity and composite maps, fibre products and pullbacks of
@@ -70,6 +72,11 @@ from profspan.corpus import corpus_groups
 from profspan.errors import GroupMismatch, Verdict
 from profspan.groups import FiniteGroup, QuotientMap, subgroup_lattice
 from profspan.gsets import GSet
+
+
+def _normalize(counts: dict) -> tuple:
+    """A multiset of keys as its sorted (key, mult) pairs, zeros left out."""
+    return tuple(sorted((k, m) for k, m in counts.items() if m))
 
 
 @dataclass(frozen=True)
@@ -272,7 +279,7 @@ def span_images_generic(
             for o in f.src.orbits():
                 k = own[canonical_key(f.src, o[0], left, right, T1, T2)]
                 counts[k] = counts.get(k, 0) + 1
-            terms[c1, c2, key] = sp._normalize(counts)
+            terms[c1, c2, key] = _normalize(counts)
     return GenericSpanImages(orbits, classes, targets, terms)
 
 
@@ -318,18 +325,18 @@ def image_terms(table: sp.SpanImages) -> dict:
 def law_holds_oracle(table: sp.SpanImages, c1, c2, c3, k1, k2) -> bool:
     """Span(F)(k2 ∘ k1) = Span(F)(k2) ∘ Span(F)(k1) for keys k1: c1 -> c2
     and k2: c2 -> c3 between the orbits, as the span checks decided it
-    before they read composites by position: both sides composed by
-    _compose_keys, on the orbits and on the targets, with the images
-    looked up by key."""
+    before they read composites by position: both sides composed one
+    pair at a time (compose_keys_per_element_oracle), on the orbits and
+    on the targets, with the images looked up by key."""
     orbits, targets, terms = table.orbits, table.targets, image_terms(table)
     left: Counter = Counter()
-    for k, m in sp._compose_keys(orbits[c1], orbits[c3], k2, k1):
+    for k, m in compose_keys_per_element_oracle(orbits[c1].group, k2, k1):
         for key, c in terms[c1, c3, k]:
             left[key] += m * c
     right: Counter = Counter()
     for i1, m1 in terms[c1, c2, k1]:
         for i2, m2 in terms[c2, c3, k2]:
-            for key, c in sp._compose_keys(targets[c1], targets[c3], i2, i1):
+            for key, c in compose_keys_per_element_oracle(targets[c1].group, i2, i1):
                 right[key] += m1 * m2 * c
     return left == right
 
@@ -505,7 +512,7 @@ def canonical_key_oracle(apex: GSet, base: int, legL, legR) -> sp.Key:
 
 
 def compose_keys_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> tuple:
-    """Oracle for _compose_keys: build the pullback G-set of the two apexes
+    """Oracle for spans.composites: build the pullback G-set of the two apexes
     and canonicalise each of its orbits with canonical_key_oracle."""
     lat = subgroup_lattice(G)
     apex1 = gs.coset_gset(G, lat.class_rep(k1[0]).elements)
@@ -517,7 +524,7 @@ def compose_keys_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> tuple:
     for orb in P.orbits():
         k = canonical_key_oracle(P, orb[0], legL, legR)
         counts[k] = counts.get(k, 0) + 1
-    return sp._normalize(counts)
+    return _normalize(counts)
 
 
 def least_key(G: FiniteGroup, T: sp.CosetTables, c: int, t0: int, lg, rg) -> sp.Key:
@@ -548,9 +555,11 @@ def least_key(G: FiniteGroup, T: sp.CosetTables, c: int, t0: int, lg, rg) -> sp.
 
 
 def compose_keys_per_element_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> tuple:
-    """Oracle for _compose_keys: the K1-orbits on the fibre of G/K2 found
-    by walking every point of G/K2 and every element of K1, and each keyed
-    by least_key from leg tables of length |G|."""
+    """Oracle for spans.composites: the K1-orbits on the fibre of G/K2
+    found by walking every point of G/K2 and every element of K1, and each
+    keyed by least_key from leg tables of length |G|.  It needs no end
+    G-set: it keys the composite of spans between any G-sets, which
+    compose_spans reads."""
     T = sp.coset_tables(G)
     mult = G.mult
     (c1, left1, right1), (c2, left2, right2) = k1, k2
@@ -574,7 +583,7 @@ def compose_keys_per_element_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> t
         c, t0 = T.conjugator[tuple(stab)]
         key = least_key(G, T, c, t0, lg, [r2[row[h]] for row in mult])
         counts[key] = counts.get(key, 0) + 1
-    return sp._normalize(counts)
+    return _normalize(counts)
 
 
 def compose_quotients(q_outer: QuotientMap, q_inner: QuotientMap) -> QuotientMap:
@@ -1151,7 +1160,7 @@ def span_from_maps(f: EqMap, g: EqMap) -> SpanMor:
     for orb in f.src.orbits():
         k = canonical_key(f.src, orb[0], f.values, g.values, f.dst, g.dst)
         counts[k] = counts.get(k, 0) + 1
-    return SpanMor(f.dst, g.dst, sp._normalize(counts))
+    return SpanMor(f.dst, g.dst, _normalize(counts))
 
 
 def identity_span(X: GSet) -> SpanMor:
@@ -1159,7 +1168,8 @@ def identity_span(X: GSet) -> SpanMor:
 
 
 def compose_spans(m2: SpanMor, m1: SpanMor) -> SpanMor:
-    """m2 after m1, composing basis terms by the double-coset formula and
+    """m2 after m1, composing basis terms by the double-coset formula
+    (compose_keys_per_element_oracle, for spans between any G-sets) and
     extending bilinearly."""
     if m1.right != m2.left:
         raise ObjectMismatch("span morphisms do not compose")
@@ -1167,9 +1177,9 @@ def compose_spans(m2: SpanMor, m1: SpanMor) -> SpanMor:
     counts: dict = {}
     for k1, c1 in m1.terms:
         for k2, c2 in m2.terms:
-            for k, c in sp._compose_keys(X, Z, k2, k1):
+            for k, c in compose_keys_per_element_oracle(X.group, k2, k1):
                 counts[k] = counts.get(k, 0) + c1 * c2 * c
-    return SpanMor(X, Z, sp._normalize(counts))
+    return SpanMor(X, Z, _normalize(counts))
 
 
 def zero_span(left: GSet, right: GSet) -> SpanMor:
@@ -1182,7 +1192,7 @@ def add_spans(a: SpanMor, b: SpanMor) -> SpanMor:
     counts = dict(a.terms)
     for k, m in b.terms:
         counts[k] = counts.get(k, 0) + m
-    return SpanMor(a.left, a.right, sp._normalize(counts))
+    return SpanMor(a.left, a.right, _normalize(counts))
 
 
 def scale_span(m: SpanMor, n: int) -> SpanMor:

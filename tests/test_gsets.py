@@ -393,21 +393,23 @@ COUNIT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(COUNIT_CASES))
 def test_counit_square_counts_match_the_per_map_oracle(case):
-    """Per pair (X, X'), the orbit-factor counts and the first failing map
-    are those of the oracle run on every map of hom(X, X')."""
+    """Per pair (X, X'), the counts from the marks and the orbit classes
+    and the first failing map are those of the oracle run on every map of
+    hom(X, X')."""
     G, kernel_order, cap, expected_failures = COUNIT_CASES[case]
     q = g.quotient(G, _normal_subgroup(G, kernel_order))
-    objects = [gs.canonical_gset(G, m) for m in gs.gset_isoclasses(G, cap)]
+    marks = sp.burnside_tables(G).marks
+    objects = [(m, gs.canonical_gset(G, m)) for m in gs.gset_isoclasses(G, cap)]
     failures = 0
-    for X in objects:
-        for Xp in objects:
+    for xs, X in objects:
+        for ys, Xp in objects:
             maps = hom_gset(X, Xp)
             bad = [
                 f
                 for f in maps
                 if not adjunction_report(q, X, f).counit_square_is_pullback
             ]
-            counts = gs.counit_square_counts(q, X, Xp)
+            counts = gs.counit_square_counts(q, marks, xs, ys)
             assert counts == (len(maps), len(maps) - len(bad))
             witness = gs.counit_square_witness(q, X, Xp)
             assert witness == (bad[0].values if bad else None)

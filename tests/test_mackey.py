@@ -12,12 +12,14 @@ from profspan.errors import IncoherentFamily
 
 from oracles import (
     categorical_fixed_points_oracle,
+    compose_keys_oracle,
     compose_quotients,
     groups_of_order_at_most,
     hom_gset,
     is_iso,
     mackey_composition_oracle,
 )
+from test_spans import _relabelled
 
 
 C2 = g.cyclic(2)
@@ -79,6 +81,32 @@ def test_burnside_mackey_rank_oracle():
                 ]
             )
             assert M.levels[c].rank == g.subgroup_lattice(sub).num_classes, (name, c)
+
+
+@pytest.mark.parametrize("relabel_seed", [None, 23], ids=["given", "relabelled"])
+@pytest.mark.parametrize(
+    "name", [name for name, G in corpus_groups() if G.order <= 8]
+)
+def test_burnside_mackey_matches_the_pullback_route(name, relabel_seed):
+    """Column j of the matrix of a key (a, legL, legR) from the orbit of c1
+    to that of c2 is the j-th span of level c1 composed with the reversed
+    span (a, legR, legL) by building their pullback G-set, in the basis of
+    level c2."""
+    G = corpus_group(name)
+    if relabel_seed is not None:
+        G = _relabelled(G, relabel_seed)
+    M = mk.burnside_mackey(G)
+    pt = g.subgroup_lattice(G).class_of(tuple(G.elements()))
+    for c1, c2, key in sp.orbit_keys(G):
+        a, legL, legR = key
+        level = sp.orbit_basis(G, c2, pt)
+        cols = []
+        for span in sp.orbit_basis(G, c1, pt):
+            col = [0] * len(level)
+            for k, m in compose_keys_oracle(G, span, (a, legR, legL)):
+                col[level.index(k)] = m
+            cols.append(col)
+        assert M.gen_action[c1, c2, key] == tuple(zip(*cols)), (c1, c2, key)
 
 
 def test_burnside_mackey_c6_divisor_lattice_shape():

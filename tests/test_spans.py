@@ -194,24 +194,24 @@ def test_identity_and_reversed_keys_from_points_match_canonical_key(name, relabe
         assert sp.pair_key(a, Y, legR[0], X, legL[0]) == reversed_key
 
 
-def _composable_basis_pairs(G):
-    """Every (X, Z, k2, k1) with k1, k2 basis keys of spans X -> Y and
-    Y -> Z, for X = G/H1, Y = G/H2 and Z = G/H3 over subgroup class
-    representatives: the pairs the exhaustive Mackey oracle composes, of
-    which check_mackey composes those with both apexes at an end."""
-    lat = g.subgroup_lattice(G)
-    orbits = [
-        gs.coset_gset(G, lat.class_rep(c).elements) for c in range(lat.num_classes)
-    ]
-    basis = {
-        (X, Y): sp.span_basis(X, Y) for X in orbits for Y in orbits
-    }
-    return [
-        (X, Z, k2, k1)
-        for X, Y, Z in itertools.product(orbits, repeat=3)
-        for k1 in basis[(X, Y)]
-        for k2 in basis[(Y, Z)]
-    ]
+def _composite_entries(G):
+    """Every (k1, k2, composite) with k1, k2 basis keys of spans X -> Y and
+    Y -> Z, for X, Y and Z the canonical orbits: the pairs the exhaustive
+    Mackey oracle composes, of which check_mackey composes those with both
+    apexes at an end.  Each composite is an entry of spans.composites of
+    orbit_basis(G, c1, c2) against orbit_basis(G, c2, c3), whose firsts
+    mix apex classes, mapped back to (key, mult) pairs through
+    orbit_basis(G, c1, c3)."""
+    n = len(sp.coset_tables(G).classes)
+    out = []
+    for c1, c2, c3 in itertools.product(range(n), repeat=3):
+        firsts, seconds = sp.orbit_basis(G, c1, c2), sp.orbit_basis(G, c2, c3)
+        basis = sp.orbit_basis(G, c1, c3)
+        grid = sp.composites(G, c1, c3, firsts, seconds)
+        assert len(grid) == len(firsts) * len(seconds)
+        for (k1, k2), entry in zip(itertools.product(firsts, seconds), grid):
+            out.append((k1, k2, tuple((basis[p], m) for p, m in entry)))
+    return out
 
 
 # Every composable pair is checked for groups of order <= 8, except where a
@@ -224,55 +224,81 @@ SAMPLE_SMALL, SAMPLE_LARGE = 1500, 200
 @pytest.mark.parametrize("relabel_seed", [None, 11], ids=["given", "relabelled"])
 @pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
 def test_compose_keys_match_pullback_oracle(name, relabel_seed):
+    """Entries of spans.composites against the composite of the pullback
+    G-set, every one or a seeded sample."""
     G = corpus_group(name)
     if relabel_seed is not None:
         G = _relabelled(G, relabel_seed)
-    pairs = _composable_basis_pairs(G)
+    entries = _composite_entries(G)
     if G.order > 8:
-        pairs = random.Random(name).sample(pairs, min(len(pairs), SAMPLE_LARGE))
-    elif len(pairs) > ALL_PAIRS_UP_TO:
-        pairs = random.Random(name).sample(pairs, SAMPLE_SMALL)
-    for X, Z, k2, k1 in pairs:
-        assert sp._compose_keys(X, Z, k2, k1) == compose_keys_oracle(G, k2, k1), (
-            k2,
-            k1,
-        )
+        entries = random.Random(name).sample(entries, min(len(entries), SAMPLE_LARGE))
+    elif len(entries) > ALL_PAIRS_UP_TO:
+        entries = random.Random(name).sample(entries, SAMPLE_SMALL)
+    for k1, k2, composite in entries:
+        assert composite == compose_keys_oracle(G, k2, k1), (k2, k1)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
 def test_compose_keys_match_the_per_element_oracle(name):
-    """Every composable pair of the given group, and a seeded sample of
-    them in a relabelled copy: the W-orbit tables key each fibre orbit
-    as least_key does from leg tables of length |G|."""
+    """Every entry of spans.composites between the orbits of the given
+    group, and a seeded sample of them in a relabelled copy: the W-orbit
+    tables key each fibre orbit as least_key does from leg tables of
+    length |G|."""
     G = corpus_group(name)
-    for X, Z, k2, k1 in _composable_basis_pairs(G):
-        assert sp._compose_keys(X, Z, k2, k1) == compose_keys_per_element_oracle(
-            G, k2, k1
-        ), (k2, k1)
+    for k1, k2, composite in _composite_entries(G):
+        assert composite == compose_keys_per_element_oracle(G, k2, k1), (k2, k1)
     H = _relabelled(G, 17)
-    pairs = _composable_basis_pairs(H)
-    for X, Z, k2, k1 in random.Random(name).sample(pairs, min(len(pairs), 100)):
-        assert sp._compose_keys(X, Z, k2, k1) == compose_keys_per_element_oracle(
-            H, k2, k1
-        ), (k2, k1)
+    entries = _composite_entries(H)
+    entries = random.Random(name).sample(entries, min(len(entries), 100))
+    for k1, k2, composite in entries:
+        assert composite == compose_keys_per_element_oracle(H, k2, k1), (k2, k1)
 
 
 @pytest.mark.parametrize("order", [64, 81, 128])
 def test_compose_keys_match_the_per_element_oracle_on_cyclic_endpoint_keys(order):
     """A seeded sample of the endpoint-key pairs that the span and Mackey
     checks of deep cyclic towers compose, where the pullback oracle is
-    slow."""
+    slow, each as a grid of one entry."""
     G = g.cyclic(order)
-    orbits = _orbits(G)
+    n = len(sp.coset_tables(G).classes)
     pairs = [
         (c1, c3, k2, k1)
-        for c1, c2, c3 in itertools.product(range(len(orbits)), repeat=3)
+        for c1, c2, c3 in itertools.product(range(n), repeat=3)
         for k1 in sp.endpoint_keys(G, c1, c2)
         for k2 in sp.endpoint_keys(G, c2, c3)
     ]
     for c1, c3, k2, k1 in random.Random(order).sample(pairs, 200):
-        composite = sp._compose_keys(orbits[c1], orbits[c3], k2, k1)
+        (entry,) = sp.composites(G, c1, c3, (k1,), (k2,))
+        basis = sp.orbit_basis(G, c1, c3)
+        composite = tuple((basis[p], m) for p, m in entry)
         assert composite == compose_keys_per_element_oracle(G, k2, k1), (k2, k1)
+
+
+@pytest.mark.parametrize("relabel_seed", [None, 19], ids=["given", "relabelled"])
+@pytest.mark.parametrize("name", ["C4", "S3", "C2xC2", "D4", "Q8", "A4"])
+def test_composites_of_shuffled_mixed_and_empty_grids(name, relabel_seed):
+    """A grid is the composites of its pairs whatever the order, repeats
+    and apex classes of its keys: firsts that mix apex classes in a
+    seeded shuffled order, with a repeat, give per entry the per-element
+    oracle's composite, and equal entries are one tuple.  A grid with no
+    firsts or no seconds is empty."""
+    G = corpus_group(name)
+    if relabel_seed is not None:
+        G = _relabelled(G, relabel_seed)
+    n = len(sp.coset_tables(G).classes)
+    rng = random.Random(name)
+    for c1, c2, c3 in itertools.product(range(n), repeat=3):
+        firsts, seconds = sp.orbit_basis(G, c1, c2), sp.orbit_basis(G, c2, c3)
+        assert sp.composites(G, c1, c3, (), seconds) == ()
+        assert sp.composites(G, c1, c3, firsts, ()) == ()
+        firsts = rng.sample(firsts, len(firsts)) + [firsts[0]]
+        seconds = rng.sample(seconds, len(seconds))
+        grid = sp.composites(G, c1, c3, firsts, seconds)
+        basis = sp.orbit_basis(G, c1, c3)
+        for (k1, k2), entry in zip(itertools.product(firsts, seconds), grid):
+            composite = tuple((basis[p], m) for p, m in entry)
+            assert composite == compose_keys_per_element_oracle(G, k2, k1), (k2, k1)
+        assert len({id(entry) for entry in grid}) == len(set(grid))
 
 
 def _endpoint_pairs(G, c1, c2, c3):
@@ -285,24 +311,21 @@ def _endpoint_pairs(G, c1, c2, c3):
 @pytest.mark.parametrize("relabel_seed", [None, 13], ids=["given", "relabelled"])
 @pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
 def test_endpoint_composites_match_compose_keys(name, relabel_seed):
-    """Every entry of the endpoint-composite table of every class pair,
-    mapped back to keys, is _compose_keys of its pair, and equal entries
-    of one table are one tuple."""
+    """Every entry of the endpoint-composite table of every class pair is
+    the grid of its one pair alone, and equal entries of one table are
+    one tuple."""
     G = corpus_group(name)
     if relabel_seed is not None:
         G = _relabelled(G, relabel_seed)
-    orbits = _orbits(G)
-    n = len(orbits)
+    n = len(sp.coset_tables(G).classes)
     for c1, c3 in itertools.product(range(n), repeat=2):
         table = sp.endpoint_composites(G, c1, c3)
-        basis = sp.orbit_basis(G, c1, c3)
         assert len(table) == n
         for c2, entries in enumerate(table):
             pairs = _endpoint_pairs(G, c1, c2, c3)
             assert len(entries) == len(pairs)
             for (k1, k2), entry in zip(pairs, entries):
-                composite = sp._compose_keys(orbits[c1], orbits[c3], k2, k1)
-                assert tuple((basis[i], m) for i, m in entry) == composite, (k1, k2)
+                assert (entry,) == sp.composites(G, c1, c3, (k1,), (k2,)), (k1, k2)
         entries = [entry for row in table for entry in row]
         assert len({id(entry) for entry in entries}) == len(set(entries))
 
@@ -313,7 +336,7 @@ def test_endpoint_composites_match_the_per_element_oracle_on_cyclic_groups(order
     Mackey checks of deep cyclic towers read, mapped back to keys, against
     the per-element oracle."""
     G = g.cyclic(order)
-    n = len(_orbits(G))
+    n = len(sp.coset_tables(G).classes)
     entries = [
         (c1, c2, c3, i, pair)
         for c1, c2, c3 in itertools.product(range(n), repeat=3)
@@ -327,21 +350,21 @@ def test_endpoint_composites_match_the_per_element_oracle_on_cyclic_groups(order
 
 
 def test_compose_keys_keeps_nothing():
-    assert not hasattr(sp._compose_keys, "cache_info")
+    assert not hasattr(sp.composites, "cache_info")
 
 
 def test_a_warm_rerun_of_the_law_checks_composes_nothing(monkeypatch):
     """A second check_mackey on the same group, and a second limit-span
     and colim-span on the same tower, read every composite from the
-    tables the first run built: _compose_keys is not called."""
+    tables the first run built: spans.composites is not called."""
     calls = []
-    compose = sp._compose_keys
+    compose = sp.composites
 
     def counted(*args):
         calls.append(args)
         return compose(*args)
 
-    monkeypatch.setattr(sp, "_compose_keys", counted)
+    monkeypatch.setattr(sp, "composites", counted)
     M = mk.burnside_mackey(_relabelled(corpus_group("D4"), 29))
     tower = g.cyclic_tower(2, 4)
     assert mk.check_mackey(M)
