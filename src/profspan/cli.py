@@ -32,9 +32,9 @@ MAX_TOWER_ORDER = 1024
 
 # The largest --cap accepted.  The capped G-sets of a stage are every
 # orbit-class multiset of total size at most the cap, a count that grows
-# faster than any power of it: cap 16 takes 1.3 s for adjunction, which
-# counts the counit squares of every pair of those G-sets per orbit
-# factor, and cap 20 four times as long.
+# faster than any power of it: C4 has 165 at cap 16 and 286 at cap 20.
+# adjunction counts the counit squares of every pair from their marks in
+# 0.15 s at cap 16 and 0.5-0.6 s at cap 20 (in process, Python 3.11.7).
 MAX_SIZE_CAP = 16
 
 

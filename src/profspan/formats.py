@@ -20,7 +20,14 @@ from itertools import chain, islice
 from operator import itemgetter
 
 from .errors import ParseError
-from .groups import FiniteGroup, GroupTower, make_group, make_tower, quotient_map
+from .groups import (
+    FiniteGroup,
+    GroupTower,
+    make_group,
+    make_tower,
+    quotient_map,
+    subgroup_lattice,
+)
 from .gsets import GSet, make_gset
 from . import spans as sp
 from .mackey import AbPresentation, MackeyFunctor, check_structure
@@ -300,7 +307,7 @@ def parse_mackey(
         raise rows.error("level indices must cover 0..n-1")
     dims = [levels[c].dims for c in range(len(levels))]
     table = _key_table(group)
-    regular = len(dims) == len(sp.coset_tables(group).classes)
+    regular = len(dims) == subgroup_lattice(group).num_classes
     gen_action: dict = {}
     while rows.more():
         parts = rows.next("gen")

@@ -212,6 +212,8 @@ class SubgroupLattice:
     group: FiniteGroup
     subgroups: tuple[Subgroup, ...]
     normal: tuple[bool, ...]
+    # the subgroups of each class, classes sorted by the order of their
+    # representatives: class 0 is the trivial subgroup, the last is G
     classes: tuple[tuple[int, ...], ...]
     conjugators: tuple[int, ...]  # t with t·H·t⁻¹ the class rep, per subgroup H
 

@@ -22,7 +22,10 @@ the points before them (`canonical_gset`).  Orbits and point
 stabilizers are computed once per G-set.
 
 What is computed once is kept for the rest of the process, in lru_caches
-on their arguments: the coset G-sets (`coset_gset`) and the inflations
+on their arguments: the coset tables of each group's subgroup classes
+(`orbit_classes`, each class's cosets numbered once, by
+groups.left_cosets), the canonical orbits built from them
+(`orbit_gset`, per class, only when read) and the inflations
 (`inflate`, per (X, q)).  So inflating the same G-set along an equal
 quotient map returns the same G-set, with the orbits and stabilizers it
 has already found.
@@ -115,18 +118,35 @@ def make_gset(group: FiniteGroup, action) -> GSet:
     return GSet(group, action)
 
 
+class OrbitClass(NamedTuple):
+    """The left cosets of the representative R of one subgroup class, the
+    points of its canonical orbit G/R, numbered by groups.left_cosets."""
+
+    coset: tuple[int, ...]  # the point gR for each g: row 0 of G/R
+    mins: tuple[int, ...]  # the least element of each coset, in point order
+    normaliser: tuple[int, ...]  # the m in mins normalising R: N_G(R)/R
+
+
 @lru_cache(maxsize=None)
-def coset_gset(G: FiniteGroup, subgroup_elements: tuple[int, ...]) -> GSet:
-    """Canonical transitive G-set on left cosets of a subgroup, numbered
-    as groups.left_cosets numbers them, so the identity coset is point 0."""
-    coset_of, reps = left_cosets(G, subgroup_elements)
-    return GSet(G, tuple(tuple(coset_of[row[r]] for row in G.mult) for r in reps))
+def orbit_classes(G: FiniteGroup) -> tuple[OrbitClass, ...]:
+    """The coset table of every subgroup class of G, built on first use."""
+    lat = subgroup_lattice(G)
+    classes = []
+    for c in range(lat.num_classes):
+        R = lat.class_rep(c)
+        coset, mins = left_cosets(G, R.elements)
+        normaliser = tuple(m for m in mins if R.conjugate(m) == R)
+        classes.append(OrbitClass(coset, mins, normaliser))
+    return tuple(classes)
 
 
+@lru_cache(maxsize=None)
 def orbit_gset(G: FiniteGroup, c: int) -> GSet:
-    """The canonical orbit of subgroup class c: the coset G-set of the
-    class representative."""
-    return coset_gset(G, subgroup_lattice(G).class_rep(c).elements)
+    """The canonical orbit G/R of subgroup class c, on the cosets of
+    orbit_classes, so the coset R is point 0; built on first use, one
+    class at a time."""
+    coset, mins, _ = orbit_classes(G)[c]
+    return GSet(G, tuple(tuple(coset[row[r]] for row in G.mult) for r in mins))
 
 
 @lru_cache(maxsize=None)

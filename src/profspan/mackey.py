@@ -19,7 +19,7 @@ of each orbit of G/N is the level it takes, and the one image key of
 each basis key of G/N is the matrix it takes.
 
 check_mackey decides the composition law on the pairs of endpoint keys
-(spans.endpoint_keys): the transfers, restrictions and conjugations,
+(spans.endpoint_positions): the transfers, restrictions and conjugations,
 which give it on all pairs.  On the corpus this tests 22,995 of the
 88,414 pairs of basis spans; the test suite keeps the exhaustive check
 as its oracle.  Composites are read by position from the group's kept
@@ -146,7 +146,7 @@ def burnside_mackey(G: FiniteGroup) -> MackeyFunctor:
     acting by composition against the reversed span."""
     lat = subgroup_lattice(G)
     n = lat.num_classes
-    pt = lat.class_of(tuple(G.elements()))
+    pt = n - 1  # the class of G (SubgroupLattice.classes)
     orbits = [gs.orbit_gset(G, c) for c in range(n)]
     level_basis = [sp.orbit_basis(G, c, pt) for c in range(n)]
     levels = tuple(AbPresentation(len(bs)) for bs in level_basis)
@@ -254,7 +254,7 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
     by span composition — the double-coset formula in matrix form.
 
     The law is tested only on the pairs of endpoint keys
-    (spans.endpoint_keys), which gives it on all pairs of basis spans.
+    (spans.endpoint_positions), which gives it on all pairs of basis spans.
     The steps of that argument hold up to congruence in the target level
     because torsion well-definedness is checked first.  On a failure the
     pairs of all basis keys are scanned in order, so the witness is the

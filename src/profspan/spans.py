@@ -25,14 +25,16 @@ inflation or fixed points (span_images) and a pair of fixed points of
 the basis (span_basis), which keeps a pair iff x = x* and no carrier of
 x lowers y.  So a key costs |Stab_W(x)| actions, not |W|.
 
-Each choice behind a key is made in one place.  Left cosets are numbered
-by groups.left_cosets, for the canonical orbits (gs.coset_gset) and the
-coset tables alike.  The element conjugating a subgroup onto its class
-representative is the one subgroup_lattice records; pair_key gives the
-same key for any other.
+Each choice behind a key is made in one place.  The cosets of each
+class representative are numbered once, in the table of
+gs.orbit_classes that the canonical orbits are built from.  The class
+representatives, and the element conjugating a subgroup onto its
+representative, are the ones subgroup_lattice records; pair_key gives
+the same key for any other conjugator.
 
-orbit_basis is the basis between two canonical orbits, endpoint_keys
-its generators, and orbit_keys lists every basis key between orbits.
+orbit_basis is the basis between two canonical orbits,
+endpoint_positions the positions of its generators, and orbit_keys
+lists every basis key between orbits.
 No span morphism, equivariant map or image G-set is built: span
 morphisms, their composition, the legs of a key as maps and the slow
 routes to keys, composites and Span(F) are oracles in tests/oracles.py.
@@ -61,7 +63,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import GroupMismatch
-from .groups import FiniteGroup, QuotientMap, left_cosets, subgroup_lattice
+from .groups import FiniteGroup, QuotientMap, subgroup_lattice
 from . import gsets as gs
 from .gsets import GSet
 
@@ -72,45 +74,9 @@ from .gsets import GSet
 Key = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
-class OrbitClass(NamedTuple):
-    """The canonical transitive G-set G/R of one subgroup class."""
-
-    rep: tuple[int, ...]  # R, the class representative
-    coset: tuple[int, ...]  # the point gR for each g (left_cosets)
-    mins: tuple[int, ...]  # the least element of each coset, in point order
-    normaliser: tuple[int, ...]  # the m in mins normalising R: N_G(R)/R
-
-
-class CosetTables(NamedTuple):
-    """Per-group tables behind canonical keys and span composition.
-
-    The cosets of each class representative are numbered by
-    groups.left_cosets, the numbering of gs.orbit_gset.  conjugator is the
-    lattice's `where`: it maps the sorted elements of every subgroup L to
-    (c, t0) with c the class of L and t0 L t0⁻¹ the representative of
-    class c, t0 being the conjugator subgroup_lattice records for L.
-    """
-
-    classes: tuple[OrbitClass, ...]
-    conjugator: dict
-
-
-@lru_cache(maxsize=None)
-def coset_tables(G: FiniteGroup) -> CosetTables:
-    """The coset tables of G, built on first use."""
-    lat = subgroup_lattice(G)
-    classes = []
-    for c in range(lat.num_classes):
-        R = lat.class_rep(c)
-        coset, mins = left_cosets(G, R.elements)
-        normaliser = tuple(m for m in mins if R.conjugate(m) == R)
-        classes.append(OrbitClass(R.elements, coset, mins, normaliser))
-    return CosetTables(tuple(classes), lat.where)
-
-
 class LeastPoints(NamedTuple):
     """The W-orbits on X^R of one G-set X and one subgroup class, R the
-    class representative and W = N(R)/R as OrbitClass.normaliser lists it.
+    class representative and W = N(R)/R as gs.orbit_classes lists it.
 
     A span with apex G/R is a pair of R-fixed points, and n in W relabels
     the apex, moving the pair (x, y) to (n·x, n·y); its key tabulates the
@@ -130,8 +96,8 @@ class LeastPoints(NamedTuple):
 @lru_cache(maxsize=None)
 def _least_points(X: GSet, c: int) -> LeastPoints:
     """The W-orbit table of X and class c, built on first use."""
-    cls = coset_tables(X.group).classes[c]
-    fixed = gs.fixed_by(X, cls.rep)
+    cls = gs.orbit_classes(X.group)[c]
+    fixed = gs.fixed_by(X, subgroup_lattice(X.group).class_rep(c).elements)
     least, carriers, legs = [-1] * X.size, [()] * X.size, [None] * X.size
     for x in fixed:
         row = X.action[x]
@@ -177,7 +143,7 @@ def span_basis(X: GSet, Y: GSet) -> list[Key]:
     if X.group != Y.group:
         raise GroupMismatch("span endpoints require a common group")
     keys: list[Key] = []
-    for c in range(len(coset_tables(X.group).classes)):
+    for c in range(subgroup_lattice(X.group).num_classes):
         ly = _least_points(Y, c)
         if not ly.fixed:
             continue
@@ -203,7 +169,7 @@ def orbit_keys(G: FiniteGroup) -> list[tuple[int, int, Key]]:
     """Every (c1, c2, key) with key in orbit_basis(G, c1, c2), in order of
     c1, then c2, then orbit_basis: the basis spans between orbits, which
     a Mackey functor's gen_action is keyed by."""
-    n = len(coset_tables(G).classes)
+    n = subgroup_lattice(G).num_classes
     return [
         (c1, c2, key)
         for c1 in range(n)
@@ -214,15 +180,9 @@ def orbit_keys(G: FiniteGroup) -> list[tuple[int, int, Key]]:
 
 @lru_cache(maxsize=None)
 def endpoint_positions(G: FiniteGroup, c1: int, c2: int) -> tuple[int, ...]:
-    """The positions in orbit_basis(G, c1, c2) of its endpoint keys."""
-    basis = orbit_basis(G, c1, c2)
-    return tuple(i for i, k in enumerate(basis) if k[0] in (c1, c2))
-
-
-@lru_cache(maxsize=None)
-def endpoint_keys(G: FiniteGroup, c1: int, c2: int) -> tuple[Key, ...]:
-    """The endpoint keys of orbit_basis(G, c1, c2), whose apex is in class
-    c1 (transfers, conjugations) or c2 (restrictions, conjugations).
+    """The positions in orbit_basis(G, c1, c2) of its endpoint keys, whose
+    apex is in class c1 (transfers, conjugations) or c2 (restrictions,
+    conjugations).
 
     Every basis span b with apex G/K is t_b ∘ r_b through G/K, with r_b
     and t_b endpoint keys, and two transfers (or two restrictions) compose
@@ -236,7 +196,7 @@ def endpoint_keys(G: FiniteGroup, c1: int, c2: int) -> tuple[Key, ...]:
     each step the law on endpoint keys (Thévenaz–Webb 1995, §2; Dress
     1973)."""
     basis = orbit_basis(G, c1, c2)
-    return tuple(basis[i] for i in endpoint_positions(G, c1, c2))
+    return tuple(i for i, k in enumerate(basis) if k[0] in (c1, c2))
 
 
 @lru_cache(maxsize=None)
@@ -247,12 +207,13 @@ def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> tuple:
     Each K1-orbit on G/K2 gives one (y, c, t0, h): y the least point of
     the orbit, h = mins[y] the least element of the coset y = hK2, and
     (c, t0) the class of the stabilizer K1 ∩ hK2h⁻¹ and its conjugator,
-    read from CosetTables.conjugator.  The table depends only on the two
+    read from the lattice's `where`.  The table depends only on the two
     classes, so every pair of keys with these apexes composes through it."""
-    T = coset_tables(G)
+    lat = subgroup_lattice(G)
     mult = G.mult
-    K1 = T.classes[c1].rep
-    coset2, mins2 = T.classes[c2].coset, T.classes[c2].mins
+    K1 = lat.class_rep(c1).elements
+    cls2 = gs.orbit_classes(G)[c2]
+    coset2, mins2 = cls2.coset, cls2.mins
     orbits = []
     seen: set = set()
     for y, h in enumerate(mins2):
@@ -264,7 +225,7 @@ def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> tuple:
             seen.add(z)
             if z == y:
                 stab.append(a)
-        orbits.append((y, *T.conjugator[tuple(stab)], h))
+        orbits.append((y, *lat.where[tuple(stab)], h))
     return tuple(orbits)
 
 
@@ -291,7 +252,7 @@ def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
     points, reading the W-orbit tables of the two end orbits and
     tabulating nothing.
     """
-    T = coset_tables(G)
+    classes = gs.orbit_classes(G)
     mult = G.mult
     X, Z = gs.orbit_gset(G, c1), gs.orbit_gset(G, c3)
     position = {k: i for i, k in enumerate(orbit_basis(G, c1, c3))}
@@ -299,14 +260,14 @@ def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
     grid: list = [()] * (len(firsts) * width)
     shared: dict = {}
     for j, (c2, left2, right2) in enumerate(seconds):
-        coset2 = T.classes[c2].coset
+        coset2 = classes[c2].coset
         fibres: dict = {}  # apex class of k1 -> its orbits by point of Y
         for i, (a, left1, right1) in enumerate(firsts):
             if a not in fibres:
                 fibres[a] = {}
                 for orbit in _double_cosets(G, a, c2):
                     fibres[a].setdefault(left2[orbit[0]], []).append(orbit)
-            coset1 = T.classes[a].coset
+            coset1 = classes[a].coset
             positions = [
                 position[
                     pair_key(c, X, left1[coset1[t0]], Z, right2[coset2[mult[t0][h]]])
@@ -329,10 +290,15 @@ def endpoint_composites(G: FiniteGroup, c1: int, c3: int) -> tuple:
     """The table both law checks read: entry c2 is the grid of the
     endpoint keys from the orbit of c1 to that of c2 against those from
     c2 to c3 (composites), and equal entries of the table are one tuple."""
+
+    def ends(a: int, b: int) -> list[Key]:
+        basis = orbit_basis(G, a, b)
+        return [basis[i] for i in endpoint_positions(G, a, b)]
+
     shared: dict = {}
     grids = (
-        composites(G, c1, c3, endpoint_keys(G, c1, c2), endpoint_keys(G, c2, c3))
-        for c2 in range(len(coset_tables(G).classes))
+        composites(G, c1, c3, ends(c1, c2), ends(c2, c3))
+        for c2 in range(subgroup_lattice(G).num_classes)
     )
     return tuple(tuple(shared.setdefault(t, t) for t in grid) for grid in grids)
 
@@ -354,13 +320,12 @@ def burnside_tables(G: FiniteGroup) -> BurnsideTables:
     i-th key has apex class i: the composite of two such spans has the
     product of their apexes as its apex.
     """
-    T = coset_tables(G)
-    n = len(T.classes)
+    lat = subgroup_lattice(G)
+    n = lat.num_classes
+    reps = [lat.class_rep(c) for c in range(n)]
     orbits = [gs.orbit_gset(G, c) for c in range(n)]
-    marks = tuple(
-        tuple(len(gs.fixed_by(X, cls.rep)) for cls in T.classes) for X in orbits
-    )
-    pt = n - 1  # the class of G is the last, the only one of its order
+    marks = tuple(tuple(len(gs.fixed_by(X, R.elements)) for R in reps) for X in orbits)
+    pt = n - 1  # the class of G (SubgroupLattice.classes)
     basis = orbit_basis(G, pt, pt)
     assert len(basis) == n
     grid = composites(G, pt, pt, basis, basis)
@@ -371,19 +336,17 @@ def burnside_tables(G: FiniteGroup) -> BurnsideTables:
             coeffs[k] = m
         dense.setdefault(terms, tuple(coeffs))
     ring = tuple(tuple(map(dense.get, grid[i * n : (i + 1) * n])) for i in range(n))
-    orders = tuple(len(cls.rep) for cls in T.classes)
-    return BurnsideTables(orders, marks, ring)
+    return BurnsideTables(tuple(R.order for R in reps), marks, ring)
 
 
 class OrbitImage(NamedTuple):
     """F of one canonical orbit X = G/R_c, a transitive K-set or nothing.
-    F keeps the points of X, so its image is the orbit K/R of class cls
-    (target), renamed by sigma; base is a point of X whose K-stabilizer is
-    R itself."""
+    F keeps the points of X, so its image is the canonical orbit K/R of
+    class cls, renamed by sigma; base is a point of X whose K-stabilizer
+    is R itself."""
 
     cls: int
-    target: GSet
-    sigma: tuple[int, ...]  # the point of target of each point of X
+    sigma: tuple[int, ...]  # the point of K/R of each point of X
     base: int
 
 
@@ -404,21 +367,21 @@ def _orbit_image(G: FiniteGroup, K: FiniteGroup, rho, N, c: int) -> OrbitImage |
         return None
     at = [row[r] for r in rho]  # the point k·0, for each k in K
     S = tuple(k for k, x in enumerate(at) if x == 0)
-    cls, t0 = coset_tables(K).conjugator[S]
-    target = gs.orbit_gset(K, cls)
-    y = target.point_stabilizers.index(frozenset(S))
-    sigma = [0] * target.size
-    for x, z in zip(at, target.action[y]):
+    cls, t0 = subgroup_lattice(K).where[S]
+    orbit = gs.orbit_gset(K, cls)
+    y = orbit.point_stabilizers.index(frozenset(S))
+    sigma = [0] * orbit.size
+    for x, z in zip(at, orbit.action[y]):
         sigma[x] = z
-    return OrbitImage(cls, target, tuple(sigma), at[t0])
+    return OrbitImage(cls, tuple(sigma), at[t0])
 
 
 class SpanImages(NamedTuple):
     """Span(F) between the canonical orbits of F's source group."""
 
-    orbits: tuple[GSet, ...]  # the orbit of each subgroup class c
+    source: FiniteGroup  # G, F's source group
+    target: FiniteGroup  # K, the group of the images
     images: tuple[int | None, ...]  # the class of F(orbit c), None if empty
-    targets: tuple[GSet | None, ...]  # the canonical orbit of that class
     # terms[c1][c2][i]: the position in orbit_basis(K, images[c1],
     # images[c2]) of the image of orbit_basis(G, c1, c2)[i], None for zero
     terms: tuple
@@ -437,8 +400,8 @@ def span_images(q: QuotientMap, which: str) -> SpanImages:
     the same values.  So the image of a key (a, legL, legR) between the
     orbits of c1 and c2 is zero or one span, read by pair_key at the base
     point p of F(G/R_a): its legs there are legL[p] and legR[p], renamed
-    onto the targets, and the key is held as its position in the basis of
-    their hom."""
+    onto the canonical orbits of the image classes, and the key is held as
+    its position in the basis of their hom."""
     if len(set(q.projection)) != q.target.order:
         raise ValueError("projection is not onto the previous stage")
     if which == "inflation":
@@ -446,8 +409,9 @@ def span_images(q: QuotientMap, which: str) -> SpanImages:
     else:
         G, K, N = q.source, q.target, q.kernel.elements
         rho = tuple(map(q.section, K.elements()))
-    n = len(coset_tables(G).classes)
+    n = subgroup_lattice(G).num_classes
     images = [_orbit_image(G, K, rho, N, c) for c in range(n)]
+    targets = [i and gs.orbit_gset(K, i.cls) for i in images]
     terms = [[()] * n for _ in range(n)]
     for c1, c2 in itertools.product(range(n), repeat=2):
         i1, i2 = images[c1], images[c2]
@@ -460,11 +424,8 @@ def span_images(q: QuotientMap, which: str) -> SpanImages:
                 row.append(None)
                 continue
             x, y = i1.sigma[legL[apex.base]], i2.sigma[legR[apex.base]]
-            row.append(position[pair_key(apex.cls, i1.target, x, i2.target, y)])
+            row.append(position[pair_key(apex.cls, targets[c1], x, targets[c2], y)])
         terms[c1][c2] = tuple(row)
     return SpanImages(
-        tuple(gs.orbit_gset(G, c) for c in range(n)),
-        tuple(i and i.cls for i in images),
-        tuple(i and i.target for i in images),
-        tuple(map(tuple, terms)),
+        G, K, tuple(i and i.cls for i in images), tuple(map(tuple, terms))
     )

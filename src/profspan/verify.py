@@ -128,10 +128,10 @@ def _basis_failure(table: sp.SpanImages, kept) -> str | None:
     """How the Span(F) table fails, or None: a key goes to one basis span
     if kept(its apex class), else to zero; the kept keys of one hom go to
     distinct basis spans of the image hom; an identity span goes to the
-    identity span.  The targets are canonical orbits, so the identity of
-    either end is keyed from point 0, whose stabilizer is the class
+    identity span.  Both ends are canonical orbits, so the identity of
+    either is keyed from point 0, whose stabilizer is the class
     representative."""
-    G, n = table.orbits[0].group, len(table.orbits)
+    G, K, n = table.source, table.target, len(table.images)
     for c1, c2 in itertools.product(range(n), repeat=2):
         images = table.terms[c1][c2]
         for key, image in zip(sp.orbit_basis(G, c1, c2), images):
@@ -142,27 +142,29 @@ def _basis_failure(table: sp.SpanImages, kept) -> str | None:
         hit = [image for image in images if image is not None]
         if len(set(hit)) != len(hit):
             return "not injective on basis"
-    for c, (X, m, T) in enumerate(zip(table.orbits, table.images, table.targets)):
+    for c, m in enumerate(table.images):
+        X = gs.orbit_gset(G, c)
         own = sp.orbit_basis(G, c, c).index(sp.pair_key(c, X, 0, X, 0))
         if m is None:
             ids = None
         else:
-            ids = sp.orbit_basis(T.group, m, m).index(sp.pair_key(m, T, 0, T, 0))
+            T = gs.orbit_gset(K, m)
+            ids = sp.orbit_basis(K, m, m).index(sp.pair_key(m, T, 0, T, 0))
         if table.terms[c][c][own] != ids:
             return "does not preserve an identity span"
     return None
 
 
-def _endpoint_images(table: sp.SpanImages, K: g.FiniteGroup, c1: int, c2: int):
+def _endpoint_images(table: sp.SpanImages, c1: int, c2: int):
     """(p, j, e) for the endpoint key at each position p of
     orbit_basis(G, c1, c2): its image's position j in the image hom, None
     for zero, and e, the position of j among the endpoint keys of the
     image hom, None if it is not one."""
-    G, (m1, m2) = table.orbits[0].group, (table.images[c1], table.images[c2])
-    ends = () if None in (m1, m2) else sp.endpoint_positions(K, m1, m2)
+    m1, m2 = table.images[c1], table.images[c2]
+    ends = () if None in (m1, m2) else sp.endpoint_positions(table.target, m1, m2)
     where = {j: e for e, j in enumerate(ends)}
     images = table.terms[c1][c2]
-    positions = sp.endpoint_positions(G, c1, c2)
+    positions = sp.endpoint_positions(table.source, c1, c2)
     return [(p, images[p], where.get(images[p])) for p in positions]
 
 
@@ -178,9 +180,10 @@ def _pushed(composite, images) -> tuple:
 
 
 def _law_failures(table: sp.SpanImages):
-    """Each (c1, c2, c3, k1, k2) with k1 in endpoint_keys(G, c1, c2) and
-    k2 in endpoint_keys(G, c2, c3) for which Span(F)(k2 ∘ k1) and
-    Span(F)(k2) ∘ Span(F)(k1) differ, in that lexicographic order.
+    """Each (c1, c2, c3, k1, k2) with k1 and k2 endpoint keys of
+    orbit_basis(G, c1, c2) and orbit_basis(G, c2, c3) for which
+    Span(F)(k2 ∘ k1) and Span(F)(k2) ∘ Span(F)(k1) differ, in that
+    lexicographic order.
 
     Both sides are read by position: the left from
     spans.endpoint_composites(G, c1, c3), pushed through the images, and
@@ -189,10 +192,9 @@ def _law_failures(table: sp.SpanImages):
     an endpoint key is one, its apex class going to the image class of
     its end; a table that breaks this, as no functor of G-sets does, has
     that composite made by spans.composites."""
-    orbits, images, targets, terms = table
-    G, n = orbits[0].group, len(orbits)
-    K = targets[-1].group  # the point's image is the point of K
-    ends = [[_endpoint_images(table, K, c1, c2) for c2 in range(n)] for c1 in range(n)]
+    G, K, images, terms = table
+    n = len(images)
+    ends = [[_endpoint_images(table, c1, c2) for c2 in range(n)] for c1 in range(n)]
     for c1, c2, c3 in itertools.product(range(n), repeat=3):
         m1, m2, m3 = images[c1], images[c2], images[c3]
         lefts = iter(sp.endpoint_composites(G, c1, c3)[c2])
@@ -229,7 +231,7 @@ def _span_functor_check(tower, name: str, kept, conclusion: str) -> Verdict:
     Inflation and fixed points preserve coproducts and X ⊔ Y is a
     biproduct of spans, so Span(F) is fixed by its values between orbits,
     and the endpoint-key pairs give the law on all basis spans
-    (spans.endpoint_keys): the check is exhaustive and needs no size cap.
+    (spans.endpoint_positions): the check is exhaustive and needs no size cap.
 
     The law also decides that F keeps pullbacks, as Span(F) needs.  For
     orbits X -f-> Z <-g- Y with pullback X <-p1- P -p2-> Y, the transfer
@@ -248,7 +250,7 @@ def _span_functor_check(tower, name: str, kept, conclusion: str) -> Verdict:
     mapped = composed = 0
     for i, q in enumerate(tower.links):
         table = sp.span_images(q, name)
-        G, n = table.orbits[0].group, len(table.orbits)
+        G, n = table.source, len(table.images)
         mapped += sum(len(images) for row in table.terms for images in row)
         failure = _basis_failure(table, lambda c: kept(q, c))
         if failure:

@@ -31,11 +31,12 @@ subgroup_lattice.  The Mackey file reader as it was before its key table,
 which parses every key token and checks the structure after the last
 block, is the oracle of parse_mackey.  The rest is what only the tests
 use: the corpus groups of bounded order, element orders and an
-isomorphism search, composite quotient maps, the subgroup a set
-generates, inverse maps, span morphisms (SpanMor) with span_from_maps,
-identity spans and bilinear composition between any G-sets, by the
-element walk (the package composes only between canonical orbits),
-their sums and multiples, the
+isomorphism search, the coset G-set of any subgroup (coset_gset), the
+endpoint keys of a basis picked by apex class (endpoint_keys), composite
+quotient maps, the subgroup a set generates, inverse maps, span
+morphisms (SpanMor) with span_from_maps, identity spans and bilinear
+composition between any G-sets, by the element walk (the package
+composes only between canonical orbits), their sums and multiples, the
 transport of a span along maps of its endpoints, and the semiadditivity
 check built on them; the one-point G-set built afresh, one-term span
 morphisms, identity and composite maps, fibre products and pullbacks of
@@ -94,6 +95,21 @@ def orbit_class_multiset(X: GSet) -> tuple[int, ...]:
     return tuple(
         sorted(lat.class_of(X.point_stabilizers[orb[0]]) for orb in X.orbits())
     )
+
+
+def coset_gset(G: FiniteGroup, subgroup_elements) -> GSet:
+    """The transitive G-set on the left cosets of any subgroup, numbered as
+    groups.left_cosets numbers them, so the coset of the subgroup is point
+    0; for a class representative it is the canonical orbit."""
+    coset_of, reps = g.left_cosets(G, tuple(subgroup_elements))
+    return GSet(G, tuple(tuple(coset_of[row[r]] for row in G.mult) for r in reps))
+
+
+def endpoint_keys(G: FiniteGroup, c1: int, c2: int) -> list[sp.Key]:
+    """The keys of orbit_basis(G, c1, c2) with apex class c1 or c2, in
+    basis order: the generators whose positions spans.endpoint_positions
+    lists."""
+    return [k for k in sp.orbit_basis(G, c1, c2) if k[0] in (c1, c2)]
 
 
 def find_iso(X: GSet, Y: GSet) -> EqMap | None:
@@ -231,7 +247,7 @@ def canonical_key(apex: GSet, base: int, legL, legR, X: GSet, Y: GSet) -> sp.Key
     G = apex.group
     row = apex.action[base]
     stab = tuple(g_ for g_ in G.elements() if row[g_] == base)
-    c, t0 = sp.coset_tables(G).conjugator[stab]
+    c, t0 = subgroup_lattice(G).where[stab]
     point = row[t0]
     return sp.pair_key(c, X, legL[point], Y, legR[point])
 
@@ -258,7 +274,7 @@ def span_images_generic(
     left exact."""
     F = functor(q)
     G = F.src_group
-    orbits = tuple(gs.orbit_gset(G, c) for c in range(len(sp.coset_tables(G).classes)))
+    orbits = tuple(gs.orbit_gset(G, c) for c in range(subgroup_lattice(G).num_classes))
     sigma = [canonical_iso(F.obj(X)) for X in orbits]
     classes = tuple(orbit_class_multiset(F.obj(X)) for X in orbits)
     H = sigma[0].dst.group
@@ -290,8 +306,7 @@ def as_span_images(table: GenericSpanImages) -> sp.SpanImages:
     image hom."""
     assert all(len(m) <= 1 for m in table.classes)
     images = tuple(m[0] if m else None for m in table.classes)
-    targets = tuple(T if m else None for m, T in zip(table.classes, table.targets))
-    G, n = table.orbits[0].group, len(table.orbits)
+    G, H, n = table.orbits[0].group, table.targets[0].group, len(table.orbits)
     terms = [[()] * n for _ in range(n)]
     for c1, c2 in itertools.product(range(n), repeat=2):
         row = []
@@ -302,21 +317,20 @@ def as_span_images(table: GenericSpanImages) -> sp.SpanImages:
                 continue
             (k, mult), = image
             assert mult == 1
-            H = targets[c1].group
             row.append(sp.orbit_basis(H, images[c1], images[c2]).index(k))
         terms[c1][c2] = tuple(row)
-    return sp.SpanImages(table.orbits, images, targets, tuple(map(tuple, terms)))
+    return sp.SpanImages(G, H, images, tuple(map(tuple, terms)))
 
 
 def image_terms(table: sp.SpanImages) -> dict:
     """The images of a package table as GenericSpanImages holds them:
     (c1, c2, key) -> ((image key, 1),), or () for zero, in the order of
     orbit_keys."""
-    G, n = table.orbits[0].group, len(table.orbits)
+    G, H, n = table.source, table.target, len(table.images)
     terms = {}
     for c1, c2 in itertools.product(range(n), repeat=2):
-        T1, m1, m2 = table.targets[c1], table.images[c1], table.images[c2]
-        image_basis = () if None in (m1, m2) else sp.orbit_basis(T1.group, m1, m2)
+        m1, m2 = table.images[c1], table.images[c2]
+        image_basis = () if None in (m1, m2) else sp.orbit_basis(H, m1, m2)
         for key, j in zip(sp.orbit_basis(G, c1, c2), table.terms[c1][c2]):
             terms[c1, c2, key] = () if j is None else ((image_basis[j], 1),)
     return terms
@@ -326,17 +340,18 @@ def law_holds_oracle(table: sp.SpanImages, c1, c2, c3, k1, k2) -> bool:
     """Span(F)(k2 ∘ k1) = Span(F)(k2) ∘ Span(F)(k1) for keys k1: c1 -> c2
     and k2: c2 -> c3 between the orbits, as the span checks decided it
     before they read composites by position: both sides composed one
-    pair at a time (compose_keys_per_element_oracle), on the orbits and
-    on the targets, with the images looked up by key."""
-    orbits, targets, terms = table.orbits, table.targets, image_terms(table)
+    pair at a time (compose_keys_per_element_oracle), on the orbits of the
+    source group and on those of the image group, with the images looked
+    up by key."""
+    terms = image_terms(table)
     left: Counter = Counter()
-    for k, m in compose_keys_per_element_oracle(orbits[c1].group, k2, k1):
+    for k, m in compose_keys_per_element_oracle(table.source, k2, k1):
         for key, c in terms[c1, c3, k]:
             left[key] += m * c
     right: Counter = Counter()
     for i1, m1 in terms[c1, c2, k1]:
         for i2, m2 in terms[c2, c3, k2]:
-            for key, c in compose_keys_per_element_oracle(targets[c1].group, i2, i1):
+            for key, c in compose_keys_per_element_oracle(table.target, i2, i1):
                 right[key] += m1 * m2 * c
     return left == right
 
@@ -420,7 +435,7 @@ def span_basis_oracle(X: GSet, Y: GSet) -> list[sp.Key]:
     lat = subgroup_lattice(G)
     keys: set = set()
     for c in range(lat.num_classes):
-        apex = gs.coset_gset(G, lat.class_rep(c).elements)
+        apex = coset_gset(G, lat.class_rep(c).elements)
         for f in hom_gset(apex, X):
             for g in hom_gset(apex, Y):
                 keys.add(canonical_key(apex, 0, f.values, g.values, X, Y))
@@ -515,8 +530,8 @@ def compose_keys_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> tuple:
     """Oracle for spans.composites: build the pullback G-set of the two apexes
     and canonicalise each of its orbits with canonical_key_oracle."""
     lat = subgroup_lattice(G)
-    apex1 = gs.coset_gset(G, lat.class_rep(k1[0]).elements)
-    apex2 = gs.coset_gset(G, lat.class_rep(k2[0]).elements)
+    apex1 = coset_gset(G, lat.class_rep(k1[0]).elements)
+    apex2 = coset_gset(G, lat.class_rep(k2[0]).elements)
     P, pairs = fibre_product(apex1, k1[2], apex2, k2[1])
     legL = [k1[1][x] for x, _ in pairs]
     legR = [k2[2][y] for _, y in pairs]
@@ -527,7 +542,7 @@ def compose_keys_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> tuple:
     return _normalize(counts)
 
 
-def least_key(G: FiniteGroup, T: sp.CosetTables, c: int, t0: int, lg, rg) -> sp.Key:
+def least_key(G: FiniteGroup, c: int, t0: int, lg, rg) -> sp.Key:
     """Oracle for _pair_key: the key of one orbit of a span's apex, from
     leg tables of length |G| and a min over N(R)/R.
 
@@ -548,7 +563,7 @@ def least_key(G: FiniteGroup, T: sp.CosetTables, c: int, t0: int, lg, rg) -> sp.
     tables.
     """
     mult = G.mult
-    cls = T.classes[c]
+    cls = gs.orbit_classes(G)[c]
     g = min((mult[n][t0] for n in cls.normaliser), key=lambda x: (lg[x], rg[x]))
     imgs = [mult[m][g] for m in cls.mins]
     return (c, tuple(map(lg.__getitem__, imgs)), tuple(map(rg.__getitem__, imgs)))
@@ -560,13 +575,13 @@ def compose_keys_per_element_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> t
     keyed by least_key from leg tables of length |G|.  It needs no end
     G-set: it keys the composite of spans between any G-sets, which
     compose_spans reads."""
-    T = sp.coset_tables(G)
+    lat, classes = subgroup_lattice(G), gs.orbit_classes(G)
     mult = G.mult
     (c1, left1, right1), (c2, left2, right2) = k1, k2
-    K1 = T.classes[c1].rep
-    coset2, mins2 = T.classes[c2].coset, T.classes[c2].mins
+    K1 = lat.class_rep(c1).elements
+    coset2, mins2 = classes[c2].coset, classes[c2].mins
     # the legs at g·(K1, hK2) are left1 at gK1 and right2 at ghK2
-    lg = [left1[p] for p in T.classes[c1].coset]
+    lg = [left1[p] for p in classes[c1].coset]
     r2 = [right2[p] for p in coset2]
     counts: dict = {}
     seen: set = set()
@@ -580,8 +595,8 @@ def compose_keys_per_element_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> t
             seen.add(z)
             if z == y:
                 stab.append(a)
-        c, t0 = T.conjugator[tuple(stab)]
-        key = least_key(G, T, c, t0, lg, [r2[row[h]] for row in mult])
+        c, t0 = lat.where[tuple(stab)]
+        key = least_key(G, c, t0, lg, [r2[row[h]] for row in mult])
         counts[key] = counts.get(key, 0) + 1
     return _normalize(counts)
 
@@ -1017,7 +1032,7 @@ class OrbitQuotientFunctor(GSetFunctor):
 
 def point_gset(G: FiniteGroup) -> GSet:
     """The one-point G-set, built afresh; the package reads the canonical
-    orbit of the class of G instead, which coset_gset keeps."""
+    orbit of the class of G instead, which gs.orbit_gset keeps."""
     return GSet(G, (tuple(0 for _ in G.elements()),))
 
 

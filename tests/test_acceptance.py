@@ -21,6 +21,7 @@ from oracles import (
     add_spans,
     basis_span_mor,
     compose_spans,
+    coset_gset,
     double_coset_count,
     groups_of_order_at_most,
     scale_span,
@@ -50,7 +51,7 @@ def _marks_oracle(G):
     lat = g.subgroup_lattice(G)
     out = []
     for i in range(lat.num_classes):
-        X = gs.coset_gset(G, lat.class_rep(i).elements)
+        X = coset_gset(G, lat.class_rep(i).elements)
         out.append(
             tuple(
                 sum(
@@ -88,8 +89,8 @@ def test_criterion_1_span_arithmetic():
             for c2 in range(lat.num_classes):
                 H = lat.class_rep(c1).elements
                 K = lat.class_rep(c2).elements
-                X = gs.coset_gset(G, H)
-                Y = gs.coset_gset(G, K)
+                X = coset_gset(G, H)
+                Y = coset_gset(G, K)
                 count = len(sp.span_basis(X, Y))
                 assert count == span_basis_count_oracle(G, H, K), (name, c1, c2)
                 if len(H) == 1 or len(K) == 1:

@@ -5,7 +5,6 @@ import pytest
 
 from profspan import groups as g
 from profspan import gsets as gs
-from profspan import spans as sp
 from profspan.corpus import corpus_group, corpus_groups
 from profspan.errors import NotAGroup, NotNormal, NotPrime
 
@@ -15,6 +14,7 @@ from oracles import (
     closure,
     compose_quotients,
     conjugacy_classes_oracle,
+    coset_gset,
     element_order,
     generating_set_oracle,
     groups_of_order_at_most,
@@ -149,7 +149,8 @@ def test_left_cosets_and_conjugators_of_every_subgroup(name, relabel_seed):
         c = lat.class_of(H.elements)
         assert H.conjugate(lat.conjugators[i]) == lat.class_rep(c), (name, H.elements)
         assert lat.where[H.elements] == (c, lat.conjugators[i])
-    assert sp.coset_tables(G).conjugator is lat.where
+    for c, cls in enumerate(gs.orbit_classes(G)):
+        assert (cls.coset, cls.mins) == g.left_cosets(G, lat.class_rep(c).elements)
 
 
 @pytest.mark.parametrize("relabel_seed", [None, 17], ids=["given", "relabelled"])
@@ -415,7 +416,7 @@ def test_memoised_hashes_agree_on_equal_values():
     G1, G2 = g.cyclic(6), g.cyclic(6)
     hash(G1)  # G1 memoises first; G2 still computes its own
     assert G1 == G2 and hash(G2) == hash(G1) == hash((G1.mult,))
-    X1 = gs.coset_gset(G1, (0, 3))
+    X1 = coset_gset(G1, (0, 3))
     X2 = gs.GSet(G2, tuple(tuple(row) for row in X1.action))
     hash(X2)
     assert X1 is not X2 and X1 == X2 and hash(X1) == hash(X2)

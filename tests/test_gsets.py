@@ -14,6 +14,7 @@ from oracles import (
     canonical_gset_oracle,
     canonical_iso,
     coproduct,
+    coset_gset,
     counit_map,
     empty_gset,
     find_iso,
@@ -77,7 +78,7 @@ def test_orbit_decompose_regular_c2():
 
 def test_orbit_decompose_s3_points():
     # S3 = dihedral(3) acts on 3 points; stabilizers are the reflections
-    X = gs.coset_gset(S3, g.subgroup_lattice(S3).subgroups[1].elements)
+    X = coset_gset(S3, g.subgroup_lattice(S3).subgroups[1].elements)
     perm_action = gs.make_gset(
         S3,
         [[X.action[x][gg] for gg in S3.elements()] for x in range(3)],
@@ -106,7 +107,7 @@ def test_fixed_points_c4_mod_c2():
     # X = C4/C2: two points swapped by the generator; N = {0,2} acts trivially
     N = g.make_subgroup(C4, (0, 2))
     q = g.quotient(C4, N)
-    X = gs.coset_gset(C4, N.elements)
+    X = coset_gset(C4, N.elements)
     fp = fixed_points(X, q)
     assert fp.size == 2
     assert fp.action[0][1] == 1  # residual C2 swaps them
@@ -128,6 +129,35 @@ def test_inflate_group_mismatch():
     q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
     with pytest.raises(GroupMismatch):
         gs.inflate(regular(C4), q)
+
+
+@pytest.mark.parametrize("relabel_seed", [None, 23], ids=["given", "relabelled"])
+@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+def test_orbit_classes_number_each_class_once(monkeypatch, name, relabel_seed):
+    """On emptied caches, the coset tables and every canonical orbit of G
+    call groups.left_cosets once per subgroup class: the orbits are built
+    from the tables.  Row 0 of each orbit is its class's coset table, and
+    the orbit is the coset G-set of the class representative."""
+    G = corpus_group(name)
+    if relabel_seed is not None:
+        G = _relabelled(G, relabel_seed)
+    lat = g.subgroup_lattice(G)
+    calls = []
+    left_cosets = gs.left_cosets
+
+    def counted(*args):
+        calls.append(args)
+        return left_cosets(*args)
+
+    monkeypatch.setattr(gs, "left_cosets", counted)
+    gs.orbit_classes.cache_clear()
+    gs.orbit_gset.cache_clear()
+    classes = gs.orbit_classes(G)
+    orbits = [gs.orbit_gset(G, c) for c in range(lat.num_classes)]
+    assert len(calls) == len(classes) == lat.num_classes
+    for c, (cls, X) in enumerate(zip(classes, orbits)):
+        assert cls.coset == X.action[0]
+        assert X == coset_gset(G, lat.class_rep(c).elements)
 
 
 def test_inflation_is_built_once():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from profspan import groups as g
+from profspan import gsets as gs
 from profspan import mackey as mk
 from profspan import spans as sp
 from profspan.corpus import corpus_group, corpus_groups
@@ -337,11 +338,11 @@ def test_fixed_points_change_under_a_wrong_renaming(monkeypatch, name, kernel):
     right = mk.categorical_fixed_points(M, q)
     orbit_image = sp._orbit_image
 
-    def wrong_image(*args):
-        image = orbit_image(*args)
+    def wrong_image(G, K, *rest):
+        image = orbit_image(G, K, *rest)
         if len(image.sigma) != q.target.order:
             return image
-        T = image.target
+        T = gs.orbit_gset(K, image.cls)
         auto = next(
             a for a in hom_gset(T, T) if is_iso(a) and a.values != tuple(T.points())
         )

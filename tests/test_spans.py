@@ -31,8 +31,10 @@ from oracles import (
     compose_quotients,
     compose_spans,
     coproduct,
+    coset_gset,
     double_coset_count,
     empty_gset,
+    endpoint_keys,
     groups_of_order_at_most,
     hom_gset,
     identity_map,
@@ -82,8 +84,8 @@ def test_span_basis_counts_match_oracle():
         lat = g.subgroup_lattice(G)
         for H in lat.subgroups:
             for K in lat.subgroups:
-                X = gs.coset_gset(G, H.elements)
-                Y = gs.coset_gset(G, K.elements)
+                X = coset_gset(G, H.elements)
+                Y = coset_gset(G, K.elements)
                 assert len(sp.span_basis(X, Y)) == span_basis_count_oracle(
                     G, H.elements, K.elements
                 ), (name, H.elements, K.elements)
@@ -94,9 +96,9 @@ def test_span_basis_counts_are_double_cosets_for_free_source():
     # double-coset count
     for name, G in groups_of_order_at_most(8):
         lat = g.subgroup_lattice(G)
-        free = gs.coset_gset(G, (0,))
+        free = coset_gset(G, (0,))
         for K in lat.subgroups:
-            Y = gs.coset_gset(G, K.elements)
+            Y = coset_gset(G, K.elements)
             n = double_coset_count(G, (0,), K.elements)
             assert span_basis_count_oracle(G, (0,), K.elements) == n
             assert len(sp.span_basis(free, Y)) == n, (name, K.elements)
@@ -202,7 +204,7 @@ def _composite_entries(G):
     orbit_basis(G, c1, c2) against orbit_basis(G, c2, c3), whose firsts
     mix apex classes, mapped back to (key, mult) pairs through
     orbit_basis(G, c1, c3)."""
-    n = len(sp.coset_tables(G).classes)
+    n = g.subgroup_lattice(G).num_classes
     out = []
     for c1, c2, c3 in itertools.product(range(n), repeat=3):
         firsts, seconds = sp.orbit_basis(G, c1, c2), sp.orbit_basis(G, c2, c3)
@@ -260,12 +262,12 @@ def test_compose_keys_match_the_per_element_oracle_on_cyclic_endpoint_keys(order
     checks of deep cyclic towers compose, where the pullback oracle is
     slow, each as a grid of one entry."""
     G = g.cyclic(order)
-    n = len(sp.coset_tables(G).classes)
+    n = g.subgroup_lattice(G).num_classes
     pairs = [
         (c1, c3, k2, k1)
         for c1, c2, c3 in itertools.product(range(n), repeat=3)
-        for k1 in sp.endpoint_keys(G, c1, c2)
-        for k2 in sp.endpoint_keys(G, c2, c3)
+        for k1 in endpoint_keys(G, c1, c2)
+        for k2 in endpoint_keys(G, c2, c3)
     ]
     for c1, c3, k2, k1 in random.Random(order).sample(pairs, 200):
         (entry,) = sp.composites(G, c1, c3, (k1,), (k2,))
@@ -285,7 +287,7 @@ def test_composites_of_shuffled_mixed_and_empty_grids(name, relabel_seed):
     G = corpus_group(name)
     if relabel_seed is not None:
         G = _relabelled(G, relabel_seed)
-    n = len(sp.coset_tables(G).classes)
+    n = g.subgroup_lattice(G).num_classes
     rng = random.Random(name)
     for c1, c2, c3 in itertools.product(range(n), repeat=3):
         firsts, seconds = sp.orbit_basis(G, c1, c2), sp.orbit_basis(G, c2, c3)
@@ -304,7 +306,7 @@ def test_composites_of_shuffled_mixed_and_empty_grids(name, relabel_seed):
 def _endpoint_pairs(G, c1, c2, c3):
     """The (k1, k2) of endpoint_composites(G, c1, c3)[c2], in its order."""
     return list(
-        itertools.product(sp.endpoint_keys(G, c1, c2), sp.endpoint_keys(G, c2, c3))
+        itertools.product(endpoint_keys(G, c1, c2), endpoint_keys(G, c2, c3))
     )
 
 
@@ -317,7 +319,7 @@ def test_endpoint_composites_match_compose_keys(name, relabel_seed):
     G = corpus_group(name)
     if relabel_seed is not None:
         G = _relabelled(G, relabel_seed)
-    n = len(sp.coset_tables(G).classes)
+    n = g.subgroup_lattice(G).num_classes
     for c1, c3 in itertools.product(range(n), repeat=2):
         table = sp.endpoint_composites(G, c1, c3)
         assert len(table) == n
@@ -336,7 +338,7 @@ def test_endpoint_composites_match_the_per_element_oracle_on_cyclic_groups(order
     Mackey checks of deep cyclic towers read, mapped back to keys, against
     the per-element oracle."""
     G = g.cyclic(order)
-    n = len(sp.coset_tables(G).classes)
+    n = g.subgroup_lattice(G).num_classes
     entries = [
         (c1, c2, c3, i, pair)
         for c1, c2, c3 in itertools.product(range(n), repeat=3)
@@ -383,9 +385,9 @@ def test_double_coset_table_matches_an_independent_count(name):
     point, with the class and conjugator of its stabilizer; the orbits
     are recomputed here from the multiplication table alone."""
     G = corpus_group(name)
-    T = sp.coset_tables(G)
-    for (c1, A), (c2, B) in itertools.product(enumerate(T.classes), repeat=2):
-        K1, K2 = A.rep, B.rep
+    lat, classes = g.subgroup_lattice(G), gs.orbit_classes(G)
+    for c1, c2 in itertools.product(range(lat.num_classes), repeat=2):
+        K1, K2 = lat.class_rep(c1).elements, lat.class_rep(c2).elements
         table = sp._double_cosets(G, c1, c2)
         assert len(table) == double_coset_count(G, K1, K2)
         cosets = {frozenset(G.mul(x, k) for k in K2) for x in G.elements()}
@@ -394,10 +396,11 @@ def test_double_coset_table_matches_an_independent_count(name):
         for y, c, t0, h in table:
             hK2 = frozenset(G.mul(h, k) for k in K2)
             orbit = {frozenset(G.mul(a, x) for x in hK2) for a in K1}
-            assert h == min(hK2) == min(map(min, orbit)) and B.coset[h] == y
+            assert h == min(hK2) == min(map(min, orbit)) and classes[c2].coset[h] == y
             stab = [a for a in K1 if frozenset(G.mul(a, x) for x in hK2) == hK2]
             assert len(orbit) * len(stab) == len(K1)
-            assert sorted(G.conj(t0, a) for a in stab) == list(T.classes[c].rep)
+            conjugated = tuple(sorted(G.conj(t0, a) for a in stab))
+            assert conjugated == lat.class_rep(c).elements
             covered |= orbit
             sizes.append(len(orbit))
         assert sum(sizes) == G.order // len(K2) == len(cosets)
@@ -415,8 +418,8 @@ def test_canonical_key_matches_brute_force_on_two_orbit_apexes(relabel_seed):
         for _ in range(20):
             c, d = (rng.randrange(lat.num_classes) for _ in range(2))
             apex = coproduct(
-                gs.coset_gset(G, lat.class_rep(c).elements),
-                gs.coset_gset(G, lat.class_rep(d).elements),
+                coset_gset(G, lat.class_rep(c).elements),
+                coset_gset(G, lat.class_rep(d).elements),
             )[0]
             legs = []
             while len(legs) < 2:
@@ -497,8 +500,8 @@ def test_burnside_tables_s3():
     lat = g.subgroup_lattice(S3)
     for i in range(n):
         for j in range(n):
-            K = gs.coset_gset(S3, lat.class_rep(i).elements)
-            H = gs.coset_gset(S3, lat.class_rep(j).elements)
+            K = coset_gset(S3, lat.class_rep(i).elements)
+            H = coset_gset(S3, lat.class_rep(j).elements)
             assert t.marks[i][j] == len(hom_gset(H, K))
 
 
@@ -577,8 +580,8 @@ def _transfer_restriction_pairs(G, orbits):
     c1, c2, c3: one pair per transitive cospan X -f-> Z <-h- Y up to
     isomorphism."""
     for c1, c2, c3 in itertools.product(range(len(orbits)), repeat=3):
-        transfers = [k for k in sp.endpoint_keys(G, c1, c2) if k[0] == c1]
-        restrictions = [k for k in sp.endpoint_keys(G, c2, c3) if k[0] == c3]
+        transfers = [k for k in endpoint_keys(G, c1, c2) if k[0] == c1]
+        restrictions = [k for k in endpoint_keys(G, c2, c3) if k[0] == c3]
         for k1, k2 in itertools.product(transfers, restrictions):
             f = basis_legs(orbits[c1], orbits[c2], k1)[1]
             h = basis_legs(orbits[c2], orbits[c3], k2)[0]
@@ -688,12 +691,12 @@ def test_law_on_transfer_restriction_pairs_decides_left_exactness(functor):
 def _replaced_images(table):
     """Copies of table with one image of an endpoint key replaced by
     another basis span of its image hom, one copy per such replacement."""
-    G, n = table.orbits[0].group, len(table.orbits)
+    G, n = table.source, len(table.images)
     for c1, c2 in itertools.product(range(n), repeat=2):
         m1, m2 = table.images[c1], table.images[c2]
         if None in (m1, m2):
             continue
-        width = len(sp.orbit_basis(table.targets[c1].group, m1, m2))
+        width = len(sp.orbit_basis(table.target, m1, m2))
         for p in sp.endpoint_positions(G, c1, c2):
             for j in range(width):
                 if j == table.terms[c1][c2][p]:
@@ -706,7 +709,7 @@ def _replaced_images(table):
 
 
 def _law_failures_oracle(table):
-    G, n = table.orbits[0].group, len(table.orbits)
+    G, n = table.source, len(table.images)
     return [
         (c1, c2, c3, k1, k2)
         for c1, c2, c3 in itertools.product(range(n), repeat=3)
@@ -810,24 +813,24 @@ def test_least_key_does_not_depend_on_the_conjugator(name):
     # oracle's least_key and to canonical_key, which at the base point
     # m·t0·0, whose stabilizer is R itself, keys from the legs there
     G = corpus_group(name)
-    lat, T = g.subgroup_lattice(G), sp.coset_tables(G)
+    lat = g.subgroup_lattice(G)
     orbits = _orbits(G)
     for i, L in enumerate(lat.subgroups):
         c = lat.class_of(L.elements)
         R = lat.class_rep(c)
         t0 = lat.conjugators[i]
         normaliser = [m for m in G.elements() if R.conjugate(m) == R]
-        apex = gs.coset_gset(G, L.elements)
+        apex = coset_gset(G, L.elements)
         row = apex.action[0]
         maps = [f for X in orbits for f in hom_gset(apex, X)]
         for f, h in itertools.product(maps, repeat=2):
             lg, rg = [f.values[x] for x in row], [h.values[x] for x in row]
-            key = least_key(G, T, c, t0, lg, rg)
+            key = least_key(G, c, t0, lg, rg)
             legs = (f.values, h.values, f.dst, h.dst)
             assert canonical_key(apex, 0, *legs) == key
             for m in normaliser:
                 t = G.mul(m, t0)
-                assert least_key(G, T, c, t, lg, rg) == key, (name, L.elements, m)
+                assert least_key(G, c, t, lg, rg) == key, (name, L.elements, m)
                 assert canonical_key(apex, row[t], *legs) == key, (
                     name, L.elements, m,
                 )
@@ -837,7 +840,7 @@ def _assert_least_points_recomputed(X):
     """Every W-orbit table of X against a recomputation from X.action,
     with W = N(R)/R found by conjugating R by every element."""
     G = X.group
-    lat, T = g.subgroup_lattice(G), sp.coset_tables(G)
+    lat, classes = g.subgroup_lattice(G), gs.orbit_classes(G)
     for c in range(lat.num_classes):
         R = lat.class_rep(c)
         normaliser = [n for n in G.elements() if R.conjugate(n) == R]
@@ -855,11 +858,11 @@ def _assert_least_points_recomputed(X):
             assert table.least[x] == star
             assert set(table.carriers[x]) == {n for n, y in zip(W, images) if y == star}
             assert len(set(images)) * len(table.carriers[x]) == len(W)
-            coset = T.classes[c].coset
+            coset = classes[c].coset
             assert all(
                 table.legs[x][coset[a]] == X.action[x][a] for a in G.elements()
             )
-            assert table.legs[x] == tuple(X.action[x][m] for m in T.classes[c].mins)
+            assert table.legs[x] == tuple(X.action[x][m] for m in classes[c].mins)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
@@ -999,7 +1002,7 @@ def _span_image_links():
 def test_span_images_match_both_routes_they_replace(q):
     """The Span(F) table of inflation and of fixed points along q, read
     from one orbit image per class, is the generic table of the G-set
-    functor (images, targets and terms), and key for key span_from_maps
+    functor (groups, images and terms), and key for key span_from_maps
     of F on the legs renamed by canonical_iso; for inflation each image
     is the one key that categorical fixed points read through
     canonical_iso, as the basis object of orbit_basis itself."""
@@ -1014,6 +1017,20 @@ def test_span_images_match_both_routes_they_replace(q):
     assert list(image_terms(table).items()) == [
         (qkey, ((gkey[2], 1),)) for qkey, gkey in pairs
     ]
+
+
+def test_span_images_carry_their_source_and_image_groups():
+    """The Span(F) table of q holds F's source group and the group of its
+    images: (q.target, q.source) for inflation and (q.source, q.target)
+    for fixed points, on every link of towers 2,3 and 3,2 and every
+    normal quotient of the corpus groups of order at most 8."""
+    links = [q for p, depth in [(2, 3), (3, 2)] for q in g.cyclic_tower(p, depth).links]
+    quotients = [q for _, G in groups_of_order_at_most(8) for q in _quotients(G)]
+    for q in links + quotients:
+        table = sp.span_images(q, "inflation")
+        assert (table.source, table.target) == (q.target, q.source)
+        table = sp.span_images(q, "fixed points")
+        assert (table.source, table.target) == (q.source, q.target)
 
 
 def test_span_images_of_a_link_that_is_not_onto():

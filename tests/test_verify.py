@@ -31,6 +31,7 @@ from oracles import (
     basis_legs,
     colim_gset_equivalence_oracle,
     colim_span_oracle,
+    endpoint_keys,
     limit_span_oracle,
     pullback,
     span_basis_count_oracle,
@@ -341,8 +342,7 @@ def _image_mutants(which, tower):
     functor: in C3 the two rotations of the free orbit.)"""
     for i, q in enumerate(tower.links):
         table = sp.span_images(q, which)
-        G, n = table.orbits[0].group, len(table.orbits)
-        K = q.source if which == "inflation" else q.target
+        G, K, n = table.source, table.target, len(table.images)
         for c1, c2 in itertools.product(range(n), repeat=2):
             m1, m2 = table.images[c1], table.images[c2]
             image_basis = () if None in (m1, m2) else sp.orbit_basis(K, m1, m2)
@@ -404,9 +404,9 @@ def test_span_checks_fail_on_corrupted_basis_images(check, p, depth, monkeypatch
         if kind == "dropped":
             assert report.reason == f"{name} of a basis span is not basic at stage {i}"
         if law:
-            G = sp.span_images(tower.links[i], name).orbits[0].group
+            G = sp.span_images(tower.links[i], name).source
             a, b, c, k1, k2 = report.witness
-            assert k1 in sp.endpoint_keys(G, a, b) and k2 in sp.endpoint_keys(G, b, c)
+            assert k1 in endpoint_keys(G, a, b) and k2 in endpoint_keys(G, b, c)
             assert report.render() == f"FAIL {report.reason} (witness {report.witness})"
         kinds.add((kind, law))
     assert {("replaced", False), ("dropped", False), ("swapped", True)} <= kinds
