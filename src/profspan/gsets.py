@@ -41,6 +41,7 @@ from .errors import GroupMismatch
 from .groups import (
     FiniteGroup,
     QuotientMap,
+    generating_set,
     left_cosets,
     memoise_hash,
     subgroup_lattice,
@@ -91,8 +92,34 @@ class GSet:
         return f"GSet(|G|={self.group.order}, size={self.size})"
 
 
+def _action_fault(group: FiniteGroup, action, elements) -> str | None:
+    """The first fault of the action table, scanning g, then h in
+    elements, then x: g does not permute the points, or
+    g·(h·x) ≠ (gh)·x; None if there is none."""
+    n = len(action)
+    for g in range(group.order):
+        if len({row[g] for row in action}) != n:
+            return f"element {g} does not act by a permutation"
+        for h in elements:
+            gh = group.mult[g][h]
+            for x, row in enumerate(action):
+                if action[row[h]][g] != row[gh]:
+                    return (
+                        f"action is not compatible with multiplication at "
+                        f"(x={x}, g={g}, h={h})"
+                    )
+    return None
+
+
 def make_gset(group: FiniteGroup, action) -> GSet:
-    """Validate an action table and return the G-set."""
+    """Validate an action table and return the G-set.
+
+    Compatibility g·(h·x) = (gh)·x is tested for h in a generating set
+    (groups.generating_set) only: the h for which it holds for all g and
+    x are closed under products, since (hs)·x = h·(s·x) gives
+    g·((hs)·x) = (gh)·(s·x) = (ghs)·x, and contain the identity, which
+    fixes every point.  On a fault the table is scanned again over every
+    h, so the error names the first (g, h, x) of the full scan."""
     action = tuple(tuple(row) for row in action)
     n = len(action)
     order = group.order
@@ -104,17 +131,8 @@ def make_gset(group: FiniteGroup, action) -> GSet:
         for y in row:
             if not 0 <= y < n:
                 raise ValueError(f"action value {y} out of range")
-    for g in range(order):
-        if len({action[x][g] for x in range(n)}) != n:
-            raise ValueError(f"element {g} does not act by a permutation")
-        for h in range(order):
-            gh = group.mul(g, h)
-            for x in range(n):
-                if action[action[x][h]][g] != action[x][gh]:
-                    raise ValueError(
-                        f"action is not compatible with multiplication at "
-                        f"(x={x}, g={g}, h={h})"
-                    )
+    if _action_fault(group, action, generating_set(group.mult)) is not None:
+        raise ValueError(_action_fault(group, action, group.elements()))
     return GSet(group, action)
 
 

@@ -18,14 +18,24 @@ link (spans.span_images), as the colim-span check does: the image class
 of each orbit of G/N is the level it takes, and the one image key of
 each basis key of G/N is the matrix it takes.
 
-check_mackey decides the composition law on the pairs of endpoint keys
-(spans.endpoint_positions): the transfers, restrictions and conjugations,
-which give it on all pairs.  On the corpus this tests 22,995 of the
-88,414 pairs of basis spans; the test suite keeps the exhaustive check
-as its oracle.  Composites are read by position from the group's kept
-tables (spans.endpoint_composites) and M as one list of matrices per
-pair of classes, so each pair costs one matrix product and no key
-lookup.  Only a failing check composes, to find the first failing pair.
+check_mackey decides the composition law on the pairs of
+spans.law_pairs: the pairs of endpoint keys (transfers, restrictions and
+conjugations, spans.endpoint_positions), with a conjugation of an orbit
+to itself only at a generator of its Weyl group.  Those give it on all
+pairs: with the identity acting as the identity, the law at the
+generator conjugations gives it at every conjugation, by induction on a
+word (spans.law_pairs).  On the corpus this tests 14,711 of the 88,414
+pairs of basis spans (22,995 pairs of endpoint keys); the test suite
+keeps the exhaustive check as its oracle.  Composites are read by
+position from the group's kept tables (spans.endpoint_composites) and M
+as one list of matrices per pair of classes, each row packed into one
+integer in base B = 2^k, B above twice the largest absolute entry
+either side of the law can reach (dims·max² for a product, |G|·max for
+a sum of at most |G| terms).  So each pair costs one sum of products per
+row of the target level and no key lookup, and rows whose packed
+integers differ are compared entrywise, up to the torsion of the
+target.  Only a failing check composes, one row of firsts at a time,
+up to the first failing pair.
 """
 
 from __future__ import annotations
@@ -203,45 +213,83 @@ def _value(mats, terms, rows: int, cols: int):
     return tuple(map(tuple, out))
 
 
-def _composition_failure(M: MackeyFunctor, bases, composites) -> tuple | None:
-    """The first (c1, c2, c3, k1, k2), k1 and k2 the keys at the positions
-    bases[c1][c2] and bases[c2][c3] of their orbit_basis, for which
-    M(k2 ∘ k1) and M(k2)·M(k1) differ as maps into level c3, in that
-    lexicographic order; None if there is none.  composites(c1, c2, c3)
-    lists the k2 ∘ k1 in that order, each as (position in
-    orbit_basis(G, c1, c3), mult) pairs.  M is read as one list of
-    matrices per pair of classes, in basis order, so no key is looked up
-    per pair."""
+def _shift(M: MackeyFunctor) -> int:
+    """The k of the base B = 2^k that _composition_failure packs rows in:
+    B is above twice the largest absolute entry either side of the law
+    can reach, dims·max² for a product M(k2)·M(k1) and |G|·max for a sum
+    Σ m·M(k), whose multiplicities add up to at most |G|
+    (spans.composites), max the largest absolute entry of M."""
+    top = max(
+        (max(map(abs, row)) for A in M.gen_action.values() for row in A if row),
+        default=0,
+    )
+    dims = max(lv.dims for lv in M.levels)
+    return max(dims * top * top, M.group.order * top).bit_length() + 1
+
+
+def _pack(row, shift: int) -> int:
+    """Σ row[j]·B^j for B = 2^shift."""
+    packed = 0
+    for a in reversed(row):
+        packed = (packed << shift) + a
+    return packed
+
+
+def _composition_failure(M: MackeyFunctor, pairs, composites) -> tuple | None:
+    """The first (c1, c2, c3, k1, k2), over the pairs (k1, k2) of keys at
+    the positions pairs(c1, c2, c3) = (firsts, seconds) of
+    orbit_basis(G, c1, c2) and orbit_basis(G, c2, c3), in that
+    lexicographic order, for which M(k2 ∘ k1) and M(k2)·M(k1) differ as
+    maps into level c3; None if there is none.  composites(c1, c2, c3,
+    firsts, seconds) iterates the k2 ∘ k1 in that order, each as
+    (position in orbit_basis(G, c1, c3), mult) pairs, and is read only up
+    to the first failing pair.
+
+    Each row of a matrix is packed into one integer in base B = 2^k
+    (_shift), so that a pair costs one sum of products per row of the
+    target level.  In B's balanced digits every entry of both sides is
+    below B/2 in absolute value, so equal packed rows are equal rows; a
+    pair whose packed rows differ is tested entrywise, as maps into the
+    presented target (_congruent), so torsion levels stay exact."""
     G = M.group
-    n = len(bases)
+    n = len(M.levels)
     keys = [[sp.orbit_basis(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
     mats = [
         [[M.gen_action[c1, c2, k] for k in keys[c1][c2]] for c2 in range(n)]
         for c1 in range(n)
     ]
-    for c1 in range(n):
-        cols = M.levels[c1].dims
-        for c2 in range(n):
-            # the columns of each M(k1), taken once; an M(k1) with no rows
-            # has cols empty columns
-            columns = [
-                tuple(zip(*mats[c1][c2][p])) or ((),) * cols for p in bases[c1][c2]
-            ]
-            for c3 in range(n):
-                tgt_orders = M.levels[c3].orders()
-                rows = M.levels[c3].dims
-                terms = iter(composites(c1, c2, c3))
-                for p1, A1t in zip(bases[c1][c2], columns):
-                    for p2 in bases[c2][c3]:
-                        direct = tuple(
-                            tuple(sum(map(mul, row, col)) for col in A1t)
-                            for row in mats[c2][c3][p2]
-                        )
-                        expanded = _value(mats[c1][c3], next(terms), rows, cols)
-                        if direct != expanded and not _congruent(
-                            direct, expanded, tgt_orders
-                        ):
-                            return (c1, c2, c3, keys[c1][c2][p1], keys[c2][c3][p2])
+    shift = _shift(M)
+    packed = [
+        [[tuple(_pack(row, shift) for row in A) for A in by_key] for by_key in mats_c1]
+        for mats_c1 in mats
+    ]
+    for c1, c2, c3 in itertools.product(range(n), repeat=3):
+        firsts, seconds = pairs(c1, c2, c3)
+        rows, cols = M.levels[c3].dims, M.levels[c1].dims
+        sums = packed[c1][c3]
+        terms = iter(composites(c1, c2, c3, firsts, seconds))
+        for p1 in firsts:
+            A1 = packed[c1][c2][p1]
+            for p2 in seconds:
+                composite = next(terms)
+                A2 = mats[c2][c3][p2]
+                direct = tuple(sum(map(mul, row, A1)) for row in A2)
+                if len(composite) == 1 and composite[0][1] == 1:
+                    expanded = sums[composite[0][0]]
+                else:
+                    expanded = tuple(
+                        map(sum, zip(*([m * a for a in sums[i]] for i, m in composite)))
+                    )
+                if direct == expanded:
+                    continue
+                # an M(k1) with no rows has cols empty columns
+                columns = tuple(zip(*mats[c1][c2][p1])) or ((),) * cols
+                product = tuple(
+                    tuple(sum(map(mul, row, col)) for col in columns) for row in A2
+                )
+                value = _value(mats[c1][c3], composite, rows, cols)
+                if not _congruent(product, value, M.levels[c3].orders()):
+                    return (c1, c2, c3, keys[c1][c2][p1], keys[c2][c3][p2])
     return None
 
 
@@ -253,12 +301,16 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
     composition law M(b2 ∘ b1) = M(b2)·M(b1) with the composite expanded
     by span composition — the double-coset formula in matrix form.
 
-    The law is tested only on the pairs of endpoint keys
-    (spans.endpoint_positions), which gives it on all pairs of basis spans.
-    The steps of that argument hold up to congruence in the target level
-    because torsion well-definedness is checked first.  On a failure the
-    pairs of all basis keys are scanned in order, so the witness is the
-    first failing pair among all of them.
+    The law is tested only on the pairs of spans.law_pairs: the pairs of
+    endpoint keys, with a conjugation of an orbit to itself only at a
+    generator of its Weyl group.  Those give it on every pair of
+    endpoint keys, and so on all pairs of basis spans
+    (spans.endpoint_positions).  The steps of that argument hold up to
+    congruence in the target level because torsion well-definedness and
+    the identities are checked first.  On a failure the pairs of all
+    basis keys are scanned in order, each class triple composed one row
+    of firsts at a time up to the first failing pair, which is the
+    witness.
     """
     verdict = check_structure(M)
     if not verdict:
@@ -281,14 +333,23 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
         A = M.gen_action[(c, c, sp.pair_key(c, X, 0, X, 0))]
         if not _congruent(A, _identity(M.levels[c].dims), M.levels[c].orders()):
             return Verdict(False, "identity span does not act as identity", c)
-    ends = [[sp.endpoint_positions(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
     tables = [[sp.endpoint_composites(G, c1, c3) for c3 in range(n)] for c1 in range(n)]
-    if _composition_failure(M, ends, lambda c1, c2, c3: tables[c1][c3][c2]) is None:
+    failure = _composition_failure(
+        M,
+        lambda c1, c2, c3: sp.law_pairs(G, c1, c2, c3),
+        lambda c1, c2, c3, firsts, seconds: tables[c1][c3][c2],
+    )
+    if failure is None:
         return Verdict(True)
     keys = [[sp.orbit_basis(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
-    bases = [[range(len(k)) for k in row] for row in keys]
+
+    def rows(c1, c2, c3, firsts, seconds):
+        later = [keys[c2][c3][p] for p in seconds]
+        for p in firsts:
+            yield from sp.composites(G, c1, c3, (keys[c1][c2][p],), later)
+
     witness = _composition_failure(
-        M, bases, lambda a, b, c: sp.composites(G, a, c, keys[a][b], keys[b][c])
+        M, lambda a, b, c: (range(len(keys[a][b])), range(len(keys[b][c]))), rows
     )
     return Verdict(False, "composition law fails", witness)
 

@@ -17,13 +17,17 @@ apex G/R is a pair (x, y) of R-fixed points of its two ends, and its key
 tabulates the least pair (n·x, n·y) over W = N(R)/R.  One table per
 G-set X and class c (_least_points) gives, for every x in X^R, the least
 point x* of its W-orbit, the carriers n with n·x = x*, and the leg table
-of x, built once and shared by every key that reads it.  Every key is
-made from that table, in one place (pair_key): a fibre orbit of a
-composite (composites), an identity or reversed basis span, read from
-a point of each end (mackey, verify), the image of a basis span under
-inflation or fixed points (span_images) and a pair of fixed points of
-the basis (span_basis), which keeps a pair iff x = x* and no carrier of
-x lowers y.  So a key costs |Stab_W(x)| actions, not |W|.
+of x, built once and shared by every key that reads it.  The least pair
+is found in one place (_least_pair), for pair_key, which makes a key
+from it: an identity or reversed basis span, read from a point of each
+end (mackey, verify), and for the lookups that need only a key's
+position in a basis between canonical orbits: a fibre orbit of a
+composite (composites) and the image of a basis span under inflation or
+fixed points (span_images) read it from an integer made of the class
+and the least pair (basis_index), kept beside orbit_basis, so that no
+key is built or hashed.  span_basis keeps a pair of fixed points iff
+x = x* and no carrier of x lowers y.  So a key costs |Stab_W(x)|
+actions, not |W|.
 
 Each choice behind a key is made in one place.  The cosets of each
 class representative are numbered once, in the table of
@@ -34,7 +38,9 @@ the same key for any other conjugator.
 
 orbit_basis is the basis between two canonical orbits,
 endpoint_positions the positions of its generators, and orbit_keys
-lists every basis key between orbits.
+lists every basis key between orbits.  The endpoint keys from an orbit
+G/R to itself are the conjugations by W = N(R)/R, and
+conjugation_generators picks those of a generating set of W.
 No span morphism, equivariant map or image G-set is built: span
 morphisms, their composition, the legs of a key as maps and the slow
 routes to keys, composites and Span(F) are oracles in tests/oracles.py.
@@ -43,7 +49,15 @@ Every composite of the package is between canonical orbits, and one
 routine that keeps nothing makes them all (composites): a grid of k2 ∘ k1
 for keys k1 into a middle orbit and k2 out of it, by the positions of
 its terms in the basis of its ends.  The law checks read one table of
-such grids per group and pair of end classes (endpoint_composites).
+such grids per group and pair of end classes (endpoint_composites),
+one grid per middle class, laid out by law_pairs.  The law on those
+pairs decides it on all pairs: on the endpoint keys (Thévenaz–Webb
+1995, §2; endpoint_positions), and on an orbit's conjugations to
+itself only at the generators of its Weyl group, since the law on
+(c_s, e) and (e, c_s) for every generator s and endpoint key e, with
+the identity acting as the identity, gives it on (c_w, e) and (e, c_w)
+for every w by induction on a word for w (law_pairs).  On C128 that is
+48,748 of the 127,103 pairs of endpoint keys.
 
 Span(F), for F inflation or fixed points along a quotient map, is one
 table per functor and link (span_images), which both span checks of
@@ -51,8 +65,11 @@ verify and mackey.categorical_fixed_points read.  Both functors send a
 canonical orbit to one orbit on the same points, or to nothing, so the
 table is one record per subgroup class (_orbit_image) and one pair_key
 per basis key, held as the position of the image in its basis.  The
-module's tables are kept for the process, one per group, G-set or link
-and class or class pair, none per key or pair of keys.
+right sides of the Span(F) law that the image group's tables do not
+hold, those of the images of generator conjugations, are composed once
+per table, and so per link (image_composites).  The module's tables
+are kept for the process, one per group, G-set or link and class or
+class pair, none per key or pair of keys.
 """
 
 from __future__ import annotations
@@ -63,7 +80,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import GroupMismatch
-from .groups import FiniteGroup, QuotientMap, subgroup_lattice
+from .groups import FiniteGroup, QuotientMap, generating_set, subgroup_lattice
 from . import gsets as gs
 from .gsets import GSet
 
@@ -108,6 +125,13 @@ def _least_points(X: GSet, c: int) -> LeastPoints:
     return LeastPoints(fixed, tuple(least), tuple(carriers), tuple(legs))
 
 
+def _least_pair(lx: LeastPoints, x0: int, Y: GSet, y0: int) -> tuple[int, int]:
+    """The least pair (n·x0, n·y0) over W, for lx the W-orbit table of X:
+    x0* and the least n·y0 over the carriers n of x0."""
+    row = Y.action[y0]
+    return lx.least[x0], min(map(row.__getitem__, lx.carriers[x0]))
+
+
 def pair_key(c: int, X: GSet, x0: int, Y: GSet, y0: int) -> Key:
     """The key of the span with apex G/R, R the class-c representative,
     and legs gR -> g·x0 into X and gR -> g·y0 into Y.
@@ -123,9 +147,8 @@ def pair_key(c: int, X: GSet, x0: int, Y: GSet, y0: int) -> Key:
     carriers are those of x0 times m⁻¹, which reach the same pair; so the
     key does not depend on which point with stabilizer R is given."""
     lx = _least_points(X, c)
-    row = Y.action[y0]
-    y = min(map(row.__getitem__, lx.carriers[x0]))
-    return (c, lx.legs[lx.least[x0]], _least_points(Y, c).legs[y])
+    x, y = _least_pair(lx, x0, Y, y0)
+    return (c, lx.legs[x], _least_points(Y, c).legs[y])
 
 
 def span_basis(X: GSet, Y: GSet) -> list[Key]:
@@ -165,6 +188,21 @@ def orbit_basis(G: FiniteGroup, c1: int, c2: int) -> tuple[Key, ...]:
     return tuple(span_basis(gs.orbit_gset(G, c1), gs.orbit_gset(G, c2)))
 
 
+@lru_cache(maxsize=None)
+def basis_index(G: FiniteGroup, c1: int, c2: int) -> dict[int, int]:
+    """The position in orbit_basis(G, c1, c2) of each key, by the integer
+    (c·|X| + x)·|Y| + y of its class c and least pair (x, y) on the
+    canonical orbits X and Y of c1 and c2 (_least_pair).  The legs of a
+    key list their values at point 0 first, so (x, y) = (legL[0],
+    legR[0]), and a key is found from a pair of points with no key built
+    or hashed."""
+    nx, ny = (len(gs.orbit_classes(G)[c].mins) for c in (c1, c2))
+    return {
+        (c * nx + legL[0]) * ny + legR[0]: i
+        for i, (c, legL, legR) in enumerate(orbit_basis(G, c1, c2))
+    }
+
+
 def orbit_keys(G: FiniteGroup) -> list[tuple[int, int, Key]]:
     """Every (c1, c2, key) with key in orbit_basis(G, c1, c2), in order of
     c1, then c2, then orbit_basis: the basis spans between orbits, which
@@ -194,7 +232,10 @@ def endpoint_positions(G: FiniteGroup, c1: int, c2: int) -> tuple[int, ...]:
                    = Φ(t2)·Φ(r2 ∘ t1)·Φ(r1) = Φ(b2)·Φ(b1),
 
     each step the law on endpoint keys (Thévenaz–Webb 1995, §2; Dress
-    1973)."""
+    1973).  The endpoint keys from the orbit of a class c to itself are
+    the conjugations c_w, w in N(R_c)/R_c, and the law on them follows
+    from the law at the generators of that Weyl group (law_pairs), which
+    is all the law checks test of them."""
     basis = orbit_basis(G, c1, c2)
     return tuple(i for i, k in enumerate(basis) if k[0] in (c1, c2))
 
@@ -248,14 +289,18 @@ def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
     The legs at g·(K1, hK2) are left1 at gK1 and right2 at ghK2.  The
     point t0·(K1, hK2) of the orbit, for its class c and conjugator t0,
     has stabilizer R_c, and the legs there are x0 = left1 at t0·K1 and
-    z0 = right2 at t0·h·K2: pair_key keys the orbit from those two
-    points, reading the W-orbit tables of the two end orbits and
-    tabulating nothing.
+    z0 = right2 at t0·h·K2.  The orbit's position is read from the least
+    pair of (x0, z0), the one pair_key keys it by, in basis_index: no key
+    is built and nothing is tabulated.  A composite has at most |G|
+    terms, counted with multiplicity: they are orbits on a fibre of at
+    most |G| points.
     """
     classes = gs.orbit_classes(G)
     mult = G.mult
     X, Z = gs.orbit_gset(G, c1), gs.orbit_gset(G, c3)
-    position = {k: i for i, k in enumerate(orbit_basis(G, c1, c3))}
+    nx, nz = X.size, Z.size
+    index = basis_index(G, c1, c3)
+    least: dict = {}  # class -> its W-orbit table of X
     width = len(seconds)
     grid: list = [()] * (len(firsts) * width)
     shared: dict = {}
@@ -268,12 +313,13 @@ def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
                 for orbit in _double_cosets(G, a, c2):
                     fibres[a].setdefault(left2[orbit[0]], []).append(orbit)
             coset1 = classes[a].coset
-            positions = [
-                position[
-                    pair_key(c, X, left1[coset1[t0]], Z, right2[coset2[mult[t0][h]]])
-                ]
-                for _, c, t0, h in fibres[a].get(right1[0], ())
-            ]
+            positions = []
+            for _, c, t0, h in fibres[a].get(right1[0], ()):
+                lx = least.get(c)
+                if lx is None:
+                    lx = least[c] = _least_points(X, c)
+                x, z = _least_pair(lx, left1[coset1[t0]], Z, right2[coset2[mult[t0][h]]])
+                positions.append(index[(c * nx + x) * nz + z])
             if len(positions) == 1:
                 terms: tuple = ((positions[0], 1),)
             else:
@@ -286,21 +332,78 @@ def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def endpoint_composites(G: FiniteGroup, c1: int, c3: int) -> tuple:
-    """The table both law checks read: entry c2 is the grid of the
-    endpoint keys from the orbit of c1 to that of c2 against those from
-    c2 to c3 (composites), and equal entries of the table are one tuple."""
+def conjugation_generators(G: FiniteGroup, c: int) -> tuple[int, ...]:
+    """The positions in orbit_basis(G, c, c) of the conjugations c_s, for s
+    in a generating set of W = N(R)/R, R the class-c representative
+    (groups.generating_set on W's table over gs.orbit_classes'
+    normaliser, whose first element is the identity).
 
-    def ends(a: int, b: int) -> list[Key]:
-        basis = orbit_basis(G, a, b)
-        return [basis[i] for i in endpoint_positions(G, a, b)]
-
-    shared: dict = {}
-    grids = (
-        composites(G, c1, c3, ends(c1, c2), ends(c2, c3))
-        for c2 in range(subgroup_lattice(G).num_classes)
+    The basis spans from G/R to itself are the pairs of R-fixed points,
+    the cosets nR for n in N(R), modulo W; W acts freely on them, so each
+    is one conjugation c_n = [G/R <-id- G/R -> G/R], gR -> gnR, and they
+    are exactly the endpoint keys of orbit_basis(G, c, c)."""
+    cls = gs.orbit_classes(G)[c]
+    X = gs.orbit_gset(G, c)
+    norm = cls.normaliser
+    element = {cls.coset[n]: w for w, n in enumerate(norm)}  # point -> w
+    table = [[element[cls.coset[G.mult[a][b]]] for b in norm] for a in norm]
+    basis = orbit_basis(G, c, c)
+    return tuple(
+        basis.index(pair_key(c, X, 0, X, cls.coset[norm[s]]))
+        for s in generating_set(table)
     )
-    return tuple(tuple(shared.setdefault(t, t) for t in grid) for grid in grids)
+
+
+def law_pairs(G: FiniteGroup, c1: int, c2: int, c3: int) -> tuple:
+    """The positions (firsts in orbit_basis(G, c1, c2), seconds in
+    orbit_basis(G, c2, c3)) of the pairs on which both law checks test
+    the composition law for the class triple (c1, c2, c3): the generator
+    conjugations of c2 (conjugation_generators) against E(c2, c3) when
+    c1 = c2, E(c1, c2) against them when c2 = c3 and c1 ≠ c2, and
+    E(c1, c2) against E(c2, c3) otherwise, E the endpoint positions.
+
+    Let Φ be additive on the spans between orbits with Φ(identity) the
+    identity, and let the law Φ(k2 ∘ k1) = Φ(k2)·Φ(k1) hold on these
+    pairs.  Then it holds on every pair of endpoint keys, and so on all
+    pairs (endpoint_positions).  The endpoint keys from the orbit of c to
+    itself are the conjugations c_w, w in W (conjugation_generators), and
+    a conjugation composed with an endpoint key, on either side, is one
+    endpoint key.  For k2 = e any endpoint key out of G/R_c, induct on a
+    word for w: c_w = c_u ∘ c_s, s a generator, so
+
+        Φ(e ∘ c_w) = Φ((e ∘ c_u) ∘ c_s) = Φ(e ∘ c_u)·Φ(c_s)
+                   = Φ(e)·Φ(c_u)·Φ(c_s) = Φ(e)·Φ(c_u ∘ c_s),
+
+    the second and last steps the tested pairs (c_s, e ∘ c_u) and
+    (c_s, c_u), the third the induction.  For k1 = e any endpoint key into
+    G/R_c, with c_w = c_s ∘ c_u, Φ(c_w ∘ e) = Φ(c_s)·Φ(c_u ∘ e) =
+    Φ(c_s)·Φ(c_u)·Φ(e), and Φ(c_s)·Φ(c_u) = Φ(c_s ∘ c_u) by the first
+    half.  The steps hold up to congruence, as in endpoint_positions
+    (the conjugation relations of the Mackey algebra, Thévenaz–Webb
+    1995)."""
+    if c1 == c2:
+        return conjugation_generators(G, c2), endpoint_positions(G, c2, c3)
+    if c2 == c3:
+        return endpoint_positions(G, c1, c2), conjugation_generators(G, c2)
+    return endpoint_positions(G, c1, c2), endpoint_positions(G, c2, c3)
+
+
+@lru_cache(maxsize=None)
+def endpoint_composites(G: FiniteGroup, c1: int, c3: int) -> tuple:
+    """The table both law checks read: entry c2 is the grid of the keys at
+    the positions law_pairs(G, c1, c2, c3) gives, firsts against seconds
+    (composites), and equal entries of the table are one tuple.  Readers
+    recompute the layout from law_pairs, which reads two kept tuples."""
+    shared: dict = {}
+    table = []
+    for c2 in range(subgroup_lattice(G).num_classes):
+        firsts, seconds = law_pairs(G, c1, c2, c3)
+        b12, b23 = orbit_basis(G, c1, c2), orbit_basis(G, c2, c3)
+        grid = composites(
+            G, c1, c3, [b12[p] for p in firsts], [b23[p] for p in seconds]
+        )
+        table.append(tuple(shared.setdefault(t, t) for t in grid))
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -398,10 +501,11 @@ def span_images(q: QuotientMap, which: str) -> SpanImages:
     transitive G-set to a transitive K-set on the same points, or, fixed
     points when N moves a point, to nothing (_orbit_image), and a map to
     the same values.  So the image of a key (a, legL, legR) between the
-    orbits of c1 and c2 is zero or one span, read by pair_key at the base
-    point p of F(G/R_a): its legs there are legL[p] and legR[p], renamed
-    onto the canonical orbits of the image classes, and the key is held as
-    its position in the basis of their hom."""
+    orbits of c1 and c2 is zero or one span, read at the base point p of
+    F(G/R_a): its legs there are legL[p] and legR[p], renamed onto the
+    canonical orbits of the image classes, and the key is held as its
+    position in the basis of their hom, read from the least pair of
+    those two points (basis_index)."""
     if len(set(q.projection)) != q.target.order:
         raise ValueError("projection is not onto the previous stage")
     if which == "inflation":
@@ -415,17 +519,68 @@ def span_images(q: QuotientMap, which: str) -> SpanImages:
     terms = [[()] * n for _ in range(n)]
     for c1, c2 in itertools.product(range(n), repeat=2):
         i1, i2 = images[c1], images[c2]
-        basis = orbit_basis(K, i1.cls, i2.cls) if i1 and i2 else ()
-        position = {k: j for j, k in enumerate(basis)}
+        # an end with no image has N move its points, and so every apex
+        # over it: then every image of the row is None
+        if i1 and i2:
+            index = basis_index(K, i1.cls, i2.cls)
+            X, Y = targets[c1], targets[c2]
         row = []
         for a, legL, legR in orbit_basis(G, c1, c2):
             apex = images[a]
             if apex is None:
                 row.append(None)
                 continue
-            x, y = i1.sigma[legL[apex.base]], i2.sigma[legR[apex.base]]
-            row.append(position[pair_key(apex.cls, targets[c1], x, targets[c2], y)])
+            x0, y0 = i1.sigma[legL[apex.base]], i2.sigma[legR[apex.base]]
+            x, y = _least_pair(_least_points(X, apex.cls), x0, Y, y0)
+            row.append(index[(apex.cls * X.size + x) * Y.size + y])
         terms[c1][c2] = tuple(row)
     return SpanImages(
         G, K, tuple(i and i.cls for i in images), tuple(map(tuple, terms))
     )
+
+
+def image_grid(K: FiniteGroup, m1: int, m2: int, m3: int, firsts, seconds) -> tuple:
+    """The composites in K of the keys at the positions firsts of
+    orbit_basis(K, m1, m2) and seconds of orbit_basis(K, m2, m3), in the
+    layout of composites; a position None, the image of a key that F
+    sends to zero, gives () in its row or column."""
+    b12, b23 = orbit_basis(K, m1, m2), orbit_basis(K, m2, m3)
+    kept1 = [j for j in firsts if j is not None]
+    kept2 = [j for j in seconds if j is not None]
+    grid = iter(composites(K, m1, m3, [b12[j] for j in kept1], [b23[j] for j in kept2]))
+    return tuple(
+        () if j1 is None or j2 is None else next(grid)
+        for j1 in firsts
+        for j2 in seconds
+    )
+
+
+@lru_cache(maxsize=None)
+def image_composites(table: SpanImages) -> dict:
+    """The right sides of the Span(F) law on the pairs of law_pairs that
+    the image group's tables do not hold, composed once per table, and so
+    once per link (span_images): for each class triple whose image
+    classes m1, m2, m3 all exist, the grid Span(F)(k2) ∘ Span(F)(k1) of
+    its pairs (image_grid), unless m1 ≠ m2 ≠ m3 and every image is an
+    endpoint key, when the law reads endpoint_composites(K, m1, m3)[m2].
+    So it holds the triples with c1 = c2 or c2 = c3: the image of a
+    generator conjugation is a conjugation that K's layout need not
+    list."""
+    G, K, images, terms = table
+    n = len(images)
+    kept = {}
+    for c1, c2, c3 in itertools.product(range(n), repeat=3):
+        m1, m2, m3 = images[c1], images[c2], images[c3]
+        if None in (m1, m2, m3):
+            continue
+        firsts, seconds = law_pairs(G, c1, c2, c3)
+        j1 = [terms[c1][c2][p] for p in firsts]
+        j2 = [terms[c2][c3][p] for p in seconds]
+        if (
+            m1 != m2 != m3
+            and set(j1) <= set(endpoint_positions(K, m1, m2))
+            and set(j2) <= set(endpoint_positions(K, m2, m3))
+        ):
+            continue
+        kept[c1, c2, c3] = image_grid(K, m1, m2, m3, j1, j2)
+    return kept

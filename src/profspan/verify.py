@@ -16,12 +16,19 @@ restricts to a bijection of bases.  Both span checks decide Span(F) on
 its generators (_span_functor_check), read from one table per link
 (spans.span_images: one orbit image per subgroup class and the position
 of one image per basis key), so their reports depend on neither the
-size cap nor the seed; only funcat reads the seed.  Both sides of the
-law are read by position from the endpoint-composite tables of the two
-groups of a link (spans.endpoint_composites).  A link that is not onto has no such
-table, and the checks raise ValueError on it, as make_tower does.  The
-composition law on those generators also decides whether F keeps
-pullbacks, so no pullback G-set is built.
+size cap nor the seed; only funcat reads the seed.  The law is tested
+on the pairs of spans.law_pairs, which give it on every pair of
+endpoint keys: an orbit's conjugations to itself are tested only at the
+generators of its Weyl group.  Both sides are read by position from the
+endpoint-composite tables of the two groups of a link
+(spans.endpoint_composites), and the right sides of the images of the
+generator conjugations, which the image group's table need not hold,
+from the grids composed once per link (spans.image_composites).  A
+failing law is scanned again over every pair of endpoint keys, for its
+witness.  A link that is not onto has no such table, and the checks
+raise ValueError on it, as make_tower does.  The composition law on
+those generators also decides whether F keeps pullbacks, so no
+pullback G-set is built.
 
 A check that would test nothing at the requested tower or cap raises
 ParseError, an input error, naming its minimum: the link checks need a
@@ -35,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import fincat as fc
@@ -155,19 +163,6 @@ def _basis_failure(table: sp.SpanImages, kept) -> str | None:
     return None
 
 
-def _endpoint_images(table: sp.SpanImages, c1: int, c2: int):
-    """(p, j, e) for the endpoint key at each position p of
-    orbit_basis(G, c1, c2): its image's position j in the image hom, None
-    for zero, and e, the position of j among the endpoint keys of the
-    image hom, None if it is not one."""
-    m1, m2 = table.images[c1], table.images[c2]
-    ends = () if None in (m1, m2) else sp.endpoint_positions(table.target, m1, m2)
-    where = {j: e for e, j in enumerate(ends)}
-    images = table.terms[c1][c2]
-    positions = sp.endpoint_positions(table.source, c1, c2)
-    return [(p, images[p], where.get(images[p])) for p in positions]
-
-
 def _pushed(composite, images) -> tuple:
     """Σ m·images[i] over the (i, m) of composite, as sorted (position,
     mult) pairs."""
@@ -179,44 +174,54 @@ def _pushed(composite, images) -> tuple:
     return tuple(sorted(counts.items()))
 
 
-def _law_failures(table: sp.SpanImages):
+def _law_failures(table: sp.SpanImages, reduced: bool = False):
     """Each (c1, c2, c3, k1, k2) with k1 and k2 endpoint keys of
     orbit_basis(G, c1, c2) and orbit_basis(G, c2, c3) for which
     Span(F)(k2 ∘ k1) and Span(F)(k2) ∘ Span(F)(k1) differ, in that
-    lexicographic order.
+    lexicographic order; if reduced, only over the pairs of
+    spans.law_pairs, which decide the law on all of them.
 
-    Both sides are read by position: the left from
+    The reduced scan reads both sides by position: the left from
     spans.endpoint_composites(G, c1, c3), pushed through the images, and
     the right from endpoint_composites(K, m1, m3), m1, m2, m3 the image
-    classes, at the endpoint positions of the two images.  The image of
-    an endpoint key is one, its apex class going to the image class of
-    its end; a table that breaks this, as no functor of G-sets does, has
-    that composite made by spans.composites."""
+    classes, at the endpoint positions of the two images, or from the
+    grids that spans.image_composites keeps per table where K's table
+    does not hold them.  The full scan, a failing check's witness,
+    composes both sides of every triple (spans.composites,
+    spans.image_grid)."""
     G, K, images, terms = table
     n = len(images)
-    ends = [[_endpoint_images(table, c1, c2) for c2 in range(n)] for c1 in range(n)]
+    kept = sp.image_composites(table) if reduced else {}
     for c1, c2, c3 in itertools.product(range(n), repeat=3):
         m1, m2, m3 = images[c1], images[c2], images[c3]
-        lefts = iter(sp.endpoint_composites(G, c1, c3)[c2])
-        if None in (m1, m2, m3):
-            rights, width = (), 0
+        if reduced:
+            firsts, seconds = sp.law_pairs(G, c1, c2, c3)
+            lefts = sp.endpoint_composites(G, c1, c3)[c2]
         else:
-            rights = sp.endpoint_composites(K, m1, m3)[m2]
-            width = len(sp.endpoint_positions(K, m2, m3))
-        for p1, j1, e1 in ends[c1][c2]:
-            for p2, j2, e2 in ends[c2][c3]:
-                left = _pushed(next(lefts), terms[c1][c3])
-                if j1 is None or j2 is None:
-                    right = ()
-                elif e1 is None or e2 is None:
-                    i1 = sp.orbit_basis(K, m1, m2)[j1]
-                    i2 = sp.orbit_basis(K, m2, m3)[j2]
-                    right = sp.composites(K, m1, m3, (i1,), (i2,))[0]
-                else:
-                    right = rights[e1 * width + e2]
-                if left != right:
-                    k1 = sp.orbit_basis(G, c1, c2)[p1]
-                    yield c1, c2, c3, k1, sp.orbit_basis(G, c2, c3)[p2]
+            firsts = sp.endpoint_positions(G, c1, c2)
+            seconds = sp.endpoint_positions(G, c2, c3)
+            b12, b23 = sp.orbit_basis(G, c1, c2), sp.orbit_basis(G, c2, c3)
+            lefts = sp.composites(
+                G, c1, c3, [b12[p] for p in firsts], [b23[p] for p in seconds]
+            )
+        j1 = [terms[c1][c2][p] for p in firsts]
+        j2 = [terms[c2][c3][p] for p in seconds]
+        if None in (m1, m2, m3):
+            rights = itertools.repeat(())
+        elif not reduced:
+            rights = sp.image_grid(K, m1, m2, m3, j1, j2)
+        elif (c1, c2, c3) in kept:
+            rights = kept[c1, c2, c3]
+        else:
+            e1 = {j: e for e, j in enumerate(sp.endpoint_positions(K, m1, m2))}
+            e2 = {j: e for e, j in enumerate(sp.endpoint_positions(K, m2, m3))}
+            grid, width = sp.endpoint_composites(K, m1, m3)[m2], len(e2)
+            rights = (grid[e1[a] * width + e2[b]] for a in j1 for b in j2)
+        pairs = itertools.product(firsts, seconds)
+        for (p1, p2), left, right in zip(pairs, lefts, rights):
+            if _pushed(left, terms[c1][c3]) != right:
+                k1 = sp.orbit_basis(G, c1, c2)[p1]
+                yield c1, c2, c3, k1, sp.orbit_basis(G, c2, c3)[p2]
 
 
 def _span_functor_check(tower, name: str, kept, conclusion: str) -> Verdict:
@@ -231,7 +236,11 @@ def _span_functor_check(tower, name: str, kept, conclusion: str) -> Verdict:
     Inflation and fixed points preserve coproducts and X ⊔ Y is a
     biproduct of spans, so Span(F) is fixed by its values between orbits,
     and the endpoint-key pairs give the law on all basis spans
-    (spans.endpoint_positions): the check is exhaustive and needs no size cap.
+    (spans.endpoint_positions): the check is exhaustive and needs no size
+    cap.  The law is decided on the pairs of spans.law_pairs, which give
+    it on every endpoint-key pair, since _basis_failure has tested that
+    identities go to identities; the count line reports every
+    endpoint-key pair.
 
     The law also decides that F keeps pullbacks, as Span(F) needs.  For
     orbits X -f-> Z <-g- Y with pullback X <-p1- P -p2-> Y, the transfer
@@ -243,7 +252,8 @@ def _span_functor_check(tower, name: str, kept, conclusion: str) -> Verdict:
     its orbits in one way only, so the two are equal iff an isomorphism
     φ: FP -> Q has r1 φ = Fp1 and r2 φ = Fp2, which makes φ the comparison
     map (Fp1, Fp2).  So the law on (k1, k2) holds iff F keeps this
-    pullback.  The keys give every transitive cospan up to isomorphism, and
+    pullback, and the law on the pairs of law_pairs gives it on every
+    such pair.  The keys give every transitive cospan up to isomorphism, and
     G-sets are extensive (Carboni–Lack–Walters, JPAA 84, 1993): every
     pullback is the sum of those of transitive cospans.
     """
@@ -255,8 +265,8 @@ def _span_functor_check(tower, name: str, kept, conclusion: str) -> Verdict:
         failure = _basis_failure(table, lambda c: kept(q, c))
         if failure:
             return Verdict(False, f"{name} {failure} at stage {i}")
-        witness = next(_law_failures(table), None)
-        if witness is not None:
+        if next(_law_failures(table, reduced=True), None) is not None:
+            witness = next(_law_failures(table))
             return Verdict(False, f"Span({name}) not functorial at stage {i}", witness)
         ends = [[sp.endpoint_positions(G, a, b) for b in range(n)] for a in range(n)]
         for a, b, c in itertools.product(range(n), repeat=3):
@@ -340,12 +350,20 @@ def verify_adjunction(cap: int) -> Verdict:
     return Verdict(True, lines=lines)
 
 
+@lru_cache(maxsize=None)
+def _burnside_family(tower: g.GroupTower) -> tuple[mk.MackeyFunctor, ...]:
+    """The family of the Burnside functor of the deepest stage, taken down
+    the tower by categorical fixed points; kept per tower, which the CLI
+    builds once per p,depth."""
+    deepest = mk.burnside_mackey(tower.stages[-1])
+    return tuple(mk.tower_family(tower, deepest))
+
+
 def verify_mackey_limit(tower: g.GroupTower) -> Verdict:
     """Tower-limit round trip for Mackey functors, with a corrupted-family
     negative control."""
     _require_link("mackey-limit", tower)
-    deepest = mk.burnside_mackey(tower.stages[-1])
-    family = mk.tower_family(tower, deepest)
+    family = list(_burnside_family(tower))
     try:
         mk.assemble_from_tower(tower, family)
     except IncoherentFamily as exc:

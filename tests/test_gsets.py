@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import re
 
 import pytest
 
@@ -65,6 +67,74 @@ def test_make_gset_rejects_bad_action():
         gs.make_gset(C2, [[1, 0]])  # identity must fix every point
     with pytest.raises(ValueError):
         gs.make_gset(C4, [[0, 1], [1, 2]])
+
+
+def _first_fault(group, action):
+    """The error make_gset raised when it tested g·(h·x) = (gh)·x for
+    every h: the first fault scanning g, then h, then x."""
+    n = len(action)
+    for gg in group.elements():
+        if len({action[x][gg] for x in range(n)}) != n:
+            return f"element {gg} does not act by a permutation"
+        for h in group.elements():
+            gh = group.mul(gg, h)
+            for x in range(n):
+                if action[action[x][h]][gg] != action[x][gh]:
+                    return (
+                        "action is not compatible with multiplication at "
+                        f"(x={x}, g={gg}, h={h})"
+                    )
+    return None
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, G in groups_of_order_at_most(8) if G.order > 1]
+)
+def test_make_gset_names_the_fault_of_the_scan_over_every_element(name):
+    """make_gset tests compatibility on a generating set, and on a fault
+    names the one a scan over every h names: on seeded corruptions of the
+    sum of the canonical orbits (one value rewritten, or two points
+    swapped under one element), and on a table compatible at one
+    generator only; the sum itself is accepted."""
+    G = corpus_group(name)
+    X = gs.canonical_gset(G, range(g.subgroup_lattice(G).num_classes))
+    assert gs.make_gset(G, X.action) == X
+    rng = random.Random(name)
+    faults = 0
+    for _ in range(60):
+        action = [list(row) for row in X.action]
+        x, y, gg = rng.randrange(X.size), rng.randrange(X.size), rng.randrange(1, G.order)
+        if rng.random() < 0.5:
+            action[x][gg] = rng.randrange(X.size)
+        else:
+            action[x][gg], action[y][gg] = action[y][gg], action[x][gg]
+        fault = _first_fault(G, action)
+        if fault is None:
+            assert gs.make_gset(G, action).action == tuple(map(tuple, action))
+            continue
+        faults += 1
+        with pytest.raises(ValueError, match=re.escape(fault) + "$"):
+            gs.make_gset(G, action)
+    assert faults
+    twisted = _compatible_at_one_generator(G)
+    fault = _first_fault(G, twisted)
+    assert (fault is None) == (len(g.generating_set(G.mult)) == 1)
+    if fault is not None:
+        with pytest.raises(ValueError, match=re.escape(fault) + "$"):
+            gs.make_gset(G, twisted)
+
+
+def _compatible_at_one_generator(G):
+    """A table of permutations ρ(g) of 3 points, ρ(g) the identity on the
+    subgroup ⟨s⟩ of the first generator s of groups.generating_set and a
+    3-cycle c off it: ρ(g·s) = ρ(g), so g·(s·x) = (gs)·x for all g and x,
+    and the table is an action only when ⟨s⟩ = G (else a, a⁻¹ off ⟨s⟩
+    give c·c ≠ ρ(0))."""
+    s = g.generating_set(G.mult)[0]
+    inside = [0]
+    while G.mul(inside[-1], s) != 0:
+        inside.append(G.mul(inside[-1], s))
+    return [[x if a in inside else (x + 1) % 3 for a in G.elements()] for x in range(3)]
 
 
 def test_orbit_decompose_empty():

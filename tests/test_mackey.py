@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -15,6 +16,7 @@ from oracles import (
     categorical_fixed_points_oracle,
     compose_keys_oracle,
     compose_quotients,
+    endpoint_keys,
     groups_of_order_at_most,
     hom_gset,
     is_iso,
@@ -169,15 +171,15 @@ MUTATED["C2-zero-middle"] = _zero_middle_level
 ALL_KEYS_UP_TO, SAMPLE_KEYS = 60, 20
 
 
-def _one_entry_mutants(M, rng):
+def _one_entry_mutants(M, rng, moves=(1, -1)):
     """Per generator key with a nonempty matrix, M with one seeded entry of
-    that matrix moved by a seeded ±1."""
+    that matrix moved by a seeded one of moves."""
     for key in sorted(M.gen_action):
         mat = M.gen_action[key]
         if not mat or not mat[0]:
             continue
         i, j = rng.randrange(len(mat)), rng.randrange(len(mat[0]))
-        d = rng.choice((1, -1))
+        d = rng.choice(moves)
         action = dict(M.gen_action)
         action[key] = tuple(
             tuple(v + d * ((r, c) == (i, j)) for c, v in enumerate(row))
@@ -199,6 +201,94 @@ def test_check_mackey_agrees_with_the_exhaustive_oracle_on_mutants(name):
         assert (fast.ok, fast.reason, fast.witness) == (
             slow.ok, slow.reason, slow.witness
         ), key
+
+
+def _agree_with_the_oracle(mutants):
+    """Each mutant's verdict, reason and witness under check_mackey and the
+    exhaustive oracle, which must agree; the verdicts are returned."""
+    verdicts = []
+    for key, bad in mutants:
+        fast, slow = mk.check_mackey(bad), mackey_composition_oracle(bad)
+        assert (fast.ok, fast.reason, fast.witness) == (
+            slow.ok, slow.reason, slow.witness
+        ), key
+        verdicts.append(fast.ok)
+    return verdicts
+
+
+def _times(A, B):
+    return tuple(
+        tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*B)) for row in A
+    )
+
+
+def _unimodular(n, rng):
+    """A seeded n×n integer matrix P and its integer inverse: P = U·L for
+    U = I + Σ a_j E_0j and L = I + Σ b_i E_i0 (i, j ≥ 1), with a and b near
+    10^6, so P⁻¹ = (I − Σ b_i E_i0)·(I − Σ a_j E_0j)."""
+    big = [rng.choice((1, -1)) * rng.randrange(10**6 - 999, 10**6) for _ in range(2 * n)]
+    I = [[int(i == j) for j in range(n)] for i in range(n)]
+    U, L, Ui, Li = ([row[:] for row in I] for _ in range(4))
+    for k in range(1, n):
+        U[0][k], Ui[0][k] = big[k], -big[k]
+        L[k][0], Li[k][0] = big[n + k], -big[n + k]
+    return _times(U, L), _times(Li, Ui)
+
+
+def _largest_law_entry(M):
+    """The largest absolute entry of M(k2)·M(k1) and of M(k2 ∘ k1), the
+    composite expanded by its terms, over every pair of endpoint keys."""
+    G = M.group
+    n = len(M.levels)
+    top = 0
+    for c1, c2, c3 in itertools.product(range(n), repeat=3):
+        firsts = endpoint_keys(G, c1, c2)
+        seconds = endpoint_keys(G, c2, c3)
+        grid = sp.composites(G, c1, c3, firsts, seconds)
+        basis = sp.orbit_basis(G, c1, c3)
+        for (k1, k2), terms in zip(itertools.product(firsts, seconds), grid):
+            product = _times(M.gen_action[c2, c3, k2], M.gen_action[c1, c2, k1])
+            expanded = [
+                sum(m * M.gen_action[c1, c3, basis[p]][r][j] for p, m in terms)
+                for r in range(M.levels[c3].dims)
+                for j in range(M.levels[c1].dims)
+            ]
+            top = max(top, *map(abs, expanded), *(abs(a) for row in product for a in row))
+    return top
+
+
+@pytest.mark.parametrize("name", ["D4", "C4xC2"])
+def test_check_mackey_after_a_change_of_basis_with_large_entries(name):
+    """The Burnside functor with each level's basis changed by a unimodular
+    P_c with entries near 10^6, M'(k) = P_c2·M(k)·P_c1⁻¹ for k from c1 to
+    c2, is a Mackey functor with entries far above 10^6, the base that
+    check_mackey packs the law's rows in is above twice every entry of
+    both sides, and its one-entry mutants get the exhaustive oracle's
+    verdict and witness."""
+    rng = random.Random(name)
+    M = mk.burnside_mackey(corpus_group(name))
+    changes = [_unimodular(level.dims, rng) for level in M.levels]
+    action = {
+        (c1, c2, key): _times(_times(changes[c2][0], A), changes[c1][1])
+        for (c1, c2, key), A in M.gen_action.items()
+    }
+    changed = mk.MackeyFunctor(M.group, M.levels, action)
+    assert max(abs(a) for A in action.values() for row in A for a in row) > 10**12
+    assert mk.check_mackey(changed)
+    assert 2 ** mk._shift(changed) > 2 * _largest_law_entry(changed)
+    mutants = rng.sample(list(_one_entry_mutants(changed, rng)), SAMPLE_KEYS)
+    assert not any(_agree_with_the_oracle(mutants))
+
+
+def test_check_mackey_decides_torsion_mutants_by_congruence():
+    """Moving an entry of Burnside mod 2 over C4 by ±2 changes no map into
+    a level, so check_mackey passes with the oracle though the packed rows
+    of the law differ (its entrywise fallback); by ±1 it fails, with the
+    oracle's witness."""
+    M = mk.reduce_mod(mk.burnside_mackey(C4), 2)
+    rng = random.Random("C4-mod-2")
+    assert all(_agree_with_the_oracle(_one_entry_mutants(M, rng, (2, -2))))
+    assert not any(_agree_with_the_oracle(_one_entry_mutants(M, rng, (1, -1))))
 
 
 def test_check_mackey_detects_corruption():

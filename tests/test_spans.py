@@ -304,18 +304,43 @@ def test_composites_of_shuffled_mixed_and_empty_grids(name, relabel_seed):
 
 
 def _endpoint_pairs(G, c1, c2, c3):
-    """The (k1, k2) of endpoint_composites(G, c1, c3)[c2], in its order."""
+    """Every (k1, k2) of endpoint keys from the orbit of c1 to that of c2
+    and from there to that of c3, in order."""
     return list(
         itertools.product(endpoint_keys(G, c1, c2), endpoint_keys(G, c2, c3))
     )
+
+
+def _conjugations(G, c):
+    """The conjugation keys [G/R <-id- G/R -> G/R], gR -> gnR, of class c,
+    one per n in N(R)/R, keyed by the min-over-N(R)/R oracle from leg
+    tables of length |G|."""
+    cls = gs.orbit_classes(G)[c]
+    return [
+        least_key(G, c, 0, cls.coset, [cls.coset[row[n]] for row in G.mult])
+        for n in cls.normaliser
+    ]
+
+
+def _law_key_pairs(G, c1, c2, c3):
+    """The (k1, k2) of endpoint_composites(G, c1, c3)[c2], in its order:
+    the generator conjugations of c2 against the endpoint keys out of it
+    when c1 = c2, the endpoint keys into it against them when c2 = c3 and
+    c1 ≠ c2, and all endpoint-key pairs otherwise."""
+    gens = [sp.orbit_basis(G, c2, c2)[p] for p in sp.conjugation_generators(G, c2)]
+    if c1 == c2:
+        return list(itertools.product(gens, endpoint_keys(G, c2, c3)))
+    if c2 == c3:
+        return list(itertools.product(endpoint_keys(G, c1, c2), gens))
+    return _endpoint_pairs(G, c1, c2, c3)
 
 
 @pytest.mark.parametrize("relabel_seed", [None, 13], ids=["given", "relabelled"])
 @pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
 def test_endpoint_composites_match_compose_keys(name, relabel_seed):
     """Every entry of the endpoint-composite table of every class pair is
-    the grid of its one pair alone, and equal entries of one table are
-    one tuple."""
+    the grid of its one pair alone, the pairs laid out as law_pairs gives
+    them, and equal entries of one table are one tuple."""
     G = corpus_group(name)
     if relabel_seed is not None:
         G = _relabelled(G, relabel_seed)
@@ -324,8 +349,9 @@ def test_endpoint_composites_match_compose_keys(name, relabel_seed):
         table = sp.endpoint_composites(G, c1, c3)
         assert len(table) == n
         for c2, entries in enumerate(table):
-            pairs = _endpoint_pairs(G, c1, c2, c3)
-            assert len(entries) == len(pairs)
+            pairs = _law_key_pairs(G, c1, c2, c3)
+            firsts, seconds = sp.law_pairs(G, c1, c2, c3)
+            assert len(entries) == len(pairs) == len(firsts) * len(seconds)
             for (k1, k2), entry in zip(pairs, entries):
                 assert (entry,) == sp.composites(G, c1, c3, (k1,), (k2,)), (k1, k2)
         entries = [entry for row in table for entry in row]
@@ -342,13 +368,42 @@ def test_endpoint_composites_match_the_per_element_oracle_on_cyclic_groups(order
     entries = [
         (c1, c2, c3, i, pair)
         for c1, c2, c3 in itertools.product(range(n), repeat=3)
-        for i, pair in enumerate(_endpoint_pairs(G, c1, c2, c3))
+        for i, pair in enumerate(_law_key_pairs(G, c1, c2, c3))
     ]
     for c1, c2, c3, i, (k1, k2) in random.Random(order).sample(entries, 200):
         entry = sp.endpoint_composites(G, c1, c3)[c2][i]
         basis = sp.orbit_basis(G, c1, c3)
         composite = tuple((basis[j], m) for j, m in entry)
         assert composite == compose_keys_per_element_oracle(G, k2, k1), (k2, k1)
+
+
+@pytest.mark.parametrize("relabel_seed", [None, 17], ids=["given", "relabelled"])
+@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+def test_generator_conjugations_close_to_every_endpoint_key_of_an_orbit(
+    name, relabel_seed
+):
+    """For every class c, the endpoint keys from the orbit of c to itself
+    are its |N(R)/R| conjugations, and the generator conjugations, composed
+    from the identity by spans.composites, reach every one of them, each
+    composite one key of multiplicity 1."""
+    G = corpus_group(name)
+    if relabel_seed is not None:
+        G = _relabelled(G, relabel_seed)
+    for c in range(g.subgroup_lattice(G).num_classes):
+        basis = sp.orbit_basis(G, c, c)
+        ends = {basis[p] for p in sp.endpoint_positions(G, c, c)}
+        assert ends == set(_conjugations(G, c))
+        assert len(ends) == len(gs.orbit_classes(G)[c].normaliser)
+        gens = [basis[p] for p in sp.conjugation_generators(G, c)]
+        assert set(gens) <= ends
+        X = gs.orbit_gset(G, c)
+        reached = [sp.pair_key(c, X, 0, X, 0)]
+        for k in reached:
+            for (p, m), in sp.composites(G, c, c, (k,), gens):
+                assert m == 1
+                if basis[p] not in reached:
+                    reached.append(basis[p])
+        assert set(reached) == ends, (name, c)
 
 
 def test_compose_keys_keeps_nothing():
@@ -743,6 +798,73 @@ def test_law_failures_match_the_per_key_law(functor):
             assert list(vf._law_failures(table)) == _law_failures_oracle(table)
             replaced += 1
     assert replaced
+
+
+def _identity_position(G, c):
+    X = gs.orbit_gset(G, c)
+    return sp.orbit_basis(G, c, c).index(sp.pair_key(c, X, 0, X, 0))
+
+
+def _keeps_identities(table):
+    """Whether every identity span goes to the identity span of its image
+    orbit, or to zero with the orbit, as the span checks test before the
+    law."""
+    G, K = table.source, table.target
+    return all(
+        table.terms[c][c][_identity_position(G, c)]
+        == (None if m is None else _identity_position(K, m))
+        for c, m in enumerate(table.images)
+    )
+
+
+def _replaced_conjugations(table):
+    """Copies of table with the image of one conjugation of an orbit, not
+    the identity, replaced by another basis span of its image hom."""
+    G = table.source
+    for c, m in enumerate(table.images):
+        if m is None:
+            continue
+        width = len(sp.orbit_basis(table.target, m, m))
+        for p in sp.endpoint_positions(G, c, c):
+            if p == _identity_position(G, c):
+                continue
+            for j in range(width):
+                if j != table.terms[c][c][p]:
+                    terms = [list(row) for row in table.terms]
+                    terms[c][c] = tuple(j if i == p else t for i, t in enumerate(terms[c][c]))
+                    yield table._replace(terms=tuple(map(tuple, terms)))
+
+
+@pytest.mark.parametrize("functor", [
+    FixedPointsGSetFunctor, InflationGSetFunctor, OrbitQuotientFunctor
+])
+def test_the_law_on_law_pairs_decides_as_every_endpoint_pair(functor):
+    """The law read on the pairs of spans.law_pairs fails iff it fails on
+    some pair of endpoint keys: on the tables of
+    test_law_failures_match_the_per_key_law, on their copies with the
+    image of an endpoint key replaced that keep identities, and on copies
+    of the tables of every normal quotient of C2xC2, S3 and D4 with the
+    image of one conjugation replaced, which the kept right sides
+    (spans.image_composites) compose."""
+    tables = [_table(functor, q) for q in g.cyclic_tower(2, 3).links]
+    tables += [
+        _table(functor, q) for name in LAW_GROUPS[:-2] for q in _quotients(corpus_group(name))
+    ]
+    for q in g.cyclic_tower(2, 3).links:
+        tables += filter(_keeps_identities, _replaced_images(_table(functor, q)))
+    conjugated = [
+        table
+        for name in ("C2xC2", "S3", "D4")
+        for q in _quotients(corpus_group(name))
+        for table in _replaced_conjugations(_table(functor, q))
+    ]
+    outcomes = Counter()
+    for table in tables + conjugated:
+        fails = next(vf._law_failures(table), None) is not None
+        assert (next(vf._law_failures(table, reduced=True), None) is not None) == fails
+        outcomes[fails] += 1
+    assert outcomes[True] and outcomes[False]
+    assert conjugated
 
 
 def test_span_functoriality_on_composable_pairs():
