@@ -69,4 +69,5 @@ class ParseError(ValueError):
     def __init__(self, source, line, message):
         self.source = source
         self.line = line
+        self.message = message
         super().__init__(f"{source}:{line}: {message}")

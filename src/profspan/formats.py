@@ -10,6 +10,15 @@ counts are non-negative; a matrix with no columns has no lines.  A `gen`
 key is looked up in the group's _key_table, or parsed if spelled another
 way, and shapes are checked as they are read; check_structure runs only to
 name an error.  Every error is a ParseError that names `source:line`.
+
+The loaders of the verbs, load_group, load_gset and load_mackey, keep each
+parsed object for the process (_parsed), keyed by the full text of the
+file and, for a G-set or Mackey file, the group its header resolves to.
+Nothing is keyed by path: a file is read on every load, so one rewritten
+between two loads, or whose group file was, is parsed again, and the same
+bytes over the same group give the same object.  A failed parse raises and
+is never kept, so a bad file gives the same error on every load.  A kept
+object is shared by every load of its text, so nothing may change it.
 """
 
 from __future__ import annotations
@@ -42,14 +51,14 @@ _INT = _Ints((str(i), i) for i in range(-256, 256)).__getitem__
 
 
 class _Rows:
-    """The non-blank lines of a text, or of its list of lines, as (index,
-    fields), each split when it is reached, with one row of lookahead.  A
-    0-based index is the number of the line before the row.  Errors name
-    `line`: the row `next` took, or after `more` the line before the row
-    ahead.  `count` is the number of lines."""
+    """The non-blank lines of a text as (index, fields), each split when
+    it is reached, with one row of lookahead.  A 0-based index is the
+    number of the line before the row.  Errors name `line`: the row
+    `next` took, or after `more` the line before the row ahead.  `count`
+    is the number of lines."""
 
-    def __init__(self, text: str | list[str], source: str):
-        lines = text.splitlines() if isinstance(text, str) else text
+    def __init__(self, text: str, source: str):
+        lines = text.splitlines()
         self.source = source
         self.count = len(lines)
         self._rows = filter(itemgetter(1), enumerate(map(str.split, lines)))
@@ -131,17 +140,34 @@ def _read(path: str) -> str:
         raise ParseError(path, 0, f"cannot read file: {exc}")
 
 
+@lru_cache(maxsize=None)
+def _parsed(parse, text: str, *over):
+    """`parse(text, *over)`, kept by the reader, the text and the group
+    that a G-set or Mackey file is read over.  A ParseError raises, so it
+    is never kept, and names no source: _load puts in the path."""
+    return parse(text, *over, "")
+
+
+def _load(path: str, parse, text: str, *over):
+    """_parsed(parse, text, *over), whose errors name `path`."""
+    try:
+        return _parsed(parse, text, *over)
+    except ParseError as exc:
+        raise ParseError(path, exc.line, exc.message) from None
+
+
 def _load_over_group(path: str, parse, keyword: str, width: int, needs: str):
-    """`parse(lines, group, path)` of the lines of the file at `path`, split
-    once, over the group file named by its header: line 1, `width` fields,
-    `keyword` first.  The group file is resolved relative to the directory
-    of `path`."""
-    lines = _read(path).splitlines()
-    fields = lines[0].split() if lines else []
+    """_load of the file at `path` over the group file named by its
+    header: line 1, `width` fields, `keyword` first.  The group file is
+    resolved relative to the directory of `path`."""
+    text = _read(path)
+    # line 1 as splitlines cuts it, without splitting the rest of the text
+    head = text.partition("\n")[0].splitlines()
+    fields = head[0].split() if head else []
     if len(fields) != width or fields[0] != keyword:
         raise ParseError(path, 1, f"{keyword} header needs {needs}")
     group = load_group(os.path.join(os.path.dirname(path) or ".", fields[1]))
-    return parse(lines, group, path)
+    return _load(path, parse, text, group)
 
 
 def serialize_group(G: FiniteGroup) -> str:
@@ -216,9 +242,7 @@ def serialize_gset(X: GSet, group_file: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_gset(
-    text: str | list[str], group: FiniteGroup, source: str = "<gset>"
-) -> GSet:
+def parse_gset(text: str, group: FiniteGroup, source: str = "<gset>") -> GSet:
     rows = _Rows(text, source)
     header = rows.next("gset")
     if len(header) != 3:
@@ -282,7 +306,7 @@ def serialize_mackey(M: MackeyFunctor, group_file: str) -> str:
 
 
 def parse_mackey(
-    text: str | list[str], group: FiniteGroup, source: str = "<mackey>"
+    text: str, group: FiniteGroup, source: str = "<mackey>"
 ) -> MackeyFunctor:
     rows = _Rows(text, source)
     if len(rows.next("mackey")) != 2:
@@ -344,7 +368,7 @@ def load_mackey(path: str) -> MackeyFunctor:
 
 
 def load_group(path: str) -> FiniteGroup:
-    return parse_group(_read(path), path)
+    return _load(path, parse_group, _read(path))
 
 
 def load_tower(path: str) -> GroupTower:

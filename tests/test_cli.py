@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -13,10 +14,11 @@ from profspan import mackey as mk
 from profspan import verify as vf
 from profspan.cli import main
 from profspan.corpus import corpus_group
-from profspan.errors import Verdict
+from profspan.errors import ParseError, Verdict
 
 from oracles import element_order
-from test_cli_golden import CASES, GOLDEN, run
+from test_census import _clear_package_caches
+from test_cli_golden import CASES, GOLDEN, run, write_input_files
 
 
 @pytest.fixture
@@ -424,6 +426,152 @@ def test_group_file_that_is_empty_or_has_whitespace_exits_2(files, capsys, name)
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: <args>:0: --group-file needs a name, got {name!r}\n"
+
+
+# The loaders of the verbs keep each parsed file for the process, keyed by
+# its text and the group its header resolves to (formats._parsed).
+
+
+def _main(argv, capsys):
+    """The exit code, stdout and stderr of `profspan argv`, run in process."""
+    code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_a_rewritten_file_is_not_kept_by_its_path(tmp_path, capsys):
+    """C4 and C2xC2 have tables of the same size, so only the text tells
+    the two files apart."""
+    path = tmp_path / "g.grp"
+    reports = []
+    for name in ("C4", "C2xC2", "C4"):
+        path.write_text(fm.serialize_group(corpus_group(name)))
+        reports.append(_main(["subgroups", path], capsys))
+    assert [out.count("\nclass ") for _, out, _ in reports] == [3, 5, 3]
+    assert reports[0] == reports[2]
+
+
+@pytest.mark.parametrize("kind", ["gset", "mackey"])
+def test_a_file_is_kept_over_the_text_of_its_group_file(tmp_path, capsys, kind):
+    """The G-set or Mackey file stays as it is while the group file it
+    names is rewritten from C4 to C2xC2: the trivial G-set of one point is
+    read over the new group, and the Burnside file of C4 no longer has a
+    level per subgroup class."""
+    group = tmp_path / "g.grp"
+    group.write_text(fm.serialize_group(corpus_group("C4")))
+    path = tmp_path / f"x.{kind}"
+    if kind == "gset":
+        path.write_text("gset g.grp 1\n0 0 0 0\n")
+        argv = ["span-hom", path, path]
+    else:
+        M = mk.burnside_mackey(corpus_group("C4"))
+        path.write_text(fm.serialize_mackey(M, "g.grp"))
+        argv = ["mackey-check", path]
+    before = _main(argv, capsys)
+    group.write_text(fm.serialize_group(corpus_group("C2xC2")))
+    after = _main(argv, capsys)
+    if kind == "gset":
+        assert before[0] == after[0] == 0
+        assert before[1].startswith("span hom basis: 3 classes\n")
+        assert after[1].startswith("span hom basis: 5 classes\n")
+    else:
+        assert before == (0, "PASS\nlevels: 3, generators: 21\n", "")
+        code, out, err = after
+        assert (code, out) == (2, "") and err.startswith(f"error: {path}:")
+        assert err.endswith(": level count mismatch, witness=3\n")
+
+
+def test_a_malformed_file_is_never_kept(tmp_path, capsys):
+    """A good read at a path, then two of malformed bytes there and one of
+    the same bytes at another path: each failed read gives its own path's
+    error line and exit 2, and the good bytes read again as before."""
+    good = fm.serialize_group(corpus_group("S3"))
+    bad = good.rsplit(" ", 1)[0] + "\n"  # the last row one entry short
+    path, other = tmp_path / "g.grp", tmp_path / "h.grp"
+    path.write_text(good)
+    first = _main(["group-show", path], capsys)
+    assert first[0] == 0
+    path.write_text(bad)
+    other.write_text(bad)
+    error = "expected 6 integers, found 5"
+    for target in (path, path, other, path):
+        assert _main(["group-show", target], capsys) == (
+            2, "", f"error: {target}:7: {error}\n"
+        )
+    path.write_text(good)
+    assert _main(["group-show", path], capsys) == first
+
+
+def test_the_same_bytes_are_kept_as_one_object(files, capsys):
+    """A second load of unchanged bytes, at the same path or another,
+    returns the object of the first, and a G-set is read over the group
+    object of its group file."""
+    mackey = files / "m.mackey"
+    (files / "copy.mackey").write_text(mackey.read_text())
+    M = fm.load_mackey(str(mackey))
+    first = _main(["mackey-check", mackey], capsys)
+    assert _main(["mackey-check", mackey], capsys) == first
+    assert fm.load_mackey(str(mackey)) is M
+    assert fm.load_mackey(str(files / "copy.mackey")) is M
+    assert fm.load_group(str(files / "c4.grp")) is M.group
+    (files / "x.gset").write_text("gset c2.grp 1\n0 0\n")
+    X = fm.load_gset(str(files / "x.gset"))
+    assert fm.load_gset(str(files / "x.gset")) is X
+    assert X.group is fm.load_group(str(files / "c2.grp"))
+
+
+def test_kept_files_are_read_cold_after_the_census_clears_the_caches(files, capsys):
+    mackey = files / "m.mackey"
+    M = fm.load_mackey(str(mackey))
+    first = _main(["mackey-fixed", mackey, "0,2"], capsys)
+    _clear_package_caches()
+    assert fm._parsed.cache_info().currsize == 0
+    again = fm.load_mackey(str(mackey))
+    assert again is not M and again == M
+    assert fm._parsed.cache_info().misses == 2  # the Mackey file and its group
+    assert _main(["mackey-fixed", mackey, "0,2"], capsys) == first
+
+
+def _file_verb_argvs(directory):
+    """Every file-verb case of the goldens, and each verb on each input
+    file of write_input_files that it reads: the group verbs on every
+    group file, span-hom on every pair of G-set files, mackey-check and
+    mackey-fixed by the trivial subgroup on every Mackey file."""
+    argvs = [
+        [a.format(dir=directory) for a in argv]
+        for argv in CASES.values()
+        if any("{dir}" in a for a in argv)
+    ]
+    for path in sorted(map(str, directory.iterdir())):
+        if path.endswith(".grp"):
+            verbs = ("group-show", "subgroups", "tom", "burnside")
+            argvs += [[verb, path] for verb in verbs]
+        elif path.endswith(".mackey"):
+            argvs += [["mackey-check", path], ["mackey-fixed", path, "0"]]
+    gsets = sorted(str(p) for p in directory.glob("*.gset"))
+    argvs += [["span-hom", x, y] for x in gsets for y in gsets]
+    return argvs
+
+
+def test_verbs_leave_the_kept_files_unchanged(tmp_path, capsys):
+    """Each file verb, run twice in process on each input file of the
+    goldens, prints the same bytes both times, and leaves the kept
+    MackeyFunctor's gen_action equal to a deep copy taken before."""
+    write_input_files(tmp_path)
+    for argv in _file_verb_argvs(tmp_path):
+        kept = None
+        if argv[0].startswith("mackey-"):
+            try:
+                kept = fm.load_mackey(argv[1])
+            except ParseError:
+                pass
+            else:
+                before = copy.deepcopy(kept.gen_action)
+        first = _main(argv, capsys)
+        assert _main(argv, capsys) == first, argv
+        if kept is not None:
+            assert fm.load_mackey(argv[1]) is kept
+            assert kept.gen_action == before, argv
 
 
 def test_closed_stdout_ends_quietly():

@@ -291,6 +291,44 @@ def test_check_mackey_decides_torsion_mutants_by_congruence():
     assert not any(_agree_with_the_oracle(_one_entry_mutants(M, rng, (1, -1))))
 
 
+def _pack_rows(A, base):
+    return [sum(a * base**j for j, a in enumerate(row)) for row in A]
+
+
+def test_check_mackey_packs_a_product_that_carries_into_the_adjacent_column():
+    """A non-functor over C3, Z² at the free orbit and 0 at the point,
+    with M(x) = diag(8, 1) for the first conjugation x ≠ 1 of the free
+    orbit and M(x²) = rows (0, 1), (0, 1).  M(x)·M(x) has the row (64, 0),
+    above |G|·max = 24, so in base 2^6 it packs as the row (0, 1) of
+    M(x ∘ x): only the dims·max² = 128 term of _shift keeps the pair
+    (x, x), the exhaustive oracle's first failure, from passing."""
+    C3 = g.cyclic(3)
+    free, point = range(2)
+    assert g.subgroup_lattice(C3).class_rep(free).order == 1
+    X = gs.orbit_gset(C3, free)
+    identity = sp.pair_key(free, X, 0, X, 0)
+    x, x2 = (k for k in sp.orbit_basis(C3, free, free) if k != identity)
+    levels = (mk.AbPresentation(2), mk.ZERO_AB)
+    gen_action = {
+        (c1, c2, k): ((),) * levels[c2].dims if c1 == point else ()
+        for c1, c2, k in sp.orbit_keys(C3)
+    }
+    A = ((8, 0), (0, 1))
+    gen_action[free, free, identity] = ((1, 0), (0, 1))
+    gen_action[free, free, x] = A
+    gen_action[free, free, x2] = ((0, 1), (0, 1))
+    M = mk.MackeyFunctor(C3, levels, gen_action)
+
+    fast, slow = mk.check_mackey(M), mackey_composition_oracle(M)
+    assert (fast.ok, fast.reason, fast.witness) == (slow.ok, slow.reason, slow.witness)
+    assert slow.witness == (free, free, free, x, x)
+    product = _times(A, A)
+    assert product == ((64, 0), (0, 1))
+    assert (C3.order * 8).bit_length() + 1 == 6
+    assert _pack_rows(product, 2**6) == _pack_rows(gen_action[free, free, x2], 2**6)
+    assert 2 ** mk._shift(M) > 2 * 64
+
+
 def test_check_mackey_detects_corruption():
     M = mk.burnside_mackey(C2)
     bad_action = dict(M.gen_action)
