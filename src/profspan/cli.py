@@ -77,7 +77,7 @@ def _size_cap(value: str) -> int:
 
 
 def _matrix_lines(rows) -> list[str]:
-    return [" ".join(str(v) for v in row) for row in rows]
+    return [" ".join(map(str, row)) for row in rows]
 
 
 def cmd_group_show(args) -> tuple[str, int]:
@@ -108,7 +108,7 @@ def cmd_subgroups(args) -> tuple[str, int]:
         normal = lat.normal[lat.classes[c][0]]
         lines.append(
             f"class {c}: order {rep.order}, size {len(lat.classes[c])}, "
-            f"normal {normal}, representative {{{' '.join(str(x) for x in rep.elements)}}}"
+            f"normal {normal}, representative {{{' '.join(map(str, rep.elements))}}}"
         )
     return "\n".join(lines), 0
 
@@ -118,7 +118,7 @@ def cmd_tom(args) -> tuple[str, int]:
     t = sp.burnside_tables(G)
     lines = [
         "table of marks (rows: orbits G/K, columns: fixed points of H)",
-        "class orders: " + " ".join(str(o) for o in t.class_orders),
+        "class orders: " + " ".join(map(str, t.class_orders)),
     ] + _matrix_lines(t.marks)
     return "\n".join(lines), 0
 
@@ -130,7 +130,7 @@ def cmd_burnside(args) -> tuple[str, int]:
     lines = ["Burnside ring structure constants (basis: endo-spans of the point)"]
     for i in range(n):
         for j in range(n):
-            coeffs = " ".join(str(v) for v in t.ring[i][j])
+            coeffs = " ".join(map(str, t.ring[i][j]))
             lines.append(f"b{i} * b{j} = {coeffs}")
     return "\n".join(lines), 0
 
@@ -144,8 +144,8 @@ def cmd_span_hom(args) -> tuple[str, int]:
     lines = [f"span hom basis: {len(basis)} classes"]
     for apex, legL, legR in basis:
         lines.append(
-            f"apex class {apex}, left {' '.join(str(v) for v in legL)}, "
-            f"right {' '.join(str(v) for v in legR)}"
+            f"apex class {apex}, left {' '.join(map(str, legL))}, "
+            f"right {' '.join(map(str, legR))}"
         )
     return "\n".join(lines), 0
 

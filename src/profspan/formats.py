@@ -19,6 +19,14 @@ between two loads, or whose group file was, is parsed again, and the same
 bytes over the same group give the same object.  A failed parse raises and
 is never kept, so a bad file gives the same error on every load.  A kept
 object is shared by every load of its text, so nothing may change it.
+
+serialize_mackey writes every `gen` block with one %-format over all the
+entries of the functor, in _key_table order.  The format is kept per
+group and matrix shapes (_gen_format), as _key_table is kept per group,
+so writing a functor of a shape already written joins no row.  The
+`mackey` header and the `level` lines are written outside that format,
+so a group-file name is put in as given and a `%` in it is never read
+as a format.
 """
 
 from __future__ import annotations
@@ -171,7 +179,7 @@ def _load_over_group(path: str, parse, keyword: str, width: int, needs: str):
 
 
 def serialize_group(G: FiniteGroup) -> str:
-    rows = [" ".join(str(v) for v in row) for row in G.mult]
+    rows = [" ".join(map(str, row)) for row in G.mult]
     return "\n".join([f"group {G.order}"] + rows) + "\n"
 
 
@@ -205,7 +213,7 @@ def serialize_tower(t: GroupTower) -> str:
     for i, link in enumerate(t.links):
         out.append(serialize_group(t.stages[i + 1]).rstrip("\n"))
         out.append(f"link {i}")
-        out.append(" ".join(str(v) for v in link.projection))
+        out.append(" ".join(map(str, link.projection)))
     return "\n".join(out) + "\n"
 
 
@@ -238,7 +246,7 @@ def parse_tower(text: str, source: str = "<tower>") -> GroupTower:
 
 def serialize_gset(X: GSet, group_file: str) -> str:
     out = [f"gset {group_file} {X.size}"]
-    out += [" ".join(str(v) for v in row) for row in X.action]
+    out += [" ".join(map(str, row)) for row in X.action]
     return "\n".join(out) + "\n"
 
 
@@ -291,18 +299,37 @@ def _key_table(G: FiniteGroup) -> dict[str, tuple]:
     return {_key_token(*k): k for k in sp.orbit_keys(G)}
 
 
+@lru_cache(maxsize=None)
+def _gen_format(G: FiniteGroup, heights: tuple, widths: tuple) -> str:
+    """The `gen` blocks of a Mackey file over G as one %-format, a `%s`
+    for each entry, each line after a newline.  The matrices, taken in
+    _key_table order, have `heights` rows, and their rows, one after
+    another, `widths` entries.  Every matrix is rectangular: a ragged one
+    raises ValueError naming its key, and nothing is kept for it."""
+    lines = []
+    widths = iter(widths)
+    for token, height in zip(_key_table(G), heights):
+        shape = list(islice(widths, height))
+        cols = shape[0] if shape else 0
+        if shape.count(cols) != height:
+            raise ValueError(f"gen {token} is ragged: rows of {shape} entries")
+        lines.append(f"\ngen {token} rows {height} cols {cols}")
+        if cols:
+            lines += ["\n" + " ".join(["%s"] * cols)] * height
+    return "".join(lines) + "\n"
+
+
 def serialize_mackey(M: MackeyFunctor, group_file: str) -> str:
+    """M as a Mackey file whose header names `group_file`.  Each matrix of
+    M.gen_action is a rectangular tuple of integer rows."""
     out = [f"mackey {group_file}"]
     for c, lv in enumerate(M.levels):
-        torsion = " ".join(str(d) for d in lv.invariant_factors)
+        torsion = " ".join(map(str, lv.invariant_factors))
         out.append(f"level {c} rank {lv.rank} torsion {torsion}".rstrip())
-    for token, k in _key_table(M.group).items():
-        mat = M.gen_action[k]
-        cols = len(mat[0]) if mat else 0
-        out.append(f"gen {token} rows {len(mat)} cols {cols}")
-        if cols:
-            out += [" ".join(map(str, row)) for row in mat]
-    return "\n".join(out) + "\n"
+    mats = list(map(M.gen_action.__getitem__, _key_table(M.group).values()))
+    rows = list(chain.from_iterable(mats))
+    gens = _gen_format(M.group, tuple(map(len, mats)), tuple(map(len, rows)))
+    return "\n".join(out) + gens % tuple(chain.from_iterable(rows))
 
 
 def parse_mackey(

@@ -358,8 +358,14 @@ def quotient_map(source: FiniteGroup, target: FiniteGroup, projection) -> Quotie
     return QuotientMap(source, kernel, target, projection)
 
 
+@lru_cache(maxsize=None)
 def quotient(G: FiniteGroup, N: Subgroup) -> QuotientMap:
-    """Canonical projection G -> G/N.  Raises NotNormal with a witness."""
+    """Canonical projection G -> G/N.  Raises NotNormal with a witness.
+
+    Kept per (G, N), so a repeat gets back the same map and target group,
+    which the caches keyed by them find by identity.  An error raises
+    from inside the kept call, so it is never kept and a repeat raises
+    it again."""
     if N.parent is not G and N.parent != G:
         raise ValueError("subgroup belongs to a different group")
     witness = N.normality_witness()

@@ -29,18 +29,20 @@ every element outside it, and the conjugacy pass that conjugates each
 class representative by every element are the oracles of
 subgroup_lattice.  The Mackey file reader as it was before its key table,
 which parses every key token and checks the structure after the last
-block, is the oracle of parse_mackey.  The rest is what only the tests
-use: the corpus groups of bounded order, element orders and an
-isomorphism search, the coset G-set of any subgroup (coset_gset), the
-endpoint keys of a basis picked by apex class (endpoint_keys), composite
-quotient maps, the subgroup a set generates, inverse maps, span
-morphisms (SpanMor) with span_from_maps, identity spans and bilinear
-composition between any G-sets, by the element walk (the package
-composes only between canonical orbits), their sums and multiples, the
-transport of a span along maps of its endpoints, and the semiadditivity
-check built on them; the one-point G-set built afresh, one-term span
-morphisms, identity and composite maps, fibre products and pullbacks of
-G-sets, and the test of a square for being a pullback by counting.
+block, is the oracle of parse_mackey, and the writer as it was before
+its kept format, which joins one row at a time, that of
+serialize_mackey.  The rest is what only the tests use: the corpus groups
+of bounded order, element orders and an isomorphism search, the coset
+G-set of any subgroup (coset_gset), the endpoint keys of a basis picked
+by apex class (endpoint_keys), composite quotient maps, the subgroup a
+set generates, inverse maps, span morphisms (SpanMor) with
+span_from_maps, identity spans and bilinear composition between any
+G-sets, by the element walk (the package composes only between canonical
+orbits), their sums and multiples, the transport of a span along maps of
+its endpoints, and the semiadditivity check built on them; the one-point
+G-set built afresh, one-term span morphisms, identity and composite
+maps, fibre products and pullbacks of G-sets, and the test of a square
+for being a pullback by counting.
 
 The package enumerates no hom-set and builds no map or G-set only to
 test it, so what did lives here as the reference the tests compare
@@ -1372,3 +1374,20 @@ def parse_mackey_oracle(
     if not verdict:
         raise rows.error(f"{verdict.reason}, witness={verdict.witness!r}")
     return M
+
+
+def serialize_mackey_oracle(M: mk.MackeyFunctor, group_file: str) -> str:
+    """serialize_mackey as it wrote before its kept format: each `gen`
+    block in _key_table order, its header with the column count of the
+    first row, then its rows joined one at a time."""
+    out = [f"mackey {group_file}"]
+    for c, lv in enumerate(M.levels):
+        torsion = " ".join(str(d) for d in lv.invariant_factors)
+        out.append(f"level {c} rank {lv.rank} torsion {torsion}".rstrip())
+    for token, k in fm._key_table(M.group).items():
+        mat = M.gen_action[k]
+        cols = len(mat[0]) if mat else 0
+        out.append(f"gen {token} rows {len(mat)} cols {cols}")
+        if cols:
+            out += [" ".join(map(str, row)) for row in mat]
+    return "\n".join(out) + "\n"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -6,10 +8,18 @@ from profspan import groups as g
 from profspan import gsets as gs
 from profspan import mackey as mk
 from profspan import spans as sp
-from profspan.corpus import corpus_group
+from profspan.cli import main
+from profspan.corpus import corpus_group, corpus_groups
 from profspan.errors import ParseError
 
-from oracles import canonical_key, point_gset
+from oracles import (
+    canonical_key,
+    groups_of_order_at_most,
+    point_gset,
+    serialize_mackey_oracle,
+)
+from test_mackey import _times, _unimodular
+from test_spans import _relabelled
 
 
 def test_group_roundtrip():
@@ -128,6 +138,117 @@ def test_mackey_roundtrip_with_a_zero_level():
     text = fm.serialize_mackey(M, "c2.grp")
     assert "rows 1 cols 0\ngen" in text
     assert fm.parse_mackey(text, G) == M
+
+
+def _written_as_the_oracle(M, group_file="g.grp") -> str:
+    text = fm.serialize_mackey(M, group_file)
+    assert text == serialize_mackey_oracle(M, group_file)
+    return text
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+def test_the_writer_matches_the_oracle_on_burnside_zero_and_mod_4(name, relabel):
+    """serialize_mackey writes what the row-by-row oracle writes for the
+    Burnside functor of every corpus group, as given and with its elements
+    renumbered, for the zero functor, every block `rows 0 cols 0`, and
+    for Burnside mod 4, whose levels are torsion only.  They are written
+    in turn over one group, so a format kept for one shape serves no
+    other."""
+    G = _relabelled(corpus_group(name), 31) if relabel else corpus_group(name)
+    M = mk.burnside_mackey(G)
+    zero, mod_4 = mk.zero_mackey(G), mk.reduce_mod(M, 4)
+    assert not any(level.rank for level in mod_4.levels)
+    for F in (M, zero, mod_4, M):
+        _written_as_the_oracle(F)
+    lines = fm.serialize_mackey(zero, "g.grp").splitlines()
+    gens = [line for line in lines if line.startswith("gen")]
+    assert len(gens) == len(M.gen_action)
+    assert all(line.endswith(" rows 0 cols 0") for line in gens)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in groups_of_order_at_most(8)])
+def test_the_writer_matches_the_oracle_on_every_fixed_point_quotient(name):
+    G = corpus_group(name)
+    M = mk.burnside_mackey(G)
+    lat = g.subgroup_lattice(G)
+    for N, normal in zip(lat.subgroups, lat.normal):
+        if normal:
+            _written_as_the_oracle(mk.categorical_fixed_points(M, g.quotient(G, N)))
+
+
+def test_the_writer_matches_the_oracle_after_a_change_of_basis():
+    """The Burnside functor of D4 with each level's basis changed by a
+    unimodular matrix with entries near 10^6 has negative entries of seven
+    digits and more, written as the oracle writes them and read back."""
+    rng = random.Random("writer")
+    M = mk.burnside_mackey(corpus_group("D4"))
+    changes = [_unimodular(level.dims, rng) for level in M.levels]
+    action = {
+        (c1, c2, key): _times(_times(changes[c2][0], A), changes[c1][1])
+        for (c1, c2, key), A in M.gen_action.items()
+    }
+    changed = mk.MackeyFunctor(M.group, M.levels, action)
+    assert min(a for A in action.values() for row in A for a in row) <= -(10**6)
+    text = _written_as_the_oracle(changed)
+    assert fm.parse_mackey(text, M.group) == changed
+
+
+def test_the_writer_matches_the_oracle_on_shapes_off_the_level_dims():
+    """A hand-made functor over S3 whose matrices have a column more than
+    their source level, or no column at all and a row more than their
+    target level, written between the Burnside and zero functors of S3:
+    each block's header gives the matrix's own shape, and a block of no
+    columns has its header and no line."""
+    G = corpus_group("S3")
+    M = mk.burnside_mackey(G)
+    action = {
+        k: tuple(row + (i,) for row in A) if i % 2 else ((),) * (len(A) + 1)
+        for i, (k, A) in enumerate(M.gen_action.items())
+    }
+    hand = mk.MackeyFunctor(G, M.levels, action)
+    for F in (M, hand, mk.zero_mackey(G)):
+        _written_as_the_oracle(F)
+    lines = fm.serialize_mackey(hand, "g.grp").splitlines()
+    pairs = zip(lines, lines[1:])
+    assert any(a.endswith(" cols 0") and b.startswith("gen") for a, b in pairs)
+
+
+def test_the_writer_refuses_a_ragged_matrix():
+    """A matrix whose rows differ in length raises ValueError naming its
+    key, also where its entry count is that of a rectangle, on every call,
+    and no format is kept for it."""
+    G = corpus_group("C2")
+    M = mk.burnside_mackey(G)
+    token, k = next(
+        (token, k)
+        for token, k in fm._key_table(G).items()
+        if len(M.gen_action[k]) == 2
+    )
+    first, second = M.gen_action[k]
+    for ragged in ((first, second + (0,)), (first + (0,), second[1:])):
+        F = mk.MackeyFunctor(G, M.levels, {**M.gen_action, k: ragged})
+        kept = fm._gen_format.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^gen {token} is ragged"):
+                fm.serialize_mackey(F, "g.grp")
+        assert fm._gen_format.cache_info().currsize == kept
+
+
+@pytest.mark.parametrize("name", ["q%d.grp", "a%%b", "{0}"])
+def test_the_writer_prints_a_group_file_name_literally(tmp_path, capsys, name):
+    """mackey-fixed --group-file puts the name in the header as given: a
+    % or a brace in it is never read as a format."""
+    G = corpus_group("C4")
+    M = mk.burnside_mackey(G)
+    (tmp_path / "c4.grp").write_text(fm.serialize_group(G))
+    (tmp_path / "m.mackey").write_text(fm.serialize_mackey(M, "c4.grp"))
+    argv = ["mackey-fixed", str(tmp_path / "m.mackey"), "0,2", "--group-file", name]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == f"mackey {name}"
+    fixed = mk.categorical_fixed_points(M, g.quotient(G, g.make_subgroup(G, (0, 2))))
+    assert out == serialize_mackey_oracle(fixed, name)
 
 
 def test_mackey_parse_errors():

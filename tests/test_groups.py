@@ -21,6 +21,7 @@ from oracles import (
     orbit_class_multiset,
     subgroups_oracle,
 )
+from test_census import _clear_package_caches
 from test_spans import _relabelled
 
 
@@ -269,6 +270,50 @@ def test_quotient_not_normal():
     assert G.conj(x, h) not in set(H.elements)
 
 
+@pytest.mark.parametrize("name", ["C4", "S3", "D4", "Q8", "C2xC2xC2"])
+def test_a_kept_quotient_is_the_same_object_on_a_repeat(name):
+    """quotient keeps its map per (G, N): a repeat by any normal subgroup,
+    the trivial one included, made again, gets back the same map and
+    target group."""
+    G = corpus_group(name)
+    lat = g.subgroup_lattice(G)
+    for N, normal in zip(lat.subgroups, lat.normal):
+        if normal:
+            q = g.quotient(G, g.make_subgroup(G, N.elements))
+            again = g.quotient(G, g.make_subgroup(G, N.elements))
+            assert again is q and again.target is q.target
+
+
+def test_a_quotient_by_a_subgroup_that_is_not_normal_is_never_kept():
+    """NotNormal raises afresh on each call, with the same witness, and
+    leaves nothing kept."""
+    G = g.dihedral(3)
+    H = next(H for H in g.subgroup_lattice(G).subgroups if H.order == 2)
+    kept = g.quotient.cache_info().currsize
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NotNormal) as err:
+            g.quotient(G, H)
+        errors.append(err.value)
+    assert errors[0] is not errors[1]
+    assert errors[0].witness == errors[1].witness
+    x, h = errors[0].witness
+    assert G.conj(x, h) not in set(H.elements)
+    assert g.quotient.cache_info().currsize == kept
+
+
+def test_kept_quotients_are_built_cold_after_the_census_clears_the_caches():
+    G = corpus_group("Q8")
+    N = g.make_subgroup(G, (0, 1))
+    q = g.quotient(G, N)
+    assert g.quotient(G, N) is q
+    _clear_package_caches()
+    assert g.quotient.cache_info().currsize == 0
+    cold = g.quotient(G, N)
+    assert cold is not q and cold.target is not q.target and cold == q
+    assert g.quotient.cache_info().misses == 1
+
+
 def test_quotient_coherence_c8():
     # C8/C2 then /C2 again is isomorphic to C8/C4
     G = g.cyclic(8)
@@ -424,6 +469,8 @@ def test_memoised_hashes_agree_on_equal_values():
     T1, T2 = g.cyclic_tower(2, 3), g.cyclic_tower(2, 3)
     hash(T1)
     assert T1 == T2 and hash(T2) == hash(T1)
-    q1, q2 = (g.quotient(G, g.make_subgroup(G, (0, 3))) for G in (G1, G2))
+    q1 = g.quotient(G1, g.make_subgroup(G1, (0, 3)))
+    # quotient keeps its maps, so the second is built apart from it
+    q2 = g.quotient_map(G2, g.cyclic(3), q1.projection)
     hash(q1)
     assert q1 is not q2 and q1 == q2 and hash(q2) == hash(q1)
