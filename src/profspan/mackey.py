@@ -27,15 +27,18 @@ generator conjugations gives it at every conjugation, by induction on a
 word (spans.law_pairs).  On the corpus this tests 14,711 of the 88,414
 pairs of basis spans (22,995 pairs of endpoint keys); the test suite
 keeps the exhaustive check as its oracle.  Composites are read by
-position from the group's kept tables (spans.endpoint_composites) and M
-as one list of matrices per pair of classes, each row packed into one
-integer in base B = 2^k, B above twice the largest absolute entry
-either side of the law can reach (dims·max² for a product, |G|·max for
-a sum of at most |G| terms).  So each pair costs one sum of products per
-row of the target level and no key lookup, and rows whose packed
-integers differ are compared entrywise, up to the torsion of the
-target.  Only a failing check composes, one row of firsts at a time,
-up to the first failing pair.
+position from the group's kept tables (spans.endpoint_composites), and
+a class triple with no pairs is skipped.  M is read as one list of
+matrices per pair of classes, each matrix packed once into one integer
+in base B = 2^k, its rows at a stride of D digits, D the largest level
+dims, and each of its rows and columns packed too; B is above twice
+the largest absolute entry either side of the law can reach (dims·max²
+for a product, |G|·max for a sum of at most |G| terms).  So each pair
+costs one sum of products, the columns of M(k2) against the rows of
+M(k1), compared with one integer, and no key lookup; matrices whose
+packed integers differ are compared entrywise, up to the torsion of
+the target.  Only a failing check composes, one row of firsts at a
+time, up to the first failing pair.
 """
 
 from __future__ import annotations
@@ -214,11 +217,17 @@ def _value(mats, terms, rows: int, cols: int):
 
 
 def _shift(M: MackeyFunctor) -> int:
-    """The k of the base B = 2^k that _composition_failure packs rows in:
-    B is above twice the largest absolute entry either side of the law
-    can reach, dims·max² for a product M(k2)·M(k1) and |G|·max for a sum
-    Σ m·M(k), whose multiplicities add up to at most |G|
-    (spans.composites), max the largest absolute entry of M."""
+    """The k of the base B = 2^k that _composition_failure packs matrices
+    in: B is above twice the largest absolute entry either side of the
+    law can reach, dims·max² for a product M(k2)·M(k1) and |G|·max for a
+    sum Σ m·M(k), whose multiplicities add up to at most |G|
+    (spans.composites), max the largest absolute entry of M.
+
+    An integer has at most one expansion Σ d_p·B^p with every digit
+    |d_p| < B/2: two would differ by a nonzero Σ e_p·B^p with every
+    |e_p| < B, whose lowest nonzero e_p is not a multiple of B.  That
+    holds whatever the positions p are, so the bound on each entry is
+    all the packing needs, wherever it puts the entries of a matrix."""
     top = max(
         (max(map(abs, row)) for A in M.gen_action.values() for row in A if row),
         default=0,
@@ -227,10 +236,10 @@ def _shift(M: MackeyFunctor) -> int:
     return max(dims * top * top, M.group.order * top).bit_length() + 1
 
 
-def _pack(row, shift: int) -> int:
-    """Σ row[j]·B^j for B = 2^shift."""
+def _pack(digits, shift: int) -> int:
+    """Σ digits[j]·2^(shift·j)."""
     packed = 0
-    for a in reversed(row):
+    for a in reversed(digits):
         packed = (packed << shift) + a
     return packed
 
@@ -243,14 +252,23 @@ def _composition_failure(M: MackeyFunctor, pairs, composites) -> tuple | None:
     maps into level c3; None if there is none.  composites(c1, c2, c3,
     firsts, seconds) iterates the k2 ∘ k1 in that order, each as
     (position in orbit_basis(G, c1, c3), mult) pairs, and is read only up
-    to the first failing pair.
+    to the first failing pair; a triple with no firsts or no seconds has
+    no pair, and composites is not called for it.
 
-    Each row of a matrix is packed into one integer in base B = 2^k
-    (_shift), so that a pair costs one sum of products per row of the
-    target level.  In B's balanced digits every entry of both sides is
-    below B/2 in absolute value, so equal packed rows are equal rows; a
-    pair whose packed rows differ is tested entrywise, as maps into the
-    presented target (_congruent), so torsion levels stay exact."""
+    Each matrix A is packed once as one integer Σ A[i][j]·B^(i·D + j),
+    in base B = 2^k (_shift) with each row at a stride of D digits, D
+    the largest level dims; each row of A is packed as Σ_j A[i][j]·B^j,
+    and each column as Σ_i A[i][j]·B^(i·D), one integer in base B^D.
+    For A2 = M(k2) and A1 = M(k1), Σ_j column_j(A2)·row_j(A1) is
+    Σ (A2·A1)[i][l]·B^(i·D + l), the packed product.  The stride is D
+    because l, a column of A1, is below the dims of level c1, at most
+    D: so no two entries of a matrix share a power of B, whatever the
+    levels of the triple.  A pair is then one sum of products, compared
+    with one integer, the packed M(k) or the sum Σ m·M(k) of the packed
+    terms.  Every entry of both sides is below B/2 in absolute value, so
+    equal integers are equal matrices (_shift); a pair whose integers
+    differ is tested entrywise, as maps into the presented target
+    (_congruent), so torsion levels stay exact."""
     G = M.group
     n = len(M.levels)
     keys = [[sp.orbit_basis(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
@@ -259,35 +277,44 @@ def _composition_failure(M: MackeyFunctor, pairs, composites) -> tuple | None:
         for c1 in range(n)
     ]
     shift = _shift(M)
-    packed = [
+    stride = shift * max(lv.dims for lv in M.levels)
+    rows = [
         [[tuple(_pack(row, shift) for row in A) for A in by_key] for by_key in mats_c1]
+        for mats_c1 in mats
+    ]
+    wholes = [
+        [[_pack(A, stride) for A in by_key] for by_key in rows_c1] for rows_c1 in rows
+    ]
+    columns = [
+        [[tuple(_pack(c, stride) for c in zip(*A)) for A in by_key] for by_key in mats_c1]
         for mats_c1 in mats
     ]
     for c1, c2, c3 in itertools.product(range(n), repeat=3):
         firsts, seconds = pairs(c1, c2, c3)
-        rows, cols = M.levels[c3].dims, M.levels[c1].dims
-        sums = packed[c1][c3]
+        if not firsts or not seconds:
+            continue
+        sums, rows12, columns23 = wholes[c1][c3], rows[c1][c2], columns[c2][c3]
         terms = iter(composites(c1, c2, c3, firsts, seconds))
         for p1 in firsts:
-            A1 = packed[c1][c2][p1]
+            A1 = rows12[p1]
             for p2 in seconds:
                 composite = next(terms)
-                A2 = mats[c2][c3][p2]
-                direct = tuple(sum(map(mul, row, A1)) for row in A2)
+                # a level with no dims leaves no columns or no rows: 0
+                direct = sum(map(mul, columns23[p2], A1))
                 if len(composite) == 1 and composite[0][1] == 1:
                     expanded = sums[composite[0][0]]
                 else:
-                    expanded = tuple(
-                        map(sum, zip(*([m * a for a in sums[i]] for i, m in composite)))
-                    )
+                    expanded = sum(m * sums[i] for i, m in composite)
                 if direct == expanded:
                     continue
+                rows3, cols = M.levels[c3].dims, M.levels[c1].dims
                 # an M(k1) with no rows has cols empty columns
-                columns = tuple(zip(*mats[c1][c2][p1])) or ((),) * cols
+                A2 = mats[c2][c3][p2]
+                factor = tuple(zip(*mats[c1][c2][p1])) or ((),) * cols
                 product = tuple(
-                    tuple(sum(map(mul, row, col)) for col in columns) for row in A2
+                    tuple(sum(map(mul, row, col)) for col in factor) for row in A2
                 )
-                value = _value(mats[c1][c3], composite, rows, cols)
+                value = _value(mats[c1][c3], composite, rows3, cols)
                 if not _congruent(product, value, M.levels[c3].orders()):
                     return (c1, c2, c3, keys[c1][c2][p1], keys[c2][c3][p2])
     return None

@@ -5,11 +5,11 @@ of spans X <- S -> Y with transitive apex S; hom-sets are free commutative
 monoids on these basis classes.  Two basis spans with apexes G/K1 and G/K2
 compose by the double-coset formula: the orbits of their pullback are the
 K1-orbits on one fibre of G/K2, with stabilizers K1 ∩ hK2h⁻¹.  The
-K1-orbits on G/K2, with the class and conjugator of each stabilizer, are
-one table per pair of apex classes (_double_cosets), which every pair of
-keys with those apexes reads.  Composition is exact (integer
-multiplicities, no tolerance), and builds no pullback G-set and no table
-of length |G|.
+K1-orbits on G/K2, with the class of each stabilizer and the two points
+at which a composite reads the legs, are one table per pair of apex
+classes (_double_cosets), which every pair of keys with those apexes
+reads.  Composition is exact (integer multiplicities, no tolerance), and
+builds no pullback G-set and no table of length |G|.
 
 A basis span is its key alone: the class c of its apex stabilizer and
 its two legs tabulated on the canonical coset apex G/R_c.  A span with
@@ -245,15 +245,20 @@ def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> tuple:
     """The double cosets of the representatives K1, K2 of classes c1, c2,
     as the K1-orbits on G/K2.
 
-    Each K1-orbit on G/K2 gives one (y, c, t0, h): y the least point of
-    the orbit, h = mins[y] the least element of the coset y = hK2, and
-    (c, t0) the class of the stabilizer K1 ∩ hK2h⁻¹ and its conjugator,
-    read from the lattice's `where`.  The table depends only on the two
-    classes, so every pair of keys with these apexes composes through it."""
+    Each K1-orbit on G/K2 gives one (y, c, p1, p2): y the least point of
+    the orbit, c the class of the stabilizer K1 ∩ hK2h⁻¹ of (K1, hK2),
+    for h = mins[y] the least element of the coset y = hK2, and p1 = t0·K1
+    and p2 = t0·h·K2 the points of the canonical orbits of c1 and c2 at
+    which composites reads the legs, for t0 the conjugator of that
+    stabilizer onto R_c read from the lattice's `where`: the point
+    t0·(K1, hK2) of the orbit has stabilizer R_c.  The table depends only
+    on the two classes, so every pair of keys with these apexes composes
+    through it."""
     lat = subgroup_lattice(G)
     mult = G.mult
     K1 = lat.class_rep(c1).elements
-    cls2 = gs.orbit_classes(G)[c2]
+    classes = gs.orbit_classes(G)
+    coset1, cls2 = classes[c1].coset, classes[c2]
     coset2, mins2 = cls2.coset, cls2.mins
     orbits = []
     seen: set = set()
@@ -266,7 +271,8 @@ def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> tuple:
             seen.add(z)
             if z == y:
                 stab.append(a)
-        orbits.append((y, *lat.where[tuple(stab)], h))
+        c, t0 = lat.where[tuple(stab)]
+        orbits.append((y, c, coset1[t0], coset2[mult[t0][h]]))
     return tuple(orbits)
 
 
@@ -288,15 +294,14 @@ def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
 
     The legs at g·(K1, hK2) are left1 at gK1 and right2 at ghK2.  The
     point t0·(K1, hK2) of the orbit, for its class c and conjugator t0,
-    has stabilizer R_c, and the legs there are x0 = left1 at t0·K1 and
-    z0 = right2 at t0·h·K2.  The orbit's position is read from the least
-    pair of (x0, z0), the one pair_key keys it by, in basis_index: no key
-    is built and nothing is tabulated.  A composite has at most |G|
-    terms, counted with multiplicity: they are orbits on a fibre of at
-    most |G| points.
+    has stabilizer R_c, and _double_cosets keeps its two leg points
+    p1 = t0·K1 and p2 = t0·h·K2, so the legs there are x0 = left1[p1] and
+    z0 = right2[p2], with no coset looked up and no product taken per
+    orbit.  The orbit's position is read from the least pair of (x0, z0),
+    the one pair_key keys it by, in basis_index: no key is built and
+    nothing is tabulated.  A composite has at most |G| terms, counted
+    with multiplicity: they are orbits on a fibre of at most |G| points.
     """
-    classes = gs.orbit_classes(G)
-    mult = G.mult
     X, Z = gs.orbit_gset(G, c1), gs.orbit_gset(G, c3)
     nx, nz = X.size, Z.size
     index = basis_index(G, c1, c3)
@@ -305,20 +310,18 @@ def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
     grid: list = [()] * (len(firsts) * width)
     shared: dict = {}
     for j, (c2, left2, right2) in enumerate(seconds):
-        coset2 = classes[c2].coset
         fibres: dict = {}  # apex class of k1 -> its orbits by point of Y
         for i, (a, left1, right1) in enumerate(firsts):
             if a not in fibres:
                 fibres[a] = {}
                 for orbit in _double_cosets(G, a, c2):
                     fibres[a].setdefault(left2[orbit[0]], []).append(orbit)
-            coset1 = classes[a].coset
             positions = []
-            for _, c, t0, h in fibres[a].get(right1[0], ()):
+            for _, c, p1, p2 in fibres[a].get(right1[0], ()):
                 lx = least.get(c)
                 if lx is None:
                     lx = least[c] = _least_points(X, c)
-                x, z = _least_pair(lx, left1[coset1[t0]], Z, right2[coset2[mult[t0][h]]])
+                x, z = _least_pair(lx, left1[p1], Z, right2[p2])
                 positions.append(index[(c * nx + x) * nz + z])
             if len(positions) == 1:
                 terms: tuple = ((positions[0], 1),)
@@ -393,11 +396,17 @@ def endpoint_composites(G: FiniteGroup, c1: int, c3: int) -> tuple:
     """The table both law checks read: entry c2 is the grid of the keys at
     the positions law_pairs(G, c1, c2, c3) gives, firsts against seconds
     (composites), and equal entries of the table are one tuple.  Readers
-    recompute the layout from law_pairs, which reads two kept tuples."""
+    recompute the layout from law_pairs, which reads two kept tuples.  A
+    triple with no firsts or no seconds (incomparable classes, or a
+    trivial Weyl group) has no pairs: its entry is () and nothing is
+    composed for it."""
     shared: dict = {}
     table = []
     for c2 in range(subgroup_lattice(G).num_classes):
         firsts, seconds = law_pairs(G, c1, c2, c3)
+        if not firsts or not seconds:
+            table.append(())
+            continue
         b12, b23 = orbit_basis(G, c1, c2), orbit_basis(G, c2, c3)
         grid = composites(
             G, c1, c3, [b12[p] for p in firsts], [b23[p] for p in seconds]
@@ -559,10 +568,11 @@ def image_grid(K: FiniteGroup, m1: int, m2: int, m3: int, firsts, seconds) -> tu
 def image_composites(table: SpanImages) -> dict:
     """The right sides of the Span(F) law on the pairs of law_pairs that
     the image group's tables do not hold, composed once per table, and so
-    once per link (span_images): for each class triple whose image
-    classes m1, m2, m3 all exist, the grid Span(F)(k2) ∘ Span(F)(k1) of
-    its pairs (image_grid), unless m1 ≠ m2 ≠ m3 and every image is an
-    endpoint key, when the law reads endpoint_composites(K, m1, m3)[m2].
+    once per link (span_images): for each class triple that has pairs
+    and whose image classes m1, m2, m3 all exist, the grid
+    Span(F)(k2) ∘ Span(F)(k1) of its pairs (image_grid), unless
+    m1 ≠ m2 ≠ m3 and every image is an endpoint key, when the law reads
+    endpoint_composites(K, m1, m3)[m2].
     So it holds the triples with c1 = c2 or c2 = c3: the image of a
     generator conjugation is a conjugation that K's layout need not
     list."""
@@ -574,6 +584,8 @@ def image_composites(table: SpanImages) -> dict:
         if None in (m1, m2, m3):
             continue
         firsts, seconds = law_pairs(G, c1, c2, c3)
+        if not firsts or not seconds:
+            continue
         j1 = [terms[c1][c2][p] for p in firsts]
         j2 = [terms[c2][c3][p] for p in seconds]
         if (

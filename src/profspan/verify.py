@@ -188,7 +188,8 @@ def _law_failures(table: sp.SpanImages, reduced: bool = False):
     grids that spans.image_composites keeps per table where K's table
     does not hold them.  The full scan, a failing check's witness,
     composes both sides of every triple (spans.composites,
-    spans.image_grid)."""
+    spans.image_grid).  Either scan skips a triple with no firsts or no
+    seconds, which has no pair to test."""
     G, K, images, terms = table
     n = len(images)
     kept = sp.image_composites(table) if reduced else {}
@@ -196,10 +197,14 @@ def _law_failures(table: sp.SpanImages, reduced: bool = False):
         m1, m2, m3 = images[c1], images[c2], images[c3]
         if reduced:
             firsts, seconds = sp.law_pairs(G, c1, c2, c3)
-            lefts = sp.endpoint_composites(G, c1, c3)[c2]
         else:
             firsts = sp.endpoint_positions(G, c1, c2)
             seconds = sp.endpoint_positions(G, c2, c3)
+        if not firsts or not seconds:
+            continue
+        if reduced:
+            lefts = sp.endpoint_composites(G, c1, c3)[c2]
+        else:
             b12, b23 = sp.orbit_basis(G, c1, c2), sp.orbit_basis(G, c2, c3)
             lefts = sp.composites(
                 G, c1, c3, [b12[p] for p in firsts], [b23[p] for p in seconds]

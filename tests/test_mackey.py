@@ -329,6 +329,131 @@ def test_check_mackey_packs_a_product_that_carries_into_the_adjacent_column():
     assert 2 ** mk._shift(M) > 2 * 64
 
 
+def _inflated_burnside():
+    """The Burnside functor of C4/C2 inflated to C4, M(G/H) = A(H/N) for
+    N = C2 ≤ H and 0 at the free orbit: the composite of the Burnside
+    functor with Span(fixed points), read from its table."""
+    q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
+    table = sp.span_images(q, "fixed points")
+    B = mk.burnside_mackey(q.target)
+    levels = tuple(mk.ZERO_AB if m is None else B.levels[m] for m in table.images)
+    action = {}
+    for c1, c2 in itertools.product(range(len(levels)), repeat=2):
+        m1, m2 = table.images[c1], table.images[c2]
+        for key, j in zip(sp.orbit_basis(C4, c1, c2), table.terms[c1][c2]):
+            zero = ((0,) * levels[c1].dims,) * levels[c2].dims
+            image = None if j is None else sp.orbit_basis(q.target, m1, m2)[j]
+            action[c1, c2, key] = zero if j is None else B.gen_action[m1, m2, image]
+    return mk.MackeyFunctor(C4, levels, action)
+
+
+MUTATED["C4-inflated-from-C2"] = _inflated_burnside
+
+
+def _pack_at_stride(A, base, stride):
+    return sum(
+        a * base ** (i * stride + j) for i, row in enumerate(A) for j, a in enumerate(row)
+    )
+
+
+@pytest.mark.parametrize("make, middle", [
+    (lambda: mk.burnside_mackey(C2), 0),
+    (_inflated_burnside, 1),
+], ids=["C2-burnside", "C4-inflated-from-C2"])
+def test_check_mackey_packs_rows_at_a_stride_of_the_largest_dims(make, middle):
+    """A Mackey functor with the largest dims D at the point, whose one
+    law pair (r, t) through the middle orbit composes to a key N that no
+    law pair reads, with one unit of M(N) moved from entry (0, D−1) to
+    entry (1, 0).  M(t)·M(r) and M(N) then differ by that move alone,
+    which a stride of D−1 would pack as equal integers: check_mackey
+    must fail with the exhaustive oracle's witness.  The inflated
+    functor has a zero level beside its non-zero ones."""
+    M = make()
+    G, pt = M.group, len(M.levels) - 1
+    D = max(lv.dims for lv in M.levels)
+    assert M.levels[pt].dims == D >= 2 and mk.check_mackey(M)
+    (p1,), (p2,) = sp.law_pairs(G, pt, middle, pt)
+    (((n, mult),),) = sp.endpoint_composites(G, pt, pt)[middle]
+    assert mult == 1
+    r = sp.orbit_basis(G, pt, middle)[p1]
+    t = sp.orbit_basis(G, middle, pt)[p2]
+    N = sp.orbit_basis(G, pt, pt)[n]
+    action = dict(M.gen_action)
+    moved = [list(row) for row in action[pt, pt, N]]
+    moved[0][D - 1] -= 1
+    moved[1][0] += 1
+    action[pt, pt, N] = tuple(map(tuple, moved))
+    bad = mk.MackeyFunctor(G, M.levels, action)
+
+    product = _times(action[middle, pt, t], action[pt, middle, r])
+    difference = [
+        [a - b for a, b in zip(row, other)] for row, other in zip(product, moved)
+    ]
+    unit = [[0] * D for _ in range(D)]
+    unit[0][D - 1], unit[1][0] = 1, -1
+    assert difference == unit
+    base = 2 ** mk._shift(bad)
+    assert _pack_at_stride(product, base, D - 1) == _pack_at_stride(moved, base, D - 1)
+    assert _pack_at_stride(product, base, D) != _pack_at_stride(moved, base, D)
+
+    fast, slow = mk.check_mackey(bad), mackey_composition_oracle(bad)
+    assert (fast.ok, fast.reason, fast.witness) == (slow.ok, slow.reason, slow.witness)
+    assert not fast.ok and fast.reason == "composition law fails"
+
+
+@pytest.mark.parametrize(
+    "name, G", groups_of_order_at_most(8), ids=[n for n, _ in groups_of_order_at_most(8)]
+)
+def test_check_mackey_packs_the_zero_functor(name, G):
+    """Every matrix of the zero functor is empty: each packs to 0, with no
+    rows and no columns, and check_mackey passes with the oracle."""
+    M = mk.zero_mackey(G)
+    assert mk.check_mackey(M) and mackey_composition_oracle(M)
+    assert mk._shift(M) == 1 and all(A == () for A in M.gen_action.values())
+
+
+@pytest.mark.parametrize("relabel_seed", [None, 31], ids=["given", "relabelled"])
+def test_no_law_scan_composes_a_triple_without_pairs(monkeypatch, relabel_seed):
+    """endpoint_composites and check_mackey on C4xC2 compose exactly the
+    249 class triples whose law pairs have firsts and seconds; the other
+    263 of the 512 get the entry () and no spans.composites call."""
+    G = corpus_group("C4xC2")
+    if relabel_seed is not None:
+        G = _relabelled(G, relabel_seed)
+    M = mk.burnside_mackey(G)
+    n = g.subgroup_lattice(G).num_classes
+    triples = list(itertools.product(range(n), repeat=3))
+    with_pairs = [t for t in triples if all(sp.law_pairs(G, *t))]
+    assert (len(triples), len(with_pairs)) == (512, 249)
+    calls = []
+    composites = sp.composites
+
+    def spy(K, c1, c3, firsts, seconds):
+        assert firsts and seconds
+        calls.append((K, c1, c3))
+        return composites(K, c1, c3, firsts, seconds)
+
+    monkeypatch.setattr(sp, "composites", spy)
+    sp.endpoint_composites.cache_clear()
+    assert mk.check_mackey(M)
+    assert len(calls) == 249 and {K for K, _, _ in calls} == {G}
+    calls.clear()
+    sp.endpoint_composites.cache_clear()
+    for c1, c2, c3 in triples:
+        entry = sp.endpoint_composites(G, c1, c3)[c2]
+        assert bool(entry) == ((c1, c2, c3) in with_pairs)
+    assert len(calls) == 249
+
+    visited = []
+
+    def reader(c1, c2, c3, firsts, seconds):
+        visited.append((c1, c2, c3))
+        return sp.endpoint_composites(G, c1, c3)[c2]
+
+    assert mk._composition_failure(M, lambda *t: sp.law_pairs(G, *t), reader) is None
+    assert visited == with_pairs and len(calls) == 249
+
+
 def test_check_mackey_detects_corruption():
     M = mk.burnside_mackey(C2)
     bad_action = dict(M.gen_action)

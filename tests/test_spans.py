@@ -437,29 +437,55 @@ def test_a_warm_rerun_of_the_law_checks_composes_nothing(monkeypatch):
 def test_double_coset_table_matches_an_independent_count(name):
     """For every pair of class representatives K1, K2 the table lists the
     (K1, K2) double cosets, each as a K1-orbit on G/K2 given by its least
-    point, with the class and conjugator of its stabilizer; the orbits
-    are recomputed here from the multiplication table alone."""
+    point y, with the class c of its stabilizer and a pair of points
+    (p1, p2) of G/K1 × G/K2 that lies in the G-orbit of (K1, y) and whose
+    stabilizer is exactly the class-c representative; the orbits, the
+    cosets and the stabilizers are recomputed here from the
+    multiplication table alone."""
     G = corpus_group(name)
     lat, classes = g.subgroup_lattice(G), gs.orbit_classes(G)
+
+    def cosets(c):
+        # the coset of each point of the canonical orbit of class c, from
+        # the least element of the point, checked against its elements
+        K = lat.class_rep(c).elements
+        out = [frozenset(G.mul(h, k) for k in K) for h in classes[c].mins]
+        for p, coset in enumerate(out):
+            assert all(classes[c].coset[x] == p for x in coset)
+        return out
+
     for c1, c2 in itertools.product(range(lat.num_classes), repeat=2):
         K1, K2 = lat.class_rep(c1).elements, lat.class_rep(c2).elements
+        points1, points2 = cosets(c1), cosets(c2)
         table = sp._double_cosets(G, c1, c2)
         assert len(table) == double_coset_count(G, K1, K2)
-        cosets = {frozenset(G.mul(x, k) for k in K2) for x in G.elements()}
+        everything = {frozenset(G.mul(x, k) for k in K2) for x in G.elements()}
         covered: set = set()
         sizes = []
-        for y, c, t0, h in table:
-            hK2 = frozenset(G.mul(h, k) for k in K2)
+        for y, c, p1, p2 in table:
+            hK2 = points2[y]
             orbit = {frozenset(G.mul(a, x) for x in hK2) for a in K1}
-            assert h == min(hK2) == min(map(min, orbit)) and classes[c2].coset[h] == y
+            assert y == min(map(points2.index, orbit))
+            assert min(hK2) == min(map(min, orbit))
             stab = [a for a in K1 if frozenset(G.mul(a, x) for x in hK2) == hK2]
             assert len(orbit) * len(stab) == len(K1)
-            conjugated = tuple(sorted(G.conj(t0, a) for a in stab))
-            assert conjugated == lat.class_rep(c).elements
+            P1, P2 = points1[p1], points2[p2]
+            assert any(
+                frozenset(G.mul(t, k) for k in K1) == P1
+                and frozenset(G.mul(t, x) for x in hK2) == P2
+                for t in G.elements()
+            )
+            fixing = tuple(
+                t
+                for t in G.elements()
+                if frozenset(G.mul(t, x) for x in P1) == P1
+                and frozenset(G.mul(t, x) for x in P2) == P2
+            )
+            assert fixing == lat.class_rep(c).elements
             covered |= orbit
             sizes.append(len(orbit))
-        assert sum(sizes) == G.order // len(K2) == len(cosets)
-        assert covered == cosets
+        assert sum(sizes) == G.order // len(K2) == len(everything)
+        assert covered == everything
 
 
 @pytest.mark.parametrize("relabel_seed", [None, 5], ids=["given", "relabelled"])
