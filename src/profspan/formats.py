@@ -8,8 +8,9 @@ file ends with the rows its header announces.  A Mackey file may not
 repeat a `level` index or a `gen` key, and a `gen` line's row and column
 counts are non-negative; a matrix with no columns has no lines.  A `gen`
 key is looked up in the group's _key_table, or parsed if spelled another
-way, and shapes are checked as they are read; check_structure runs only to
-name an error.  Every error is a ParseError that names `source:line`.
+way.  A block's rows are read one at a time, each as exactly its width of
+integers, and check_structure checks the whole functor once, after the
+last block.  Every error is a ParseError that names `source:line`.
 
 The loaders of the verbs, load_group, load_gset and load_mackey, keep each
 parsed object for the process (_parsed), keyed by the full text of the
@@ -43,19 +44,10 @@ from .groups import (
     make_group,
     make_tower,
     quotient_map,
-    subgroup_lattice,
 )
 from .gsets import GSet, make_gset
 from . import spans as sp
 from .mackey import AbPresentation, MackeyFunctor, check_structure
-
-
-class _Ints(dict):
-    """Small decimal integers by their text; int reads any other field."""
-    __missing__ = int
-
-
-_INT = _Ints((str(i), i) for i in range(-256, 256)).__getitem__
 
 
 class _Rows:
@@ -101,31 +93,12 @@ class _Rows:
         return vals
 
     def table(self, height: int, width: int) -> tuple[tuple[int, ...], ...]:
-        """The next `height` rows as tuples of exactly `width` integers.
+        """The next `height` rows, each read by `ints(width)`, as tuples.
 
         A row of no integers is a blank line, which is never read, so a
-        table of width 0 is `height` empty rows and takes no line.  The
-        rows are taken and converted in one pass, by _INT (a lookup costs
-        half an int call).  If that finds an error, they are put back and
-        read again row by row with `ints`, so the error and the line it
-        names are the ones `ints` gives."""
-        if height <= 0 or width == 0:
+        table of width 0 is `height` empty rows and takes no line."""
+        if not width:
             return ((),) * height
-        taken = [self._ahead, *islice(self._rows, height - 1)]
-        try:
-            table = tuple([tuple(map(_INT, fields)) for _, fields in taken])
-        except ValueError:
-            table = ()
-        # a row is never empty, so an empty one is the end of the text
-        if (
-            len(table) == height
-            and taken[-1][1]
-            and not any(map(width.__ne__, map(len, table)))
-        ):
-            self.line = taken[-1][0] + 1
-            self._ahead = next(self._rows, self._end)
-            return table
-        self._ahead, self._rows = taken[0], chain(taken[1:], self._rows)
         return tuple(tuple(self.ints(width)) for _ in range(height))
 
     def end(self) -> None:
@@ -356,9 +329,7 @@ def parse_mackey(
             raise rows.error(f"invalid presentation: {exc}")
     if sorted(levels) != list(range(len(levels))):
         raise rows.error("level indices must cover 0..n-1")
-    dims = [levels[c].dims for c in range(len(levels))]
     table = _key_table(group)
-    regular = len(dims) == subgroup_lattice(group).num_classes
     gen_action: dict = {}
     while rows.more():
         parts = rows.next("gen")
@@ -373,9 +344,6 @@ def parse_mackey(
             raise rows.error("malformed gen line")
         if height < 0 or width < 0:
             raise rows.error("gen rows and cols must be non-negative")
-        # check_structure names a key off the table or a shape off the levels
-        regular = regular and parts[1] in table and height == dims[k[1]]
-        regular = regular and (width == dims[k[0]] or not height)
         # a block with no columns takes no lines, and a level of d > 0 dims
         # needs a d-line identity block, so a height past the line count is
         # wrong anyway: keep at most one row more than the text has lines
@@ -383,10 +351,9 @@ def parse_mackey(
             height = min(height, rows.count + 1)
         gen_action[k] = rows.table(height, width)
     M = MackeyFunctor(group, tuple(levels[c] for c in sorted(levels)), gen_action)
-    if not (regular and len(gen_action) == len(table)):
-        verdict = check_structure(M)
-        if not verdict:
-            raise rows.error(f"{verdict.reason}, witness={verdict.witness!r}")
+    verdict = check_structure(M)
+    if not verdict:
+        raise rows.error(f"{verdict.reason}, witness={verdict.witness!r}")
     return M
 
 

@@ -404,9 +404,10 @@ def _rows_outcome(text, read):
 
 def _table_outcomes(text, height, width):
     """The outcomes of rows.table(height, width) and of height calls of
-    rows.ints(width), after one header row."""
+    rows.ints(width) written out here, after one header row: the table
+    must read its rows as `ints` does, with a width of 0 reading none."""
 
-    def one_pass(rows):
+    def as_table(rows):
         rows.next()
         return rows.table(height, width)
 
@@ -415,7 +416,7 @@ def _table_outcomes(text, height, width):
         # a row of no integers is a blank line, which is never read
         return [rows.ints(width) for _ in range(height)] if width else [()] * height
 
-    return _rows_outcome(text, one_pass), _rows_outcome(text, row_by_row)
+    return _rows_outcome(text, as_table), _rows_outcome(text, row_by_row)
 
 
 @pytest.mark.parametrize(
@@ -432,8 +433,8 @@ def _table_outcomes(text, height, width):
     ],
 )
 def test_table_raises_what_ints_raises_row_by_row(text, height, width, message):
-    one_pass, row_by_row = _table_outcomes(text, height, width)
-    assert one_pass == row_by_row == ("error", message)
+    as_table, row_by_row = _table_outcomes(text, height, width)
+    assert as_table == row_by_row == ("error", message)
 
 
 @pytest.mark.parametrize(
@@ -446,9 +447,9 @@ def test_table_raises_what_ints_raises_row_by_row(text, height, width, message):
     ],
 )
 def test_table_reads_rows_and_leaves_the_line_where_ints_does(text, height, width, line):
-    one_pass, row_by_row = _table_outcomes(text, height, width)
-    assert one_pass == row_by_row
-    assert one_pass[0] == "ok" and one_pass[2] == line
+    as_table, row_by_row = _table_outcomes(text, height, width)
+    assert as_table == row_by_row
+    assert as_table[0] == "ok" and as_table[2] == line
 
 
 def test_table_leaves_the_row_after_it_ahead():
@@ -468,5 +469,5 @@ def test_table_leaves_the_row_after_it_ahead():
 )
 def test_table_matches_ints_on_any_rows(lines, height, width):
     text = "\n".join(["h"] + [" ".join(fields) for fields in lines])
-    one_pass, row_by_row = _table_outcomes(text, height, width)
-    assert one_pass == row_by_row
+    as_table, row_by_row = _table_outcomes(text, height, width)
+    assert as_table == row_by_row

@@ -1,13 +1,12 @@
 """The Mackey file reader and writer against the key table of each group.
 
-parse_mackey resolves each `gen` token through formats._key_table and
-checks each matrix's shape as it reads it; parse_mackey_oracle is the
-reader as it was before, which parses every token and checks the whole
-functor after the last block.  Both must give the same functor, or the
-same ParseError text, on every file: the corpus Burnside files of order
-at most 8, their categorical fixed points at every normal subgroup, a C2
-functor with a zero level, and seeded mutants of all of them with several
-lines changed at once.  The writer and the key table rest on orbit_keys
+parse_mackey resolves each `gen` token through formats._key_table;
+parse_mackey_oracle is the reader as it was before, which parses every
+token.  Both check the whole functor after the last block, and both must
+give the same functor, or the same ParseError text, on every file: the
+corpus Burnside files of order at most 8, their categorical fixed points
+at every normal subgroup, a C2 functor with a zero level, and seeded
+mutants of all of them with several lines changed at once.  The writer and the key table rest on orbit_keys
 being sorted, which is tested on every corpus group under relabellings.
 """
 
