@@ -66,6 +66,22 @@ C2 = g.cyclic(2)
 C4 = g.cyclic(4)
 S3 = g.dihedral(3)
 
+# Groups beyond the corpus with orbits of _double_cosets on which the
+# second leg point t0·h·K2 differs from h·t0·K2, which no corpus group
+# has: 5 orbits of S4 and 1 of D8.  On 4 of those of S4, h·t0 would give
+# a pair off the orbit or with the wrong stabilizer, so the order of that
+# product is tested; on the others it gives another valid pair.
+BEYOND_CORPUS = {
+    "S4": lambda: g.from_permutations([(1, 2, 3, 0), (1, 0, 2, 3)]),
+    "D8": lambda: g.dihedral(8),
+}
+WITH_BEYOND_CORPUS = [name for name, _ in corpus_groups()] + list(BEYOND_CORPUS)
+
+
+def _group(name):
+    """The corpus group or the group of BEYOND_CORPUS of that name."""
+    return BEYOND_CORPUS[name]() if name in BEYOND_CORPUS else corpus_group(name)
+
 
 def test_span_basis_point_endomorphisms_c2():
     pt = point_gset(C2)
@@ -224,11 +240,11 @@ SAMPLE_SMALL, SAMPLE_LARGE = 1500, 200
 
 
 @pytest.mark.parametrize("relabel_seed", [None, 11], ids=["given", "relabelled"])
-@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+@pytest.mark.parametrize("name", WITH_BEYOND_CORPUS)
 def test_compose_keys_match_pullback_oracle(name, relabel_seed):
     """Entries of spans.composites against the composite of the pullback
     G-set, every one or a seeded sample."""
-    G = corpus_group(name)
+    G = _group(name)
     if relabel_seed is not None:
         G = _relabelled(G, relabel_seed)
     entries = _composite_entries(G)
@@ -433,7 +449,7 @@ def test_a_warm_rerun_of_the_law_checks_composes_nothing(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+@pytest.mark.parametrize("name", WITH_BEYOND_CORPUS)
 def test_double_coset_table_matches_an_independent_count(name):
     """For every pair of class representatives K1, K2 the table lists the
     (K1, K2) double cosets, each as a K1-orbit on G/K2 given by its least
@@ -442,7 +458,7 @@ def test_double_coset_table_matches_an_independent_count(name):
     stabilizer is exactly the class-c representative; the orbits, the
     cosets and the stabilizers are recomputed here from the
     multiplication table alone."""
-    G = corpus_group(name)
+    G = _group(name)
     lat, classes = g.subgroup_lattice(G), gs.orbit_classes(G)
 
     def cosets(c):
