@@ -81,11 +81,11 @@ class _Rows:
             raise self.error(f"expected `{keyword}` line")
         return fields
 
-    def ints(self, count: int) -> list[int]:
+    def ints(self, count: int) -> tuple[int, ...]:
         """The next row as exactly `count` integers."""
         fields = self.next()
         try:
-            vals = list(map(int, fields))
+            vals = tuple(map(int, fields))
         except ValueError:
             raise self.error("expected integers")
         if len(vals) != count:
@@ -93,13 +93,13 @@ class _Rows:
         return vals
 
     def table(self, height: int, width: int) -> tuple[tuple[int, ...], ...]:
-        """The next `height` rows, each read by `ints(width)`, as tuples.
+        """The next `height` rows, each read by `ints(width)`.
 
         A row of no integers is a blank line, which is never read, so a
         table of width 0 is `height` empty rows and takes no line."""
         if not width:
             return ((),) * height
-        return tuple(tuple(self.ints(width)) for _ in range(height))
+        return tuple([self.ints(width) for _ in range(height)])
 
     def end(self) -> None:
         """Raise unless no row is left; the error names the first row left."""
