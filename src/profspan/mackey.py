@@ -26,9 +26,10 @@ pairs: with the identity acting as the identity, the law at the
 generator conjugations gives it at every conjugation, by induction on a
 word (spans.law_pairs).  On the corpus this tests 14,711 of the 88,414
 pairs of basis spans (22,995 pairs of endpoint keys); the test suite
-keeps the exhaustive check as its oracle.  Composites are read by
-position from the group's kept tables (spans.endpoint_composites), and
-a class triple with no pairs is skipped.  M is read as one list of
+keeps the exhaustive check as its oracle.  The law pairs and their
+composites are walked through spans.law_grids, which skips a class
+triple with no pairs and reads the group's kept tables by position.
+M is read as one list of
 matrices per pair of classes, each matrix packed once into one integer
 in base B = 2^k, its rows at a stride of D digits, D the largest level
 dims, and each of its rows and columns packed too; B is above twice
@@ -37,8 +38,9 @@ for a product, |G|·max for a sum of at most |G| terms).  So each pair
 costs one sum of products, the columns of M(k2) against the rows of
 M(k1), compared with one integer, and no key lookup; matrices whose
 packed integers differ are compared entrywise, up to the torsion of
-the target.  Only a failing check composes, one row of firsts at a
-time, up to the first failing pair.
+the target.  Only a failing check composes: it scans the pairs of all
+basis keys in the same way, one row of firsts at a time, up to the
+first failing pair, its witness.
 """
 
 from __future__ import annotations
@@ -244,16 +246,15 @@ def _pack(digits, shift: int) -> int:
     return packed
 
 
-def _composition_failure(M: MackeyFunctor, pairs, composites) -> tuple | None:
-    """The first (c1, c2, c3, k1, k2), over the pairs (k1, k2) of keys at
-    the positions pairs(c1, c2, c3) = (firsts, seconds) of
-    orbit_basis(G, c1, c2) and orbit_basis(G, c2, c3), in that
-    lexicographic order, for which M(k2 ∘ k1) and M(k2)·M(k1) differ as
-    maps into level c3; None if there is none.  composites(c1, c2, c3,
-    firsts, seconds) iterates the k2 ∘ k1 in that order, each as
-    (position in orbit_basis(G, c1, c3), mult) pairs, and is read only up
-    to the first failing pair; a triple with no firsts or no seconds has
-    no pair, and composites is not called for it.
+def _composition_failure(M: MackeyFunctor, grids) -> tuple | None:
+    """The first (c1, c2, c3, k1, k2), in the order of grids, for which
+    M(k2 ∘ k1) and M(k2)·M(k1) differ as maps into level c3; None if
+    there is none.  grids yields (c1, c2, c3, firsts, seconds, grid) as
+    spans.law_grids does: k1 and k2 are the keys at the positions firsts
+    of orbit_basis(G, c1, c2) and seconds of orbit_basis(G, c2, c3), and
+    grid iterates the k2 ∘ k1, firsts against seconds, each as (position
+    in orbit_basis(G, c1, c3), mult) pairs.  Both are read only up to
+    the first failing pair.
 
     Each matrix A is packed once as one integer Σ A[i][j]·B^(i·D + j),
     in base B = 2^k (_shift) with each row at a stride of D digits, D
@@ -289,12 +290,9 @@ def _composition_failure(M: MackeyFunctor, pairs, composites) -> tuple | None:
         [[tuple(_pack(c, stride) for c in zip(*A)) for A in by_key] for by_key in mats_c1]
         for mats_c1 in mats
     ]
-    for c1, c2, c3 in itertools.product(range(n), repeat=3):
-        firsts, seconds = pairs(c1, c2, c3)
-        if not firsts or not seconds:
-            continue
+    for c1, c2, c3, firsts, seconds, grid in grids:
         sums, rows12, columns23 = wholes[c1][c3], rows[c1][c2], columns[c2][c3]
-        terms = iter(composites(c1, c2, c3, firsts, seconds))
+        terms = iter(grid)
         for p1 in firsts:
             A1 = rows12[p1]
             for p2 in seconds:
@@ -360,24 +358,19 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
         A = M.gen_action[(c, c, sp.pair_key(c, X, 0, X, 0))]
         if not _congruent(A, _identity(M.levels[c].dims), M.levels[c].orders()):
             return Verdict(False, "identity span does not act as identity", c)
-    tables = [[sp.endpoint_composites(G, c1, c3) for c3 in range(n)] for c1 in range(n)]
-    failure = _composition_failure(
-        M,
-        lambda c1, c2, c3: sp.law_pairs(G, c1, c2, c3),
-        lambda c1, c2, c3, firsts, seconds: tables[c1][c3][c2],
-    )
-    if failure is None:
+    if _composition_failure(M, sp.law_grids(G)) is None:
         return Verdict(True)
     keys = [[sp.orbit_basis(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
 
-    def rows(c1, c2, c3, firsts, seconds):
-        later = [keys[c2][c3][p] for p in seconds]
-        for p in firsts:
-            yield from sp.composites(G, c1, c3, (keys[c1][c2][p],), later)
+    def every_pair():
+        # a grid is read up to its first failing pair before the next
+        # triple is drawn, and composes one row of firsts at a time
+        for c1, c2, c3 in itertools.product(range(n), repeat=3):
+            firsts, seconds = keys[c1][c2], keys[c2][c3]
+            grid = (t for k in firsts for t in sp.composites(G, c1, c3, (k,), seconds))
+            yield c1, c2, c3, range(len(firsts)), range(len(seconds)), grid
 
-    witness = _composition_failure(
-        M, lambda a, b, c: (range(len(keys[a][b])), range(len(keys[b][c]))), rows
-    )
+    witness = _composition_failure(M, every_pair())
     return Verdict(False, "composition law fails", witness)
 
 

@@ -50,14 +50,16 @@ routine that keeps nothing makes them all (composites): a grid of k2 ∘ k1
 for keys k1 into a middle orbit and k2 out of it, by the positions of
 its terms in the basis of its ends.  The law checks read one table of
 such grids per group and pair of end classes (endpoint_composites),
-one grid per middle class, laid out by law_pairs.  The law on those
-pairs decides it on all pairs: on the endpoint keys (Thévenaz–Webb
-1995, §2; endpoint_positions), and on an orbit's conjugations to
-itself only at the generators of its Weyl group, since the law on
-(c_s, e) and (e, c_s) for every generator s and endpoint key e, with
-the identity acting as the identity, gives it on (c_w, e) and (e, c_w)
-for every w by induction on a word for w (law_pairs).  On C128 that is
-48,748 of the 127,103 pairs of endpoint keys.
+one grid per middle class, laid out by law_pairs, and walk them in one
+way (law_grids): each class triple that has law pairs, with its pairs
+and its grid.  The law on those pairs decides it on all pairs: on the
+endpoint keys (Thévenaz–Webb 1995, §2; endpoint_positions), and on an
+orbit's conjugations to itself only at the generators of its Weyl
+group, since the law on (c_s, e) and (e, c_s) for every generator s
+and endpoint key e, with the identity acting as the identity, gives it
+on (c_w, e) and (e, c_w) for every w by induction on a word for w
+(law_pairs).  On C128 that is 48,748 of the 127,103 pairs of endpoint
+keys.
 
 Span(F), for F inflation or fixed points along a quotient map, is one
 table per functor and link (span_images), which both span checks of
@@ -65,11 +67,12 @@ verify and mackey.categorical_fixed_points read.  Both functors send a
 canonical orbit to one orbit on the same points, or to nothing, so the
 table is one record per subgroup class (_orbit_image) and one pair_key
 per basis key, held as the position of the image in its basis.  The
-right sides of the Span(F) law that the image group's tables do not
-hold, those of the images of generator conjugations, are composed once
-per table, and so per link (image_composites).  The module's tables
-are kept for the process, one per group, G-set or link and class or
-class pair, none per key or pair of keys.
+right sides of the Span(F) law on the pairs of law_grids are held once
+per table, and so per link (image_composites): read by position from
+the image group's tables where their layout lists the images, and
+composed where it does not, for the images of generator conjugations.
+The module's tables are kept for the process, one per group, G-set or
+link and class or class pair, none per key or pair of keys.
 """
 
 from __future__ import annotations
@@ -395,11 +398,10 @@ def law_pairs(G: FiniteGroup, c1: int, c2: int, c3: int) -> tuple:
 def endpoint_composites(G: FiniteGroup, c1: int, c3: int) -> tuple:
     """The table both law checks read: entry c2 is the grid of the keys at
     the positions law_pairs(G, c1, c2, c3) gives, firsts against seconds
-    (composites), and equal entries of the table are one tuple.  Readers
-    recompute the layout from law_pairs, which reads two kept tuples.  A
-    triple with no firsts or no seconds (incomparable classes, or a
-    trivial Weyl group) has no pairs: its entry is () and nothing is
-    composed for it."""
+    (composites), and equal entries of the table are one tuple.  A triple
+    with no firsts or no seconds (incomparable classes, or a trivial Weyl
+    group) has no pairs: its entry is () and nothing is composed for
+    it.  Readers walk the table through law_grids."""
     shared: dict = {}
     table = []
     for c2 in range(subgroup_lattice(G).num_classes):
@@ -413,6 +415,21 @@ def endpoint_composites(G: FiniteGroup, c1: int, c3: int) -> tuple:
         )
         table.append(tuple(shared.setdefault(t, t) for t in grid))
     return tuple(table)
+
+
+def law_grids(G: FiniteGroup):
+    """Each (c1, c2, c3, firsts, seconds, grid) for a class triple that
+    has law pairs, in lexicographic order: firsts and seconds the
+    positions law_pairs(G, c1, c2, c3) gives, and grid the composites of
+    the keys at them, firsts against seconds in the layout of composites
+    (endpoint_composites(G, c1, c3)[c2]).  A triple with no firsts or no
+    seconds has no pair to test and is not yielded.  It is the one walk
+    over the law pairs that both law checks and image_composites make."""
+    n = subgroup_lattice(G).num_classes
+    for c1, c2, c3 in itertools.product(range(n), repeat=3):
+        firsts, seconds = law_pairs(G, c1, c2, c3)
+        if firsts and seconds:
+            yield c1, c2, c3, firsts, seconds, endpoint_composites(G, c1, c3)[c2]
 
 
 @dataclass(frozen=True)
@@ -548,51 +565,42 @@ def span_images(q: QuotientMap, which: str) -> SpanImages:
     )
 
 
-def image_grid(K: FiniteGroup, m1: int, m2: int, m3: int, firsts, seconds) -> tuple:
-    """The composites in K of the keys at the positions firsts of
-    orbit_basis(K, m1, m2) and seconds of orbit_basis(K, m2, m3), in the
-    layout of composites; a position None, the image of a key that F
-    sends to zero, gives () in its row or column."""
-    b12, b23 = orbit_basis(K, m1, m2), orbit_basis(K, m2, m3)
-    kept1 = [j for j in firsts if j is not None]
-    kept2 = [j for j in seconds if j is not None]
-    grid = iter(composites(K, m1, m3, [b12[j] for j in kept1], [b23[j] for j in kept2]))
-    return tuple(
-        () if j1 is None or j2 is None else next(grid)
-        for j1 in firsts
-        for j2 in seconds
-    )
-
-
 @lru_cache(maxsize=None)
 def image_composites(table: SpanImages) -> dict:
-    """The right sides of the Span(F) law on the pairs of law_pairs that
-    the image group's tables do not hold, composed once per table, and so
-    once per link (span_images): for each class triple that has pairs
-    and whose image classes m1, m2, m3 all exist, the grid
-    Span(F)(k2) ∘ Span(F)(k1) of its pairs (image_grid), unless
-    m1 ≠ m2 ≠ m3 and every image is an endpoint key, when the law reads
-    endpoint_composites(K, m1, m3)[m2].
-    So it holds the triples with c1 = c2 or c2 = c3: the image of a
+    """The right sides Span(F)(k2) ∘ Span(F)(k1) of the Span(F) law on the
+    pairs of law_grids(G), one grid per class triple whose image classes
+    m1, m2, m3 all exist, in the layout of its grid of law_grids; a key
+    that F sends to zero gives () in its row or column.  Where
+    m1 ≠ m2 ≠ m3 and every image is an endpoint key, the grid is read by
+    position from endpoint_composites(K, m1, m3)[m2], whose layout lists
+    them, and is that grid itself when the images come in its order (as
+    on every link of the cyclic towers the CLI builds); the others are
+    composed, once per table and so once per link (span_images): they
+    hold the triples with c1 = c2 or c2 = c3, since the image of a
     generator conjugation is a conjugation that K's layout need not
     list."""
     G, K, images, terms = table
-    n = len(images)
-    kept = {}
-    for c1, c2, c3 in itertools.product(range(n), repeat=3):
+    rights = {}
+    for c1, c2, c3, firsts, seconds, _ in law_grids(G):
         m1, m2, m3 = images[c1], images[c2], images[c3]
         if None in (m1, m2, m3):
             continue
-        firsts, seconds = law_pairs(G, c1, c2, c3)
-        if not firsts or not seconds:
-            continue
         j1 = [terms[c1][c2][p] for p in firsts]
         j2 = [terms[c2][c3][p] for p in seconds]
-        if (
-            m1 != m2 != m3
-            and set(j1) <= set(endpoint_positions(K, m1, m2))
-            and set(j2) <= set(endpoint_positions(K, m2, m3))
-        ):
+        e1 = {j: e for e, j in enumerate(endpoint_positions(K, m1, m2))}
+        e2 = {j: e for e, j in enumerate(endpoint_positions(K, m2, m3))}
+        if m1 != m2 != m3 and e1.keys() >= set(j1) and e2.keys() >= set(j2):
+            grid, width = endpoint_composites(K, m1, m3)[m2], len(e2)
+            # images in the order of K's layout read K's grid as it is
+            if [j1, j2] != [list(e1), list(e2)]:
+                grid = tuple(grid[e1[a] * width + e2[b]] for a in j1 for b in j2)
+            rights[c1, c2, c3] = grid
             continue
-        kept[c1, c2, c3] = image_grid(K, m1, m2, m3, j1, j2)
-    return kept
+        b12, b23 = orbit_basis(K, m1, m2), orbit_basis(K, m2, m3)
+        kept1 = [b12[j] for j in j1 if j is not None]
+        kept2 = [b23[j] for j in j2 if j is not None]
+        grid = iter(composites(K, m1, m3, kept1, kept2))
+        rights[c1, c2, c3] = tuple(
+            () if a is None or b is None else next(grid) for a in j1 for b in j2
+        )
+    return rights

@@ -19,16 +19,13 @@ of one image per basis key), so their reports depend on neither the
 size cap nor the seed; only funcat reads the seed.  The law is tested
 on the pairs of spans.law_pairs, which give it on every pair of
 endpoint keys: an orbit's conjugations to itself are tested only at the
-generators of its Weyl group.  Both sides are read by position from the
-endpoint-composite tables of the two groups of a link
-(spans.endpoint_composites), and the right sides of the images of the
-generator conjugations, which the image group's table need not hold,
-from the grids composed once per link (spans.image_composites).  A
-failing law is scanned again over every pair of endpoint keys, for its
-witness.  A link that is not onto has no such table, and the checks
-raise ValueError on it, as make_tower does.  The composition law on
-those generators also decides whether F keeps pullbacks, so no
-pullback G-set is built.
+generators of its Weyl group.  One scan walks those pairs
+(spans.law_grids), reading the left sides by position from the source
+group's grids and the right sides from those spans.image_composites
+holds once per link; its first failing pair is the witness.  A link
+that is not onto has no such table, and the checks raise ValueError on
+it, as make_tower does.  The composition law on those generators also
+decides whether F keeps pullbacks, so no pullback G-set is built.
 
 A check that would test nothing at the requested tower or cap raises
 ParseError, an input error, naming its minimum: the link checks need a
@@ -174,54 +171,19 @@ def _pushed(composite, images) -> tuple:
     return tuple(sorted(counts.items()))
 
 
-def _law_failures(table: sp.SpanImages, reduced: bool = False):
-    """Each (c1, c2, c3, k1, k2) with k1 and k2 endpoint keys of
-    orbit_basis(G, c1, c2) and orbit_basis(G, c2, c3) for which
-    Span(F)(k2 ∘ k1) and Span(F)(k2) ∘ Span(F)(k1) differ, in that
-    lexicographic order; if reduced, only over the pairs of
-    spans.law_pairs, which decide the law on all of them.
-
-    The reduced scan reads both sides by position: the left from
-    spans.endpoint_composites(G, c1, c3), pushed through the images, and
-    the right from endpoint_composites(K, m1, m3), m1, m2, m3 the image
-    classes, at the endpoint positions of the two images, or from the
-    grids that spans.image_composites keeps per table where K's table
-    does not hold them.  The full scan, a failing check's witness,
-    composes both sides of every triple (spans.composites,
-    spans.image_grid).  Either scan skips a triple with no firsts or no
-    seconds, which has no pair to test."""
-    G, K, images, terms = table
-    n = len(images)
-    kept = sp.image_composites(table) if reduced else {}
-    for c1, c2, c3 in itertools.product(range(n), repeat=3):
-        m1, m2, m3 = images[c1], images[c2], images[c3]
-        if reduced:
-            firsts, seconds = sp.law_pairs(G, c1, c2, c3)
-        else:
-            firsts = sp.endpoint_positions(G, c1, c2)
-            seconds = sp.endpoint_positions(G, c2, c3)
-        if not firsts or not seconds:
-            continue
-        if reduced:
-            lefts = sp.endpoint_composites(G, c1, c3)[c2]
-        else:
-            b12, b23 = sp.orbit_basis(G, c1, c2), sp.orbit_basis(G, c2, c3)
-            lefts = sp.composites(
-                G, c1, c3, [b12[p] for p in firsts], [b23[p] for p in seconds]
-            )
-        j1 = [terms[c1][c2][p] for p in firsts]
-        j2 = [terms[c2][c3][p] for p in seconds]
-        if None in (m1, m2, m3):
-            rights = itertools.repeat(())
-        elif not reduced:
-            rights = sp.image_grid(K, m1, m2, m3, j1, j2)
-        elif (c1, c2, c3) in kept:
-            rights = kept[c1, c2, c3]
-        else:
-            e1 = {j: e for e, j in enumerate(sp.endpoint_positions(K, m1, m2))}
-            e2 = {j: e for e, j in enumerate(sp.endpoint_positions(K, m2, m3))}
-            grid, width = sp.endpoint_composites(K, m1, m3)[m2], len(e2)
-            rights = (grid[e1[a] * width + e2[b]] for a in j1 for b in j2)
+def _law_failures(table: sp.SpanImages):
+    """Each (c1, c2, c3, k1, k2) with (k1, k2) a pair of spans.law_grids
+    for which Span(F)(k2 ∘ k1) and Span(F)(k2) ∘ Span(F)(k1) differ, in
+    that lexicographic order.  Both sides are read by position: the left
+    from the grid of law_grids(G), pushed through the images, and the
+    right from the grid that spans.image_composites keeps for the triple,
+    or 0 where an end has no image.  The law on these pairs decides it on
+    every pair of endpoint keys (spans.law_pairs), so a failure names a
+    pair of endpoint keys on which the law fails."""
+    G, terms = table.source, table.terms
+    kept = sp.image_composites(table)
+    for c1, c2, c3, firsts, seconds, lefts in sp.law_grids(G):
+        rights = kept.get((c1, c2, c3), itertools.repeat(()))
         pairs = itertools.product(firsts, seconds)
         for (p1, p2), left, right in zip(pairs, lefts, rights):
             if _pushed(left, terms[c1][c3]) != right:
@@ -234,7 +196,8 @@ def _span_functor_check(tower, name: str, kept, conclusion: str) -> Verdict:
     decided on the orbits of F's source group, one per subgroup class:
     its images of the basis spans between them (spans.span_images) pass
     _basis_failure with kept(q, apex class), and the law holds on every
-    pair of endpoint keys (_law_failures; witness (c1, c2, c3, k1, k2)).
+    pair of endpoint keys (_law_failures; witness the first failing
+    tested pair (c1, c2, c3, k1, k2)).
     The table renames each F(orbit) onto its canonical orbit, and
     renaming endpoints along isomorphisms changes neither side of the law.
 
@@ -270,8 +233,8 @@ def _span_functor_check(tower, name: str, kept, conclusion: str) -> Verdict:
         failure = _basis_failure(table, lambda c: kept(q, c))
         if failure:
             return Verdict(False, f"{name} {failure} at stage {i}")
-        if next(_law_failures(table, reduced=True), None) is not None:
-            witness = next(_law_failures(table))
+        witness = next(_law_failures(table), None)
+        if witness is not None:
             return Verdict(False, f"Span({name}) not functorial at stage {i}", witness)
         ends = [[sp.endpoint_positions(G, a, b) for b in range(n)] for a in range(n)]
         for a, b, c in itertools.product(range(n), repeat=3):

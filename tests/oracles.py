@@ -324,10 +324,12 @@ def as_span_images(table: GenericSpanImages) -> sp.SpanImages:
     return sp.SpanImages(G, H, images, tuple(map(tuple, terms)))
 
 
+@lru_cache(maxsize=16)
 def image_terms(table: sp.SpanImages) -> dict:
     """The images of a package table as GenericSpanImages holds them:
     (c1, c2, key) -> ((image key, 1),), or () for zero, in the order of
-    orbit_keys."""
+    orbit_keys; kept for the last tables, which law_holds_oracle reads
+    once per pair."""
     G, H, n = table.source, table.target, len(table.images)
     terms = {}
     for c1, c2 in itertools.product(range(n), repeat=2):

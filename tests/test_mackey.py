@@ -416,7 +416,8 @@ def test_check_mackey_packs_the_zero_functor(name, G):
 def test_no_law_scan_composes_a_triple_without_pairs(monkeypatch, relabel_seed):
     """endpoint_composites and check_mackey on C4xC2 compose exactly the
     249 class triples whose law pairs have firsts and seconds; the other
-    263 of the 512 get the entry () and no spans.composites call."""
+    263 of the 512 get the entry () and no spans.composites call, and the
+    law scan over spans.law_grids visits exactly the 249."""
     G = corpus_group("C4xC2")
     if relabel_seed is not None:
         G = _relabelled(G, relabel_seed)
@@ -446,11 +447,12 @@ def test_no_law_scan_composes_a_triple_without_pairs(monkeypatch, relabel_seed):
 
     visited = []
 
-    def reader(c1, c2, c3, firsts, seconds):
-        visited.append((c1, c2, c3))
-        return sp.endpoint_composites(G, c1, c3)[c2]
+    def walk():
+        for entry in sp.law_grids(G):
+            visited.append(entry[:3])
+            yield entry
 
-    assert mk._composition_failure(M, lambda *t: sp.law_pairs(G, *t), reader) is None
+    assert mk._composition_failure(M, walk()) is None
     assert visited == with_pairs and len(calls) == 249
 
 

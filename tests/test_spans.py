@@ -374,6 +374,28 @@ def test_endpoint_composites_match_compose_keys(name, relabel_seed):
         assert len({id(entry) for entry in entries}) == len(set(entries))
 
 
+@pytest.mark.parametrize("relabel_seed", [None, 13], ids=["given", "relabelled"])
+@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+def test_law_grids_walk_every_triple_with_law_pairs(name, relabel_seed):
+    """law_grids yields exactly the class triples whose law pairs have
+    firsts and seconds, in lexicographic order, each with those pairs and
+    the composites of the keys at them, firsts against seconds."""
+    G = corpus_group(name)
+    if relabel_seed is not None:
+        G = _relabelled(G, relabel_seed)
+    n = g.subgroup_lattice(G).num_classes
+    walked = list(sp.law_grids(G))
+    triples = itertools.product(range(n), repeat=3)
+    assert [w[:3] for w in walked] == [t for t in triples if all(sp.law_pairs(G, *t))]
+    for c1, c2, c3, firsts, seconds, grid in walked:
+        assert (firsts, seconds) == sp.law_pairs(G, c1, c2, c3)
+        b12, b23 = sp.orbit_basis(G, c1, c2), sp.orbit_basis(G, c2, c3)
+        expected = sp.composites(
+            G, c1, c3, [b12[p] for p in firsts], [b23[p] for p in seconds]
+        )
+        assert grid == expected, (c1, c2, c3)
+
+
 @pytest.mark.parametrize("order", [64, 81, 128])
 def test_endpoint_composites_match_the_per_element_oracle_on_cyclic_groups(order):
     """A seeded sample of the endpoint-composite entries that the span and
@@ -697,9 +719,11 @@ def _table(functor, q):
 def check_left_exact(F) -> Verdict:
     """Left exactness of F as the span checks decide it: the law of
     Span(F) on every transfer-restriction pair between the orbits of F's
-    source group (verify._span_functor_check gives the proof).  The
-    witness of a failure is the cospan X -f-> Z <-h- Y as (X, Y, Z
-    actions, f and h values)."""
+    source group that the law scan tests (verify._span_functor_check
+    gives the proof).  A pair through an orbit's conjugation to itself,
+    which the scan tests only at generators, has an isomorphism for f or
+    h, and every functor keeps its pullback.  The witness of a failure is
+    the cospan X -f-> Z <-h- Y as (X, Y, Z actions, f and h values)."""
     G = F.src_group
     orbits = _orbits(G)
     failing = set(vf._law_failures(_table(type(F), F.q)))
@@ -806,38 +830,51 @@ def _replaced_images(table):
 
 
 def _law_failures_oracle(table):
+    """The endpoint-key pairs (c1, c2, c3, k1, k2) on which the law
+    composed key by key fails, in lexicographic order."""
     G, n = table.source, len(table.images)
-    return [
+    return (
         (c1, c2, c3, k1, k2)
         for c1, c2, c3 in itertools.product(range(n), repeat=3)
         for k1, k2 in _endpoint_pairs(G, c1, c2, c3)
         if not law_holds_oracle(table, c1, c2, c3, k1, k2)
-    ]
+    )
+
+
+def _law_scan_fails(table) -> bool:
+    """Whether the law scan of the span checks (verify._law_failures)
+    yields a pair, checked against the law composed key by key: every
+    pair it yields fails that law, and on a table that keeps identities,
+    as the span checks test before the law, it yields one iff some pair
+    of endpoint keys fails."""
+    found = list(vf._law_failures(table))
+    for failure in found:
+        assert not law_holds_oracle(table, *failure), failure
+    if _keeps_identities(table):
+        assert bool(found) == (next(_law_failures_oracle(table), None) is not None)
+    return bool(found)
 
 
 @pytest.mark.parametrize("functor", [
     FixedPointsGSetFunctor, InflationGSetFunctor, OrbitQuotientFunctor
 ])
 def test_law_failures_match_the_per_key_law(functor):
-    """The law read by position from the endpoint-composite tables fails
-    on exactly the endpoint-key pairs, in order, on which the law composed
-    key by key fails: on the tables of the links of tower 2,3 and of the
+    """The law read by position from the law grids fails only on pairs on
+    which the law composed key by key fails, and on a table that keeps
+    identities it fails iff that law fails on some pair of endpoint keys
+    (_law_scan_fails): on the tables of the links of tower 2,3 and of the
     corpus groups of order at most 6 with each normal subgroup, and on
     each copy of the tower's tables with the image of an endpoint key
     replaced, which may send it to a key that is not an endpoint key."""
     quotients = list(g.cyclic_tower(2, 3).links) + [
         q for name in LAW_GROUPS[:-2] for q in _quotients(corpus_group(name))
     ]
-    failures = 0
-    for q in quotients:
-        table = _table(functor, q)
-        assert list(vf._law_failures(table)) == _law_failures_oracle(table)
-        failures += bool(_law_failures_oracle(table))
+    failures = sum(_law_scan_fails(_table(functor, q)) for q in quotients)
     assert bool(failures) == (functor is OrbitQuotientFunctor)
     replaced = 0
     for q in g.cyclic_tower(2, 3).links:
         for table in _replaced_images(_table(functor, q)):
-            assert list(vf._law_failures(table)) == _law_failures_oracle(table)
+            _law_scan_fails(table)
             replaced += 1
     assert replaced
 
@@ -881,8 +918,9 @@ def _replaced_conjugations(table):
     FixedPointsGSetFunctor, InflationGSetFunctor, OrbitQuotientFunctor
 ])
 def test_the_law_on_law_pairs_decides_as_every_endpoint_pair(functor):
-    """The law read on the pairs of spans.law_pairs fails iff it fails on
-    some pair of endpoint keys: on the tables of
+    """The law read on the pairs of spans.law_pairs fails iff the law
+    composed key by key fails on some pair of endpoint keys, and only on
+    pairs where it does (_law_scan_fails): on the tables of
     test_law_failures_match_the_per_key_law, on their copies with the
     image of an endpoint key replaced that keep identities, and on copies
     of the tables of every normal quotient of C2xC2, S3 and D4 with the
@@ -900,11 +938,8 @@ def test_the_law_on_law_pairs_decides_as_every_endpoint_pair(functor):
         for q in _quotients(corpus_group(name))
         for table in _replaced_conjugations(_table(functor, q))
     ]
-    outcomes = Counter()
-    for table in tables + conjugated:
-        fails = next(vf._law_failures(table), None) is not None
-        assert (next(vf._law_failures(table, reduced=True), None) is not None) == fails
-        outcomes[fails] += 1
+    assert all(map(_keeps_identities, conjugated))
+    outcomes = Counter(map(_law_scan_fails, tables + conjugated))
     assert outcomes[True] and outcomes[False]
     assert conjugated
 
