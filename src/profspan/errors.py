@@ -1,18 +1,32 @@
 """Exception types and the check verdict shared across the package."""
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Verdict:
     """Outcome of a check: truthy when it holds, else a reason and a
     witness (None when there is none).  `lines` are the report lines that
-    follow the verdict line when it is rendered."""
+    follow the verdict line when it is rendered, a new list by default."""
 
-    ok: bool
-    reason: str = ""
-    witness: object = None
-    lines: list[str] = field(default_factory=list)
+    def __init__(
+        self, ok: bool, reason: str = "", witness: object = None,
+        lines: list[str] | None = None,
+    ):
+        self.ok = ok
+        self.reason = reason
+        self.witness = witness
+        self.lines = [] if lines is None else lines
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is self.__class__
+            and (self.ok, self.reason, self.witness, self.lines)
+            == (other.ok, other.reason, other.witness, other.lines)
+        )
+
+    def __repr__(self):
+        return (
+            f"Verdict(ok={self.ok!r}, reason={self.reason!r}, "
+            f"witness={self.witness!r}, lines={self.lines!r})"
+        )
 
     def __bool__(self):
         return self.ok

@@ -14,15 +14,22 @@ search it replaced is a test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import NotAGroup, NotNormal, NotPrime
 
 
+def read_only(self, name, *value):
+    """__setattr__ and __delattr__ of the frozen classes, whose __init__
+    writes the fields to __dict__ once."""
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 def memoise_hash(cls):
-    """Class decorator for a frozen dataclass: compute the field-wise hash
-    on first use and keep it on the instance.
+    """Class decorator for a frozen class whose __hash__ hashes the tuple
+    of its fields: compute that hash on first use and keep it on the
+    instance.
 
     Groups, G-sets, towers and quotient maps key hom-set, lattice and
     fixed-point caches, and their generated hash re-walks every table on
@@ -42,9 +49,19 @@ def memoise_hash(cls):
 
 
 @memoise_hash
-@dataclass(frozen=True)
 class FiniteGroup:
-    mult: tuple[tuple[int, ...], ...]
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, mult: tuple[tuple[int, ...], ...]):
+        self.__dict__["mult"] = mult
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is self.__class__ and (self.mult,) == (other.mult,)
+        )
+
+    def __hash__(self):
+        return hash((self.mult,))
 
     @property
     def order(self) -> int:
@@ -155,8 +172,7 @@ def make_group(table) -> FiniteGroup:
     return FiniteGroup(tuple(rows))
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     parent: FiniteGroup
     elements: tuple[int, ...]
 
@@ -207,15 +223,33 @@ def left_cosets(G: FiniteGroup, H) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(coset_of), tuple(reps)
 
 
-@dataclass(frozen=True)
 class SubgroupLattice:
-    group: FiniteGroup
-    subgroups: tuple[Subgroup, ...]
-    normal: tuple[bool, ...]
-    # the subgroups of each class, classes sorted by the order of their
-    # representatives: class 0 is the trivial subgroup, the last is G
-    classes: tuple[tuple[int, ...], ...]
-    conjugators: tuple[int, ...]  # t with t·H·t⁻¹ the class rep, per subgroup H
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(
+        self,
+        group: FiniteGroup,
+        subgroups: tuple[Subgroup, ...],
+        normal: tuple[bool, ...],
+        # the subgroups of each class, classes sorted by the order of their
+        # representatives: class 0 is the trivial subgroup, the last is G
+        classes: tuple[tuple[int, ...], ...],
+        conjugators: tuple[int, ...],  # t with t·H·t⁻¹ the class rep, per subgroup H
+    ):
+        self.__dict__.update(
+            group=group, subgroups=subgroups, normal=normal, classes=classes,
+            conjugators=conjugators,
+        )
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is self.__class__
+            and (self.group, self.subgroups, self.normal, self.classes, self.conjugators)
+            == (other.group, other.subgroups, other.normal, other.classes, other.conjugators)
+        )
+
+    def __hash__(self):
+        return hash((self.group, self.subgroups, self.normal, self.classes, self.conjugators))
 
     @cached_property
     def where(self) -> dict[tuple[int, ...], tuple[int, int]]:
@@ -326,14 +360,28 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
 
 
 @memoise_hash
-@dataclass(frozen=True)
 class QuotientMap:
     """A surjective homomorphism and its kernel; built by quotient_map."""
 
-    source: FiniteGroup
-    kernel: Subgroup
-    target: FiniteGroup
-    projection: tuple[int, ...]
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(
+        self, source: FiniteGroup, kernel: Subgroup, target: FiniteGroup,
+        projection: tuple[int, ...],
+    ):
+        self.__dict__.update(
+            source=source, kernel=kernel, target=target, projection=projection
+        )
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is self.__class__
+            and (self.source, self.kernel, self.target, self.projection)
+            == (other.source, other.kernel, other.target, other.projection)
+        )
+
+    def __hash__(self):
+        return hash((self.source, self.kernel, self.target, self.projection))
 
     def section(self, c: int) -> int:
         """Smallest source element projecting to c."""
@@ -393,13 +441,23 @@ def class_preimages(q: QuotientMap) -> list[tuple[tuple[int, ...], int]]:
 
 
 @memoise_hash
-@dataclass(frozen=True)
 class GroupTower:
     """Chain of finite quotients; stages[0] is the coarsest.  links[i]
     projects stages[i+1] onto stages[i]; make_tower checks every link."""
 
-    stages: tuple[FiniteGroup, ...]
-    links: tuple[QuotientMap, ...]
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, stages: tuple[FiniteGroup, ...], links: tuple[QuotientMap, ...]):
+        self.__dict__.update(stages=stages, links=links)
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is self.__class__
+            and (self.stages, self.links) == (other.stages, other.links)
+        )
+
+    def __hash__(self):
+        return hash((self.stages, self.links))
 
     @property
     def depth(self) -> int:

@@ -33,7 +33,6 @@ has already found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -44,17 +43,28 @@ from .groups import (
     generating_set,
     left_cosets,
     memoise_hash,
+    read_only,
     subgroup_lattice,
 )
 
 
 @memoise_hash
-@dataclass(frozen=True)
 class GSet:
     """Finite left G-set; action[x][g] = g.x."""
 
-    group: FiniteGroup
-    action: tuple[tuple[int, ...], ...]
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, group: FiniteGroup, action: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(group=group, action=action)
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is self.__class__
+            and (self.group, self.action) == (other.group, other.action)
+        )
+
+    def __hash__(self):
+        return hash((self.group, self.action))
 
     @property
     def size(self) -> int:

@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .errors import GroupMismatch, IncoherentFamily, Verdict
 from .groups import FiniteGroup, GroupTower, QuotientMap, subgroup_lattice
@@ -91,22 +91,27 @@ def normalize_factors(factors) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-@dataclass(frozen=True)
-class AbPresentation:
-    """Finitely generated abelian group: free rank plus invariant factors."""
+class _AbFields(NamedTuple):
+    """The fields of AbPresentation, which checks them when it is built."""
 
     rank: int
     invariant_factors: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if self.rank < 0:
+
+class AbPresentation(_AbFields):
+    """Finitely generated abelian group: free rank plus invariant factors."""
+
+    __slots__ = ()
+
+    def __new__(cls, rank: int, invariant_factors: tuple[int, ...] = ()):
+        if rank < 0:
             raise ValueError("rank must be non-negative")
-        fs = self.invariant_factors
-        if any(f < 2 for f in fs):
+        if any(f < 2 for f in invariant_factors):
             raise ValueError("torsion factors must be at least 2")
-        for a, b in zip(fs, fs[1:]):
+        for a, b in zip(invariant_factors, invariant_factors[1:]):
             if b % a != 0:
                 raise ValueError("factors must divide in sequence")
+        return super().__new__(cls, rank, invariant_factors)
 
     @property
     def dims(self) -> int:
@@ -140,8 +145,7 @@ def _identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class MackeyFunctor:
+class MackeyFunctor(NamedTuple):
     """Levels per subgroup conjugacy class; a matrix per basis span.
 
     gen_action is keyed by (source class, target class, basis span key)

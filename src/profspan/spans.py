@@ -78,7 +78,6 @@ link and class or class pair, none per key or pair of keys.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -432,8 +431,7 @@ def law_grids(G: FiniteGroup):
             yield c1, c2, c3, firsts, seconds, endpoint_composites(G, c1, c3)[c2]
 
 
-@dataclass(frozen=True)
-class BurnsideTables:
+class BurnsideTables(NamedTuple):
     class_orders: tuple[int, ...]
     marks: tuple[tuple[int, ...], ...]
     ring: tuple[tuple[tuple[int, ...], ...], ...]  # ring[i][j][k] coefficients

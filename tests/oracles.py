@@ -816,6 +816,20 @@ def mackey_composition_oracle(M: mk.MackeyFunctor) -> Verdict:
     return Verdict(True)
 
 
+def burnside_with_reduction(G: FiniteGroup, n: int) -> mk.MackeyFunctor:
+    """The direct sum of the Burnside functor of G and its reduction mod n
+    (mk.reduce_mod): each level Z^r ⊕ (Z/n)^r, free generators first,
+    and each matrix block diagonal.  A functor whose torsion generators
+    map into levels with free generators, by zero."""
+    B = mk.burnside_mackey(G)
+    levels = tuple(mk.AbPresentation(lv.rank, (n,) * lv.rank) for lv in B.levels)
+    gen_action = {}
+    for key, A in B.gen_action.items():
+        zeros = (0,) * B.levels[key[0]].rank
+        gen_action[key] = tuple(row + zeros for row in A) + tuple(zeros + row for row in A)
+    return mk.MackeyFunctor(G, levels, gen_action)
+
+
 def categorical_fixed_points_oracle(
     M: mk.MackeyFunctor, q: QuotientMap
 ) -> mk.MackeyFunctor:

@@ -32,6 +32,7 @@ _REPR = "the repr of a failing test's operands"
 _CORPUS = "the benchmark's corpus: perfbench imports profspan.corpus"
 _NAMED = "builds a named group of the benchmark's corpus; no verb takes one yet"
 _WRITES = "writes test and benchmark inputs; no verb writes one yet (ROADMAP item 10)"
+_EQUALITY = "value equality of a value class, which no case compares or hashes"
 
 # Functions that no golden case reaches, by module-qualified name.
 ALLOWED = {
@@ -45,6 +46,13 @@ ALLOWED = {
     "verify._needs_link": _IMPORT,
     "groups.FiniteGroup.__repr__": _REPR,
     "gsets.GSet.__repr__": _REPR,
+    "errors.Verdict.__repr__": _REPR,
+    "errors.Verdict.__eq__": _EQUALITY,
+    "groups.SubgroupLattice.__eq__": _EQUALITY,
+    "groups.SubgroupLattice.__hash__": _EQUALITY,
+    "groups.GroupTower.__eq__": _EQUALITY,
+    "gsets.GSet.__eq__": _EQUALITY,
+    "groups.read_only": "refuses to assign or delete a field of a frozen class; no case tries",
     "corpus.corpus_groups": _CORPUS,
     "corpus.corpus_group": _CORPUS,
     "groups.from_permutations": _NAMED,

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,7 @@ from profspan import formats as fm
 from profspan import groups as g
 from profspan import gsets as gs
 from profspan import mackey as mk
+from profspan import spans as sp
 from profspan import verify as vf
 from profspan.cli import main
 from profspan.corpus import corpus_group
@@ -605,3 +607,117 @@ def test_python_m_profspan_prints_the_golden_report():
     expected = (GOLDEN / "verify-all-cap4.txt").read_text()
     assert f"exit {proc.returncode}\n{proc.stdout}" == expected
     assert proc.stderr == ""
+
+
+def test_importing_the_cli_loads_no_dataclasses_machinery():
+    """`import profspan.cli` in a fresh interpreter loads neither
+    dataclasses nor inspect, which it pulls in with ast, dis and tokenize:
+    the package's value classes are written out by hand."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = "import sys, profspan.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+VALUE_CLASSES = [
+    g.FiniteGroup, g.Subgroup, g.SubgroupLattice, g.QuotientMap, g.GroupTower,
+    gs.GSet, mk.AbPresentation, mk.MackeyFunctor, sp.BurnsideTables, Verdict,
+]
+
+
+def _value_cases():
+    """Per value class: its field names, the fields of one instance, and
+    the fields of another instance of it."""
+    C2, C4 = corpus_group("C2"), corpus_group("C4")
+    q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
+    t2, t3 = g.cyclic_tower(2, 2), g.cyclic_tower(2, 3)
+    X, Y = gs.orbit_gset(C4, 1), gs.orbit_gset(C4, 0)
+    M = mk.burnside_mackey(C2)
+
+    def fields(value, names):
+        return tuple(getattr(value, f) for f in names)
+
+    lattice = ("group", "subgroups", "normal", "classes", "conjugators")
+    quotient = ("source", "kernel", "target", "projection")
+    tables = ("class_orders", "marks", "ring")
+    return {
+        g.FiniteGroup: (("mult",), (C4.mult,), (C2.mult,)),
+        g.Subgroup: (("parent", "elements"), (C4, (0, 2)), (C4, (0,))),
+        g.SubgroupLattice: (
+            lattice,
+            fields(g.subgroup_lattice(C4), lattice),
+            fields(g.subgroup_lattice(C2), lattice),
+        ),
+        g.QuotientMap: (quotient, fields(q, quotient), fields(t3.links[1], quotient)),
+        g.GroupTower: (("stages", "links"), (t2.stages, t2.links), (t3.stages, t3.links)),
+        gs.GSet: (("group", "action"), (X.group, X.action), (Y.group, Y.action)),
+        mk.AbPresentation: (("rank", "invariant_factors"), (1, (2, 4)), (1, (2,))),
+        mk.MackeyFunctor: (
+            ("group", "levels", "gen_action"),
+            (M.group, M.levels, M.gen_action),
+            (M.group, M.levels, dict.fromkeys(M.gen_action, ())),
+        ),
+        sp.BurnsideTables: (
+            tables, fields(sp.burnside_tables(C4), tables),
+            fields(sp.burnside_tables(C2), tables),
+        ),
+        Verdict: (
+            ("ok", "reason", "witness", "lines"),
+            (False, "reason", (0, 1), ["a line"]),
+            (False, "reason", (0, 1), []),
+        ),
+    }
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_value_semantics_of_the_value_classes(cls, files, capsys):
+    """Each value class, built positionally or by keyword, equals another
+    built from copies of the same fields and hashes as the tuple of its
+    fields (or, holding a list or dict, is unhashable as that tuple is);
+    another field value, or another class with the same attributes, is
+    unequal; and a frozen one refuses to assign or delete a field."""
+    cases = _value_cases()
+    names, fields, other = cases[cls]
+    a = cls(*fields)
+    b = cls(**dict(zip(names, copy.deepcopy(fields))))
+    assert a == b and not a != b and a is not b
+    assert tuple(getattr(b, f) for f in names) == fields
+    if cls in (Verdict, mk.MackeyFunctor):
+        for value in (a, fields):
+            with pytest.raises(TypeError):
+                hash(value)
+    else:
+        assert hash(a) == hash(b) == hash(fields)
+        assert hash(a) == hash(a) and a == b  # a kept hash changes neither
+    assert a != cls(*other) and cls(*other) != a
+    assert a != SimpleNamespace(**dict(zip(names, fields)))
+    assert all(a != cls2(*f) for cls2, (_, f, _) in cases.items() if cls2 is not cls)
+    if cls is Verdict:
+        b.reason = "another"
+        assert a != b
+        # a new list of report lines each time: with a shared one, each
+        # in-process mackey-check run on one file would print one more
+        # `levels:` line
+        assert Verdict(True).lines is not Verdict(True).lines
+        assert Verdict(True) == Verdict(True, "", None, [])
+        argv = ["mackey-check", files / "m.mackey"]
+        first = _main(argv, capsys)
+        assert first == (0, "PASS\nlevels: 3, generators: 21\n", "")
+        assert _main(argv, capsys) == first
+        return
+    for name in (names[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, fields[0])
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert tuple(getattr(a, f) for f in names) == fields
+    if cls is mk.AbPresentation:
+        assert cls(3) == cls(3, ())
+        for args in ((-1,), (1, (4, 2)), (0, (1,))):
+            with pytest.raises(ValueError):
+                cls(*args)

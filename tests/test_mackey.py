@@ -13,6 +13,7 @@ from profspan.corpus import corpus_group, corpus_groups
 from profspan.errors import IncoherentFamily
 
 from oracles import (
+    burnside_with_reduction,
     categorical_fixed_points_oracle,
     compose_keys_oracle,
     compose_quotients,
@@ -502,6 +503,47 @@ def test_check_mackey_torsion_well_definedness():
     assert not verdict and verdict.reason == "matrix not well defined on torsion"
 
 
+@pytest.mark.parametrize("name, n", [("C2", 2), ("C4", 3), ("S3", 6), ("C2xC2", 4)])
+def test_check_mackey_passes_torsion_levels_that_map_into_free_ones(name, n):
+    """The Burnside functor plus its reduction mod n is a functor whose
+    torsion generators map into levels with free generators, by zero:
+    check_mackey passes it, as the exhaustive oracle does, and a one
+    on a torsion generator's free coordinate is not well defined."""
+    G = corpus_group(name)
+    M = burnside_with_reduction(G, n)
+    assert mk.check_mackey(M) and mackey_composition_oracle(M)
+    key = next(k for k in sorted(M.gen_action) if k[0] != k[1])
+    rank = M.levels[key[0]].rank
+    A = [list(row) for row in M.gen_action[key]]
+    A[0][rank] = 1  # the first torsion generator to the first free one
+    bad = dict(M.gen_action)
+    bad[key] = tuple(map(tuple, A))
+    verdict = mk.check_mackey(mk.MackeyFunctor(G, M.levels, bad))
+    assert (verdict.reason, verdict.witness) == ("matrix not well defined on torsion", key)
+
+
+def test_congruent_compares_shapes_then_entries_up_to_torsion():
+    assert mk._congruent(((1, 2), (3, 5)), ((1, 2), (3, 1)), (0, 4))
+    assert not mk._congruent(((1, 2), (3, 5)), ((1, 2), (3, 2)), (0, 4))
+    assert not mk._congruent(((1, 2), (3, 5)), ((1, 3), (3, 5)), (0, 4))
+    assert not mk._congruent(((1, 2),), ((1, 2), (3, 5)), (0,))  # row count
+    assert not mk._congruent(((1, 2), (3,)), ((1, 2), (3, 5)), (0, 4))  # row length
+
+
+def test_same_mackey_names_each_mismatch():
+    M = mk.burnside_mackey(C4)
+    key = next(k for k in sorted(M.gen_action) if k[0] != k[1])
+    assert mk._same_mackey(M, mk.MackeyFunctor(C4, M.levels, dict(M.gen_action))) is None
+    assert mk._same_mackey(M, mk.burnside_mackey(C2)) == "group mismatch"
+    Z = mk.zero_mackey(C4)
+    assert mk._same_mackey(M, Z) == ("levels", M.levels, Z.levels)
+    fewer = {k: A for k, A in M.gen_action.items() if k != key}
+    assert mk._same_mackey(M, mk.MackeyFunctor(C4, M.levels, fewer)) == ("missing", key)
+    changed = dict(M.gen_action)
+    changed[key] = tuple(tuple(a + 1 for a in row) for row in M.gen_action[key])
+    assert mk._same_mackey(M, mk.MackeyFunctor(C4, M.levels, changed)) == ("matrix", key)
+
+
 def test_fixed_points_trivial_kernel():
     M = mk.burnside_mackey(C4)
     same = mk.categorical_fixed_points(M, g.quotient(C4, g.make_subgroup(C4, (0,))))
@@ -652,3 +694,41 @@ def test_assemble_from_tower_rejects_zero_stage():
         mk.assemble_from_tower(t, family)
     assert err.value.stage == 0
 
+
+def _rejected(tower, family) -> IncoherentFamily:
+    with pytest.raises(IncoherentFamily) as err:
+        mk.assemble_from_tower(tower, family)
+    return err.value
+
+
+def test_assemble_from_tower_names_each_incoherence():
+    """Each way a family fails, with the message it prints: the levels
+    witness prints the levels' AbPresentation reprs."""
+    t = g.cyclic_tower(2, 2)
+    family = mk.tower_family(t, mk.burnside_mackey(t.stages[-1]))
+    assert str(_rejected(t, family[:1])) == (
+        "incoherent family at stage -1: 'family length does not match the tower'"
+    )
+    assert str(_rejected(t, [mk.burnside_mackey(C4), family[1]])) == (
+        "incoherent family at stage 0: 'stage group mismatch'"
+    )
+    assert str(_rejected(t, [mk.zero_mackey(C2), family[1]])) == (
+        "incoherent family at stage 0: ('levels', "
+        "(AbPresentation(rank=0, invariant_factors=()), "
+        "AbPresentation(rank=0, invariant_factors=())), "
+        "(AbPresentation(rank=2, invariant_factors=()), "
+        "AbPresentation(rank=3, invariant_factors=())))"
+    )
+    levels, key = family[0].levels, (1, 1, (1, (0,), (0,)))
+    extra = dict(family[0].gen_action)
+    extra[0, 1, (9, (), ())] = ()  # off the basis: the fixed points have no matrix there
+    stage = mk.MackeyFunctor(C2, levels, extra)
+    assert str(_rejected(t, [stage, family[1]])) == (
+        "incoherent family at stage 0: ('missing', (0, 1, (9, (), ())))"
+    )
+    changed = dict(family[0].gen_action)
+    changed[key] = tuple(tuple(a + 1 for a in row) for row in changed[key])
+    stage = mk.MackeyFunctor(C2, levels, changed)
+    assert str(_rejected(t, [stage, family[1]])) == (
+        "incoherent family at stage 0: ('matrix', (1, 1, (1, (0,), (0,))))"
+    )

@@ -944,6 +944,67 @@ def test_the_law_on_law_pairs_decides_as_every_endpoint_pair(functor):
     assert conjugated
 
 
+def _image_composites_oracle(table, c1, c2, c3, firsts, seconds):
+    """The right sides of the Span(F) law on one triple of law_grids(G),
+    composed pair by pair (compose_keys_per_element_oracle) from the
+    images of the keys, each as {position in orbit_basis(K, m1, m3):
+    mult}, and {} where either image is zero."""
+    K, images, terms = table.target, table.images, table.terms
+    m1, m2, m3 = images[c1], images[c2], images[c3]
+    b12, b23 = sp.orbit_basis(K, m1, m2), sp.orbit_basis(K, m2, m3)
+    b13 = sp.orbit_basis(K, m1, m3)
+    grid = []
+    for p1, p2 in itertools.product(firsts, seconds):
+        j1, j2 = terms[c1][c2][p1], terms[c2][c3][p2]
+        if j1 is None or j2 is None:
+            grid.append({})
+            continue
+        composite = compose_keys_per_element_oracle(K, b23[j2], b12[j1])
+        grid.append({b13.index(k): m for k, m in composite})
+    return grid
+
+
+def _zero_one_image(table, c1, c2, p):
+    """table with the image of key p of orbit_basis(G, c1, c2) zero."""
+    terms = [list(row) for row in table.terms]
+    terms[c1][c2] = tuple(None if i == p else j for i, j in enumerate(terms[c1][c2]))
+    return table._replace(terms=tuple(map(tuple, terms)))
+
+
+@pytest.mark.parametrize("which", ["inflation", "fixed points"])
+def test_image_composites_with_one_zero_side_match_the_oracle(which):
+    """On copies of the tables of the links of tower 2,3 with the image of
+    one first, or one second, of a composed triple (c1 = c2 or c2 = c3)
+    sent to zero, every right side of image_composites is the composite
+    of the images key by key, and () on a pair with exactly one zero
+    side.  No functor of the package sends an endpoint key between two
+    orbits with images to zero, so only such copies have those pairs."""
+    one_zero = 0
+    for q in g.cyclic_tower(2, 3).links:
+        table = sp.span_images(q, which)
+        G = table.source
+        for c1, c2, c3, firsts, seconds, _ in sp.law_grids(G):
+            if None in (table.images[c1], table.images[c2], table.images[c3]):
+                continue
+            if c1 != c2 and c2 != c3:
+                continue
+            for zeroed in (
+                _zero_one_image(table, c1, c2, firsts[0]),
+                _zero_one_image(table, c2, c3, seconds[-1]),
+            ):
+                rights = sp.image_composites(zeroed)
+                for t1, t2, t3, f, s, _ in sp.law_grids(G):
+                    if (t1, t2, t3) in rights:
+                        expected = _image_composites_oracle(zeroed, t1, t2, t3, f, s)
+                        assert list(map(dict, rights[t1, t2, t3])) == expected
+                row, column = zeroed.terms[c1][c2], zeroed.terms[c2][c3]
+                one_zero += sum(
+                    (row[p1] is None) != (column[p2] is None)
+                    for p1 in firsts for p2 in seconds
+                )
+    assert one_zero
+
+
 def test_span_functoriality_on_composable_pairs():
     q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
     for F in (InflationGSetFunctor(q), FixedPointsGSetFunctor(q)):
