@@ -8,7 +8,8 @@ A tower is read link by link: class_preimages gives, per link, the
 preimage of each subgroup class, which is all that inflating an orbit
 along it needs, so no composite projection is built.
 subgroup_lattice finds the subgroups by cyclic extension; the exhaustive
-search it replaced is a test oracle.
+search it replaced is a test oracle.  Groups, lattices, quotient maps and
+towers, like gsets.GSet, are frozen values on one base, Value.
 """
 
 from __future__ import annotations
@@ -20,48 +21,43 @@ from typing import NamedTuple
 from .errors import NotAGroup, NotNormal, NotPrime
 
 
-def read_only(self, name, *value):
-    """__setattr__ and __delattr__ of the frozen classes, whose __init__
-    writes the fields to __dict__ once."""
-    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+class Value:
+    """Frozen value base of the groups, lattices, quotient maps, towers
+    and G-sets that key the package's caches.  A subclass names its
+    fields in _fields; __init__ takes them by position or keyword,
+    writes them to __dict__ once and keeps their tuple, which equality
+    compares and whose hash is computed on first use and kept."""
 
+    _fields: tuple[str, ...] = ()
 
-def memoise_hash(cls):
-    """Class decorator for a frozen class whose __hash__ hashes the tuple
-    of its fields: compute that hash on first use and keep it on the
-    instance.
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs:  # a missing field raises KeyError naming it
+            args += tuple(kwargs.pop(f) for f in names[len(args):])
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        self.__dict__.update(zip(names, args), _key=args)
 
-    Groups, G-sets, towers and quotient maps key hom-set, lattice and
-    fixed-point caches, and their generated hash re-walks every table on
-    every call.
-    """
-    field_hash = cls.__hash__
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is self.__class__ and self._key == other._key
+        )
 
     def __hash__(self):
         try:
             return self.__dict__["_hash"]
         except KeyError:
-            h = self.__dict__["_hash"] = field_hash(self)
+            h = self.__dict__["_hash"] = hash(self._key)
             return h
 
-    cls.__hash__ = __hash__
-    return cls
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
 
 
-@memoise_hash
-class FiniteGroup:
-    __setattr__ = __delattr__ = read_only
-
-    def __init__(self, mult: tuple[tuple[int, ...], ...]):
-        self.__dict__["mult"] = mult
-
-    def __eq__(self, other):
-        return self is other or (
-            other.__class__ is self.__class__ and (self.mult,) == (other.mult,)
-        )
-
-    def __hash__(self):
-        return hash((self.mult,))
+class FiniteGroup(Value):
+    _fields = ("mult",)
 
     @property
     def order(self) -> int:
@@ -223,33 +219,14 @@ def left_cosets(G: FiniteGroup, H) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(coset_of), tuple(reps)
 
 
-class SubgroupLattice:
-    __setattr__ = __delattr__ = read_only
+class SubgroupLattice(Value):
+    """The subgroups of a group with their normality flags; classes lists
+    the subgroups of each conjugacy class, classes sorted by the order of
+    their representatives (class 0 is the trivial subgroup, the last is
+    G), and conjugators[i] is a t with t·H·t⁻¹ the class rep of H =
+    subgroups[i]; built by subgroup_lattice."""
 
-    def __init__(
-        self,
-        group: FiniteGroup,
-        subgroups: tuple[Subgroup, ...],
-        normal: tuple[bool, ...],
-        # the subgroups of each class, classes sorted by the order of their
-        # representatives: class 0 is the trivial subgroup, the last is G
-        classes: tuple[tuple[int, ...], ...],
-        conjugators: tuple[int, ...],  # t with t·H·t⁻¹ the class rep, per subgroup H
-    ):
-        self.__dict__.update(
-            group=group, subgroups=subgroups, normal=normal, classes=classes,
-            conjugators=conjugators,
-        )
-
-    def __eq__(self, other):
-        return self is other or (
-            other.__class__ is self.__class__
-            and (self.group, self.subgroups, self.normal, self.classes, self.conjugators)
-            == (other.group, other.subgroups, other.normal, other.classes, other.conjugators)
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.subgroups, self.normal, self.classes, self.conjugators))
+    _fields = ("group", "subgroups", "normal", "classes", "conjugators")
 
     @cached_property
     def where(self) -> dict[tuple[int, ...], tuple[int, int]]:
@@ -359,29 +336,10 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     return SubgroupLattice(G, subs, tuple(normal), tuple(classes), conj)
 
 
-@memoise_hash
-class QuotientMap:
+class QuotientMap(Value):
     """A surjective homomorphism and its kernel; built by quotient_map."""
 
-    __setattr__ = __delattr__ = read_only
-
-    def __init__(
-        self, source: FiniteGroup, kernel: Subgroup, target: FiniteGroup,
-        projection: tuple[int, ...],
-    ):
-        self.__dict__.update(
-            source=source, kernel=kernel, target=target, projection=projection
-        )
-
-    def __eq__(self, other):
-        return self is other or (
-            other.__class__ is self.__class__
-            and (self.source, self.kernel, self.target, self.projection)
-            == (other.source, other.kernel, other.target, other.projection)
-        )
-
-    def __hash__(self):
-        return hash((self.source, self.kernel, self.target, self.projection))
+    _fields = ("source", "kernel", "target", "projection")
 
     def section(self, c: int) -> int:
         """Smallest source element projecting to c."""
@@ -440,24 +398,11 @@ def class_preimages(q: QuotientMap) -> list[tuple[tuple[int, ...], int]]:
     return table
 
 
-@memoise_hash
-class GroupTower:
+class GroupTower(Value):
     """Chain of finite quotients; stages[0] is the coarsest.  links[i]
     projects stages[i+1] onto stages[i]; make_tower checks every link."""
 
-    __setattr__ = __delattr__ = read_only
-
-    def __init__(self, stages: tuple[FiniteGroup, ...], links: tuple[QuotientMap, ...]):
-        self.__dict__.update(stages=stages, links=links)
-
-    def __eq__(self, other):
-        return self is other or (
-            other.__class__ is self.__class__
-            and (self.stages, self.links) == (other.stages, other.links)
-        )
-
-    def __hash__(self):
-        return hash((self.stages, self.links))
+    _fields = ("stages", "links")
 
     @property
     def depth(self) -> int:
@@ -482,7 +427,10 @@ def make_tower(stages, links) -> GroupTower:
     return GroupTower(stages, links)
 
 
+@lru_cache(maxsize=None)
 def cyclic(n: int) -> FiniteGroup:
+    """The cyclic group of order n, built once per n, so that the stages
+    of every cyclic_tower and the caches keyed by them meet by identity."""
     return FiniteGroup(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
 
 

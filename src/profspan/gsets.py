@@ -19,7 +19,8 @@ its values from one choice per factor (`counit_square_witness`): no
 hom-set is enumerated and no map is built in the package.  A canonical
 G-set is the rows of its canonical orbits (`orbit_gset`), shifted past
 the points before them (`canonical_gset`).  Orbits and point
-stabilizers are computed once per G-set.
+stabilizers are computed once per G-set, which is a frozen value on
+groups.Value.
 
 What is computed once is kept for the rest of the process, in lru_caches
 on their arguments: the coset tables of each group's subgroup classes
@@ -40,31 +41,17 @@ from .errors import GroupMismatch
 from .groups import (
     FiniteGroup,
     QuotientMap,
+    Value,
     generating_set,
     left_cosets,
-    memoise_hash,
-    read_only,
     subgroup_lattice,
 )
 
 
-@memoise_hash
-class GSet:
+class GSet(Value):
     """Finite left G-set; action[x][g] = g.x."""
 
-    __setattr__ = __delattr__ = read_only
-
-    def __init__(self, group: FiniteGroup, action: tuple[tuple[int, ...], ...]):
-        self.__dict__.update(group=group, action=action)
-
-    def __eq__(self, other):
-        return self is other or (
-            other.__class__ is self.__class__
-            and (self.group, self.action) == (other.group, other.action)
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.action))
+    _fields = ("group", "action")
 
     @property
     def size(self) -> int:
@@ -73,19 +60,13 @@ class GSet:
     def points(self) -> range:
         return range(self.size)
 
-    def orbit(self, x: int) -> tuple[int, ...]:
-        return tuple(sorted(set(self.action[x])))
-
-    def orbits(self) -> tuple[tuple[int, ...], ...]:
-        return self._orbits
-
     @cached_property
-    def _orbits(self) -> tuple[tuple[int, ...], ...]:
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
         seen: set[int] = set()
         out = []
-        for x in self.points():
+        for x, row in enumerate(self.action):
             if x not in seen:
-                orb = self.orbit(x)
+                orb = tuple(sorted(set(row)))
                 seen.update(orb)
                 out.append(orb)
         return tuple(out)
@@ -212,7 +193,7 @@ def hom_factors(X: GSet, Y: GSet) -> list[HomFactor]:
         raise GroupMismatch("hom requires a common group")
     stabs = X.point_stabilizers
     out = []
-    for orb in X.orbits():
+    for orb in X.orbits:
         S = tuple(sorted(stabs[orb[0]]))
         out.append(HomFactor(orb[0], S, fixed_by(Y, S)))
     return out

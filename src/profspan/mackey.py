@@ -358,8 +358,7 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
                         False, "matrix not well defined on torsion", (c1, c2, key)
                     )
     for c in range(n):
-        X = gs.orbit_gset(G, c)
-        A = M.gen_action[(c, c, sp.pair_key(c, X, 0, X, 0))]
+        A = M.gen_action[(c, c, sp.identity_key(G, c))]
         if not _congruent(A, _identity(M.levels[c].dims), M.levels[c].orders()):
             return Verdict(False, "identity span does not act as identity", c)
     if _composition_failure(M, sp.law_grids(G)) is None:

@@ -19,15 +19,15 @@ G-set X and class c (_least_points) gives, for every x in X^R, the least
 point x* of its W-orbit, the carriers n with n·x = x*, and the leg table
 of x, built once and shared by every key that reads it.  The least pair
 is found in one place (_least_pair), for pair_key, which makes a key
-from it: an identity or reversed basis span, read from a point of each
-end (mackey, verify), and for the lookups that need only a key's
-position in a basis between canonical orbits: a fibre orbit of a
-composite (composites) and the image of a basis span under inflation or
-fixed points (span_images) read it from an integer made of the class
-and the least pair (basis_index), kept beside orbit_basis, so that no
-key is built or hashed.  span_basis keeps a pair of fixed points iff
-x = x* and no carrier of x lowers y.  So a key costs |Stab_W(x)|
-actions, not |W|.
+from it: an identity span (identity_key) or a reversed basis span,
+read from a point of each end (mackey, verify), and for the lookups
+that need only a key's position in a basis between canonical orbits: a
+fibre orbit of a composite (composites) and the image of a basis span
+under inflation or fixed points (span_images) read it from an integer
+made of the class and the least pair (basis_index), kept beside
+orbit_basis, so that no key is built or hashed.  span_basis keeps a
+pair of fixed points iff x = x* and no carrier of x lowers y.  So a key
+costs |Stab_W(x)| actions, not |W|.
 
 Each choice behind a key is made in one place.  The cosets of each
 class representative are numbered once, in the table of
@@ -151,6 +151,13 @@ def pair_key(c: int, X: GSet, x0: int, Y: GSet, y0: int) -> Key:
     lx = _least_points(X, c)
     x, y = _least_pair(lx, x0, Y, y0)
     return (c, lx.legs[x], _least_points(Y, c).legs[y])
+
+
+def identity_key(G: FiniteGroup, c: int) -> Key:
+    """The key of the identity span of the canonical orbit G/R_c, read
+    from point 0, whose stabilizer is the class representative."""
+    X = gs.orbit_gset(G, c)
+    return pair_key(c, X, 0, X, 0)
 
 
 def span_basis(X: GSet, Y: GSet) -> list[Key]:

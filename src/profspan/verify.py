@@ -133,9 +133,7 @@ def _basis_failure(table: sp.SpanImages, kept) -> str | None:
     """How the Span(F) table fails, or None: a key goes to one basis span
     if kept(its apex class), else to zero; the kept keys of one hom go to
     distinct basis spans of the image hom; an identity span goes to the
-    identity span.  Both ends are canonical orbits, so the identity of
-    either is keyed from point 0, whose stabilizer is the class
-    representative."""
+    identity span (spans.identity_key)."""
     G, K, n = table.source, table.target, len(table.images)
     for c1, c2 in itertools.product(range(n), repeat=2):
         images = table.terms[c1][c2]
@@ -148,13 +146,8 @@ def _basis_failure(table: sp.SpanImages, kept) -> str | None:
         if len(set(hit)) != len(hit):
             return "not injective on basis"
     for c, m in enumerate(table.images):
-        X = gs.orbit_gset(G, c)
-        own = sp.orbit_basis(G, c, c).index(sp.pair_key(c, X, 0, X, 0))
-        if m is None:
-            ids = None
-        else:
-            T = gs.orbit_gset(K, m)
-            ids = sp.orbit_basis(K, m, m).index(sp.pair_key(m, T, 0, T, 0))
+        own = sp.orbit_basis(G, c, c).index(sp.identity_key(G, c))
+        ids = None if m is None else sp.orbit_basis(K, m, m).index(sp.identity_key(K, m))
         if table.terms[c][c][own] != ids:
             return "does not preserve an identity span"
     return None

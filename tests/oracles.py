@@ -95,7 +95,7 @@ def orbit_class_multiset(X: GSet) -> tuple[int, ...]:
     """Sorted stabilizer-class indices of the orbits, with repetition."""
     lat = subgroup_lattice(X.group)
     return tuple(
-        sorted(lat.class_of(X.point_stabilizers[orb[0]]) for orb in X.orbits())
+        sorted(lat.class_of(X.point_stabilizers[orb[0]]) for orb in X.orbits)
     )
 
 
@@ -123,11 +123,11 @@ def find_iso(X: GSet, Y: GSet) -> EqMap | None:
     values = [-1] * X.size
     targets_used: set[int] = set()
     y_stabs = Y.point_stabilizers
-    for orb in X.orbits():
+    for orb in X.orbits:
         x = orb[0]
         S = X.point_stabilizers[x]
         match = None
-        for yorb in Y.orbits():
+        for yorb in Y.orbits:
             if yorb[0] in targets_used or len(yorb) != len(orb):
                 continue
             # need a point with exactly the same stabilizer
@@ -294,7 +294,7 @@ def span_images_generic(
             f, h = map(F.map, basis_legs(orbits[c1], orbits[c2], key))
             left, right = [s1[x] for x in f.values], [s2[y] for y in h.values]
             counts: dict = {}
-            for o in f.src.orbits():
+            for o in f.src.orbits:
                 k = own[canonical_key(f.src, o[0], left, right, T1, T2)]
                 counts[k] = counts.get(k, 0) + 1
             terms[c1, c2, key] = _normalize(counts)
@@ -517,7 +517,7 @@ def canonical_key_oracle(apex: GSet, base: int, legL, legR) -> sp.Key:
             seen.add(m)
             reps_of_points.append(m)
     best = None
-    orbit = apex.orbit(base)
+    orbit = sorted(set(apex.action[base]))  # the orbit of base
     for s in orbit:
         if apex.point_stabilizers[s] != rep_set:
             continue
@@ -540,7 +540,7 @@ def compose_keys_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> tuple:
     legL = [k1[1][x] for x, _ in pairs]
     legR = [k2[2][y] for _, y in pairs]
     counts: dict = {}
-    for orb in P.orbits():
+    for orb in P.orbits:
         k = canonical_key_oracle(P, orb[0], legL, legR)
         counts[k] = counts.get(k, 0) + 1
     return _normalize(counts)
@@ -1190,7 +1190,7 @@ def span_from_maps(f: EqMap, g: EqMap) -> SpanMor:
     if f.src != g.src:
         raise ObjectMismatch("legs must share an apex")
     counts: dict = {}
-    for orb in f.src.orbits():
+    for orb in f.src.orbits:
         k = canonical_key(f.src, orb[0], f.values, g.values, f.dst, g.dst)
         counts[k] = counts.get(k, 0) + 1
     return SpanMor(f.dst, g.dst, _normalize(counts))

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -337,6 +338,10 @@ def test_cyclic_tower_2_3():
                 assert link.projection[link.source.mul(a, b)] == link.target.mul(
                     link.projection[a], link.projection[b]
                 )
+    # each cyclic group is built once, so the stages of another tower
+    # are the same objects
+    assert all(G is H for G, H in zip(t.stages, g.cyclic_tower(2, 5).stages))
+    assert t.stages[1] is g.cyclic(4)
 
 
 @pytest.mark.parametrize(
@@ -429,7 +434,7 @@ def test_class_preimages_are_the_inflated_orbit_classes():
         assert len(table) == g.subgroup_lattice(q.target).num_classes
         for c, (pre, cls) in enumerate(table):
             X = gs.inflate(gs.orbit_gset(q.target, c), q)
-            assert len(X.orbits()) == 1
+            assert len(X.orbits) == 1
             assert tuple(sorted(X.point_stabilizers[0])) == pre
             assert orbit_class_multiset(X) == (cls,)
 
@@ -457,20 +462,50 @@ def test_find_isomorphism_detects():
     assert not are_isomorphic(corpus_group("D6"), corpus_group("A4"))
 
 
+class CountedHash(tuple):
+    """A field value that counts the calls of its __hash__."""
+
+    calls = 0
+
+    def __hash__(self):
+        self.calls += 1
+        return tuple.__hash__(self)
+
+
+def _fields(value) -> tuple:
+    return tuple(getattr(value, f) for f in value._fields)
+
+
 def test_memoised_hashes_agree_on_equal_values():
-    G1, G2 = g.cyclic(6), g.cyclic(6)
-    hash(G1)  # G1 memoises first; G2 still computes its own
-    assert G1 == G2 and hash(G2) == hash(G1) == hash((G1.mult,))
+    G1 = g.cyclic(6)
+    # an equal group built apart, from a copy of the table
+    G2 = g.FiniteGroup(tuple(tuple(list(row)) for row in G1.mult))
+    hash(G1)  # G1 keeps its hash first; G2 still computes its own
+    assert G1 is not G2 and G1 == G2 and hash(G2) == hash(G1) == hash((G1.mult,))
+    # which finds the lattice kept for G1
+    L1 = g.subgroup_lattice(G1)
+    assert g.subgroup_lattice(G2) is L1
+    L2 = g.SubgroupLattice(*copy.deepcopy(_fields(L1)))
     X1 = coset_gset(G1, (0, 3))
     X2 = gs.GSet(G2, tuple(tuple(row) for row in X1.action))
-    hash(X2)
-    assert X1 is not X2 and X1 == X2 and hash(X1) == hash(X2)
-    assert len({X1, X2}) == 1
-    T1, T2 = g.cyclic_tower(2, 3), g.cyclic_tower(2, 3)
-    hash(T1)
-    assert T1 == T2 and hash(T2) == hash(T1)
+    T1 = g.cyclic_tower(2, 3)
+    T2 = g.make_tower(list(T1.stages), list(T1.links))
     q1 = g.quotient(G1, g.make_subgroup(G1, (0, 3)))
     # quotient keeps its maps, so the second is built apart from it
     q2 = g.quotient_map(G2, g.cyclic(3), q1.projection)
-    hash(q1)
-    assert q1 is not q2 and q1 == q2 and hash(q2) == hash(q1)
+    pairs = [(G1, G2), (L1, L2), (X1, X2), (T1, T2), (q1, q2)]
+    assert {type(a) for a, _ in pairs} == set(g.Value.__subclasses__())
+    for a, b in pairs:
+        hash(a)
+        assert a is not b and a == b and hash(b) == hash(a) == hash(_fields(a))
+        assert len({a, b}) == 1
+        # the field tuple is hashed once per instance, however often
+        # the value is hashed or found
+        *rest, last = _fields(a)
+        counted = CountedHash(last)
+        v = type(a)(*rest, counted)
+        for _ in range(3):
+            hash(v)
+        assert len({v, a, v}) == 1 and {a: 1}[v] == 1
+        assert counted.calls == 1
+        assert hash(v) == hash(_fields(v)) and counted.calls == 2

@@ -306,8 +306,7 @@ def test_check_mackey_packs_a_product_that_carries_into_the_adjacent_column():
     C3 = g.cyclic(3)
     free, point = range(2)
     assert g.subgroup_lattice(C3).class_rep(free).order == 1
-    X = gs.orbit_gset(C3, free)
-    identity = sp.pair_key(free, X, 0, X, 0)
+    identity = sp.identity_key(C3, free)
     x, x2 = (k for k in sp.orbit_basis(C3, free, free) if k != identity)
     levels = (mk.AbPresentation(2), mk.ZERO_AB)
     gen_action = {

@@ -193,11 +193,11 @@ def _relabelled(G, seed):
 @pytest.mark.parametrize("relabel", [False, True])
 @pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
 def test_identity_and_reversed_keys_from_points_match_canonical_key(name, relabel):
-    """The identity key of every canonical orbit and the reversed key of
-    every orbit key, read by pair_key from point 0 of the apex, whose
-    stabilizer is the class representative, are the keys canonical_key
-    finds from the whole apex, in each corpus group as given and with its
-    elements renumbered."""
+    """The identity key of every canonical orbit (identity_key) and the
+    reversed key of every orbit key, read by pair_key from point 0 of the
+    apex, whose stabilizer is the class representative, are the keys
+    canonical_key finds from the whole apex, in each corpus group as given
+    and with its elements renumbered."""
     G = corpus_group(name)
     if relabel:
         G = _relabelled(G, 7)
@@ -205,7 +205,7 @@ def test_identity_and_reversed_keys_from_points_match_canonical_key(name, relabe
     orbits = [gs.orbit_gset(G, c) for c in range(n)]
     for c, X in enumerate(orbits):
         pts = X.points()
-        assert sp.pair_key(c, X, 0, X, 0) == canonical_key(X, 0, pts, pts, X, X)
+        assert sp.identity_key(G, c) == canonical_key(X, 0, pts, pts, X, X)
     for c1, c2, (a, legL, legR) in sp.orbit_keys(G):
         X, Y = orbits[c1], orbits[c2]
         reversed_key = canonical_key(orbits[a], 0, legR, legL, Y, X)
@@ -880,8 +880,7 @@ def test_law_failures_match_the_per_key_law(functor):
 
 
 def _identity_position(G, c):
-    X = gs.orbit_gset(G, c)
-    return sp.orbit_basis(G, c, c).index(sp.pair_key(c, X, 0, X, 0))
+    return sp.orbit_basis(G, c, c).index(sp.identity_key(G, c))
 
 
 def _keeps_identities(table):
