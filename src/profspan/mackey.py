@@ -19,16 +19,16 @@ of each orbit of G/N is the level it takes, and the one image key of
 each basis key of G/N is the matrix it takes.
 
 check_mackey decides the composition law on the pairs of
-spans.law_pairs: the pairs of endpoint keys (transfers, restrictions and
+spans.law_table: the pairs of endpoint keys (transfers, restrictions and
 conjugations, spans.endpoint_positions), with a conjugation of an orbit
 to itself only at a generator of its Weyl group.  Those give it on all
 pairs: with the identity acting as the identity, the law at the
 generator conjugations gives it at every conjugation, by induction on a
-word (spans.law_pairs).  On the corpus this tests 14,711 of the 88,414
+word (spans.law_table).  On the corpus this tests 14,711 of the 88,414
 pairs of basis spans (22,995 pairs of endpoint keys); the test suite
 keeps the exhaustive check as its oracle.  The law pairs and their
 composites are walked through spans.law_grids, which skips a class
-triple with no pairs and reads the group's kept tables by position.
+triple with no pairs and reads the group's law tables by position.
 M is read as one list of
 matrices per pair of classes, each matrix packed once into one integer
 in base B = 2^k, its rows at a stride of D digits, D the largest level
@@ -330,7 +330,7 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
     composition law M(b2 ∘ b1) = M(b2)·M(b1) with the composite expanded
     by span composition — the double-coset formula in matrix form.
 
-    The law is tested only on the pairs of spans.law_pairs: the pairs of
+    The law is tested only on the pairs of spans.law_table: the pairs of
     endpoint keys, with a conjugation of an orbit to itself only at a
     generator of its Weyl group.  Those give it on every pair of
     endpoint keys, and so on all pairs of basis spans

@@ -48,18 +48,15 @@ routes to keys, composites and Span(F) are oracles in tests/oracles.py.
 Every composite of the package is between canonical orbits, and one
 routine that keeps nothing makes them all (composites): a grid of k2 ∘ k1
 for keys k1 into a middle orbit and k2 out of it, by the positions of
-its terms in the basis of its ends.  The law checks read one table of
-such grids per group and pair of end classes (endpoint_composites),
-one grid per middle class, laid out by law_pairs, and walk them in one
-way (law_grids): each class triple that has law pairs, with its pairs
-and its grid.  The law on those pairs decides it on all pairs: on the
-endpoint keys (Thévenaz–Webb 1995, §2; endpoint_positions), and on an
-orbit's conjugations to itself only at the generators of its Weyl
-group, since the law on (c_s, e) and (e, c_s) for every generator s
-and endpoint key e, with the identity acting as the identity, gives it
-on (c_w, e) and (e, c_w) for every w by induction on a word for w
-(law_pairs).  On C128 that is 48,748 of the 127,103 pairs of endpoint
-keys.
+its terms in the basis of its ends.  The law checks read one table per
+group and pair of end classes (law_table): for each middle class, the
+positions of the pairs the law is tested on and the grid of their
+composites.  They walk it in one way (law_grids): each class triple that
+has law pairs, in lexicographic order.  The law on those pairs decides
+it on all pairs: on the endpoint keys (Thévenaz–Webb 1995, §2;
+endpoint_positions), and on an orbit's conjugations to itself only at
+the generators of its Weyl group, by induction on a word (law_table).
+On C128 that is 48,748 of the 127,103 pairs of endpoint keys.
 
 Span(F), for F inflation or fixed points along a quotient map, is one
 table per functor and link (span_images), which both span checks of
@@ -67,10 +64,9 @@ verify and mackey.categorical_fixed_points read.  Both functors send a
 canonical orbit to one orbit on the same points, or to nothing, so the
 table is one record per subgroup class (_orbit_image) and one pair_key
 per basis key, held as the position of the image in its basis.  The
-right sides of the Span(F) law on the pairs of law_grids are held once
-per table, and so per link (image_composites): read by position from
-the image group's tables where their layout lists the images, and
-composed where it does not, for the images of generator conjugations.
+span checks read both sides of the Span(F) law by position from law
+tables: the left from the source group's, and the right from the image
+group's wherever its layout lists the images.
 The module's tables are kept for the process, one per group, G-set or
 link and class or class pair, none per key or pair of keys.
 """
@@ -243,7 +239,7 @@ def endpoint_positions(G: FiniteGroup, c1: int, c2: int) -> tuple[int, ...]:
     each step the law on endpoint keys (Thévenaz–Webb 1995, §2; Dress
     1973).  The endpoint keys from the orbit of a class c to itself are
     the conjugations c_w, w in N(R_c)/R_c, and the law on them follows
-    from the law at the generators of that Weyl group (law_pairs), which
+    from the law at the generators of that Weyl group (law_table), which
     is all the law checks test of them."""
     basis = orbit_basis(G, c1, c2)
     return tuple(i for i, k in enumerate(basis) if k[0] in (c1, c2))
@@ -366,13 +362,21 @@ def conjugation_generators(G: FiniteGroup, c: int) -> tuple[int, ...]:
     )
 
 
-def law_pairs(G: FiniteGroup, c1: int, c2: int, c3: int) -> tuple:
-    """The positions (firsts in orbit_basis(G, c1, c2), seconds in
-    orbit_basis(G, c2, c3)) of the pairs on which both law checks test
-    the composition law for the class triple (c1, c2, c3): the generator
-    conjugations of c2 (conjugation_generators) against E(c2, c3) when
-    c1 = c2, E(c1, c2) against them when c2 = c3 and c1 ≠ c2, and
-    E(c1, c2) against E(c2, c3) otherwise, E the endpoint positions.
+@lru_cache(maxsize=None)
+def law_table(G: FiniteGroup, c1: int, c3: int) -> tuple:
+    """The law pairs of each class triple (c1, c2, c3), the table both
+    law checks read: entry c2 is (firsts, seconds, grid), with firsts
+    positions in orbit_basis(G, c1, c2), seconds positions in
+    orbit_basis(G, c2, c3) and grid the composites of the keys at them,
+    firsts against seconds (composites), or None for a triple with no
+    firsts or no seconds (incomparable classes, or a trivial Weyl
+    group), for which nothing is composed.  Equal grid entries of the
+    table are one tuple.  Readers walk the table through law_grids.
+
+    The pairs are the generator conjugations of c2
+    (conjugation_generators) against E(c2, c3) when c1 = c2, E(c1, c2)
+    against them when c2 = c3 and c1 ≠ c2, and E(c1, c2) against
+    E(c2, c3) otherwise, E the endpoint positions.
 
     Let Φ be additive on the spans between orbits with Φ(identity) the
     identity, and let the law Φ(k2 ∘ k1) = Φ(k2)·Φ(k1) hold on these
@@ -393,49 +397,37 @@ def law_pairs(G: FiniteGroup, c1: int, c2: int, c3: int) -> tuple:
     half.  The steps hold up to congruence, as in endpoint_positions
     (the conjugation relations of the Mackey algebra, Thévenaz–Webb
     1995)."""
-    if c1 == c2:
-        return conjugation_generators(G, c2), endpoint_positions(G, c2, c3)
-    if c2 == c3:
-        return endpoint_positions(G, c1, c2), conjugation_generators(G, c2)
-    return endpoint_positions(G, c1, c2), endpoint_positions(G, c2, c3)
-
-
-@lru_cache(maxsize=None)
-def endpoint_composites(G: FiniteGroup, c1: int, c3: int) -> tuple:
-    """The table both law checks read: entry c2 is the grid of the keys at
-    the positions law_pairs(G, c1, c2, c3) gives, firsts against seconds
-    (composites), and equal entries of the table are one tuple.  A triple
-    with no firsts or no seconds (incomparable classes, or a trivial Weyl
-    group) has no pairs: its entry is () and nothing is composed for
-    it.  Readers walk the table through law_grids."""
     shared: dict = {}
     table = []
     for c2 in range(subgroup_lattice(G).num_classes):
-        firsts, seconds = law_pairs(G, c1, c2, c3)
+        firsts = endpoint_positions(G, c1, c2)
+        seconds = endpoint_positions(G, c2, c3)
+        if c1 == c2:
+            firsts = conjugation_generators(G, c2)
+        elif c2 == c3:
+            seconds = conjugation_generators(G, c2)
         if not firsts or not seconds:
-            table.append(())
+            table.append(None)
             continue
         b12, b23 = orbit_basis(G, c1, c2), orbit_basis(G, c2, c3)
         grid = composites(
             G, c1, c3, [b12[p] for p in firsts], [b23[p] for p in seconds]
         )
-        table.append(tuple(shared.setdefault(t, t) for t in grid))
+        table.append((firsts, seconds, tuple(shared.setdefault(t, t) for t in grid)))
     return tuple(table)
 
 
 def law_grids(G: FiniteGroup):
     """Each (c1, c2, c3, firsts, seconds, grid) for a class triple that
-    has law pairs, in lexicographic order: firsts and seconds the
-    positions law_pairs(G, c1, c2, c3) gives, and grid the composites of
-    the keys at them, firsts against seconds in the layout of composites
-    (endpoint_composites(G, c1, c3)[c2]).  A triple with no firsts or no
+    has law pairs, in lexicographic order, with (firsts, seconds, grid)
+    the entry c2 of law_table(G, c1, c3).  A triple with no firsts or no
     seconds has no pair to test and is not yielded.  It is the one walk
-    over the law pairs that both law checks and image_composites make."""
+    over the law pairs that both law checks make."""
     n = subgroup_lattice(G).num_classes
     for c1, c2, c3 in itertools.product(range(n), repeat=3):
-        firsts, seconds = law_pairs(G, c1, c2, c3)
-        if firsts and seconds:
-            yield c1, c2, c3, firsts, seconds, endpoint_composites(G, c1, c3)[c2]
+        entry = law_table(G, c1, c3)[c2]
+        if entry is not None:
+            yield (c1, c2, c3, *entry)
 
 
 class BurnsideTables(NamedTuple):
@@ -568,44 +560,3 @@ def span_images(q: QuotientMap, which: str) -> SpanImages:
     return SpanImages(
         G, K, tuple(i and i.cls for i in images), tuple(map(tuple, terms))
     )
-
-
-@lru_cache(maxsize=None)
-def image_composites(table: SpanImages) -> dict:
-    """The right sides Span(F)(k2) ∘ Span(F)(k1) of the Span(F) law on the
-    pairs of law_grids(G), one grid per class triple whose image classes
-    m1, m2, m3 all exist, in the layout of its grid of law_grids; a key
-    that F sends to zero gives () in its row or column.  Where
-    m1 ≠ m2 ≠ m3 and every image is an endpoint key, the grid is read by
-    position from endpoint_composites(K, m1, m3)[m2], whose layout lists
-    them, and is that grid itself when the images come in its order (as
-    on every link of the cyclic towers the CLI builds); the others are
-    composed, once per table and so once per link (span_images): they
-    hold the triples with c1 = c2 or c2 = c3, since the image of a
-    generator conjugation is a conjugation that K's layout need not
-    list."""
-    G, K, images, terms = table
-    rights = {}
-    for c1, c2, c3, firsts, seconds, _ in law_grids(G):
-        m1, m2, m3 = images[c1], images[c2], images[c3]
-        if None in (m1, m2, m3):
-            continue
-        j1 = [terms[c1][c2][p] for p in firsts]
-        j2 = [terms[c2][c3][p] for p in seconds]
-        e1 = {j: e for e, j in enumerate(endpoint_positions(K, m1, m2))}
-        e2 = {j: e for e, j in enumerate(endpoint_positions(K, m2, m3))}
-        if m1 != m2 != m3 and e1.keys() >= set(j1) and e2.keys() >= set(j2):
-            grid, width = endpoint_composites(K, m1, m3)[m2], len(e2)
-            # images in the order of K's layout read K's grid as it is
-            if [j1, j2] != [list(e1), list(e2)]:
-                grid = tuple(grid[e1[a] * width + e2[b]] for a in j1 for b in j2)
-            rights[c1, c2, c3] = grid
-            continue
-        b12, b23 = orbit_basis(K, m1, m2), orbit_basis(K, m2, m3)
-        kept1 = [b12[j] for j in j1 if j is not None]
-        kept2 = [b23[j] for j in j2 if j is not None]
-        grid = iter(composites(K, m1, m3, kept1, kept2))
-        rights[c1, c2, c3] = tuple(
-            () if a is None or b is None else next(grid) for a in j1 for b in j2
-        )
-    return rights

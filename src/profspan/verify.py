@@ -17,12 +17,13 @@ its generators (_span_functor_check), read from one table per link
 (spans.span_images: one orbit image per subgroup class and the position
 of one image per basis key), so their reports depend on neither the
 size cap nor the seed; only funcat reads the seed.  The law is tested
-on the pairs of spans.law_pairs, which give it on every pair of
+on the pairs of spans.law_table, which give it on every pair of
 endpoint keys: an orbit's conjugations to itself are tested only at the
 generators of its Weyl group.  One scan walks those pairs
-(spans.law_grids), reading the left sides by position from the source
-group's grids and the right sides from those spans.image_composites
-holds once per link; its first failing pair is the witness.  A link
+(spans.law_grids), reading both sides by position from law tables: the
+left sides from the source group's, and the right sides from the image
+group's wherever its layout lists the images, composing them only where
+it does not; its first failing pair is the witness.  A link
 that is not onto has no such table, and the checks raise ValueError on
 it, as make_tower does.  The composition law on those generators also
 decides whether F keeps pullbacks, so no pullback G-set is built.
@@ -153,33 +154,57 @@ def _basis_failure(table: sp.SpanImages, kept) -> str | None:
     return None
 
 
-def _pushed(composite, images) -> tuple:
-    """Σ m·images[i] over the (i, m) of composite, as sorted (position,
-    mult) pairs."""
-    counts: dict = {}
-    for i, m in composite:
-        j = images[i]
-        if j is not None:
-            counts[j] = counts.get(j, 0) + m
-    return tuple(sorted(counts.items()))
+def _right_sides(table: sp.SpanImages, c1, c2, c3, firsts, seconds):
+    """Span(F)(k2) ∘ Span(F)(k1) for the keys k1 at the positions firsts
+    of orbit_basis(G, c1, c2) and k2 at seconds of orbit_basis(G, c2, c3),
+    firsts against seconds, each as (position, mult) pairs in the basis
+    of the images of the ends, and () where an end or a key has no image.
+
+    With m1, m2, m3 the image classes, the grid is read by position from
+    spans.law_table(K, m1, m3)[m2] whenever every image lies in that
+    entry's firsts and seconds, as on the links of the CLI's cyclic
+    towers and the groups.quotient maps of the corpus groups.  Images
+    outside that layout (towers whose stages are numbered apart,
+    corrupted tables) are composed."""
+    K, images, terms = table.target, table.images, table.terms
+    m1, m2, m3 = images[c1], images[c2], images[c3]
+    if None in (m1, m2, m3):
+        return itertools.repeat(())
+    j1 = [terms[c1][c2][p] for p in firsts]
+    j2 = [terms[c2][c3][p] for p in seconds]
+    entry = sp.law_table(K, m1, m3)[m2]
+    if entry is not None:
+        at1, at2 = ({j: e for e, j in enumerate(ps)} for ps in entry[:2])
+        if at1.keys() >= set(j1) and at2.keys() >= set(j2):
+            grid, width = entry[2], len(at2)
+            return [grid[at1[a] * width + at2[b]] for a in j1 for b in j2]
+    b12, b23 = sp.orbit_basis(K, m1, m2), sp.orbit_basis(K, m2, m3)
+    kept1 = [b12[j] for j in j1 if j is not None]
+    kept2 = [b23[j] for j in j2 if j is not None]
+    grid = iter(sp.composites(K, m1, m3, kept1, kept2))
+    return [() if a is None or b is None else next(grid) for a in j1 for b in j2]
 
 
 def _law_failures(table: sp.SpanImages):
     """Each (c1, c2, c3, k1, k2) with (k1, k2) a pair of spans.law_grids
     for which Span(F)(k2 ∘ k1) and Span(F)(k2) ∘ Span(F)(k1) differ, in
-    that lexicographic order.  Both sides are read by position: the left
-    from the grid of law_grids(G), pushed through the images, and the
-    right from the grid that spans.image_composites keeps for the triple,
-    or 0 where an end has no image.  The law on these pairs decides it on
-    every pair of endpoint keys (spans.law_pairs), so a failure names a
-    pair of endpoint keys on which the law fails."""
+    that lexicographic order.  The left side is the grid of law_grids(G)
+    pushed through the images, and the right side is read or composed by
+    _right_sides.  The law on these pairs decides it on every pair of
+    endpoint keys (spans.law_table), so a failure names a pair of
+    endpoint keys on which the law fails."""
     G, terms = table.source, table.terms
-    kept = sp.image_composites(table)
     for c1, c2, c3, firsts, seconds, lefts in sp.law_grids(G):
-        rights = kept.get((c1, c2, c3), itertools.repeat(()))
+        rights = _right_sides(table, c1, c2, c3, firsts, seconds)
+        images = terms[c1][c3]
         pairs = itertools.product(firsts, seconds)
         for (p1, p2), left, right in zip(pairs, lefts, rights):
-            if _pushed(left, terms[c1][c3]) != right:
+            pushed: dict = {}
+            for i, m in left:
+                j = images[i]
+                if j is not None:
+                    pushed[j] = pushed.get(j, 0) + m
+            if tuple(sorted(pushed.items())) != right:
                 k1 = sp.orbit_basis(G, c1, c2)[p1]
                 yield c1, c2, c3, k1, sp.orbit_basis(G, c2, c3)[p2]
 
@@ -198,7 +223,7 @@ def _span_functor_check(tower, name: str, kept, conclusion: str) -> Verdict:
     biproduct of spans, so Span(F) is fixed by its values between orbits,
     and the endpoint-key pairs give the law on all basis spans
     (spans.endpoint_positions): the check is exhaustive and needs no size
-    cap.  The law is decided on the pairs of spans.law_pairs, which give
+    cap.  The law is decided on the pairs of spans.law_table, which give
     it on every endpoint-key pair, since _basis_failure has tested that
     identities go to identities; the count line reports every
     endpoint-key pair.
@@ -213,7 +238,7 @@ def _span_functor_check(tower, name: str, kept, conclusion: str) -> Verdict:
     its orbits in one way only, so the two are equal iff an isomorphism
     φ: FP -> Q has r1 φ = Fp1 and r2 φ = Fp2, which makes φ the comparison
     map (Fp1, Fp2).  So the law on (k1, k2) holds iff F keeps this
-    pullback, and the law on the pairs of law_pairs gives it on every
+    pullback, and the law on the pairs of law_table gives it on every
     such pair.  The keys give every transitive cospan up to isomorphism, and
     G-sets are extensive (Carboni–Lack–Walters, JPAA 84, 1993): every
     pullback is the sum of those of transitive cospans.

@@ -23,7 +23,7 @@ from oracles import (
     is_iso,
     mackey_composition_oracle,
 )
-from test_spans import _relabelled
+from test_spans import _law_positions, _relabelled
 
 
 C2 = g.cyclic(2)
@@ -372,8 +372,7 @@ def test_check_mackey_packs_rows_at_a_stride_of_the_largest_dims(make, middle):
     G, pt = M.group, len(M.levels) - 1
     D = max(lv.dims for lv in M.levels)
     assert M.levels[pt].dims == D >= 2 and mk.check_mackey(M)
-    (p1,), (p2,) = sp.law_pairs(G, pt, middle, pt)
-    (((n, mult),),) = sp.endpoint_composites(G, pt, pt)[middle]
+    (p1,), (p2,), (((n, mult),),) = sp.law_table(G, pt, pt)[middle]
     assert mult == 1
     r = sp.orbit_basis(G, pt, middle)[p1]
     t = sp.orbit_basis(G, middle, pt)[p2]
@@ -414,17 +413,17 @@ def test_check_mackey_packs_the_zero_functor(name, G):
 
 @pytest.mark.parametrize("relabel_seed", [None, 31], ids=["given", "relabelled"])
 def test_no_law_scan_composes_a_triple_without_pairs(monkeypatch, relabel_seed):
-    """endpoint_composites and check_mackey on C4xC2 compose exactly the
-    249 class triples whose law pairs have firsts and seconds; the other
-    263 of the 512 get the entry () and no spans.composites call, and the
-    law scan over spans.law_grids visits exactly the 249."""
+    """law_table and check_mackey on C4xC2 compose exactly the 249 class
+    triples whose law pairs have firsts and seconds; the other 263 of the
+    512 get the entry None and no spans.composites call, and the law scan
+    over spans.law_grids visits exactly the 249."""
     G = corpus_group("C4xC2")
     if relabel_seed is not None:
         G = _relabelled(G, relabel_seed)
     M = mk.burnside_mackey(G)
     n = g.subgroup_lattice(G).num_classes
     triples = list(itertools.product(range(n), repeat=3))
-    with_pairs = [t for t in triples if all(sp.law_pairs(G, *t))]
+    with_pairs = [t for t in triples if all(_law_positions(G, *t))]
     assert (len(triples), len(with_pairs)) == (512, 249)
     calls = []
     composites = sp.composites
@@ -435,14 +434,14 @@ def test_no_law_scan_composes_a_triple_without_pairs(monkeypatch, relabel_seed):
         return composites(K, c1, c3, firsts, seconds)
 
     monkeypatch.setattr(sp, "composites", spy)
-    sp.endpoint_composites.cache_clear()
+    sp.law_table.cache_clear()
     assert mk.check_mackey(M)
     assert len(calls) == 249 and {K for K, _, _ in calls} == {G}
     calls.clear()
-    sp.endpoint_composites.cache_clear()
+    sp.law_table.cache_clear()
     for c1, c2, c3 in triples:
-        entry = sp.endpoint_composites(G, c1, c3)[c2]
-        assert bool(entry) == ((c1, c2, c3) in with_pairs)
+        entry = sp.law_table(G, c1, c3)[c2]
+        assert (entry is not None) == ((c1, c2, c3) in with_pairs)
     assert len(calls) == 249
 
     visited = []

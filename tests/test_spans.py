@@ -338,9 +338,23 @@ def _conjugations(G, c):
     ]
 
 
+def _law_positions(G, c1, c2, c3):
+    """The (firsts, seconds) of law_table(G, c1, c3)[c2] by its selection
+    rule: the positions of the generator conjugations of c2 against those
+    of the endpoint keys out of it when c1 = c2, of the endpoint keys into
+    it against the generator conjugations when c2 = c3 and c1 ≠ c2, and of
+    the endpoint keys into it against those out of it otherwise."""
+    gens = sp.conjugation_generators(G, c2)
+    if c1 == c2:
+        return gens, sp.endpoint_positions(G, c2, c3)
+    if c2 == c3:
+        return sp.endpoint_positions(G, c1, c2), gens
+    return sp.endpoint_positions(G, c1, c2), sp.endpoint_positions(G, c2, c3)
+
+
 def _law_key_pairs(G, c1, c2, c3):
-    """The (k1, k2) of endpoint_composites(G, c1, c3)[c2], in its order:
-    the generator conjugations of c2 against the endpoint keys out of it
+    """The (k1, k2) of law_table(G, c1, c3)[c2], in its order: the
+    generator conjugations of c2 against the endpoint keys out of it
     when c1 = c2, the endpoint keys into it against them when c2 = c3 and
     c1 ≠ c2, and all endpoint-key pairs otherwise."""
     gens = [sp.orbit_basis(G, c2, c2)[p] for p in sp.conjugation_generators(G, c2)]
@@ -354,23 +368,28 @@ def _law_key_pairs(G, c1, c2, c3):
 @pytest.mark.parametrize("relabel_seed", [None, 13], ids=["given", "relabelled"])
 @pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
 def test_endpoint_composites_match_compose_keys(name, relabel_seed):
-    """Every entry of the endpoint-composite table of every class pair is
-    the grid of its one pair alone, the pairs laid out as law_pairs gives
-    them, and equal entries of one table are one tuple."""
+    """Every grid entry of the law table of every class pair is the
+    composite of its one pair alone, the pairs laid out by the selection
+    rule of law_table, a triple without pairs is None, and equal entries
+    of one table are one tuple."""
     G = corpus_group(name)
     if relabel_seed is not None:
         G = _relabelled(G, relabel_seed)
     n = g.subgroup_lattice(G).num_classes
     for c1, c3 in itertools.product(range(n), repeat=2):
-        table = sp.endpoint_composites(G, c1, c3)
+        table = sp.law_table(G, c1, c3)
         assert len(table) == n
-        for c2, entries in enumerate(table):
+        for c2, entry in enumerate(table):
+            firsts, seconds = _law_positions(G, c1, c2, c3)
+            if not firsts or not seconds:
+                assert entry is None
+                continue
+            assert entry[:2] == (firsts, seconds)
             pairs = _law_key_pairs(G, c1, c2, c3)
-            firsts, seconds = sp.law_pairs(G, c1, c2, c3)
-            assert len(entries) == len(pairs) == len(firsts) * len(seconds)
-            for (k1, k2), entry in zip(pairs, entries):
-                assert (entry,) == sp.composites(G, c1, c3, (k1,), (k2,)), (k1, k2)
-        entries = [entry for row in table for entry in row]
+            assert len(entry[2]) == len(pairs) == len(firsts) * len(seconds)
+            for (k1, k2), terms in zip(pairs, entry[2]):
+                assert (terms,) == sp.composites(G, c1, c3, (k1,), (k2,)), (k1, k2)
+        entries = [terms for entry in table if entry for terms in entry[2]]
         assert len({id(entry) for entry in entries}) == len(set(entries))
 
 
@@ -386,9 +405,9 @@ def test_law_grids_walk_every_triple_with_law_pairs(name, relabel_seed):
     n = g.subgroup_lattice(G).num_classes
     walked = list(sp.law_grids(G))
     triples = itertools.product(range(n), repeat=3)
-    assert [w[:3] for w in walked] == [t for t in triples if all(sp.law_pairs(G, *t))]
+    assert [w[:3] for w in walked] == [t for t in triples if all(_law_positions(G, *t))]
     for c1, c2, c3, firsts, seconds, grid in walked:
-        assert (firsts, seconds) == sp.law_pairs(G, c1, c2, c3)
+        assert (firsts, seconds) == _law_positions(G, c1, c2, c3)
         b12, b23 = sp.orbit_basis(G, c1, c2), sp.orbit_basis(G, c2, c3)
         expected = sp.composites(
             G, c1, c3, [b12[p] for p in firsts], [b23[p] for p in seconds]
@@ -398,7 +417,7 @@ def test_law_grids_walk_every_triple_with_law_pairs(name, relabel_seed):
 
 @pytest.mark.parametrize("order", [64, 81, 128])
 def test_endpoint_composites_match_the_per_element_oracle_on_cyclic_groups(order):
-    """A seeded sample of the endpoint-composite entries that the span and
+    """A seeded sample of the law-table grid entries that the span and
     Mackey checks of deep cyclic towers read, mapped back to keys, against
     the per-element oracle."""
     G = g.cyclic(order)
@@ -409,7 +428,7 @@ def test_endpoint_composites_match_the_per_element_oracle_on_cyclic_groups(order
         for i, pair in enumerate(_law_key_pairs(G, c1, c2, c3))
     ]
     for c1, c2, c3, i, (k1, k2) in random.Random(order).sample(entries, 200):
-        entry = sp.endpoint_composites(G, c1, c3)[c2][i]
+        entry = sp.law_table(G, c1, c3)[c2][2][i]
         basis = sp.orbit_basis(G, c1, c3)
         composite = tuple((basis[j], m) for j, m in entry)
         assert composite == compose_keys_per_element_oracle(G, k2, k1), (k2, k1)
@@ -917,14 +936,15 @@ def _replaced_conjugations(table):
     FixedPointsGSetFunctor, InflationGSetFunctor, OrbitQuotientFunctor
 ])
 def test_the_law_on_law_pairs_decides_as_every_endpoint_pair(functor):
-    """The law read on the pairs of spans.law_pairs fails iff the law
+    """The law read on the pairs of spans.law_table fails iff the law
     composed key by key fails on some pair of endpoint keys, and only on
     pairs where it does (_law_scan_fails): on the tables of
     test_law_failures_match_the_per_key_law, on their copies with the
     image of an endpoint key replaced that keep identities, and on copies
     of the tables of every normal quotient of C2xC2, S3 and D4 with the
-    image of one conjugation replaced, which the kept right sides
-    (spans.image_composites) compose."""
+    image of one conjugation replaced, whose right sides the law scan
+    reads from the image group's law table where it lists the new image
+    and composes where it does not (verify._right_sides)."""
     tables = [_table(functor, q) for q in g.cyclic_tower(2, 3).links]
     tables += [
         _table(functor, q) for name in LAW_GROUPS[:-2] for q in _quotients(corpus_group(name))
@@ -973,11 +993,12 @@ def _zero_one_image(table, c1, c2, p):
 @pytest.mark.parametrize("which", ["inflation", "fixed points"])
 def test_image_composites_with_one_zero_side_match_the_oracle(which):
     """On copies of the tables of the links of tower 2,3 with the image of
-    one first, or one second, of a composed triple (c1 = c2 or c2 = c3)
-    sent to zero, every right side of image_composites is the composite
-    of the images key by key, and () on a pair with exactly one zero
-    side.  No functor of the package sends an endpoint key between two
-    orbits with images to zero, so only such copies have those pairs."""
+    one first, or one second, of a triple sent to zero, every right side
+    of the law scan (verify._right_sides) is the composite of the images
+    key by key, and () on a pair with exactly one zero side.  No functor
+    of the package sends an endpoint key between two orbits with images
+    to zero, so only such copies have those pairs; no law table lists a
+    zero image, so the law scan composes their right sides."""
     one_zero = 0
     for q in g.cyclic_tower(2, 3).links:
         table = sp.span_images(q, which)
@@ -985,17 +1006,16 @@ def test_image_composites_with_one_zero_side_match_the_oracle(which):
         for c1, c2, c3, firsts, seconds, _ in sp.law_grids(G):
             if None in (table.images[c1], table.images[c2], table.images[c3]):
                 continue
-            if c1 != c2 and c2 != c3:
-                continue
             for zeroed in (
                 _zero_one_image(table, c1, c2, firsts[0]),
                 _zero_one_image(table, c2, c3, seconds[-1]),
             ):
-                rights = sp.image_composites(zeroed)
                 for t1, t2, t3, f, s, _ in sp.law_grids(G):
-                    if (t1, t2, t3) in rights:
-                        expected = _image_composites_oracle(zeroed, t1, t2, t3, f, s)
-                        assert list(map(dict, rights[t1, t2, t3])) == expected
+                    if None in (table.images[t] for t in (t1, t2, t3)):
+                        continue
+                    rights = vf._right_sides(zeroed, t1, t2, t3, f, s)
+                    expected = _image_composites_oracle(zeroed, t1, t2, t3, f, s)
+                    assert list(map(dict, rights)) == expected
                 row, column = zeroed.terms[c1][c2], zeroed.terms[c2][c3]
                 one_zero += sum(
                     (row[p1] is None) != (column[p2] is None)

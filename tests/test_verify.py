@@ -23,6 +23,7 @@ from profspan import gsets as gs
 from profspan import spans as sp
 from profspan import verify as vf
 from profspan.cli import main
+from profspan.corpus import corpus_groups
 from profspan.errors import Verdict
 
 from oracles import (
@@ -328,6 +329,93 @@ def test_colim_span_agrees_with_the_capped_check_on_a_trivial_link():
     for run in (vf.verify_colim_span, vf.verify_limit_span):
         with pytest.raises(ValueError, match=NOT_ONTO):
             run(tower)
+
+
+def _quotient_tower(G, order):
+    """The tower from a stage of this order up to G, each link the map
+    groups.quotient makes by the first normal subgroup of order 2 of its
+    source, in lattice order."""
+    stages, links = [G], []
+    while stages[0].order > order:
+        lat = g.subgroup_lattice(stages[0])
+        normal = [N for N, is_normal in zip(lat.subgroups, lat.normal) if is_normal]
+        q = g.quotient(stages[0], next(N for N in normal if N.order == 2))
+        stages.insert(0, q.target)
+        links.insert(0, q)
+    return g.make_tower(stages, links)
+
+
+# Non-cyclic towers of quotient maps: the dihedral group of order 16 and
+# C4xC4 down to order 4, and Q8 onto C2xC2.
+QUOTIENT_TOWERS = {
+    "D8": lambda: _quotient_tower(g.dihedral(8), 4),
+    "C4xC4": lambda: _quotient_tower(g.direct_product(g.cyclic(4), g.cyclic(4)), 4),
+    "Q8": lambda: _quotient_tower(g.quaternion8(), 4),
+}
+
+
+@pytest.mark.parametrize("check", list(SPAN_CHECKS))
+@pytest.mark.parametrize("name", list(QUOTIENT_TOWERS))
+def test_span_checks_pass_on_non_cyclic_quotient_towers(name, check):
+    """Both span checks pass on towers of groups.quotient maps between
+    non-abelian or non-cyclic groups, as their capped oracles do at cap 3,
+    and print the same report on a copy with its stages numbered apart."""
+    run, oracle, _ = SPAN_CHECKS[check]
+    tower = QUOTIENT_TOWERS[name]()
+    report = run(tower)
+    assert report.ok and oracle(tower, 3).ok
+    relabelled = _relabelled_tower(tower, random.Random(name))
+    assert relabelled.stages != tower.stages
+    assert run(relabelled).render() == report.render()
+
+
+def _corpus_quotient_towers():
+    """The tower G/N <- G of the map groups.quotient makes, for every
+    proper nontrivial normal subgroup N of every corpus group G."""
+    for _, G in corpus_groups():
+        lat = g.subgroup_lattice(G)
+        for N, normal in zip(lat.subgroups, lat.normal):
+            if normal and 1 < N.order < G.order:
+                q = g.quotient(G, N)
+                yield g.make_tower([q.target, G], [q])
+
+
+def test_a_second_span_check_reads_every_kept_law_table(monkeypatch):
+    """Run a second time, when every law table it reads is kept, a span
+    check reads each right side of the law by position from the image
+    group's law table and makes no spans.composites call: on every link
+    of the cyclic towers 2,5, 3,3 and 5,2, and on the quotient link of
+    every proper nontrivial normal subgroup of every corpus group.  On a
+    copy of tower 2,4 with its stages numbered apart, the images of some
+    generator conjugations fall outside the image group's layout, and
+    the second run composes their right sides, with the report of the
+    tower as it was."""
+    calls = []
+    composites = sp.composites
+
+    def counted(*args):
+        calls.append(args)
+        return composites(*args)
+
+    monkeypatch.setattr(sp, "composites", counted)
+    towers = [g.cyclic_tower(p, depth) for p, depth in [(2, 5), (3, 3), (5, 2)]]
+    towers += _corpus_quotient_towers()
+    assert len(towers) == 3 + 66
+    checks = (vf.verify_colim_span, vf.verify_limit_span)
+    for tower, run in itertools.product(towers, checks):
+        assert run(tower)
+        calls.clear()
+        assert run(tower)
+        assert calls == []
+    tower = g.cyclic_tower(2, 4)
+    relabelled = _relabelled_tower(tower, random.Random(24))
+    composed = []
+    for run in checks:
+        run(relabelled)
+        calls.clear()
+        assert run(relabelled).render() == run(tower).render()
+        composed.append(len(calls))
+    assert composed == [19, 19]
 
 
 def _image_mutants(which, tower):
