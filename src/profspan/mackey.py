@@ -12,7 +12,9 @@ spans.orbit_keys; a reversed or identity span is keyed from a point of
 each end with spans.pair_key, and every composite is read from
 spans.composites, as positions in the basis of its two ends.
 burnside_mackey takes one grid of composites per pair of classes: the
-reversed keys between the two orbits against the spans of one level.
+reversed keys between the two orbits against the spans of one level,
+in the order that lets each level's spans share their fibre buckets
+across the grids of every start orbit (spans.composites).
 categorical_fixed_points reads Span(inflation) from the table of its
 link (spans.span_images), as the colim-span check does: the image class
 of each orbit of G/N is the level it takes, and the one image key of
@@ -29,18 +31,22 @@ pairs of basis spans (22,995 pairs of endpoint keys); the test suite
 keeps the exhaustive check as its oracle.  The law pairs and their
 composites are walked through spans.law_grids, which skips a class
 triple with no pairs and reads the group's law tables by position.
-M is read as one list of
-matrices per pair of classes, each matrix packed once into one integer
-in base B = 2^k, its rows at a stride of D digits, D the largest level
-dims, and each of its rows and columns packed too; B is above twice
-the largest absolute entry either side of the law can reach (dims·max²
-for a product, |G|·max for a sum of at most |G| terms).  So each pair
-costs one sum of products, the columns of M(k2) against the rows of
-M(k1), compared with one integer, and no key lookup; matrices whose
-packed integers differ are compared entrywise, up to the torsion of
-the target.  Only a failing check composes: it scans the pairs of all
-basis keys in the same way, one row of firsts at a time, up to the
-first failing pair, its witness.
+M is read as one list of matrices per pair of classes, each matrix
+packed once into one integer in base B = 2^k, its rows at a stride of
+D digits, D the largest level dims, and each of its rows packed too; B
+is above twice the largest absolute entry either side of the law can
+reach (dims·max² for a product, |G|·max for a sum of at most |G|
+terms).  The columns of a matrix are packed when the scan first reads
+its key as a second: the law pairs read only the endpoint keys between
+two orbits and the generator conjugations, so no other column is
+packed unless the check fails.  So each pair costs one sum of
+products, the columns of M(k2) against the rows of M(k1), compared
+with one integer, and no key lookup; matrices whose packed integers
+differ are compared entrywise, up to the torsion of the target.  Only
+a failing check composes: it scans the pairs of all basis keys in the
+same way, one row of firsts at a time, packing the columns of the
+other keys as it reaches them, up to the first failing pair, its
+witness.
 """
 
 from __future__ import annotations
@@ -263,7 +269,8 @@ def _composition_failure(M: MackeyFunctor, grids) -> tuple | None:
     Each matrix A is packed once as one integer Σ A[i][j]·B^(i·D + j),
     in base B = 2^k (_shift) with each row at a stride of D digits, D
     the largest level dims; each row of A is packed as Σ_j A[i][j]·B^j,
-    and each column as Σ_i A[i][j]·B^(i·D), one integer in base B^D.
+    and, once grids first yields its key as a second, each column as
+    Σ_i A[i][j]·B^(i·D), one integer in base B^D.
     For A2 = M(k2) and A1 = M(k1), Σ_j column_j(A2)·row_j(A1) is
     Σ (A2·A1)[i][l]·B^(i·D + l), the packed product.  The stride is D
     because l, a column of A1, is below the dims of level c1, at most
@@ -290,12 +297,14 @@ def _composition_failure(M: MackeyFunctor, grids) -> tuple | None:
     wholes = [
         [[_pack(A, stride) for A in by_key] for by_key in rows_c1] for rows_c1 in rows
     ]
-    columns = [
-        [[tuple(_pack(c, stride) for c in zip(*A)) for A in by_key] for by_key in mats_c1]
-        for mats_c1 in mats
-    ]
+    # a key's columns are packed when it is first read as a second
+    columns = [[[None] * len(by_key) for by_key in keys_c1] for keys_c1 in keys]
     for c1, c2, c3, firsts, seconds, grid in grids:
         sums, rows12, columns23 = wholes[c1][c3], rows[c1][c2], columns[c2][c3]
+        for p2 in seconds:
+            if columns23[p2] is None:
+                A = mats[c2][c3][p2]
+                columns23[p2] = tuple(_pack(c, stride) for c in zip(*A))
         terms = iter(grid)
         for p1 in firsts:
             A1 = rows12[p1]

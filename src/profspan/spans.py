@@ -17,17 +17,19 @@ apex G/R is a pair (x, y) of R-fixed points of its two ends, and its key
 tabulates the least pair (n·x, n·y) over W = N(R)/R.  One table per
 G-set X and class c (_least_points) gives, for every x in X^R, the least
 point x* of its W-orbit, the carriers n with n·x = x*, and the leg table
-of x, built once and shared by every key that reads it.  The least pair
-is found in one place (_least_pair), for pair_key, which makes a key
-from it: an identity span (identity_key) or a reversed basis span,
-read from a point of each end (mackey, verify), and for the lookups
-that need only a key's position in a basis between canonical orbits: a
-fibre orbit of a composite (composites) and the image of a basis span
-under inflation or fixed points (span_images) read it from an integer
-made of the class and the least pair (basis_index), kept beside
-orbit_basis, so that no key is built or hashed.  span_basis keeps a
-pair of fixed points iff x = x* and no carrier of x lowers y.  So a key
-costs |Stab_W(x)| actions, not |W|.
+of x, built once and shared by every key that reads it.  _least_pair
+finds the least pair for pair_key, which makes a key from it: an
+identity span (identity_key) or a reversed basis span, read from a
+point of each end (mackey, verify), and for the image of a basis span
+under inflation or fixed points (span_images), which needs only its
+position in a basis between canonical orbits.  composites reads the
+least pair of each fibre orbit inline from the same (least, carriers)
+tables, and reads no carrier when the end orbit is the point, whose one
+point is least.  Both look the position up from an integer made of the
+class and the least pair (basis_index), kept beside orbit_basis, so
+that no key is built or hashed.  span_basis keeps a pair of fixed
+points iff x = x* and no carrier of x lowers y.  So a key costs
+|Stab_W(x)| actions, not |W|.
 
 Each choice behind a key is made in one place.  The cosets of each
 class representative are numbered once, in the table of
@@ -46,13 +48,16 @@ morphisms, their composition, the legs of a key as maps and the slow
 routes to keys, composites and Span(F) are oracles in tests/oracles.py.
 
 Every composite of the package is between canonical orbits, and one
-routine that keeps nothing makes them all (composites): a grid of k2 ∘ k1
-for keys k1 into a middle orbit and k2 out of it, by the positions of
-its terms in the basis of its ends.  The law checks read one table per
-group and pair of end classes (law_table): for each middle class, the
-positions of the pairs the law is tested on and the grid of their
-composites.  They walk it in one way (law_grids): each class triple that
-has law pairs, in lexicographic order.  The law on those pairs decides
+routine makes them all (composites): a grid of k2 ∘ k1 for keys k1 into
+a middle orbit and k2 out of it, by the positions of its terms in the
+basis of its ends.  It buckets the double cosets of each pair of apex
+classes by a second key's left leg once per group being composed, and
+keeps the buckets only until another group is composed, so the grids
+of burnside_mackey and the law tables of one group share them.  The law
+checks read one table per group and pair of end classes (law_table):
+for each middle class, the positions of the pairs the law is tested on
+and the grid of their composites.  They walk it in one way (law_grids):
+each class triple that has law pairs, in lexicographic order.  The law on those pairs decides
 it on all pairs: on the endpoint keys (Thévenaz–Webb 1995, §2;
 endpoint_positions), and on an orbit's conjugations to itself only at
 the generators of its Weyl group, by induction on a word (law_table).
@@ -68,7 +73,9 @@ span checks read both sides of the Span(F) law by position from law
 tables: the left from the source group's, and the right from the image
 group's wherever its layout lists the images.
 The module's tables are kept for the process, one per group, G-set or
-link and class or class pair, none per key or pair of keys.
+link and class or class pair, none per key or pair of keys; only the
+fibre buckets of composites are kept per second key, and only for the
+group last composed.
 """
 
 from __future__ import annotations
@@ -281,6 +288,12 @@ def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> tuple:
     return tuple(orbits)
 
 
+# The fibre buckets of the group last composed (composites), as [group,
+# buckets]: one group's at a time, so they are shared by every grid of that
+# group and dropped as soon as another group is composed.
+_fibres: list = [None, {}]
+
+
 def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
     """seconds[j] ∘ firsts[i], for basis keys firsts[i] from the orbit of
     class c1 to a middle orbit Y and seconds[j] from Y to the orbit of c3,
@@ -294,8 +307,12 @@ def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
     of the coset K1, and the orbit through (K1, hK2) has stabilizer
     K1 ∩ hK2h⁻¹.  No pullback G-set is built.  The fibre is K1-stable, so
     the one point y = hK2 that _double_cosets lists per K1-orbit decides
-    whether the whole orbit lies in it, and the orbits are bucketed by
-    that point, once per second key and apex class of the firsts.
+    whether the whole orbit lies in it, and the orbits are bucketed by the
+    second key's left leg at that point.  The buckets depend only on the
+    group, the apex classes of the two keys and that left leg, not on c1
+    or c3, so each is built once per group being composed and shared by
+    every grid of it (burnside_mackey's and the law tables'); they are
+    kept only until another group is composed.
 
     The legs at g·(K1, hK2) are left1 at gK1 and right2 at ghK2.  The
     point t0·(K1, hK2) of the orbit, for its class c and conjugator t0,
@@ -303,31 +320,44 @@ def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
     p1 = t0·K1 and p2 = t0·h·K2, so the legs there are x0 = left1[p1] and
     z0 = right2[p2], with no coset looked up and no product taken per
     orbit.  The orbit's position is read from the least pair of (x0, z0),
-    the one pair_key keys it by, in basis_index: no key is built and
-    nothing is tabulated.  A composite has at most |G| terms, counted
-    with multiplicity: they are orbits on a fibre of at most |G| points.
+    the one pair_key keys it by, in basis_index: x0* and the least n·z0
+    over the carriers n of x0, read inline from the (least, carriers)
+    tables of X and c (_least_points).  When the orbit of c3 is the point,
+    z0* = 0 and no carrier is read.  No key is built and nothing is
+    tabulated.  A composite has at most |G| terms, counted with
+    multiplicity: they are orbits on a fibre of at most |G| points.
     """
+    if _fibres[0] is not G:
+        _fibres[:] = G, {}
+    store = _fibres[1]
     X, Z = gs.orbit_gset(G, c1), gs.orbit_gset(G, c3)
-    nx, nz = X.size, Z.size
+    nx, nz, act = X.size, Z.size, Z.action
     index = basis_index(G, c1, c3)
     least: dict = {}  # class -> its W-orbit table of X
     width = len(seconds)
     grid: list = [()] * (len(firsts) * width)
     shared: dict = {}
     for j, (c2, left2, right2) in enumerate(seconds):
-        fibres: dict = {}  # apex class of k1 -> its orbits by point of Y
+        fibres = store.get((c2, left2))  # apex class of k1 -> its buckets
+        if fibres is None:
+            fibres = store[c2, left2] = {}
         for i, (a, left1, right1) in enumerate(firsts):
-            if a not in fibres:
-                fibres[a] = {}
+            buckets = fibres.get(a)  # point of Y -> the orbits over it
+            if buckets is None:
+                buckets = fibres[a] = {}
                 for orbit in _double_cosets(G, a, c2):
-                    fibres[a].setdefault(left2[orbit[0]], []).append(orbit)
+                    buckets.setdefault(left2[orbit[0]], []).append(orbit)
             positions = []
-            for _, c, p1, p2 in fibres[a].get(right1[0], ()):
+            for _, c, p1, p2 in buckets.get(right1[0], ()):
                 lx = least.get(c)
                 if lx is None:
                     lx = least[c] = _least_points(X, c)
-                x, z = _least_pair(lx, left1[p1], Z, right2[p2])
-                positions.append(index[(c * nx + x) * nz + z])
+                x0 = left1[p1]
+                pair = c * nx + lx.least[x0]
+                if nz > 1:  # else Z is the point, and z0* = 0
+                    row = act[right2[p2]]
+                    pair = pair * nz + min(map(row.__getitem__, lx.carriers[x0]))
+                positions.append(index[pair])
             if len(positions) == 1:
                 terms: tuple = ((positions[0], 1),)
             else:

@@ -189,22 +189,27 @@ def _law_failures(table: sp.SpanImages):
     """Each (c1, c2, c3, k1, k2) with (k1, k2) a pair of spans.law_grids
     for which Span(F)(k2 ∘ k1) and Span(F)(k2) ∘ Span(F)(k1) differ, in
     that lexicographic order.  The left side is the grid of law_grids(G)
-    pushed through the images, and the right side is read or composed by
-    _right_sides.  The law on these pairs decides it on every pair of
-    endpoint keys (spans.law_table), so a failure names a pair of
+    pushed through the images, once per distinct entry of a grid (equal
+    entries of a law table are one tuple), and the right side is read or
+    composed by _right_sides.  The law on these pairs decides it on every
+    pair of endpoint keys (spans.law_table), so a failure names a pair of
     endpoint keys on which the law fails."""
     G, terms = table.source, table.terms
     for c1, c2, c3, firsts, seconds, lefts in sp.law_grids(G):
         rights = _right_sides(table, c1, c2, c3, firsts, seconds)
         images = terms[c1][c3]
+        pushed: dict = {}  # each distinct left side of the grid, pushed once
         pairs = itertools.product(firsts, seconds)
         for (p1, p2), left, right in zip(pairs, lefts, rights):
-            pushed: dict = {}
-            for i, m in left:
-                j = images[i]
-                if j is not None:
-                    pushed[j] = pushed.get(j, 0) + m
-            if tuple(sorted(pushed.items())) != right:
+            image = pushed.get(left)
+            if image is None:
+                counts: dict = {}
+                for i, m in left:
+                    j = images[i]
+                    if j is not None:
+                        counts[j] = counts.get(j, 0) + m
+                image = pushed[left] = tuple(sorted(counts.items()))
+            if image != right:
                 k1 = sp.orbit_basis(G, c1, c2)[p1]
                 yield c1, c2, c3, k1, sp.orbit_basis(G, c2, c3)[p2]
 

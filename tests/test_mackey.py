@@ -204,6 +204,48 @@ def test_check_mackey_agrees_with_the_exhaustive_oracle_on_mutants(name):
         ), key
 
 
+def _moved(M, key):
+    """M with entry (0, 0) of the matrix of key moved by one."""
+    action = dict(M.gen_action)
+    (first, *row), *rest = action[key]
+    action[key] = ((first + 1, *row), *rest)
+    return mk.MackeyFunctor(M.group, M.levels, action)
+
+
+@pytest.mark.parametrize("name", ["C4xC2", "Q8"])
+def test_check_mackey_names_the_oracle_witness_of_a_corrupted_second(name):
+    """One entry of the Burnside functor moved, first on a key that is no
+    endpoint key, then on an endpoint key between two orbits that the
+    witness reads as its second and not as its first: check_mackey FAILs
+    with the exhaustive oracle's reason and witness.  The law pass packs
+    the columns of the seconds it reads, the endpoint keys', and the
+    failure scan packs the others as it reaches them; the first key is
+    the scan's second at its witness, and the second is the law pass's."""
+    M = mk.burnside_mackey(corpus_group(name))
+    keys = sp.orbit_keys(M.group)
+    non_endpoint = next(
+        (c1, c2, k)
+        for c1, c2, k in keys
+        if k[0] not in (c1, c2) and M.gen_action[c1, c2, k]
+    )
+    bad = _moved(M, non_endpoint)
+    slow = mackey_composition_oracle(bad)
+    assert not slow.ok and slow.witness[4] == non_endpoint[2]
+    fast = mk.check_mackey(bad)
+    assert (fast.ok, fast.reason, fast.witness) == (slow.ok, slow.reason, slow.witness)
+    for c1, c2, k in keys:
+        if c1 == c2 or k[0] not in (c1, c2) or not M.gen_action[c1, c2, k]:
+            continue
+        bad = _moved(M, (c1, c2, k))
+        slow = mackey_composition_oracle(bad)
+        if not slow.ok and slow.witness[4] == k != slow.witness[3]:
+            break
+    else:
+        pytest.fail("no endpoint key is a witness's second")
+    fast = mk.check_mackey(bad)
+    assert (fast.ok, fast.reason, fast.witness) == (slow.ok, slow.reason, slow.witness)
+
+
 def _agree_with_the_oracle(mutants):
     """Each mutant's verdict, reason and witness under check_mackey and the
     exhaustive oracle, which must agree; the verdicts are returned."""

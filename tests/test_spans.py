@@ -1,3 +1,5 @@
+import gc
+import inspect
 import itertools
 import random
 from collections import Counter
@@ -319,6 +321,47 @@ def test_composites_of_shuffled_mixed_and_empty_grids(name, relabel_seed):
         assert len({id(entry) for entry in grid}) == len(set(grid))
 
 
+@pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
+def test_composites_share_fibre_buckets_across_start_orbits(monkeypatch, name):
+    """The grids of burnside_mackey, in its order, on a relabelled copy of
+    each corpus group: one set of seconds, the level spans of the orbit of
+    c1 into the point, against the reversed keys from every start orbit c2.
+    Every end is the point, whose least pair is read with no carrier.  Each
+    entry is the per-element oracle's composite, and each fibre bucket is
+    built once for the group: one double-coset table read per distinct
+    (apex class of k1, apex class of k2, left leg of k2), though the
+    buckets of a second key are read from grids of several start orbits."""
+    G = _relabelled(corpus_group(name), 23)
+    n = g.subgroup_lattice(G).num_classes
+    pt = n - 1
+    orbits = [gs.orbit_gset(G, c) for c in range(n)]
+    reads = []
+    double_cosets = sp._double_cosets
+
+    def counted(H, a, c2):
+        reads.append((a, c2))
+        return double_cosets(H, a, c2)
+
+    monkeypatch.setattr(sp, "_double_cosets", counted)
+    entries, buckets = [], set()
+    for c1 in range(n):
+        seconds = sp.orbit_basis(G, c1, pt)
+        for c2 in range(n):
+            firsts = [
+                sp.pair_key(a, orbits[c2], legR[0], orbits[c1], legL[0])
+                for a, legL, legR in sp.orbit_basis(G, c1, c2)
+            ]
+            grid = sp.composites(G, c2, pt, firsts, seconds)
+            assert len(grid) == len(firsts) * len(seconds)
+            basis = sp.orbit_basis(G, c2, pt)
+            for (k1, k2), entry in zip(itertools.product(firsts, seconds), grid):
+                entries.append((k1, k2, tuple((basis[p], m) for p, m in entry)))
+                buckets.add((k1[0], k2[0], k2[1]))
+    assert len(reads) == len(buckets)
+    for k1, k2, composite in entries:
+        assert composite == compose_keys_per_element_oracle(G, k2, k1), (k2, k1)
+
+
 def _endpoint_pairs(G, c1, c2, c3):
     """Every (k1, k2) of endpoint keys from the orbit of c1 to that of c2
     and from there to that of c3, in order."""
@@ -464,7 +507,26 @@ def test_generator_conjugations_close_to_every_endpoint_key_of_an_orbit(
 
 
 def test_compose_keys_keeps_nothing():
+    """spans.composites has no cache, and its fibre buckets are kept only
+    for the group last composed: once another group is composed, nothing
+    refers to any part of the first group's buckets but those parts and
+    the test itself."""
     assert not hasattr(sp.composites, "cache_info")
+    A = _relabelled(corpus_group("Q8"), 31)
+    B = _relabelled(corpus_group("S3"), 31)
+    mk.check_mackey(mk.burnside_mackey(A))
+    group, store = sp._fibres
+    assert group is A and store
+    parts = [store]
+    for fibres in store.values():
+        parts.append(fibres)
+        for buckets in fibres.values():
+            parts += [buckets, *buckets.values()]
+    mk.burnside_mackey(B)
+    assert sp._fibres[0] is B and sp._fibres[1] is not store
+    inside = {id(part) for part in parts} | {id(parts)}
+    for referrer in gc.get_referrers(*parts):
+        assert id(referrer) in inside or inspect.isframe(referrer), type(referrer)
 
 
 def test_a_warm_rerun_of_the_law_checks_composes_nothing(monkeypatch):
