@@ -23,14 +23,17 @@ each basis key of G/N is the matrix it takes.
 check_mackey decides the composition law on the pairs of
 spans.law_table: the pairs of endpoint keys (transfers, restrictions and
 conjugations, spans.endpoint_positions), with a conjugation of an orbit
-to itself only at a generator of its Weyl group.  Those give it on all
-pairs: with the identity acting as the identity, the law at the
-generator conjugations gives it at every conjugation, by induction on a
-word (spans.law_table).  On the corpus this tests 14,711 of the 88,414
-pairs of basis spans (22,995 pairs of endpoint keys); the test suite
-keeps the exhaustive check as its oracle.  The law pairs and their
-composites are walked through spans.law_grids, which skips a class
-triple with no pairs and reads the group's law tables by position.
+to itself only at a generator of its Weyl group, and, through three
+distinct classes, with one first key per orbit of the middle class's
+Weyl group.  Those give it on all pairs: with the identity acting as the
+identity, the law at the generator conjugations gives it at every
+conjugation, by induction on a word, and the law at the conjugations
+moves it from each kept first to its whole orbit (spans.law_table).  On
+the corpus this tests 8,271 of the 88,414 pairs of basis spans (22,995
+pairs of endpoint keys); the test suite keeps the exhaustive check as
+its oracle.  The law pairs and their composites are walked through
+spans.law_grids, which skips a class triple with no pairs and reads the
+group's law tables by position.
 M is read as one list of matrices per pair of classes, each matrix
 packed once into one integer in base B = 2^k, its rows at a stride of
 D digits, D the largest level dims, and each of its rows packed too; B
@@ -341,8 +344,9 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
 
     The law is tested only on the pairs of spans.law_table: the pairs of
     endpoint keys, with a conjugation of an orbit to itself only at a
-    generator of its Weyl group.  Those give it on every pair of
-    endpoint keys, and so on all pairs of basis spans
+    generator of its Weyl group, and through three distinct classes one
+    first key per orbit of the middle class's Weyl group.  Those give it
+    on every pair of endpoint keys, and so on all pairs of basis spans
     (spans.endpoint_positions).  The steps of that argument hold up to
     congruence in the target level because torsion well-definedness and
     the identities are checked first.  On a failure the pairs of all

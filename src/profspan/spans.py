@@ -56,12 +56,15 @@ keeps the buckets only until another group is composed, so the grids
 of burnside_mackey and the law tables of one group share them.  The law
 checks read one table per group and pair of end classes (law_table):
 for each middle class, the positions of the pairs the law is tested on
-and the grid of their composites.  They walk it in one way (law_grids):
-each class triple that has law pairs, in lexicographic order.  The law on those pairs decides
-it on all pairs: on the endpoint keys (Thévenaz–Webb 1995, §2;
-endpoint_positions), and on an orbit's conjugations to itself only at
-the generators of its Weyl group, by induction on a word (law_table).
-On C128 that is 48,748 of the 127,103 pairs of endpoint keys.
+and the grid of their composites, composed when the entry is first
+read.  They walk it in one way (law_grids): each class triple that has
+law pairs, in lexicographic order.  The law on those pairs decides it
+on all pairs: on the endpoint keys (Thévenaz–Webb 1995, §2;
+endpoint_positions), on an orbit's conjugations to itself only at the
+generators of its Weyl group, by induction on a word, and, through
+three distinct classes, on one first key per orbit of the middle
+class's Weyl group (law_table).  On C128 that is 4,686 of the 127,103
+pairs of endpoint keys.
 
 Span(F), for F inflation or fixed points along a quotient map, is one
 table per functor and link (span_images), which both span checks of
@@ -74,8 +77,8 @@ tables: the left from the source group's, and the right from the image
 group's wherever its layout lists the images.
 The module's tables are kept for the process, one per group, G-set or
 link and class or class pair, none per key or pair of keys; only the
-fibre buckets of composites are kept per second key, and only for the
-group last composed.
+fibre buckets of composites, kept per second key, and its table of
+distinct composites are kept, and only for the group last composed.
 """
 
 from __future__ import annotations
@@ -247,7 +250,10 @@ def endpoint_positions(G: FiniteGroup, c1: int, c2: int) -> tuple[int, ...]:
     1973).  The endpoint keys from the orbit of a class c to itself are
     the conjugations c_w, w in N(R_c)/R_c, and the law on them follows
     from the law at the generators of that Weyl group (law_table), which
-    is all the law checks test of them."""
+    is all the law checks test of them.  Through three distinct classes
+    c1, c2, c3 the checks test as firsts only the least key of each
+    orbit of these positions under c_w ∘ -, w in W(c2), against every
+    endpoint key out of c2, and the law_table proof gives the rest."""
     basis = orbit_basis(G, c1, c2)
     return tuple(i for i, k in enumerate(basis) if k[0] in (c1, c2))
 
@@ -288,17 +294,19 @@ def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> tuple:
     return tuple(orbits)
 
 
-# The fibre buckets of the group last composed (composites), as [group,
-# buckets]: one group's at a time, so they are shared by every grid of that
-# group and dropped as soon as another group is composed.
-_fibres: list = [None, {}]
+# The fibre buckets and the distinct composites of the group last composed
+# (composites), as [group, buckets, composites]: one group's at a time, so
+# they are shared by every grid of that group and dropped as soon as
+# another group is composed.
+_fibres: list = [None, {}, {}]
 
 
 def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
     """seconds[j] ∘ firsts[i], for basis keys firsts[i] from the orbit of
     class c1 to a middle orbit Y and seconds[j] from Y to the orbit of c3,
     at entry i·len(seconds) + j as the sorted (position in
-    orbit_basis(G, c1, c3), mult) pairs; equal entries are one tuple.  Y
+    orbit_basis(G, c1, c3), mult) pairs.  Equal entries of the grids
+    of one group, composed before another group is, are one tuple.  Y
     is not needed: the right legs of firsts and left legs of seconds are
     tabulated on it.
 
@@ -328,15 +336,14 @@ def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
     multiplicity: they are orbits on a fibre of at most |G| points.
     """
     if _fibres[0] is not G:
-        _fibres[:] = G, {}
-    store = _fibres[1]
+        _fibres[:] = G, {}, {}
+    _, store, shared = _fibres
     X, Z = gs.orbit_gset(G, c1), gs.orbit_gset(G, c3)
     nx, nz, act = X.size, Z.size, Z.action
     index = basis_index(G, c1, c3)
     least: dict = {}  # class -> its W-orbit table of X
     width = len(seconds)
     grid: list = [()] * (len(firsts) * width)
-    shared: dict = {}
     for j, (c2, left2, right2) in enumerate(seconds):
         fibres = store.get((c2, left2))  # apex class of k1 -> its buckets
         if fibres is None:
@@ -392,21 +399,106 @@ def conjugation_generators(G: FiniteGroup, c: int) -> tuple[int, ...]:
     )
 
 
+_UNREAD = object()  # a LawTable entry not yet composed
+
+
+class LawTable:
+    """The law pairs of each class triple (c1, c2, c3) with c1 and c3
+    fixed, the table both law checks read (law_table): entry c2 is
+    (firsts, seconds, grid), with firsts positions in orbit_basis(G, c1,
+    c2), seconds positions in orbit_basis(G, c2, c3) and grid the
+    composites of the keys at them, firsts against seconds (composites),
+    or None for a triple with no firsts or no seconds (incomparable
+    classes, or a trivial Weyl group), for which nothing is composed.
+    An entry is composed when it is first read, so an entry no reader
+    asks for is never composed, and equal grid entries composed in one
+    build of the group are one tuple (composites).  For c1 ≠ c3 the
+    table also keeps the least position of each orbit of E(c1, c3) under
+    W(c3) (leasts), which each entry through c3 and a third class, of
+    every table from c1, reads as its firsts."""
+
+    __slots__ = ("group", "c1", "c3", "entries", "_leasts")
+
+    def __init__(self, G: FiniteGroup, c1: int, c3: int):
+        self.group, self.c1, self.c3 = G, c1, c3
+        self.entries: list = [_UNREAD] * subgroup_lattice(G).num_classes
+        self._leasts = None
+
+    def __getitem__(self, c2: int):
+        entry = self.entries[c2]
+        if entry is _UNREAD:
+            entry = self.entries[c2] = self._compose(c2)
+        return entry
+
+    def leasts(self) -> tuple[int, ...]:
+        """For c1 ≠ c3, the least position of each orbit of E(c1, c3), the
+        endpoint positions, under k ↦ c_s ∘ k for the generator
+        conjugations c_s of c3, read from the entry c3: the grid of E(c1,
+        c3) against those conjugations.  A conjugation composed with an
+        endpoint key is one endpoint key, so each entry of that grid is
+        one position, and the orbits partition E(c1, c3).  E(c1, c3) is
+        sorted, so the first position of an orbit that the walk reaches
+        is its least.  When W(c3) is trivial the entry is None, and every
+        orbit is one position."""
+        if self._leasts is not None:
+            return self._leasts
+        weyl = self[self.c3]
+        if weyl is None:
+            self._leasts = endpoint_positions(self.group, self.c1, self.c3)
+            return self._leasts
+        ends, gens, grid = weyl
+        width = len(gens)
+        row = {p: i * width for i, p in enumerate(ends)}
+        seen: set = set()
+        leasts = []
+        for p in ends:
+            if p in seen:
+                continue
+            leasts.append(p)
+            seen.add(p)
+            orbit = [p]
+            for q in orbit:
+                i = row[q]
+                for ((r, _),) in grid[i : i + width]:
+                    if r not in seen:
+                        seen.add(r)
+                        orbit.append(r)
+        self._leasts = tuple(leasts)
+        return self._leasts
+
+    def _compose(self, c2: int):
+        G, c1, c3 = self.group, self.c1, self.c3
+        firsts = endpoint_positions(G, c1, c2)
+        seconds = endpoint_positions(G, c2, c3)
+        if c1 == c2:
+            firsts = conjugation_generators(G, c2)
+        elif c2 == c3:
+            seconds = conjugation_generators(G, c2)
+        elif firsts and seconds:
+            firsts = law_table(G, c1, c2).leasts()
+        if not firsts or not seconds:
+            return None
+        b12, b23 = orbit_basis(G, c1, c2), orbit_basis(G, c2, c3)
+        grid = composites(
+            G, c1, c3, [b12[p] for p in firsts], [b23[p] for p in seconds]
+        )
+        return firsts, seconds, grid
+
+
 @lru_cache(maxsize=None)
-def law_table(G: FiniteGroup, c1: int, c3: int) -> tuple:
-    """The law pairs of each class triple (c1, c2, c3), the table both
-    law checks read: entry c2 is (firsts, seconds, grid), with firsts
-    positions in orbit_basis(G, c1, c2), seconds positions in
-    orbit_basis(G, c2, c3) and grid the composites of the keys at them,
-    firsts against seconds (composites), or None for a triple with no
-    firsts or no seconds (incomparable classes, or a trivial Weyl
-    group), for which nothing is composed.  Equal grid entries of the
-    table are one tuple.  Readers walk the table through law_grids.
+def law_table(G: FiniteGroup, c1: int, c3: int) -> LawTable:
+    """The law pairs of each class triple (c1, c2, c3), as a LawTable
+    whose entry c2 is composed on first read.  Readers walk the table
+    through law_grids.
 
     The pairs are the generator conjugations of c2
     (conjugation_generators) against E(c2, c3) when c1 = c2, E(c1, c2)
-    against them when c2 = c3 and c1 ≠ c2, and E(c1, c2) against
-    E(c2, c3) otherwise, E the endpoint positions.
+    against them when c2 = c3 and c1 ≠ c2, and otherwise the least
+    position of each orbit of E(c1, c2) under k ↦ c_s ∘ k, for the
+    generators s of W(c2) = N(R_c2)/R_c2, against E(c2, c3), E the
+    endpoint positions.  Those orbits are read from the grid of E(c1, c2)
+    against the generator conjugations, the entry c2 of law_table(G, c1,
+    c2), which keeps them (LawTable.leasts).
 
     Let Φ be additive on the spans between orbits with Φ(identity) the
     identity, and let the law Φ(k2 ∘ k1) = Φ(k2)·Φ(k1) hold on these
@@ -424,40 +516,37 @@ def law_table(G: FiniteGroup, c1: int, c3: int) -> tuple:
     (c_s, c_u), the third the induction.  For k1 = e any endpoint key into
     G/R_c, with c_w = c_s ∘ c_u, Φ(c_w ∘ e) = Φ(c_s)·Φ(c_u ∘ e) =
     Φ(c_s)·Φ(c_u)·Φ(e), and Φ(c_s)·Φ(c_u) = Φ(c_s ∘ c_u) by the first
-    half.  The steps hold up to congruence, as in endpoint_positions
-    (the conjugation relations of the Mackey algebra, Thévenaz–Webb
-    1995)."""
-    shared: dict = {}
-    table = []
-    for c2 in range(subgroup_lattice(G).num_classes):
-        firsts = endpoint_positions(G, c1, c2)
-        seconds = endpoint_positions(G, c2, c3)
-        if c1 == c2:
-            firsts = conjugation_generators(G, c2)
-        elif c2 == c3:
-            seconds = conjugation_generators(G, c2)
-        if not firsts or not seconds:
-            table.append(None)
-            continue
-        b12, b23 = orbit_basis(G, c1, c2), orbit_basis(G, c2, c3)
-        grid = composites(
-            G, c1, c3, [b12[p] for p in firsts], [b23[p] for p in seconds]
-        )
-        table.append((firsts, seconds, tuple(shared.setdefault(t, t) for t in grid)))
-    return tuple(table)
+    half.  So the law holds on every pair with a conjugation of an orbit
+    to itself on either side.  For c1 ≠ c2 ≠ c3, every k in E(c1, c2) is
+    c_w ∘ k1 for k1 the least key of its orbit and some w in W(c2), and
+    for k2 in E(c2, c3),
+
+        Φ(k2)·Φ(c_w ∘ k1) = Φ(k2)·Φ(c_w)·Φ(k1) = Φ(k2 ∘ c_w)·Φ(k1)
+                          = Φ(k2 ∘ c_w ∘ k1),
+
+    the first two steps the law on (k1, c_w) and (c_w, k2), just shown,
+    and the last the tested pair (k1, k2 ∘ c_w), since k2 ∘ c_w is one
+    key of E(c2, c3), all of which are seconds.  The steps hold up to
+    congruence, as in endpoint_positions (the conjugation relations of
+    the Mackey algebra, Thévenaz–Webb 1995)."""
+    return LawTable(G, c1, c3)
 
 
 def law_grids(G: FiniteGroup):
     """Each (c1, c2, c3, firsts, seconds, grid) for a class triple that
     has law pairs, in lexicographic order, with (firsts, seconds, grid)
-    the entry c2 of law_table(G, c1, c3).  A triple with no firsts or no
-    seconds has no pair to test and is not yielded.  It is the one walk
-    over the law pairs that both law checks make."""
+    the entry c2 of law_table(G, c1, c3), each table looked up once per
+    c1.  A triple with no firsts or no seconds has no pair to test and is
+    not yielded.  It is the one walk over the law pairs that both law
+    checks make."""
     n = subgroup_lattice(G).num_classes
-    for c1, c2, c3 in itertools.product(range(n), repeat=3):
-        entry = law_table(G, c1, c3)[c2]
-        if entry is not None:
-            yield (c1, c2, c3, *entry)
+    for c1 in range(n):
+        tables = [law_table(G, c1, c3) for c3 in range(n)]
+        for c2 in range(n):
+            for c3, table in enumerate(tables):
+                entry = table[c2]
+                if entry is not None:
+                    yield (c1, c2, c3, *entry)
 
 
 class BurnsideTables(NamedTuple):

@@ -19,14 +19,16 @@ of one image per basis key), so their reports depend on neither the
 size cap nor the seed; only funcat reads the seed.  The law is tested
 on the pairs of spans.law_table, which give it on every pair of
 endpoint keys: an orbit's conjugations to itself are tested only at the
-generators of its Weyl group.  One scan walks those pairs
-(spans.law_grids), reading both sides by position from law tables: the
-left sides from the source group's, and the right sides from the image
-group's wherever its layout lists the images, composing them only where
-it does not; its first failing pair is the witness.  A link
-that is not onto has no such table, and the checks raise ValueError on
-it, as make_tower does.  The composition law on those generators also
-decides whether F keeps pullbacks, so no pullback G-set is built.
+generators of its Weyl group, and through three distinct classes only
+one first key per orbit of the middle class's Weyl group.  One scan
+walks those pairs (spans.law_grids), reading both sides by position
+from law tables: the left sides from the source group's, and the right
+sides from the image group's wherever its layout lists the images,
+composing them only where it does not; its first failing pair is the
+witness.  A link that is not onto has no such table, and the checks
+raise ValueError on it, as make_tower does.  The composition law on
+those generators also decides whether F keeps pullbacks, so no pullback
+G-set is built.
 
 A check that would test nothing at the requested tower or cap raises
 ParseError, an input error, naming its minimum: the link checks need a
@@ -190,10 +192,10 @@ def _law_failures(table: sp.SpanImages):
     for which Span(F)(k2 ∘ k1) and Span(F)(k2) ∘ Span(F)(k1) differ, in
     that lexicographic order.  The left side is the grid of law_grids(G)
     pushed through the images, once per distinct entry of a grid (equal
-    entries of a law table are one tuple), and the right side is read or
-    composed by _right_sides.  The law on these pairs decides it on every
-    pair of endpoint keys (spans.law_table), so a failure names a pair of
-    endpoint keys on which the law fails."""
+    entries of a grid are one tuple, spans.composites), and the right
+    side is read or composed by _right_sides.  The law on these pairs
+    decides it on every pair of endpoint keys (spans.law_table), so a
+    failure names a pair of endpoint keys on which the law fails."""
     G, terms = table.source, table.terms
     for c1, c2, c3, firsts, seconds, lefts in sp.law_grids(G):
         rights = _right_sides(table, c1, c2, c3, firsts, seconds)
@@ -243,8 +245,14 @@ def _span_functor_check(tower, name: str, kept, conclusion: str) -> Verdict:
     its orbits in one way only, so the two are equal iff an isomorphism
     φ: FP -> Q has r1 φ = Fp1 and r2 φ = Fp2, which makes φ the comparison
     map (Fp1, Fp2).  So the law on (k1, k2) holds iff F keeps this
-    pullback, and the law on the pairs of law_table gives it on every
-    such pair.  The keys give every transitive cospan up to isomorphism, and
+    pullback.  The law on the pairs of law_table gives it on every such
+    pair, though through three distinct classes it tests only one
+    transfer k1 per orbit of W = Aut(Z) under c_w ∘ -: the proof in
+    law_table moves the law from (k1, k2 ∘ c_w), a tested pair of a
+    transfer and a restriction, to (c_w ∘ k1, k2), through the law on the
+    conjugation pairs, which the generator pairs give.  So no
+    transfer–restriction pair escapes the check, and with it no
+    pullback.  The keys give every transitive cospan up to isomorphism, and
     G-sets are extensive (Carboni–Lack–Walters, JPAA 84, 1993): every
     pullback is the sum of those of transitive cospans.
     """

@@ -453,38 +453,50 @@ def test_check_mackey_packs_the_zero_functor(name, G):
     assert mk._shift(M) == 1 and all(A == () for A in M.gen_action.values())
 
 
-@pytest.mark.parametrize("relabel_seed", [None, 31], ids=["given", "relabelled"])
-def test_no_law_scan_composes_a_triple_without_pairs(monkeypatch, relabel_seed):
+@pytest.mark.parametrize(
+    "relabel_seed, law_pairs", [(None, 596), (31, 578)], ids=["given", "relabelled"]
+)
+def test_no_law_scan_composes_a_triple_without_pairs(monkeypatch, relabel_seed, law_pairs):
     """law_table and check_mackey on C4xC2 compose exactly the 249 class
-    triples whose law pairs have firsts and seconds; the other 263 of the
-    512 get the entry None and no spans.composites call, and the law scan
-    over spans.law_grids visits exactly the 249."""
+    triples whose law pairs have firsts and seconds, each once and with
+    the pairs of _law_positions: 596, or 578 relabelled, whose Weyl
+    generating sets differ (1,002 and 984 before the firsts through three
+    distinct classes were cut to one per Weyl orbit).  The other 263 of
+    the 512 get the entry None and no spans.composites call, and the law
+    scan over spans.law_grids visits exactly the 249.  An entry through
+    three distinct classes reads the Weyl entry of its first two,
+    composed then if it is unread, so reading the entries in reverse
+    order composes the same 249."""
     G = corpus_group("C4xC2")
     if relabel_seed is not None:
         G = _relabelled(G, relabel_seed)
     M = mk.burnside_mackey(G)
     n = g.subgroup_lattice(G).num_classes
     triples = list(itertools.product(range(n), repeat=3))
-    with_pairs = [t for t in triples if all(_law_positions(G, *t))]
+    positions = {t: _law_positions(G, *t) for t in triples}
+    with_pairs = [t for t in triples if all(positions[t])]
     assert (len(triples), len(with_pairs)) == (512, 249)
+    pairs = sum(len(firsts) * len(seconds) for firsts, seconds in positions.values())
     calls = []
     composites = sp.composites
 
     def spy(K, c1, c3, firsts, seconds):
         assert firsts and seconds
-        calls.append((K, c1, c3))
+        calls.append((K, len(firsts) * len(seconds)))
         return composites(K, c1, c3, firsts, seconds)
 
     monkeypatch.setattr(sp, "composites", spy)
     sp.law_table.cache_clear()
     assert mk.check_mackey(M)
-    assert len(calls) == 249 and {K for K, _, _ in calls} == {G}
-    calls.clear()
-    sp.law_table.cache_clear()
-    for c1, c2, c3 in triples:
-        entry = sp.law_table(G, c1, c3)[c2]
-        assert (entry is not None) == ((c1, c2, c3) in with_pairs)
-    assert len(calls) == 249
+    assert len(calls) == 249 and {K for K, _ in calls} == {G}
+    assert sum(m for _, m in calls) == pairs == law_pairs
+    for order in (triples, triples[::-1]):
+        calls.clear()
+        sp.law_table.cache_clear()
+        for c1, c2, c3 in order:
+            entry = sp.law_table(G, c1, c3)[c2]
+            assert (entry is not None) == ((c1, c2, c3) in with_pairs)
+        assert len(calls) == 249
 
     visited = []
 

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import random
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -381,31 +382,67 @@ def _conjugations(G, c):
     ]
 
 
+@lru_cache(maxsize=None)
+def _weyl_orbits(G, c1, c2):
+    """The orbits of the endpoint keys from the orbit of c1 to that of c2
+    under k ↦ c_w ∘ k, for every w in W(c2), each as (its first key in
+    basis order, the set of its keys), in basis order: every c_w from
+    _conjugations and every composite from the per-element oracle, each
+    one key of multiplicity 1."""
+    conjugations = _conjugations(G, c2)
+    orbits, seen = [], set()
+    for k in endpoint_keys(G, c1, c2):
+        if k in seen:
+            continue
+        orbit = set()
+        for w in conjugations:
+            ((key, mult),) = compose_keys_per_element_oracle(G, w, k)
+            assert mult == 1
+            orbit.add(key)
+        orbits.append((k, orbit))
+        seen |= orbit
+    return tuple(orbits)
+
+
+def _law_first_keys(G, c1, c2, c3):
+    """The first keys of law_table(G, c1, c3)[c2], in basis order: the
+    generator conjugations of c2 when c1 = c2, every endpoint key into it
+    when c2 = c3, and otherwise the least key of each orbit of those
+    endpoint keys under W(c2) (_weyl_orbits)."""
+    if c1 == c2:
+        basis = sp.orbit_basis(G, c2, c2)
+        return [basis[p] for p in sp.conjugation_generators(G, c2)]
+    if c2 == c3:
+        return endpoint_keys(G, c1, c2)
+    return [k for k, _ in _weyl_orbits(G, c1, c2)]
+
+
 def _law_positions(G, c1, c2, c3):
     """The (firsts, seconds) of law_table(G, c1, c3)[c2] by its selection
     rule: the positions of the generator conjugations of c2 against those
     of the endpoint keys out of it when c1 = c2, of the endpoint keys into
-    it against the generator conjugations when c2 = c3 and c1 ≠ c2, and of
-    the endpoint keys into it against those out of it otherwise."""
-    gens = sp.conjugation_generators(G, c2)
-    if c1 == c2:
-        return gens, sp.endpoint_positions(G, c2, c3)
-    if c2 == c3:
-        return sp.endpoint_positions(G, c1, c2), gens
-    return sp.endpoint_positions(G, c1, c2), sp.endpoint_positions(G, c2, c3)
+    it against the generator conjugations when c2 = c3 and c1 ≠ c2, and
+    otherwise of the least endpoint key into it of each orbit of W(c2)
+    (_law_first_keys) against those of the endpoint keys out of it."""
+    basis = sp.orbit_basis(G, c1, c2)
+    firsts = tuple(map(basis.index, _law_first_keys(G, c1, c2, c3)))
+    if c2 == c3 != c1:
+        return firsts, sp.conjugation_generators(G, c2)
+    return firsts, sp.endpoint_positions(G, c2, c3)
 
 
 def _law_key_pairs(G, c1, c2, c3):
     """The (k1, k2) of law_table(G, c1, c3)[c2], in its order: the
     generator conjugations of c2 against the endpoint keys out of it
     when c1 = c2, the endpoint keys into it against them when c2 = c3 and
-    c1 ≠ c2, and all endpoint-key pairs otherwise."""
-    gens = [sp.orbit_basis(G, c2, c2)[p] for p in sp.conjugation_generators(G, c2)]
-    if c1 == c2:
-        return list(itertools.product(gens, endpoint_keys(G, c2, c3)))
-    if c2 == c3:
-        return list(itertools.product(endpoint_keys(G, c1, c2), gens))
-    return _endpoint_pairs(G, c1, c2, c3)
+    c1 ≠ c2, and otherwise the first keys of _law_first_keys against the
+    endpoint keys out of it."""
+    firsts = _law_first_keys(G, c1, c2, c3)
+    if c2 == c3 != c1:
+        basis = sp.orbit_basis(G, c2, c2)
+        gens = [basis[p] for p in sp.conjugation_generators(G, c2)]
+        return list(itertools.product(firsts, gens))
+    return list(itertools.product(firsts, endpoint_keys(G, c2, c3)))
 
 
 @pytest.mark.parametrize("relabel_seed", [None, 13], ids=["given", "relabelled"])
@@ -413,14 +450,16 @@ def _law_key_pairs(G, c1, c2, c3):
 def test_endpoint_composites_match_compose_keys(name, relabel_seed):
     """Every grid entry of the law table of every class pair is the
     composite of its one pair alone, the pairs laid out by the selection
-    rule of law_table, a triple without pairs is None, and equal entries
-    of one table are one tuple."""
+    rule of law_table (_law_positions, whose firsts between three distinct
+    classes the per-element oracle finds), a triple without pairs is
+    None, and equal entries of one table, all composed in one build of
+    the group, are one tuple (spans.composites)."""
     G = corpus_group(name)
     if relabel_seed is not None:
         G = _relabelled(G, relabel_seed)
     n = g.subgroup_lattice(G).num_classes
     for c1, c3 in itertools.product(range(n), repeat=2):
-        table = sp.law_table(G, c1, c3)
+        table = list(sp.law_table(G, c1, c3))
         assert len(table) == n
         for c2, entry in enumerate(table):
             firsts, seconds = _law_positions(G, c1, c2, c3)
@@ -506,24 +545,68 @@ def test_generator_conjugations_close_to_every_endpoint_key_of_an_orbit(
         assert set(reached) == ends, (name, c)
 
 
+@pytest.mark.parametrize("G", [
+    *(
+        _relabelled(G, seed) if seed is not None else G
+        for _, G in corpus_groups()
+        for seed in (None, 19)
+    ),
+    g.cyclic(64),
+    g.cyclic(128),
+], ids=[
+    *(f"{name}-{kind}" for name, _ in corpus_groups() for kind in ("given", "relabelled")),
+    "C64",
+    "C128",
+])
+def test_weyl_orbits_of_the_kept_firsts_cover_every_endpoint_key(G):
+    """For classes c1 ≠ c2, the firsts of every triple (c1, c2, c3) with
+    c3 ≠ c2, moved by every element w of W(c2) as c_w ∘ k (the conjugations
+    of _conjugations, each composite by the per-element oracle), reach
+    every endpoint key from the orbit of c1 to that of c2: the law on
+    those firsts gives it on every endpoint key (spans.law_table)."""
+    n = g.subgroup_lattice(G).num_classes
+    kept = 0
+    for c1, c2 in itertools.product(range(n), repeat=2):
+        if c1 == c2:
+            continue
+        basis = sp.orbit_basis(G, c1, c2)
+        conjugations = _conjugations(G, c2)
+        ends = set(endpoint_keys(G, c1, c2))
+        for c3 in range(n):
+            entry = sp.law_table(G, c1, c3)[c2]
+            if c3 == c2 or entry is None:
+                continue
+            reached = set()
+            for p in entry[0]:
+                for w in conjugations:
+                    ((key, mult),) = compose_keys_per_element_oracle(G, w, basis[p])
+                    assert mult == 1
+                    reached.add(key)
+            assert reached == ends, (c1, c2, c3)
+            kept += len(entry[0])
+    assert kept or n == 1
+
+
 def test_compose_keys_keeps_nothing():
-    """spans.composites has no cache, and its fibre buckets are kept only
-    for the group last composed: once another group is composed, nothing
-    refers to any part of the first group's buckets but those parts and
-    the test itself."""
+    """spans.composites has no cache, and its fibre buckets and its table
+    of distinct composites are kept only for the group last composed:
+    once another group is composed, nothing refers to any part of the
+    first group's buckets or to that table but those parts and the test
+    itself (the composites in it are the law tables' entries)."""
     assert not hasattr(sp.composites, "cache_info")
     A = _relabelled(corpus_group("Q8"), 31)
     B = _relabelled(corpus_group("S3"), 31)
     mk.check_mackey(mk.burnside_mackey(A))
-    group, store = sp._fibres
-    assert group is A and store
-    parts = [store]
+    group, store, distinct = sp._fibres
+    assert group is A and store and distinct
+    parts = [store, distinct]
     for fibres in store.values():
         parts.append(fibres)
         for buckets in fibres.values():
             parts += [buckets, *buckets.values()]
     mk.burnside_mackey(B)
-    assert sp._fibres[0] is B and sp._fibres[1] is not store
+    assert sp._fibres[0] is B
+    assert sp._fibres[1] is not store and sp._fibres[2] is not distinct
     inside = {id(part) for part in parts} | {id(parts)}
     for referrer in gc.get_referrers(*parts):
         assert id(referrer) in inside or inspect.isframe(referrer), type(referrer)
@@ -803,7 +886,10 @@ def check_left_exact(F) -> Verdict:
     source group that the law scan tests (verify._span_functor_check
     gives the proof).  A pair through an orbit's conjugation to itself,
     which the scan tests only at generators, has an isomorphism for f or
-    h, and every functor keeps its pullback.  The witness of a failure is
+    h, and every functor keeps its pullback.  A transfer c_w ∘ k1 into Z
+    that the scan does not test as a first, k1 one that it does, has
+    with k2 the cospan of (k1, k2 ∘ c_w) up to the automorphism w of Z,
+    and k2 ∘ c_w is a restriction.  The witness of a failure is
     the cospan X -f-> Z <-h- Y as (X, Y, Z actions, f and h values)."""
     G = F.src_group
     orbits = _orbits(G)
@@ -869,24 +955,30 @@ EXPECTED_COSPANS = {
 ])
 def test_law_on_transfer_restriction_pairs_decides_left_exactness(functor):
     """For a transfer k1 = [X <- X -f-> Z] and a restriction
-    k2 = [Z <-h- Y -> Y] between orbits, the law of the span checks holds
-    on (k1, k2) exactly when F keeps the pullback of f and h, decided on
-    the built square.  Fixed points and inflation keep every one; the
-    N-orbit quotient does not."""
+    k2 = [Z <-h- Y -> Y] between orbits, the law of Span(F) holds on
+    (k1, k2) (law_holds_oracle) exactly when F keeps the pullback of f
+    and h, decided on the built square, and the law scan of the span
+    checks (verify._law_failures), which tests only some of these pairs,
+    yields a pair iff the law fails on one of them.  Fixed points and
+    inflation keep every pullback; the N-orbit quotient does not."""
     cospans = failing = 0
     for name in LAW_GROUPS:
         for q in _quotients(corpus_group(name)):
             F = functor(q)
             G = F.src_group
             orbits = _orbits(G)
-            broken = set(vf._law_failures(_table(functor, q)))
+            table = _table(functor, q)
+            broken = False
             for c1, c2, c3, k1, k2, f, h in _transfer_restriction_pairs(G, orbits):
                 P, p1, p2 = pullback(f, h)
                 kept = square_is_pullback(*map(F.map, (p1, p2, f, h)))
-                law = (c1, c2, c3, k1, k2) not in broken
+                law = law_holds_oracle(table, c1, c2, c3, k1, k2)
                 assert law == kept, (name, q.kernel.elements, c1, c2, c3, k1, k2)
                 cospans += 1
                 failing += not kept
+                broken |= not kept
+            scanned = next(vf._law_failures(table), None) is not None
+            assert scanned == broken, (name, q.kernel.elements)
     assert (cospans, failing) == EXPECTED_COSPANS[functor]
 
 
