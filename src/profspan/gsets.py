@@ -22,14 +22,18 @@ the points before them (`canonical_gset`).  Orbits and point
 stabilizers are computed once per G-set, which is a frozen value on
 groups.Value.
 
-What is computed once is kept for the rest of the process, in lru_caches
-on their arguments: the coset tables of each group's subgroup classes
-(`orbit_classes`, each class's cosets numbered once, by
-groups.left_cosets), the canonical orbits built from them
-(`orbit_gset`, per class, only when read) and the inflations
-(`inflate`, per (X, q)).  So inflating the same G-set along an equal
-quotient map returns the same G-set, with the orbits and stabilizers it
-has already found.
+What is computed once is kept for the rest of the process.  Each group
+has one table store (GroupTables), kept by one cache on the group value
+(tables), so equal groups share it; readers look it up once and index
+its lists by class or class pair.  It holds the coset table of each
+subgroup class (GroupTables.classes, each class's cosets numbered once,
+by groups.left_cosets), the canonical orbits built from them
+(`orbit_gset`, per class, only when read), and the tables spans fills
+in it.  Each G-set keeps its W-orbit tables (`least_points`), as it
+keeps its orbits and point stabilizers.  The inflations are kept per
+(X, q) (`inflate`), so inflating the same G-set along an equal quotient
+map returns the same G-set, with the orbits and stabilizers it has
+already found.
 """
 
 from __future__ import annotations
@@ -46,6 +50,25 @@ from .groups import (
     left_cosets,
     subgroup_lattice,
 )
+
+
+class LeastPoints(NamedTuple):
+    """The W-orbits on X^R of one G-set X and one subgroup class, R the
+    class representative and W = N(R)/R as OrbitClass lists it.
+
+    A span with apex G/R is a pair of R-fixed points, and n in W relabels
+    the apex, moving the pair (x, y) to (n·x, n·y); its key tabulates the
+    least pair.  That pair has x* = min{n·x}, and the y part is least over
+    the carriers of x, the n with n·x = x*: |Stab_W(x)| of them, not |W|.
+    The tables are indexed by the points of X; a point outside X^R has
+    least -1, no carriers and no legs.  Every key made from X shares the
+    one leg tuple of each point.
+    """
+
+    fixed: tuple[int, ...]  # X^R, in point order
+    least: tuple[int, ...]  # x*, the least point of the W-orbit of x
+    carriers: tuple[tuple[int, ...], ...]  # the n in W with n·x = x*
+    legs: tuple  # x's leg table, tuple(X.action[x][m] for m in mins)
 
 
 class GSet(Value):
@@ -78,6 +101,34 @@ class GSet(Value):
             frozenset(g for g, y in enumerate(row) if y == x)
             for x, row in enumerate(self.action)
         )
+
+    @cached_property
+    def least_points(self) -> tuple[LeastPoints, ...]:
+        """The W-orbit table of every subgroup class, read from the coset
+        tables of the group's store (tables); built on first use.  The
+        classes that fix no point share one table, with no fixed points."""
+        t = tables(self.group)
+        size, empty, out = self.size, None, []
+        for c, cls in enumerate(t.classes):
+            fixed = fixed_by(self, t.lattice.class_rep(c).elements)
+            if not fixed:
+                if empty is None:
+                    empty = LeastPoints(
+                        (), (-1,) * size, ((),) * size, (None,) * size
+                    )
+                out.append(empty)
+                continue
+            least, carriers, legs = [-1] * size, [()] * size, [None] * size
+            for x in fixed:
+                row = self.action[x]
+                images = [row[n] for n in cls.normaliser]
+                least[x] = star = min(images)
+                carriers[x] = tuple(
+                    n for n, v in zip(cls.normaliser, images) if v == star
+                )
+                legs[x] = tuple(map(row.__getitem__, cls.mins))
+            out.append(LeastPoints(fixed, tuple(least), tuple(carriers), tuple(legs)))
+        return tuple(out)
 
     def __repr__(self):
         return f"GSet(|G|={self.group.order}, size={self.size})"
@@ -136,26 +187,63 @@ class OrbitClass(NamedTuple):
     normaliser: tuple[int, ...]  # the m in mins normalising R: N_G(R)/R
 
 
-@lru_cache(maxsize=None)
-def orbit_classes(G: FiniteGroup) -> tuple[OrbitClass, ...]:
-    """The coset table of every subgroup class of G, built on first use."""
-    lat = subgroup_lattice(G)
-    classes = []
-    for c in range(lat.num_classes):
-        R = lat.class_rep(c)
-        coset, mins = left_cosets(G, R.elements)
-        normaliser = tuple(m for m in mins if R.conjugate(m) == R)
-        classes.append(OrbitClass(coset, mins, normaliser))
-    return tuple(classes)
+class GroupTables:
+    """The tables of one group G kept for the process, filled on first
+    read and indexed by subgroup class c (lists of n, n the number of
+    classes) or by class pair (c1, c2) (lists of n², at c1·n + c2).
+
+    gsets fills classes, the coset table of every class, when the store
+    is made, and orbits, the canonical orbit of each class, when read
+    (orbit).  spans fills the rest, each list through one reader: gens,
+    the generator conjugations of each class; and, per class pair, bases
+    (the basis between the two orbits), indexes (the position of each
+    basis key by its class and least pair), ends (the endpoint
+    positions), cosets (the double cosets of the two class
+    representatives) and laws (the law table with those end classes).
+    """
+
+    __slots__ = (
+        "group", "lattice", "classes", "orbits", "gens",
+        "bases", "indexes", "ends", "cosets", "laws",
+    )
+
+    def __init__(self, G: FiniteGroup):
+        lat = subgroup_lattice(G)
+        n = lat.num_classes
+        classes = []
+        for c in range(n):
+            R = lat.class_rep(c)
+            coset, mins = left_cosets(G, R.elements)
+            normaliser = tuple(m for m in mins if R.conjugate(m) == R)
+            classes.append(OrbitClass(coset, mins, normaliser))
+        self.group, self.lattice, self.classes = G, lat, tuple(classes)
+        self.orbits, self.gens = [None] * n, [None] * n
+        self.bases, self.indexes, self.ends, self.cosets, self.laws = (
+            [None] * (n * n) for _ in range(5)
+        )
+
+    def orbit(self, c: int) -> GSet:
+        """The canonical orbit G/R of class c, on the cosets of its coset
+        table, so the coset R is point 0; built on first read."""
+        X = self.orbits[c]
+        if X is None:
+            coset, mins, _ = self.classes[c]
+            rows = self.group.mult
+            X = self.orbits[c] = GSet(
+                self.group, tuple(tuple(coset[row[r]] for row in rows) for r in mins)
+            )
+        return X
 
 
 @lru_cache(maxsize=None)
+def tables(G: FiniteGroup) -> GroupTables:
+    """The table store of G, made on first use; equal groups share it."""
+    return GroupTables(G)
+
+
 def orbit_gset(G: FiniteGroup, c: int) -> GSet:
-    """The canonical orbit G/R of subgroup class c, on the cosets of
-    orbit_classes, so the coset R is point 0; built on first use, one
-    class at a time."""
-    coset, mins, _ = orbit_classes(G)[c]
-    return GSet(G, tuple(tuple(coset[row[r]] for row in G.mult) for r in mins))
+    """The canonical orbit G/R of subgroup class c (GroupTables.orbit)."""
+    return tables(G).orbit(c)
 
 
 @lru_cache(maxsize=None)
@@ -262,10 +350,11 @@ def canonical_gset(G: FiniteGroup, class_multiset) -> GSet:
     """Disjoint union of the canonical orbits of the given classes, in
     that order: the rows of each orbit_gset, shifted past the points of
     the orbits before it."""
+    t = tables(G)
     action: list[tuple[int, ...]] = []
     for c in class_multiset:
         n = len(action)
-        action += (tuple(v + n for v in row) for row in orbit_gset(G, c).action)
+        action += (tuple(v + n for v in row) for row in t.orbit(c).action)
     return GSet(G, tuple(action))
 
 

@@ -172,15 +172,15 @@ def burnside_mackey(G: FiniteGroup) -> MackeyFunctor:
     """The Burnside Mackey functor: at each orbit G/H, the free abelian
     group on spans G/H <- S -> pt (equivalently, on H-sets), with spans
     acting by composition against the reversed span."""
-    lat = subgroup_lattice(G)
-    n = lat.num_classes
+    bases = sp.orbit_bases(G)
+    n = len(bases)
     pt = n - 1  # the class of G (SubgroupLattice.classes)
     orbits = [gs.orbit_gset(G, c) for c in range(n)]
-    level_basis = [sp.orbit_basis(G, c, pt) for c in range(n)]
+    level_basis = [row[pt] for row in bases]
     levels = tuple(AbPresentation(len(bs)) for bs in level_basis)
     gen_action: dict = {}
     for c1, c2 in itertools.product(range(n), repeat=2):
-        keys = sp.orbit_basis(G, c1, c2)
+        keys = bases[c1][c2]
         # point 0 of the apex G/R_a has stabilizer R_a, so the reversed
         # span is keyed from its legs there
         flipped = [
@@ -284,9 +284,8 @@ def _composition_failure(M: MackeyFunctor, grids) -> tuple | None:
     equal integers are equal matrices (_shift); a pair whose integers
     differ is tested entrywise, as maps into the presented target
     (_congruent), so torsion levels stay exact."""
-    G = M.group
+    keys = sp.orbit_bases(M.group)
     n = len(M.levels)
-    keys = [[sp.orbit_basis(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
     mats = [
         [[M.gen_action[c1, c2, k] for k in keys[c1][c2]] for c2 in range(n)]
         for c1 in range(n)
@@ -376,7 +375,7 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
             return Verdict(False, "identity span does not act as identity", c)
     if _composition_failure(M, sp.law_grids(G)) is None:
         return Verdict(True)
-    keys = [[sp.orbit_basis(G, c1, c2) for c2 in range(n)] for c1 in range(n)]
+    keys = sp.orbit_bases(G)
 
     def every_pair():
         # a grid is read up to its first failing pair before the next
@@ -423,10 +422,11 @@ def categorical_fixed_points(M: MackeyFunctor, q: QuotientMap) -> MackeyFunctor:
         raise GroupMismatch("quotient map is not from the functor's group")
     table = sp.span_images(q, "inflation")
     pre = table.images
+    gbases, qbases = sp.orbit_bases(q.source), sp.orbit_bases(q.target)
     gen_action = {}
     for c1, c2 in itertools.product(range(len(pre)), repeat=2):
-        gkeys = sp.orbit_basis(q.source, pre[c1], pre[c2])
-        for qkey, j in zip(sp.orbit_basis(q.target, c1, c2), table.terms[c1][c2]):
+        gkeys = gbases[pre[c1]][pre[c2]]
+        for qkey, j in zip(qbases[c1][c2], table.terms[c1][c2]):
             gen_action[c1, c2, qkey] = M.gen_action[pre[c1], pre[c2], gkeys[j]]
     return MackeyFunctor(q.target, tuple(M.levels[c] for c in pre), gen_action)
 

@@ -15,10 +15,11 @@ A basis span is its key alone: the class c of its apex stabilizer and
 its two legs tabulated on the canonical coset apex G/R_c.  A span with
 apex G/R is a pair (x, y) of R-fixed points of its two ends, and its key
 tabulates the least pair (n·x, n·y) over W = N(R)/R.  One table per
-G-set X and class c (_least_points) gives, for every x in X^R, the least
-point x* of its W-orbit, the carriers n with n·x = x*, and the leg table
-of x, built once and shared by every key that reads it.  _least_pair
-finds the least pair for pair_key, which makes a key from it: an
+G-set X and class c (gs.GSet.least_points) gives, for every x in X^R,
+the least point x* of its W-orbit, the carriers n with n·x = x*, and
+the leg table of x, built once and shared by every key that reads it.
+_least_pair finds the least pair for pair_key, which makes a key from
+it: an
 identity span (identity_key) or a reversed basis span, read from a
 point of each end (mackey, verify), and for the image of a basis span
 under inflation or fixed points (span_images), which needs only its
@@ -26,17 +27,17 @@ position in a basis between canonical orbits.  composites reads the
 least pair of each fibre orbit inline from the same (least, carriers)
 tables, and reads no carrier when the end orbit is the point, whose one
 point is least.  Both look the position up from an integer made of the
-class and the least pair (basis_index), kept beside orbit_basis, so
-that no key is built or hashed.  span_basis keeps a pair of fixed
+class and the least pair (_index), kept beside orbit_basis, so that
+no key is built or hashed.  span_basis keeps a pair of fixed
 points iff x = x* and no carrier of x lowers y.  So a key costs
 |Stab_W(x)| actions, not |W|.
 
 Each choice behind a key is made in one place.  The cosets of each
-class representative are numbered once, in the table of
-gs.orbit_classes that the canonical orbits are built from.  The class
-representatives, and the element conjugating a subgroup onto its
-representative, are the ones subgroup_lattice records; pair_key gives
-the same key for any other conjugator.
+class representative are numbered once, in the coset tables of the
+group's store (gs.GroupTables) that the canonical orbits are built
+from.  The class representatives, and the element conjugating a
+subgroup onto its representative, are the ones subgroup_lattice
+records; pair_key gives the same key for any other conjugator.
 
 orbit_basis is the basis between two canonical orbits,
 endpoint_positions the positions of its generators, and orbit_keys
@@ -75,10 +76,21 @@ per basis key, held as the position of the image in its basis.  The
 span checks read both sides of the Span(F) law by position from law
 tables: the left from the source group's, and the right from the image
 group's wherever its layout lists the images.
-The module's tables are kept for the process, one per group, G-set or
-link and class or class pair, none per key or pair of keys; only the
-fibre buckets of composites, kept per second key, and its table of
-distinct composites are kept, and only for the group last composed.
+
+The module's tables are kept for the process, none per key or pair of
+keys.  Those of a group are lists in its table store (gs.tables), one
+cache on the group value, so equal groups share them: per class, the
+generator conjugations (conjugation_generators), and per class pair,
+at c1·n + c2, the orbit basis (_basis), the position of each basis key
+(_index), the endpoint positions (_ends), the double cosets
+(_double_cosets) and the law table (_law), each filled on first read.
+A reader looks the store up once per call and indexes the lists in its
+loops, so no table read hashes a group or a G-set.  The W-orbit tables
+are kept on each G-set, the canonical orbits of the store included.
+The Span(F) table is kept per functor and link (span_images) and the
+Burnside tables per group (burnside_tables).  The fibre buckets of
+composites, kept per second key, and its table of distinct composites
+are kept only for the group last composed.
 """
 
 from __future__ import annotations
@@ -88,7 +100,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import GroupMismatch
-from .groups import FiniteGroup, QuotientMap, generating_set, subgroup_lattice
+from .groups import FiniteGroup, QuotientMap
 from . import gsets as gs
 from .gsets import GSet
 
@@ -99,41 +111,7 @@ from .gsets import GSet
 Key = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
-class LeastPoints(NamedTuple):
-    """The W-orbits on X^R of one G-set X and one subgroup class, R the
-    class representative and W = N(R)/R as gs.orbit_classes lists it.
-
-    A span with apex G/R is a pair of R-fixed points, and n in W relabels
-    the apex, moving the pair (x, y) to (n·x, n·y); its key tabulates the
-    least pair.  That pair has x* = min{n·x}, and the y part is least over
-    the carriers of x, the n with n·x = x*: |Stab_W(x)| of them, not |W|.
-    The tables are indexed by the points of X; a point outside X^R has
-    least -1, no carriers and no legs.  Every key made from X shares the
-    one leg tuple of each point.
-    """
-
-    fixed: tuple[int, ...]  # X^R, in point order
-    least: tuple[int, ...]  # x*, the least point of the W-orbit of x
-    carriers: tuple[tuple[int, ...], ...]  # the n in W with n·x = x*
-    legs: tuple  # x's leg table, tuple(X.action[x][m] for m in mins)
-
-
-@lru_cache(maxsize=None)
-def _least_points(X: GSet, c: int) -> LeastPoints:
-    """The W-orbit table of X and class c, built on first use."""
-    cls = gs.orbit_classes(X.group)[c]
-    fixed = gs.fixed_by(X, subgroup_lattice(X.group).class_rep(c).elements)
-    least, carriers, legs = [-1] * X.size, [()] * X.size, [None] * X.size
-    for x in fixed:
-        row = X.action[x]
-        images = [row[n] for n in cls.normaliser]
-        least[x] = star = min(images)
-        carriers[x] = tuple(n for n, v in zip(cls.normaliser, images) if v == star)
-        legs[x] = tuple(map(row.__getitem__, cls.mins))
-    return LeastPoints(fixed, tuple(least), tuple(carriers), tuple(legs))
-
-
-def _least_pair(lx: LeastPoints, x0: int, Y: GSet, y0: int) -> tuple[int, int]:
+def _least_pair(lx: gs.LeastPoints, x0: int, Y: GSet, y0: int) -> tuple[int, int]:
     """The least pair (n·x0, n·y0) over W, for lx the W-orbit table of X:
     x0* and the least n·y0 over the carriers n of x0."""
     row = Y.action[y0]
@@ -154,9 +132,9 @@ def pair_key(c: int, X: GSet, x0: int, Y: GSet, y0: int) -> Key:
     among those the least n·y0.  Given (m·x0, m·y0) for some m in W, the
     carriers are those of x0 times m⁻¹, which reach the same pair; so the
     key does not depend on which point with stabilizer R is given."""
-    lx = _least_points(X, c)
+    lx = X.least_points[c]
     x, y = _least_pair(lx, x0, Y, y0)
-    return (c, lx.legs[x], _least_points(Y, c).legs[y])
+    return (c, lx.legs[x], Y.least_points[c].legs[y])
 
 
 def identity_key(G: FiniteGroup, c: int) -> Key:
@@ -175,17 +153,15 @@ def span_basis(X: GSet, Y: GSet) -> list[Key]:
     the other, and the key of a pair (as in pair_key) tabulates the
     least pair (n·x, n·y) of its orbit.  So the basis is one key per pair
     that is least in its orbit: x is the least point x* of its W-orbit,
-    and y ≤ n·y for every carrier n of x (_least_points).  The tables
-    start with x and y, so the keys come out sorted.
+    and y ≤ n·y for every carrier n of x (gs.GSet.least_points).  The
+    tables start with x and y, so the keys come out sorted.
     """
     if X.group != Y.group:
         raise GroupMismatch("span endpoints require a common group")
     keys: list[Key] = []
-    for c in range(subgroup_lattice(X.group).num_classes):
-        ly = _least_points(Y, c)
+    for c, (lx, ly) in enumerate(zip(X.least_points, Y.least_points)):
         if not ly.fixed:
             continue
-        lx = _least_points(X, c)
         for x in lx.fixed:
             if lx.least[x] != x:
                 continue
@@ -197,41 +173,61 @@ def span_basis(X: GSet, Y: GSet) -> list[Key]:
     return keys
 
 
-@lru_cache(maxsize=None)
+def _basis(t: gs.GroupTables, c1: int, c2: int) -> tuple[Key, ...]:
+    """The basis keys between the canonical orbits of classes c1 and c2,
+    from the store t; built on first read."""
+    i = c1 * len(t.classes) + c2
+    basis = t.bases[i]
+    if basis is None:
+        basis = t.bases[i] = tuple(span_basis(t.orbit(c1), t.orbit(c2)))
+    return basis
+
+
 def orbit_basis(G: FiniteGroup, c1: int, c2: int) -> tuple[Key, ...]:
     """The basis keys between the canonical orbits of classes c1 and c2."""
-    return tuple(span_basis(gs.orbit_gset(G, c1), gs.orbit_gset(G, c2)))
+    return _basis(gs.tables(G), c1, c2)
 
 
-@lru_cache(maxsize=None)
-def basis_index(G: FiniteGroup, c1: int, c2: int) -> dict[int, int]:
+def orbit_bases(G: FiniteGroup) -> list[list[tuple[Key, ...]]]:
+    """orbit_basis(G, c1, c2) at [c1][c2], for every pair of classes."""
+    t = gs.tables(G)
+    n = len(t.classes)
+    if None in t.bases:
+        for c1, c2 in itertools.product(range(n), repeat=2):
+            _basis(t, c1, c2)
+    return [t.bases[c1 * n : (c1 + 1) * n] for c1 in range(n)]
+
+
+def _index(t: gs.GroupTables, c1: int, c2: int) -> dict[int, int]:
     """The position in orbit_basis(G, c1, c2) of each key, by the integer
     (c·|X| + x)·|Y| + y of its class c and least pair (x, y) on the
-    canonical orbits X and Y of c1 and c2 (_least_pair).  The legs of a
-    key list their values at point 0 first, so (x, y) = (legL[0],
-    legR[0]), and a key is found from a pair of points with no key built
-    or hashed."""
-    nx, ny = (len(gs.orbit_classes(G)[c].mins) for c in (c1, c2))
-    return {
-        (c * nx + legL[0]) * ny + legR[0]: i
-        for i, (c, legL, legR) in enumerate(orbit_basis(G, c1, c2))
-    }
+    canonical orbits X and Y of c1 and c2 (_least_pair), from the store
+    t; built on first read.  The legs of a key list their values at
+    point 0 first, so (x, y) = (legL[0], legR[0]), and a key is found
+    from a pair of points with no key built or hashed."""
+    i = c1 * len(t.classes) + c2
+    index = t.indexes[i]
+    if index is None:
+        nx, ny = len(t.classes[c1].mins), len(t.classes[c2].mins)
+        index = t.indexes[i] = {
+            (c * nx + legL[0]) * ny + legR[0]: p
+            for p, (c, legL, legR) in enumerate(_basis(t, c1, c2))
+        }
+    return index
 
 
 def orbit_keys(G: FiniteGroup) -> list[tuple[int, int, Key]]:
     """Every (c1, c2, key) with key in orbit_basis(G, c1, c2), in order of
     c1, then c2, then orbit_basis: the basis spans between orbits, which
     a Mackey functor's gen_action is keyed by."""
-    n = subgroup_lattice(G).num_classes
     return [
         (c1, c2, key)
-        for c1 in range(n)
-        for c2 in range(n)
-        for key in orbit_basis(G, c1, c2)
+        for c1, row in enumerate(orbit_bases(G))
+        for c2, basis in enumerate(row)
+        for key in basis
     ]
 
 
-@lru_cache(maxsize=None)
 def endpoint_positions(G: FiniteGroup, c1: int, c2: int) -> tuple[int, ...]:
     """The positions in orbit_basis(G, c1, c2) of its endpoint keys, whose
     apex is in class c1 (transfers, conjugations) or c2 (restrictions,
@@ -254,11 +250,19 @@ def endpoint_positions(G: FiniteGroup, c1: int, c2: int) -> tuple[int, ...]:
     c1, c2, c3 the checks test as firsts only the least key of each
     orbit of these positions under c_w ∘ -, w in W(c2), against every
     endpoint key out of c2, and the law_table proof gives the rest."""
-    basis = orbit_basis(G, c1, c2)
-    return tuple(i for i, k in enumerate(basis) if k[0] in (c1, c2))
+    return _ends(gs.tables(G), c1, c2)
 
 
-@lru_cache(maxsize=None)
+def _ends(t: gs.GroupTables, c1: int, c2: int) -> tuple[int, ...]:
+    """endpoint_positions from the store t; built on first read."""
+    i = c1 * len(t.classes) + c2
+    ends = t.ends[i]
+    if ends is None:
+        basis = _basis(t, c1, c2)
+        ends = t.ends[i] = tuple(p for p, k in enumerate(basis) if k[0] in (c1, c2))
+    return ends
+
+
 def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> tuple:
     """The double cosets of the representatives K1, K2 of classes c1, c2,
     as the K1-orbits on G/K2.
@@ -271,12 +275,14 @@ def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> tuple:
     stabilizer onto R_c read from the lattice's `where`: the point
     t0·(K1, hK2) of the orbit has stabilizer R_c.  The table depends only
     on the two classes, so every pair of keys with these apexes composes
-    through it."""
-    lat = subgroup_lattice(G)
-    mult = G.mult
+    through it.  It is kept in the store of G, built on first read."""
+    t = gs.tables(G)
+    i = c1 * len(t.classes) + c2
+    if t.cosets[i] is not None:
+        return t.cosets[i]
+    lat, mult = t.lattice, t.group.mult
     K1 = lat.class_rep(c1).elements
-    classes = gs.orbit_classes(G)
-    coset1, cls2 = classes[c1].coset, classes[c2]
+    coset1, cls2 = t.classes[c1].coset, t.classes[c2]
     coset2, mins2 = cls2.coset, cls2.mins
     orbits = []
     seen: set = set()
@@ -291,13 +297,15 @@ def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> tuple:
                 stab.append(a)
         c, t0 = lat.where[tuple(stab)]
         orbits.append((y, c, coset1[t0], coset2[mult[t0][h]]))
-    return tuple(orbits)
+    t.cosets[i] = table = tuple(orbits)
+    return table
 
 
 # The fibre buckets and the distinct composites of the group last composed
-# (composites), as [group, buckets, composites]: one group's at a time, so
-# they are shared by every grid of that group and dropped as soon as
-# another group is composed.
+# (composites), as [group, buckets, composites], the group being the one
+# its table store holds, so that equal groups share them: one group's at
+# a time, so they are shared by every grid of that group and dropped as
+# soon as another group is composed.
 _fibres: list = [None, {}, {}]
 
 
@@ -328,20 +336,21 @@ def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
     p1 = t0·K1 and p2 = t0·h·K2, so the legs there are x0 = left1[p1] and
     z0 = right2[p2], with no coset looked up and no product taken per
     orbit.  The orbit's position is read from the least pair of (x0, z0),
-    the one pair_key keys it by, in basis_index: x0* and the least n·z0
+    the one pair_key keys it by, in _index: x0* and the least n·z0
     over the carriers n of x0, read inline from the (least, carriers)
-    tables of X and c (_least_points).  When the orbit of c3 is the point,
-    z0* = 0 and no carrier is read.  No key is built and nothing is
-    tabulated.  A composite has at most |G| terms, counted with
-    multiplicity: they are orbits on a fibre of at most |G| points.
+    tables of X and c (gs.GSet.least_points).  When the orbit of c3 is
+    the point, z0* = 0 and no carrier is read.  No key is built and
+    nothing is tabulated.  A composite has at most |G| terms, counted
+    with multiplicity: they are orbits on a fibre of at most |G| points.
     """
-    if _fibres[0] is not G:
-        _fibres[:] = G, {}, {}
+    t = gs.tables(G)
+    if _fibres[0] is not t.group:
+        _fibres[:] = t.group, {}, {}
     _, store, shared = _fibres
-    X, Z = gs.orbit_gset(G, c1), gs.orbit_gset(G, c3)
-    nx, nz, act = X.size, Z.size, Z.action
-    index = basis_index(G, c1, c3)
-    least: dict = {}  # class -> its W-orbit table of X
+    least = t.orbit(c1).least_points  # class -> its W-orbit table of X
+    nx, nz = len(t.classes[c1].mins), len(t.classes[c3].mins)
+    act = t.orbit(c3).action
+    index = _index(t, c1, c3)
     width = len(seconds)
     grid: list = [()] * (len(firsts) * width)
     for j, (c2, left2, right2) in enumerate(seconds):
@@ -356,9 +365,7 @@ def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
                     buckets.setdefault(left2[orbit[0]], []).append(orbit)
             positions = []
             for _, c, p1, p2 in buckets.get(right1[0], ()):
-                lx = least.get(c)
-                if lx is None:
-                    lx = least[c] = _least_points(X, c)
+                lx = least[c]
                 x0 = left1[p1]
                 pair = c * nx + lx.least[x0]
                 if nz > 1:  # else Z is the point, and z0* = 0
@@ -376,27 +383,43 @@ def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
     return tuple(grid)
 
 
-@lru_cache(maxsize=None)
 def conjugation_generators(G: FiniteGroup, c: int) -> tuple[int, ...]:
     """The positions in orbit_basis(G, c, c) of the conjugations c_s, for s
-    in a generating set of W = N(R)/R, R the class-c representative
-    (groups.generating_set on W's table over gs.orbit_classes'
-    normaliser, whose first element is the identity).
+    in a generating set of W = N(R)/R, R the class-c representative: the
+    set groups.generating_set picks on W's table over the normaliser of
+    the class's coset table, whose first element is the identity.  No
+    table is built: the walk from the identity multiplies by the
+    generators picked so far on demand, each product read as the coset
+    of a product of two normaliser elements.  Kept in the store of G,
+    picked on first read.
 
     The basis spans from G/R to itself are the pairs of R-fixed points,
     the cosets nR for n in N(R), modulo W; W acts freely on them, so each
     is one conjugation c_n = [G/R <-id- G/R -> G/R], gR -> gnR, and they
-    are exactly the endpoint keys of orbit_basis(G, c, c)."""
-    cls = gs.orbit_classes(G)[c]
-    X = gs.orbit_gset(G, c)
-    norm = cls.normaliser
-    element = {cls.coset[n]: w for w, n in enumerate(norm)}  # point -> w
-    table = [[element[cls.coset[G.mult[a][b]]] for b in norm] for a in norm]
-    basis = orbit_basis(G, c, c)
-    return tuple(
-        basis.index(pair_key(c, X, 0, X, cls.coset[norm[s]]))
-        for s in generating_set(table)
-    )
+    are exactly the endpoint keys of orbit_basis(G, c, c).  The least
+    pair of c_n is (0, nR): point 0 is the least of all, and its one
+    carrier is the identity, so its position is read from _index."""
+    t = gs.tables(G)
+    gens = t.gens[c]
+    if gens is None:
+        cls = t.classes[c]
+        norm, coset, mult = cls.normaliser, cls.coset, t.group.mult
+        point = [coset[n] for n in norm]  # the point nR of each w
+        element = {x: w for w, x in enumerate(point)}
+        reached, picks = {0}, []
+        while len(reached) < len(norm):
+            picks.append(next(w for w in range(len(norm)) if w not in reached))
+            frontier = list(reached)
+            while frontier:
+                row = mult[norm[frontier.pop()]]
+                for s in picks:
+                    w = element[coset[row[norm[s]]]]
+                    if w not in reached:
+                        reached.add(w)
+                        frontier.append(w)
+        index, nx = _index(t, c, c), len(cls.mins)
+        gens = t.gens[c] = tuple(index[c * nx * nx + point[s]] for s in picks)
+    return gens
 
 
 _UNREAD = object()  # a LawTable entry not yet composed
@@ -417,11 +440,11 @@ class LawTable:
     W(c3) (leasts), which each entry through c3 and a third class, of
     every table from c1, reads as its firsts."""
 
-    __slots__ = ("group", "c1", "c3", "entries", "_leasts")
+    __slots__ = ("tables", "c1", "c3", "entries", "_leasts")
 
-    def __init__(self, G: FiniteGroup, c1: int, c3: int):
-        self.group, self.c1, self.c3 = G, c1, c3
-        self.entries: list = [_UNREAD] * subgroup_lattice(G).num_classes
+    def __init__(self, t: gs.GroupTables, c1: int, c3: int):
+        self.tables, self.c1, self.c3 = t, c1, c3
+        self.entries: list = [_UNREAD] * len(t.classes)
         self._leasts = None
 
     def __getitem__(self, c2: int):
@@ -444,7 +467,7 @@ class LawTable:
             return self._leasts
         weyl = self[self.c3]
         if weyl is None:
-            self._leasts = endpoint_positions(self.group, self.c1, self.c3)
+            self._leasts = _ends(self.tables, self.c1, self.c3)
             return self._leasts
         ends, gens, grid = weyl
         width = len(gens)
@@ -467,25 +490,33 @@ class LawTable:
         return self._leasts
 
     def _compose(self, c2: int):
-        G, c1, c3 = self.group, self.c1, self.c3
-        firsts = endpoint_positions(G, c1, c2)
-        seconds = endpoint_positions(G, c2, c3)
+        t, c1, c3 = self.tables, self.c1, self.c3
         if c1 == c2:
-            firsts = conjugation_generators(G, c2)
+            firsts, seconds = conjugation_generators(t.group, c2), _ends(t, c2, c3)
         elif c2 == c3:
-            seconds = conjugation_generators(G, c2)
-        elif firsts and seconds:
-            firsts = law_table(G, c1, c2).leasts()
+            firsts, seconds = _ends(t, c1, c2), conjugation_generators(t.group, c2)
+        else:
+            firsts, seconds = _ends(t, c1, c2), _ends(t, c2, c3)
+            if firsts and seconds:
+                firsts = _law(t, c1, c2).leasts()
         if not firsts or not seconds:
             return None
-        b12, b23 = orbit_basis(G, c1, c2), orbit_basis(G, c2, c3)
+        b12, b23 = _basis(t, c1, c2), _basis(t, c2, c3)
         grid = composites(
-            G, c1, c3, [b12[p] for p in firsts], [b23[p] for p in seconds]
+            t.group, c1, c3, [b12[p] for p in firsts], [b23[p] for p in seconds]
         )
         return firsts, seconds, grid
 
 
-@lru_cache(maxsize=None)
+def _law(t: gs.GroupTables, c1: int, c3: int) -> LawTable:
+    """law_table from the store t; made on first read."""
+    i = c1 * len(t.classes) + c3
+    table = t.laws[i]
+    if table is None:
+        table = t.laws[i] = LawTable(t, c1, c3)
+    return table
+
+
 def law_table(G: FiniteGroup, c1: int, c3: int) -> LawTable:
     """The law pairs of each class triple (c1, c2, c3), as a LawTable
     whose entry c2 is composed on first read.  Readers walk the table
@@ -528,8 +559,9 @@ def law_table(G: FiniteGroup, c1: int, c3: int) -> LawTable:
     and the last the tested pair (k1, k2 ∘ c_w), since k2 ∘ c_w is one
     key of E(c2, c3), all of which are seconds.  The steps hold up to
     congruence, as in endpoint_positions (the conjugation relations of
-    the Mackey algebra, Thévenaz–Webb 1995)."""
-    return LawTable(G, c1, c3)
+    the Mackey algebra, Thévenaz–Webb 1995).  The table is kept in the
+    store of G."""
+    return _law(gs.tables(G), c1, c3)
 
 
 def law_grids(G: FiniteGroup):
@@ -539,9 +571,10 @@ def law_grids(G: FiniteGroup):
     c1.  A triple with no firsts or no seconds has no pair to test and is
     not yielded.  It is the one walk over the law pairs that both law
     checks make."""
-    n = subgroup_lattice(G).num_classes
+    t = gs.tables(G)
+    n = len(t.classes)
     for c1 in range(n):
-        tables = [law_table(G, c1, c3) for c3 in range(n)]
+        tables = [_law(t, c1, c3) for c3 in range(n)]
         for c2 in range(n):
             for c3, table in enumerate(tables):
                 entry = table[c2]
@@ -565,13 +598,14 @@ def burnside_tables(G: FiniteGroup) -> BurnsideTables:
     i-th key has apex class i: the composite of two such spans has the
     product of their apexes as its apex.
     """
-    lat = subgroup_lattice(G)
-    n = lat.num_classes
-    reps = [lat.class_rep(c) for c in range(n)]
-    orbits = [gs.orbit_gset(G, c) for c in range(n)]
-    marks = tuple(tuple(len(gs.fixed_by(X, R.elements)) for R in reps) for X in orbits)
+    t = gs.tables(G)
+    n = len(t.classes)
+    reps = [t.lattice.class_rep(c) for c in range(n)]
+    marks = tuple(
+        tuple(len(gs.fixed_by(t.orbit(c), R.elements)) for R in reps) for c in range(n)
+    )
     pt = n - 1  # the class of G (SubgroupLattice.classes)
-    basis = orbit_basis(G, pt, pt)
+    basis = _basis(t, pt, pt)
     assert len(basis) == n
     grid = composites(G, pt, pt, basis, basis)
     dense: dict = {}  # one coefficient tuple per distinct product
@@ -612,7 +646,7 @@ def _orbit_image(G: FiniteGroup, K: FiniteGroup, rho, N, c: int) -> OrbitImage |
         return None
     at = [row[r] for r in rho]  # the point k·0, for each k in K
     S = tuple(k for k, x in enumerate(at) if x == 0)
-    cls, t0 = subgroup_lattice(K).where[S]
+    cls, t0 = gs.tables(K).lattice.where[S]
     orbit = gs.orbit_gset(K, cls)
     y = orbit.point_stabilizers.index(frozenset(S))
     sigma = [0] * orbit.size
@@ -647,7 +681,7 @@ def span_images(q: QuotientMap, which: str) -> SpanImages:
     F(G/R_a): its legs there are legL[p] and legR[p], renamed onto the
     canonical orbits of the image classes, and the key is held as its
     position in the basis of their hom, read from the least pair of
-    those two points (basis_index)."""
+    those two points (_index)."""
     if len(set(q.projection)) != q.target.order:
         raise ValueError("projection is not onto the previous stage")
     if which == "inflation":
@@ -655,25 +689,26 @@ def span_images(q: QuotientMap, which: str) -> SpanImages:
     else:
         G, K, N = q.source, q.target, q.kernel.elements
         rho = tuple(map(q.section, K.elements()))
-    n = subgroup_lattice(G).num_classes
+    tg, tk = gs.tables(G), gs.tables(K)
+    n = len(tg.classes)
     images = [_orbit_image(G, K, rho, N, c) for c in range(n)]
-    targets = [i and gs.orbit_gset(K, i.cls) for i in images]
+    targets = [i and tk.orbit(i.cls) for i in images]
     terms = [[()] * n for _ in range(n)]
     for c1, c2 in itertools.product(range(n), repeat=2):
         i1, i2 = images[c1], images[c2]
         # an end with no image has N move its points, and so every apex
         # over it: then every image of the row is None
         if i1 and i2:
-            index = basis_index(K, i1.cls, i2.cls)
+            index = _index(tk, i1.cls, i2.cls)
             X, Y = targets[c1], targets[c2]
         row = []
-        for a, legL, legR in orbit_basis(G, c1, c2):
+        for a, legL, legR in _basis(tg, c1, c2):
             apex = images[a]
             if apex is None:
                 row.append(None)
                 continue
             x0, y0 = i1.sigma[legL[apex.base]], i2.sigma[legR[apex.base]]
-            x, y = _least_pair(_least_points(X, apex.cls), x0, Y, y0)
+            x, y = _least_pair(X.least_points[apex.cls], x0, Y, y0)
             row.append(index[(apex.cls * X.size + x) * Y.size + y])
         terms[c1][c2] = tuple(row)
     return SpanImages(

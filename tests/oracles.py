@@ -17,7 +17,9 @@ adjunction's unit and counit squares built and decided for one map at a
 time, the Mackey composition law tested on every pair of basis spans
 between orbits, categorical fixed points through inflated G-sets,
 associativity of a multiplication table tested on every triple, the
-greedy generating set of a group found by closures, left exactness over
+greedy generating set of a group found by closures, the generator
+conjugations of a class picked from the Weyl group's whole table
+(conjugation_generators_oracle), left exactness over
 every cospan of the given G-sets with every pullback built, and the
 span checks of verify as they were before they were decided on orbit
 generators: on the stage objects up to a size cap, with functoriality
@@ -567,7 +569,7 @@ def least_key(G: FiniteGroup, c: int, t0: int, lg, rg) -> sp.Key:
     tables.
     """
     mult = G.mult
-    cls = gs.orbit_classes(G)[c]
+    cls = gs.tables(G).classes[c]
     g = min((mult[n][t0] for n in cls.normaliser), key=lambda x: (lg[x], rg[x]))
     imgs = [mult[m][g] for m in cls.mins]
     return (c, tuple(map(lg.__getitem__, imgs)), tuple(map(rg.__getitem__, imgs)))
@@ -579,7 +581,7 @@ def compose_keys_per_element_oracle(G: FiniteGroup, k2: sp.Key, k1: sp.Key) -> t
     keyed by least_key from leg tables of length |G|.  It needs no end
     G-set: it keys the composite of spans between any G-sets, which
     compose_spans reads."""
-    lat, classes = subgroup_lattice(G), gs.orbit_classes(G)
+    lat, classes = subgroup_lattice(G), gs.tables(G).classes
     mult = G.mult
     (c1, left1, right1), (c2, left2, right2) = k1, k2
     K1 = lat.class_rep(c1).elements
@@ -898,6 +900,23 @@ def generating_set_oracle(G: FiniteGroup) -> tuple[int, ...]:
         gens = gens + (x,)
         have = closure(G, gens)
     return gens
+
+
+def conjugation_generators_oracle(G: FiniteGroup, c: int) -> tuple[int, ...]:
+    """spans.conjugation_generators as it was picked from a table: W's
+    |W|×|W| multiplication table over the normaliser of the class's
+    coset table, the greedy groups.generating_set on it, and each
+    generator's conjugation keyed by pair_key and found in the basis."""
+    cls = gs.tables(G).classes[c]
+    X = gs.orbit_gset(G, c)
+    norm = cls.normaliser
+    element = {cls.coset[n]: w for w, n in enumerate(norm)}  # point -> w
+    table = [[element[cls.coset[G.mult[a][b]]] for b in norm] for a in norm]
+    basis = sp.orbit_basis(G, c, c)
+    return tuple(
+        basis.index(sp.pair_key(c, X, 0, X, cls.coset[norm[s]]))
+        for s in g.generating_set(table)
+    )
 
 
 def left_exact_oracle(F: GSetFunctor, objects) -> Verdict:

@@ -151,7 +151,7 @@ def test_left_cosets_and_conjugators_of_every_subgroup(name, relabel_seed):
         c = lat.class_of(H.elements)
         assert H.conjugate(lat.conjugators[i]) == lat.class_rep(c), (name, H.elements)
         assert lat.where[H.elements] == (c, lat.conjugators[i])
-    for c, cls in enumerate(gs.orbit_classes(G)):
+    for c, cls in enumerate(gs.tables(G).classes):
         assert (cls.coset, cls.mins) == g.left_cosets(G, lat.class_rep(c).elements)
 
 

@@ -204,10 +204,11 @@ def test_inflate_group_mismatch():
 @pytest.mark.parametrize("relabel_seed", [None, 23], ids=["given", "relabelled"])
 @pytest.mark.parametrize("name", [name for name, _ in corpus_groups()])
 def test_orbit_classes_number_each_class_once(monkeypatch, name, relabel_seed):
-    """On emptied caches, the coset tables and every canonical orbit of G
-    call groups.left_cosets once per subgroup class: the orbits are built
-    from the tables.  Row 0 of each orbit is its class's coset table, and
-    the orbit is the coset G-set of the class representative."""
+    """On an emptied table store (gs.tables), the coset tables and every
+    canonical orbit of G call groups.left_cosets once per subgroup class:
+    the orbits are built from the tables.  Row 0 of each orbit is its
+    class's coset table, and the orbit is the coset G-set of the class
+    representative."""
     G = corpus_group(name)
     if relabel_seed is not None:
         G = _relabelled(G, relabel_seed)
@@ -220,9 +221,8 @@ def test_orbit_classes_number_each_class_once(monkeypatch, name, relabel_seed):
         return left_cosets(*args)
 
     monkeypatch.setattr(gs, "left_cosets", counted)
-    gs.orbit_classes.cache_clear()
-    gs.orbit_gset.cache_clear()
-    classes = gs.orbit_classes(G)
+    gs.tables.cache_clear()
+    classes = gs.tables(G).classes
     orbits = [gs.orbit_gset(G, c) for c in range(lat.num_classes)]
     assert len(calls) == len(classes) == lat.num_classes
     for c, (cls, X) in enumerate(zip(classes, orbits)):

@@ -486,13 +486,13 @@ def test_no_law_scan_composes_a_triple_without_pairs(monkeypatch, relabel_seed, 
         return composites(K, c1, c3, firsts, seconds)
 
     monkeypatch.setattr(sp, "composites", spy)
-    sp.law_table.cache_clear()
+    gs.tables.cache_clear()
     assert mk.check_mackey(M)
     assert len(calls) == 249 and {K for K, _ in calls} == {G}
     assert sum(m for _, m in calls) == pairs == law_pairs
     for order in (triples, triples[::-1]):
         calls.clear()
-        sp.law_table.cache_clear()
+        gs.tables.cache_clear()
         for c1, c2, c3 in order:
             entry = sp.law_table(G, c1, c3)[c2]
             assert (entry is not None) == ((c1, c2, c3) in with_pairs)
@@ -507,6 +507,57 @@ def test_no_law_scan_composes_a_triple_without_pairs(monkeypatch, relabel_seed, 
 
     assert mk._composition_failure(M, walk()) is None
     assert visited == with_pairs and len(calls) == 249
+
+
+def test_an_equal_group_reads_the_kept_tables(monkeypatch):
+    """A group made again from the same table (make_group) is a new
+    object equal to the first, and shares its table store (gs.tables):
+    its Burnside build and check_mackey build no basis (span_basis) and
+    read no double-coset table (spans._double_cosets), while a cold build
+    of the same table, on an emptied store, does both."""
+    table = _relabelled(corpus_group("C4xC2"), 37).mult
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return counted
+
+    for name in ("span_basis", "_double_cosets"):
+        monkeypatch.setattr(sp, name, spy(name, getattr(sp, name)))
+    gs.tables.cache_clear()
+    first = g.make_group(table)
+    assert mk.check_mackey(mk.burnside_mackey(first))
+    assert {"span_basis", "_double_cosets"} <= set(calls)
+    calls.clear()
+    second = g.make_group(table)
+    assert second is not first and second == first
+    assert mk.check_mackey(mk.burnside_mackey(second))
+    assert calls == []
+
+
+def test_a_cold_check_makes_few_value_hashes(monkeypatch):
+    """With the table store emptied, a Burnside build and check_mackey on
+    C4xC2 call groups.Value.__hash__ at most 1,000 times (5,610 when each
+    table was an lru_cache keyed by (G, c1, c2) or (X, c)): the store is
+    looked up once per call, not once per table read, and its tables are
+    read by class index."""
+    G = corpus_group("C4xC2")
+    gs.tables.cache_clear()
+    calls = 0
+    value_hash = g.Value.__hash__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return value_hash(self)
+
+    monkeypatch.setattr(g.Value, "__hash__", counted)
+    assert mk.check_mackey(mk.burnside_mackey(G))
+    monkeypatch.undo()
+    assert 0 < calls <= 1000
 
 
 def test_check_mackey_detects_corruption():

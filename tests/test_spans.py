@@ -33,6 +33,7 @@ from oracles import (
     compose_keys_per_element_oracle,
     compose_quotients,
     compose_spans,
+    conjugation_generators_oracle,
     coproduct,
     coset_gset,
     double_coset_count,
@@ -375,7 +376,7 @@ def _conjugations(G, c):
     """The conjugation keys [G/R <-id- G/R -> G/R], gR -> gnR, of class c,
     one per n in N(R)/R, keyed by the min-over-N(R)/R oracle from leg
     tables of length |G|."""
-    cls = gs.orbit_classes(G)[c]
+    cls = gs.tables(G).classes[c]
     return [
         least_key(G, c, 0, cls.coset, [cls.coset[row[n]] for row in G.mult])
         for n in cls.normaliser
@@ -532,7 +533,7 @@ def test_generator_conjugations_close_to_every_endpoint_key_of_an_orbit(
         basis = sp.orbit_basis(G, c, c)
         ends = {basis[p] for p in sp.endpoint_positions(G, c, c)}
         assert ends == set(_conjugations(G, c))
-        assert len(ends) == len(gs.orbit_classes(G)[c].normaliser)
+        assert len(ends) == len(gs.tables(G).classes[c].normaliser)
         gens = [basis[p] for p in sp.conjugation_generators(G, c)]
         assert set(gens) <= ends
         X = gs.orbit_gset(G, c)
@@ -543,6 +544,25 @@ def test_generator_conjugations_close_to_every_endpoint_key_of_an_orbit(
                 if basis[p] not in reached:
                     reached.append(basis[p])
         assert set(reached) == ends, (name, c)
+
+
+@pytest.mark.parametrize("G", [
+    *(
+        _relabelled(G, seed) if seed is not None else G
+        for _, G in corpus_groups()
+        for seed in (None, 17)
+    ),
+    *(g.cyclic(2**k) for k in range(6, 11)),
+], ids=[
+    *(f"{name}-{kind}" for name, _ in corpus_groups() for kind in ("given", "relabelled")),
+    *(f"C{2**k}" for k in range(6, 11)),
+])
+def test_generator_conjugations_match_the_table_pick(G):
+    """spans.conjugation_generators, which walks W = N(R)/R multiplying on
+    demand, picks the generators that groups.generating_set picks on W's
+    whole table (conjugation_generators_oracle), for every class."""
+    for c in range(g.subgroup_lattice(G).num_classes):
+        assert sp.conjugation_generators(G, c) == conjugation_generators_oracle(G, c)
 
 
 @pytest.mark.parametrize("G", [
@@ -598,14 +618,14 @@ def test_compose_keys_keeps_nothing():
     B = _relabelled(corpus_group("S3"), 31)
     mk.check_mackey(mk.burnside_mackey(A))
     group, store, distinct = sp._fibres
-    assert group is A and store and distinct
+    assert group is gs.tables(A).group and store and distinct
     parts = [store, distinct]
     for fibres in store.values():
         parts.append(fibres)
         for buckets in fibres.values():
             parts += [buckets, *buckets.values()]
     mk.burnside_mackey(B)
-    assert sp._fibres[0] is B
+    assert sp._fibres[0] is gs.tables(B).group
     assert sp._fibres[1] is not store and sp._fibres[2] is not distinct
     inside = {id(part) for part in parts} | {id(parts)}
     for referrer in gc.get_referrers(*parts):
@@ -645,7 +665,7 @@ def test_double_coset_table_matches_an_independent_count(name):
     cosets and the stabilizers are recomputed here from the
     multiplication table alone."""
     G = _group(name)
-    lat, classes = g.subgroup_lattice(G), gs.orbit_classes(G)
+    lat, classes = g.subgroup_lattice(G), gs.tables(G).classes
 
     def cosets(c):
         # the coset of each point of the canonical orbit of class c, from
@@ -1273,12 +1293,12 @@ def _assert_least_points_recomputed(X):
     """Every W-orbit table of X against a recomputation from X.action,
     with W = N(R)/R found by conjugating R by every element."""
     G = X.group
-    lat, classes = g.subgroup_lattice(G), gs.orbit_classes(G)
+    lat, classes = g.subgroup_lattice(G), gs.tables(G).classes
     for c in range(lat.num_classes):
         R = lat.class_rep(c)
         normaliser = [n for n in G.elements() if R.conjugate(n) == R]
         W = sorted({min(G.mul(n, r) for r in R.elements) for n in normaliser})
-        table = sp._least_points(X, c)
+        table = X.least_points[c]
         fixed = [x for x in X.points() if all(X.action[x][r] == x for r in R.elements)]
         assert list(table.fixed) == fixed
         for x in X.points():
