@@ -83,6 +83,11 @@ CASES.update({
     "limit-span-3-4": ["--tower", "3,4", "verify", "limit-span"],
     "colim-span-5-3": ["--tower", "5,3", "verify", "colim-span"],
     "mackey-limit-5-3": ["--tower", "5,3", "verify", "mackey-limit"],
+    # the span and Mackey reports at depth 8, C128 at the top (about 1 s
+    # for the three in process)
+    "colim-span-2-8": ["--tower", "2,8", "verify", "colim-span"],
+    "limit-span-2-8": ["--tower", "2,8", "verify", "limit-span"],
+    "mackey-limit-2-8": ["--tower", "2,8", "verify", "mackey-limit"],
     "verify-all-cap4": ["--cap", "4", "verify", "all"],
     "verify-all-default": ["verify", "all"],
     "mackey-fixed-D4": ["mackey-fixed", "{dir}/D4.mackey", "0,5"],
