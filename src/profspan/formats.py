@@ -45,7 +45,7 @@ from .groups import (
     make_tower,
     quotient_map,
 )
-from .gsets import GSet, make_gset
+from .gsets import GSet, make_gset, tables
 from . import spans as sp
 from .mackey import AbPresentation, MackeyFunctor, check_structure
 
@@ -268,8 +268,9 @@ def _parse_key_token(rows: _Rows, token: str):
 
 @lru_cache(maxsize=None)
 def _key_table(G: FiniteGroup) -> dict[str, tuple]:
-    """The _key_token of each triple of orbit_keys(G), in order -> it."""
-    return {_key_token(*k): k for k in sp.orbit_keys(G)}
+    """The _key_token of each triple of spans.orbit_keys, from the store
+    of G, in order -> it."""
+    return {_key_token(*k): k for k in sp.orbit_keys(tables(G))}
 
 
 @lru_cache(maxsize=None)

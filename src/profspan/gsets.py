@@ -17,19 +17,20 @@ the stabilizer on Y.  Properties of hom-sets are decided per factor, and
 the one map the package needs, a counit-square witness, is written as
 its values from one choice per factor (`counit_square_witness`): no
 hom-set is enumerated and no map is built in the package.  A canonical
-G-set is the rows of its canonical orbits (`orbit_gset`), shifted past
-the points before them (`canonical_gset`).  Orbits and point
+G-set is the rows of its canonical orbits (GroupTables.orbit), shifted
+past the points before them (`canonical_gset`).  Orbits and point
 stabilizers are computed once per G-set, which is a frozen value on
 groups.Value.
 
 What is computed once is kept for the rest of the process.  Each group
 has one table store (GroupTables), kept by one cache on the group value
-(tables), so equal groups share it; readers look it up once and index
-its lists by class or class pair.  It holds the coset table of each
-subgroup class (GroupTables.classes, each class's cosets numbered once,
-by groups.left_cosets), the canonical orbits built from them
-(`orbit_gset`, per class, only when read), and the tables spans fills
-in it.  Each G-set keeps its W-orbit tables (`least_points`), as it
+(tables), so equal groups share it; a caller looks it up once and hands
+it to every reader of its tables, which index its lists by class or
+class pair.  It holds the coset table of each subgroup class
+(GroupTables.classes, each class's cosets numbered once, by
+groups.left_cosets), the canonical orbits built from them
+(GroupTables.orbit, per class, only when read), and the tables spans
+fills in it.  Each G-set keeps its W-orbit tables (`least_points`), as it
 keeps its orbits and point stabilizers.  The inflations are kept per
 (X, q) (`inflate`), so inflating the same G-set along an equal quotient
 map returns the same G-set, with the orbits and stabilizers it has
@@ -190,16 +191,18 @@ class OrbitClass(NamedTuple):
 class GroupTables:
     """The tables of one group G kept for the process, filled on first
     read and indexed by subgroup class c (lists of n, n the number of
-    classes) or by class pair (c1, c2) (lists of n², at c1·n + c2).
+    classes) or by class pair (c1, c2) (n lists of n, at [c1][c2]).
 
     gsets fills classes, the coset table of every class, when the store
     is made, and orbits, the canonical orbit of each class, when read
-    (orbit).  spans fills the rest, each list through one reader: gens,
-    the generator conjugations of each class; and, per class pair, bases
-    (the basis between the two orbits), indexes (the position of each
-    basis key by its class and least pair), ends (the endpoint
-    positions), cosets (the double cosets of the two class
-    representatives) and laws (the law table with those end classes).
+    (orbit).  spans fills the rest, each list through one reader that
+    takes the store: gens, the generator conjugations of each class
+    (conjugation_generators); and, per class pair, bases, the basis
+    between the two orbits (orbit_basis), indexes, the position of each
+    basis key by its class and least pair (_index), ends, the endpoint
+    positions (endpoint_positions), cosets, the double cosets of the two
+    class representatives (_double_cosets), and laws, the law table with
+    those end classes (law_table).
     """
 
     __slots__ = (
@@ -219,7 +222,7 @@ class GroupTables:
         self.group, self.lattice, self.classes = G, lat, tuple(classes)
         self.orbits, self.gens = [None] * n, [None] * n
         self.bases, self.indexes, self.ends, self.cosets, self.laws = (
-            [None] * (n * n) for _ in range(5)
+            [[None] * n for _ in range(n)] for _ in range(5)
         )
 
     def orbit(self, c: int) -> GSet:
@@ -239,11 +242,6 @@ class GroupTables:
 def tables(G: FiniteGroup) -> GroupTables:
     """The table store of G, made on first use; equal groups share it."""
     return GroupTables(G)
-
-
-def orbit_gset(G: FiniteGroup, c: int) -> GSet:
-    """The canonical orbit G/R of subgroup class c (GroupTables.orbit)."""
-    return tables(G).orbit(c)
 
 
 @lru_cache(maxsize=None)
@@ -348,8 +346,8 @@ def counit_square_witness(q: QuotientMap, X: GSet, Y: GSet) -> tuple | None:
 
 def canonical_gset(G: FiniteGroup, class_multiset) -> GSet:
     """Disjoint union of the canonical orbits of the given classes, in
-    that order: the rows of each orbit_gset, shifted past the points of
-    the orbits before it."""
+    that order: the rows of each canonical orbit (GroupTables.orbit),
+    shifted past the points of the orbits before it."""
     t = tables(G)
     action: list[tuple[int, ...]] = []
     for c in class_multiset:

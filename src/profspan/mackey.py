@@ -60,7 +60,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import GroupMismatch, IncoherentFamily, Verdict
-from .groups import FiniteGroup, GroupTower, QuotientMap, subgroup_lattice
+from .groups import FiniteGroup, GroupTower, QuotientMap
 from . import gsets as gs
 from . import spans as sp
 
@@ -172,10 +172,11 @@ def burnside_mackey(G: FiniteGroup) -> MackeyFunctor:
     """The Burnside Mackey functor: at each orbit G/H, the free abelian
     group on spans G/H <- S -> pt (equivalently, on H-sets), with spans
     acting by composition against the reversed span."""
-    bases = sp.orbit_bases(G)
+    t = gs.tables(G)
+    bases = sp.orbit_bases(t)
     n = len(bases)
     pt = n - 1  # the class of G (SubgroupLattice.classes)
-    orbits = [gs.orbit_gset(G, c) for c in range(n)]
+    orbits = [t.orbit(c) for c in range(n)]
     level_basis = [row[pt] for row in bases]
     levels = tuple(AbPresentation(len(bs)) for bs in level_basis)
     gen_action: dict = {}
@@ -187,7 +188,7 @@ def burnside_mackey(G: FiniteGroup) -> MackeyFunctor:
             sp.pair_key(a, orbits[c2], legR[0], orbits[c1], legL[0])
             for a, legL, legR in keys
         ]
-        grid = iter(sp.composites(G, c2, pt, flipped, level_basis[c1]))
+        grid = iter(sp.composites(t, c2, pt, flipped, level_basis[c1]))
         for key in keys:
             # every level has the orbit's own span, so cols is not empty
             cols = [[0] * levels[c2].rank for _ in level_basis[c1]]
@@ -201,12 +202,11 @@ def burnside_mackey(G: FiniteGroup) -> MackeyFunctor:
 def check_structure(M: MackeyFunctor) -> Verdict:
     """One level per subgroup class of M.group, and a matrix of the right
     shape for exactly the basis spans between orbits."""
-    G = M.group
-    n = subgroup_lattice(G).num_classes
-    if len(M.levels) != n:
+    t = gs.tables(M.group)
+    if len(M.levels) != len(t.classes):
         return Verdict(False, "level count mismatch", len(M.levels))
     dims = [lv.dims for lv in M.levels]
-    basis = sp.orbit_keys(G)
+    basis = sp.orbit_keys(t)
     for c1, c2, key in basis:
         A = M.gen_action.get((c1, c2, key))
         if A is None:
@@ -264,10 +264,10 @@ def _composition_failure(M: MackeyFunctor, grids) -> tuple | None:
     M(k2 ∘ k1) and M(k2)·M(k1) differ as maps into level c3; None if
     there is none.  grids yields (c1, c2, c3, firsts, seconds, grid) as
     spans.law_grids does: k1 and k2 are the keys at the positions firsts
-    of orbit_basis(G, c1, c2) and seconds of orbit_basis(G, c2, c3), and
-    grid iterates the k2 ∘ k1, firsts against seconds, each as (position
-    in orbit_basis(G, c1, c3), mult) pairs.  Both are read only up to
-    the first failing pair.
+    of orbit_basis(t, c1, c2) and seconds of orbit_basis(t, c2, c3), t
+    the table store of M.group, and grid iterates the k2 ∘ k1, firsts
+    against seconds, each as (position in orbit_basis(t, c1, c3), mult)
+    pairs.  Both are read only up to the first failing pair.
 
     Each matrix A is packed once as one integer Σ A[i][j]·B^(i·D + j),
     in base B = 2^k (_shift) with each row at a stride of D digits, D
@@ -284,7 +284,7 @@ def _composition_failure(M: MackeyFunctor, grids) -> tuple | None:
     equal integers are equal matrices (_shift); a pair whose integers
     differ is tested entrywise, as maps into the presented target
     (_congruent), so torsion levels stay exact."""
-    keys = sp.orbit_bases(M.group)
+    keys = sp.orbit_bases(gs.tables(M.group))
     n = len(M.levels)
     mats = [
         [[M.gen_action[c1, c2, k] for k in keys[c1][c2]] for c2 in range(n)]
@@ -356,9 +356,9 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
     verdict = check_structure(M)
     if not verdict:
         return verdict
-    G = M.group
-    n = subgroup_lattice(G).num_classes
-    for c1, c2, key in sp.orbit_keys(G):
+    t = gs.tables(M.group)
+    n = len(t.classes)
+    for c1, c2, key in sp.orbit_keys(t):
         A = M.gen_action[(c1, c2, key)]
         for j, o in enumerate(M.levels[c1].orders()):
             if o == 0:
@@ -370,19 +370,19 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
                         False, "matrix not well defined on torsion", (c1, c2, key)
                     )
     for c in range(n):
-        A = M.gen_action[(c, c, sp.identity_key(G, c))]
+        A = M.gen_action[(c, c, sp.identity_key(t, c))]
         if not _congruent(A, _identity(M.levels[c].dims), M.levels[c].orders()):
             return Verdict(False, "identity span does not act as identity", c)
-    if _composition_failure(M, sp.law_grids(G)) is None:
+    if _composition_failure(M, sp.law_grids(t)) is None:
         return Verdict(True)
-    keys = sp.orbit_bases(G)
+    keys = sp.orbit_bases(t)
 
     def every_pair():
         # a grid is read up to its first failing pair before the next
         # triple is drawn, and composes one row of firsts at a time
         for c1, c2, c3 in itertools.product(range(n), repeat=3):
             firsts, seconds = keys[c1][c2], keys[c2][c3]
-            grid = (t for k in firsts for t in sp.composites(G, c1, c3, (k,), seconds))
+            grid = (e for k in firsts for e in sp.composites(t, c1, c3, (k,), seconds))
             yield c1, c2, c3, range(len(firsts)), range(len(seconds)), grid
 
     witness = _composition_failure(M, every_pair())
@@ -390,8 +390,9 @@ def check_mackey(M: MackeyFunctor) -> Verdict:
 
 
 def zero_mackey(G: FiniteGroup) -> MackeyFunctor:
-    n = subgroup_lattice(G).num_classes
-    return MackeyFunctor(G, (ZERO_AB,) * n, dict.fromkeys(sp.orbit_keys(G), ()))
+    t = gs.tables(G)
+    keys = sp.orbit_keys(t)
+    return MackeyFunctor(G, (ZERO_AB,) * len(t.classes), dict.fromkeys(keys, ()))
 
 
 def reduce_mod(M: MackeyFunctor, n: int) -> MackeyFunctor:
@@ -422,7 +423,8 @@ def categorical_fixed_points(M: MackeyFunctor, q: QuotientMap) -> MackeyFunctor:
         raise GroupMismatch("quotient map is not from the functor's group")
     table = sp.span_images(q, "inflation")
     pre = table.images
-    gbases, qbases = sp.orbit_bases(q.source), sp.orbit_bases(q.target)
+    gbases = sp.orbit_bases(gs.tables(q.source))
+    qbases = sp.orbit_bases(gs.tables(q.target))
     gen_action = {}
     for c1, c2 in itertools.product(range(len(pre)), repeat=2):
         gkeys = gbases[pre[c1]][pre[c2]]

@@ -19,9 +19,8 @@ G-set X and class c (gs.GSet.least_points) gives, for every x in X^R,
 the least point x* of its W-orbit, the carriers n with n·x = x*, and
 the leg table of x, built once and shared by every key that reads it.
 _least_pair finds the least pair for pair_key, which makes a key from
-it: an
-identity span (identity_key) or a reversed basis span, read from a
-point of each end (mackey, verify), and for the image of a basis span
+it: an identity span (identity_key) or a reversed basis span, read from
+a point of each end (mackey, verify), and for the image of a basis span
 under inflation or fixed points (span_images), which needs only its
 position in a basis between canonical orbits.  composites reads the
 least pair of each fibre orbit inline from the same (least, carriers)
@@ -81,16 +80,18 @@ The module's tables are kept for the process, none per key or pair of
 keys.  Those of a group are lists in its table store (gs.tables), one
 cache on the group value, so equal groups share them: per class, the
 generator conjugations (conjugation_generators), and per class pair,
-at c1·n + c2, the orbit basis (_basis), the position of each basis key
-(_index), the endpoint positions (_ends), the double cosets
-(_double_cosets) and the law table (_law), each filled on first read.
-A reader looks the store up once per call and indexes the lists in its
-loops, so no table read hashes a group or a G-set.  The W-orbit tables
-are kept on each G-set, the canonical orbits of the store included.
-The Span(F) table is kept per functor and link (span_images) and the
-Burnside tables per group (burnside_tables).  The fibre buckets of
-composites, kept per second key, and its table of distinct composites
-are kept only for the group last composed.
+at [c1][c2], the orbit basis (orbit_basis), the position of each basis
+key (_index), the endpoint positions (endpoint_positions), the double
+cosets (_double_cosets) and the law table (law_table), each filled on
+first read.  Each list has that one reader, which takes the store: a
+caller looks the store up once and hands it on, and the reader indexes
+the lists, so no table read hashes a group or a G-set.  The W-orbit
+tables are kept on each G-set, the canonical orbits of the store
+included.  The Span(F) table is kept per functor and link (span_images)
+and the Burnside tables per group (burnside_tables).  The fibre buckets
+of composites, kept per second key, and its table of distinct
+composites are kept only for the group last composed, keyed by its
+store.
 """
 
 from __future__ import annotations
@@ -137,10 +138,11 @@ def pair_key(c: int, X: GSet, x0: int, Y: GSet, y0: int) -> Key:
     return (c, lx.legs[x], Y.least_points[c].legs[y])
 
 
-def identity_key(G: FiniteGroup, c: int) -> Key:
-    """The key of the identity span of the canonical orbit G/R_c, read
-    from point 0, whose stabilizer is the class representative."""
-    X = gs.orbit_gset(G, c)
+def identity_key(t: gs.GroupTables, c: int) -> Key:
+    """The key of the identity span of the canonical orbit G/R_c, G the
+    group of the store t, read from point 0, whose stabilizer is the
+    class representative."""
+    X = t.orbit(c)
     return pair_key(c, X, 0, X, 0)
 
 
@@ -173,65 +175,58 @@ def span_basis(X: GSet, Y: GSet) -> list[Key]:
     return keys
 
 
-def _basis(t: gs.GroupTables, c1: int, c2: int) -> tuple[Key, ...]:
+def orbit_basis(t: gs.GroupTables, c1: int, c2: int) -> tuple[Key, ...]:
     """The basis keys between the canonical orbits of classes c1 and c2,
-    from the store t; built on first read."""
-    i = c1 * len(t.classes) + c2
-    basis = t.bases[i]
+    from the store t of their group; built on first read."""
+    basis = t.bases[c1][c2]
     if basis is None:
-        basis = t.bases[i] = tuple(span_basis(t.orbit(c1), t.orbit(c2)))
+        basis = t.bases[c1][c2] = tuple(span_basis(t.orbit(c1), t.orbit(c2)))
     return basis
 
 
-def orbit_basis(G: FiniteGroup, c1: int, c2: int) -> tuple[Key, ...]:
-    """The basis keys between the canonical orbits of classes c1 and c2."""
-    return _basis(gs.tables(G), c1, c2)
-
-
-def orbit_bases(G: FiniteGroup) -> list[list[tuple[Key, ...]]]:
-    """orbit_basis(G, c1, c2) at [c1][c2], for every pair of classes."""
-    t = gs.tables(G)
-    n = len(t.classes)
-    if None in t.bases:
-        for c1, c2 in itertools.product(range(n), repeat=2):
-            _basis(t, c1, c2)
-    return [t.bases[c1 * n : (c1 + 1) * n] for c1 in range(n)]
+def orbit_bases(t: gs.GroupTables) -> list[list[tuple[Key, ...]]]:
+    """orbit_basis(t, c1, c2) at [c1][c2], for every pair of classes: the
+    store's own lists, a row filled on first read."""
+    for c1, row in enumerate(t.bases):
+        if None in row:
+            for c2 in range(len(row)):
+                orbit_basis(t, c1, c2)
+    return t.bases
 
 
 def _index(t: gs.GroupTables, c1: int, c2: int) -> dict[int, int]:
-    """The position in orbit_basis(G, c1, c2) of each key, by the integer
+    """The position in orbit_basis(t, c1, c2) of each key, by the integer
     (c·|X| + x)·|Y| + y of its class c and least pair (x, y) on the
-    canonical orbits X and Y of c1 and c2 (_least_pair), from the store
-    t; built on first read.  The legs of a key list their values at
-    point 0 first, so (x, y) = (legL[0], legR[0]), and a key is found
-    from a pair of points with no key built or hashed."""
-    i = c1 * len(t.classes) + c2
-    index = t.indexes[i]
+    canonical orbits X and Y of c1 and c2 (_least_pair); built on first
+    read.  The legs of a key list their values at point 0 first, so
+    (x, y) = (legL[0], legR[0]), and a key is found from a pair of points
+    with no key built or hashed."""
+    index = t.indexes[c1][c2]
     if index is None:
         nx, ny = len(t.classes[c1].mins), len(t.classes[c2].mins)
-        index = t.indexes[i] = {
+        index = t.indexes[c1][c2] = {
             (c * nx + legL[0]) * ny + legR[0]: p
-            for p, (c, legL, legR) in enumerate(_basis(t, c1, c2))
+            for p, (c, legL, legR) in enumerate(orbit_basis(t, c1, c2))
         }
     return index
 
 
-def orbit_keys(G: FiniteGroup) -> list[tuple[int, int, Key]]:
-    """Every (c1, c2, key) with key in orbit_basis(G, c1, c2), in order of
+def orbit_keys(t: gs.GroupTables) -> list[tuple[int, int, Key]]:
+    """Every (c1, c2, key) with key in orbit_basis(t, c1, c2), in order of
     c1, then c2, then orbit_basis: the basis spans between orbits, which
     a Mackey functor's gen_action is keyed by."""
     return [
         (c1, c2, key)
-        for c1, row in enumerate(orbit_bases(G))
+        for c1, row in enumerate(orbit_bases(t))
         for c2, basis in enumerate(row)
         for key in basis
     ]
 
 
-def endpoint_positions(G: FiniteGroup, c1: int, c2: int) -> tuple[int, ...]:
-    """The positions in orbit_basis(G, c1, c2) of its endpoint keys, whose
+def endpoint_positions(t: gs.GroupTables, c1: int, c2: int) -> tuple[int, ...]:
+    """The positions in orbit_basis(t, c1, c2) of its endpoint keys, whose
     apex is in class c1 (transfers, conjugations) or c2 (restrictions,
-    conjugations).
+    conjugations); built on first read.
 
     Every basis span b with apex G/K is t_b ∘ r_b through G/K, with r_b
     and t_b endpoint keys, and two transfers (or two restrictions) compose
@@ -250,20 +245,16 @@ def endpoint_positions(G: FiniteGroup, c1: int, c2: int) -> tuple[int, ...]:
     c1, c2, c3 the checks test as firsts only the least key of each
     orbit of these positions under c_w ∘ -, w in W(c2), against every
     endpoint key out of c2, and the law_table proof gives the rest."""
-    return _ends(gs.tables(G), c1, c2)
-
-
-def _ends(t: gs.GroupTables, c1: int, c2: int) -> tuple[int, ...]:
-    """endpoint_positions from the store t; built on first read."""
-    i = c1 * len(t.classes) + c2
-    ends = t.ends[i]
+    ends = t.ends[c1][c2]
     if ends is None:
-        basis = _basis(t, c1, c2)
-        ends = t.ends[i] = tuple(p for p, k in enumerate(basis) if k[0] in (c1, c2))
+        basis = orbit_basis(t, c1, c2)
+        ends = t.ends[c1][c2] = tuple(
+            p for p, k in enumerate(basis) if k[0] in (c1, c2)
+        )
     return ends
 
 
-def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> tuple:
+def _double_cosets(t: gs.GroupTables, c1: int, c2: int) -> tuple:
     """The double cosets of the representatives K1, K2 of classes c1, c2,
     as the K1-orbits on G/K2.
 
@@ -275,11 +266,9 @@ def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> tuple:
     stabilizer onto R_c read from the lattice's `where`: the point
     t0·(K1, hK2) of the orbit has stabilizer R_c.  The table depends only
     on the two classes, so every pair of keys with these apexes composes
-    through it.  It is kept in the store of G, built on first read."""
-    t = gs.tables(G)
-    i = c1 * len(t.classes) + c2
-    if t.cosets[i] is not None:
-        return t.cosets[i]
+    through it.  It is kept in the store t, built on first read."""
+    if t.cosets[c1][c2] is not None:
+        return t.cosets[c1][c2]
     lat, mult = t.lattice, t.group.mult
     K1 = lat.class_rep(c1).elements
     coset1, cls2 = t.classes[c1].coset, t.classes[c2]
@@ -297,23 +286,23 @@ def _double_cosets(G: FiniteGroup, c1: int, c2: int) -> tuple:
                 stab.append(a)
         c, t0 = lat.where[tuple(stab)]
         orbits.append((y, c, coset1[t0], coset2[mult[t0][h]]))
-    t.cosets[i] = table = tuple(orbits)
+    t.cosets[c1][c2] = table = tuple(orbits)
     return table
 
 
 # The fibre buckets and the distinct composites of the group last composed
-# (composites), as [group, buckets, composites], the group being the one
-# its table store holds, so that equal groups share them: one group's at
-# a time, so they are shared by every grid of that group and dropped as
-# soon as another group is composed.
+# (composites), as [store, buckets, composites], keyed by the group's table
+# store, which equal groups share: one group's at a time, so they are
+# shared by every grid of that group and dropped as soon as another group
+# is composed.
 _fibres: list = [None, {}, {}]
 
 
-def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
+def composites(t: gs.GroupTables, c1: int, c3: int, firsts, seconds) -> tuple:
     """seconds[j] ∘ firsts[i], for basis keys firsts[i] from the orbit of
     class c1 to a middle orbit Y and seconds[j] from Y to the orbit of c3,
     at entry i·len(seconds) + j as the sorted (position in
-    orbit_basis(G, c1, c3), mult) pairs.  Equal entries of the grids
+    orbit_basis(t, c1, c3), mult) pairs.  Equal entries of the grids
     of one group, composed before another group is, are one tuple.  Y
     is not needed: the right legs of firsts and left legs of seconds are
     tabulated on it.
@@ -343,9 +332,8 @@ def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
     nothing is tabulated.  A composite has at most |G| terms, counted
     with multiplicity: they are orbits on a fibre of at most |G| points.
     """
-    t = gs.tables(G)
-    if _fibres[0] is not t.group:
-        _fibres[:] = t.group, {}, {}
+    if _fibres[0] is not t:
+        _fibres[:] = t, {}, {}
     _, store, shared = _fibres
     least = t.orbit(c1).least_points  # class -> its W-orbit table of X
     nx, nz = len(t.classes[c1].mins), len(t.classes[c3].mins)
@@ -361,7 +349,7 @@ def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
             buckets = fibres.get(a)  # point of Y -> the orbits over it
             if buckets is None:
                 buckets = fibres[a] = {}
-                for orbit in _double_cosets(G, a, c2):
+                for orbit in _double_cosets(t, a, c2):
                     buckets.setdefault(left2[orbit[0]], []).append(orbit)
             positions = []
             for _, c, p1, p2 in buckets.get(right1[0], ()):
@@ -383,23 +371,22 @@ def composites(G: FiniteGroup, c1: int, c3: int, firsts, seconds) -> tuple:
     return tuple(grid)
 
 
-def conjugation_generators(G: FiniteGroup, c: int) -> tuple[int, ...]:
-    """The positions in orbit_basis(G, c, c) of the conjugations c_s, for s
+def conjugation_generators(t: gs.GroupTables, c: int) -> tuple[int, ...]:
+    """The positions in orbit_basis(t, c, c) of the conjugations c_s, for s
     in a generating set of W = N(R)/R, R the class-c representative: the
     set groups.generating_set picks on W's table over the normaliser of
     the class's coset table, whose first element is the identity.  No
     table is built: the walk from the identity multiplies by the
     generators picked so far on demand, each product read as the coset
-    of a product of two normaliser elements.  Kept in the store of G,
-    picked on first read.
+    of a product of two normaliser elements.  Kept in the store t, picked
+    on first read.
 
     The basis spans from G/R to itself are the pairs of R-fixed points,
     the cosets nR for n in N(R), modulo W; W acts freely on them, so each
     is one conjugation c_n = [G/R <-id- G/R -> G/R], gR -> gnR, and they
-    are exactly the endpoint keys of orbit_basis(G, c, c).  The least
+    are exactly the endpoint keys of orbit_basis(t, c, c).  The least
     pair of c_n is (0, nR): point 0 is the least of all, and its one
     carrier is the identity, so its position is read from _index."""
-    t = gs.tables(G)
     gens = t.gens[c]
     if gens is None:
         cls = t.classes[c]
@@ -428,8 +415,8 @@ _UNREAD = object()  # a LawTable entry not yet composed
 class LawTable:
     """The law pairs of each class triple (c1, c2, c3) with c1 and c3
     fixed, the table both law checks read (law_table): entry c2 is
-    (firsts, seconds, grid), with firsts positions in orbit_basis(G, c1,
-    c2), seconds positions in orbit_basis(G, c2, c3) and grid the
+    (firsts, seconds, grid), with firsts positions in orbit_basis(t, c1,
+    c2), seconds positions in orbit_basis(t, c2, c3) and grid the
     composites of the keys at them, firsts against seconds (composites),
     or None for a triple with no firsts or no seconds (incomparable
     classes, or a trivial Weyl group), for which nothing is composed.
@@ -467,7 +454,7 @@ class LawTable:
             return self._leasts
         weyl = self[self.c3]
         if weyl is None:
-            self._leasts = _ends(self.tables, self.c1, self.c3)
+            self._leasts = endpoint_positions(self.tables, self.c1, self.c3)
             return self._leasts
         ends, gens, grid = weyl
         width = len(gens)
@@ -492,35 +479,29 @@ class LawTable:
     def _compose(self, c2: int):
         t, c1, c3 = self.tables, self.c1, self.c3
         if c1 == c2:
-            firsts, seconds = conjugation_generators(t.group, c2), _ends(t, c2, c3)
+            firsts = conjugation_generators(t, c2)
+            seconds = endpoint_positions(t, c2, c3)
         elif c2 == c3:
-            firsts, seconds = _ends(t, c1, c2), conjugation_generators(t.group, c2)
+            firsts = endpoint_positions(t, c1, c2)
+            seconds = conjugation_generators(t, c2)
         else:
-            firsts, seconds = _ends(t, c1, c2), _ends(t, c2, c3)
+            firsts = endpoint_positions(t, c1, c2)
+            seconds = endpoint_positions(t, c2, c3)
             if firsts and seconds:
-                firsts = _law(t, c1, c2).leasts()
+                firsts = law_table(t, c1, c2).leasts()
         if not firsts or not seconds:
             return None
-        b12, b23 = _basis(t, c1, c2), _basis(t, c2, c3)
+        b12, b23 = orbit_basis(t, c1, c2), orbit_basis(t, c2, c3)
         grid = composites(
-            t.group, c1, c3, [b12[p] for p in firsts], [b23[p] for p in seconds]
+            t, c1, c3, [b12[p] for p in firsts], [b23[p] for p in seconds]
         )
         return firsts, seconds, grid
 
 
-def _law(t: gs.GroupTables, c1: int, c3: int) -> LawTable:
-    """law_table from the store t; made on first read."""
-    i = c1 * len(t.classes) + c3
-    table = t.laws[i]
-    if table is None:
-        table = t.laws[i] = LawTable(t, c1, c3)
-    return table
-
-
-def law_table(G: FiniteGroup, c1: int, c3: int) -> LawTable:
+def law_table(t: gs.GroupTables, c1: int, c3: int) -> LawTable:
     """The law pairs of each class triple (c1, c2, c3), as a LawTable
-    whose entry c2 is composed on first read.  Readers walk the table
-    through law_grids.
+    whose entry c2 is composed on first read; the table is made on first
+    read.  Readers walk the table through law_grids.
 
     The pairs are the generator conjugations of c2
     (conjugation_generators) against E(c2, c3) when c1 = c2, E(c1, c2)
@@ -528,7 +509,7 @@ def law_table(G: FiniteGroup, c1: int, c3: int) -> LawTable:
     position of each orbit of E(c1, c2) under k ↦ c_s ∘ k, for the
     generators s of W(c2) = N(R_c2)/R_c2, against E(c2, c3), E the
     endpoint positions.  Those orbits are read from the grid of E(c1, c2)
-    against the generator conjugations, the entry c2 of law_table(G, c1,
+    against the generator conjugations, the entry c2 of law_table(t, c1,
     c2), which keeps them (LawTable.leasts).
 
     Let Φ be additive on the spans between orbits with Φ(identity) the
@@ -560,21 +541,23 @@ def law_table(G: FiniteGroup, c1: int, c3: int) -> LawTable:
     key of E(c2, c3), all of which are seconds.  The steps hold up to
     congruence, as in endpoint_positions (the conjugation relations of
     the Mackey algebra, Thévenaz–Webb 1995).  The table is kept in the
-    store of G."""
-    return _law(gs.tables(G), c1, c3)
+    store t."""
+    table = t.laws[c1][c3]
+    if table is None:
+        table = t.laws[c1][c3] = LawTable(t, c1, c3)
+    return table
 
 
-def law_grids(G: FiniteGroup):
+def law_grids(t: gs.GroupTables):
     """Each (c1, c2, c3, firsts, seconds, grid) for a class triple that
     has law pairs, in lexicographic order, with (firsts, seconds, grid)
-    the entry c2 of law_table(G, c1, c3), each table looked up once per
+    the entry c2 of law_table(t, c1, c3), each table looked up once per
     c1.  A triple with no firsts or no seconds has no pair to test and is
     not yielded.  It is the one walk over the law pairs that both law
     checks make."""
-    t = gs.tables(G)
     n = len(t.classes)
     for c1 in range(n):
-        tables = [_law(t, c1, c3) for c3 in range(n)]
+        tables = [law_table(t, c1, c3) for c3 in range(n)]
         for c2 in range(n):
             for c3, table in enumerate(tables):
                 entry = table[c2]
@@ -605,9 +588,9 @@ def burnside_tables(G: FiniteGroup) -> BurnsideTables:
         tuple(len(gs.fixed_by(t.orbit(c), R.elements)) for R in reps) for c in range(n)
     )
     pt = n - 1  # the class of G (SubgroupLattice.classes)
-    basis = _basis(t, pt, pt)
+    basis = orbit_basis(t, pt, pt)
     assert len(basis) == n
-    grid = composites(G, pt, pt, basis, basis)
+    grid = composites(t, pt, pt, basis, basis)
     dense: dict = {}  # one coefficient tuple per distinct product
     for terms in grid:
         coeffs = [0] * n
@@ -629,11 +612,13 @@ class OrbitImage(NamedTuple):
     base: int
 
 
-def _orbit_image(G: FiniteGroup, K: FiniteGroup, rho, N, c: int) -> OrbitImage | None:
-    """F(G/R_c) for the functor F given by (G, K, ρ, N): k in K acts on a
-    point of G/R_c as ρ(k) does, and the orbit has no image when an
-    element of the normal subgroup N moves its point 0 (then N fixes no
-    point of it).
+def _orbit_image(
+    tg: gs.GroupTables, tk: gs.GroupTables, rho, N, c: int
+) -> OrbitImage | None:
+    """F(G/R_c) for the functor F given by (G, K, ρ, N), G and K the groups
+    of the table stores tg and tk: k in K acts on a point of G/R_c as ρ(k)
+    does, and the orbit has no image when an element of the normal
+    subgroup N moves its point 0 (then N fixes no point of it).
 
     S, the k with ρ(k)·0 = 0, is the K-stabilizer of point 0, and the
     orbit is K/S by k·0 ↦ kS.  sigma sends k·0 to k·y in the canonical
@@ -641,13 +626,13 @@ def _orbit_image(G: FiniteGroup, K: FiniteGroup, rho, N, c: int) -> OrbitImage |
     renaming that the isomorphism search of tests/oracles.py makes.  base
     is t0·0, for t0 the conjugator of S onto its class representative, so
     its stabilizer is that representative."""
-    row = gs.orbit_gset(G, c).action[0]
+    row = tg.orbit(c).action[0]
     if any(row[n] for n in N):
         return None
     at = [row[r] for r in rho]  # the point k·0, for each k in K
     S = tuple(k for k, x in enumerate(at) if x == 0)
-    cls, t0 = gs.tables(K).lattice.where[S]
-    orbit = gs.orbit_gset(K, cls)
+    cls, t0 = tk.lattice.where[S]
+    orbit = tk.orbit(cls)
     y = orbit.point_stabilizers.index(frozenset(S))
     sigma = [0] * orbit.size
     for x, z in zip(at, orbit.action[y]):
@@ -661,8 +646,9 @@ class SpanImages(NamedTuple):
     source: FiniteGroup  # G, F's source group
     target: FiniteGroup  # K, the group of the images
     images: tuple[int | None, ...]  # the class of F(orbit c), None if empty
-    # terms[c1][c2][i]: the position in orbit_basis(K, images[c1],
-    # images[c2]) of the image of orbit_basis(G, c1, c2)[i], None for zero
+    # terms[c1][c2][i]: the position in orbit_basis(gs.tables(K),
+    # images[c1], images[c2]) of the image of orbit_basis(gs.tables(G), c1,
+    # c2)[i], None for zero
     terms: tuple
 
 
@@ -691,7 +677,7 @@ def span_images(q: QuotientMap, which: str) -> SpanImages:
         rho = tuple(map(q.section, K.elements()))
     tg, tk = gs.tables(G), gs.tables(K)
     n = len(tg.classes)
-    images = [_orbit_image(G, K, rho, N, c) for c in range(n)]
+    images = [_orbit_image(tg, tk, rho, N, c) for c in range(n)]
     targets = [i and tk.orbit(i.cls) for i in images]
     terms = [[()] * n for _ in range(n)]
     for c1, c2 in itertools.product(range(n), repeat=2):
@@ -702,7 +688,7 @@ def span_images(q: QuotientMap, which: str) -> SpanImages:
             index = _index(tk, i1.cls, i2.cls)
             X, Y = targets[c1], targets[c2]
         row = []
-        for a, legL, legR in _basis(tg, c1, c2):
+        for a, legL, legR in orbit_basis(tg, c1, c2):
             apex = images[a]
             if apex is None:
                 row.append(None)

@@ -115,12 +115,11 @@ def _links_verdict(tower, tables, cap) -> Verdict:
     factor (0, R, Y^R), and that of hom(inf G/R, inf Y) must be
     (0, q⁻¹R, Y^R), with q⁻¹R read from the link's preimage table."""
     for i, (q, table) in enumerate(zip(tower.links, tables)):
-        G = q.target
-        lat = g.subgroup_lattice(G)
+        t = gs.tables(q.target)
         orbits = [
-            (gs.orbit_gset(G, c), pre)
+            (t.orbit(c), pre)
             for c, (pre, _) in enumerate(table)
-            if G.order <= cap * lat.class_rep(c).order
+            if q.target.order <= cap * t.lattice.class_rep(c).order
         ]
         for X, pre in orbits:
             for Y, _ in orbits:
@@ -132,73 +131,75 @@ def _links_verdict(tower, tables, cap) -> Verdict:
     return Verdict(True)
 
 
-def _basis_failure(table: sp.SpanImages, kept) -> str | None:
+def _basis_failure(table: sp.SpanImages, kept: tuple[bool, ...]) -> str | None:
     """How the Span(F) table fails, or None: a key goes to one basis span
-    if kept(its apex class), else to zero; the kept keys of one hom go to
+    if kept[its apex class], else to zero; the kept keys of one hom go to
     distinct basis spans of the image hom; an identity span goes to the
     identity span (spans.identity_key)."""
-    G, K, n = table.source, table.target, len(table.images)
+    tg, tk = gs.tables(table.source), gs.tables(table.target)
+    n = len(table.images)
     for c1, c2 in itertools.product(range(n), repeat=2):
         images = table.terms[c1][c2]
-        for key, image in zip(sp.orbit_basis(G, c1, c2), images):
-            if not kept(key[0]) and image is not None:
+        for key, image in zip(sp.orbit_basis(tg, c1, c2), images):
+            if not kept[key[0]] and image is not None:
                 return "of a kernel-moved apex is not zero"
-            if kept(key[0]) and image is None:
+            if kept[key[0]] and image is None:
                 return "of a basis span is not basic"
         hit = [image for image in images if image is not None]
         if len(set(hit)) != len(hit):
             return "not injective on basis"
     for c, m in enumerate(table.images):
-        own = sp.orbit_basis(G, c, c).index(sp.identity_key(G, c))
-        ids = None if m is None else sp.orbit_basis(K, m, m).index(sp.identity_key(K, m))
+        own = sp.orbit_basis(tg, c, c).index(sp.identity_key(tg, c))
+        ids = None if m is None else sp.orbit_basis(tk, m, m).index(sp.identity_key(tk, m))
         if table.terms[c][c][own] != ids:
             return "does not preserve an identity span"
     return None
 
 
-def _right_sides(table: sp.SpanImages, c1, c2, c3, firsts, seconds):
+def _right_sides(table: sp.SpanImages, tk: gs.GroupTables, c1, c2, c3, firsts, seconds):
     """Span(F)(k2) ∘ Span(F)(k1) for the keys k1 at the positions firsts
-    of orbit_basis(G, c1, c2) and k2 at seconds of orbit_basis(G, c2, c3),
-    firsts against seconds, each as (position, mult) pairs in the basis
-    of the images of the ends, and () where an end or a key has no image.
+    of orbit_basis(tg, c1, c2) and k2 at seconds of orbit_basis(tg, c2,
+    c3), firsts against seconds, each as (position, mult) pairs in the
+    basis of the images of the ends, and () where an end or a key has no
+    image; tg and tk are the table stores of G and K.
 
     With m1, m2, m3 the image classes, the grid is read by position from
-    spans.law_table(K, m1, m3)[m2] whenever every image lies in that
+    spans.law_table(tk, m1, m3)[m2] whenever every image lies in that
     entry's firsts and seconds, as on the links of the CLI's cyclic
     towers and the groups.quotient maps of the corpus groups.  Images
     outside that layout (towers whose stages are numbered apart,
     corrupted tables) are composed."""
-    K, images, terms = table.target, table.images, table.terms
+    images, terms = table.images, table.terms
     m1, m2, m3 = images[c1], images[c2], images[c3]
     if None in (m1, m2, m3):
         return itertools.repeat(())
     j1 = [terms[c1][c2][p] for p in firsts]
     j2 = [terms[c2][c3][p] for p in seconds]
-    entry = sp.law_table(K, m1, m3)[m2]
+    entry = sp.law_table(tk, m1, m3)[m2]
     if entry is not None:
         at1, at2 = ({j: e for e, j in enumerate(ps)} for ps in entry[:2])
         if at1.keys() >= set(j1) and at2.keys() >= set(j2):
             grid, width = entry[2], len(at2)
             return [grid[at1[a] * width + at2[b]] for a in j1 for b in j2]
-    b12, b23 = sp.orbit_basis(K, m1, m2), sp.orbit_basis(K, m2, m3)
+    b12, b23 = sp.orbit_basis(tk, m1, m2), sp.orbit_basis(tk, m2, m3)
     kept1 = [b12[j] for j in j1 if j is not None]
     kept2 = [b23[j] for j in j2 if j is not None]
-    grid = iter(sp.composites(K, m1, m3, kept1, kept2))
+    grid = iter(sp.composites(tk, m1, m3, kept1, kept2))
     return [() if a is None or b is None else next(grid) for a in j1 for b in j2]
 
 
 def _law_failures(table: sp.SpanImages):
     """Each (c1, c2, c3, k1, k2) with (k1, k2) a pair of spans.law_grids
     for which Span(F)(k2 ∘ k1) and Span(F)(k2) ∘ Span(F)(k1) differ, in
-    that lexicographic order.  The left side is the grid of law_grids(G)
+    that lexicographic order.  The left side is the grid of law_grids
     pushed through the images, once per distinct entry of a grid (equal
     entries of a grid are one tuple, spans.composites), and the right
     side is read or composed by _right_sides.  The law on these pairs
     decides it on every pair of endpoint keys (spans.law_table), so a
     failure names a pair of endpoint keys on which the law fails."""
-    G, terms = table.source, table.terms
-    for c1, c2, c3, firsts, seconds, lefts in sp.law_grids(G):
-        rights = _right_sides(table, c1, c2, c3, firsts, seconds)
+    tg, tk, terms = gs.tables(table.source), gs.tables(table.target), table.terms
+    for c1, c2, c3, firsts, seconds, lefts in sp.law_grids(tg):
+        rights = _right_sides(table, tk, c1, c2, c3, firsts, seconds)
         images = terms[c1][c3]
         pushed: dict = {}  # each distinct left side of the grid, pushed once
         pairs = itertools.product(firsts, seconds)
@@ -212,15 +213,16 @@ def _law_failures(table: sp.SpanImages):
                         counts[j] = counts.get(j, 0) + m
                 image = pushed[left] = tuple(sorted(counts.items()))
             if image != right:
-                k1 = sp.orbit_basis(G, c1, c2)[p1]
-                yield c1, c2, c3, k1, sp.orbit_basis(G, c2, c3)[p2]
+                k1 = sp.orbit_basis(tg, c1, c2)[p1]
+                yield c1, c2, c3, k1, sp.orbit_basis(tg, c2, c3)[p2]
 
 
 def _span_functor_check(tower, name: str, kept, conclusion: str) -> Verdict:
     """Span(F) for F the functor `name` along every link q of the tower,
     decided on the orbits of F's source group, one per subgroup class:
     its images of the basis spans between them (spans.span_images) pass
-    _basis_failure with kept(q, apex class), and the law holds on every
+    _basis_failure with kept(q, c) for each subgroup class c of the
+    source, asked once per class and link, and the law holds on every
     pair of endpoint keys (_law_failures; witness the first failing
     tested pair (c1, c2, c3, k1, k2)).
     The table renames each F(orbit) onto its canonical orbit, and
@@ -259,15 +261,15 @@ def _span_functor_check(tower, name: str, kept, conclusion: str) -> Verdict:
     mapped = composed = 0
     for i, q in enumerate(tower.links):
         table = sp.span_images(q, name)
-        G, n = table.source, len(table.images)
+        t, n = gs.tables(table.source), len(table.images)
         mapped += sum(len(images) for row in table.terms for images in row)
-        failure = _basis_failure(table, lambda c: kept(q, c))
+        failure = _basis_failure(table, tuple(kept(q, c) for c in range(n)))
         if failure:
             return Verdict(False, f"{name} {failure} at stage {i}")
         witness = next(_law_failures(table), None)
         if witness is not None:
             return Verdict(False, f"Span({name}) not functorial at stage {i}", witness)
-        ends = [[sp.endpoint_positions(G, a, b) for b in range(n)] for a in range(n)]
+        ends = [[sp.endpoint_positions(t, a, b) for b in range(n)] for a in range(n)]
         for a, b, c in itertools.product(range(n), repeat=3):
             composed += len(ends[a][b]) * len(ends[b][c])
     counts = [f"orbit basis spans mapped: {mapped}"]

@@ -113,7 +113,7 @@ def endpoint_keys(G: FiniteGroup, c1: int, c2: int) -> list[sp.Key]:
     """The keys of orbit_basis(G, c1, c2) with apex class c1 or c2, in
     basis order: the generators whose positions spans.endpoint_positions
     lists."""
-    return [k for k in sp.orbit_basis(G, c1, c2) if k[0] in (c1, c2)]
+    return [k for k in sp.orbit_basis(gs.tables(G), c1, c2) if k[0] in (c1, c2)]
 
 
 def find_iso(X: GSet, Y: GSet) -> EqMap | None:
@@ -233,7 +233,7 @@ class FixedPointsGSetFunctor(GSetFunctor):
 def basis_legs(X: GSet, Y: GSet, key: sp.Key) -> tuple[EqMap, EqMap]:
     """The legs X <- G/R -> Y of the basis span key, on the canonical
     coset apex of its stabilizer class."""
-    apex = gs.orbit_gset(X.group, key[0])
+    apex = gs.tables(X.group).orbit(key[0])
     return EqMap(apex, X, key[1]), EqMap(apex, Y, key[2])
 
 
@@ -273,26 +273,26 @@ def span_images_generic(
     """spans.span_images for any G-set functor, as the package built it
     before it read one orbit image per class: F of every key's apex and
     legs, the legs renamed by canonical_iso of each F(orbit) onto the
-    targets (one orbit: gs.orbit_gset), each orbit of F(apex) keyed by
+    targets (one orbit: GroupTables.orbit), each orbit of F(apex) keyed by
     canonical_key as the basis object of its hom.  F need not be onto or
     left exact."""
     F = functor(q)
-    G = F.src_group
-    orbits = tuple(gs.orbit_gset(G, c) for c in range(subgroup_lattice(G).num_classes))
+    tg = gs.tables(F.src_group)
+    orbits = tuple(tg.orbit(c) for c in range(len(tg.classes)))
     sigma = [canonical_iso(F.obj(X)) for X in orbits]
     classes = tuple(orbit_class_multiset(F.obj(X)) for X in orbits)
-    H = sigma[0].dst.group
+    th = gs.tables(sigma[0].dst.group)
     targets = tuple(
-        gs.orbit_gset(H, m[0]) if len(m) == 1 else s.dst for m, s in zip(classes, sigma)
+        th.orbit(m[0]) if len(m) == 1 else s.dst for m, s in zip(classes, sigma)
     )
     terms: dict = {}
     for c1, c2 in itertools.product(range(len(orbits)), repeat=2):
         m1, m2, T1, T2 = classes[c1], classes[c2], targets[c1], targets[c2]
         single = len(m1) == len(m2) == 1
-        basis = sp.orbit_basis(H, m1[0], m2[0]) if single else sp.span_basis(T1, T2)
+        basis = sp.orbit_basis(th, m1[0], m2[0]) if single else sp.span_basis(T1, T2)
         own = dict(zip(basis, basis))
         s1, s2 = sigma[c1].values, sigma[c2].values
-        for key in sp.orbit_basis(G, c1, c2):
+        for key in sp.orbit_basis(tg, c1, c2):
             f, h = map(F.map, basis_legs(orbits[c1], orbits[c2], key))
             left, right = [s1[x] for x in f.values], [s2[y] for y in h.values]
             counts: dict = {}
@@ -311,17 +311,18 @@ def as_span_images(table: GenericSpanImages) -> sp.SpanImages:
     assert all(len(m) <= 1 for m in table.classes)
     images = tuple(m[0] if m else None for m in table.classes)
     G, H, n = table.orbits[0].group, table.targets[0].group, len(table.orbits)
+    tg, th = gs.tables(G), gs.tables(H)
     terms = [[()] * n for _ in range(n)]
     for c1, c2 in itertools.product(range(n), repeat=2):
         row = []
-        for key in sp.orbit_basis(G, c1, c2):
+        for key in sp.orbit_basis(tg, c1, c2):
             image = table.terms[c1, c2, key]
             if not image:
                 row.append(None)
                 continue
             (k, mult), = image
             assert mult == 1
-            row.append(sp.orbit_basis(H, images[c1], images[c2]).index(k))
+            row.append(sp.orbit_basis(th, images[c1], images[c2]).index(k))
         terms[c1][c2] = tuple(row)
     return sp.SpanImages(G, H, images, tuple(map(tuple, terms)))
 
@@ -332,12 +333,12 @@ def image_terms(table: sp.SpanImages) -> dict:
     (c1, c2, key) -> ((image key, 1),), or () for zero, in the order of
     orbit_keys; kept for the last tables, which law_holds_oracle reads
     once per pair."""
-    G, H, n = table.source, table.target, len(table.images)
+    tg, th, n = gs.tables(table.source), gs.tables(table.target), len(table.images)
     terms = {}
     for c1, c2 in itertools.product(range(n), repeat=2):
         m1, m2 = table.images[c1], table.images[c2]
-        image_basis = () if None in (m1, m2) else sp.orbit_basis(H, m1, m2)
-        for key, j in zip(sp.orbit_basis(G, c1, c2), table.terms[c1][c2]):
+        image_basis = () if None in (m1, m2) else sp.orbit_basis(th, m1, m2)
+        for key, j in zip(sp.orbit_basis(tg, c1, c2), table.terms[c1][c2]):
             terms[c1, c2, key] = () if j is None else ((image_basis[j], 1),)
     return terms
 
@@ -418,7 +419,7 @@ def canonical_gset_oracle(G: FiniteGroup, class_multiset) -> GSet:
     from the empty G-set."""
     X = empty_gset(G)
     for c in class_multiset:
-        X = coproduct(X, gs.orbit_gset(G, c))[0]
+        X = coproduct(X, gs.tables(G).orbit(c))[0]
     return X
 
 
@@ -669,11 +670,11 @@ def span_images_oracle(F: GSetFunctor) -> dict:
     orbits of F's source group, span_from_maps of F on both legs, over the
     G-sets F(orbit), then renamed by σ, the canonical_iso of each F(orbit),
     with transport_span, which keys the renamed legs again."""
-    G = F.src_group
-    orbits = [gs.orbit_gset(G, c) for c in range(subgroup_lattice(G).num_classes)]
+    t = gs.tables(F.src_group)
+    orbits = [t.orbit(c) for c in range(len(t.classes))]
     sigma = [canonical_iso(F.obj(X)) for X in orbits]
     image = {}
-    for c1, c2, key in sp.orbit_keys(G):
+    for c1, c2, key in sp.orbit_keys(t):
         legs = basis_legs(orbits[c1], orbits[c2], key)
         m = span_from_maps(*map(F.map, legs))
         image[c1, c2, key] = transport_span(m, sigma[c1], sigma[c2]).terms
@@ -688,13 +689,13 @@ def inflated_keys_oracle(q: QuotientMap) -> tuple[tuple[int, ...], tuple]:
     renamed by σ_c, the canonical_iso of the inflated orbit of class c,
     onto G's canonical orbits of the preimage classes."""
     G, Q = q.source, q.target
-    nq = subgroup_lattice(Q).num_classes
-    inflated = [gs.inflate(gs.orbit_gset(Q, c), q) for c in range(nq)]
+    tq = gs.tables(Q)
+    inflated = [gs.inflate(tq.orbit(c), q) for c in range(len(tq.classes))]
     sigma = [canonical_iso(X) for X in inflated]
     pre = tuple(c for _, c in g.class_preimages(q))
-    targets = [gs.orbit_gset(G, c) for c in pre]
+    targets = [gs.tables(G).orbit(c) for c in pre]
     pairs = []
-    for c1, c2, key in sp.orbit_keys(Q):
+    for c1, c2, key in sp.orbit_keys(tq):
         a, legL, legR = key
         s1, s2 = sigma[c1].values, sigma[c2].values
         gkey = canonical_key(
@@ -761,13 +762,13 @@ def mackey_composition_oracle(M: mk.MackeyFunctor) -> Verdict:
     verdict = mk.check_structure(M)
     if not verdict:
         return verdict
-    G = M.group
-    n = subgroup_lattice(G).num_classes
+    t = gs.tables(M.group)
+    n = len(t.classes)
     for c1 in range(n):
         src = M.levels[c1]
         for c2 in range(n):
             tgt = M.levels[c2]
-            for key in sp.orbit_basis(G, c1, c2):
+            for key in sp.orbit_basis(t, c1, c2):
                 A = M.gen_action[(c1, c2, key)]
                 for j, o in enumerate(src.orders()):
                     if o == 0:
@@ -780,24 +781,24 @@ def mackey_composition_oracle(M: mk.MackeyFunctor) -> Verdict:
                                 (c1, c2, key),
                             )
     for c in range(n):
-        X = gs.orbit_gset(G, c)
+        X = t.orbit(c)
         (ikey, m), = identity_span(X).terms
         A = M.gen_action[(c, c, ikey)]
         identity = mk._identity(M.levels[c].dims)
         if m != 1 or not mk._congruent(A, identity, M.levels[c].orders()):
             return Verdict(False, "identity span does not act as identity", c)
     for c1 in range(n):
-        X = gs.orbit_gset(G, c1)
+        X = t.orbit(c1)
         for c2 in range(n):
-            Y = gs.orbit_gset(G, c2)
+            Y = t.orbit(c2)
             for c3 in range(n):
-                Z = gs.orbit_gset(G, c3)
+                Z = t.orbit(c3)
                 tgt_orders = M.levels[c3].orders()
                 rows, cols = M.levels[c3].dims, M.levels[c1].dims
-                for k1 in sp.orbit_basis(G, c1, c2):
+                for k1 in sp.orbit_basis(t, c1, c2):
                     m1 = SpanMor(X, Y, ((k1, 1),))
                     A1 = M.gen_action[(c1, c2, k1)]
-                    for k2 in sp.orbit_basis(G, c2, c3):
+                    for k2 in sp.orbit_basis(t, c2, c3):
                         composite = compose_spans(SpanMor(Y, Z, ((k2, 1),)), m1)
                         expanded = [[0] * cols for _ in range(rows)]
                         for k, m in composite.terms:
@@ -843,17 +844,18 @@ def categorical_fixed_points_oracle(
     if q.source != G:
         raise GroupMismatch("quotient map is not from the functor's group")
     Q = q.target
-    nq = subgroup_lattice(Q).num_classes
-    sigma = [canonical_iso(gs.inflate(gs.orbit_gset(Q, c), q)) for c in range(nq)]
+    tq = gs.tables(Q)
+    nq = len(tq.classes)
+    sigma = [canonical_iso(gs.inflate(tq.orbit(c), q)) for c in range(nq)]
     pre = [orbit_class_multiset(s.dst)[0] for s in sigma]
     levels = tuple(M.levels[c] for c in pre)
     SpInf = span_of_functor_oracle(InflationGSetFunctor(q))
     gen_action: dict = {}
     for c1 in range(nq):
-        X = gs.orbit_gset(Q, c1)
+        X = tq.orbit(c1)
         for c2 in range(nq):
-            Y = gs.orbit_gset(Q, c2)
-            for key in sp.orbit_basis(Q, c1, c2):
+            Y = tq.orbit(c2)
+            for key in sp.orbit_basis(tq, c1, c2):
                 m = basis_span_mor(X, Y, key)
                 image = transport_span(SpInf(m), sigma[c1], sigma[c2])
                 (gkey, mult), = image.terms
@@ -907,12 +909,12 @@ def conjugation_generators_oracle(G: FiniteGroup, c: int) -> tuple[int, ...]:
     |W|×|W| multiplication table over the normaliser of the class's
     coset table, the greedy groups.generating_set on it, and each
     generator's conjugation keyed by pair_key and found in the basis."""
-    cls = gs.tables(G).classes[c]
-    X = gs.orbit_gset(G, c)
+    t = gs.tables(G)
+    cls, X = t.classes[c], t.orbit(c)
     norm = cls.normaliser
     element = {cls.coset[n]: w for w, n in enumerate(norm)}  # point -> w
     table = [[element[cls.coset[G.mult[a][b]]] for b in norm] for a in norm]
-    basis = sp.orbit_basis(G, c, c)
+    basis = sp.orbit_basis(t, c, c)
     return tuple(
         basis.index(sp.pair_key(c, X, 0, X, cls.coset[norm[s]]))
         for s in g.generating_set(table)
@@ -1069,7 +1071,8 @@ class OrbitQuotientFunctor(GSetFunctor):
 
 def point_gset(G: FiniteGroup) -> GSet:
     """The one-point G-set, built afresh; the package reads the canonical
-    orbit of the class of G instead, which gs.orbit_gset keeps."""
+    orbit of the class of G instead, which its table store keeps
+    (gs.GroupTables.orbit)."""
     return GSet(G, (tuple(0 for _ in G.elements()),))
 
 

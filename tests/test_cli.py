@@ -636,7 +636,7 @@ def _value_cases():
     C2, C4 = corpus_group("C2"), corpus_group("C4")
     q = g.quotient(C4, g.make_subgroup(C4, (0, 2)))
     t2, t3 = g.cyclic_tower(2, 2), g.cyclic_tower(2, 3)
-    X, Y = gs.orbit_gset(C4, 1), gs.orbit_gset(C4, 0)
+    X, Y = gs.tables(C4).orbit(1), gs.tables(C4).orbit(0)
     M = mk.burnside_mackey(C2)
 
     def fields(value, names):

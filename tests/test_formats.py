@@ -130,7 +130,7 @@ def test_mackey_roundtrip_with_a_zero_level():
     pt = point_gset(G)
     ident = canonical_key(pt, 0, (0,), (0,), pt, pt)
     gen_action = {}
-    for c1, c2, key in sp.orbit_keys(G):
+    for c1, c2, key in sp.orbit_keys(gs.tables(G)):
         row = (int(key == ident),) * dims[c1]
         gen_action[c1, c2, key] = (row,) * dims[c2]
     M = mk.MackeyFunctor(G, (mk.AbPresentation(0), mk.AbPresentation(1)), gen_action)

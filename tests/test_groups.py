@@ -433,7 +433,7 @@ def test_class_preimages_are_the_inflated_orbit_classes():
         table = g.class_preimages(q)
         assert len(table) == g.subgroup_lattice(q.target).num_classes
         for c, (pre, cls) in enumerate(table):
-            X = gs.inflate(gs.orbit_gset(q.target, c), q)
+            X = gs.inflate(gs.tables(q.target).orbit(c), q)
             assert len(X.orbits) == 1
             assert tuple(sorted(X.point_stabilizers[0])) == pre
             assert orbit_class_multiset(X) == (cls,)

@@ -223,7 +223,7 @@ def test_orbit_classes_number_each_class_once(monkeypatch, name, relabel_seed):
     monkeypatch.setattr(gs, "left_cosets", counted)
     gs.tables.cache_clear()
     classes = gs.tables(G).classes
-    orbits = [gs.orbit_gset(G, c) for c in range(lat.num_classes)]
+    orbits = [gs.tables(G).orbit(c) for c in range(lat.num_classes)]
     assert len(calls) == len(classes) == lat.num_classes
     for c, (cls, X) in enumerate(zip(classes, orbits)):
         assert cls.coset == X.action[0]

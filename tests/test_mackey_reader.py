@@ -19,6 +19,7 @@ import pytest
 
 from profspan import formats as fm
 from profspan import groups as g
+from profspan import gsets as gs
 from profspan import mackey as mk
 from profspan import spans as sp
 from profspan.corpus import corpus_group, corpus_groups
@@ -39,7 +40,7 @@ def _zero_level_c2() -> mk.MackeyFunctor:
     pt = point_gset(G)
     ident = canonical_key(pt, 0, (0,), (0,), pt, pt)
     gen_action = {}
-    for c1, c2, key in sp.orbit_keys(G):
+    for c1, c2, key in sp.orbit_keys(gs.tables(G)):
         row = (int(key == ident),) * dims[c1]
         gen_action[c1, c2, key] = (row,) * dims[c2]
     return mk.MackeyFunctor(G, (mk.AbPresentation(0), mk.AbPresentation(1)), gen_action)
@@ -218,7 +219,7 @@ def test_orbit_keys_are_sorted_and_every_token_reads_back(name, relabel_seed):
     G = corpus_group(name)
     if relabel_seed is not None:
         G = _relabelled(G, relabel_seed)
-    keys = sp.orbit_keys(G)
+    keys = sp.orbit_keys(gs.tables(G))
     assert keys == sorted(keys)
     table = fm._key_table(G)
     assert list(table.values()) == keys
@@ -233,7 +234,7 @@ def test_orbit_keys_are_sorted_and_every_token_reads_back(name, relabel_seed):
     for N, normal in zip(lat.subgroups, lat.normal):
         if normal:
             fixed = mk.categorical_fixed_points(M, g.quotient(G, N))
-            assert list(fixed.gen_action) == sp.orbit_keys(fixed.group)
+            assert list(fixed.gen_action) == sp.orbit_keys(gs.tables(fixed.group))
 
 
 def test_fixed_points_keep_references_to_the_basis_keys_of_the_group():
@@ -248,7 +249,7 @@ def test_fixed_points_keep_references_to_the_basis_keys_of_the_group():
     pre = table.images
     n = len(pre)
     for c1, c2 in itertools.product(range(n), repeat=2):
-        basis = sp.orbit_basis(G, pre[c1], pre[c2])
+        basis = sp.orbit_basis(gs.tables(G), pre[c1], pre[c2])
         images = table.terms[c1][c2]
         assert images and all(type(j) is int and 0 <= j < len(basis) for j in images)
     M = mk.burnside_mackey(G)

@@ -206,11 +206,11 @@ def test_identity_and_reversed_keys_from_points_match_canonical_key(name, relabe
     if relabel:
         G = _relabelled(G, 7)
     n = g.subgroup_lattice(G).num_classes
-    orbits = [gs.orbit_gset(G, c) for c in range(n)]
+    orbits = [gs.tables(G).orbit(c) for c in range(n)]
     for c, X in enumerate(orbits):
         pts = X.points()
-        assert sp.identity_key(G, c) == canonical_key(X, 0, pts, pts, X, X)
-    for c1, c2, (a, legL, legR) in sp.orbit_keys(G):
+        assert sp.identity_key(gs.tables(G), c) == canonical_key(X, 0, pts, pts, X, X)
+    for c1, c2, (a, legL, legR) in sp.orbit_keys(gs.tables(G)):
         X, Y = orbits[c1], orbits[c2]
         reversed_key = canonical_key(orbits[a], 0, legR, legL, Y, X)
         assert sp.pair_key(a, Y, legR[0], X, legL[0]) == reversed_key
@@ -224,12 +224,13 @@ def _composite_entries(G):
     orbit_basis(G, c1, c2) against orbit_basis(G, c2, c3), whose firsts
     mix apex classes, mapped back to (key, mult) pairs through
     orbit_basis(G, c1, c3)."""
-    n = g.subgroup_lattice(G).num_classes
+    t = gs.tables(G)
+    n = len(t.classes)
     out = []
     for c1, c2, c3 in itertools.product(range(n), repeat=3):
-        firsts, seconds = sp.orbit_basis(G, c1, c2), sp.orbit_basis(G, c2, c3)
-        basis = sp.orbit_basis(G, c1, c3)
-        grid = sp.composites(G, c1, c3, firsts, seconds)
+        firsts, seconds = sp.orbit_basis(t, c1, c2), sp.orbit_basis(t, c2, c3)
+        basis = sp.orbit_basis(t, c1, c3)
+        grid = sp.composites(t, c1, c3, firsts, seconds)
         assert len(grid) == len(firsts) * len(seconds)
         for (k1, k2), entry in zip(itertools.product(firsts, seconds), grid):
             out.append((k1, k2, tuple((basis[p], m) for p, m in entry)))
@@ -290,8 +291,8 @@ def test_compose_keys_match_the_per_element_oracle_on_cyclic_endpoint_keys(order
         for k2 in endpoint_keys(G, c2, c3)
     ]
     for c1, c3, k2, k1 in random.Random(order).sample(pairs, 200):
-        (entry,) = sp.composites(G, c1, c3, (k1,), (k2,))
-        basis = sp.orbit_basis(G, c1, c3)
+        (entry,) = sp.composites(gs.tables(G), c1, c3, (k1,), (k2,))
+        basis = sp.orbit_basis(gs.tables(G), c1, c3)
         composite = tuple((basis[p], m) for p, m in entry)
         assert composite == compose_keys_per_element_oracle(G, k2, k1), (k2, k1)
 
@@ -307,16 +308,17 @@ def test_composites_of_shuffled_mixed_and_empty_grids(name, relabel_seed):
     G = corpus_group(name)
     if relabel_seed is not None:
         G = _relabelled(G, relabel_seed)
-    n = g.subgroup_lattice(G).num_classes
+    t = gs.tables(G)
+    n = len(t.classes)
     rng = random.Random(name)
     for c1, c2, c3 in itertools.product(range(n), repeat=3):
-        firsts, seconds = sp.orbit_basis(G, c1, c2), sp.orbit_basis(G, c2, c3)
-        assert sp.composites(G, c1, c3, (), seconds) == ()
-        assert sp.composites(G, c1, c3, firsts, ()) == ()
+        firsts, seconds = sp.orbit_basis(t, c1, c2), sp.orbit_basis(t, c2, c3)
+        assert sp.composites(t, c1, c3, (), seconds) == ()
+        assert sp.composites(t, c1, c3, firsts, ()) == ()
         firsts = rng.sample(firsts, len(firsts)) + [firsts[0]]
         seconds = rng.sample(seconds, len(seconds))
-        grid = sp.composites(G, c1, c3, firsts, seconds)
-        basis = sp.orbit_basis(G, c1, c3)
+        grid = sp.composites(t, c1, c3, firsts, seconds)
+        basis = sp.orbit_basis(gs.tables(G), c1, c3)
         for (k1, k2), entry in zip(itertools.product(firsts, seconds), grid):
             composite = tuple((basis[p], m) for p, m in entry)
             assert composite == compose_keys_per_element_oracle(G, k2, k1), (k2, k1)
@@ -336,26 +338,26 @@ def test_composites_share_fibre_buckets_across_start_orbits(monkeypatch, name):
     G = _relabelled(corpus_group(name), 23)
     n = g.subgroup_lattice(G).num_classes
     pt = n - 1
-    orbits = [gs.orbit_gset(G, c) for c in range(n)]
+    orbits = [gs.tables(G).orbit(c) for c in range(n)]
     reads = []
     double_cosets = sp._double_cosets
 
-    def counted(H, a, c2):
+    def counted(t, a, c2):
         reads.append((a, c2))
-        return double_cosets(H, a, c2)
+        return double_cosets(t, a, c2)
 
     monkeypatch.setattr(sp, "_double_cosets", counted)
     entries, buckets = [], set()
     for c1 in range(n):
-        seconds = sp.orbit_basis(G, c1, pt)
+        seconds = sp.orbit_basis(gs.tables(G), c1, pt)
         for c2 in range(n):
             firsts = [
                 sp.pair_key(a, orbits[c2], legR[0], orbits[c1], legL[0])
-                for a, legL, legR in sp.orbit_basis(G, c1, c2)
+                for a, legL, legR in sp.orbit_basis(gs.tables(G), c1, c2)
             ]
-            grid = sp.composites(G, c2, pt, firsts, seconds)
+            grid = sp.composites(gs.tables(G), c2, pt, firsts, seconds)
             assert len(grid) == len(firsts) * len(seconds)
-            basis = sp.orbit_basis(G, c2, pt)
+            basis = sp.orbit_basis(gs.tables(G), c2, pt)
             for (k1, k2), entry in zip(itertools.product(firsts, seconds), grid):
                 entries.append((k1, k2, tuple((basis[p], m) for p, m in entry)))
                 buckets.add((k1[0], k2[0], k2[1]))
@@ -411,8 +413,8 @@ def _law_first_keys(G, c1, c2, c3):
     when c2 = c3, and otherwise the least key of each orbit of those
     endpoint keys under W(c2) (_weyl_orbits)."""
     if c1 == c2:
-        basis = sp.orbit_basis(G, c2, c2)
-        return [basis[p] for p in sp.conjugation_generators(G, c2)]
+        basis = sp.orbit_basis(gs.tables(G), c2, c2)
+        return [basis[p] for p in sp.conjugation_generators(gs.tables(G), c2)]
     if c2 == c3:
         return endpoint_keys(G, c1, c2)
     return [k for k, _ in _weyl_orbits(G, c1, c2)]
@@ -425,11 +427,11 @@ def _law_positions(G, c1, c2, c3):
     it against the generator conjugations when c2 = c3 and c1 ≠ c2, and
     otherwise of the least endpoint key into it of each orbit of W(c2)
     (_law_first_keys) against those of the endpoint keys out of it."""
-    basis = sp.orbit_basis(G, c1, c2)
+    basis = sp.orbit_basis(gs.tables(G), c1, c2)
     firsts = tuple(map(basis.index, _law_first_keys(G, c1, c2, c3)))
     if c2 == c3 != c1:
-        return firsts, sp.conjugation_generators(G, c2)
-    return firsts, sp.endpoint_positions(G, c2, c3)
+        return firsts, sp.conjugation_generators(gs.tables(G), c2)
+    return firsts, sp.endpoint_positions(gs.tables(G), c2, c3)
 
 
 def _law_key_pairs(G, c1, c2, c3):
@@ -440,8 +442,8 @@ def _law_key_pairs(G, c1, c2, c3):
     endpoint keys out of it."""
     firsts = _law_first_keys(G, c1, c2, c3)
     if c2 == c3 != c1:
-        basis = sp.orbit_basis(G, c2, c2)
-        gens = [basis[p] for p in sp.conjugation_generators(G, c2)]
+        basis = sp.orbit_basis(gs.tables(G), c2, c2)
+        gens = [basis[p] for p in sp.conjugation_generators(gs.tables(G), c2)]
         return list(itertools.product(firsts, gens))
     return list(itertools.product(firsts, endpoint_keys(G, c2, c3)))
 
@@ -460,7 +462,7 @@ def test_endpoint_composites_match_compose_keys(name, relabel_seed):
         G = _relabelled(G, relabel_seed)
     n = g.subgroup_lattice(G).num_classes
     for c1, c3 in itertools.product(range(n), repeat=2):
-        table = list(sp.law_table(G, c1, c3))
+        table = list(sp.law_table(gs.tables(G), c1, c3))
         assert len(table) == n
         for c2, entry in enumerate(table):
             firsts, seconds = _law_positions(G, c1, c2, c3)
@@ -471,7 +473,7 @@ def test_endpoint_composites_match_compose_keys(name, relabel_seed):
             pairs = _law_key_pairs(G, c1, c2, c3)
             assert len(entry[2]) == len(pairs) == len(firsts) * len(seconds)
             for (k1, k2), terms in zip(pairs, entry[2]):
-                assert (terms,) == sp.composites(G, c1, c3, (k1,), (k2,)), (k1, k2)
+                assert (terms,) == sp.composites(gs.tables(G), c1, c3, (k1,), (k2,)), (k1, k2)
         entries = [terms for entry in table if entry for terms in entry[2]]
         assert len({id(entry) for entry in entries}) == len(set(entries))
 
@@ -486,14 +488,15 @@ def test_law_grids_walk_every_triple_with_law_pairs(name, relabel_seed):
     if relabel_seed is not None:
         G = _relabelled(G, relabel_seed)
     n = g.subgroup_lattice(G).num_classes
-    walked = list(sp.law_grids(G))
+    store = gs.tables(G)
+    walked = list(sp.law_grids(store))
     triples = itertools.product(range(n), repeat=3)
     assert [w[:3] for w in walked] == [t for t in triples if all(_law_positions(G, *t))]
     for c1, c2, c3, firsts, seconds, grid in walked:
         assert (firsts, seconds) == _law_positions(G, c1, c2, c3)
-        b12, b23 = sp.orbit_basis(G, c1, c2), sp.orbit_basis(G, c2, c3)
+        b12, b23 = sp.orbit_basis(store, c1, c2), sp.orbit_basis(store, c2, c3)
         expected = sp.composites(
-            G, c1, c3, [b12[p] for p in firsts], [b23[p] for p in seconds]
+            store, c1, c3, [b12[p] for p in firsts], [b23[p] for p in seconds]
         )
         assert grid == expected, (c1, c2, c3)
 
@@ -511,8 +514,8 @@ def test_endpoint_composites_match_the_per_element_oracle_on_cyclic_groups(order
         for i, pair in enumerate(_law_key_pairs(G, c1, c2, c3))
     ]
     for c1, c2, c3, i, (k1, k2) in random.Random(order).sample(entries, 200):
-        entry = sp.law_table(G, c1, c3)[c2][2][i]
-        basis = sp.orbit_basis(G, c1, c3)
+        entry = sp.law_table(gs.tables(G), c1, c3)[c2][2][i]
+        basis = sp.orbit_basis(gs.tables(G), c1, c3)
         composite = tuple((basis[j], m) for j, m in entry)
         assert composite == compose_keys_per_element_oracle(G, k2, k1), (k2, k1)
 
@@ -530,16 +533,16 @@ def test_generator_conjugations_close_to_every_endpoint_key_of_an_orbit(
     if relabel_seed is not None:
         G = _relabelled(G, relabel_seed)
     for c in range(g.subgroup_lattice(G).num_classes):
-        basis = sp.orbit_basis(G, c, c)
-        ends = {basis[p] for p in sp.endpoint_positions(G, c, c)}
+        basis = sp.orbit_basis(gs.tables(G), c, c)
+        ends = {basis[p] for p in sp.endpoint_positions(gs.tables(G), c, c)}
         assert ends == set(_conjugations(G, c))
         assert len(ends) == len(gs.tables(G).classes[c].normaliser)
-        gens = [basis[p] for p in sp.conjugation_generators(G, c)]
+        gens = [basis[p] for p in sp.conjugation_generators(gs.tables(G), c)]
         assert set(gens) <= ends
-        X = gs.orbit_gset(G, c)
+        X = gs.tables(G).orbit(c)
         reached = [sp.pair_key(c, X, 0, X, 0)]
         for k in reached:
-            for (p, m), in sp.composites(G, c, c, (k,), gens):
+            for (p, m), in sp.composites(gs.tables(G), c, c, (k,), gens):
                 assert m == 1
                 if basis[p] not in reached:
                     reached.append(basis[p])
@@ -561,8 +564,9 @@ def test_generator_conjugations_match_the_table_pick(G):
     """spans.conjugation_generators, which walks W = N(R)/R multiplying on
     demand, picks the generators that groups.generating_set picks on W's
     whole table (conjugation_generators_oracle), for every class."""
-    for c in range(g.subgroup_lattice(G).num_classes):
-        assert sp.conjugation_generators(G, c) == conjugation_generators_oracle(G, c)
+    t = gs.tables(G)
+    for c in range(len(t.classes)):
+        assert sp.conjugation_generators(t, c) == conjugation_generators_oracle(G, c)
 
 
 @pytest.mark.parametrize("G", [
@@ -589,11 +593,11 @@ def test_weyl_orbits_of_the_kept_firsts_cover_every_endpoint_key(G):
     for c1, c2 in itertools.product(range(n), repeat=2):
         if c1 == c2:
             continue
-        basis = sp.orbit_basis(G, c1, c2)
+        basis = sp.orbit_basis(gs.tables(G), c1, c2)
         conjugations = _conjugations(G, c2)
         ends = set(endpoint_keys(G, c1, c2))
         for c3 in range(n):
-            entry = sp.law_table(G, c1, c3)[c2]
+            entry = sp.law_table(gs.tables(G), c1, c3)[c2]
             if c3 == c2 or entry is None:
                 continue
             reached = set()
@@ -617,15 +621,15 @@ def test_compose_keys_keeps_nothing():
     A = _relabelled(corpus_group("Q8"), 31)
     B = _relabelled(corpus_group("S3"), 31)
     mk.check_mackey(mk.burnside_mackey(A))
-    group, store, distinct = sp._fibres
-    assert group is gs.tables(A).group and store and distinct
+    kept, store, distinct = sp._fibres
+    assert kept is gs.tables(A) and store and distinct
     parts = [store, distinct]
     for fibres in store.values():
         parts.append(fibres)
         for buckets in fibres.values():
             parts += [buckets, *buckets.values()]
     mk.burnside_mackey(B)
-    assert sp._fibres[0] is gs.tables(B).group
+    assert sp._fibres[0] is gs.tables(B)
     assert sp._fibres[1] is not store and sp._fibres[2] is not distinct
     inside = {id(part) for part in parts} | {id(parts)}
     for referrer in gc.get_referrers(*parts):
@@ -679,7 +683,7 @@ def test_double_coset_table_matches_an_independent_count(name):
     for c1, c2 in itertools.product(range(lat.num_classes), repeat=2):
         K1, K2 = lat.class_rep(c1).elements, lat.class_rep(c2).elements
         points1, points2 = cosets(c1), cosets(c2)
-        table = sp._double_cosets(G, c1, c2)
+        table = sp._double_cosets(gs.tables(G), c1, c2)
         assert len(table) == double_coset_count(G, K1, K2)
         everything = {frozenset(G.mul(x, k) for k in K2) for x in G.elements()}
         covered: set = set()
@@ -868,7 +872,7 @@ def test_span_functors_are_left_exact():
 
 
 def _orbits(G):
-    return [gs.orbit_gset(G, c) for c in range(g.subgroup_lattice(G).num_classes)]
+    return [gs.tables(G).orbit(c) for c in range(g.subgroup_lattice(G).num_classes)]
 
 
 def _quotients(G):
@@ -1010,8 +1014,8 @@ def _replaced_images(table):
         m1, m2 = table.images[c1], table.images[c2]
         if None in (m1, m2):
             continue
-        width = len(sp.orbit_basis(table.target, m1, m2))
-        for p in sp.endpoint_positions(G, c1, c2):
+        width = len(sp.orbit_basis(gs.tables(table.target), m1, m2))
+        for p in sp.endpoint_positions(gs.tables(G), c1, c2):
             for j in range(width):
                 if j == table.terms[c1][c2][p]:
                     continue
@@ -1073,7 +1077,7 @@ def test_law_failures_match_the_per_key_law(functor):
 
 
 def _identity_position(G, c):
-    return sp.orbit_basis(G, c, c).index(sp.identity_key(G, c))
+    return sp.orbit_basis(gs.tables(G), c, c).index(sp.identity_key(gs.tables(G), c))
 
 
 def _keeps_identities(table):
@@ -1095,8 +1099,8 @@ def _replaced_conjugations(table):
     for c, m in enumerate(table.images):
         if m is None:
             continue
-        width = len(sp.orbit_basis(table.target, m, m))
-        for p in sp.endpoint_positions(G, c, c):
+        width = len(sp.orbit_basis(gs.tables(table.target), m, m))
+        for p in sp.endpoint_positions(gs.tables(G), c, c):
             if p == _identity_position(G, c):
                 continue
             for j in range(width):
@@ -1144,8 +1148,9 @@ def _image_composites_oracle(table, c1, c2, c3, firsts, seconds):
     mult}, and {} where either image is zero."""
     K, images, terms = table.target, table.images, table.terms
     m1, m2, m3 = images[c1], images[c2], images[c3]
-    b12, b23 = sp.orbit_basis(K, m1, m2), sp.orbit_basis(K, m2, m3)
-    b13 = sp.orbit_basis(K, m1, m3)
+    tk = gs.tables(K)
+    b12, b23 = sp.orbit_basis(tk, m1, m2), sp.orbit_basis(tk, m2, m3)
+    b13 = sp.orbit_basis(tk, m1, m3)
     grid = []
     for p1, p2 in itertools.product(firsts, seconds):
         j1, j2 = terms[c1][c2][p1], terms[c2][c3][p2]
@@ -1176,18 +1181,18 @@ def test_image_composites_with_one_zero_side_match_the_oracle(which):
     one_zero = 0
     for q in g.cyclic_tower(2, 3).links:
         table = sp.span_images(q, which)
-        G = table.source
-        for c1, c2, c3, firsts, seconds, _ in sp.law_grids(G):
+        tg, tk = gs.tables(table.source), gs.tables(table.target)
+        for c1, c2, c3, firsts, seconds, _ in sp.law_grids(tg):
             if None in (table.images[c1], table.images[c2], table.images[c3]):
                 continue
             for zeroed in (
                 _zero_one_image(table, c1, c2, firsts[0]),
                 _zero_one_image(table, c2, c3, seconds[-1]),
             ):
-                for t1, t2, t3, f, s, _ in sp.law_grids(G):
+                for t1, t2, t3, f, s, _ in sp.law_grids(tg):
                     if None in (table.images[t] for t in (t1, t2, t3)):
                         continue
-                    rights = vf._right_sides(zeroed, t1, t2, t3, f, s)
+                    rights = vf._right_sides(zeroed, tk, t1, t2, t3, f, s)
                     expected = _image_composites_oracle(zeroed, t1, t2, t3, f, s)
                     assert list(map(dict, rights)) == expected
                 row, column = zeroed.terms[c1][c2], zeroed.terms[c2][c3]
@@ -1254,9 +1259,22 @@ def test_orbit_keys_join_the_orbit_bases_in_order(name, relabel_seed):
     joined = [
         (c1, c2, key)
         for c1, c2 in itertools.product(range(n), repeat=2)
-        for key in sp.orbit_basis(G, c1, c2)
+        for key in sp.orbit_basis(gs.tables(G), c1, c2)
     ]
-    assert sp.orbit_keys(G) == joined == sorted(joined)
+    assert sp.orbit_keys(gs.tables(G)) == joined == sorted(joined)
+
+
+def test_orbit_bases_are_the_store_lists_and_skip_a_filled_store(monkeypatch):
+    """orbit_bases returns the store's own lists, orbit_basis(t, c1, c2)
+    at [c1][c2], and once they are filled it reads no basis again: a
+    warm call walks no pair of classes."""
+    t = gs.tables(_relabelled(corpus_group("D4"), 41))
+    n = len(t.classes)
+    bases = sp.orbit_bases(t)
+    assert bases is t.bases
+    assert bases == [[sp.orbit_basis(t, c1, c2) for c2 in range(n)] for c1 in range(n)]
+    monkeypatch.setattr(sp, "orbit_basis", None)
+    assert sp.orbit_bases(t) is bases
 
 
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
@@ -1463,7 +1481,7 @@ def test_span_images_match_both_routes_they_replace(q):
         table = sp.span_images(q, functor.name)
         assert table == as_span_images(span_images_generic(functor, q))
         assert image_terms(table) == span_images_oracle(functor(q))
-        assert list(image_terms(table)) == sp.orbit_keys(functor(q).src_group)
+        assert list(image_terms(table)) == sp.orbit_keys(gs.tables(table.source))
     table = sp.span_images(q, "inflation")
     pre, pairs = inflated_keys_oracle(q)
     assert table.images == pre

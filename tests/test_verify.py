@@ -106,7 +106,7 @@ def test_colim_gset_builds_no_stage_gset_and_inflates_only_orbits(monkeypatch):
     assert inflated
     for X, Q in inflated:
         classes = range(g.subgroup_lattice(Q).num_classes)
-        assert X.size <= 4 and any(X == gs.orbit_gset(Q, c) for c in classes)
+        assert X.size <= 4 and any(X == gs.tables(Q).orbit(c) for c in classes)
 
 
 def test_colim_gset_fails_on_a_link_that_is_not_onto():
@@ -430,10 +430,11 @@ def _image_mutants(which, tower):
     functor: in C3 the two rotations of the free orbit.)"""
     for i, q in enumerate(tower.links):
         table = sp.span_images(q, which)
-        G, K, n = table.source, table.target, len(table.images)
+        tg, tk = gs.tables(table.source), gs.tables(table.target)
+        n = len(table.images)
         for c1, c2 in itertools.product(range(n), repeat=2):
             m1, m2 = table.images[c1], table.images[c2]
-            image_basis = () if None in (m1, m2) else sp.orbit_basis(K, m1, m2)
+            image_basis = () if None in (m1, m2) else sp.orbit_basis(tk, m1, m2)
             true = table.terms[c1][c2]
             for p, image in enumerate(true):
                 other = [j for j in range(len(image_basis)) if j != image]
@@ -441,7 +442,7 @@ def _image_mutants(which, tower):
                     yield "replaced", i, c1, c2, {p: other[0]}
                 if image is not None:
                     yield "dropped", i, c1, c2, {p: None}
-            ends = sp.endpoint_positions(G, c1, c2)
+            ends = sp.endpoint_positions(tg, c1, c2)
             basic = [
                 p for p, image in enumerate(true) if image is not None and p not in ends
             ]
@@ -530,7 +531,7 @@ def test_limit_span_fails_on_a_functor_that_is_not_left_exact(monkeypatch):
         c1, c2, c3, k1, k2 = report.witness
         assert (c1, c2, c3) == (0, 1, 0)
         assert (k1[0], k2[0]) == (c1, c3)  # a transfer, then a restriction
-        X, Z, Y = (gs.orbit_gset(tower.stages[1], c) for c in (c1, c2, c3))
+        X, Z, Y = (gs.tables(tower.stages[1]).orbit(c) for c in (c1, c2, c3))
         f = basis_legs(X, Z, k1)[1]
         h = basis_legs(Z, Y, k2)[0]
         P, p1, p2 = pullback(f, h)
